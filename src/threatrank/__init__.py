@@ -7,8 +7,6 @@ from .enrich import (
     GroupAttribution,
     Lexicon,
     attribute_group,
-    extract_origin,
-    extract_targets,
     filter_us_targeting,
     load_lexicon,
 )
@@ -56,8 +54,6 @@ from .kgraph import (
     NodeLabel,
     PropertyGraph,
     build_graph,
-    cves_affecting,
-    groups_threatening,
     load_graph,
     save_graph,
     techniques_for_cve,
@@ -71,7 +67,7 @@ from .profiles import (
     size_class,
 )
 from .ranking import (
-    FeatureRecord,
+    FeatureRow,
     IdealMode,
     OrgContext,
     Policy,
@@ -79,12 +75,10 @@ from .ranking import (
     RankedItem,
     RankedList,
     WeeklyCohort,
+    feature_bits,
+    feature_table,
     generate_candidates,
     rank,
-    score_apt_threat,
-    score_cvss_base,
-    score_general_threat,
-    score_ideal,
 )
 from .stats import TTestResult, paired_t_test, student_t_cdf
 from .vocab import Vocabulary, default_vocabulary, load_vocabulary

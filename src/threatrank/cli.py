@@ -267,8 +267,7 @@ def _write_ranked_csv(path: Path, ranked_lists: list[ranking.RankedList]) -> Non
                                  item.rank, item.cve_id, score, bits])
 
 
-def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str,
-             k: int | None = None) -> int:
+def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
     """Rank an organization's weekly cohorts under one policy."""
     graph = _require_graph(config)
     org = _org_context(graph, org_id)
@@ -278,9 +277,12 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str,
         raise UsageError(f"unknown policy: {policy_name!r} "
                          f"(choose from {[p.value for p in ranking.Policy]})")
     base = config.general_config if policy is ranking.Policy.GENERAL_THREAT else config.apt_config
-    policy_config = replace(base, policy=policy, **({"k": k} if k else {}))
+    policy_config = replace(base, policy=policy)
     cohorts = ranking.generate_candidates(org, graph, config.date_range)
-    ranked_lists = [ranking.rank(c, policy_config, graph, org) for c in cohorts]
+    ranked_lists = [
+        ranking.rank(c, policy_config, ranking.feature_table(graph, c, org, policy_config))
+        for c in cohorts
+    ]
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / f"ranked_{org_id}_{policy.value}.csv"
     _write_ranked_csv(out_path, ranked_lists)
@@ -305,9 +307,12 @@ def cmd_evaluate(config: ProjectConfig) -> int:
 
 def cmd_case_study(config: ProjectConfig, org_id: str, k: int | None = None) -> int:
     """Emit a side-by-side CVSS-vs-threat ranking table per weekly cohort."""
+    if k is None:
+        k = config.apt_config.k
+    elif k < 1:
+        raise UsageError(f"--k must be at least 1, not {k}")
     graph = _require_graph(config)
     org = _org_context(graph, org_id)
-    k = k or config.apt_config.k
     cohorts = ranking.generate_candidates(org, graph, config.date_range)
     if not cohorts:
         print(f"{org_id}: no candidate cohorts in "
@@ -315,18 +320,14 @@ def cmd_case_study(config: ProjectConfig, org_id: str, k: int | None = None) -> 
         return 0
     config.output_dir.mkdir(parents=True, exist_ok=True)
     apt = config.apt_config
+    cvss_config = replace(apt, policy=ranking.Policy.CVSS_BASE)
     printed = False
     for cohort in cohorts:
-        cvss_ranked = ranking.rank(
-            cohort, replace(apt, policy=ranking.Policy.CVSS_BASE), graph, org)
-        threat_ranked = ranking.rank(cohort, apt, graph, org)
-        cvss_rank = cvss_ranked.rank_of()
-        cvss_score = {
-            node.key: node.props.get("cvss_base", 0.0)
-            for node in graph.nodes_with_label(kgraph.NodeLabel.NVD_CVE)
-        }
+        table = ranking.feature_table(graph, cohort, org, apt)
+        cvss_rank = ranking.rank(cohort, cvss_config, table).rank_of()
+        threat_ranked = ranking.rank(cohort, apt, table)
         rows = [
-            (item.cve_id, cvss_score[item.cve_id], int(item.score),
+            (item.cve_id, table[item.cve_id].cvss_base or 0.0, int(item.score),
              cvss_rank[item.cve_id], item.rank)
             for item in threat_ranked.items[:k]
         ]
@@ -375,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rank_parser = sub.add_parser("rank", help="rank weekly cohorts for one organization")
     rank_parser.add_argument("--org", required=True)
     rank_parser.add_argument("--policy", required=True)
-    rank_parser.add_argument("--k", type=int)
     sub.add_parser("evaluate", help="emit nDCG, cost, and t-test report CSVs")
     case_parser = sub.add_parser("case-study",
                                  help="side-by-side CVSS vs threat ranking table")
@@ -405,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "build":
             return cmd_build(config)
         if args.command == "rank":
-            return cmd_rank(config, args.org, args.policy, args.k)
+            return cmd_rank(config, args.org, args.policy)
         if args.command == "evaluate":
             return cmd_evaluate(config)
         if args.command == "case-study":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from datetime import date
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -160,30 +159,6 @@ def _dedupe_keep_order(values):
     return out
 
 
-def extract_origin(
-    description: str,
-    created_date: date,
-    lexicon: Lexicon,
-) -> tuple[list[str], int]:
-    """Origin countries and year of origin for one group description.
-
-    Countries are all country-lexicon matches in the description (groups
-    with several attributed origins keep all of them).  The year is the
-    earliest four-digit year found inside an activity phrase; when none is
-    present, the creation date of the description stands in.
-    """
-    countries = _dedupe_keep_order(
-        m.canonical for m in scan_terms(description, lexicon.country_terms)
-    )
-    years = [
-        int(m.group(1))
-        for m in _ACTIVITY_YEAR_RE.finditer(description)
-        if MIN_ORIGIN_YEAR <= int(m.group(1)) <= created_date.year
-    ]
-    year = min(years) if years else created_date.year
-    return countries, year
-
-
 def _target_windows(description: str) -> list[str]:
     windows = []
     for trigger in _TRIGGER_RE.finditer(description):
@@ -196,18 +171,15 @@ def _target_windows(description: str) -> list[str]:
     return windows
 
 
-def extract_targets(description: str, lexicon: Lexicon) -> tuple[list[str], list[str]]:
-    """Targeted countries and sectors near targeting trigger words."""
-    countries: list[str] = []
-    sectors: list[str] = []
-    for window in _target_windows(description):
-        countries.extend(m.canonical for m in scan_terms(window, lexicon.country_terms))
-        sectors.extend(m.canonical for m in scan_terms(window, lexicon.sector_terms))
-    return _dedupe_keep_order(countries), _dedupe_keep_order(sectors)
-
-
 def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution:
-    """Full attribution for one group, with evidence spans per value."""
+    """Full attribution for one group, with evidence spans per value.
+
+    Origin countries are all country-lexicon matches in the description
+    (groups with several attributed origins keep all of them).  The origin
+    year is the earliest year inside an activity phrase, or the creation
+    year when there is none.  Targeted countries and sectors are matched
+    in the windows after targeting trigger words.
+    """
     evidence: list[tuple[str, str]] = []
 
     origin_matches = scan_terms(group.description, lexicon.country_terms)

@@ -22,14 +22,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .kgraph import NodeLabel, PropertyGraph
+from .kgraph import PropertyGraph
 from .ranking import (
     IdealMode,
     OrgContext,
     Policy,
     PolicyConfig,
     RankedList,
-    WeeklyCohort,
+    feature_table,
     generate_candidates,
     rank,
 )
@@ -245,22 +245,33 @@ def generate_report(
     """
     report = EvaluationReport()
     base_by_mode = {IdealMode.APT: apt_config, IdealMode.GENERAL: general_config}
+    threat_by_mode = {IdealMode.APT: Policy.APT_THREAT, IdealMode.GENERAL: Policy.GENERAL_THREAT}
+    ideal_configs = {mode: _config_for(base, Policy.IDEAL, mode)
+                     for mode, base in base_by_mode.items()}
+    threat_configs = {mode: _config_for(base_by_mode[mode], policy, mode)
+                      for mode, policy in threat_by_mode.items()}
+    cvss_config = _config_for(apt_config, Policy.CVSS_BASE, IdealMode.APT)
     for org in orgs:
         cohorts = generate_candidates(org, graph, date_range)
         if not cohorts:
             continue
-        rankings: dict[tuple[Policy, IdealMode], list[RankedList]] = {}
-        ideals: dict[IdealMode, list[RankedList]] = {}
-        for mode in IdealMode:
-            base = base_by_mode[mode]
-            ideals[mode] = [
-                rank(c, _config_for(base, Policy.IDEAL, mode), graph, org) for c in cohorts
-            ]
-        for policy, mode in EVALUATED_PAIRS:
-            base = base_by_mode[mode]
-            rankings[(policy, mode)] = [
-                rank(c, _config_for(base, policy, mode), graph, org) for c in cohorts
-            ]
+        rankings: dict[tuple[Policy, IdealMode], list[RankedList]] = {
+            pair: [] for pair in EVALUATED_PAIRS}
+        ideals: dict[IdealMode, list[RankedList]] = {mode: [] for mode in IdealMode}
+        cvss_of: dict[str, float] = {}
+        for cohort in cohorts:
+            # One feature table per family ranks the threat policy and its
+            # ideal.  The CVSS ranking reads only scores, which every table
+            # carries, and is the same under both ideal modes.
+            for mode in IdealMode:
+                table = feature_table(graph, cohort, org, ideal_configs[mode])
+                ideals[mode].append(rank(cohort, ideal_configs[mode], table))
+                rankings[(threat_by_mode[mode], mode)].append(
+                    rank(cohort, threat_configs[mode], table))
+            cvss_ranked = rank(cohort, cvss_config, table)
+            for mode in IdealMode:
+                rankings[(Policy.CVSS_BASE, mode)].append(cvss_ranked)
+            cvss_of.update((cve, row.cvss_base or 0.0) for cve, row in table.items())
 
         # nDCG@K curves, averaged per ISO year.
         years = sorted({week.iso_week[0] for week in cohorts})
@@ -278,10 +289,6 @@ def generate_report(
                     )
 
         # Annualized patch costs of the top cost_k items.
-        cvss_of = {
-            node.key: float(node.props.get("cvss_base", 0.0))
-            for node in graph.nodes_with_label(NodeLabel.NVD_CVE)
-        }
         for policy in COST_POLICIES:
             mode = IdealMode.GENERAL if policy is Policy.GENERAL_THREAT else IdealMode.APT
             weekly = {

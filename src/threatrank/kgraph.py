@@ -189,9 +189,6 @@ class PropertyGraph:
         node_id = self._by_key.get((label, key))
         return None if node_id is None else self._nodes[node_id]
 
-    def has_node(self, label: NodeLabel, key: str) -> bool:
-        return (label, key) in self._by_key
-
     def nodes(self) -> Iterator[Node]:
         return iter(self._nodes.values())
 
@@ -215,14 +212,6 @@ class PropertyGraph:
             raise ValueError(f"direction must be 'out' or 'in', not {direction!r}")
         adjacency = self._out if direction == "out" else self._in
         return set(adjacency.get(node_id, {}).get(edge_type, ()))
-
-    def neighbor_keys(self, label: NodeLabel, key: str, edge_type: EdgeType,
-                      direction: str = "out") -> set[str]:
-        """Like neighbors(), addressed and answered by (label, key)."""
-        node = self.find(label, key)
-        if node is None:
-            return set()
-        return {self._nodes[i].key for i in self.neighbors(node.node_id, edge_type, direction)}
 
 
 # ---------------------------------------------------------------------------
@@ -378,39 +367,8 @@ def build_graph(
 
 
 # ---------------------------------------------------------------------------
-# Path queries used by the ranking policies
+# Path queries
 # ---------------------------------------------------------------------------
-
-
-def groups_threatening(
-    graph: PropertyGraph,
-    sector: str,
-    org_country: str,
-    origin_countries: Iterable[str] = (),
-) -> set[str]:
-    """Groups focused on the sector and targeting the country.
-
-    When ``origin_countries`` is non-empty, the group must also originate
-    from one of them.  Unknown sectors yield the empty set.
-    """
-    sector_node = graph.find(NodeLabel.DHS_SECTOR, sector)
-    if sector_node is None:
-        return set()
-    origins = set(origin_countries)
-    result = set()
-    for group_id in graph.neighbors(sector_node.node_id, EdgeType.FOCUS_ON, "in"):
-        group = graph.node(group_id)
-        targeted = {graph.node(i).key
-                    for i in graph.neighbors(group_id, EdgeType.TARGETS, "out")}
-        if org_country not in targeted:
-            continue
-        if origins:
-            group_origins = {graph.node(i).key
-                             for i in graph.neighbors(group_id, EdgeType.ORIGINATES, "out")}
-            if not group_origins & origins:
-                continue
-        result.add(group.key)
-    return result
 
 
 def techniques_for_cve(graph: PropertyGraph, cve_id: str) -> set[tuple[str, str, str]]:
@@ -430,18 +388,6 @@ def techniques_for_cve(graph: PropertyGraph, cve_id: str) -> set[tuple[str, str,
             for tech_nid in graph.neighbors(capec_nid, EdgeType.EMPLOYS, "out"):
                 paths.add((graph.node(tech_nid).key, capec_key, cwe_key))
     return paths
-
-
-def cves_affecting(graph: PropertyGraph, cpe_ids: Iterable[str]) -> set[str]:
-    """Union of reverse-Affects adjacency over a set of CPE identifiers."""
-    result = set()
-    for cpe_id in cpe_ids:
-        node = graph.find(NodeLabel.CPE, cpe_id)
-        if node is None:
-            continue
-        for cve_nid in graph.neighbors(node.node_id, EdgeType.AFFECTS, "in"):
-            result.add(graph.node(cve_nid).key)
-    return result
 
 
 def audit_edge_conformance(graph: PropertyGraph) -> list[tuple[str, str, str]]:

@@ -5,8 +5,10 @@ resolved CPEs with a date range, grouped by the ISO week of the CVE
 modification date (the date that simulates when a vulnerability presents
 itself for analysis).
 
-The threat policies score each candidate by summing six binary features
-and flooring at 1, so every applicable CVE stays a candidate:
+Each candidate has one feature record: its CVSS base score and ten binary
+features, extracted together (``feature_bits``).  A threat policy is a
+tuple of six of those names; its score is their sum floored at 1, so
+every applicable CVE stays a candidate:
 
 * APT threat: network attack vector; a weakness->attack-pattern->technique
   path reaching a group focused on the organization's sector; such a group
@@ -20,8 +22,8 @@ and flooring at 1, so every applicable CVE stays a candidate:
   replaced by observed exploit evidence (KEV or ExploitDB); it serves as
   the nDCG ground truth.
 
-Scoring is pure given a frozen graph; output order never depends on
-evaluation order (ties break on ascending CVE id).
+Ranking reads a cohort's feature table and never the graph; output order
+never depends on evaluation order (ties break on ascending CVE id).
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .feeds import AttackVector, SkillLevel, TechnicalImpact
-from .kgraph import EdgeType, NodeLabel, PropertyGraph, techniques_for_cve
+# techniques_for_cve is unused here; bench/trace_cli.py rebinds ranking's name.
+from .kgraph import EdgeType, NodeLabel, PropertyGraph, techniques_for_cve  # noqa: F401
 from .profiles import OrganizationProfile, resolved_cpe_ids
 
 log = logging.getLogger(__name__)
@@ -197,8 +200,29 @@ def generate_candidates(
 
 
 # ---------------------------------------------------------------------------
-# Per-policy feature bits
+# Feature bits: one extraction, policies as bit-name tuples
 # ---------------------------------------------------------------------------
+
+# Policies are sums over these names; the tuple order is the order the
+# ``feature_bits`` column of the ranked CSVs prints.
+APT_BITS = ("av_network", "sector_focus", "targets_country", "origin_match",
+            "epss_gate", "affects_software")
+GENERAL_BITS = ("av_network", "skill_match", "technique_link", "failure_impact",
+                "epss_gate", "affects_software")
+FAMILY_BITS = {IdealMode.APT: APT_BITS, IdealMode.GENERAL: GENERAL_BITS}
+# The ideal swaps the EPSS gate for observed exploit evidence.
+IDEAL_BITS = {
+    mode: tuple(name for name in bits if name != "epss_gate") + ("exploit_known",)
+    for mode, bits in FAMILY_BITS.items()
+}
+
+
+def policy_bits(config: PolicyConfig) -> tuple[str, ...]:
+    """Names of the bits the configured policy sums; empty for CVSS base."""
+    if config.policy is Policy.IDEAL:
+        return IDEAL_BITS[config.ideal_mode]
+    return {Policy.CVSS_BASE: (), Policy.APT_THREAT: APT_BITS,
+            Policy.GENERAL_THREAT: GENERAL_BITS}[config.policy]
 
 
 def _cve_node(graph: PropertyGraph, cve_id: str):
@@ -208,14 +232,8 @@ def _cve_node(graph: PropertyGraph, cve_id: str):
     return node
 
 
-def _threat_groups(graph: PropertyGraph, cve_id: str) -> set[int]:
-    """Node ids of groups reachable from the CVE via its technique paths."""
-    groups: set[int] = set()
-    for technique_id, _capec, _cwe in techniques_for_cve(graph, cve_id):
-        tech = graph.find(NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, technique_id)
-        if tech is not None:
-            groups |= graph.neighbors(tech.node_id, EdgeType.ACHIEVES_GOAL, "in")
-    return groups
+def _adjacent_keys(graph: PropertyGraph, node_id: int, edge_type: EdgeType) -> set[str]:
+    return {graph.node(i).key for i in graph.neighbors(node_id, edge_type, "out")}
 
 
 def _epss_bit(node, config: PolicyConfig) -> int:
@@ -229,102 +247,60 @@ def _epss_bit(node, config: PolicyConfig) -> int:
     return int(passed)
 
 
-def _exploit_bit(graph: PropertyGraph, node) -> int:
-    in_kev = bool(graph.neighbors(node.node_id, EdgeType.EXPLOITS_KNOWN, "out"))
-    in_exploitdb = bool(graph.neighbors(node.node_id, EdgeType.REFERENCE_EXPLOIT, "out"))
-    return int(in_kev or in_exploitdb)
-
-
-def _affects_bit(graph: PropertyGraph, node, org: OrgContext) -> int:
-    affected = {graph.node(i).key for i in graph.neighbors(node.node_id, EdgeType.AFFECTS, "out")}
-    return int(bool(affected & org.cpe_ids))
-
-
-def apt_threat_bits(
+def feature_bits(
     graph: PropertyGraph,
     cve_id: str,
     org: OrgContext,
     config: PolicyConfig,
-    exploit_evidence: bool = False,
 ) -> dict[str, int]:
-    """The six APT-threat feature bits for one candidate.
+    """All ten feature bits of one (CVE, organization) pair.
 
-    The sector/country/origin bits are witnessed by groups reachable from
-    the CVE through its weakness->attack-pattern->technique paths; the
-    country and origin bits are witnessed by groups that also satisfy the
-    sector bit.
+    One walk over the CVE's weakness->attack-pattern->technique->group
+    paths sets the path bits.  Skill matching and the technique link are
+    independent bits over the CVE's attack patterns, so changing the
+    configured skill level moves a relevance by exactly the skill bit.  The
+    group bits are witnessed by groups reachable through a technique; the
+    country and origin bits only by groups that also satisfy the sector bit.
     """
     node = _cve_node(graph, cve_id)
-    focused_groups = set()
-    for group_nid in _threat_groups(graph, cve_id):
-        sectors = {graph.node(i).key
-                   for i in graph.neighbors(group_nid, EdgeType.FOCUS_ON, "out")}
-        if org.sector in sectors:
-            focused_groups.add(group_nid)
-    targets_country = False
-    origin_match = False
-    for group_nid in focused_groups:
-        targeted = {graph.node(i).key
-                    for i in graph.neighbors(group_nid, EdgeType.TARGETS, "out")}
-        if org.country in targeted:
+    failure_impact = skill_match = technique_link = False
+    techniques: set[int] = set()
+    for cwe_nid in graph.neighbors(node.node_id, EdgeType.WEAKENED_BY, "out"):
+        if FAILURE_IMPACTS.intersection(graph.node(cwe_nid).props.get("technical_impacts", ())):
+            failure_impact = True
+        for capec_nid in graph.neighbors(cwe_nid, EdgeType.KNOWN_ATTACK, "out"):
+            if graph.node(capec_nid).props.get("skill_level") == config.skill_level.value:
+                skill_match = True
+            employed = graph.neighbors(capec_nid, EdgeType.EMPLOYS, "out")
+            technique_link = technique_link or bool(employed)
+            techniques |= employed
+    groups: set[int] = set()
+    for tech_nid in techniques:
+        groups |= graph.neighbors(tech_nid, EdgeType.ACHIEVES_GOAL, "in")
+    sector_focus = targets_country = origin_match = False
+    for group_nid in groups:
+        if org.sector not in _adjacent_keys(graph, group_nid, EdgeType.FOCUS_ON):
+            continue
+        sector_focus = True
+        if org.country in _adjacent_keys(graph, group_nid, EdgeType.TARGETS):
             targets_country = True
-        origins = {graph.node(i).key
-                   for i in graph.neighbors(group_nid, EdgeType.ORIGINATES, "out")}
-        if origins & config.origin_countries:
+        if _adjacent_keys(graph, group_nid, EdgeType.ORIGINATES) & config.origin_countries:
             origin_match = True
-    bits = {
+    affected = _adjacent_keys(graph, node.node_id, EdgeType.AFFECTS)
+    exploited = (graph.neighbors(node.node_id, EdgeType.EXPLOITS_KNOWN, "out")
+                 or graph.neighbors(node.node_id, EdgeType.REFERENCE_EXPLOIT, "out"))
+    return {
         "av_network": int(node.props.get("attack_vector") == AttackVector.NETWORK.value),
-        "sector_focus": int(bool(focused_groups)),
+        "sector_focus": int(sector_focus),
         "targets_country": int(targets_country),
         "origin_match": int(origin_match),
-        "epss_gate": _epss_bit(node, config),
-        "affects_software": _affects_bit(graph, node, org),
-    }
-    if exploit_evidence:
-        del bits["epss_gate"]
-        bits["exploit_known"] = _exploit_bit(graph, node)
-    return bits
-
-
-def general_threat_bits(
-    graph: PropertyGraph,
-    cve_id: str,
-    org: OrgContext,
-    config: PolicyConfig,
-    exploit_evidence: bool = False,
-) -> dict[str, int]:
-    """The six general-threat feature bits for one candidate."""
-    node = _cve_node(graph, cve_id)
-    # Skill matching and the technique link are independent bits over the
-    # CVE's attack patterns, so changing the configured skill level moves
-    # the relevance by exactly the skill bit.
-    skill_match = False
-    capec_has_technique = False
-    for cwe_nid in graph.neighbors(node.node_id, EdgeType.WEAKENED_BY, "out"):
-        for capec_nid in graph.neighbors(cwe_nid, EdgeType.KNOWN_ATTACK, "out"):
-            capec = graph.node(capec_nid)
-            if capec.props.get("skill_level") == config.skill_level.value:
-                skill_match = True
-            if graph.neighbors(capec_nid, EdgeType.EMPLOYS, "out"):
-                capec_has_technique = True
-    failure_impact = False
-    for cwe_nid in graph.neighbors(node.node_id, EdgeType.WEAKENED_BY, "out"):
-        impacts = set(graph.node(cwe_nid).props.get("technical_impacts", ()))
-        if impacts & FAILURE_IMPACTS:
-            failure_impact = True
-            break
-    bits = {
-        "av_network": int(node.props.get("attack_vector") == AttackVector.NETWORK.value),
         "skill_match": int(skill_match),
-        "technique_link": int(capec_has_technique),
+        "technique_link": int(technique_link),
         "failure_impact": int(failure_impact),
         "epss_gate": _epss_bit(node, config),
-        "affects_software": _affects_bit(graph, node, org),
+        "exploit_known": int(bool(exploited)),
+        "affects_software": int(bool(affected & org.cpe_ids)),
     }
-    if exploit_evidence:
-        del bits["epss_gate"]
-        bits["exploit_known"] = _exploit_bit(graph, node)
-    return bits
 
 
 def score_from_bits(bits: Mapping[str, int]) -> int:
@@ -332,111 +308,43 @@ def score_from_bits(bits: Mapping[str, int]) -> int:
     return max(1, sum(bits.values()))
 
 
-def score_cvss_base(graph: PropertyGraph, cve_id: str) -> float:
-    """CVSS base score; missing scores rank last with a warning."""
-    node = _cve_node(graph, cve_id)
-    score = node.props.get("cvss_base")
-    if score is None:
-        log.warning("%s has no CVSS base score; treating as 0.0", cve_id)
-        return 0.0
-    return float(score)
-
-
-def score_apt_threat(graph, cve_id, org, config) -> int:
-    return score_from_bits(apt_threat_bits(graph, cve_id, org, config))
-
-
-def score_general_threat(graph, cve_id, org, config) -> int:
-    return score_from_bits(general_threat_bits(graph, cve_id, org, config))
-
-
-def score_ideal(graph, cve_id, org, config, mode: IdealMode | None = None) -> int:
-    mode = mode or config.ideal_mode
-    if mode is IdealMode.APT:
-        bits = apt_threat_bits(graph, cve_id, org, config, exploit_evidence=True)
-    else:
-        bits = general_threat_bits(graph, cve_id, org, config, exploit_evidence=True)
-    return score_from_bits(bits)
-
-
 # ---------------------------------------------------------------------------
-# The 16-feature record backing a CVE/organization pairing
+# The per-cohort feature table
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FeatureRecord:
-    """Everything the policies examine for one (CVE, organization) pair.
+class FeatureRow:
+    """The feature record of one (CVE, organization) pair.
 
-    Fields are populated from the graph or explicitly None/empty when the
-    graph holds no value.
+    ``cvss_base`` is None when the graph holds no score; ``bits`` holds the
+    ten ``feature_bits``, or nothing for a table built for CVSS base.
     """
 
-    cve_id: str
     cvss_base: float | None
-    attack_vector: str | None
-    published: date | None
-    modified: date | None
-    capec_ids: tuple[str, ...]
-    capec_skills: tuple[str, ...]
-    technique_names: tuple[str, ...]
-    group_ids: tuple[str, ...]
-    group_countries: tuple[str, ...]
-    risk_appetite: int
-    epss_probability: float | None
-    epss_percentile: float | None
-    in_kev: bool
-    in_exploitdb: bool
-    org_id: str
-    sector: str
-    org_country: str
+    bits: Mapping[str, int]
 
 
-def build_feature_record(
+def feature_table(
     graph: PropertyGraph,
-    cve_id: str,
+    cohort: WeeklyCohort,
     org: OrgContext,
     config: PolicyConfig,
-) -> FeatureRecord:
-    node = _cve_node(graph, cve_id)
-    paths = techniques_for_cve(graph, cve_id)
-    capec_ids = sorted({capec for _t, capec, _c in paths})
-    capec_skills = []
-    for capec_id in capec_ids:
-        capec = graph.find(NodeLabel.CAPEC, capec_id)
-        if capec is not None:
-            capec_skills.append(capec.props.get("skill_level", SkillLevel.UNKNOWN.value))
-    technique_names = []
-    for technique_id in sorted({t for t, _c, _w in paths}):
-        tech = graph.find(NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, technique_id)
-        if tech is not None:
-            technique_names.append(tech.props.get("name") or technique_id)
-    group_ids = sorted(graph.node(i).key for i in _threat_groups(graph, cve_id))
-    group_countries: set[str] = set()
-    for group_id in group_ids:
-        group = graph.find(NodeLabel.ATTACK_GROUP, group_id)
-        group_countries |= {graph.node(i).key
-                            for i in graph.neighbors(group.node_id, EdgeType.ORIGINATES, "out")}
-    return FeatureRecord(
-        cve_id=cve_id,
-        cvss_base=node.props.get("cvss_base"),
-        attack_vector=node.props.get("attack_vector"),
-        published=date.fromisoformat(node.props["published"]) if "published" in node.props else None,
-        modified=date.fromisoformat(node.props["modified"]) if "modified" in node.props else None,
-        capec_ids=tuple(capec_ids),
-        capec_skills=tuple(capec_skills),
-        technique_names=tuple(technique_names),
-        group_ids=tuple(group_ids),
-        group_countries=tuple(sorted(group_countries)),
-        risk_appetite=config.risk_appetite,
-        epss_probability=node.props.get("epss_probability"),
-        epss_percentile=node.props.get("epss_percentile"),
-        in_kev=bool(graph.neighbors(node.node_id, EdgeType.EXPLOITS_KNOWN, "out")),
-        in_exploitdb=bool(graph.neighbors(node.node_id, EdgeType.REFERENCE_EXPLOIT, "out")),
-        org_id=org.org_id,
-        sector=org.sector,
-        org_country=org.country,
-    )
+) -> dict[str, FeatureRow]:
+    """Feature rows of a cohort's candidates, keyed by CVE id.
+
+    Bits depend on the config's origin countries, skill level and EPSS
+    gate, so one table serves every policy of one feature family.  A
+    CVSS-only config skips the path walk.
+    """
+    walk = config.policy is not Policy.CVSS_BASE
+    return {
+        cve_id: FeatureRow(
+            cvss_base=_cve_node(graph, cve_id).props.get("cvss_base"),
+            bits=feature_bits(graph, cve_id, org, config) if walk else {},
+        )
+        for cve_id in cohort.cve_ids
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -450,38 +358,33 @@ def order_scored(scored: Iterable[tuple[str, float]]) -> list[tuple[str, float, 
     return [(cve, score, position) for position, (cve, score) in enumerate(ordered, start=1)]
 
 
+def _cvss_score(cve_id: str, cvss_base: float | None) -> float:
+    """CVSS base score; missing scores rank last with a warning."""
+    if cvss_base is None:
+        log.warning("%s has no CVSS base score; treating as 0.0", cve_id)
+        return 0.0
+    return float(cvss_base)
+
+
 def rank(
     cohort: WeeklyCohort,
     config: PolicyConfig,
-    graph: PropertyGraph,
-    org: OrgContext,
+    records: Mapping[str, FeatureRow],
 ) -> RankedList:
-    """Rank one weekly cohort under the configured policy."""
-    scored: list[tuple[str, float]] = []
-    bits_by_cve: dict[str, Mapping[str, int]] = {}
-    for cve_id in cohort.cve_ids:
-        if config.policy is Policy.CVSS_BASE:
-            scored.append((cve_id, score_cvss_base(graph, cve_id)))
-        elif config.policy is Policy.APT_THREAT:
-            bits = apt_threat_bits(graph, cve_id, org, config)
-            bits_by_cve[cve_id] = bits
-            scored.append((cve_id, float(score_from_bits(bits))))
-        elif config.policy is Policy.GENERAL_THREAT:
-            bits = general_threat_bits(graph, cve_id, org, config)
-            bits_by_cve[cve_id] = bits
-            scored.append((cve_id, float(score_from_bits(bits))))
-        elif config.policy is Policy.IDEAL:
-            if config.ideal_mode is IdealMode.APT:
-                bits = apt_threat_bits(graph, cve_id, org, config, exploit_evidence=True)
-            else:
-                bits = general_threat_bits(graph, cve_id, org, config, exploit_evidence=True)
-            bits_by_cve[cve_id] = bits
-            scored.append((cve_id, float(score_from_bits(bits))))
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown policy {config.policy}")
+    """Rank one weekly cohort under the configured policy.
+
+    ``records`` is the cohort's ``feature_table``; CVSS-base items carry no
+    feature bits.
+    """
+    names = policy_bits(config)
+    bits_of = {cve: {name: records[cve].bits[name] for name in names}
+               for cve in cohort.cve_ids}
+    if config.policy is Policy.CVSS_BASE:
+        scored = [(cve, _cvss_score(cve, records[cve].cvss_base)) for cve in cohort.cve_ids]
+    else:
+        scored = [(cve, float(score_from_bits(bits))) for cve, bits in bits_of.items()]
     items = tuple(
-        RankedItem(cve_id=cve, score=score, rank=position,
-                   feature_bits=dict(bits_by_cve.get(cve, {})))
+        RankedItem(cve_id=cve, score=score, rank=position, feature_bits=bits_of[cve])
         for cve, score, position in order_scored(scored)
     )
     return RankedList(org_id=cohort.org_id, policy=config.policy,

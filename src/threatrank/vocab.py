@@ -38,18 +38,10 @@ class Vocabulary:
     sectors: tuple[str, ...]
 
     def is_country(self, name: str) -> bool:
-        return name in self._country_set
+        return name in self.countries
 
     def is_sector(self, name: str) -> bool:
-        return name in self._sector_set
-
-    @property
-    def _country_set(self) -> frozenset[str]:
-        return frozenset(self.countries)
-
-    @property
-    def _sector_set(self) -> frozenset[str]:
-        return frozenset(self.sectors)
+        return name in self.sectors
 
 
 def load_vocabulary(

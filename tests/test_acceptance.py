@@ -24,7 +24,7 @@ import pytest
 from threatrank.cli import build_pipeline, load_config
 from threatrank.enrich import (
     GroupAttribution,
-    extract_origin,
+    attribute_group,
     filter_us_targeting,
     load_lexicon,
 )
@@ -45,17 +45,16 @@ from threatrank.ranking import (
     PolicyConfig,
     RankedItem,
     RankedList,
+    WeeklyCohort,
+    feature_table,
     generate_candidates,
     order_scored,
     rank,
-    score_apt_threat,
     score_from_bits,
-    score_general_threat,
-    score_ideal,
 )
 from threatrank.stats import paired_t_test, student_t_cdf
 from threatrank.vocab import default_vocabulary
-from threatrank.feeds import SkillLevel
+from threatrank.feeds import AttackGroupRaw, SkillLevel
 from tests.conftest import (
     CASE_STUDY,
     EXPECTED_CVSS_RANKS,
@@ -98,8 +97,9 @@ def test_c1_case_study_reproduction():
         assert len(cohorts) == 1 and len(cohorts[0].cve_ids) == 39
 
         apt = config.apt_config
-        threat = rank(cohorts[0], apt, graph, org)
-        cvss = rank(cohorts[0], replace(apt, policy=Policy.CVSS_BASE), graph, org)
+        table = feature_table(graph, cohorts[0], org, apt)
+        threat = rank(cohorts[0], apt, table)
+        cvss = rank(cohorts[0], replace(apt, policy=Policy.CVSS_BASE), table)
 
         threat_ranks = threat.rank_of()
         for cve, expected in EXPECTED_THREAT_RANKS.items():
@@ -183,12 +183,14 @@ def test_c3_relevance_range_and_monotonicity():
                 epss_threshold=round(rng.random(), 3),
                 risk_appetite=rng.randint(0, 100),
             )
-            for score in (
-                score_apt_threat(graph, cve_id, org, config),
-                score_general_threat(graph, cve_id, org, config),
-                score_ideal(graph, cve_id, org, config, IdealMode.APT),
-                score_ideal(graph, cve_id, org, config, IdealMode.GENERAL),
-            ):
+            cohort = WeeklyCohort(org_id="fuzz", iso_week=(2021, 1), cve_ids=(cve_id,))
+            table = feature_table(graph, cohort, org, config)
+            for policy, mode in ((Policy.APT_THREAT, IdealMode.APT),
+                                 (Policy.GENERAL_THREAT, IdealMode.GENERAL),
+                                 (Policy.IDEAL, IdealMode.APT),
+                                 (Policy.IDEAL, IdealMode.GENERAL)):
+                ranked = rank(cohort, replace(config, policy=policy, ideal_mode=mode), table)
+                score = ranked.items[0].score
                 assert 1 <= score <= 6, (cve_id, score)
 
         # single-bit monotonicity: relevance and rank position
@@ -284,10 +286,11 @@ def test_c6_synthetic_corpus_improvement():
         apt = config.apt_config
         cvss_series, threat_series = [], []
         for cohort in cohorts:
+            table = feature_table(graph, cohort, org, apt)
             ideal = rank(cohort, replace(apt, policy=Policy.IDEAL,
-                                         ideal_mode=IdealMode.APT), graph, org)
-            cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), graph, org)
-            threat = rank(cohort, apt, graph, org)
+                                         ideal_mode=IdealMode.APT), table)
+            cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), table)
+            threat = rank(cohort, apt, table)
             cvss_series.append(ndcg_at_k(cvss, ideal, 20).ndcg)
             threat_series.append(ndcg_at_k(threat, ideal, 20).ndcg)
 
@@ -328,12 +331,15 @@ def test_c8_enrichment_extraction():
         from datetime import date
 
         lexicon = load_lexicon()
-        countries, _ = extract_origin(
-            "North Korean state-sponsored threat group", date(2017, 5, 31), lexicon)
-        assert countries == ["North Korea"]
-        _, year = extract_origin(
-            "has been active since at least 2009", date(2017, 5, 31), lexicon)
-        assert year == 2009
+
+        def attributed(description):
+            group = AttackGroupRaw(group_id="G0001", name="g", description=description,
+                                   created=date(2017, 5, 31), technique_ids=())
+            return attribute_group(group, lexicon)
+
+        assert attributed("North Korean state-sponsored threat group").origin_countries == \
+            ("North Korea",)
+        assert attributed("has been active since at least 2009").origin_year == 2009
 
         rng = random.Random(8)
         pool = ["United States", "China", "Russia", "Germany", "Japan", "Brazil"]

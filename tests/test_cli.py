@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
 import pytest
 
 from threatrank.cli import main
-from tests.conftest import CASE_STUDY, SYNTHETIC
+from tests.conftest import CASE_STUDY, FIXTURES
 
 CONFIG = str(CASE_STUDY / "config.json")
 
@@ -81,6 +82,28 @@ def test_rank_command(built):
     first = rows[1].split(",")
     assert first[:6] == ["ODU", "apt_threat", "2021-W47", "1", "CVE-2021-37966", "6"]
     assert "av_network=1" in rows[1]
+
+
+def test_rank_has_no_k_option(built, capsys):
+    code = _run("--config", CONFIG, "--out", str(built),
+                "rank", "--org", "ODU", "--policy", "apt_threat", "--k", "-1")
+    assert code == 1
+    assert "--k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_case_study_rejects_k_below_one(built, capsys, k):
+    code = _run("--config", CONFIG, "--out", str(built), "case-study", "--org", "ODU", "--k", k)
+    assert code == 1
+    assert "--k" in capsys.readouterr().err
+    assert not list(built.glob("case_study_*.csv"))
+
+
+def test_case_study_k_limits_rows(built):
+    code = _run("--config", CONFIG, "--out", str(built), "case-study", "--org", "ODU", "--k", "5")
+    assert code == 0
+    lines = (built / "case_study_ODU_2021W47.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 6  # header + top 5
 
 
 def test_rank_unknown_org_exits_one(built, capsys):
@@ -159,14 +182,38 @@ def test_date_range_override_narrows_cohorts(built, capsys):
     assert "no candidate cohorts" in capsys.readouterr().out
 
 
-def test_synthetic_corpus_pipeline(tmp_path):
+# Golden outputs of a full pipeline run: sha256 over every output file in
+# name order, each contributing name + NUL + bytes.  They pin graph.jsonl,
+# coverage, ranked (including the feature_bits column order), report and
+# case-study bytes.
+# Values: (org, weekly cohorts, output files, digest).
+GOLDEN_OUTPUTS = {
+    "case_study": ("ODU", 1, 12,
+                   "9ed915c753466ffd2a57f1e80e24471f07c0388c76a6a01fd6f105af5d0a5784"),
+    "synthetic52": ("SYNTHU", 52, 63,
+                    "0fdf6f12c9097f0c53447555cea972cdd4fda7bc6e4b7749c9e58e1e35e87b6e"),
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_OUTPUTS))
+def test_synthetic_corpus_pipeline(tmp_path, fixture):
+    org, n_weeks, n_files, digest = GOLDEN_OUTPUTS[fixture]
     out = tmp_path / "out"
-    config = str(SYNTHETIC / "config.json")
-    assert _run("--config", config, "--out", str(out), "build") == 0
-    assert _run("--config", config, "--out", str(out),
-                "rank", "--org", "SYNTHU", "--policy", "ideal") == 0
-    rows = (out / "ranked_SYNTHU_ideal.csv").read_text(encoding="utf-8").splitlines()
-    assert len(rows) > 52  # at least one row per week plus the header
+    base = ["--config", str(FIXTURES / fixture / "config.json"), "--out", str(out)]
+    assert _run(*base, "ingest") == 0
+    assert _run(*base, "build") == 0
+    for policy in ("cvss_base", "apt_threat", "general_threat", "ideal"):
+        assert _run(*base, "rank", "--org", org, "--policy", policy) == 0
+    assert _run(*base, "case-study", "--org", org) == 0
+    assert _run(*base, "evaluate") == 0
+    rows = (out / f"ranked_{org}_ideal.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) > n_weeks  # at least one row per week plus the header
+    files = sorted(out.iterdir(), key=lambda path: path.name)
+    assert len(files) == n_files
+    sha = hashlib.sha256()
+    for path in files:
+        sha.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert sha.hexdigest() == digest
 
 
 def test_cli_inputs_are_not_mutated(tmp_path):

@@ -10,8 +10,6 @@ from threatrank.enrich import (
     GroupAttribution,
     TARGET_WINDOW_CHARS,
     attribute_group,
-    extract_origin,
-    extract_targets,
     filter_us_targeting,
     load_lexicon,
     scan_terms,
@@ -31,73 +29,73 @@ def _group(description, created=date(2019, 1, 1), group_id="G0001"):
 
 
 def test_origin_demonym(lexicon):
-    countries, _ = extract_origin(
-        "North Korean state-sponsored threat group", date(2017, 5, 31), lexicon)
-    assert countries == ["North Korea"]
+    result = attribute_group(
+        _group("North Korean state-sponsored threat group", date(2017, 5, 31)), lexicon)
+    assert result.origin_countries == ("North Korea",)
 
 
 def test_origin_year_from_activity_phrase(lexicon):
-    _, year = extract_origin(
-        "has been active since at least 2009", date(2017, 5, 31), lexicon)
-    assert year == 2009
+    result = attribute_group(
+        _group("has been active since at least 2009", date(2017, 5, 31)), lexicon)
+    assert result.origin_year == 2009
 
 
 def test_origin_year_falls_back_to_created_date(lexicon):
-    countries, year = extract_origin(
-        "A group with no notable geography.", date(2008, 6, 1), lexicon)
-    assert countries == []
-    assert year == 2008
+    result = attribute_group(
+        _group("A group with no notable geography.", date(2008, 6, 1)), lexicon)
+    assert result.origin_countries == ()
+    assert result.origin_year == 2008
 
 
 def test_origin_year_ignores_out_of_range_years(lexicon):
     # 1969 predates the floor; created-year fallback applies
-    _, year = extract_origin("active since 1969", date(2015, 1, 1), lexicon)
-    assert year == 2015
+    result = attribute_group(_group("active since 1969", date(2015, 1, 1)), lexicon)
+    assert result.origin_year == 2015
 
 
 def test_origin_keeps_multiple_countries(lexicon):
-    countries, _ = extract_origin(
-        "A Russian-speaking group based in Ukraine.", date(2020, 1, 1), lexicon)
-    assert countries == ["Russia", "Ukraine"]
+    result = attribute_group(
+        _group("A Russian-speaking group based in Ukraine.", date(2020, 1, 1)), lexicon)
+    assert result.origin_countries == ("Russia", "Ukraine")
 
 
 def test_targets_sentence(lexicon):
-    countries, sectors = extract_targets(
+    result = attribute_group(_group(
         "The group targeted organizations in the financial services and "
-        "government sectors in the United States.", lexicon)
-    assert set(sectors) == {"Financial Services", "Government Facilities"}
-    assert countries == ["United States"]
+        "government sectors in the United States."), lexicon)
+    assert set(result.targeted_sectors) == {"Financial Services", "Government Facilities"}
+    assert result.targeted_countries == ("United States",)
 
 
 def test_targets_without_country(lexicon):
-    countries, sectors = extract_targets("targeting aerospace manufacturing", lexicon)
-    assert countries == []
+    result = attribute_group(_group("targeting aerospace manufacturing"), lexicon)
+    assert result.targeted_countries == ()
 
 
 def test_no_trigger_word_yields_nothing(lexicon):
-    countries, sectors = extract_targets(
-        "Operates against the United States government.", lexicon)
-    assert countries == [] and sectors == []
+    result = attribute_group(
+        _group("Operates against the United States government."), lexicon)
+    assert result.targeted_countries == () and result.targeted_sectors == ()
 
 
 def test_window_clips_at_sentence_end(lexicon):
     text = "The group targeted retail chains. It also operates in China."
-    countries, sectors = extract_targets(text, lexicon)
-    assert sectors == ["Commercial Facilities"]
-    assert countries == []  # China sits past the sentence boundary
+    result = attribute_group(_group(text), lexicon)
+    assert result.targeted_sectors == ("Commercial Facilities",)
+    assert result.targeted_countries == ()  # China sits past the sentence boundary
 
 
 def test_window_is_bounded(lexicon):
     filler = "x" * (TARGET_WINDOW_CHARS + 5)
     text = f"targets {filler} United States"
-    countries, _ = extract_targets(text, lexicon)
-    assert countries == []
+    result = attribute_group(_group(text), lexicon)
+    assert result.targeted_countries == ()
 
 
 def test_case_insensitive_matching(lexicon):
-    countries, sectors = extract_targets("TARGETED BANKS IN GERMANY", lexicon)
-    assert countries == ["Germany"]
-    assert sectors == ["Financial Services"]
+    result = attribute_group(_group("TARGETED BANKS IN GERMANY"), lexicon)
+    assert result.targeted_countries == ("Germany",)
+    assert result.targeted_sectors == ("Financial Services",)
 
 
 def test_scan_does_not_match_inside_words(lexicon):

@@ -207,7 +207,7 @@ def test_report_row_counts_on_case_fixture(case_graph, case_org, case_config):
 
 
 def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
-    from threatrank.ranking import IdealMode, generate_candidates, rank
+    from threatrank.ranking import IdealMode, feature_table, generate_candidates, rank
 
     report = generate_report(case_graph, [case_org], case_config.date_range,
                              case_config.apt_config, case_config.general_config)
@@ -215,10 +215,10 @@ def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
 
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     apt = case_config.apt_config
-    ideal = rank(cohort, replace(apt, policy=Policy.IDEAL, ideal_mode=IdealMode.APT),
-                 case_graph, case_org)
-    threat = rank(cohort, apt, case_graph, case_org)
-    cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), case_graph, case_org)
+    table = feature_table(case_graph, cohort, case_org, apt)
+    ideal = rank(cohort, replace(apt, policy=Policy.IDEAL, ideal_mode=IdealMode.APT), table)
+    threat = rank(cohort, apt, table)
+    cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), table)
     for k in (1, 5, 20, 100):
         assert by_key[("apt_threat:apt", k)] == \
             pytest.approx(ndcg_at_k(threat, ideal, k).ndcg, abs=1e-9)
@@ -254,13 +254,13 @@ def test_report_csvs_are_deterministic(tmp_path, case_graph, case_org, case_conf
 
 def test_report_cost_rows_match_direct_computation(case_graph, case_org, case_config):
     from threatrank.kgraph import NodeLabel
-    from threatrank.ranking import generate_candidates, rank
+    from threatrank.ranking import feature_table, generate_candidates, rank
 
     report = generate_report(case_graph, [case_org], case_config.date_range,
                              case_config.apt_config, case_config.general_config)
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    apt = case_config.apt_config
-    ranked = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), case_graph, case_org)
+    cvss = replace(case_config.apt_config, policy=Policy.CVSS_BASE)
+    ranked = rank(cohort, cvss, feature_table(case_graph, cohort, case_org, cvss))
     cvss_of = {n.key: n.props["cvss_base"]
                for n in case_graph.nodes_with_label(NodeLabel.NVD_CVE)}
     expected = patch_cost(ranked, 20, cvss_of)

@@ -25,12 +25,17 @@ from threatrank.kgraph import (
     PropertyGraph,
     audit_edge_conformance,
     build_graph,
-    cves_affecting,
     graph_signature,
-    groups_threatening,
     load_graph,
     save_graph,
     techniques_for_cve,
+)
+from threatrank.ranking import (
+    OrgContext,
+    Policy,
+    PolicyConfig,
+    feature_bits,
+    generate_candidates,
 )
 from threatrank.vocab import Vocabulary
 from tests.randdata import random_attributions, random_bundle
@@ -85,7 +90,6 @@ def test_neighbors_unknown_and_isolated_nodes():
     node = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000")
     assert g.neighbors(node, EdgeType.AFFECTS, "out") == set()
     assert g.neighbors(4242, EdgeType.AFFECTS, "out") == set()
-    assert g.neighbor_keys(NodeLabel.NVD_CVE, "CVE-0000-0000", EdgeType.AFFECTS) == set()
 
 
 def test_neighbors_direction_validation():
@@ -149,13 +153,22 @@ def test_case_graph_has_three_kev_edges(case_graph):
 
 
 def test_case_graph_kev_neighbor(case_graph):
-    keys = case_graph.neighbor_keys(NodeLabel.NVD_CVE, "CVE-2021-38000",
-                                    EdgeType.EXPLOITS_KNOWN, "out")
+    node = case_graph.find(NodeLabel.NVD_CVE, "CVE-2021-38000")
+    keys = {case_graph.node(i).key
+            for i in case_graph.neighbors(node.node_id, EdgeType.EXPLOITS_KNOWN, "out")}
     assert keys == {"CVE-2021-38000"}  # catalog entries are keyed by CVE id
 
 
+ALL_DATES = (date.min, date.max)
+
+
+def _candidates(graph, org):
+    return [cve for cohort in generate_candidates(org, graph, ALL_DATES)
+            for cve in cohort.cve_ids]
+
+
 def test_case_graph_candidate_pool(case_graph, case_org):
-    assert len(cves_affecting(case_graph, case_org.cpe_ids)) == 39
+    assert len(_candidates(case_graph, case_org)) == 39
 
 
 def test_cves_affecting_empty_and_shared():
@@ -167,8 +180,13 @@ def test_cves_affecting_empty_and_shared():
               CpeEntry(cpe_id=cpe_b, vendor="v", product="b")],
     )
     graph = build_graph(bundle, vocab=TINY_VOCAB)
-    assert cves_affecting(graph, []) == set()
-    assert cves_affecting(graph, [cpe_a, cpe_b]) == {"CVE-2021-38000"}
+
+    def org(cpe_ids):
+        return OrgContext(org_id="X", sector="Education", country="United States",
+                          cpe_ids=frozenset(cpe_ids))
+
+    assert _candidates(graph, org([])) == []
+    assert _candidates(graph, org([cpe_a, cpe_b])) == ["CVE-2021-38000"]
 
 
 def test_techniques_for_cve_chain(case_graph):
@@ -196,14 +214,21 @@ def test_techniques_for_cve_diamond():
     assert {t for t, _c, _w in paths} == {"T1059"}
 
 
+GROUP_BITS = ("sector_focus", "targets_country", "origin_match")
+
+
 def test_groups_threatening_fixture(case_graph):
-    assert groups_threatening(case_graph, "Education", "United States",
-                              {"China"}) == {"G0901"}
-    assert groups_threatening(case_graph, "Education", "United States",
-                              {"Iran"}) == set()
-    assert groups_threatening(case_graph, "Education", "United States") == {"G0901"}
-    assert groups_threatening(case_graph, "Nonexistent Sector",
-                              "United States", set()) == set()
+    # G0901 is the one Education-focused, US-targeting group on this CVE's paths
+    def group_bits(sector, origins):
+        org = OrgContext(org_id="X", sector=sector, country="United States",
+                         cpe_ids=frozenset())
+        config = PolicyConfig(policy=Policy.APT_THREAT, origin_countries=frozenset(origins))
+        bits = feature_bits(case_graph, "CVE-2021-38000", org, config)
+        return tuple(bits[name] for name in GROUP_BITS)
+
+    assert group_bits("Education", {"China"}) == (1, 1, 1)
+    assert group_bits("Education", {"Iran"}) == (1, 1, 0)
+    assert group_bits("Nonexistent Sector", {"China"}) == (0, 0, 0)
 
 
 def test_us_filter_excludes_non_us_group(case_graph):

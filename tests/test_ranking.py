@@ -29,22 +29,20 @@ from threatrank.enrich import GroupAttribution
 from threatrank.feeds import AttackGroupRaw
 from threatrank.kgraph import build_graph
 from threatrank.ranking import (
+    APT_BITS,
+    GENERAL_BITS,
     IdealMode,
     OrgContext,
     Policy,
     PolicyConfig,
     WeeklyCohort,
-    apt_threat_bits,
-    build_feature_record,
-    general_threat_bits,
+    feature_bits,
+    feature_table,
     generate_candidates,
     order_scored,
+    policy_bits,
     rank,
-    score_apt_threat,
-    score_cvss_base,
     score_from_bits,
-    score_general_threat,
-    score_ideal,
 )
 from threatrank.vocab import Vocabulary
 from tests.conftest import (
@@ -113,6 +111,12 @@ MINI_ORG = OrgContext(org_id="X", sector="Education", country="United States",
                       cpe_ids=frozenset({CPE_A}))
 
 
+def _item(graph, cve_id, org, config):
+    """One candidate's ranked item under the config's policy, through rank()."""
+    cohort = WeeklyCohort(org_id=org.org_id, iso_week=(2021, 1), cve_ids=(cve_id,))
+    return rank(cohort, config, feature_table(graph, cohort, org, config)).items[0]
+
+
 # ---------------------------------------------------------------------------
 # Candidate generation
 # ---------------------------------------------------------------------------
@@ -175,9 +179,10 @@ def test_candidates_reject_empty_range(case_graph, case_org):
 # ---------------------------------------------------------------------------
 
 
-def test_cvss_base_scores(case_graph):
-    assert score_cvss_base(case_graph, "CVE-2021-34423") == 9.8
-    assert score_cvss_base(case_graph, "CVE-2021-37966") == 4.3
+def test_cvss_base_scores(case_graph, case_org):
+    cvss = replace(APT, policy=Policy.CVSS_BASE)
+    assert _item(case_graph, "CVE-2021-34423", case_org, cvss).score == 9.8
+    assert _item(case_graph, "CVE-2021-37966", case_org, cvss).score == 4.3
 
 
 def test_cvss_base_missing_score_warns(caplog):
@@ -185,102 +190,116 @@ def test_cvss_base_missing_score_warns(caplog):
 
     graph = build_graph(SnapshotBundle(), vocab=TINY_VOCAB)
     graph.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-10000", {})
+    cvss = replace(APT, policy=Policy.CVSS_BASE)
     with caplog.at_level("WARNING"):
-        assert score_cvss_base(graph.freeze(), "CVE-2021-10000") == 0.0
+        assert _item(graph.freeze(), "CVE-2021-10000", MINI_ORG, cvss).score == 0.0
     assert "no CVSS base score" in caplog.text
 
 
 def test_apt_relevance_on_case_fixture(case_graph, case_org):
-    assert score_apt_threat(case_graph, "CVE-2021-38000", case_org, APT) == 6
-    assert score_apt_threat(case_graph, "CVE-2021-30632", case_org, APT) == 2
+    assert _item(case_graph, "CVE-2021-38000", case_org, APT).score == 6
+    assert _item(case_graph, "CVE-2021-30632", case_org, APT).score == 2
 
 
 def test_apt_relevance_floor(case_graph, case_org):
     # local vector, no threat path, EPSS far below the threshold
-    assert score_apt_threat(case_graph, "CVE-2021-43777", case_org, APT) == 1
+    assert _item(case_graph, "CVE-2021-43777", case_org, APT).score == 1
 
 
 def test_apt_bits_composition(case_graph, case_org):
-    bits = apt_threat_bits(case_graph, "CVE-2021-38000", case_org, APT)
+    bits = _item(case_graph, "CVE-2021-38000", case_org, APT).feature_bits
     assert bits == {"av_network": 1, "sector_focus": 1, "targets_country": 1,
                     "origin_match": 1, "epss_gate": 1, "affects_software": 1}
+    assert tuple(bits) == APT_BITS
 
 
 def test_apt_origin_filter_respects_config(case_graph, case_org):
     config = replace(APT, origin_countries=frozenset({"Iran"}))
-    bits = apt_threat_bits(case_graph, "CVE-2021-38000", case_org, config)
+    bits = feature_bits(case_graph, "CVE-2021-38000", case_org, config)
     assert bits["origin_match"] == 0
     assert bits["sector_focus"] == 1
 
 
 def test_epss_gate_threshold_is_inclusive(case_graph, case_org):
-    bits = apt_threat_bits(case_graph, "CVE-2021-38000", case_org, APT)
+    bits = feature_bits(case_graph, "CVE-2021-38000", case_org, APT)
     assert bits["epss_gate"] == 1  # probability exactly 0.876
 
 
 def test_risk_appetite_gates_percentile(case_graph, case_org):
     # percentile 0.94 fails a 5-point appetite (needs >= 95th percentile)
     strict = replace(APT, risk_appetite=5)
-    assert apt_threat_bits(case_graph, "CVE-2021-38000", case_org, strict)["epss_gate"] == 0
+    assert feature_bits(case_graph, "CVE-2021-38000", case_org, strict)["epss_gate"] == 0
     lenient = replace(APT, risk_appetite=6)
-    assert apt_threat_bits(case_graph, "CVE-2021-38000", case_org, lenient)["epss_gate"] == 1
+    assert feature_bits(case_graph, "CVE-2021-38000", case_org, lenient)["epss_gate"] == 1
 
 
 def test_general_threat_full_house():
     graph = _mini_graph()
-    assert score_general_threat(graph, "CVE-2021-10000", MINI_ORG, GENERAL) == 6
+    assert _item(graph, "CVE-2021-10000", MINI_ORG, GENERAL).score == 6
 
 
 def test_general_threat_floor():
     graph = _mini_graph(vector=AttackVector.LOCAL, cwe_chain=False, epss=0.01)
-    assert score_general_threat(graph, "CVE-2021-10000", MINI_ORG, GENERAL) == 1
+    assert _item(graph, "CVE-2021-10000", MINI_ORG, GENERAL).score == 1
 
 
 def test_general_threat_skill_flip_changes_exactly_one_bit():
     graph = _mini_graph(skill=SkillLevel.HIGH)
-    high = general_threat_bits(graph, "CVE-2021-10000", MINI_ORG, GENERAL)
-    low = general_threat_bits(graph, "CVE-2021-10000", MINI_ORG,
-                              replace(GENERAL, skill_level=SkillLevel.LOW))
-    assert high["skill_match"] == 1 and low["skill_match"] == 0
-    changed = {name for name in high if high[name] != low[name]}
+    high = _item(graph, "CVE-2021-10000", MINI_ORG, GENERAL)
+    low = _item(graph, "CVE-2021-10000", MINI_ORG,
+                replace(GENERAL, skill_level=SkillLevel.LOW))
+    assert high.feature_bits["skill_match"] == 1 and low.feature_bits["skill_match"] == 0
+    changed = {name for name in high.feature_bits
+               if high.feature_bits[name] != low.feature_bits[name]}
     assert changed == {"skill_match"}
-    assert score_from_bits(high) - score_from_bits(low) == 1
+    assert high.score - low.score == 1
 
 
 def test_general_threat_failure_impact_bit():
     graph = _mini_graph(impacts=(TechnicalImpact.READ_DATA,))
-    bits = general_threat_bits(graph, "CVE-2021-10000", MINI_ORG, GENERAL)
+    bits = feature_bits(graph, "CVE-2021-10000", MINI_ORG, GENERAL)
     assert bits["failure_impact"] == 0
     graph = _mini_graph(impacts=(TechnicalImpact.GAIN_PRIVILEGES,))
-    bits = general_threat_bits(graph, "CVE-2021-10000", MINI_ORG, GENERAL)
+    bits = feature_bits(graph, "CVE-2021-10000", MINI_ORG, GENERAL)
     assert bits["failure_impact"] == 1
 
 
 def test_ideal_exploit_bit_variants(case_graph, case_org):
-    bits = apt_threat_bits(case_graph, "CVE-2021-38000", case_org, APT,
-                           exploit_evidence=True)
+    bits = feature_bits(case_graph, "CVE-2021-38000", case_org, APT)
     assert bits["exploit_known"] == 1  # KEV entry
-    bits = apt_threat_bits(case_graph, "CVE-2021-37966", case_org, APT,
-                           exploit_evidence=True)
+    bits = feature_bits(case_graph, "CVE-2021-37966", case_org, APT)
     assert bits["exploit_known"] == 0  # in neither catalog
 
 
 def test_ideal_exploitdb_only_counts():
     graph = _mini_graph(in_exploitdb=True, in_kev=False)
-    bits = apt_threat_bits(graph, "CVE-2021-10000", MINI_ORG, APT,
-                           exploit_evidence=True)
+    bits = feature_bits(graph, "CVE-2021-10000", MINI_ORG, APT)
     assert bits["exploit_known"] == 1
 
 
 def test_ideal_equals_threat_policy_when_bits_agree():
     # exploit evidence present and EPSS above threshold: bit values match,
     # so the two policies coincide on the whole cohort
+    ideal = replace(APT, policy=Policy.IDEAL, ideal_mode=IdealMode.APT)
     graph = _mini_graph(in_kev=True, epss=0.95)
-    assert score_apt_threat(graph, "CVE-2021-10000", MINI_ORG, APT) == \
-        score_ideal(graph, "CVE-2021-10000", MINI_ORG, APT, IdealMode.APT)
+    assert _item(graph, "CVE-2021-10000", MINI_ORG, APT).score == \
+        _item(graph, "CVE-2021-10000", MINI_ORG, ideal).score
     graph = _mini_graph(in_kev=False, epss=0.01)
-    assert score_apt_threat(graph, "CVE-2021-10000", MINI_ORG, APT) == \
-        score_ideal(graph, "CVE-2021-10000", MINI_ORG, APT, IdealMode.APT)
+    assert _item(graph, "CVE-2021-10000", MINI_ORG, APT).score == \
+        _item(graph, "CVE-2021-10000", MINI_ORG, ideal).score
+
+
+def test_policy_bit_tuples():
+    # the ideal drops the EPSS gate and appends exploit evidence last
+    assert policy_bits(replace(APT, policy=Policy.CVSS_BASE)) == ()
+    assert policy_bits(APT) == APT_BITS
+    assert policy_bits(GENERAL) == GENERAL_BITS
+    assert policy_bits(replace(APT, policy=Policy.IDEAL, ideal_mode=IdealMode.APT)) == (
+        "av_network", "sector_focus", "targets_country", "origin_match",
+        "affects_software", "exploit_known")
+    assert policy_bits(replace(GENERAL, policy=Policy.IDEAL)) == (
+        "av_network", "skill_match", "technique_link", "failure_impact",
+        "affects_software", "exploit_known")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +310,9 @@ def test_ideal_equals_threat_policy_when_bits_agree():
 def _case_rankings(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     apt = case_config.apt_config
-    threat = rank(cohort, apt, case_graph, case_org)
-    cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), case_graph, case_org)
+    table = feature_table(case_graph, cohort, case_org, apt)
+    threat = rank(cohort, apt, table)
+    cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), table)
     return cohort, cvss, threat
 
 
@@ -324,8 +344,17 @@ def test_rank_singleton_cohort():
     graph = _mini_graph()
     cohort = WeeklyCohort(org_id="X", iso_week=(2021, 5), cve_ids=("CVE-2021-10000",))
     for policy in Policy:
-        ranked = rank(cohort, replace(APT, policy=policy), graph, MINI_ORG)
+        config = replace(APT, policy=policy)
+        ranked = rank(cohort, config, feature_table(graph, cohort, MINI_ORG, config))
         assert [i.rank for i in ranked.items] == [1]
+
+
+def test_cvss_ranking_carries_no_bits_and_skips_the_walk(case_graph, case_org, case_config):
+    cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
+    cvss = replace(case_config.apt_config, policy=Policy.CVSS_BASE)
+    table = feature_table(case_graph, cohort, case_org, cvss)
+    assert all(row.bits == {} for row in table.values())
+    assert all(item.feature_bits == {} for item in rank(cohort, cvss, table).items)
 
 
 def test_rank_deterministic(case_graph, case_org, case_config):
@@ -390,30 +419,26 @@ def test_raising_one_score_never_lowers_rank(scores, data):
 
 
 def test_feature_record_population(case_graph, case_org, case_config):
-    record = build_feature_record(case_graph, "CVE-2021-38000", case_org,
-                                  case_config.apt_config)
-    assert record.cvss_base == 6.1
-    assert record.attack_vector == "NETWORK"
-    assert record.published == date(2021, 10, 8)
-    assert record.modified == date(2021, 11, 23)
-    assert record.capec_ids == ("CAPEC-194",)
-    assert record.capec_skills == ("Medium",)
-    assert record.technique_names == ("Phishing",)
-    # G0903 also employs T1566; it carries no sector or country edges, so
-    # it appears in the feature set without contributing bits.
-    assert "G0901" in record.group_ids
-    assert "China" in record.group_countries
-    assert record.epss_probability == 0.876
-    assert record.in_kev is True
-    assert record.in_exploitdb is True
-    assert record.org_id == "ODU"
-    assert record.sector == "Education"
-    assert record.org_country == "United States"
+    cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
+    row = feature_table(case_graph, cohort, case_org, case_config.apt_config)["CVE-2021-38000"]
+    assert row.cvss_base == 6.1
+    # CWE-601 -> CAPEC-194 (Medium skill) -> T1566 (Phishing) -> G0901, a
+    # China-origin group focused on Education and targeting the US.  G0903
+    # also employs T1566; it carries no sector or country edges, so it is
+    # reached without contributing bits.  KEV and ExploitDB both list it.
+    assert row.bits == {
+        "av_network": 1, "sector_focus": 1, "targets_country": 1, "origin_match": 1,
+        "skill_match": 0, "technique_link": 1, "failure_impact": 1,
+        "epss_gate": 1, "exploit_known": 1, "affects_software": 1,
+    }
 
 
 def test_feature_record_marks_absent_fields():
     graph = _mini_graph(cwe_chain=False, epss=None)
-    record = build_feature_record(graph, "CVE-2021-10000", MINI_ORG, APT)
-    assert record.capec_ids == () and record.group_ids == ()
-    assert record.epss_probability is None
-    assert record.in_kev is False and record.in_exploitdb is False
+    bits = feature_bits(graph, "CVE-2021-10000", MINI_ORG, APT)
+    # no weakness chain: no path bits; no EPSS row: the gate stays shut
+    assert bits == {
+        "av_network": 1, "sector_focus": 0, "targets_country": 0, "origin_match": 0,
+        "skill_match": 0, "technique_link": 0, "failure_impact": 0,
+        "epss_gate": 0, "exploit_known": 0, "affects_software": 1,
+    }
