@@ -48,7 +48,18 @@ class ProjectConfig:
             ideal_mode=ranking.IdealMode.GENERAL))
 
 
+_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind``; a DataError otherwise."""
+    if not isinstance(value, kind):
+        raise DataError(f"{what} must be a JSON {_JSON_NAMES[kind]}")
+    return value
+
+
 def _policy_config(policy: ranking.Policy, raw: dict, mode: ranking.IdealMode) -> ranking.PolicyConfig:
+    _expect(raw, dict, f"policy {policy.value!r}")
     try:
         return ranking.PolicyConfig(
             policy=policy,
@@ -60,7 +71,7 @@ def _policy_config(policy: ranking.Policy, raw: dict, mode: ranking.IdealMode) -
             k=int(raw.get("k", 20)),
             ideal_mode=mode,
         )
-    except ValueError as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"bad policy configuration: {exc}") from None
 
 
@@ -71,41 +82,46 @@ def load_config(path: str | Path) -> ProjectConfig:
         raise UsageError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"{path}: not valid JSON ({exc})")
+    _expect(raw, dict, f"{path}: the config")
     base = path.parent
 
+    def section(key: str, kind: type):
+        return _expect(raw.get(key) or kind(), kind, f"{path}: {key!r}")
+
     def resolve(rel: str) -> Path:
+        _expect(rel, str, f"{path}: a configured path")
         candidate = (base / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
         if not candidate.exists():
             raise UsageError(f"configured path does not exist: {candidate}")
         return candidate
 
     snapshots: dict[SourceKind, Path] = {}
-    for kind_name, rel in (raw.get("snapshots") or {}).items():
+    for kind_name, rel in section("snapshots", dict).items():
         try:
             kind = SourceKind(kind_name)
         except ValueError:
             raise DataError(f"{path}: unknown snapshot kind {kind_name!r}")
         snapshots[kind] = resolve(rel)
 
-    profile_paths = [resolve(rel) for rel in raw.get("profiles", [])]
+    profile_paths = [resolve(rel) for rel in section("profiles", list)]
 
-    date_raw = raw.get("date_range") or {}
+    date_raw = section("date_range", dict)
     try:
         start = date.fromisoformat(date_raw["from"])
         end = date.fromisoformat(date_raw["to"])
-    except (KeyError, ValueError):
+    except (KeyError, TypeError, ValueError):
         raise DataError(f"{path}: date_range needs ISO 'from' and 'to' dates")
     if start > end:
         raise DataError(f"{path}: date_range is empty ({start} > {end})")
 
-    out_rel = raw.get("output_dir", "out")
+    out_rel = _expect(raw.get("output_dir", "out"), str, f"{path}: 'output_dir'")
     output_dir = (base / out_rel) if not Path(out_rel).is_absolute() else Path(out_rel)
 
-    lexicons = raw.get("lexicons") or {}
-    vocab = raw.get("vocabularies") or {}
-    policies = raw.get("policies") or {}
+    lexicons = section("lexicons", dict)
+    vocab = section("vocabularies", dict)
+    policies = section("policies", dict)
     return ProjectConfig(
         base_dir=base,
         snapshots=snapshots,
@@ -143,7 +159,7 @@ def load_bundle(config: ProjectConfig) -> tuple[feeds.SnapshotBundle, dict[str, 
         except (feeds.DataFormatError, OSError) as exc:
             raise DataError(f"cannot parse {snapshot_path}: {exc}")
         results[kind.value] = result
-        getattr(bundle, feeds.SnapshotBundle._FIELD_BY_KIND[kind]).extend(result.records)
+        getattr(bundle, feeds.SOURCES[kind].bundle_field).extend(result.records)
     return bundle, results
 
 

@@ -15,6 +15,7 @@ dates in UTC; any time-of-day component is discarded.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import re
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 log = logging.getLogger(__name__)
 
@@ -171,43 +172,6 @@ class ReferenceRecord:
     url: str
 
 
-RECORD_TYPES = {
-    SourceKind.CVE: CveRecord,
-    SourceKind.CPE: CpeEntry,
-    SourceKind.CWE: CweEntry,
-    SourceKind.CAPEC: CapecEntry,
-    SourceKind.TECHNIQUE: AttackTechnique,
-    SourceKind.TACTIC: AttackTactic,
-    SourceKind.GROUP: AttackGroupRaw,
-    SourceKind.EPSS: EpssScore,
-    SourceKind.KEV: KevEntry,
-    SourceKind.EXPLOIT: ExploitRef,
-    SourceKind.REFERENCE: ReferenceRecord,
-}
-
-_KIND_BY_TYPE = {cls: kind for kind, cls in RECORD_TYPES.items()}
-
-_PRIMARY_KEY = {
-    SourceKind.CVE: "cve_id",
-    SourceKind.CPE: "cpe_id",
-    SourceKind.CWE: "cwe_id",
-    SourceKind.CAPEC: "capec_id",
-    SourceKind.TECHNIQUE: "technique_id",
-    SourceKind.TACTIC: "tactic_id",
-    SourceKind.GROUP: "group_id",
-    SourceKind.EPSS: "cve_id",
-    SourceKind.KEV: "cve_id",
-    SourceKind.EXPLOIT: "exploitdb_id",
-    SourceKind.REFERENCE: "url",
-}
-
-
-def primary_key(record) -> str | int:
-    """Primary key value of any canonical record."""
-    kind = _KIND_BY_TYPE[type(record)]
-    return getattr(record, _PRIMARY_KEY[kind])
-
-
 # ---------------------------------------------------------------------------
 # Field-level parsing helpers
 # ---------------------------------------------------------------------------
@@ -244,16 +208,12 @@ def _parse_str_list(obj: dict, key: str, pattern: re.Pattern | None = None) -> t
     return tuple(value)
 
 
-def _parse_unit(obj: dict, key: str, *aliases: str) -> float:
-    for k in (key, *aliases):
-        if k in obj:
-            value = obj[k]
-            break
-    else:
-        raise ValueError(f"missing field {key!r}")
+def _parse_unit(obj: dict, key: str) -> float:
     try:
-        value = float(value)
-    except (TypeError, ValueError):
+        value = float(obj[key])
+    except KeyError:
+        raise ValueError(f"missing field {key!r}") from None
+    except (OverflowError, TypeError, ValueError):
         raise ValueError(f"field {key!r} is not a number") from None
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"field {key!r} out of range [0,1]: {value}")
@@ -279,7 +239,7 @@ def _cve_from_obj(obj: dict) -> CveRecord:
         raise ValueError(f"{cve_id}: modified {modified} precedes published {published}")
     try:
         cvss = float(obj["cvss_base"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, OverflowError, TypeError, ValueError):
         raise ValueError(f"{cve_id}: bad cvss_base") from None
     if not 0.0 <= cvss <= 10.0:
         raise ValueError(f"{cve_id}: cvss_base out of range: {cvss}")
@@ -321,7 +281,7 @@ def _cpe_from_obj(obj: dict) -> CpeEntry:
 def _cwe_from_obj(obj: dict) -> CweEntry:
     cwe_id = _require_id(_parse_str(obj, "cwe_id"), CWE_ID_RE, "CWE id")
     impacts = []
-    for raw in obj.get("technical_impacts", []):
+    for raw in _parse_str_list(obj, "technical_impacts"):
         try:
             impacts.append(TechnicalImpact(raw))
         except ValueError:
@@ -410,7 +370,7 @@ def _kev_from_obj(obj: dict) -> KevEntry:
 def _exploit_from_obj(obj: dict) -> ExploitRef:
     try:
         exploitdb_id = int(obj["exploitdb_id"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, OverflowError, TypeError, ValueError):
         raise ValueError("bad exploitdb_id") from None
     cve_ids = _parse_str_list(obj, "cve_ids", CVE_ID_RE)
     if not cve_ids:
@@ -422,28 +382,42 @@ def _reference_from_obj(obj: dict) -> ReferenceRecord:
     return ReferenceRecord(url=_parse_str(obj, "url"))
 
 
-_FROM_OBJ = {
-    SourceKind.CVE: _cve_from_obj,
-    SourceKind.CPE: _cpe_from_obj,
-    SourceKind.CWE: _cwe_from_obj,
-    SourceKind.CAPEC: _capec_from_obj,
-    SourceKind.TECHNIQUE: _technique_from_obj,
-    SourceKind.TACTIC: _tactic_from_obj,
-    SourceKind.GROUP: _group_from_obj,
-    SourceKind.EPSS: _epss_from_obj,
-    SourceKind.KEV: _kev_from_obj,
-    SourceKind.EXPLOIT: _exploit_from_obj,
-    SourceKind.REFERENCE: _reference_from_obj,
+# ---------------------------------------------------------------------------
+# Source kinds
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Source:
+    """Everything that tells one source kind's records apart."""
+
+    record_type: type
+    key: str  # primary-key field of record_type
+    bundle_field: str  # the SnapshotBundle list holding these records
+    from_obj: Callable[[dict], object]
+
+
+SOURCES: dict[SourceKind, Source] = {
+    SourceKind.CVE: Source(CveRecord, "cve_id", "cves", _cve_from_obj),
+    SourceKind.CPE: Source(CpeEntry, "cpe_id", "cpes", _cpe_from_obj),
+    SourceKind.CWE: Source(CweEntry, "cwe_id", "cwes", _cwe_from_obj),
+    SourceKind.CAPEC: Source(CapecEntry, "capec_id", "capecs", _capec_from_obj),
+    SourceKind.TECHNIQUE: Source(AttackTechnique, "technique_id", "techniques",
+                                 _technique_from_obj),
+    SourceKind.TACTIC: Source(AttackTactic, "tactic_id", "tactics", _tactic_from_obj),
+    SourceKind.GROUP: Source(AttackGroupRaw, "group_id", "groups", _group_from_obj),
+    SourceKind.EPSS: Source(EpssScore, "cve_id", "epss", _epss_from_obj),
+    SourceKind.KEV: Source(KevEntry, "cve_id", "kev", _kev_from_obj),
+    SourceKind.EXPLOIT: Source(ExploitRef, "exploitdb_id", "exploits", _exploit_from_obj),
+    SourceKind.REFERENCE: Source(ReferenceRecord, "url", "references", _reference_from_obj),
 }
 
+_KIND_BY_TYPE = {source.record_type: kind for kind, source in SOURCES.items()}
 
-def record_from_obj(obj: dict):
-    """Convert one self-describing snapshot object into a canonical record."""
-    try:
-        kind = SourceKind(obj.get("kind"))
-    except ValueError:
-        raise ValueError(f"unknown record kind {obj.get('kind')!r}") from None
-    return _FROM_OBJ[kind](obj)
+
+def primary_key(record) -> str | int:
+    """Primary key value of any canonical record."""
+    return getattr(record, SOURCES[_KIND_BY_TYPE[type(record)]].key)
 
 
 def record_to_obj(record) -> dict:
@@ -487,46 +461,59 @@ class ParseResult:
         return len(self.skipped)
 
 
-def _dedupe_last_wins(result: ParseResult, keyed: list[tuple[object, object]], source: str):
-    seen: dict = {}
-    for key, record in keyed:
-        if key in seen:
+def _utf8(text: str) -> str:
+    """``text``, or UnicodeEncodeError (a ValueError) for a non-UTF-8 byte,
+    which ``errors="surrogateescape"`` reading left as a lone surrogate."""
+    text.encode("utf-8")
+    return text
+
+
+def _collect(path: str | Path, rows: Iterable[tuple[int, object]],
+             to_record: Callable) -> ParseResult:
+    """Convert ``(line_no, payload)`` rows; a ValueError skips the row.
+
+    A repeated primary key keeps the later record, in the first one's place.
+    """
+    result = ParseResult()
+    by_key: dict = {}
+    for line_no, payload in rows:
+        try:
+            record = to_record(payload)
+        except ValueError as exc:
+            result.skipped.append((line_no, str(exc)))
+            continue
+        result.accepted += 1
+        key = primary_key(record)
+        if key in by_key:
             result.replaced += 1
-            log.warning("%s: duplicate primary key %r, keeping the later record", source, key)
-        seen[key] = record
-    result.records = list(seen.values())
+            log.warning("%s: duplicate primary key %r, keeping the later record", path, key)
+        by_key[key] = record
+    result.records = list(by_key.values())
+    return result
 
 
 def parse_snapshot(path: str | Path, kind: SourceKind | str) -> ParseResult:
     """Parse a normalized snapshot file containing records of one kind.
 
-    Malformed lines (bad JSON, wrong kind, invalid fields) are skipped with
-    a per-line diagnostic; an unreadable file raises OSError.
+    Malformed lines (bad bytes, bad JSON, wrong kind, invalid fields) are
+    skipped with a per-line diagnostic; an unreadable file raises OSError.
     """
     kind = SourceKind(kind)
-    path = Path(path)
-    result = ParseResult()
-    keyed: list[tuple[object, object]] = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("record line is not an object")
-                found = obj.get("kind")
-                if found != kind.value:
-                    raise ValueError(f"expected kind {kind.value!r}, found {found!r}")
-                record = _FROM_OBJ[kind](obj)
-            except ValueError as exc:
-                result.skipped.append((line_no, str(exc)))
-                continue
-            result.accepted += 1
-            keyed.append((primary_key(record), record))
-    _dedupe_last_wins(result, keyed, str(path))
-    return result
+    from_obj = SOURCES[kind].from_obj
+
+    def to_record(line: str):
+        obj = json.loads(_utf8(line))
+        if not isinstance(obj, dict):
+            raise ValueError("record line is not an object")
+        found = obj.get("kind")
+        if found != kind.value:
+            raise ValueError(f"expected kind {kind.value!r}, found {found!r}")
+        return from_obj(obj)
+
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        rows = ((line_no, line.strip()) for line_no, line in enumerate(fh, start=1)
+                if not line.isspace())
+        return _collect(path, rows, to_record)
 
 
 def dump_snapshot(records: Iterable, path: str | Path) -> None:
@@ -541,12 +528,45 @@ class DataFormatError(ValueError):
     """A file's framing (header, envelope) is wrong, not just one row."""
 
 
-def _iter_csv_lines(path: Path) -> Iterator[tuple[int, list[str]]]:
-    import csv
-
-    with path.open(encoding="utf-8", newline="") as fh:
+def _csv_rows(path: str | Path, header: list[str], source: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line_no, row)`` per data row; the first row that is not blank or a
+    ``#`` comment must be ``header``, else the file is a DataFormatError."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        header_seen = False
         for line_no, row in enumerate(csv.reader(fh), start=1):
-            yield line_no, row
+            if not row or row[0].startswith("#"):
+                continue
+            if header_seen:
+                yield line_no, row
+            elif [c.strip() for c in row] == header:
+                header_seen = True
+            else:
+                raise DataFormatError(
+                    f"{path}: expected {source} header {','.join(header)!r}, "
+                    f"found {','.join(row)!r}"
+                )
+
+
+def _check_row(row: list[str], width: int) -> None:
+    if len(row) != width:
+        raise ValueError(f"expected {width} columns, found {len(row)}")
+    _utf8(",".join(row))
+
+
+def _epss_from_row(row: list[str]) -> EpssScore:
+    _check_row(row, 3)
+    return _epss_from_obj({"cve_id": row[0].strip(), "probability": row[1], "percentile": row[2]})
+
+
+_KEV_FIELDS = [f.name for f in fields(KevEntry)]  # the CISA columns, in order
+
+
+def _kev_from_row(row: list[str]) -> KevEntry:
+    _check_row(row, 8)
+    obj = dict(zip(_KEV_FIELDS, row))
+    for name in ("cve_id", "date_added", "due_date"):
+        obj[name] = obj[name].strip()
+    return _kev_from_obj(obj)
 
 
 def parse_epss_csv(path: str | Path) -> ParseResult:
@@ -555,73 +575,12 @@ def parse_epss_csv(path: str | Path) -> ParseResult:
     Comment lines starting with ``#`` are allowed; rows with a probability
     or percentile outside [0,1] are rejected with a diagnostic.
     """
-    path = Path(path)
-    result = ParseResult()
-    keyed: list[tuple[object, object]] = []
-    header_seen = False
-    for line_no, row in _iter_csv_lines(path):
-        if not row or (row[0].startswith("#")):
-            continue
-        if not header_seen:
-            if [c.strip() for c in row] != EPSS_CSV_HEADER:
-                raise DataFormatError(
-                    f"{path}: expected EPSS header {','.join(EPSS_CSV_HEADER)!r}, "
-                    f"found {','.join(row)!r}"
-                )
-            header_seen = True
-            continue
-        try:
-            if len(row) != 3:
-                raise ValueError(f"expected 3 columns, found {len(row)}")
-            record = _epss_from_obj(
-                {"cve_id": row[0].strip(), "probability": row[1], "percentile": row[2]}
-            )
-        except ValueError as exc:
-            result.skipped.append((line_no, str(exc)))
-            continue
-        result.accepted += 1
-        keyed.append((record.cve_id, record))
-    _dedupe_last_wins(result, keyed, str(path))
-    return result
+    return _collect(path, _csv_rows(path, EPSS_CSV_HEADER, "EPSS"), _epss_from_row)
 
 
 def parse_kev_csv(path: str | Path) -> ParseResult:
     """Parse a KEV catalog CSV (the eight-column CISA export header)."""
-    path = Path(path)
-    result = ParseResult()
-    keyed: list[tuple[object, object]] = []
-    header_seen = False
-    for line_no, row in _iter_csv_lines(path):
-        if not row or row[0].startswith("#"):
-            continue
-        if not header_seen:
-            if [c.strip() for c in row] != KEV_CSV_HEADER:
-                raise DataFormatError(
-                    f"{path}: expected KEV header {','.join(KEV_CSV_HEADER)!r}, "
-                    f"found {','.join(row)!r}"
-                )
-            header_seen = True
-            continue
-        try:
-            if len(row) != 8:
-                raise ValueError(f"expected 8 columns, found {len(row)}")
-            record = _kev_from_obj({
-                "cve_id": row[0].strip(),
-                "vendor_project": row[1],
-                "product": row[2],
-                "vulnerability_name": row[3],
-                "date_added": row[4].strip(),
-                "short_description": row[5],
-                "required_action": row[6],
-                "due_date": row[7].strip(),
-            })
-        except ValueError as exc:
-            result.skipped.append((line_no, str(exc)))
-            continue
-        result.accepted += 1
-        keyed.append((record.cve_id, record))
-    _dedupe_last_wins(result, keyed, str(path))
-    return result
+    return _collect(path, _csv_rows(path, KEV_CSV_HEADER, "KEV"), _kev_from_row)
 
 
 # ---------------------------------------------------------------------------
@@ -645,31 +604,12 @@ class SnapshotBundle:
     exploits: list[ExploitRef] = field(default_factory=list)
     references: list[ReferenceRecord] = field(default_factory=list)
 
-    _FIELD_BY_KIND = {
-        SourceKind.CVE: "cves",
-        SourceKind.CPE: "cpes",
-        SourceKind.CWE: "cwes",
-        SourceKind.CAPEC: "capecs",
-        SourceKind.TECHNIQUE: "techniques",
-        SourceKind.TACTIC: "tactics",
-        SourceKind.GROUP: "groups",
-        SourceKind.EPSS: "epss",
-        SourceKind.KEV: "kev",
-        SourceKind.EXPLOIT: "exploits",
-        SourceKind.REFERENCE: "references",
-    }
-
     @classmethod
     def from_records(cls, records: Iterable) -> "SnapshotBundle":
         bundle = cls()
         for record in records:
-            kind = _KIND_BY_TYPE[type(record)]
-            getattr(bundle, cls._FIELD_BY_KIND[kind]).append(record)
+            getattr(bundle, SOURCES[_KIND_BY_TYPE[type(record)]].bundle_field).append(record)
         return bundle
-
-    def all_records(self) -> Iterator:
-        for kind in SourceKind:
-            yield from getattr(self, self._FIELD_BY_KIND[kind])
 
 
 @dataclass(frozen=True)
@@ -700,26 +640,16 @@ def validate_snapshot(records) -> ValidationReport:
     bundle = records if isinstance(records, SnapshotBundle) else SnapshotBundle.from_records(records)
     report = ValidationReport()
 
-    def check_duplicates(items, what):
-        seen = set()
-        for item in items:
-            key = primary_key(item)
+    keys: dict[SourceKind, set] = {}
+    for kind in SourceKind:
+        source = SOURCES[kind]
+        seen = keys[kind] = set()
+        for item in getattr(bundle, source.bundle_field):
+            key = getattr(item, source.key)
             if key in seen:
-                report.findings.append(Finding("duplicate", str(key), f"duplicate {what}"))
+                report.findings.append(
+                    Finding("duplicate", str(key), f"duplicate {kind.value} record"))
             seen.add(key)
-        return seen
-
-    cve_ids = check_duplicates(bundle.cves, "CVE record")
-    cpe_ids = check_duplicates(bundle.cpes, "CPE entry")
-    cwe_ids = check_duplicates(bundle.cwes, "CWE entry")
-    capec_ids = check_duplicates(bundle.capecs, "CAPEC entry")
-    technique_ids = check_duplicates(bundle.techniques, "technique")
-    tactic_ids = check_duplicates(bundle.tactics, "tactic")
-    check_duplicates(bundle.groups, "group")
-    check_duplicates(bundle.epss, "EPSS row")
-    check_duplicates(bundle.kev, "KEV entry")
-    check_duplicates(bundle.exploits, "exploit ref")
-    reference_urls = check_duplicates(bundle.references, "reference")
 
     def dangling(subject, targets, present, what):
         for target in targets:
@@ -729,9 +659,9 @@ def validate_snapshot(records) -> ValidationReport:
                 )
 
     for cve in bundle.cves:
-        dangling(cve.cve_id, cve.cwe_ids, cwe_ids, "CWE")
-        dangling(cve.cve_id, cve.affected_cpes, cpe_ids, "CPE")
-        dangling(cve.cve_id, cve.reference_urls, reference_urls, "reference")
+        dangling(cve.cve_id, cve.cwe_ids, keys[SourceKind.CWE], "CWE")
+        dangling(cve.cve_id, cve.affected_cpes, keys[SourceKind.CPE], "CPE")
+        dangling(cve.cve_id, cve.reference_urls, keys[SourceKind.REFERENCE], "reference")
         if not 0.0 <= cve.cvss_base <= 10.0:
             report.findings.append(Finding("out_of_range", cve.cve_id, f"cvss_base {cve.cvss_base}"))
         if cve.modified < cve.published:
@@ -739,25 +669,25 @@ def validate_snapshot(records) -> ValidationReport:
                 Finding("out_of_range", cve.cve_id, "modified date precedes published date")
             )
     for cwe in bundle.cwes:
-        dangling(cwe.cwe_id, cwe.related_capecs, capec_ids, "CAPEC")
+        dangling(cwe.cwe_id, cwe.related_capecs, keys[SourceKind.CAPEC], "CAPEC")
     for capec in bundle.capecs:
-        dangling(capec.capec_id, capec.related_techniques, technique_ids, "technique")
+        dangling(capec.capec_id, capec.related_techniques, keys[SourceKind.TECHNIQUE], "technique")
     for technique in bundle.techniques:
-        dangling(technique.technique_id, technique.tactic_ids, tactic_ids, "tactic")
+        dangling(technique.technique_id, technique.tactic_ids, keys[SourceKind.TACTIC], "tactic")
     for group in bundle.groups:
-        dangling(group.group_id, group.technique_ids, technique_ids, "technique")
+        dangling(group.group_id, group.technique_ids, keys[SourceKind.TECHNIQUE], "technique")
     for score in bundle.epss:
-        dangling(score.cve_id, [score.cve_id], cve_ids, "CVE")
+        dangling(score.cve_id, [score.cve_id], keys[SourceKind.CVE], "CVE")
         if not (0.0 <= score.probability <= 1.0 and 0.0 <= score.percentile <= 1.0):
             report.findings.append(Finding("out_of_range", score.cve_id, "EPSS values outside [0,1]"))
     for entry in bundle.kev:
-        dangling(entry.cve_id, [entry.cve_id], cve_ids, "CVE")
+        dangling(entry.cve_id, [entry.cve_id], keys[SourceKind.CVE], "CVE")
         if entry.due_date < entry.date_added:
             report.findings.append(
                 Finding("out_of_range", entry.cve_id, "due_date precedes date_added")
             )
     for ref in bundle.exploits:
-        dangling(f"exploit {ref.exploitdb_id}", ref.cve_ids, cve_ids, "CVE")
+        dangling(f"exploit {ref.exploitdb_id}", ref.cve_ids, keys[SourceKind.CVE], "CVE")
         if not ref.cve_ids:
             report.findings.append(
                 Finding("out_of_range", str(ref.exploitdb_id), "exploit ref with no CVEs")

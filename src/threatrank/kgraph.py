@@ -7,7 +7,8 @@ was never materialized as a record) are dropped and counted rather than
 turned into stub nodes, so query results never contain phantom entities.
 
 The graph is built single-writer, then frozen; after ``freeze()`` it is
-immutable and safe to read from any number of workers.
+immutable (node props become read-only mappings) and safe to read from any
+number of workers.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from . import profiles as profiles_mod
 from .enrich import GroupAttribution
+from .errors import DataError
 from .feeds import SnapshotBundle
 from .vocab import Vocabulary, default_vocabulary
 
@@ -89,12 +92,12 @@ class GraphFrozenError(RuntimeError):
     """Write attempted after freeze()."""
 
 
-@dataclass
+@dataclass(slots=True)  # no per-node __dict__: pays for the read-only props proxy
 class Node:
     node_id: int
     label: NodeLabel
     key: str
-    props: dict
+    props: Mapping  # a dict while building, read-only once the graph is frozen
 
 
 @dataclass
@@ -173,7 +176,10 @@ class PropertyGraph:
         return self.add_edge(src_id, edge_type, dst_id)
 
     def freeze(self) -> "PropertyGraph":
-        self._frozen = True
+        if not self._frozen:
+            for node in self._nodes.values():
+                node.props = MappingProxyType(node.props)
+            self._frozen = True
         return self
 
     @property
@@ -434,31 +440,42 @@ def save_graph(graph: PropertyGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> PropertyGraph:
-    """Read a graph snapshot written by save_graph(); returns it frozen."""
+    """Read a graph snapshot written by save_graph(); returns it frozen.
+
+    A line that is not a well-formed node or edge record is a DataError
+    naming ``path:line``.
+    """
     g = PropertyGraph()
-    with Path(path).open(encoding="utf-8") as fh:
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            kind = obj.get("kind")
-            if kind == "node":
-                g.upsert_node(NodeLabel(obj["label"]), obj["key"], obj.get("props") or {})
-            elif kind == "edge":
-                edge_type = EdgeType(obj["type"])
-                src_label, dst_label = EDGE_ENDPOINTS[edge_type]
-                if not g.link(src_label, obj["src"], edge_type, dst_label, obj["dst"]):
-                    raise ValueError(f"{path}:{line_no}: edge references unknown node")
-            else:
-                raise ValueError(f"{path}:{line_no}: unknown record kind {kind!r}")
+            try:
+                line.encode("utf-8")  # a byte that was not UTF-8 fails here
+                obj = json.loads(line)
+                kind = obj.get("kind") if isinstance(obj, dict) else None
+                if kind == "node":
+                    key, props = obj["key"], obj.get("props") or {}
+                    if not (isinstance(key, str) and isinstance(props, dict)):
+                        raise ValueError("node key must be a string and props an object")
+                    g.upsert_node(NodeLabel(obj["label"]), key, props)
+                elif kind == "edge":
+                    edge_type = EdgeType(obj["type"])
+                    src_label, dst_label = EDGE_ENDPOINTS[edge_type]
+                    if not g.link(src_label, obj["src"], edge_type, dst_label, obj["dst"]):
+                        raise ValueError("edge references unknown node")
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
     return g.freeze()
 
 
 def graph_signature(graph: PropertyGraph):
     """(label, key, props) and (src, type, dst) multisets for isomorphism checks."""
     nodes = sorted(
-        (n.label.value, n.key, json.dumps(n.props, sort_keys=True)) for n in graph.nodes()
+        (n.label.value, n.key, json.dumps(dict(n.props), sort_keys=True)) for n in graph.nodes()
     )
     edges = sorted(
         (graph.node(s).key, t.value, graph.node(d).key) for s, t, d in graph.edges()

@@ -99,8 +99,10 @@ def load_profile(path: str | Path, vocab: Vocabulary | None = None) -> Organizat
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ProfileError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict) or not isinstance(obj.get("software", []), list):
+        raise ProfileError(f"{path}: a profile is an object with a 'software' array")
     for key in ("org_id", "name", "sector", "country"):
         if not isinstance(obj.get(key), str) or not obj[key]:
             raise ProfileError(f"{path}: missing or empty field {key!r}")
@@ -161,11 +163,6 @@ def resolve_cpes(
         resolved_items.append(replace(item, resolved_cpes=cpe_ids))
         report.rows.append((item.vendor, item.product, len(cpe_ids)))
     return replace(profile, software=tuple(resolved_items)), report
-
-
-def resolved_cpe_ids(profile: OrganizationProfile) -> frozenset[str]:
-    """All CPE identifiers resolved across the profile's inventory."""
-    return frozenset(cpe for item in profile.software for cpe in item.resolved_cpes)
 
 
 def size_class(profile: OrganizationProfile) -> SizeClass:

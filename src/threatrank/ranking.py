@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
 from typing import Iterable, Mapping
 
 from .feeds import AttackVector, SkillLevel, TechnicalImpact
 # techniques_for_cve is unused here; bench/trace_cli.py rebinds ranking's name.
 from .kgraph import EdgeType, NodeLabel, PropertyGraph, techniques_for_cve  # noqa: F401
-from .profiles import OrganizationProfile, resolved_cpe_ids
 
 log = logging.getLogger(__name__)
 
@@ -99,15 +98,6 @@ class OrgContext:
     cpe_ids: frozenset[str]
 
     @classmethod
-    def from_profile(cls, profile: OrganizationProfile) -> "OrgContext":
-        return cls(
-            org_id=profile.org_id,
-            sector=profile.sector,
-            country=profile.country,
-            cpe_ids=resolved_cpe_ids(profile),
-        )
-
-    @classmethod
     def from_graph(cls, graph: PropertyGraph, org_id: str) -> "OrgContext":
         """Reconstruct the context from Organization/Software/Cpe nodes."""
         node = graph.find(NodeLabel.ORGANIZATION, org_id)
@@ -157,14 +147,6 @@ class RankedList:
 def iso_week_of(day: date) -> tuple[int, int]:
     cal = day.isocalendar()
     return (cal[0], cal[1])
-
-
-def iter_iso_weeks(start: date, end: date) -> Iterable[tuple[int, int]]:
-    """ISO weeks intersecting [start, end], in chronological order."""
-    day = start - timedelta(days=start.weekday())
-    while day <= end:
-        yield iso_week_of(day)
-        day += timedelta(days=7)
 
 
 def generate_candidates(

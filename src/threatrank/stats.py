@@ -85,11 +85,6 @@ def student_t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t >= 0 else tail
 
 
-def student_t_sf(t: float, df: float) -> float:
-    """P(T >= t); computed from the opposite tail to preserve precision."""
-    return student_t_cdf(-t, df)
-
-
 @dataclass(frozen=True)
 class TTestResult:
     n: int

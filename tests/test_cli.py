@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threatrank.cli import main
 from tests.conftest import CASE_STUDY, FIXTURES
@@ -156,6 +160,93 @@ def test_corrupt_config_exits_two(tmp_path, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert _run("--config", str(bad), "ingest") == 2
     assert "data error" in capsys.readouterr().err
+
+
+# Each edit turns the first graph.jsonl line holding ``old`` into a bad one.
+@pytest.mark.parametrize("old, new", [
+    (b'{"kind": "edge"', b'{not json'),
+    (b'"label": "NvdCve"', b'"label": "Bogus"'),
+    (b'"type": "Affects"', b'"type": "Bogus"'),
+    (b'"key": "CVE-', b'"key": "\xffCVE-'),
+], ids=["corrupt_json", "unknown_label", "unknown_edge_type", "non_utf8"])
+def test_bad_graph_line_exits_two_naming_the_line(built, capsys, old, new):
+    path = built / "graph.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    line_no = next(i for i, line in enumerate(lines, start=1) if old in line)
+    lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+    path.write_bytes(b"\n".join(lines))
+    code = _run("--config", CONFIG, "--out", str(built),
+                "rank", "--org", "ODU", "--policy", "apt_threat")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"graph.jsonl:{line_no}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"snapshots": ["snapshots/cve.jsonl"]}',
+    '["snapshots"]',
+    '5',
+    '{"date_range": ["2021-11-22", "2021-11-28"]}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"}, "policies": {"apt_threat": []}}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"apt_threat": {"risk_appetite": 1e400}}}',
+    '{"profiles": [5]}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"}, "output_dir": 5}',
+], ids=["snapshots_list", "top_level_array", "top_level_number", "date_range_list",
+        "policy_list", "policy_overflow", "path_number", "output_dir_number"])
+def test_misshapen_config_exits_two(tmp_path, capsys, text):
+    bad = tmp_path / "config.json"
+    bad.write_text(text, encoding="utf-8")
+    assert _run("--config", str(bad), "ingest") == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_feed_rows_are_skipped(tmp_path):
+    case = tmp_path / "case"
+    shutil.copytree(CASE_STUDY, case, ignore=shutil.ignore_patterns("out"))
+    for name, old, new in [("snapshots/cwe.jsonl", b"Use After", b"Use \xffAfter"),
+                           ("epss.csv", b"CVE-2021-30542,", b"CVE-2021-30542\xff,")]:
+        data = (case / name).read_bytes()
+        assert data.count(old) == 1
+        (case / name).write_bytes(data.replace(old, new))
+    out = tmp_path / "out"
+    assert _run("--config", str(case / "config.json"), "--out", str(out), "ingest") == 0
+    sources = json.loads((out / "ingest_summary.json").read_text(encoding="utf-8"))["sources"]
+    assert (sources["cwe"]["records"], sources["cwe"]["skipped"]) == (6, 1)  # of 7 lines
+    assert (sources["epss"]["records"], sources["epss"]["skipped"]) == (39, 1)  # of 40 rows
+
+
+# Snapshot and CSV inputs of the case fixture, as paths under its directory.
+_FEED_FILES = sorted(path.relative_to(CASE_STUDY).as_posix()
+                     for pattern in ("snapshots/*.jsonl", "*.csv")
+                     for path in CASE_STUDY.glob(pattern))
+
+
+@pytest.fixture(scope="module")
+def case_copy(tmp_path_factory):
+    case = tmp_path_factory.mktemp("mutated") / "case"
+    shutil.copytree(CASE_STUDY, case, ignore=shutil.ignore_patterns("out"))
+    return case
+
+
+@given(name=st.sampled_from(_FEED_FILES), byte=st.sampled_from(list(b'\xff\x00{,\n"')),
+       insert=st.booleans(), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_one_byte_feed_edit_keeps_the_exit_code_contract(case_copy, name, byte, insert, data):
+    path = case_copy / name
+    original = path.read_bytes()
+    at = data.draw(st.integers(0, len(original) - (0 if insert else 1)))
+    path.write_bytes(original[:at] + bytes([byte]) + original[at + (0 if insert else 1):])
+    base = ["--config", str(case_copy / "config.json"), "--out", str(case_copy / "out")]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [main([*base, "ingest"]), main([*base, "build"])]
+    finally:
+        path.write_bytes(original)
+    assert all(code in (0, 1, 2) for code in codes)
 
 
 def test_bad_flags_exit_one(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from datetime import date, timedelta
 
 import pytest
@@ -8,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatrank.feeds import (
+    SOURCES,
+    AttackGroupRaw,
+    AttackTactic,
+    AttackTechnique,
     AttackVector,
     CapecEntry,
+    CpeEntry,
     CveRecord,
     CweEntry,
     DataFormatError,
@@ -25,7 +31,6 @@ from threatrank.feeds import (
     parse_epss_csv,
     parse_kev_csv,
     parse_snapshot,
-    record_from_obj,
     record_to_obj,
     validate_snapshot,
 )
@@ -260,6 +265,63 @@ def test_parse_is_deterministic(tmp_path):
     assert first.records == second.records
 
 
+def test_cwe_technical_impacts_must_be_a_string_list(tmp_path):
+    rows = [{"kind": "cwe", "cwe_id": "CWE-79", "technical_impacts": 5},
+            {"kind": "cwe", "cwe_id": "CWE-80", "technical_impacts": ["ReadData"]},
+            {"kind": "cwe", "cwe_id": "CWE-81", "technical_impacts": ["Sorcery"]}]
+    path = tmp_path / "cwe.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+    result = parse_snapshot(path, SourceKind.CWE)
+    assert result.records == [CweEntry("CWE-80", "", (TechnicalImpact.READ_DATA,))]
+    assert [line_no for line_no, _ in result.skipped] == [1, 3]
+    assert "technical_impacts" in result.skipped[0][1]
+
+
+def test_overflowing_numbers_are_skipped(tmp_path):
+    cve = {"kind": "cve", "cve_id": "CVE-2020-10000", "published": "2020-01-01",
+           "modified": "2020-01-01", "cvss_base": 10 ** 400, "attack_vector": "LOCAL"}
+    exploit = '{"kind": "exploit", "exploitdb_id": 1e999, "cve_ids": ["CVE-2020-10000"]}'
+    (tmp_path / "cve.jsonl").write_text(json.dumps(cve) + "\n", encoding="utf-8")
+    (tmp_path / "exploit.jsonl").write_text(exploit + "\n", encoding="utf-8")
+    for kind in (SourceKind.CVE, SourceKind.EXPLOIT):
+        result = parse_snapshot(tmp_path / f"{kind.value}.jsonl", kind)
+        assert result.records == [] and result.skipped_count == 1
+
+
+# One valid and one non-UTF-8 data row per format: (header, good, bad, parser).
+_NON_UTF8 = {
+    "cwe.jsonl": (b"", b'{"kind": "cwe", "cwe_id": "CWE-79"}',
+                  b'{"kind": "cwe", "cwe_id": "CWE-80", "name": "\xff"}',
+                  lambda path: parse_snapshot(path, SourceKind.CWE)),
+    "epss.csv": (b"# comment\ncve,epss,percentile\n", b"CVE-2020-0001,0.1,0.2",
+                 b"CVE-2020-0002,0.1,0.2\xff", parse_epss_csv),
+    "kev.csv": (KEV_HEADER.encode(),
+                b"CVE-2021-38000,Google,Chromium,n,2021-11-03,d,a,2021-11-17",
+                b"CVE-2021-38001,Go\xffogle,Chromium,n,2021-11-03,d,a,2021-11-17",
+                parse_kev_csv),
+}
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("name", sorted(_NON_UTF8))
+def test_non_utf8_row_is_skipped_and_counted(tmp_path, name, newline):
+    header, good, bad, parse = _NON_UTF8[name]
+    path = tmp_path / name
+    path.write_bytes(header.replace(b"\n", newline) + good + newline + bad + newline)
+    result = parse(path)
+    assert len(result.records) == 1 and result.accepted == 1
+    bad_line = header.count(b"\n") + 2
+    assert [line_no for line_no, _ in result.skipped] == [bad_line]
+    assert "utf-8" in result.skipped[0][1]
+
+
+def test_non_utf8_csv_header_is_a_format_error(tmp_path):
+    path = tmp_path / "epss.csv"
+    path.write_bytes(b"cve,ep\xffss,percentile\nCVE-2020-0001,0.1,0.2\n")
+    with pytest.raises(DataFormatError):
+        parse_epss_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # Round-trip: serialize -> reparse -> equal
 # ---------------------------------------------------------------------------
@@ -289,9 +351,13 @@ def cve_records(draw):
     )
 
 
+_technique_ids = st.integers(1000, 1999).map(lambda n: f"T{n}")
+_tactic_ids = st.integers(1, 40).map(lambda n: f"TA{n:04d}")
+
+
 @st.composite
 def misc_records(draw):
-    kind = draw(st.sampled_from(["epss", "kev", "capec", "cwe", "exploit", "reference"]))
+    kind = draw(st.sampled_from([k.value for k in SourceKind if k is not SourceKind.CVE]))
     if kind == "epss":
         return EpssScore(draw(_cve_ids),
                          round(draw(st.floats(0, 1, allow_nan=False)), 4),
@@ -303,8 +369,7 @@ def misc_records(draw):
     if kind == "capec":
         return CapecEntry(f"CAPEC-{draw(st.integers(1, 999))}", draw(st.text(max_size=20)),
                           draw(st.sampled_from(SkillLevel)),
-                          tuple(draw(st.lists(
-                              st.integers(1000, 1999).map(lambda n: f"T{n}"), max_size=3))))
+                          tuple(draw(st.lists(_technique_ids, max_size=3))))
     if kind == "cwe":
         return CweEntry(f"CWE-{draw(st.integers(1, 999))}", draw(st.text(max_size=20)),
                         tuple(draw(st.lists(st.sampled_from(TechnicalImpact),
@@ -314,13 +379,31 @@ def misc_records(draw):
     if kind == "exploit":
         return ExploitRef(draw(st.integers(1, 99999)),
                           tuple(draw(st.lists(_cve_ids, min_size=1, max_size=3))))
+    if kind == "cpe":
+        n = draw(st.integers(0, 50))
+        return CpeEntry(f"cpe:2.3:a:v{n}:p{n}:-:*:*:*:*:*:*:*", f"v{n}", f"p{n}",
+                        language_tag=draw(st.sampled_from(["en", "en-US"])))
+    if kind == "technique":
+        return AttackTechnique(draw(_technique_ids), draw(st.text(max_size=20)),
+                               tuple(draw(st.lists(_tactic_ids, min_size=1, max_size=3))))
+    if kind == "tactic":
+        return AttackTactic(draw(_tactic_ids), draw(st.text(max_size=20)))
+    if kind == "group":
+        return AttackGroupRaw(f"G{draw(st.integers(1, 9999)):04d}", draw(st.text(max_size=20)),
+                              draw(st.text(max_size=60)), draw(_dates),
+                              tuple(draw(st.lists(_technique_ids, max_size=3))))
     return ReferenceRecord(url=draw(_urls))
 
 
 @given(record=st.one_of(cve_records(), misc_records()))
 @settings(max_examples=150)
-def test_record_object_round_trip(record):
-    assert record_from_obj(record_to_obj(record)) == record
+def test_record_snapshot_round_trip(record, tmp_path_factory):
+    kind = SourceKind(record_to_obj(record)["kind"])
+    path = tmp_path_factory.mktemp("record") / f"{kind.value}.jsonl"
+    dump_snapshot([record], path)
+    result = parse_snapshot(path, kind)
+    assert result.records == [record]
+    assert result.skipped_count == 0
 
 
 @given(records=st.lists(cve_records(), max_size=10,
@@ -391,4 +474,20 @@ def test_bundle_from_records_partitions_by_type():
     records = [_cve(), EpssScore("CVE-2020-10000", 0.1, 0.1), ReferenceRecord("https://x")]
     bundle = SnapshotBundle.from_records(records)
     assert len(bundle.cves) == 1 and len(bundle.epss) == 1 and len(bundle.references) == 1
-    assert list(bundle.all_records())
+
+
+def test_sources_describe_every_kind_in_order():
+    assert list(SOURCES) == list(SourceKind)
+    bundle_fields = {f.name for f in fields(SnapshotBundle)}
+    for source in SOURCES.values():
+        assert source.bundle_field in bundle_fields
+        assert source.key in {f.name for f in fields(source.record_type)}
+
+
+def test_validate_duplicates_follow_source_kind_order():
+    records = [ReferenceRecord("https://x"), ReferenceRecord("https://x"),
+               CweEntry("CWE-79", "xss"), _cve(), CweEntry("CWE-79", "xss"), _cve()]
+    report = validate_snapshot(records)
+    assert [(f.category, f.subject) for f in report.findings] == [
+        ("duplicate", "CVE-2020-10000"), ("duplicate", "CWE-79"), ("duplicate", "https://x"),
+    ]

@@ -113,6 +113,28 @@ def test_frozen_graph_rejects_writes():
         g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000")
 
 
+def test_frozen_graph_props_are_read_only(tmp_path):
+    g = PropertyGraph()
+    node_id = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000", {"cvss_base": 6.1})
+    g.node(node_id).props["modified"] = "2021-11-23"  # writable while building
+    signature = graph_signature(g)
+    g.freeze()
+    props = g.node(node_id).props
+    with pytest.raises(TypeError):
+        props["cvss_base"] = 0.0
+    with pytest.raises(TypeError):
+        del props["modified"]
+    with pytest.raises(AttributeError):
+        props.update(cvss_base=0.0)
+    assert props == {"cvss_base": 6.1, "modified": "2021-11-23"}
+    assert graph_signature(g) == signature
+    save_graph(g, tmp_path / "graph.jsonl")
+    reloaded = load_graph(tmp_path / "graph.jsonl")
+    with pytest.raises(TypeError):
+        reloaded.find(NodeLabel.NVD_CVE, "CVE-2021-38000").props["cvss_base"] = 0.0
+    assert graph_signature(reloaded) == signature
+
+
 def test_in_out_adjacency_consistency():
     graph = build_graph(random_bundle(seed=7, scale=1) , vocab=None)
     for src, edge_type, dst in graph.edges():

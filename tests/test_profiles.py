@@ -18,7 +18,6 @@ from threatrank.profiles import (
     load_profile,
     normalize_token,
     resolve_cpes,
-    resolved_cpe_ids,
     size_class,
 )
 from tests.conftest import CASE_STUDY
@@ -77,6 +76,19 @@ def test_load_profile_empty_software_is_valid(tmp_path):
     assert load_profile(path).software == ()
 
 
+@pytest.mark.parametrize("data", [
+    b'{"org_id": "X", "name": "\xff", "sector": "Education", "country": "United States"}',
+    b'["org_id"]',
+    b'{"org_id": "X", "name": "X", "sector": "Education", "country": "United States",'
+    b' "software": 5}',
+], ids=["non_utf8", "not_an_object", "software_not_a_list"])
+def test_load_profile_rejects_misshapen_file(tmp_path, data):
+    path = tmp_path / "p.json"
+    path.write_bytes(data)
+    with pytest.raises(ProfileError):
+        load_profile(path)
+
+
 # ---------------------------------------------------------------------------
 # CPE resolution
 # ---------------------------------------------------------------------------
@@ -113,7 +125,7 @@ def test_case_study_inventory_coverage(case_config):
     assert report.resolved == 47
     assert report.unresolved == 22
     assert report.resolved + report.unresolved == len(profile.software)
-    assert len(resolved_cpe_ids(resolved)) == 47
+    assert len({cpe for item in resolved.software for cpe in item.resolved_cpes}) == 47
 
 
 def test_version_qualified_matching_prefers_exact():

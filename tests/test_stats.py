@@ -10,7 +10,6 @@ from threatrank.stats import (
     betainc_regularized,
     paired_t_test,
     student_t_cdf,
-    student_t_sf,
 )
 
 # Frozen oracle values for the five-pair example, computed independently
@@ -85,7 +84,7 @@ def test_cdf_center_and_symmetry():
         for t in (0.3, 1.7, 4.2):
             assert student_t_cdf(t, df) + student_t_cdf(-t, df) == \
                 pytest.approx(1.0, abs=1e-13)
-            assert student_t_sf(t, df) == pytest.approx(
+            assert student_t_cdf(-t, df) == pytest.approx(
                 1.0 - student_t_cdf(t, df), abs=1e-13)
 
 
