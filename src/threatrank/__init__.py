@@ -14,16 +14,12 @@ from .errors import DataError, ThreatRankError, UsageError
 from .evaluation import (
     CostModel,
     EvaluationReport,
-    NdcgResult,
     Severity,
     annualized_cost,
-    dcg_at_k,
     generate_report,
     ndcg_at_k,
-    ndcg_from_gains,
     patch_cost,
     severity_band,
-    weekly_average_ndcg,
 )
 from .feeds import (
     AttackGroupRaw,

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import enrich, evaluation, feeds, kgraph, profiles, ranking
 from .errors import DataError, UsageError
 from .feeds import SourceKind
-from .vocab import Vocabulary, load_vocabulary
+from .vocab import load_vocabulary
 
 GRAPH_FILENAME = "graph.jsonl"
 
@@ -140,10 +140,6 @@ def load_config(path: str | Path) -> ProjectConfig:
     )
 
 
-def _load_vocab(config: ProjectConfig) -> Vocabulary:
-    return load_vocabulary(config.vocab_countries, config.vocab_sectors)
-
-
 def load_bundle(config: ProjectConfig) -> tuple[feeds.SnapshotBundle, dict[str, feeds.ParseResult]]:
     """Parse every configured snapshot into one bundle, keeping parse stats."""
     bundle = feeds.SnapshotBundle()
@@ -165,8 +161,8 @@ def load_bundle(config: ProjectConfig) -> tuple[feeds.SnapshotBundle, dict[str, 
 
 def prepare_inputs(config: ProjectConfig):
     """Parse snapshots, attribute groups, and resolve profile inventories."""
-    vocab = _load_vocab(config)
-    bundle, parse_results = load_bundle(config)
+    vocab = load_vocabulary(config.vocab_countries, config.vocab_sectors)
+    bundle, _results = load_bundle(config)
     lexicon = enrich.load_lexicon(config.lexicon_countries, config.lexicon_sectors, vocab)
     attributions = enrich.filter_us_targeting(
         enrich.attribute_group(group, lexicon) for group in bundle.groups
@@ -178,13 +174,12 @@ def prepare_inputs(config: ProjectConfig):
         resolved, report = profiles.resolve_cpes(profile, bundle.cpes)
         resolved_profiles.append(resolved)
         coverage[profile.org_id] = report
-    return vocab, bundle, parse_results, attributions, resolved_profiles, coverage
+    return vocab, bundle, attributions, resolved_profiles, coverage
 
 
 def build_pipeline(config: ProjectConfig) -> kgraph.PropertyGraph:
     """Parse, enrich, resolve, and assemble the frozen knowledge graph."""
-    vocab, bundle, _results, attributions, resolved_profiles, _coverage = \
-        prepare_inputs(config)
+    vocab, bundle, attributions, resolved_profiles, _coverage = prepare_inputs(config)
     graph = kgraph.build_graph(bundle, attributions, resolved_profiles, vocab)
     return graph.freeze()
 
@@ -246,8 +241,7 @@ def cmd_ingest(config: ProjectConfig) -> int:
 
 def cmd_build(config: ProjectConfig) -> int:
     """Build the knowledge graph; persist its snapshot and coverage CSVs."""
-    vocab, bundle, _results, attributions, resolved_profiles, coverage = \
-        prepare_inputs(config)
+    vocab, bundle, attributions, resolved_profiles, coverage = prepare_inputs(config)
     graph = kgraph.build_graph(bundle, attributions, resolved_profiles, vocab).freeze()
     config.output_dir.mkdir(parents=True, exist_ok=True)
     for org_id, report in sorted(coverage.items()):

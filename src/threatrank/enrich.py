@@ -14,12 +14,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .errors import DataError
 from .feeds import AttackGroupRaw
-from .vocab import UNITED_STATES, Vocabulary, default_vocabulary
+from .vocab import UNITED_STATES, Vocabulary, default_vocabulary, read_data_file
 
 # Window scanned for target subjects after `targets`/`targeted`/`targeting`;
 # clipped at the end of the sentence containing the trigger.
@@ -100,29 +99,18 @@ def load_lexicon(
     Canonical values are validated against the controlled vocabularies.
     """
     vocab = vocab or default_vocabulary()
-    if country_path is None:
-        country_text = resources.files("threatrank.data").joinpath(
-            "country_terms.tsv").read_text(encoding="utf-8")
-        country_source = "country_terms.tsv"
-    else:
-        country_text = Path(country_path).read_text(encoding="utf-8")
-        country_source = str(country_path)
-    if sector_path is None:
-        sector_text = resources.files("threatrank.data").joinpath(
-            "sector_terms.tsv").read_text(encoding="utf-8")
-        sector_source = "sector_terms.tsv"
-    else:
-        sector_text = Path(sector_path).read_text(encoding="utf-8")
-        sector_source = str(sector_path)
-
-    country_terms = _parse_lexicon_file(country_text, country_source)
-    sector_terms = _parse_lexicon_file(sector_text, sector_source)
-    for term, value in country_terms.items():
-        if not vocab.is_country(value):
-            raise DataError(f"{country_source}: {term!r} maps to unknown country {value!r}")
-    for term, value in sector_terms.items():
-        if not vocab.is_sector(value):
-            raise DataError(f"{sector_source}: {term!r} maps to unknown sector {value!r}")
+    tables = []
+    for path, packaged, kind, known in (
+        (country_path, "country_terms.tsv", "country", vocab.is_country),
+        (sector_path, "sector_terms.tsv", "sector", vocab.is_sector),
+    ):
+        source = packaged if path is None else str(path)
+        terms = _parse_lexicon_file(read_data_file(path, packaged), source)
+        for term, value in terms.items():
+            if not known(value):
+                raise DataError(f"{source}: {term!r} maps to unknown {kind} {value!r}")
+        tables.append(terms)
+    country_terms, sector_terms = tables
     return Lexicon(country_terms=country_terms, sector_terms=sector_terms)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .kgraph import PropertyGraph
 from .ranking import (
@@ -105,76 +105,35 @@ def annualized_cost(weekly_costs: Mapping[tuple[int, int], float], year: int) ->
 # ---------------------------------------------------------------------------
 
 
-def dcg_at_k(gains: Sequence[float], k: int) -> float:
-    """Discounted cumulative gain over the first min(k, len) positions."""
+def ndcg_at_k(policy_list: RankedList, ideal_list: RankedList, k: int) -> list[float]:
+    """nDCG@1..k of a policy's ordering, judged by ideal-policy relevance.
+
+    Entry ``j - 1`` is nDCG@j.  Both rankings must cover the same cohort.
+    Each item's gain is its relevance under the ideal policy; iDCG
+    discounts those gains in the ideal ranking's own (descending) order.
+    One pass keeps running DCG and iDCG prefixes (the cumulative-gain form
+    of Järvelin & Kekäläinen, 2002).  A zero iDCG (empty cohort or all-zero
+    gains: no ordering can do better) scores 1.0, and cutoffs past the
+    cohort repeat the full-length value.
+    """
     if k < 1:
         raise ValueError(f"k must be positive: {k}")
-    total = 0.0
-    for i, gain in enumerate(gains[:k], start=1):
-        total += (2.0 ** gain - 1.0) / math.log2(i + 1)
-    return total
-
-
-def ndcg_from_gains(gains: Sequence[float], k: int) -> float:
-    """nDCG of a gain sequence against its own descending-order ideal.
-
-    Defined as 1.0 when the ideal DCG is zero (empty cohort or all-zero
-    gains: no ordering can do better).
-    """
-    dcg = dcg_at_k(gains, k)
-    idcg = dcg_at_k(sorted(gains, reverse=True), k)
-    return dcg / idcg if idcg > 0 else 1.0
-
-
-@dataclass(frozen=True)
-class NdcgResult:
-    k: int
-    dcg: float
-    idcg: float
-    ndcg: float
-
-
-def ndcg_at_k(policy_list: RankedList, ideal_list: RankedList, k: int) -> NdcgResult:
-    """nDCG of a policy's ordering, judged by ideal-policy relevance.
-
-    Both rankings must cover the same cohort.  Each item's gain is its
-    relevance under the ideal policy; iDCG discounts those gains in the
-    ideal ranking's own (descending) order.
-    """
     ideal_relevance = ideal_list.score_of()
-    policy_cves = [item.cve_id for item in policy_list.items]
-    if set(policy_cves) != set(ideal_relevance):
+    if {item.cve_id for item in policy_list.items} != ideal_relevance.keys():
         raise ValueError("policy and ideal rankings cover different cohorts")
-    gains = [ideal_relevance[cve] for cve in policy_cves]
-    ideal_gains = [item.score for item in ideal_list.items]
-    dcg = dcg_at_k(gains, k)
-    idcg = dcg_at_k(ideal_gains, k)
-    return NdcgResult(k=k, dcg=dcg, idcg=idcg, ndcg=dcg / idcg if idcg > 0 else 1.0)
-
-
-def weekly_average_ndcg(values: Sequence[float]) -> float:
-    """Arithmetic mean of weekly nDCG values; empty input is an error."""
-    if not values:
-        raise ValueError("no weekly nDCG values to average")
-    return sum(values) / len(values)
+    curve: list[float] = []
+    dcg = idcg = 0.0
+    for i, (item, ideal) in enumerate(zip(policy_list.items[:k], ideal_list.items), start=1):
+        discount = math.log2(i + 1)
+        dcg += (2.0 ** ideal_relevance[item.cve_id] - 1.0) / discount
+        idcg += (2.0 ** ideal.score - 1.0) / discount
+        curve.append(dcg / idcg if idcg > 0 else 1.0)
+    return curve + [curve[-1] if curve else 1.0] * (k - len(curve))
 
 
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
-
-# A policy is always evaluated against the ideal ranking that shares its
-# feature family, so CVSS-base appears once per ideal mode.
-EVALUATED_PAIRS: tuple[tuple[Policy, IdealMode], ...] = (
-    (Policy.CVSS_BASE, IdealMode.APT),
-    (Policy.APT_THREAT, IdealMode.APT),
-    (Policy.CVSS_BASE, IdealMode.GENERAL),
-    (Policy.GENERAL_THREAT, IdealMode.GENERAL),
-)
-
-COST_POLICIES: tuple[Policy, ...] = (
-    Policy.CVSS_BASE, Policy.APT_THREAT, Policy.GENERAL_THREAT,
-)
 
 
 def policy_label(policy: Policy, mode: IdealMode) -> str:
@@ -222,10 +181,6 @@ class EvaluationReport:
         return paths
 
 
-def _config_for(base: PolicyConfig, policy: Policy, mode: IdealMode) -> PolicyConfig:
-    return replace(base, policy=policy, ideal_mode=mode)
-
-
 def generate_report(
     graph: PropertyGraph,
     orgs: Iterable[OrgContext],
@@ -242,84 +197,61 @@ def generate_report(
     costs, and a paired t-test of each threat policy against the CVSS-base
     ranking on the weekly nDCG@k series.  Degenerate series (fewer than two
     weeks or zero variance) emit no t-test row.
+
+    A policy is judged against the ideal ranking of its own feature family,
+    so CVSS base is evaluated once per family; one feature table per
+    (cohort, family) ranks all three.
     """
     report = EvaluationReport()
-    base_by_mode = {IdealMode.APT: apt_config, IdealMode.GENERAL: general_config}
-    threat_by_mode = {IdealMode.APT: Policy.APT_THREAT, IdealMode.GENERAL: Policy.GENERAL_THREAT}
-    ideal_configs = {mode: _config_for(base, Policy.IDEAL, mode)
-                     for mode, base in base_by_mode.items()}
-    threat_configs = {mode: _config_for(base_by_mode[mode], policy, mode)
-                      for mode, policy in threat_by_mode.items()}
-    cvss_config = _config_for(apt_config, Policy.CVSS_BASE, IdealMode.APT)
+    families = ((apt_config, Policy.APT_THREAT, IdealMode.APT),
+                (general_config, Policy.GENERAL_THREAT, IdealMode.GENERAL))
     for org in orgs:
         cohorts = generate_candidates(org, graph, date_range)
         if not cohorts:
             continue
-        rankings: dict[tuple[Policy, IdealMode], list[RankedList]] = {
-            pair: [] for pair in EVALUATED_PAIRS}
-        ideals: dict[IdealMode, list[RankedList]] = {mode: [] for mode in IdealMode}
-        cvss_of: dict[str, float] = {}
-        for cohort in cohorts:
-            # One feature table per family ranks the threat policy and its
-            # ideal.  The CVSS ranking reads only scores, which every table
-            # carries, and is the same under both ideal modes.
-            for mode in IdealMode:
-                table = feature_table(graph, cohort, org, ideal_configs[mode])
-                ideals[mode].append(rank(cohort, ideal_configs[mode], table))
-                rankings[(threat_by_mode[mode], mode)].append(
-                    rank(cohort, threat_configs[mode], table))
-            cvss_ranked = rank(cohort, cvss_config, table)
-            for mode in IdealMode:
-                rankings[(Policy.CVSS_BASE, mode)].append(cvss_ranked)
-            cvss_of.update((cve, row.cvss_base or 0.0) for cve, row in table.items())
+        years = sorted({cohort.iso_week[0] for cohort in cohorts})
+        # policy -> ISO week -> cost; CVSS base ranks alike in both
+        # families, so its second family rewrites the same costs.
+        weekly_costs: dict[Policy, dict[tuple[int, int], float]] = {}
+        for base, threat, mode in families:
+            ideal_config = replace(base, policy=Policy.IDEAL, ideal_mode=mode)
+            configs = [replace(base, policy=policy, ideal_mode=mode)
+                       for policy in (Policy.CVSS_BASE, threat)]
+            depth = max(k_max, base.k)
+            curves: dict[Policy, list[list[float]]] = {config.policy: [] for config in configs}
+            for cohort in cohorts:
+                table = feature_table(graph, cohort, org, ideal_config)
+                ideal = rank(cohort, ideal_config, table)
+                cvss_of = {cve: row.cvss_base or 0.0 for cve, row in table.items()}
+                for config in configs:
+                    ranked = rank(cohort, config, table)
+                    curves[config.policy].append(ndcg_at_k(ranked, ideal, depth))
+                    weekly_costs.setdefault(config.policy, {})[cohort.iso_week] = \
+                        patch_cost(ranked, cost_k, cvss_of)
 
-        # nDCG@K curves, averaged per ISO year.
-        years = sorted({week.iso_week[0] for week in cohorts})
-        for policy, mode in EVALUATED_PAIRS:
-            label = policy_label(policy, mode)
-            for year in years:
-                indices = [i for i, c in enumerate(cohorts) if c.iso_week[0] == year]
-                for k in range(1, k_max + 1):
-                    values = [
-                        ndcg_at_k(rankings[(policy, mode)][i], ideals[mode][i], k).ndcg
-                        for i in indices
-                    ]
-                    report.ndcg_rows.append(
-                        (org.org_id, label, year, k, weekly_average_ndcg(values), len(values))
-                    )
+            # nDCG@K curves, averaged per ISO year in cohort order.
+            for policy, policy_curves in curves.items():
+                label = policy_label(policy, mode)
+                for year in years:
+                    year_curves = [curve for curve, cohort in zip(policy_curves, cohorts)
+                                   if cohort.iso_week[0] == year]
+                    for k in range(1, k_max + 1):
+                        values = [curve[k - 1] for curve in year_curves]
+                        report.ndcg_rows.append(
+                            (org.org_id, label, year, k, sum(values) / len(values), len(values)))
 
-        # Annualized patch costs of the top cost_k items.
-        for policy in COST_POLICIES:
-            mode = IdealMode.GENERAL if policy is Policy.GENERAL_THREAT else IdealMode.APT
-            weekly = {
-                cohorts[i].iso_week: patch_cost(ranked, cost_k, cvss_of)
-                for i, ranked in enumerate(rankings[(policy, mode)])
-            }
-            for year in years:
-                report.cost_rows.append(
-                    (org.org_id, policy.value, year, annualized_cost(weekly, year))
-                )
-
-        # Paired t-tests on the weekly nDCG@k series over the whole range.
-        for threat_policy, mode in ((Policy.APT_THREAT, IdealMode.APT),
-                                    (Policy.GENERAL_THREAT, IdealMode.GENERAL)):
-            k = base_by_mode[mode].k
-            base_series = [
-                ndcg_at_k(rankings[(Policy.CVSS_BASE, mode)][i], ideals[mode][i], k).ndcg
-                for i in range(len(cohorts))
-            ]
-            threat_series = [
-                ndcg_at_k(rankings[(threat_policy, mode)][i], ideals[mode][i], k).ndcg
-                for i in range(len(cohorts))
-            ]
+            # Paired t-test on the weekly nDCG@k series over the whole range.
             try:
-                result = paired_t_test(base_series, threat_series)
+                result = paired_t_test([curve[base.k - 1] for curve in curves[Policy.CVSS_BASE]],
+                                       [curve[base.k - 1] for curve in curves[threat]])
             except ValueError:
                 continue
-            report.ttest_rows.append((
-                org.org_id,
-                policy_label(Policy.CVSS_BASE, mode),
-                policy_label(threat_policy, mode),
-                result,
-            ))
+            report.ttest_rows.append((org.org_id, policy_label(Policy.CVSS_BASE, mode),
+                                      policy_label(threat, mode), result))
+
+        # Annualized patch costs of the top cost_k items.
+        for policy, weekly in weekly_costs.items():
+            for year in years:
+                report.cost_rows.append(
+                    (org.org_id, policy.value, year, annualized_cost(weekly, year)))
     return report

@@ -623,10 +623,6 @@ class Finding:
 class ValidationReport:
     findings: list[Finding] = field(default_factory=list)
 
-    @property
-    def is_clean(self) -> bool:
-        return not self.findings
-
     def by_category(self, category: str) -> list[Finding]:
         return [f for f in self.findings if f.category == category]
 

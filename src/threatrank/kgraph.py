@@ -7,8 +7,8 @@ was never materialized as a record) are dropped and counted rather than
 turned into stub nodes, so query results never contain phantom entities.
 
 The graph is built single-writer, then frozen; after ``freeze()`` it is
-immutable (node props become read-only mappings) and safe to read from any
-number of workers.
+immutable (node props become read-only mappings, their list values tuples)
+and safe to read from any number of workers.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from datetime import date
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -110,6 +111,11 @@ class BuildStats:
         return sum(self.dangling_dropped.values())
 
 
+def _as_tuple(values: list) -> tuple:
+    """A list prop, nested lists included, as read-only tuples."""
+    return tuple(_as_tuple(v) if type(v) is list else v for v in values)
+
+
 class PropertyGraph:
     """Nodes keyed by (label, key) plus typed edges with adjacency indices."""
 
@@ -178,7 +184,11 @@ class PropertyGraph:
     def freeze(self) -> "PropertyGraph":
         if not self._frozen:
             for node in self._nodes.values():
-                node.props = MappingProxyType(node.props)
+                props = node.props
+                for key, value in props.items():
+                    if type(value) is list:
+                        props[key] = _as_tuple(value)
+                node.props = MappingProxyType(props)
             self._frozen = True
         return self
 
@@ -439,11 +449,49 @@ def save_graph(graph: PropertyGraph, path: str | Path) -> None:
             fh.write("\n")
 
 
+# Numeric NvdCve props the read commands compare, with their upper bound;
+# each may be absent or null.
+_CVE_NUMBER_PROPS = (("cvss_base", 10.0), ("epss_probability", 1.0), ("epss_percentile", 1.0))
+
+
+def _check_cve_props(props: dict) -> None:
+    try:
+        date.fromisoformat(props["modified"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"NvdCve 'modified' must be an ISO date, "
+                         f"not {props.get('modified')!r}") from None
+    for name, high in _CVE_NUMBER_PROPS:
+        value = props.get(name)
+        if value is not None and not (type(value) in (int, float) and 0.0 <= value <= high):
+            raise ValueError(f"NvdCve {name!r} must be a number in [0, {high:g}], not {value!r}")
+
+
+def _check_cwe_props(props: dict) -> None:
+    impacts = props.get("technical_impacts", [])
+    if type(impacts) is not list or not all(type(impact) is str for impact in impacts):
+        raise ValueError(f"Cwe 'technical_impacts' must be a list of strings, not {impacts!r}")
+
+
+def _check_organization_props(props: dict) -> None:
+    for name in ("sector", "country"):
+        if type(props.get(name, "")) is not str:
+            raise ValueError(f"Organization {name!r} must be a string, not {props[name]!r}")
+
+
+# Per label, a check that the props ranking and the report read have a
+# usable type and range; keyed by label value, checked once per node line.
+_PROP_CHECKS = {
+    NodeLabel.NVD_CVE.value: _check_cve_props,
+    NodeLabel.CWE.value: _check_cwe_props,
+    NodeLabel.ORGANIZATION.value: _check_organization_props,
+}
+
+
 def load_graph(path: str | Path) -> PropertyGraph:
     """Read a graph snapshot written by save_graph(); returns it frozen.
 
-    A line that is not a well-formed node or edge record is a DataError
-    naming ``path:line``.
+    A line that is not a well-formed node or edge record, or a node whose
+    props the read commands cannot use, is a DataError naming ``path:line``.
     """
     g = PropertyGraph()
     with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
@@ -459,7 +507,11 @@ def load_graph(path: str | Path) -> PropertyGraph:
                     key, props = obj["key"], obj.get("props") or {}
                     if not (isinstance(key, str) and isinstance(props, dict)):
                         raise ValueError("node key must be a string and props an object")
-                    g.upsert_node(NodeLabel(obj["label"]), key, props)
+                    label = NodeLabel(obj["label"])
+                    check = _PROP_CHECKS.get(label.value)
+                    if check is not None:
+                        check(props)
+                    g.upsert_node(label, key, props)
                 elif kind == "edge":
                     edge_type = EdgeType(obj["type"])
                     src_label, dst_label = EDGE_ENDPOINTS[edge_type]
@@ -470,14 +522,3 @@ def load_graph(path: str | Path) -> PropertyGraph:
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
     return g.freeze()
-
-
-def graph_signature(graph: PropertyGraph):
-    """(label, key, props) and (src, type, dst) multisets for isomorphism checks."""
-    nodes = sorted(
-        (n.label.value, n.key, json.dumps(dict(n.props), sort_keys=True)) for n in graph.nodes()
-    )
-    edges = sorted(
-        (graph.node(s).key, t.value, graph.node(d).key) for s, t, d in graph.edges()
-    )
-    return nodes, edges

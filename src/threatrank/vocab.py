@@ -26,8 +26,17 @@ def _read_list(text: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _packaged(name: str) -> str:
-    return resources.files("threatrank.data").joinpath(name).read_text(encoding="utf-8")
+def read_data_file(path: str | Path | None, packaged: str) -> str:
+    """Text of a configured data file, or of the packaged file ``packaged``.
+
+    A configured file that is not UTF-8 is a DataError naming its path.
+    """
+    if path is None:
+        return resources.files("threatrank.data").joinpath(packaged).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 @dataclass(frozen=True)
@@ -49,14 +58,8 @@ def load_vocabulary(
     sectors_path: str | Path | None = None,
 ) -> Vocabulary:
     """Load vocabularies from the given files, or the packaged defaults."""
-    if countries_path is None:
-        countries = _read_list(_packaged("countries.txt"))
-    else:
-        countries = _read_list(Path(countries_path).read_text(encoding="utf-8"))
-    if sectors_path is None:
-        sectors = _read_list(_packaged("dhs_sectors.txt"))
-    else:
-        sectors = _read_list(Path(sectors_path).read_text(encoding="utf-8"))
+    countries = _read_list(read_data_file(countries_path, "countries.txt"))
+    sectors = _read_list(read_data_file(sectors_path, "dhs_sectors.txt"))
     if not countries or not sectors:
         raise DataError("vocabulary files must contain at least one entry")
     return Vocabulary(countries=countries, sectors=sectors)

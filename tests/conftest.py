@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from threatrank.cli import build_pipeline, load_config
-from threatrank.ranking import OrgContext
+from threatrank.ranking import OrgContext, Policy, RankedItem, RankedList, order_scored
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
@@ -34,6 +34,21 @@ EXPECTED_CVSS_RANKS = {
 }
 EXPECTED_RELEVANCE = {cve: 6 if rank <= 3 else 2
                       for cve, rank in EXPECTED_THREAT_RANKS.items()}
+
+
+def gain_rankings(gains) -> tuple[RankedList, RankedList]:
+    """(policy, ideal) rankings of one cohort whose ideal relevances are ``gains``.
+
+    The policy presents the gains in the given order; the ideal in
+    descending order, as ``rank`` orders it.
+    """
+    cves = [f"CVE-2021-{10000 + i}" for i in range(len(gains))]
+    policy = tuple(RankedItem(cve_id=cve, score=float(len(cves) - i), rank=i + 1)
+                   for i, cve in enumerate(cves))
+    ideal = tuple(RankedItem(cve_id=cve, score=score, rank=position)
+                  for cve, score, position in order_scored(zip(cves, map(float, gains))))
+    return (RankedList(org_id="X", policy=Policy.CVSS_BASE, iso_week=(2021, 1), items=policy),
+            RankedList(org_id="X", policy=Policy.IDEAL, iso_week=(2021, 1), items=ideal))
 
 
 @pytest.fixture(scope="session")

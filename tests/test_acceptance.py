@@ -29,9 +29,7 @@ from threatrank.enrich import (
     load_lexicon,
 )
 from threatrank.evaluation import (
-    dcg_at_k,
     ndcg_at_k,
-    ndcg_from_gains,
     patch_cost,
     severity_band,
     Severity,
@@ -61,6 +59,7 @@ from tests.conftest import (
     EXPECTED_RELEVANCE,
     EXPECTED_THREAT_RANKS,
     SYNTHETIC,
+    gain_rankings,
 )
 from tests.randdata import random_attributions, random_bundle
 
@@ -141,11 +140,14 @@ def test_c2_ndcg_oracle_equivalence():
         for _ in range(1000):
             gains = [rng.randint(0, 6) for _ in range(rng.randint(1, 6))]
             k = rng.randint(1, 6)
-            assert abs(ndcg_from_gains(gains, k) - _oracle_ndcg(gains, k)) < 1e-12
+            curve = ndcg_at_k(*gain_rankings(gains), k)
+            assert abs(curve[k - 1] - _oracle_ndcg(gains, k)) < 1e-12
             descending = sorted(gains, reverse=True)
-            assert ndcg_from_gains(descending, k) == pytest.approx(1.0, abs=1e-12)
+            assert ndcg_at_k(*gain_rankings(descending), k)[k - 1] == \
+                pytest.approx(1.0, abs=1e-12)
         # the frozen ascending example sits at the permutation minimum
-        assert ndcg_from_gains([1, 2, 6], 3) == pytest.approx(0.5259416160334413, abs=1e-12)
+        assert ndcg_at_k(*gain_rankings([1, 2, 6]), 3)[2] == \
+            pytest.approx(0.5259416160334413, abs=1e-12)
         assert min(_oracle_ndcg(list(p), 3) for p in itertools.permutations([6, 2, 1])) \
             == pytest.approx(0.5259416160334413, abs=1e-12)
         elapsed = time.perf_counter() - started
@@ -291,8 +293,8 @@ def test_c6_synthetic_corpus_improvement():
                                          ideal_mode=IdealMode.APT), table)
             cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), table)
             threat = rank(cohort, apt, table)
-            cvss_series.append(ndcg_at_k(cvss, ideal, 20).ndcg)
-            threat_series.append(ndcg_at_k(threat, ideal, 20).ndcg)
+            cvss_series.append(ndcg_at_k(cvss, ideal, 20)[19])
+            threat_series.append(ndcg_at_k(threat, ideal, 20)[19])
 
         cvss_mean, threat_mean = fmean(cvss_series), fmean(threat_series)
         assert cvss_mean == pytest.approx(ORACLE_SYNTH_CVSS_MEAN, abs=1e-9)

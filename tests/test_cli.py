@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatrank.cli import main
+from threatrank.vocab import read_data_file
 from tests.conftest import CASE_STUDY, FIXTURES
 
 CONFIG = str(CASE_STUDY / "config.json")
@@ -168,19 +169,28 @@ def test_corrupt_config_exits_two(tmp_path, capsys):
     (b'"label": "NvdCve"', b'"label": "Bogus"'),
     (b'"type": "Affects"', b'"type": "Bogus"'),
     (b'"key": "CVE-', b'"key": "\xffCVE-'),
-], ids=["corrupt_json", "unknown_label", "unknown_edge_type", "non_utf8"])
+    (b'"modified": ', b'"changed": '),
+    (b'"cvss_base": ', b'"cvss_base": 7'),
+    (b'"epss_probability": ', b'"epss_probability": "x", "was": '),
+    (b'"technical_impacts": ', b'"technical_impacts": 5, "was": '),
+    (b'"sector": ', b'"sector": {}, "was": '),
+], ids=["corrupt_json", "unknown_label", "unknown_edge_type", "non_utf8",
+        "cve_without_modified", "cvss_above_ten", "epss_not_a_number",
+        "cwe_impacts_not_a_list", "org_sector_not_a_string"])
 def test_bad_graph_line_exits_two_naming_the_line(built, capsys, old, new):
     path = built / "graph.jsonl"
     lines = path.read_bytes().split(b"\n")
     line_no = next(i for i, line in enumerate(lines, start=1) if old in line)
     lines[line_no - 1] = lines[line_no - 1].replace(old, new)
     path.write_bytes(b"\n".join(lines))
-    code = _run("--config", CONFIG, "--out", str(built),
-                "rank", "--org", "ODU", "--policy", "apt_threat")
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"graph.jsonl:{line_no}:" in err
-    assert "Traceback" not in err
+    base = ["--config", CONFIG, "--out", str(built)]
+    for command in (["rank", "--org", "ODU", "--policy", "apt_threat"], ["evaluate"],
+                    ["case-study", "--org", "ODU"]):
+        code = _run(*base, *command)
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert f"graph.jsonl:{line_no}:" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("text", [
@@ -219,6 +229,24 @@ def test_non_utf8_feed_rows_are_skipped(tmp_path):
     assert (sources["epss"]["records"], sources["epss"]["skipped"]) == (39, 1)  # of 40 rows
 
 
+@pytest.mark.parametrize("section, kind", [("vocabularies", "countries"),
+                                           ("lexicons", "sectors")])
+def test_non_utf8_vocabulary_or_lexicon_exits_two(tmp_path, capsys, section, kind):
+    packaged = {"vocabularies": "countries.txt", "lexicons": "sector_terms.tsv"}[section]
+    data_file = tmp_path / packaged
+    data_file.write_bytes(read_data_file(None, packaged).encode("utf-8") + b"\xff\n")
+    config = json.loads((CASE_STUDY / "config.json").read_text(encoding="utf-8"))
+    config[section] = {kind: str(data_file)}
+    config["snapshots"] = {k: str(CASE_STUDY / v) for k, v in config["snapshots"].items()}
+    config["profiles"] = [str(CASE_STUDY / v) for v in config["profiles"]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert _run("--config", str(path), "--out", str(tmp_path / "out"), "build") == 2
+    err = capsys.readouterr().err
+    assert str(data_file) in err
+    assert "Traceback" not in err
+
+
 # Snapshot and CSV inputs of the case fixture, as paths under its directory.
 _FEED_FILES = sorted(path.relative_to(CASE_STUDY).as_posix()
                      for pattern in ("snapshots/*.jsonl", "*.csv")
@@ -244,6 +272,31 @@ def test_one_byte_feed_edit_keeps_the_exit_code_contract(case_copy, name, byte, 
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = [main([*base, "ingest"]), main([*base, "build"])]
+    finally:
+        path.write_bytes(original)
+    assert all(code in (0, 1, 2) for code in codes)
+
+
+@pytest.fixture(scope="module")
+def built_copy(tmp_path_factory):
+    out = tmp_path_factory.mktemp("built") / "out"
+    assert _run("--config", CONFIG, "--out", str(out), "build") == 0
+    return out
+
+
+@given(byte=st.sampled_from(list(b'\xff\x00{,\n"9-')), insert=st.booleans(), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_one_byte_graph_edit_keeps_the_exit_code_contract(built_copy, byte, insert, data):
+    path = built_copy / "graph.jsonl"
+    original = path.read_bytes()
+    at = data.draw(st.integers(0, len(original) - (0 if insert else 1)))
+    path.write_bytes(original[:at] + bytes([byte]) + original[at + (0 if insert else 1):])
+    base = ["--config", CONFIG, "--out", str(built_copy)]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [main([*base, "rank", "--org", "ODU", "--policy", "apt_threat"]),
+                     main([*base, "evaluate"]),
+                     main([*base, "case-study", "--org", "ODU"])]
     finally:
         path.write_bytes(original)
     assert all(code in (0, 1, 2) for code in codes)

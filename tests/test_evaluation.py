@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 from statistics import fmean
 
@@ -8,17 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import gain_rankings
 from threatrank.evaluation import (
     DEFAULT_COST_MODEL,
     Severity,
     annualized_cost,
-    dcg_at_k,
     generate_report,
     ndcg_at_k,
-    ndcg_from_gains,
     patch_cost,
     severity_band,
-    weekly_average_ndcg,
 )
 from threatrank.ranking import Policy, RankedItem, RankedList
 
@@ -35,51 +34,64 @@ def _ranked(policy, week, scored):
     return RankedList(org_id="X", policy=policy, iso_week=week, items=items)
 
 
+def _per_cutoff_ndcg(gains, j):
+    """nDCG@j of ``gains`` in the given order, summed afresh for this cutoff."""
+    def dcg(seq):
+        return sum((2.0 ** g - 1.0) / math.log2(i + 2) for i, g in enumerate(seq[:j]))
+
+    idcg = dcg(sorted(gains, reverse=True))
+    return dcg(gains) / idcg if idcg > 0 else 1.0
+
+
 # ---------------------------------------------------------------------------
-# DCG / nDCG
+# The nDCG@1..k curve
 # ---------------------------------------------------------------------------
 
 
 def test_dcg_examples():
-    assert dcg_at_k([3], 1) == pytest.approx(7.0, abs=1e-12)
-    assert dcg_at_k([3, 2], 2) == pytest.approx(DCG_3_2_AT_2, abs=1e-12)
-    assert dcg_at_k([0, 0, 0], 5) == 0.0
+    # Gains 2 then 3 against the ideal 3 then 2: (2**2 - 1) / (2**3 - 1) at
+    # the first cutoff; at the second the ideal DCG is DCG_3_2_AT_2.
+    curve = ndcg_at_k(*gain_rankings([2, 3]), 2)
+    assert curve[0] == pytest.approx(3.0 / 7.0, abs=1e-12)
+    assert curve[1] == pytest.approx((3.0 + 7.0 / math.log2(3)) / DCG_3_2_AT_2, abs=1e-12)
 
 
 def test_dcg_truncates_at_k_and_length():
-    assert dcg_at_k([3, 2], 1) == pytest.approx(7.0, abs=1e-12)
-    assert dcg_at_k([3], 10) == pytest.approx(7.0, abs=1e-12)
+    assert ndcg_at_k(*gain_rankings([2, 3]), 1) == [pytest.approx(3.0 / 7.0, abs=1e-12)]
+    assert ndcg_at_k(*gain_rankings([3]), 10) == [1.0] * 10
+    curve = ndcg_at_k(*gain_rankings([2, 3]), 5)
+    assert curve[2:] == [curve[1]] * 3  # cutoffs past the cohort repeat its full value
 
 
 def test_dcg_rejects_nonpositive_k():
     with pytest.raises(ValueError):
-        dcg_at_k([1, 2], 0)
+        ndcg_at_k(*gain_rankings([1, 2]), 0)
 
 
 def test_ndcg_identical_order_is_one():
     ideal = _ranked(Policy.IDEAL, (2021, 1), [("a", 6), ("b", 2), ("c", 1)])
     policy = _ranked(Policy.APT_THREAT, (2021, 1), [("a", 6), ("b", 2), ("c", 1)])
-    assert ndcg_at_k(policy, ideal, 3).ndcg == pytest.approx(1.0, abs=1e-15)
+    assert ndcg_at_k(policy, ideal, 3) == pytest.approx([1.0] * 3, abs=1e-15)
 
 
 def test_ndcg_ascending_example():
     ideal = _ranked(Policy.IDEAL, (2021, 1), [("c", 6), ("b", 2), ("a", 1)])
     policy = _ranked(Policy.CVSS_BASE, (2021, 1), [("a", 9.8), ("b", 5.0), ("c", 0.1)])
-    result = ndcg_at_k(policy, ideal, 3)
-    assert result.ndcg == pytest.approx(NDCG_ASCENDING_126, abs=1e-12)
-    assert result.idcg > result.dcg
+    curve = ndcg_at_k(policy, ideal, 3)
+    assert curve[2] == pytest.approx(NDCG_ASCENDING_126, abs=1e-12)
+    assert curve[2] < 1.0
 
 
 def test_ndcg_empty_cohort_is_one_by_convention():
     ideal = _ranked(Policy.IDEAL, (2021, 1), [])
     policy = _ranked(Policy.CVSS_BASE, (2021, 1), [])
-    assert ndcg_at_k(policy, ideal, 20).ndcg == 1.0
+    assert ndcg_at_k(policy, ideal, 20) == [1.0] * 20
 
 
 def test_ndcg_all_zero_gains_is_one():
     ideal = _ranked(Policy.IDEAL, (2021, 1), [("a", 0), ("b", 0)])
     policy = _ranked(Policy.CVSS_BASE, (2021, 1), [("b", 1.0), ("a", 0.5)])
-    assert ndcg_at_k(policy, ideal, 2).ndcg == 1.0
+    assert ndcg_at_k(policy, ideal, 2) == [1.0, 1.0]
 
 
 def test_ndcg_rejects_mismatched_cohorts():
@@ -93,37 +105,41 @@ def test_ndcg_rejects_mismatched_cohorts():
        st.integers(1, 12))
 @settings(max_examples=200)
 def test_ndcg_bounds_and_ideal_order(gains, k):
-    value = ndcg_from_gains(gains, k)
+    value = ndcg_at_k(*gain_rankings(gains), k)[k - 1]
     assert 0.0 <= value <= 1.0 + 1e-12
-    assert ndcg_from_gains(sorted(gains, reverse=True), k) == pytest.approx(1.0, abs=1e-12)
+    descending = sorted(gains, reverse=True)
+    assert ndcg_at_k(*gain_rankings(descending), k)[k - 1] == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=6))
 @settings(max_examples=100)
 def test_descending_order_is_permutation_maximal(gains):
     # brute force over every permutation; the sorted order attains the max
-    best = max(dcg_at_k(list(p), len(gains))
+    n = len(gains)
+    best = max(ndcg_at_k(*gain_rankings(list(p)), n)[-1]
                for p in itertools.permutations(gains))
-    assert dcg_at_k(sorted(gains, reverse=True), len(gains)) == \
+    assert ndcg_at_k(*gain_rankings(sorted(gains, reverse=True)), n)[-1] == \
         pytest.approx(best, abs=1e-12)
 
 
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=10), st.data())
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=10), st.integers(1, 12))
 @settings(max_examples=150)
-def test_dcg_monotone_in_gains(gains, data):
-    index = data.draw(st.integers(0, len(gains) - 1))
-    raised = list(gains)
-    raised[index] += 1
-    assert dcg_at_k(raised, len(gains)) >= dcg_at_k(gains, len(gains))
+def test_dcg_monotone_in_gains(gains, k):
+    # Raising the gain of the policy's top item adds 2**g to its DCG and at
+    # most that to the iDCG, so no nDCG@j can drop.
+    raised = [gains[0] + 1, *gains[1:]]
+    before = ndcg_at_k(*gain_rankings(gains), k)
+    after = ndcg_at_k(*gain_rankings(raised), k)
+    assert all(a >= b - 1e-12 for a, b in zip(after, before)), (before, after)
 
 
-def test_weekly_average():
-    assert weekly_average_ndcg([1.0, 1.0]) == 1.0
-    assert weekly_average_ndcg([0.8, 1.0]) == pytest.approx(0.9, abs=1e-15)
-    weeks = [0.4, 0.55, 0.62, 0.71, 0.78, 0.81, 0.86, 0.9, 0.95, 1.0]
-    assert weekly_average_ndcg(weeks) == pytest.approx(fmean(weeks), abs=1e-12)
-    with pytest.raises(ValueError):
-        weekly_average_ndcg([])
+@given(st.lists(st.integers(0, 6), max_size=12), st.integers(1, 20))
+@settings(max_examples=200)
+def test_ndcg_curve_matches_per_cutoff_formula(gains, k):
+    curve = ndcg_at_k(*gain_rankings(gains), k)
+    assert len(curve) == k
+    for j, value in enumerate(curve, start=1):
+        assert abs(value - _per_cutoff_ndcg(gains, j)) <= 1e-12, (j, value)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +235,10 @@ def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
     ideal = rank(cohort, replace(apt, policy=Policy.IDEAL, ideal_mode=IdealMode.APT), table)
     threat = rank(cohort, apt, table)
     cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), table)
+    threat_curve, cvss_curve = (ndcg_at_k(ranked, ideal, 100) for ranked in (threat, cvss))
     for k in (1, 5, 20, 100):
-        assert by_key[("apt_threat:apt", k)] == \
-            pytest.approx(ndcg_at_k(threat, ideal, k).ndcg, abs=1e-9)
-        assert by_key[("cvss_base:apt", k)] == \
-            pytest.approx(ndcg_at_k(cvss, ideal, k).ndcg, abs=1e-9)
+        assert by_key[("apt_threat:apt", k)] == pytest.approx(threat_curve[k - 1], abs=1e-9)
+        assert by_key[("cvss_base:apt", k)] == pytest.approx(cvss_curve[k - 1], abs=1e-9)
     assert by_key[("cvss_base:apt", 20)] < by_key[("apt_threat:apt", 20)]
 
 
@@ -280,3 +295,41 @@ def test_report_ttests_on_synthetic_corpus(synth_graph, synth_config):
         assert policy_a.startswith("cvss_base")
         assert result.p_two_sided < 1e-6
         assert result.mean_diff < 0  # threat policies dominate the baseline
+
+
+def test_ttests_do_not_depend_on_k_max(synth_graph, synth_config):
+    # The policies' k (20) lies past k_max=5; the t-test still reads nDCG@20.
+    from threatrank.ranking import OrgContext
+
+    org = OrgContext.from_graph(synth_graph, "SYNTHU")
+    args = (synth_graph, [org], synth_config.date_range,
+            synth_config.apt_config, synth_config.general_config)
+    short, full = generate_report(*args, k_max=5), generate_report(*args, k_max=100)
+    assert len(short.ttest_rows) == 2
+    assert short.ttest_rows == full.ttest_rows
+    assert short.ndcg_rows == [row for row in full.ndcg_rows if row[3] <= 5]
+
+
+def test_weekly_average(synth_graph, synth_config):
+    # Each nDCG row is the plain mean of that year's weekly curve entries,
+    # summed in cohort order.
+    from threatrank.ranking import IdealMode, OrgContext, feature_table, generate_candidates, rank
+
+    org = OrgContext.from_graph(synth_graph, "SYNTHU")
+    report = generate_report(synth_graph, [org], synth_config.date_range,
+                             synth_config.apt_config, synth_config.general_config, k_max=20)
+    rows = {(row[1], row[2], row[3]): (row[4], row[5]) for row in report.ndcg_rows}
+    apt = synth_config.apt_config
+    ideal_config = replace(apt, policy=Policy.IDEAL, ideal_mode=IdealMode.APT)
+    weekly: dict[int, list[list[float]]] = {}
+    for cohort in generate_candidates(org, synth_graph, synth_config.date_range):
+        table = feature_table(synth_graph, cohort, org, ideal_config)
+        ideal = rank(cohort, ideal_config, table)
+        weekly.setdefault(cohort.iso_week[0], []).append(
+            ndcg_at_k(rank(cohort, apt, table), ideal, 20))
+    assert sum(len(curves) for curves in weekly.values()) == 52
+    for year, curves in weekly.items():
+        for k in (1, 10, 20):
+            values = [curve[k - 1] for curve in curves]
+            assert rows[("apt_threat:apt", year, k)] == (sum(values) / len(values), len(values))
+            assert rows[("apt_threat:apt", year, k)][0] == pytest.approx(fmean(values), abs=1e-12)

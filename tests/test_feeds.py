@@ -448,7 +448,7 @@ def test_validate_clean_fixture_is_empty():
         _cve(cwe_ids=["CWE-79"]),
         CweEntry("CWE-79", "xss", (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,), ()),
     ]
-    assert validate_snapshot(records).is_clean
+    assert validate_snapshot(records).findings == []
 
 
 def test_validate_duplicate_epss_rows():
@@ -465,7 +465,7 @@ def test_validate_case_study_fixture_is_clean(case_config):
     from threatrank.cli import load_bundle
 
     bundle, results = load_bundle(case_config)
-    assert validate_snapshot(bundle).is_clean
+    assert validate_snapshot(bundle).findings == []
     for result in results.values():
         assert result.skipped_count == 0
 

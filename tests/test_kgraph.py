@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from datetime import date
 
 import pytest
@@ -25,7 +26,6 @@ from threatrank.kgraph import (
     PropertyGraph,
     audit_edge_conformance,
     build_graph,
-    graph_signature,
     load_graph,
     save_graph,
     techniques_for_cve,
@@ -39,6 +39,18 @@ from threatrank.ranking import (
 )
 from threatrank.vocab import Vocabulary
 from tests.randdata import random_attributions, random_bundle
+
+
+def graph_signature(graph: PropertyGraph):
+    """(label, key, props) and (src, type, dst) multisets for isomorphism checks."""
+    nodes = sorted(
+        (n.label.value, n.key, json.dumps(dict(n.props), sort_keys=True)) for n in graph.nodes()
+    )
+    edges = sorted(
+        (graph.node(s).key, t.value, graph.node(d).key) for s, t, d in graph.edges()
+    )
+    return nodes, edges
+
 
 TINY_VOCAB = Vocabulary(countries=("United States", "China"),
                         sectors=("Education",))
@@ -117,7 +129,10 @@ def test_frozen_graph_props_are_read_only(tmp_path):
     g = PropertyGraph()
     node_id = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000", {"cvss_base": 6.1})
     g.node(node_id).props["modified"] = "2021-11-23"  # writable while building
+    cwe_id = g.upsert_node(NodeLabel.CWE, "CWE-416",
+                           {"technical_impacts": ["Modify Data"], "notes": [["nested"]]})
     signature = graph_signature(g)
+    save_graph(g, tmp_path / "building.jsonl")
     g.freeze()
     props = g.node(node_id).props
     with pytest.raises(TypeError):
@@ -127,11 +142,20 @@ def test_frozen_graph_props_are_read_only(tmp_path):
     with pytest.raises(AttributeError):
         props.update(cvss_base=0.0)
     assert props == {"cvss_base": 6.1, "modified": "2021-11-23"}
+    cwe_props = g.node(cwe_id).props
+    with pytest.raises(AttributeError):
+        cwe_props["technical_impacts"].append("Read Data")
+    with pytest.raises(AttributeError):
+        cwe_props["notes"][0].append("more")
+    assert cwe_props == {"technical_impacts": ("Modify Data",), "notes": (("nested",),)}
     assert graph_signature(g) == signature
     save_graph(g, tmp_path / "graph.jsonl")
+    assert (tmp_path / "graph.jsonl").read_bytes() == (tmp_path / "building.jsonl").read_bytes()
     reloaded = load_graph(tmp_path / "graph.jsonl")
     with pytest.raises(TypeError):
         reloaded.find(NodeLabel.NVD_CVE, "CVE-2021-38000").props["cvss_base"] = 0.0
+    with pytest.raises(AttributeError):
+        reloaded.find(NodeLabel.CWE, "CWE-416").props["technical_impacts"].append("Read Data")
     assert graph_signature(reloaded) == signature
 
 
