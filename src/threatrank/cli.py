@@ -60,11 +60,14 @@ def _expect(value, kind: type, what: str):
 
 def _policy_config(policy: ranking.Policy, raw: dict, mode: ranking.IdealMode) -> ranking.PolicyConfig:
     _expect(raw, dict, f"policy {policy.value!r}")
+    origins = raw.get("origin_countries", list(ranking.DEFAULT_ORIGIN_COUNTRIES))
+    if not (isinstance(origins, list) and all(isinstance(c, str) for c in origins)):
+        raise DataError(f"policy {policy.value!r}: 'origin_countries' must be "
+                        f"a JSON array of strings, not {origins!r}")
     try:
         return ranking.PolicyConfig(
             policy=policy,
-            origin_countries=frozenset(raw.get("origin_countries",
-                                               ranking.DEFAULT_ORIGIN_COUNTRIES)),
+            origin_countries=frozenset(origins),
             skill_level=feeds.SkillLevel(raw.get("skill_level", "High")),
             epss_threshold=float(raw.get("epss_threshold", ranking.DEFAULT_EPSS_THRESHOLD)),
             risk_appetite=int(raw.get("risk_appetite", 100)),
@@ -409,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
                     else config.date_range[1]
             except ValueError as exc:
                 raise UsageError(f"bad date override: {exc}")
+            if start > end:
+                raise UsageError(f"empty date range after --from/--to: {start} > {end}")
             config.date_range = (start, end)
         if args.command == "ingest":
             return cmd_ingest(config)

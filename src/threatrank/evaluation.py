@@ -199,10 +199,12 @@ def generate_report(
     weeks or zero variance) emit no t-test row.
 
     A policy is judged against the ideal ranking of its own feature family,
-    so CVSS base is evaluated once per family; one feature table per
-    (cohort, family) ranks all three.
+    so CVSS base, ranked and costed once per cohort, gets one curve per
+    family; one feature table per (cohort, family) ranks its ideal and its
+    threat policy.
     """
     report = EvaluationReport()
+    cvss_config = replace(apt_config, policy=Policy.CVSS_BASE)
     families = ((apt_config, Policy.APT_THREAT, IdealMode.APT),
                 (general_config, Policy.GENERAL_THREAT, IdealMode.GENERAL))
     for org in orgs:
@@ -210,30 +212,33 @@ def generate_report(
         if not cohorts:
             continue
         years = sorted({cohort.iso_week[0] for cohort in cohorts})
-        # policy -> ISO week -> cost; CVSS base ranks alike in both
-        # families, so its second family rewrites the same costs.
-        weekly_costs: dict[Policy, dict[tuple[int, int], float]] = {}
-        for base, threat, mode in families:
-            ideal_config = replace(base, policy=Policy.IDEAL, ideal_mode=mode)
-            configs = [replace(base, policy=policy, ideal_mode=mode)
-                       for policy in (Policy.CVSS_BASE, threat)]
-            depth = max(k_max, base.k)
-            curves: dict[Policy, list[list[float]]] = {config.policy: [] for config in configs}
-            for cohort in cohorts:
+        # (family, policy) -> one nDCG curve per cohort; policy -> ISO week -> cost.
+        curves: dict[tuple[IdealMode, Policy], list[list[float]]] = {
+            (mode, policy): [] for _, threat, mode in families
+            for policy in (Policy.CVSS_BASE, threat)}
+        weekly_costs: dict[Policy, dict[tuple[int, int], float]] = {
+            policy: {} for policy in (Policy.CVSS_BASE, Policy.APT_THREAT, Policy.GENERAL_THREAT)}
+        for cohort in cohorts:
+            table = feature_table(graph, cohort, org, cvss_config)  # CVSS only: no path walk
+            cvss = rank(cohort, cvss_config, table)
+            cvss_of = {cve: row.cvss_base or 0.0 for cve, row in table.items()}
+            weekly_costs[Policy.CVSS_BASE][cohort.iso_week] = patch_cost(cvss, cost_k, cvss_of)
+            for base, threat, mode in families:
+                ideal_config = replace(base, policy=Policy.IDEAL, ideal_mode=mode)
                 table = feature_table(graph, cohort, org, ideal_config)
                 ideal = rank(cohort, ideal_config, table)
-                cvss_of = {cve: row.cvss_base or 0.0 for cve, row in table.items()}
-                for config in configs:
-                    ranked = rank(cohort, config, table)
-                    curves[config.policy].append(ndcg_at_k(ranked, ideal, depth))
-                    weekly_costs.setdefault(config.policy, {})[cohort.iso_week] = \
-                        patch_cost(ranked, cost_k, cvss_of)
+                ranked = rank(cohort, replace(ideal_config, policy=threat), table)
+                depth = max(k_max, base.k)
+                curves[mode, Policy.CVSS_BASE].append(ndcg_at_k(cvss, ideal, depth))
+                curves[mode, threat].append(ndcg_at_k(ranked, ideal, depth))
+                weekly_costs[threat][cohort.iso_week] = patch_cost(ranked, cost_k, cvss_of)
 
+        for base, threat, mode in families:
             # nDCG@K curves, averaged per ISO year in cohort order.
-            for policy, policy_curves in curves.items():
+            for policy in (Policy.CVSS_BASE, threat):
                 label = policy_label(policy, mode)
                 for year in years:
-                    year_curves = [curve for curve, cohort in zip(policy_curves, cohorts)
+                    year_curves = [curve for curve, cohort in zip(curves[mode, policy], cohorts)
                                    if cohort.iso_week[0] == year]
                     for k in range(1, k_max + 1):
                         values = [curve[k - 1] for curve in year_curves]
@@ -242,8 +247,9 @@ def generate_report(
 
             # Paired t-test on the weekly nDCG@k series over the whole range.
             try:
-                result = paired_t_test([curve[base.k - 1] for curve in curves[Policy.CVSS_BASE]],
-                                       [curve[base.k - 1] for curve in curves[threat]])
+                result = paired_t_test(
+                    [curve[base.k - 1] for curve in curves[mode, Policy.CVSS_BASE]],
+                    [curve[base.k - 1] for curve in curves[mode, threat]])
             except ValueError:
                 continue
             report.ttest_rows.append((org.org_id, policy_label(Policy.CVSS_BASE, mode),

@@ -6,9 +6,14 @@ enforced on insertion.  Dangling cross-references (an edge whose endpoint
 was never materialized as a record) are dropped and counted rather than
 turned into stub nodes, so query results never contain phantom entities.
 
+A node is identified by its (label, key) alone and carries its own typed
+adjacency, out and in, so a path query hops from node to node with no id
+table in between.
+
 The graph is built single-writer, then frozen; after ``freeze()`` it is
-immutable (node props become read-only mappings, their list values tuples)
-and safe to read from any number of workers.
+immutable (node props become read-only mappings, their list values tuples;
+adjacency becomes read-only mappings of frozensets) and safe to read from
+any number of workers.
 """
 
 from __future__ import annotations
@@ -30,6 +35,12 @@ from .vocab import Vocabulary, default_vocabulary
 
 
 class NodeLabel(Enum):
+    # Members are singletons that compare by identity.  Hashing them by
+    # identity too keeps the graph's (label, key) and edge-type dict lookups
+    # off Enum's Python-level __hash__, the most-called function in a
+    # load_graph profile.
+    __hash__ = object.__hash__
+
     NVD_CVE = "NvdCve"
     EXPLOIT_DB = "ExploitDb"
     CISA_EXPLOIT_CATALOG = "CisaExploitCatalog"
@@ -47,6 +58,8 @@ class NodeLabel(Enum):
 
 
 class EdgeType(Enum):
+    __hash__ = object.__hash__  # as NodeLabel's
+
     REFERENCE_EXPLOIT = "ReferenceExploit"
     EXPLOITS_KNOWN = "ExploitsKnown"
     WEAKENED_BY = "WeakenedBy"
@@ -93,12 +106,21 @@ class GraphFrozenError(RuntimeError):
     """Write attempted after freeze()."""
 
 
-@dataclass(slots=True)  # no per-node __dict__: pays for the read-only props proxy
+_EMPTY = MappingProxyType({})  # the props or adjacency of every frozen node that has none
+
+
+@dataclass(frozen=True, slots=True, eq=False)  # eq=False: nodes hash and compare by identity
 class Node:
-    node_id: int
+    """One entity and its typed edges; adjacency sets are unordered."""
+
     label: NodeLabel
     key: str
     props: Mapping  # a dict while building, read-only once the graph is frozen
+    # Edge type -> target nodes (sets while building, then frozensets) and
+    # edge type -> source nodes; left out of repr, which would print the
+    # whole connected component.
+    outgoing: Mapping = field(repr=False)
+    incoming: Mapping = field(repr=False)
 
 
 @dataclass
@@ -116,15 +138,24 @@ def _as_tuple(values: list) -> tuple:
     return tuple(_as_tuple(v) if type(v) is list else v for v in values)
 
 
+def _frozen_adjacency(adjacency: dict) -> Mapping:
+    """A node's edge type -> node set dict, its sets frozen, as a read-only mapping."""
+    if not adjacency:
+        return _EMPTY
+    for edge_type, nodes in adjacency.items():
+        adjacency[edge_type] = frozenset(nodes)
+    return MappingProxyType(adjacency)
+
+
 class PropertyGraph:
-    """Nodes keyed by (label, key) plus typed edges with adjacency indices."""
+    """Nodes keyed by (label, key); each node holds its own typed adjacency.
+
+    ``neighbors`` and ``edges`` walk those adjacency sets, whose order is
+    not defined: callers that emit results order them by node key.
+    """
 
     def __init__(self):
-        self._nodes: dict[int, Node] = {}
-        self._by_key: dict[tuple[NodeLabel, str], int] = {}
-        self._out: dict[int, dict[EdgeType, set[int]]] = {}
-        self._in: dict[int, dict[EdgeType, set[int]]] = {}
-        self._edges: set[tuple[int, EdgeType, int]] = set()
+        self._nodes: dict[tuple[NodeLabel, str], Node] = {}
         self._frozen = False
         self.stats = BuildStats()
 
@@ -134,52 +165,40 @@ class PropertyGraph:
         if self._frozen:
             raise GraphFrozenError("graph is frozen")
 
-    def upsert_node(self, label: NodeLabel, key: str, props: dict | None = None) -> int:
+    def upsert_node(self, label: NodeLabel, key: str, props: dict | None = None) -> Node:
         """Insert or update a node; idempotent on (label, key).
 
         Later property values win on key collision; existing properties not
         mentioned are preserved.
         """
         self._check_writable()
-        node_id = self._by_key.get((label, key))
-        if node_id is None:
-            node_id = len(self._nodes) + 1
-            self._nodes[node_id] = Node(node_id, label, key, dict(props or {}))
-            self._by_key[(label, key)] = node_id
-            self._out[node_id] = {}
-            self._in[node_id] = {}
+        node = self._nodes.get((label, key))
+        if node is None:
+            node = self._nodes[(label, key)] = Node(label, key, dict(props or {}), {}, {})
         elif props:
-            self._nodes[node_id].props.update(props)
-        return node_id
+            node.props.update(props)
+        return node
 
-    def add_edge(self, src_id: int, edge_type: EdgeType, dst_id: int) -> bool:
+    def add_edge(self, src: Node, edge_type: EdgeType, dst: Node) -> bool:
         """Add one typed edge; returns False (and counts) on schema violation."""
         self._check_writable()
-        src = self._nodes.get(src_id)
-        dst = self._nodes.get(dst_id)
-        if src is None or dst is None:
-            raise KeyError(f"unknown node id in edge ({src_id}, {edge_type}, {dst_id})")
-        expected = EDGE_ENDPOINTS[edge_type]
-        if (src.label, dst.label) != expected:
+        if (src.label, dst.label) != EDGE_ENDPOINTS[edge_type]:
             self.stats.schema_rejected += 1
             return False
-        triple = (src_id, edge_type, dst_id)
-        if triple not in self._edges:
-            self._edges.add(triple)
-            self._out[src_id].setdefault(edge_type, set()).add(dst_id)
-            self._in[dst_id].setdefault(edge_type, set()).add(src_id)
+        src.outgoing.setdefault(edge_type, set()).add(dst)
+        dst.incoming.setdefault(edge_type, set()).add(src)
         return True
 
-    def link(self, src_label: NodeLabel, src_key: str, edge_type: EdgeType,
-             dst_label: NodeLabel, dst_key: str) -> bool:
+    def link(self, edge_type: EdgeType, src_key: str, dst_key: str) -> bool:
         """Add an edge by endpoint keys; drops and counts dangling references."""
-        src_id = self._by_key.get((src_label, src_key))
-        dst_id = self._by_key.get((dst_label, dst_key))
-        if src_id is None or dst_id is None:
+        src_label, dst_label = EDGE_ENDPOINTS[edge_type]
+        src = self._nodes.get((src_label, src_key))
+        dst = self._nodes.get((dst_label, dst_key))
+        if src is None or dst is None:
             self._check_writable()
             self.stats.dangling_dropped[edge_type] += 1
             return False
-        return self.add_edge(src_id, edge_type, dst_id)
+        return self.add_edge(src, edge_type, dst)
 
     def freeze(self) -> "PropertyGraph":
         if not self._frozen:
@@ -188,7 +207,10 @@ class PropertyGraph:
                 for key, value in props.items():
                     if type(value) is list:
                         props[key] = _as_tuple(value)
-                node.props = MappingProxyType(props)
+                # Node is a frozen dataclass; only freeze() swaps its fields.
+                object.__setattr__(node, "props", MappingProxyType(props) if props else _EMPTY)
+                object.__setattr__(node, "outgoing", _frozen_adjacency(node.outgoing))
+                object.__setattr__(node, "incoming", _frozen_adjacency(node.incoming))
             self._frozen = True
         return self
 
@@ -198,12 +220,8 @@ class PropertyGraph:
 
     # -- lookups ------------------------------------------------------------
 
-    def node(self, node_id: int) -> Node:
-        return self._nodes[node_id]
-
     def find(self, label: NodeLabel, key: str) -> Node | None:
-        node_id = self._by_key.get((label, key))
-        return None if node_id is None else self._nodes[node_id]
+        return self._nodes.get((label, key))
 
     def nodes(self) -> Iterator[Node]:
         return iter(self._nodes.values())
@@ -211,8 +229,9 @@ class PropertyGraph:
     def nodes_with_label(self, label: NodeLabel) -> Iterator[Node]:
         return (n for n in self._nodes.values() if n.label == label)
 
-    def edges(self) -> Iterator[tuple[int, EdgeType, int]]:
-        return iter(self._edges)
+    def edges(self) -> Iterator[tuple[Node, EdgeType, Node]]:
+        return ((src, edge_type, dst) for src in self._nodes.values()
+                for edge_type, targets in src.outgoing.items() for dst in targets)
 
     @property
     def node_count(self) -> int:
@@ -220,14 +239,16 @@ class PropertyGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(len(targets) for node in self._nodes.values()
+                   for targets in node.outgoing.values())
 
-    def neighbors(self, node_id: int, edge_type: EdgeType, direction: str = "out") -> set[int]:
-        """Adjacent node ids over one edge type; unknown nodes yield empty."""
+    def neighbors(self, node: Node, edge_type: EdgeType, direction: str = "out") -> frozenset:
+        """Adjacent nodes over one edge type; empty when there are none."""
         if direction not in ("out", "in"):
             raise ValueError(f"direction must be 'out' or 'in', not {direction!r}")
-        adjacency = self._out if direction == "out" else self._in
-        return set(adjacency.get(node_id, {}).get(edge_type, ()))
+        adjacency = node.outgoing if direction == "out" else node.incoming
+        # A frozen node's sets are frozensets already, which frozenset() returns as is.
+        return frozenset(adjacency.get(edge_type, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -314,33 +335,28 @@ def build_graph(
 
     for cve in records.cves:
         for cwe_id in cve.cwe_ids:
-            g.link(NodeLabel.NVD_CVE, cve.cve_id, EdgeType.WEAKENED_BY, NodeLabel.CWE, cwe_id)
+            g.link(EdgeType.WEAKENED_BY, cve.cve_id, cwe_id)
         for cpe_id in cve.affected_cpes:
-            g.link(NodeLabel.NVD_CVE, cve.cve_id, EdgeType.AFFECTS, NodeLabel.CPE, cpe_id)
+            g.link(EdgeType.AFFECTS, cve.cve_id, cpe_id)
         for url in cve.reference_urls:
-            g.link(NodeLabel.NVD_CVE, cve.cve_id, EdgeType.INFORMS, NodeLabel.NVD_REFERENCE, url)
+            g.link(EdgeType.INFORMS, cve.cve_id, url)
     for cwe in records.cwes:
         for capec_id in cwe.related_capecs:
-            g.link(NodeLabel.CWE, cwe.cwe_id, EdgeType.KNOWN_ATTACK, NodeLabel.CAPEC, capec_id)
+            g.link(EdgeType.KNOWN_ATTACK, cwe.cwe_id, capec_id)
     for capec in records.capecs:
         for technique_id in capec.related_techniques:
-            g.link(NodeLabel.CAPEC, capec.capec_id, EdgeType.EMPLOYS,
-                   NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, technique_id)
+            g.link(EdgeType.EMPLOYS, capec.capec_id, technique_id)
     for technique in records.techniques:
         for tactic_id in technique.tactic_ids:
-            g.link(NodeLabel.ATTACK_ENTERPRISE_TACTIC, tactic_id, EdgeType.ACHIEVED_THROUGH,
-                   NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, technique.technique_id)
+            g.link(EdgeType.ACHIEVED_THROUGH, tactic_id, technique.technique_id)
     for group in records.groups:
         for technique_id in group.technique_ids:
-            g.link(NodeLabel.ATTACK_GROUP, group.group_id, EdgeType.ACHIEVES_GOAL,
-                   NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, technique_id)
+            g.link(EdgeType.ACHIEVES_GOAL, group.group_id, technique_id)
     for exploit in records.exploits:
         for cve_id in exploit.cve_ids:
-            g.link(NodeLabel.NVD_CVE, cve_id, EdgeType.REFERENCE_EXPLOIT,
-                   NodeLabel.EXPLOIT_DB, str(exploit.exploitdb_id))
+            g.link(EdgeType.REFERENCE_EXPLOIT, cve_id, str(exploit.exploitdb_id))
     for entry in records.kev:
-        g.link(NodeLabel.NVD_CVE, entry.cve_id, EdgeType.EXPLOITS_KNOWN,
-               NodeLabel.CISA_EXPLOIT_CATALOG, entry.cve_id)
+        g.link(EdgeType.EXPLOITS_KNOWN, entry.cve_id, entry.cve_id)
 
     for attribution in attributions:
         node = g.find(NodeLabel.ATTACK_GROUP, attribution.group_id)
@@ -349,14 +365,11 @@ def build_graph(
             continue
         node.props["origin_year"] = attribution.origin_year
         for country in attribution.origin_countries:
-            g.link(NodeLabel.ATTACK_GROUP, attribution.group_id, EdgeType.ORIGINATES,
-                   NodeLabel.COUNTRY, country)
+            g.link(EdgeType.ORIGINATES, attribution.group_id, country)
         for country in attribution.targeted_countries:
-            g.link(NodeLabel.ATTACK_GROUP, attribution.group_id, EdgeType.TARGETS,
-                   NodeLabel.COUNTRY, country)
+            g.link(EdgeType.TARGETS, attribution.group_id, country)
         for sector in attribution.targeted_sectors:
-            g.link(NodeLabel.ATTACK_GROUP, attribution.group_id, EdgeType.FOCUS_ON,
-                   NodeLabel.DHS_SECTOR, sector)
+            g.link(EdgeType.FOCUS_ON, attribution.group_id, sector)
 
     for profile in profiles:
         g.upsert_node(NodeLabel.ORGANIZATION, profile.org_id, {
@@ -364,21 +377,17 @@ def build_graph(
             "sector": profile.sector,
             "country": profile.country,
         })
-        g.link(NodeLabel.DHS_SECTOR, profile.sector, EdgeType.AFFILIATED_WITH,
-               NodeLabel.ORGANIZATION, profile.org_id)
-        g.link(NodeLabel.ORGANIZATION, profile.org_id, EdgeType.OPERATES_IN,
-               NodeLabel.COUNTRY, profile.country)
+        g.link(EdgeType.AFFILIATED_WITH, profile.sector, profile.org_id)
+        g.link(EdgeType.OPERATES_IN, profile.org_id, profile.country)
         for item in profile.software:
             software_key = profiles_mod.software_key(item.vendor, item.product)
             g.upsert_node(NodeLabel.SOFTWARE, software_key, {
                 "vendor": item.vendor,
                 "product": item.product,
             })
-            g.link(NodeLabel.ORGANIZATION, profile.org_id, EdgeType.INSTALLS,
-                   NodeLabel.SOFTWARE, software_key)
+            g.link(EdgeType.INSTALLS, profile.org_id, software_key)
             for cpe_id in item.resolved_cpes:
-                g.link(NodeLabel.SOFTWARE, software_key, EdgeType.HAS_VERSION,
-                       NodeLabel.CPE, cpe_id)
+                g.link(EdgeType.HAS_VERSION, software_key, cpe_id)
     return g
 
 
@@ -396,24 +405,10 @@ def techniques_for_cve(graph: PropertyGraph, cve_id: str) -> set[tuple[str, str,
     cve = graph.find(NodeLabel.NVD_CVE, cve_id)
     if cve is None:
         return set()
-    paths = set()
-    for cwe_nid in graph.neighbors(cve.node_id, EdgeType.WEAKENED_BY, "out"):
-        cwe_key = graph.node(cwe_nid).key
-        for capec_nid in graph.neighbors(cwe_nid, EdgeType.KNOWN_ATTACK, "out"):
-            capec_key = graph.node(capec_nid).key
-            for tech_nid in graph.neighbors(capec_nid, EdgeType.EMPLOYS, "out"):
-                paths.add((graph.node(tech_nid).key, capec_key, cwe_key))
-    return paths
-
-
-def audit_edge_conformance(graph: PropertyGraph) -> list[tuple[str, str, str]]:
-    """Full post-hoc scan; returns (src label, type, dst label) violations."""
-    violations = []
-    for src_id, edge_type, dst_id in graph.edges():
-        src, dst = graph.node(src_id), graph.node(dst_id)
-        if (src.label, dst.label) != EDGE_ENDPOINTS[edge_type]:
-            violations.append((src.label.value, edge_type.value, dst.label.value))
-    return violations
+    return {(technique.key, capec.key, cwe.key)
+            for cwe in graph.neighbors(cve, EdgeType.WEAKENED_BY)
+            for capec in graph.neighbors(cwe, EdgeType.KNOWN_ATTACK)
+            for technique in graph.neighbors(capec, EdgeType.EMPLOYS)}
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +423,7 @@ def save_graph(graph: PropertyGraph, path: str | Path) -> None:
     target key) so snapshots of isomorphic graphs are byte-identical.
     """
     nodes = sorted(graph.nodes(), key=lambda n: (n.label.value, n.key))
-    edge_rows = []
-    for src_id, edge_type, dst_id in graph.edges():
-        src, dst = graph.node(src_id), graph.node(dst_id)
-        edge_rows.append((src.key, edge_type.value, dst.key))
-    edge_rows.sort()
+    edge_rows = sorted((src.key, edge_type.value, dst.key) for src, edge_type, dst in graph.edges())
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         for node in nodes:
             fh.write(json.dumps({
@@ -513,9 +504,7 @@ def load_graph(path: str | Path) -> PropertyGraph:
                         check(props)
                     g.upsert_node(label, key, props)
                 elif kind == "edge":
-                    edge_type = EdgeType(obj["type"])
-                    src_label, dst_label = EDGE_ENDPOINTS[edge_type]
-                    if not g.link(src_label, obj["src"], edge_type, dst_label, obj["dst"]):
+                    if not g.link(EdgeType(obj["type"]), obj["src"], obj["dst"]):
                         raise ValueError("edge references unknown node")
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 
 from .feeds import AttackVector, SkillLevel, TechnicalImpact
 # techniques_for_cve is unused here; bench/trace_cli.py rebinds ranking's name.
-from .kgraph import EdgeType, NodeLabel, PropertyGraph, techniques_for_cve  # noqa: F401
+from .kgraph import EdgeType, Node, NodeLabel, PropertyGraph, techniques_for_cve  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -103,15 +103,12 @@ class OrgContext:
         node = graph.find(NodeLabel.ORGANIZATION, org_id)
         if node is None:
             raise KeyError(f"organization {org_id!r} not present in the graph")
-        cpes: set[str] = set()
-        for software_id in graph.neighbors(node.node_id, EdgeType.INSTALLS, "out"):
-            for cpe_id in graph.neighbors(software_id, EdgeType.HAS_VERSION, "out"):
-                cpes.add(graph.node(cpe_id).key)
         return cls(
             org_id=org_id,
             sector=node.props.get("sector", ""),
             country=node.props.get("country", ""),
-            cpe_ids=frozenset(cpes),
+            cpe_ids=frozenset(cpe.key for software in graph.neighbors(node, EdgeType.INSTALLS)
+                              for cpe in graph.neighbors(software, EdgeType.HAS_VERSION)),
         )
 
 
@@ -167,11 +164,10 @@ def generate_candidates(
         raise ValueError(f"empty date range: {start} > {end}")
     weeks: dict[tuple[int, int], set[str]] = {}
     for cpe_id in org.cpe_ids:
-        cpe_node = graph.find(NodeLabel.CPE, cpe_id)
-        if cpe_node is None:
+        cpe = graph.find(NodeLabel.CPE, cpe_id)
+        if cpe is None:
             continue
-        for cve_nid in graph.neighbors(cpe_node.node_id, EdgeType.AFFECTS, "in"):
-            cve = graph.node(cve_nid)
+        for cve in graph.neighbors(cpe, EdgeType.AFFECTS, "in"):
             modified = date.fromisoformat(cve.props["modified"])
             if start <= modified <= end:
                 weeks.setdefault(iso_week_of(modified), set()).add(cve.key)
@@ -207,18 +203,18 @@ def policy_bits(config: PolicyConfig) -> tuple[str, ...]:
             Policy.GENERAL_THREAT: GENERAL_BITS}[config.policy]
 
 
-def _cve_node(graph: PropertyGraph, cve_id: str):
+def _cve_node(graph: PropertyGraph, cve_id: str) -> Node:
     node = graph.find(NodeLabel.NVD_CVE, cve_id)
     if node is None:
         raise KeyError(f"CVE {cve_id!r} not present in the graph")
     return node
 
 
-def _adjacent_keys(graph: PropertyGraph, node_id: int, edge_type: EdgeType) -> set[str]:
-    return {graph.node(i).key for i in graph.neighbors(node_id, edge_type, "out")}
+def _adjacent_keys(graph: PropertyGraph, node: Node, edge_type: EdgeType) -> set[str]:
+    return {adjacent.key for adjacent in graph.neighbors(node, edge_type)}
 
 
-def _epss_bit(node, config: PolicyConfig) -> int:
+def _epss_bit(node: Node, config: PolicyConfig) -> int:
     """EPSS gate: probability at threshold and percentile within appetite."""
     probability = node.props.get("epss_probability")
     percentile = node.props.get("epss_percentile")
@@ -246,31 +242,31 @@ def feature_bits(
     """
     node = _cve_node(graph, cve_id)
     failure_impact = skill_match = technique_link = False
-    techniques: set[int] = set()
-    for cwe_nid in graph.neighbors(node.node_id, EdgeType.WEAKENED_BY, "out"):
-        if FAILURE_IMPACTS.intersection(graph.node(cwe_nid).props.get("technical_impacts", ())):
+    techniques: set[Node] = set()
+    for cwe in graph.neighbors(node, EdgeType.WEAKENED_BY):
+        if FAILURE_IMPACTS.intersection(cwe.props.get("technical_impacts", ())):
             failure_impact = True
-        for capec_nid in graph.neighbors(cwe_nid, EdgeType.KNOWN_ATTACK, "out"):
-            if graph.node(capec_nid).props.get("skill_level") == config.skill_level.value:
+        for capec in graph.neighbors(cwe, EdgeType.KNOWN_ATTACK):
+            if capec.props.get("skill_level") == config.skill_level.value:
                 skill_match = True
-            employed = graph.neighbors(capec_nid, EdgeType.EMPLOYS, "out")
+            employed = graph.neighbors(capec, EdgeType.EMPLOYS)
             technique_link = technique_link or bool(employed)
             techniques |= employed
-    groups: set[int] = set()
-    for tech_nid in techniques:
-        groups |= graph.neighbors(tech_nid, EdgeType.ACHIEVES_GOAL, "in")
+    groups: set[Node] = set()
+    for technique in techniques:
+        groups |= graph.neighbors(technique, EdgeType.ACHIEVES_GOAL, "in")
     sector_focus = targets_country = origin_match = False
-    for group_nid in groups:
-        if org.sector not in _adjacent_keys(graph, group_nid, EdgeType.FOCUS_ON):
+    for group in groups:
+        if org.sector not in _adjacent_keys(graph, group, EdgeType.FOCUS_ON):
             continue
         sector_focus = True
-        if org.country in _adjacent_keys(graph, group_nid, EdgeType.TARGETS):
+        if org.country in _adjacent_keys(graph, group, EdgeType.TARGETS):
             targets_country = True
-        if _adjacent_keys(graph, group_nid, EdgeType.ORIGINATES) & config.origin_countries:
+        if _adjacent_keys(graph, group, EdgeType.ORIGINATES) & config.origin_countries:
             origin_match = True
-    affected = _adjacent_keys(graph, node.node_id, EdgeType.AFFECTS)
-    exploited = (graph.neighbors(node.node_id, EdgeType.EXPLOITS_KNOWN, "out")
-                 or graph.neighbors(node.node_id, EdgeType.REFERENCE_EXPLOIT, "out"))
+    affected = _adjacent_keys(graph, node, EdgeType.AFFECTS)
+    exploited = (graph.neighbors(node, EdgeType.EXPLOITS_KNOWN)
+                 or graph.neighbors(node, EdgeType.REFERENCE_EXPLOIT))
     return {
         "av_network": int(node.props.get("attack_vector") == AttackVector.NETWORK.value),
         "sector_focus": int(sector_focus),

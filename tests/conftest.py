@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from threatrank.cli import build_pipeline, load_config
+from threatrank.kgraph import EDGE_ENDPOINTS, PropertyGraph
 from threatrank.ranking import OrgContext, Policy, RankedItem, RankedList, order_scored
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -49,6 +50,13 @@ def gain_rankings(gains) -> tuple[RankedList, RankedList]:
                   for cve, score, position in order_scored(zip(cves, map(float, gains))))
     return (RankedList(org_id="X", policy=Policy.CVSS_BASE, iso_week=(2021, 1), items=policy),
             RankedList(org_id="X", policy=Policy.IDEAL, iso_week=(2021, 1), items=ideal))
+
+
+def audit_edge_conformance(graph: PropertyGraph) -> list[tuple[str, str, str]]:
+    """Full post-hoc scan; returns (src label, type, dst label) violations."""
+    return [(src.label.value, edge_type.value, dst.label.value)
+            for src, edge_type, dst in graph.edges()
+            if (src.label, dst.label) != EDGE_ENDPOINTS[edge_type]]
 
 
 @pytest.fixture(scope="session")

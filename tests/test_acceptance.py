@@ -35,7 +35,7 @@ from threatrank.evaluation import (
     Severity,
     DEFAULT_COST_MODEL,
 )
-from threatrank.kgraph import audit_edge_conformance, build_graph
+from threatrank.kgraph import build_graph
 from threatrank.ranking import (
     IdealMode,
     OrgContext,
@@ -59,6 +59,7 @@ from tests.conftest import (
     EXPECTED_RELEVANCE,
     EXPECTED_THREAT_RANKS,
     SYNTHETIC,
+    audit_edge_conformance,
     gain_rankings,
 )
 from tests.randdata import random_attributions, random_bundle
@@ -378,7 +379,7 @@ def test_c9_corpus_scale_targets():
 
         sector_node = graph.find(NodeLabel.DHS_SECTOR, "Government Facilities")
         assert sector_node is not None
-        focused = graph.neighbors(sector_node.node_id, EdgeType.FOCUS_ON, "in")
+        focused = graph.neighbors(sector_node, EdgeType.FOCUS_ON, "in")
         assert abs(len(focused) - 50) <= 5
 
         org = OrgContext.from_graph(graph, "ODU")

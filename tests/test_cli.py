@@ -203,8 +203,13 @@ def test_bad_graph_line_exits_two_naming_the_line(built, capsys, old, new):
     ' "policies": {"apt_threat": {"risk_appetite": 1e400}}}',
     '{"profiles": [5]}',
     '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"}, "output_dir": 5}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"apt_threat": {"origin_countries": "China"}}}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"general_threat": {"origin_countries": ["China", 5]}}}',
 ], ids=["snapshots_list", "top_level_array", "top_level_number", "date_range_list",
-        "policy_list", "policy_overflow", "path_number", "output_dir_number"])
+        "policy_list", "policy_overflow", "path_number", "output_dir_number",
+        "origin_countries_string", "origin_countries_not_strings"])
 def test_misshapen_config_exits_two(tmp_path, capsys, text):
     bad = tmp_path / "config.json"
     bad.write_text(text, encoding="utf-8")
@@ -324,6 +329,20 @@ def test_date_range_override_narrows_cohorts(built, capsys):
                 "case-study", "--org", "ODU")
     assert code == 0
     assert "no candidate cohorts" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["rank", "--org", "ODU", "--policy", "apt_threat"],
+                                     ["evaluate"], ["case-study", "--org", "ODU"]],
+                         ids=["rank", "evaluate", "case_study"])
+def test_reversed_date_override_exits_one(built, capsys, command):
+    code = _run("--config", CONFIG, "--out", str(built),
+                "--from", "2022-01-01", "--to", "2021-01-01", *command)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "2022-01-01 > 2021-01-01" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in built.iterdir()) == [
+        "build_summary.json", "coverage_ODU.csv", "graph.jsonl"]
 
 
 # Golden outputs of a full pipeline run: sha256 over every output file in

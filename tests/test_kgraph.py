@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError
 from datetime import date
 
 import pytest
@@ -24,7 +25,6 @@ from threatrank.kgraph import (
     GraphFrozenError,
     NodeLabel,
     PropertyGraph,
-    audit_edge_conformance,
     build_graph,
     load_graph,
     save_graph,
@@ -38,6 +38,7 @@ from threatrank.ranking import (
     generate_candidates,
 )
 from threatrank.vocab import Vocabulary
+from tests.conftest import audit_edge_conformance
 from tests.randdata import random_attributions, random_bundle
 
 
@@ -46,9 +47,7 @@ def graph_signature(graph: PropertyGraph):
     nodes = sorted(
         (n.label.value, n.key, json.dumps(dict(n.props), sort_keys=True)) for n in graph.nodes()
     )
-    edges = sorted(
-        (graph.node(s).key, t.value, graph.node(d).key) for s, t, d in graph.edges()
-    )
+    edges = sorted((s.key, t.value, d.key) for s, t, d in graph.edges())
     return nodes, edges
 
 
@@ -82,10 +81,10 @@ def test_upsert_is_idempotent():
     g = PropertyGraph()
     first = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000", {"cvss_base": 6.1})
     second = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000", {"modified": "2021-11-23"})
-    assert first == second
+    assert first is second
     assert g.node_count == 1
     # later properties merge over earlier ones
-    assert g.node(first).props == {"cvss_base": 6.1, "modified": "2021-11-23"}
+    assert first.props == {"cvss_base": 6.1, "modified": "2021-11-23"}
 
 
 def test_add_edge_rejects_schema_violation():
@@ -95,13 +94,23 @@ def test_add_edge_rejects_schema_violation():
     assert g.add_edge(cve, EdgeType.AFFECTS, country) is False
     assert g.stats.schema_rejected == 1
     assert g.edge_count == 0
+    assert cve.outgoing == {} and country.incoming == {}
 
 
 def test_neighbors_unknown_and_isolated_nodes():
     g = PropertyGraph()
     node = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000")
     assert g.neighbors(node, EdgeType.AFFECTS, "out") == set()
-    assert g.neighbors(4242, EdgeType.AFFECTS, "out") == set()
+    assert g.neighbors(node, EdgeType.AFFECTS, "in") == set()
+    assert g.find(NodeLabel.NVD_CVE, "CVE-2021-99999") is None
+    # a linked node has no neighbors over the edge types it lacks
+    cpe = g.upsert_node(NodeLabel.CPE, "cpe:2.3:a:v:p:-:*:*:*:*:*:*:*")
+    assert g.link(EdgeType.AFFECTS, node.key, cpe.key)
+    assert g.neighbors(node, EdgeType.AFFECTS, "out") == {cpe}
+    assert g.neighbors(cpe, EdgeType.AFFECTS, "in") == {node}
+    assert g.neighbors(node, EdgeType.WEAKENED_BY, "out") == set()
+    assert g.neighbors(cpe, EdgeType.AFFECTS, "out") == set()
+    assert "cpe:2.3" not in repr(node)  # repr does not walk the adjacency
 
 
 def test_neighbors_direction_validation():
@@ -127,14 +136,15 @@ def test_frozen_graph_rejects_writes():
 
 def test_frozen_graph_props_are_read_only(tmp_path):
     g = PropertyGraph()
-    node_id = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000", {"cvss_base": 6.1})
-    g.node(node_id).props["modified"] = "2021-11-23"  # writable while building
-    cwe_id = g.upsert_node(NodeLabel.CWE, "CWE-416",
-                           {"technical_impacts": ["Modify Data"], "notes": [["nested"]]})
+    node = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000", {"cvss_base": 6.1})
+    node.props["modified"] = "2021-11-23"  # writable while building
+    cwe = g.upsert_node(NodeLabel.CWE, "CWE-416",
+                        {"technical_impacts": ["Modify Data"], "notes": [["nested"]]})
+    assert g.add_edge(node, EdgeType.WEAKENED_BY, cwe)
     signature = graph_signature(g)
     save_graph(g, tmp_path / "building.jsonl")
     g.freeze()
-    props = g.node(node_id).props
+    props = node.props
     with pytest.raises(TypeError):
         props["cvss_base"] = 0.0
     with pytest.raises(TypeError):
@@ -142,12 +152,36 @@ def test_frozen_graph_props_are_read_only(tmp_path):
     with pytest.raises(AttributeError):
         props.update(cvss_base=0.0)
     assert props == {"cvss_base": 6.1, "modified": "2021-11-23"}
-    cwe_props = g.node(cwe_id).props
+    cwe_props = cwe.props
     with pytest.raises(AttributeError):
         cwe_props["technical_impacts"].append("Read Data")
     with pytest.raises(AttributeError):
         cwe_props["notes"][0].append("more")
     assert cwe_props == {"technical_impacts": ("Modify Data",), "notes": (("nested",),)}
+    # adjacency: neither what neighbors() returns nor a node's own fields can change the graph
+    with pytest.raises(AttributeError):
+        g.neighbors(node, EdgeType.WEAKENED_BY).add(node)
+    with pytest.raises(AttributeError):
+        node.outgoing[EdgeType.WEAKENED_BY].add(node)
+    with pytest.raises(AttributeError):
+        cwe.incoming[EdgeType.WEAKENED_BY].clear()
+    with pytest.raises(TypeError):
+        node.outgoing[EdgeType.AFFECTS] = {cwe}
+    with pytest.raises(TypeError):
+        del cwe.incoming[EdgeType.WEAKENED_BY]
+    with pytest.raises(AttributeError):
+        cwe.outgoing.setdefault(EdgeType.KNOWN_ATTACK, set())
+    for name, value in [("key", "CVE-2021-1"), ("label", NodeLabel.CWE), ("props", {}),
+                        ("outgoing", {}), ("incoming", {})]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, value)
+    with pytest.raises(GraphFrozenError):
+        g.add_edge(cwe, EdgeType.WEAKENED_BY, cwe)
+    with pytest.raises(GraphFrozenError):
+        g.link(EdgeType.WEAKENED_BY, node.key, cwe.key)
+    assert g.neighbors(node, EdgeType.WEAKENED_BY) == {cwe}
+    assert g.neighbors(cwe, EdgeType.WEAKENED_BY, "in") == {node}
+    assert g.edge_count == 1 and g.stats.schema_rejected == 0
     assert graph_signature(g) == signature
     save_graph(g, tmp_path / "graph.jsonl")
     assert (tmp_path / "graph.jsonl").read_bytes() == (tmp_path / "building.jsonl").read_bytes()
@@ -156,6 +190,11 @@ def test_frozen_graph_props_are_read_only(tmp_path):
         reloaded.find(NodeLabel.NVD_CVE, "CVE-2021-38000").props["cvss_base"] = 0.0
     with pytest.raises(AttributeError):
         reloaded.find(NodeLabel.CWE, "CWE-416").props["technical_impacts"].append("Read Data")
+    reloaded_cve = reloaded.find(NodeLabel.NVD_CVE, "CVE-2021-38000")
+    with pytest.raises(AttributeError):
+        reloaded.neighbors(reloaded_cve, EdgeType.WEAKENED_BY).add(reloaded_cve)
+    with pytest.raises(TypeError):
+        reloaded_cve.outgoing[EdgeType.AFFECTS] = set()
     assert graph_signature(reloaded) == signature
 
 
@@ -200,8 +239,7 @@ def test_case_graph_has_three_kev_edges(case_graph):
 
 def test_case_graph_kev_neighbor(case_graph):
     node = case_graph.find(NodeLabel.NVD_CVE, "CVE-2021-38000")
-    keys = {case_graph.node(i).key
-            for i in case_graph.neighbors(node.node_id, EdgeType.EXPLOITS_KNOWN, "out")}
+    keys = {n.key for n in case_graph.neighbors(node, EdgeType.EXPLOITS_KNOWN, "out")}
     assert keys == {"CVE-2021-38000"}  # catalog entries are keyed by CVE id
 
 
@@ -282,7 +320,7 @@ def test_us_filter_excludes_non_us_group(case_graph):
     # attribution edges out, so it threatens no sector.
     node = case_graph.find(NodeLabel.ATTACK_GROUP, "G0903")
     assert node is not None  # the group node itself is kept
-    assert case_graph.neighbors(node.node_id, EdgeType.FOCUS_ON, "out") == set()
+    assert case_graph.neighbors(node, EdgeType.FOCUS_ON, "out") == set()
 
 
 def test_case_graph_conformance_audit(case_graph):
