@@ -12,7 +12,6 @@ from .enrich import (
 )
 from .errors import DataError, ThreatRankError, UsageError
 from .evaluation import (
-    CostModel,
     EvaluationReport,
     Severity,
     annualized_cost,
@@ -56,15 +55,13 @@ from .kgraph import (
 )
 from .profiles import (
     OrganizationProfile,
-    SizeClass,
     SoftwareItem,
     load_profile,
     resolve_cpes,
-    size_class,
 )
 from .ranking import (
+    Family,
     FeatureRow,
-    IdealMode,
     OrgContext,
     Policy,
     PolicyConfig,

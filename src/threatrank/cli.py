@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -31,50 +31,53 @@ GRAPH_FILENAME = "graph.jsonl"
 class ProjectConfig:
     """Parsed project configuration; all paths resolved against the file."""
 
-    base_dir: Path
     snapshots: dict[SourceKind, Path]
     profile_paths: list[Path]
     date_range: tuple[date, date]
     output_dir: Path
+    apt_config: ranking.PolicyConfig
+    general_config: ranking.PolicyConfig
     lexicon_countries: Path | None = None
     lexicon_sectors: Path | None = None
     vocab_countries: Path | None = None
     vocab_sectors: Path | None = None
-    apt_config: ranking.PolicyConfig = field(
-        default_factory=lambda: ranking.PolicyConfig(policy=ranking.Policy.APT_THREAT))
-    general_config: ranking.PolicyConfig = field(
-        default_factory=lambda: ranking.PolicyConfig(
-            policy=ranking.Policy.GENERAL_THREAT,
-            ideal_mode=ranking.IdealMode.GENERAL))
 
 
-_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+# A bool is never accepted: JSON true/false are not numbers, though
+# Python's bool is an int.
+_JSON_NAMES = {dict: "object", list: "array", str: "string", int: "integer",
+               (int, float): "number"}
 
 
-def _expect(value, kind: type, what: str):
+def _expect(value, kind: type | tuple[type, ...], what: str):
     """``value`` if it has the JSON type ``kind``; a DataError otherwise."""
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise DataError(f"{what} must be a JSON {_JSON_NAMES[kind]}")
     return value
 
 
-def _policy_config(policy: ranking.Policy, raw: dict, mode: ranking.IdealMode) -> ranking.PolicyConfig:
-    _expect(raw, dict, f"policy {policy.value!r}")
+def _policy_config(name: str, raw, family: ranking.Family) -> ranking.PolicyConfig:
+    what = f"policy {name!r}"
+    _expect(raw, dict, what)
     origins = raw.get("origin_countries", list(ranking.DEFAULT_ORIGIN_COUNTRIES))
     if not (isinstance(origins, list) and all(isinstance(c, str) for c in origins)):
-        raise DataError(f"policy {policy.value!r}: 'origin_countries' must be "
+        raise DataError(f"{what}: 'origin_countries' must be "
                         f"a JSON array of strings, not {origins!r}")
+
+    def number(key: str, default, kind: type | tuple[type, ...]):
+        return _expect(raw.get(key, default), kind, f"{what}: {key!r}")
+
     try:
         return ranking.PolicyConfig(
-            policy=policy,
+            family=family,
             origin_countries=frozenset(origins),
             skill_level=feeds.SkillLevel(raw.get("skill_level", "High")),
-            epss_threshold=float(raw.get("epss_threshold", ranking.DEFAULT_EPSS_THRESHOLD)),
-            risk_appetite=int(raw.get("risk_appetite", 100)),
-            k=int(raw.get("k", 20)),
-            ideal_mode=mode,
+            epss_threshold=number("epss_threshold", ranking.DEFAULT_EPSS_THRESHOLD,
+                                  (int, float)),
+            risk_appetite=number("risk_appetite", 100, int),
+            k=number("k", 20, int),
         )
-    except (OverflowError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"bad policy configuration: {exc}") from None
 
 
@@ -126,7 +129,6 @@ def load_config(path: str | Path) -> ProjectConfig:
     vocab = section("vocabularies", dict)
     policies = section("policies", dict)
     return ProjectConfig(
-        base_dir=base,
         snapshots=snapshots,
         profile_paths=profile_paths,
         date_range=(start, end),
@@ -135,11 +137,10 @@ def load_config(path: str | Path) -> ProjectConfig:
         lexicon_sectors=resolve(lexicons["sectors"]) if "sectors" in lexicons else None,
         vocab_countries=resolve(vocab["countries"]) if "countries" in vocab else None,
         vocab_sectors=resolve(vocab["sectors"]) if "sectors" in vocab else None,
-        apt_config=_policy_config(ranking.Policy.APT_THREAT,
-                                  policies.get("apt_threat", {}), ranking.IdealMode.APT),
-        general_config=_policy_config(ranking.Policy.GENERAL_THREAT,
-                                      policies.get("general_threat", {}),
-                                      ranking.IdealMode.GENERAL),
+        apt_config=_policy_config("apt_threat", policies.get("apt_threat", {}),
+                                  ranking.Family.APT),
+        general_config=_policy_config("general_threat", policies.get("general_threat", {}),
+                                      ranking.Family.GENERAL),
     )
 
 
@@ -289,11 +290,14 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
     except ValueError:
         raise UsageError(f"unknown policy: {policy_name!r} "
                          f"(choose from {[p.value for p in ranking.Policy]})")
-    base = config.general_config if policy is ranking.Policy.GENERAL_THREAT else config.apt_config
-    policy_config = replace(base, policy=policy)
+    family_config = (config.general_config if policy is ranking.Policy.GENERAL_THREAT
+                     else config.apt_config)
+    # CVSS base reads no feature bits, so its table skips the path walk.
+    table_config = None if policy is ranking.Policy.CVSS_BASE else family_config
     cohorts = ranking.generate_candidates(org, graph, config.date_range)
     ranked_lists = [
-        ranking.rank(c, policy_config, ranking.feature_table(graph, c, org, policy_config))
+        ranking.rank(c, policy, family_config,
+                     ranking.feature_table(graph, c, org, table_config))
         for c in cohorts
     ]
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -333,12 +337,11 @@ def cmd_case_study(config: ProjectConfig, org_id: str, k: int | None = None) -> 
         return 0
     config.output_dir.mkdir(parents=True, exist_ok=True)
     apt = config.apt_config
-    cvss_config = replace(apt, policy=ranking.Policy.CVSS_BASE)
     printed = False
     for cohort in cohorts:
         table = ranking.feature_table(graph, cohort, org, apt)
-        cvss_rank = ranking.rank(cohort, cvss_config, table).rank_of()
-        threat_ranked = ranking.rank(cohort, apt, table)
+        cvss_rank = ranking.rank(cohort, ranking.Policy.CVSS_BASE, apt, table).rank_of()
+        threat_ranked = ranking.rank(cohort, ranking.Policy.APT_THREAT, apt, table)
         rows = [
             (item.cve_id, table[item.cve_id].cvss_base or 0.0, int(item.score),
              cvss_rank[item.cve_id], item.rank)
@@ -429,10 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, feeds.DataFormatError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, feeds.DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -24,7 +24,8 @@ from typing import Iterable, Mapping
 
 from .kgraph import PropertyGraph
 from .ranking import (
-    IdealMode,
+    FAMILIES,
+    Family,
     OrgContext,
     Policy,
     PolicyConfig,
@@ -44,24 +45,18 @@ class Severity(Enum):
     CRITICAL = "Critical"
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Units of patching effort per severity band.
-
-    Bands follow the CVSS v3.x qualitative scale: Low [0.1, 3.9],
-    Medium [4.0, 6.9], High [7.0, 8.9], Critical [9.0, 10.0].
-    """
-
-    units: Mapping[Severity, float] = field(default_factory=lambda: {
-        Severity.NONE: 0.0,
-        Severity.LOW: 0.25,
-        Severity.MEDIUM: 1.0,
-        Severity.HIGH: 1.5,
-        Severity.CRITICAL: 3.0,
-    })
-
-
-DEFAULT_COST_MODEL = CostModel()
+# Units of patching effort per severity band.  Bands follow the CVSS v3.x
+# qualitative scale: Low [0.1, 3.9], Medium [4.0, 6.9], High [7.0, 8.9],
+# Critical [9.0, 10.0].
+PATCH_UNITS = {
+    Severity.NONE: 0.0,
+    Severity.LOW: 0.25,
+    Severity.MEDIUM: 1.0,
+    Severity.HIGH: 1.5,
+    Severity.CRITICAL: 3.0,
+}
+# Patch costs sum the top COST_K items of each weekly ranking.
+COST_K = 20
 
 
 def severity_band(cvss: float) -> Severity:
@@ -80,18 +75,13 @@ def severity_band(cvss: float) -> Severity:
     return Severity.CRITICAL
 
 
-def patch_cost(
-    ranked: RankedList,
-    k: int,
-    cvss_of: Mapping[str, float],
-    model: CostModel = DEFAULT_COST_MODEL,
-) -> float:
+def patch_cost(ranked: RankedList, k: int, cvss_of: Mapping[str, float]) -> float:
     """Patching effort for the top min(k, n) items of a ranking."""
     if k < 1:
         raise ValueError(f"k must be positive: {k}")
     total = 0.0
     for item in ranked.items[:k]:
-        total += model.units[severity_band(cvss_of[item.cve_id])]
+        total += PATCH_UNITS[severity_band(cvss_of[item.cve_id])]
     return total
 
 
@@ -134,10 +124,6 @@ def ndcg_at_k(policy_list: RankedList, ideal_list: RankedList, k: int) -> list[f
 # ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
-
-
-def policy_label(policy: Policy, mode: IdealMode) -> str:
-    return f"{policy.value}:{mode.value}"
 
 
 @dataclass
@@ -188,74 +174,73 @@ def generate_report(
     apt_config: PolicyConfig,
     general_config: PolicyConfig,
     k_max: int = 100,
-    cost_k: int = 20,
 ) -> EvaluationReport:
     """Evaluate every organization over the date range.
 
     Emits per-policy nDCG@K curves for K in 1..k_max (cohorts shorter than
-    K contribute their truncated nDCG), annualized top-``cost_k`` patch
+    K contribute their truncated nDCG), annualized top-``COST_K`` patch
     costs, and a paired t-test of each threat policy against the CVSS-base
     ranking on the weekly nDCG@k series.  Degenerate series (fewer than two
     weeks or zero variance) emit no t-test row.
 
     A policy is judged against the ideal ranking of its own feature family,
-    so CVSS base, ranked and costed once per cohort, gets one curve per
-    family; one feature table per (cohort, family) ranks its ideal and its
-    threat policy.
+    labelled ``policy:family``, so CVSS base, ranked and costed once per
+    cohort, gets one curve per family; one feature table per (cohort,
+    family) ranks its ideal and its threat policy.
     """
     report = EvaluationReport()
-    cvss_config = replace(apt_config, policy=Policy.CVSS_BASE)
-    families = ((apt_config, Policy.APT_THREAT, IdealMode.APT),
-                (general_config, Policy.GENERAL_THREAT, IdealMode.GENERAL))
+    configs = (apt_config, general_config)
     for org in orgs:
         cohorts = generate_candidates(org, graph, date_range)
         if not cohorts:
             continue
         years = sorted({cohort.iso_week[0] for cohort in cohorts})
         # (family, policy) -> one nDCG curve per cohort; policy -> ISO week -> cost.
-        curves: dict[tuple[IdealMode, Policy], list[list[float]]] = {
-            (mode, policy): [] for _, threat, mode in families
-            for policy in (Policy.CVSS_BASE, threat)}
+        curves: dict[tuple[Family, Policy], list[list[float]]] = {
+            (config.family, policy): [] for config in configs
+            for policy in (Policy.CVSS_BASE, FAMILIES[config.family][0])}
         weekly_costs: dict[Policy, dict[tuple[int, int], float]] = {
             policy: {} for policy in (Policy.CVSS_BASE, Policy.APT_THREAT, Policy.GENERAL_THREAT)}
         for cohort in cohorts:
-            table = feature_table(graph, cohort, org, cvss_config)  # CVSS only: no path walk
-            cvss = rank(cohort, cvss_config, table)
+            table = feature_table(graph, cohort, org)  # CVSS only: no path walk
+            cvss = rank(cohort, Policy.CVSS_BASE, apt_config, table)
             cvss_of = {cve: row.cvss_base or 0.0 for cve, row in table.items()}
-            weekly_costs[Policy.CVSS_BASE][cohort.iso_week] = patch_cost(cvss, cost_k, cvss_of)
-            for base, threat, mode in families:
-                ideal_config = replace(base, policy=Policy.IDEAL, ideal_mode=mode)
-                table = feature_table(graph, cohort, org, ideal_config)
-                ideal = rank(cohort, ideal_config, table)
-                ranked = rank(cohort, replace(ideal_config, policy=threat), table)
-                depth = max(k_max, base.k)
-                curves[mode, Policy.CVSS_BASE].append(ndcg_at_k(cvss, ideal, depth))
-                curves[mode, threat].append(ndcg_at_k(ranked, ideal, depth))
-                weekly_costs[threat][cohort.iso_week] = patch_cost(ranked, cost_k, cvss_of)
+            weekly_costs[Policy.CVSS_BASE][cohort.iso_week] = patch_cost(cvss, COST_K, cvss_of)
+            for config in configs:
+                family, threat = config.family, FAMILIES[config.family][0]
+                table = feature_table(graph, cohort, org, config)
+                ideal = rank(cohort, Policy.IDEAL, config, table)
+                ranked = rank(cohort, threat, config, table)
+                depth = max(k_max, config.k)
+                curves[family, Policy.CVSS_BASE].append(ndcg_at_k(cvss, ideal, depth))
+                curves[family, threat].append(ndcg_at_k(ranked, ideal, depth))
+                weekly_costs[threat][cohort.iso_week] = patch_cost(ranked, COST_K, cvss_of)
 
-        for base, threat, mode in families:
+        for config in configs:
+            family, threat = config.family, FAMILIES[config.family][0]
+            label = {policy: f"{policy.value}:{family.value}"
+                     for policy in (Policy.CVSS_BASE, threat)}
             # nDCG@K curves, averaged per ISO year in cohort order.
-            for policy in (Policy.CVSS_BASE, threat):
-                label = policy_label(policy, mode)
+            for policy in label:
                 for year in years:
-                    year_curves = [curve for curve, cohort in zip(curves[mode, policy], cohorts)
+                    year_curves = [curve for curve, cohort in zip(curves[family, policy], cohorts)
                                    if cohort.iso_week[0] == year]
                     for k in range(1, k_max + 1):
                         values = [curve[k - 1] for curve in year_curves]
-                        report.ndcg_rows.append(
-                            (org.org_id, label, year, k, sum(values) / len(values), len(values)))
+                        report.ndcg_rows.append((org.org_id, label[policy], year, k,
+                                                 sum(values) / len(values), len(values)))
 
             # Paired t-test on the weekly nDCG@k series over the whole range.
             try:
                 result = paired_t_test(
-                    [curve[base.k - 1] for curve in curves[mode, Policy.CVSS_BASE]],
-                    [curve[base.k - 1] for curve in curves[mode, threat]])
+                    [curve[config.k - 1] for curve in curves[family, Policy.CVSS_BASE]],
+                    [curve[config.k - 1] for curve in curves[family, threat]])
             except ValueError:
                 continue
-            report.ttest_rows.append((org.org_id, policy_label(Policy.CVSS_BASE, mode),
-                                      policy_label(threat, mode), result))
+            report.ttest_rows.append(
+                (org.org_id, label[Policy.CVSS_BASE], label[threat], result))
 
-        # Annualized patch costs of the top cost_k items.
+        # Annualized patch costs of the top COST_K items.
         for policy, weekly in weekly_costs.items():
             for year in years:
                 report.cost_rows.append(

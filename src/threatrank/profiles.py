@@ -13,7 +13,6 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
@@ -22,20 +21,6 @@ from .feeds import CpeEntry
 from .vocab import Vocabulary, default_vocabulary
 
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
-
-# Size-class thresholds by product count, aligned with the benchmark
-# organizations' groupings (22/23 small, 31/33 medium, 49 large, 69 XL).
-SMALL_MAX = 23
-MEDIUM_MAX = 33
-LARGE_MAX = 49
-
-
-class SizeClass(Enum):
-    S = "Small"
-    M = "Medium"
-    L = "Large"
-    XL = "Extra Large"
-
 
 class ProfileError(DataError):
     """Profile file is malformed or names unknown vocabulary values."""
@@ -94,6 +79,8 @@ def load_profile(path: str | Path, vocab: Vocabulary | None = None) -> Organizat
 
     Unknown sector or country names are fatal: downstream attribution
     queries silently return nothing for values outside the vocabularies.
+    Vendor and product are JSON strings; a version is a string pin, or
+    absent or null for none.
     """
     vocab = vocab or default_vocabulary()
     path = Path(path)
@@ -112,13 +99,14 @@ def load_profile(path: str | Path, vocab: Vocabulary | None = None) -> Organizat
         raise ProfileError(f"{path}: {obj['country']!r} is not a known country")
     software = []
     for i, raw in enumerate(obj.get("software", [])):
-        if not isinstance(raw, dict) or not raw.get("vendor") or not raw.get("product"):
-            raise ProfileError(f"{path}: software[{i}] needs vendor and product")
-        software.append(SoftwareItem(
-            vendor=str(raw["vendor"]),
-            product=str(raw["product"]),
-            version=str(raw["version"]) if raw.get("version") else None,
-        ))
+        if not isinstance(raw, dict) or not all(
+                isinstance(raw.get(key), str) and raw[key] for key in ("vendor", "product")):
+            raise ProfileError(f"{path}: software[{i}] needs vendor and product strings")
+        version = raw.get("version")
+        if version is not None and not isinstance(version, str):
+            raise ProfileError(f"{path}: software[{i}] version must be a string or null")
+        software.append(SoftwareItem(vendor=raw["vendor"], product=raw["product"],
+                                     version=version or None))
     return OrganizationProfile(
         org_id=obj["org_id"],
         name=obj["name"],
@@ -163,15 +151,3 @@ def resolve_cpes(
         resolved_items.append(replace(item, resolved_cpes=cpe_ids))
         report.rows.append((item.vendor, item.product, len(cpe_ids)))
     return replace(profile, software=tuple(resolved_items)), report
-
-
-def size_class(profile: OrganizationProfile) -> SizeClass:
-    """Size class from the number of listed software products."""
-    count = len(profile.software)
-    if count <= SMALL_MAX:
-        return SizeClass.S
-    if count <= MEDIUM_MAX:
-        return SizeClass.M
-    if count <= LARGE_MAX:
-        return SizeClass.L
-    return SizeClass.XL

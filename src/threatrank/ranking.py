@@ -22,6 +22,10 @@ every applicable CVE stays a candidate:
   replaced by observed exploit evidence (KEV or ExploitDB); it serves as
   the nDCG ground truth.
 
+A ``PolicyConfig`` holds the settings of one feature ``Family``: a threat
+policy and the ideal that mirrors it (``FAMILIES``).  ``rank`` takes the
+policy as an argument.
+
 Ranking reads a cohort's feature table and never the graph; output order
 never depends on evaluation order (ties break on ascending CVE id).
 """
@@ -60,8 +64,8 @@ class Policy(Enum):
     IDEAL = "ideal"
 
 
-class IdealMode(Enum):
-    """Which threat policy's features the ideal ranking mirrors."""
+class Family(Enum):
+    """A feature family; the value labels its rows in ``ndcg_by_k.csv``."""
 
     APT = "apt"
     GENERAL = "general"
@@ -69,13 +73,14 @@ class IdealMode(Enum):
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    policy: Policy
+    """One family's settings, as a ``policies.<threat>`` config object sets them."""
+
+    family: Family
     origin_countries: frozenset[str] = DEFAULT_ORIGIN_COUNTRIES
     skill_level: SkillLevel = SkillLevel.HIGH
     epss_threshold: float = DEFAULT_EPSS_THRESHOLD
     risk_appetite: int = 100
     k: int = 20
-    ideal_mode: IdealMode = IdealMode.APT
 
     def __post_init__(self):
         if not 0.0 <= self.epss_threshold <= 1.0:
@@ -187,20 +192,25 @@ APT_BITS = ("av_network", "sector_focus", "targets_country", "origin_match",
             "epss_gate", "affects_software")
 GENERAL_BITS = ("av_network", "skill_match", "technique_link", "failure_impact",
                 "epss_gate", "affects_software")
-FAMILY_BITS = {IdealMode.APT: APT_BITS, IdealMode.GENERAL: GENERAL_BITS}
-# The ideal swaps the EPSS gate for observed exploit evidence.
-IDEAL_BITS = {
-    mode: tuple(name for name in bits if name != "epss_gate") + ("exploit_known",)
-    for mode, bits in FAMILY_BITS.items()
-}
+# Each family's threat policy and the bits it sums.
+FAMILIES = {Family.APT: (Policy.APT_THREAT, APT_BITS),
+            Family.GENERAL: (Policy.GENERAL_THREAT, GENERAL_BITS)}
 
 
-def policy_bits(config: PolicyConfig) -> tuple[str, ...]:
-    """Names of the bits the configured policy sums; empty for CVSS base."""
-    if config.policy is Policy.IDEAL:
-        return IDEAL_BITS[config.ideal_mode]
-    return {Policy.CVSS_BASE: (), Policy.APT_THREAT: APT_BITS,
-            Policy.GENERAL_THREAT: GENERAL_BITS}[config.policy]
+def policy_bits(policy: Policy, family: Family) -> tuple[str, ...]:
+    """Names of the bits a policy sums in a family; empty for CVSS base.
+
+    The ideal sums the family's threat bits with the EPSS gate swapped for
+    observed exploit evidence.  A threat policy belongs to one family only.
+    """
+    threat, bits = FAMILIES[family]
+    if policy is Policy.IDEAL:
+        return tuple(name for name in bits if name != "epss_gate") + ("exploit_known",)
+    if policy is Policy.CVSS_BASE:
+        return ()
+    if policy is not threat:
+        raise ValueError(f"{policy.value} is not the {family.value} family's threat policy")
+    return bits
 
 
 def _cve_node(graph: PropertyGraph, cve_id: str) -> Node:
@@ -296,7 +306,7 @@ class FeatureRow:
     """The feature record of one (CVE, organization) pair.
 
     ``cvss_base`` is None when the graph holds no score; ``bits`` holds the
-    ten ``feature_bits``, or nothing for a table built for CVSS base.
+    ten ``feature_bits``, or nothing for a table built without a config.
     """
 
     cvss_base: float | None
@@ -307,19 +317,18 @@ def feature_table(
     graph: PropertyGraph,
     cohort: WeeklyCohort,
     org: OrgContext,
-    config: PolicyConfig,
+    config: PolicyConfig | None = None,
 ) -> dict[str, FeatureRow]:
     """Feature rows of a cohort's candidates, keyed by CVE id.
 
     Bits depend on the config's origin countries, skill level and EPSS
-    gate, so one table serves every policy of one feature family.  A
-    CVSS-only config skips the path walk.
+    gate, so one table serves every policy of one feature family.  Without
+    a config the table holds CVSS scores only and skips the path walk.
     """
-    walk = config.policy is not Policy.CVSS_BASE
     return {
         cve_id: FeatureRow(
             cvss_base=_cve_node(graph, cve_id).props.get("cvss_base"),
-            bits=feature_bits(graph, cve_id, org, config) if walk else {},
+            bits=feature_bits(graph, cve_id, org, config) if config is not None else {},
         )
         for cve_id in cohort.cve_ids
     }
@@ -346,18 +355,19 @@ def _cvss_score(cve_id: str, cvss_base: float | None) -> float:
 
 def rank(
     cohort: WeeklyCohort,
+    policy: Policy,
     config: PolicyConfig,
     records: Mapping[str, FeatureRow],
 ) -> RankedList:
-    """Rank one weekly cohort under the configured policy.
+    """Rank one weekly cohort under a policy of the config's family.
 
     ``records`` is the cohort's ``feature_table``; CVSS-base items carry no
     feature bits.
     """
-    names = policy_bits(config)
+    names = policy_bits(policy, config.family)
     bits_of = {cve: {name: records[cve].bits[name] for name in names}
                for cve in cohort.cve_ids}
-    if config.policy is Policy.CVSS_BASE:
+    if policy is Policy.CVSS_BASE:
         scored = [(cve, _cvss_score(cve, records[cve].cvss_base)) for cve in cohort.cve_ids]
     else:
         scored = [(cve, float(score_from_bits(bits))) for cve, bits in bits_of.items()]
@@ -365,5 +375,5 @@ def rank(
         RankedItem(cve_id=cve, score=score, rank=position, feature_bits=bits_of[cve])
         for cve, score, position in order_scored(scored)
     )
-    return RankedList(org_id=cohort.org_id, policy=config.policy,
+    return RankedList(org_id=cohort.org_id, policy=policy,
                       iso_week=cohort.iso_week, items=items)

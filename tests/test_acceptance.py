@@ -33,11 +33,12 @@ from threatrank.evaluation import (
     patch_cost,
     severity_band,
     Severity,
-    DEFAULT_COST_MODEL,
+    PATCH_UNITS,
 )
 from threatrank.kgraph import build_graph
 from threatrank.ranking import (
-    IdealMode,
+    FAMILIES,
+    Family,
     OrgContext,
     Policy,
     PolicyConfig,
@@ -98,8 +99,8 @@ def test_c1_case_study_reproduction():
 
         apt = config.apt_config
         table = feature_table(graph, cohorts[0], org, apt)
-        threat = rank(cohorts[0], apt, table)
-        cvss = rank(cohorts[0], replace(apt, policy=Policy.CVSS_BASE), table)
+        threat = rank(cohorts[0], Policy.APT_THREAT, apt, table)
+        cvss = rank(cohorts[0], Policy.CVSS_BASE, apt, table)
 
         threat_ranks = threat.rank_of()
         for cve, expected in EXPECTED_THREAT_RANKS.items():
@@ -179,7 +180,7 @@ def test_c3_relevance_range_and_monotonicity():
                 cpe_ids=frozenset(rng.sample(cpe_ids, k=rng.randint(0, 8))),
             )
             config = PolicyConfig(
-                policy=Policy.APT_THREAT,
+                family=Family.APT,
                 origin_countries=frozenset(rng.sample(vocab.countries,
                                                       k=rng.randint(0, 3))),
                 skill_level=rng.choice([SkillLevel.LOW, SkillLevel.HIGH]),
@@ -188,13 +189,11 @@ def test_c3_relevance_range_and_monotonicity():
             )
             cohort = WeeklyCohort(org_id="fuzz", iso_week=(2021, 1), cve_ids=(cve_id,))
             table = feature_table(graph, cohort, org, config)
-            for policy, mode in ((Policy.APT_THREAT, IdealMode.APT),
-                                 (Policy.GENERAL_THREAT, IdealMode.GENERAL),
-                                 (Policy.IDEAL, IdealMode.APT),
-                                 (Policy.IDEAL, IdealMode.GENERAL)):
-                ranked = rank(cohort, replace(config, policy=policy, ideal_mode=mode), table)
-                score = ranked.items[0].score
-                assert 1 <= score <= 6, (cve_id, score)
+            for family, (threat, _bits) in FAMILIES.items():
+                family_config = replace(config, family=family)
+                for policy in (threat, Policy.IDEAL):
+                    score = rank(cohort, policy, family_config, table).items[0].score
+                    assert 1 <= score <= 6, (cve_id, score)
 
         # single-bit monotonicity: relevance and rank position
         names = ["b1", "b2", "b3", "b4", "b5", "b6"]
@@ -225,9 +224,9 @@ def test_c3_relevance_range_and_monotonicity():
 def test_c4_cost_model_exactness():
     with criterion("criterion 4: cost model exactness"):
         assert severity_band(6.1) is Severity.MEDIUM
-        assert DEFAULT_COST_MODEL.units[severity_band(6.1)] == 1.0
+        assert PATCH_UNITS[severity_band(6.1)] == 1.0
         assert severity_band(9.8) is Severity.CRITICAL
-        assert DEFAULT_COST_MODEL.units[severity_band(9.8)] == 3.0
+        assert PATCH_UNITS[severity_band(9.8)] == 3.0
 
         def ranked_of(cvss_values):
             items = tuple(RankedItem(cve_id=f"CVE-2021-{30000 + i}", score=1.0, rank=i + 1)
@@ -290,10 +289,9 @@ def test_c6_synthetic_corpus_improvement():
         cvss_series, threat_series = [], []
         for cohort in cohorts:
             table = feature_table(graph, cohort, org, apt)
-            ideal = rank(cohort, replace(apt, policy=Policy.IDEAL,
-                                         ideal_mode=IdealMode.APT), table)
-            cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), table)
-            threat = rank(cohort, apt, table)
+            ideal = rank(cohort, Policy.IDEAL, apt, table)
+            cvss = rank(cohort, Policy.CVSS_BASE, apt, table)
+            threat = rank(cohort, Policy.APT_THREAT, apt, table)
             cvss_series.append(ndcg_at_k(cvss, ideal, 20)[19])
             threat_series.append(ndcg_at_k(threat, ideal, 20)[19])
 

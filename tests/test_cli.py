@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threatrank.cli import main
+from threatrank.cli import load_config, main
+from threatrank.ranking import Family, PolicyConfig
 from threatrank.vocab import read_data_file
 from tests.conftest import CASE_STUDY, FIXTURES
 
@@ -207,9 +209,21 @@ def test_bad_graph_line_exits_two_naming_the_line(built, capsys, old, new):
     ' "policies": {"apt_threat": {"origin_countries": "China"}}}',
     '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
     ' "policies": {"general_threat": {"origin_countries": ["China", 5]}}}',
+    # policy numbers are checked, not coerced: a bool is no int, 2.9 no k
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"apt_threat": {"risk_appetite": true}}}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"apt_threat": {"k": 2.9}}}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"general_threat": {"k": "7"}}}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"apt_threat": {"epss_threshold": "0.5"}}}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"apt_threat": {"epss_threshold": false}}}',
 ], ids=["snapshots_list", "top_level_array", "top_level_number", "date_range_list",
         "policy_list", "policy_overflow", "path_number", "output_dir_number",
-        "origin_countries_string", "origin_countries_not_strings"])
+        "origin_countries_string", "origin_countries_not_strings", "risk_appetite_bool",
+        "k_float", "k_string", "epss_threshold_string", "epss_threshold_bool"])
 def test_misshapen_config_exits_two(tmp_path, capsys, text):
     bad = tmp_path / "config.json"
     bad.write_text(text, encoding="utf-8")
@@ -217,6 +231,26 @@ def test_misshapen_config_exits_two(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "data error" in err
     assert "Traceback" not in err
+
+
+def test_policy_config_holds_only_what_the_config_sets(tmp_path):
+    # Every PolicyConfig field but the family is a policies.<threat> key that
+    # load_config reads, so no derived field rides along in the config.
+    settings = {"origin_countries": ["Iran"], "skill_level": "Low", "epss_threshold": 0.5,
+                "risk_appetite": 50, "k": 7}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"date_range": {"from": "2021-11-22", "to": "2021-11-28"},
+                                "policies": {"apt_threat": settings,
+                                             "general_threat": settings}}), encoding="utf-8")
+    config = load_config(path)
+    for policy_config, family in ((config.apt_config, Family.APT),
+                                  (config.general_config, Family.GENERAL)):
+        assert policy_config.family is family
+        names = {field.name for field in dataclasses.fields(policy_config)} - {"family"}
+        assert names == settings.keys()
+        default = PolicyConfig(family=family)
+        for name in names:
+            assert getattr(policy_config, name) != getattr(default, name), name
 
 
 def test_non_utf8_feed_rows_are_skipped(tmp_path):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from statistics import fmean
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import gain_rankings
 from threatrank.evaluation import (
-    DEFAULT_COST_MODEL,
+    PATCH_UNITS,
     Severity,
     annualized_cost,
     generate_report,
@@ -162,7 +161,7 @@ def test_ndcg_curve_matches_per_cutoff_formula(gains, k):
 ])
 def test_severity_bands(cvss, severity, units):
     assert severity_band(cvss) is severity
-    assert DEFAULT_COST_MODEL.units[severity] == units
+    assert PATCH_UNITS[severity] == units
 
 
 def test_severity_band_rejects_out_of_range():
@@ -223,7 +222,7 @@ def test_report_row_counts_on_case_fixture(case_graph, case_org, case_config):
 
 
 def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
-    from threatrank.ranking import IdealMode, feature_table, generate_candidates, rank
+    from threatrank.ranking import feature_table, generate_candidates, rank
 
     report = generate_report(case_graph, [case_org], case_config.date_range,
                              case_config.apt_config, case_config.general_config)
@@ -232,9 +231,9 @@ def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     apt = case_config.apt_config
     table = feature_table(case_graph, cohort, case_org, apt)
-    ideal = rank(cohort, replace(apt, policy=Policy.IDEAL, ideal_mode=IdealMode.APT), table)
-    threat = rank(cohort, apt, table)
-    cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), table)
+    ideal = rank(cohort, Policy.IDEAL, apt, table)
+    threat = rank(cohort, Policy.APT_THREAT, apt, table)
+    cvss = rank(cohort, Policy.CVSS_BASE, apt, table)
     threat_curve, cvss_curve = (ndcg_at_k(ranked, ideal, 100) for ranked in (threat, cvss))
     for k in (1, 5, 20, 100):
         assert by_key[("apt_threat:apt", k)] == pytest.approx(threat_curve[k - 1], abs=1e-9)
@@ -274,8 +273,8 @@ def test_report_cost_rows_match_direct_computation(case_graph, case_org, case_co
     report = generate_report(case_graph, [case_org], case_config.date_range,
                              case_config.apt_config, case_config.general_config)
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    cvss = replace(case_config.apt_config, policy=Policy.CVSS_BASE)
-    ranked = rank(cohort, cvss, feature_table(case_graph, cohort, case_org, cvss))
+    ranked = rank(cohort, Policy.CVSS_BASE, case_config.apt_config,
+                  feature_table(case_graph, cohort, case_org))
     cvss_of = {n.key: n.props["cvss_base"]
                for n in case_graph.nodes_with_label(NodeLabel.NVD_CVE)}
     expected = patch_cost(ranked, 20, cvss_of)
@@ -313,20 +312,19 @@ def test_ttests_do_not_depend_on_k_max(synth_graph, synth_config):
 def test_weekly_average(synth_graph, synth_config):
     # Each nDCG row is the plain mean of that year's weekly curve entries,
     # summed in cohort order.
-    from threatrank.ranking import IdealMode, OrgContext, feature_table, generate_candidates, rank
+    from threatrank.ranking import OrgContext, feature_table, generate_candidates, rank
 
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
     report = generate_report(synth_graph, [org], synth_config.date_range,
                              synth_config.apt_config, synth_config.general_config, k_max=20)
     rows = {(row[1], row[2], row[3]): (row[4], row[5]) for row in report.ndcg_rows}
     apt = synth_config.apt_config
-    ideal_config = replace(apt, policy=Policy.IDEAL, ideal_mode=IdealMode.APT)
     weekly: dict[int, list[list[float]]] = {}
     for cohort in generate_candidates(org, synth_graph, synth_config.date_range):
-        table = feature_table(synth_graph, cohort, org, ideal_config)
-        ideal = rank(cohort, ideal_config, table)
+        table = feature_table(synth_graph, cohort, org, apt)
+        ideal = rank(cohort, Policy.IDEAL, apt, table)
         weekly.setdefault(cohort.iso_week[0], []).append(
-            ndcg_at_k(rank(cohort, apt, table), ideal, 20))
+            ndcg_at_k(rank(cohort, Policy.APT_THREAT, apt, table), ideal, 20))
     assert sum(len(curves) for curves in weekly.values()) == 52
     for year, curves in weekly.items():
         for k in (1, 10, 20):

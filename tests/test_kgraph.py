@@ -31,8 +31,8 @@ from threatrank.kgraph import (
     techniques_for_cve,
 )
 from threatrank.ranking import (
+    Family,
     OrgContext,
-    Policy,
     PolicyConfig,
     feature_bits,
     generate_candidates,
@@ -306,7 +306,7 @@ def test_groups_threatening_fixture(case_graph):
     def group_bits(sector, origins):
         org = OrgContext(org_id="X", sector=sector, country="United States",
                          cpe_ids=frozenset())
-        config = PolicyConfig(policy=Policy.APT_THREAT, origin_countries=frozenset(origins))
+        config = PolicyConfig(family=Family.APT, origin_countries=frozenset(origins))
         bits = feature_bits(case_graph, "CVE-2021-38000", org, config)
         return tuple(bits[name] for name in GROUP_BITS)
 

@@ -8,25 +8,14 @@ from hypothesis import strategies as st
 
 from threatrank.feeds import CpeEntry
 from threatrank.profiles import (
-    LARGE_MAX,
-    MEDIUM_MAX,
-    SMALL_MAX,
     OrganizationProfile,
     ProfileError,
-    SizeClass,
     SoftwareItem,
     load_profile,
     normalize_token,
     resolve_cpes,
-    size_class,
 )
 from tests.conftest import CASE_STUDY
-
-
-def _profile(n_items=0, sector="Education", country="United States"):
-    software = tuple(SoftwareItem(vendor=f"v{i}", product=f"p{i}") for i in range(n_items))
-    return OrganizationProfile(org_id="X", name="X", sector=sector,
-                               country=country, software=software)
 
 
 def _entry(vendor, product, version="-"):
@@ -76,12 +65,31 @@ def test_load_profile_empty_software_is_valid(tmp_path):
     assert load_profile(path).software == ()
 
 
+def test_load_profile_version_is_a_string_pin_or_null(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "org_id": "X", "name": "X", "sector": "Education", "country": "United States",
+        "software": [{"vendor": "v", "product": "p", "version": None},
+                     {"vendor": "v", "product": "q", "version": "1.10"},
+                     {"vendor": "v", "product": "r"}],
+    }), encoding="utf-8")
+    assert [item.version for item in load_profile(path).software] == [None, "1.10", None]
+
+
+_HEAD = b'{"org_id": "X", "name": "X", "sector": "Education", "country": "United States"'
+
+
 @pytest.mark.parametrize("data", [
     b'{"org_id": "X", "name": "\xff", "sector": "Education", "country": "United States"}',
     b'["org_id"]',
-    b'{"org_id": "X", "name": "X", "sector": "Education", "country": "United States",'
-    b' "software": 5}',
-], ids=["non_utf8", "not_an_object", "software_not_a_list"])
+    _HEAD + b', "software": 5}',
+    # a pin is a JSON string: 1.10 would read as "1.1", and 0 as unpinned
+    _HEAD + b', "software": [{"vendor": "v", "product": "p", "version": 1.10}]}',
+    _HEAD + b', "software": [{"vendor": "v", "product": "p", "version": 0}]}',
+    _HEAD + b', "software": [{"vendor": 7, "product": "p"}]}',
+    _HEAD + b', "software": [{"vendor": "v", "product": ["p"]}]}',
+], ids=["non_utf8", "not_an_object", "software_not_a_list", "version_float", "version_zero",
+        "vendor_number", "product_array"])
 def test_load_profile_rejects_misshapen_file(tmp_path, data):
     path = tmp_path / "p.json"
     path.write_bytes(data)
@@ -182,33 +190,6 @@ def test_coverage_csv_format(tmp_path):
     report.write_csv(out)
     assert out.read_text(encoding="utf-8") == \
         "vendor,product,matched_cpe_count\nGoogle,Chrome,1\n"
-
-
-# ---------------------------------------------------------------------------
-# Size classes
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("count,expected", [
-    (0, SizeClass.S),
-    (22, SizeClass.S),     # VT-scale inventory
-    (SMALL_MAX, SizeClass.S),
-    (SMALL_MAX + 1, SizeClass.M),
-    (31, SizeClass.M),
-    (MEDIUM_MAX, SizeClass.M),
-    (MEDIUM_MAX + 1, SizeClass.L),
-    (49, SizeClass.L),     # UVA-scale inventory
-    (LARGE_MAX + 1, SizeClass.XL),
-    (69, SizeClass.XL),    # ODU-scale inventory
-])
-def test_size_class_thresholds(count, expected):
-    assert size_class(_profile(count)) is expected
-
-
-@given(st.integers(min_value=0, max_value=500))
-@settings(max_examples=100)
-def test_size_class_total_and_exclusive(count):
-    assert size_class(_profile(count)) in SizeClass
 
 
 def test_normalize_token():

@@ -30,8 +30,9 @@ from threatrank.feeds import AttackGroupRaw
 from threatrank.kgraph import build_graph
 from threatrank.ranking import (
     APT_BITS,
+    FAMILIES,
     GENERAL_BITS,
-    IdealMode,
+    Family,
     OrgContext,
     Policy,
     PolicyConfig,
@@ -51,8 +52,8 @@ from tests.conftest import (
     EXPECTED_THREAT_RANKS,
 )
 
-APT = PolicyConfig(policy=Policy.APT_THREAT)
-GENERAL = PolicyConfig(policy=Policy.GENERAL_THREAT, ideal_mode=IdealMode.GENERAL)
+APT = PolicyConfig(family=Family.APT)
+GENERAL = PolicyConfig(family=Family.GENERAL)
 
 TINY_VOCAB = Vocabulary(countries=("United States", "China"), sectors=("Education",))
 CPE_A = "cpe:2.3:a:v:a:-:*:*:*:*:*:*:*"
@@ -111,10 +112,12 @@ MINI_ORG = OrgContext(org_id="X", sector="Education", country="United States",
                       cpe_ids=frozenset({CPE_A}))
 
 
-def _item(graph, cve_id, org, config):
-    """One candidate's ranked item under the config's policy, through rank()."""
+def _item(graph, cve_id, org, config, policy=None):
+    """One candidate's ranked item through rank(), under ``policy`` or else
+    the config family's threat policy."""
     cohort = WeeklyCohort(org_id=org.org_id, iso_week=(2021, 1), cve_ids=(cve_id,))
-    return rank(cohort, config, feature_table(graph, cohort, org, config)).items[0]
+    policy = policy or FAMILIES[config.family][0]
+    return rank(cohort, policy, config, feature_table(graph, cohort, org, config)).items[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +183,9 @@ def test_candidates_reject_empty_range(case_graph, case_org):
 
 
 def test_cvss_base_scores(case_graph, case_org):
-    cvss = replace(APT, policy=Policy.CVSS_BASE)
-    assert _item(case_graph, "CVE-2021-34423", case_org, cvss).score == 9.8
-    assert _item(case_graph, "CVE-2021-37966", case_org, cvss).score == 4.3
+    cvss = Policy.CVSS_BASE
+    assert _item(case_graph, "CVE-2021-34423", case_org, APT, cvss).score == 9.8
+    assert _item(case_graph, "CVE-2021-37966", case_org, APT, cvss).score == 4.3
 
 
 def test_cvss_base_missing_score_warns(caplog):
@@ -190,9 +193,9 @@ def test_cvss_base_missing_score_warns(caplog):
 
     graph = build_graph(SnapshotBundle(), vocab=TINY_VOCAB)
     graph.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-10000", {})
-    cvss = replace(APT, policy=Policy.CVSS_BASE)
     with caplog.at_level("WARNING"):
-        assert _item(graph.freeze(), "CVE-2021-10000", MINI_ORG, cvss).score == 0.0
+        assert _item(graph.freeze(), "CVE-2021-10000", MINI_ORG, APT,
+                     Policy.CVSS_BASE).score == 0.0
     assert "no CVSS base score" in caplog.text
 
 
@@ -280,26 +283,37 @@ def test_ideal_exploitdb_only_counts():
 def test_ideal_equals_threat_policy_when_bits_agree():
     # exploit evidence present and EPSS above threshold: bit values match,
     # so the two policies coincide on the whole cohort
-    ideal = replace(APT, policy=Policy.IDEAL, ideal_mode=IdealMode.APT)
+    ideal = Policy.IDEAL
     graph = _mini_graph(in_kev=True, epss=0.95)
     assert _item(graph, "CVE-2021-10000", MINI_ORG, APT).score == \
-        _item(graph, "CVE-2021-10000", MINI_ORG, ideal).score
+        _item(graph, "CVE-2021-10000", MINI_ORG, APT, ideal).score
     graph = _mini_graph(in_kev=False, epss=0.01)
     assert _item(graph, "CVE-2021-10000", MINI_ORG, APT).score == \
-        _item(graph, "CVE-2021-10000", MINI_ORG, ideal).score
+        _item(graph, "CVE-2021-10000", MINI_ORG, APT, ideal).score
 
 
 def test_policy_bit_tuples():
     # the ideal drops the EPSS gate and appends exploit evidence last
-    assert policy_bits(replace(APT, policy=Policy.CVSS_BASE)) == ()
-    assert policy_bits(APT) == APT_BITS
-    assert policy_bits(GENERAL) == GENERAL_BITS
-    assert policy_bits(replace(APT, policy=Policy.IDEAL, ideal_mode=IdealMode.APT)) == (
+    assert policy_bits(Policy.CVSS_BASE, Family.APT) == ()
+    assert policy_bits(Policy.APT_THREAT, Family.APT) == APT_BITS
+    assert policy_bits(Policy.GENERAL_THREAT, Family.GENERAL) == GENERAL_BITS
+    assert policy_bits(Policy.IDEAL, Family.APT) == (
         "av_network", "sector_focus", "targets_country", "origin_match",
         "affects_software", "exploit_known")
-    assert policy_bits(replace(GENERAL, policy=Policy.IDEAL)) == (
+    assert policy_bits(Policy.IDEAL, Family.GENERAL) == (
         "av_network", "skill_match", "technique_link", "failure_impact",
         "affects_software", "exploit_known")
+
+
+def test_threat_policy_ranks_only_in_its_family():
+    # a threat policy judged against the other family's ideal would mix
+    # one family's settings with the other's bits
+    assert {threat for threat, _bits in FAMILIES.values()} == {
+        Policy.APT_THREAT, Policy.GENERAL_THREAT}
+    with pytest.raises(ValueError, match="general family"):
+        policy_bits(Policy.APT_THREAT, Family.GENERAL)
+    with pytest.raises(ValueError, match="apt family"):
+        _item(_mini_graph(), "CVE-2021-10000", MINI_ORG, APT, Policy.GENERAL_THREAT)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +325,8 @@ def _case_rankings(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     apt = case_config.apt_config
     table = feature_table(case_graph, cohort, case_org, apt)
-    threat = rank(cohort, apt, table)
-    cvss = rank(cohort, replace(apt, policy=Policy.CVSS_BASE), table)
+    threat = rank(cohort, Policy.APT_THREAT, apt, table)
+    cvss = rank(cohort, Policy.CVSS_BASE, apt, table)
     return cohort, cvss, threat
 
 
@@ -343,18 +357,18 @@ def test_ranks_are_gap_free_permutation(case_graph, case_org, case_config):
 def test_rank_singleton_cohort():
     graph = _mini_graph()
     cohort = WeeklyCohort(org_id="X", iso_week=(2021, 5), cve_ids=("CVE-2021-10000",))
-    for policy in Policy:
-        config = replace(APT, policy=policy)
-        ranked = rank(cohort, config, feature_table(graph, cohort, MINI_ORG, config))
-        assert [i.rank for i in ranked.items] == [1]
+    for config in (APT, GENERAL):
+        table = feature_table(graph, cohort, MINI_ORG, config)
+        for policy in (Policy.CVSS_BASE, FAMILIES[config.family][0], Policy.IDEAL):
+            assert [i.rank for i in rank(cohort, policy, config, table).items] == [1]
 
 
 def test_cvss_ranking_carries_no_bits_and_skips_the_walk(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    cvss = replace(case_config.apt_config, policy=Policy.CVSS_BASE)
-    table = feature_table(case_graph, cohort, case_org, cvss)
+    table = feature_table(case_graph, cohort, case_org)
     assert all(row.bits == {} for row in table.values())
-    assert all(item.feature_bits == {} for item in rank(cohort, cvss, table).items)
+    cvss = rank(cohort, Policy.CVSS_BASE, case_config.apt_config, table)
+    assert all(item.feature_bits == {} for item in cvss.items)
 
 
 def test_rank_deterministic(case_graph, case_org, case_config):
