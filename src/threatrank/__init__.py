@@ -56,6 +56,7 @@ from .kgraph import (
 from .profiles import (
     OrganizationProfile,
     SoftwareItem,
+    cpe_index,
     load_profile,
     resolve_cpes,
 )

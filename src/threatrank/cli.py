@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -56,9 +57,24 @@ def _expect(value, kind: type | tuple[type, ...], what: str):
     return value
 
 
+# The names under "policies", and the keys each may set: every PolicyConfig
+# field but the family, which the name decides.
+_POLICY_NAMES = ("apt_threat", "general_threat")
+_POLICY_KEYS = frozenset(f.name for f in dataclasses.fields(ranking.PolicyConfig)) - {"family"}
+
+
+def _reject_unknown(keys, known, what: str) -> None:
+    """A DataError naming the first key outside ``known``, so a misspelt
+    setting is not silently replaced by its default."""
+    unknown = sorted(set(keys) - set(known))
+    if unknown:
+        raise DataError(f"{what} {unknown[0]!r} (known: {', '.join(sorted(known))})")
+
+
 def _policy_config(name: str, raw, family: ranking.Family) -> ranking.PolicyConfig:
     what = f"policy {name!r}"
     _expect(raw, dict, what)
+    _reject_unknown(raw, _POLICY_KEYS, f"{what}: unknown key")
     origins = raw.get("origin_countries", list(ranking.DEFAULT_ORIGIN_COUNTRIES))
     if not (isinstance(origins, list) and all(isinstance(c, str) for c in origins)):
         raise DataError(f"{what}: 'origin_countries' must be "
@@ -94,7 +110,8 @@ def load_config(path: str | Path) -> ProjectConfig:
     base = path.parent
 
     def section(key: str, kind: type):
-        return _expect(raw.get(key) or kind(), kind, f"{path}: {key!r}")
+        # Absent is empty; present, null included, must have the JSON type.
+        return _expect(raw[key], kind, f"{path}: {key!r}") if key in raw else kind()
 
     def resolve(rel: str) -> Path:
         _expect(rel, str, f"{path}: a configured path")
@@ -128,6 +145,7 @@ def load_config(path: str | Path) -> ProjectConfig:
     lexicons = section("lexicons", dict)
     vocab = section("vocabularies", dict)
     policies = section("policies", dict)
+    _reject_unknown(policies, _POLICY_NAMES, f"{path}: unknown policy")
     return ProjectConfig(
         snapshots=snapshots,
         profile_paths=profile_paths,
@@ -171,11 +189,12 @@ def prepare_inputs(config: ProjectConfig):
     attributions = enrich.filter_us_targeting(
         enrich.attribute_group(group, lexicon) for group in bundle.groups
     )
+    cpe_index = profiles.cpe_index(bundle.cpes)
     resolved_profiles = []
     coverage: dict[str, profiles.CoverageReport] = {}
     for profile_path in config.profile_paths:
         profile = profiles.load_profile(profile_path, vocab)
-        resolved, report = profiles.resolve_cpes(profile, bundle.cpes)
+        resolved, report = profiles.resolve_cpes(profile, cpe_index)
         resolved_profiles.append(resolved)
         coverage[profile.org_id] = report
     return vocab, bundle, attributions, resolved_profiles, coverage

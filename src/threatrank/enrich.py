@@ -7,6 +7,7 @@ evidence span so results can be audited against the source text.
 
 No statistical NER or parsing: a bounded window after each targeting
 trigger word, scanned with phrase lexicons, is reproducible and testable.
+Each lexicon compiles once into one prefix-trie regex (``_compiled``).
 """
 
 from __future__ import annotations
@@ -114,26 +115,55 @@ def load_lexicon(
     return Lexicon(country_terms=country_terms, sector_terms=sector_terms)
 
 
+def _trie_pattern(node: dict) -> str:
+    # A node maps each next character to its child; the "" key marks the
+    # end of a term.  A term end's continuation is optional and greedy, so
+    # a longer term is tried before the shorter one it extends.
+    branches = [re.escape(ch) + _trie_pattern(child) for ch, child in node.items() if ch]
+    if "" in node:
+        return f"(?:{'|'.join(branches)})?" if branches else ""
+    return branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
+
+
 @lru_cache(maxsize=32)
 def _compiled(terms: tuple[str, ...]) -> re.Pattern:
-    # Longest-first alternation so "north korean" wins over "north korea";
-    # lookarounds instead of \b because terms may end in punctuation.
-    ordered = sorted(terms, key=len, reverse=True)
-    pattern = "|".join(re.escape(t) for t in ordered)
-    return re.compile(rf"(?<!\w)(?:{pattern})(?!\w)", re.IGNORECASE)
+    """One regex for the lexicon: its terms as a prefix trie.
+
+    It finds what a longest-first alternation of the terms finds, but
+    ``sre`` follows one trie branch per text character instead of trying
+    every term at every position.  At one position only terms that are
+    prefixes of one another can match, and the greedy trie tries them
+    longest first, so "north korean" wins over "north korea".  This needs
+    that no two sibling characters fold together under IGNORECASE.  No two
+    ASCII characters do, but ``sre`` folds a few non-ASCII letters onto
+    ASCII ones (``ſ`` onto ``s``, the Kelvin sign onto ``k``), so the
+    property test that checks the equivalence draws ASCII lexicons.
+    Lookarounds instead of ``\\b`` because terms may end in punctuation.
+    """
+    trie: dict = {}
+    for term in terms:
+        node = trie
+        for ch in term:
+            node = node.setdefault(ch, {})
+        node[""] = {}
+    return re.compile(rf"(?<!\w){_trie_pattern(trie)}(?!\w)", re.IGNORECASE)
 
 
 def scan_terms(text: str, terms: dict[str, str]) -> list[TermMatch]:
-    """All lexicon phrase matches in the text, in order of occurrence."""
+    """All lexicon phrase matches in the text, in order of occurrence.
+
+    A span that matches only through ``sre``'s Unicode case folding and
+    does not lowercase to a term ("Ruſſia") is not a match.
+    """
     if not terms or not text:
         return []
     matches = []
     for m in _compiled(tuple(terms)).finditer(text):
         span = m.group(0)
-        matches.append(TermMatch(
-            term=span.lower(), canonical=terms[span.lower()],
-            span_text=span, start=m.start(), end=m.end(),
-        ))
+        term = span.lower()
+        if term in terms:
+            matches.append(TermMatch(term=term, canonical=terms[term], span_text=span,
+                                     start=m.start(), end=m.end()))
     return matches
 
 

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError
 from .feeds import CpeEntry
@@ -123,26 +123,35 @@ def _cpe_version(cpe_id: str) -> str | None:
     return parts[5] if len(parts) > 5 else None
 
 
-def resolve_cpes(
-    profile: OrganizationProfile,
-    dictionary: Iterable[CpeEntry],
-) -> tuple[OrganizationProfile, CoverageReport]:
-    """Resolve each software item against the CPE dictionary.
+def cpe_index(dictionary: Iterable[CpeEntry]) -> dict[tuple[str, str], list[CpeEntry]]:
+    """The dictionary's entries by normalized (vendor, product), in dictionary order.
 
-    An item matches an entry when normalized vendor and product tokens are
-    both equal.  Items remain in the profile when unresolved; the coverage
-    report counts them.  Resolution is deterministic (dictionary order) and
-    monotone at the item level: adding entries never unmatches an item.
+    Build it once and resolve every profile against it; ``resolve_cpes``
+    only reads it.
     """
     index: dict[tuple[str, str], list[CpeEntry]] = {}
     for entry in dictionary:
         index.setdefault((normalize_token(entry.vendor), normalize_token(entry.product)),
                          []).append(entry)
+    return index
 
+
+def resolve_cpes(
+    profile: OrganizationProfile,
+    index: Mapping[tuple[str, str], Sequence[CpeEntry]],
+) -> tuple[OrganizationProfile, CoverageReport]:
+    """Resolve each software item against a ``cpe_index`` of the dictionary.
+
+    An item matches an entry when normalized vendor and product tokens are
+    both equal.  Items remain in the profile when unresolved; the coverage
+    report counts them.  Resolution is deterministic (dictionary order) and
+    monotone at the item level: adding entries never unmatches an item.
+    The index is not changed, so one index serves every profile.
+    """
     resolved_items = []
     report = CoverageReport()
     for item in profile.software:
-        matches = index.get((normalize_token(item.vendor), normalize_token(item.product)), [])
+        matches = index.get((normalize_token(item.vendor), normalize_token(item.product)), ())
         if item.version:
             exact = [e for e in matches if _cpe_version(e.cpe_id) == item.version]
             if exact:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatrank.cli import load_config, main
+from threatrank.errors import DataError
 from threatrank.ranking import Family, PolicyConfig
 from threatrank.vocab import read_data_file
 from tests.conftest import CASE_STUDY, FIXTURES
@@ -220,10 +221,21 @@ def test_bad_graph_line_exits_two_naming_the_line(built, capsys, old, new):
     ' "policies": {"apt_threat": {"epss_threshold": "0.5"}}}',
     '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
     ' "policies": {"apt_threat": {"epss_threshold": false}}}',
+    # a misspelt key or policy name is rejected, not replaced by the default
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"apt_threat": {"K": 5, "risk_apetite": 3}}}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "policies": {"apt": {"k": 4}}}',
+    # a present section must have its JSON type; only an absent one is empty
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"}, "policies": false}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"}, "snapshots": 0}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"}, "profiles": ""}',
 ], ids=["snapshots_list", "top_level_array", "top_level_number", "date_range_list",
         "policy_list", "policy_overflow", "path_number", "output_dir_number",
         "origin_countries_string", "origin_countries_not_strings", "risk_appetite_bool",
-        "k_float", "k_string", "epss_threshold_string", "epss_threshold_bool"])
+        "k_float", "k_string", "epss_threshold_string", "epss_threshold_bool",
+        "policy_key_misspelt", "policy_name_unknown", "policies_false", "snapshots_zero",
+        "profiles_empty_string"])
 def test_misshapen_config_exits_two(tmp_path, capsys, text):
     bad = tmp_path / "config.json"
     bad.write_text(text, encoding="utf-8")
@@ -231,6 +243,29 @@ def test_misshapen_config_exits_two(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "data error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("policies, named", [
+    ({"apt_threat": {"K": 5, "risk_apetite": 3}}, "'K'"),
+    ({"general_threat": {"k": 4, "skill": "Low"}}, "'skill'"),
+    ({"apt_threat": {"k": 4}, "apt": {"k": 4}}, "'apt'"),
+])
+def test_unknown_policy_setting_is_named(tmp_path, policies, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"date_range": {"from": "2021-11-22", "to": "2021-11-28"},
+                                "policies": policies}), encoding="utf-8")
+    with pytest.raises(DataError, match=named):
+        load_config(path)
+
+
+def test_absent_sections_keep_their_defaults(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"date_range": {"from": "2021-11-22", "to": "2021-11-28"}}),
+                    encoding="utf-8")
+    config = load_config(path)
+    assert (config.snapshots, config.profile_paths) == ({}, [])
+    assert config.apt_config == PolicyConfig(family=Family.APT)
+    assert config.general_config == PolicyConfig(family=Family.GENERAL)
 
 
 def test_policy_config_holds_only_what_the_config_sets(tmp_path):

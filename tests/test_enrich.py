@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from datetime import date
 
 import pytest
@@ -103,6 +104,64 @@ def test_scan_does_not_match_inside_words(lexicon):
     matches = scan_terms("north korean actors", lexicon.country_terms)
     assert [m.canonical for m in matches] == ["North Korea"]
     assert matches[0].span_text == "north korean"
+
+
+def test_unicode_fold_only_span_is_no_match(lexicon):
+    # sre's IGNORECASE matches "russia" against "Ruſſia", but the span does
+    # not lowercase to a lexicon term, so it attributes nothing.
+    assert scan_terms("targets Ruſſia", lexicon.country_terms) == []
+    result = attribute_group(_group("A Ruſſian group that targets Ruſſia."), lexicon)
+    assert result.origin_countries == () and result.targeted_countries == ()
+
+
+def _flat_scan(text, terms):
+    # The longest-first alternation scan_terms compiled before the prefix
+    # trie; the oracle for the trie's matches.
+    ordered = sorted(terms, key=len, reverse=True)
+    pattern = "|".join(re.escape(t) for t in ordered)
+    regex = re.compile(rf"(?<!\w)(?:{pattern})(?!\w)", re.IGNORECASE)
+    return [(m.start(), m.end(), terms[m.group(0).lower()]) for m in regex.finditer(text)]
+
+
+# Terms grow from a few short stems, so many share a prefix and many are
+# prefixes of one another.  ASCII only: see enrich._compiled.
+_term_chars = st.sampled_from("abcz09 .-'")
+_stems = st.lists(st.text(_term_chars, min_size=1, max_size=3), min_size=1, max_size=4)
+
+
+@st.composite
+def _lexicon_and_text(draw):
+    stems = draw(_stems)
+    terms = {}
+    for _ in range(draw(st.integers(1, 12))):
+        term = draw(st.sampled_from(stems)) + draw(st.text(_term_chars, max_size=4))
+        terms[term] = f"C{len(terms)}"
+    glue = st.sampled_from(["", " ", ".", "-", "'", ",", "a", "Z", "0", "_", "é", "zz "])
+    mixed_case = st.sampled_from(sorted(terms)).flatmap(lambda t: st.tuples(
+        *(st.sampled_from([c.lower(), c.upper()]) for c in t)).map("".join))
+    pieces = draw(st.lists(st.one_of(mixed_case, glue), max_size=12))
+    return terms, "".join(pieces)
+
+
+@given(_lexicon_and_text())
+@settings(max_examples=400, deadline=None)
+def test_trie_scan_matches_longest_first_alternation(case):
+    terms, text = case
+    got = [(m.start, m.end, m.canonical) for m in scan_terms(text, terms)]
+    assert got == _flat_scan(text, terms)
+
+
+def test_trie_scan_matches_alternation_on_packaged_lexicons(lexicon, case_config):
+    from threatrank.cli import load_bundle
+
+    bundle, _ = load_bundle(case_config)
+    texts = [g.description for g in bundle.groups] + [
+        "North Koreans and north korea-based actors", "TARGETED THE U.S. AND U.K.",
+        "south korean, south korea; korea.", "the united states' banks"]
+    for terms in (lexicon.country_terms, lexicon.sector_terms):
+        for text in texts:
+            got = [(m.start, m.end, m.canonical) for m in scan_terms(text, terms)]
+            assert got == _flat_scan(text, terms), text
 
 
 def test_attribute_group_full(lexicon):

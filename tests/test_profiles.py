@@ -11,6 +11,7 @@ from threatrank.profiles import (
     OrganizationProfile,
     ProfileError,
     SoftwareItem,
+    cpe_index,
     load_profile,
     normalize_token,
     resolve_cpes,
@@ -107,9 +108,9 @@ def test_resolution_normalizes_tokens():
         org_id="X", name="X", sector="Education", country="United States",
         software=(SoftwareItem(vendor="Google", product="Chrome"),
                   SoftwareItem(vendor="Adobe", product="Acrobat Reader")))
-    resolved, report = resolve_cpes(profile, [
+    resolved, report = resolve_cpes(profile, cpe_index([
         _entry("google", "chrome"), _entry("adobe", "acrobat_reader"),
-    ])
+    ]))
     assert all(item.resolved_cpes for item in resolved.software)
     assert report.resolved == 2 and report.unresolved == 0
 
@@ -118,7 +119,7 @@ def test_resolution_counts_unmatched_items():
     profile = OrganizationProfile(
         org_id="X", name="X", sector="Education", country="United States",
         software=(SoftwareItem(vendor="Obscure", product="Tool"),))
-    resolved, report = resolve_cpes(profile, [_entry("google", "chrome")])
+    resolved, report = resolve_cpes(profile, cpe_index([_entry("google", "chrome")]))
     assert resolved.software[0].resolved_cpes == ()
     assert report.unresolved == 1
     assert report.rows == [("Obscure", "Tool", 0)]
@@ -129,7 +130,7 @@ def test_case_study_inventory_coverage(case_config):
 
     profile = load_profile(CASE_STUDY / "profiles" / "odu.json")
     bundle, _ = load_bundle(case_config)
-    resolved, report = resolve_cpes(profile, bundle.cpes)
+    resolved, report = resolve_cpes(profile, cpe_index(bundle.cpes))
     assert report.resolved == 47
     assert report.unresolved == 22
     assert report.resolved + report.unresolved == len(profile.software)
@@ -143,7 +144,7 @@ def test_version_qualified_matching_prefers_exact():
     entries = [_entry("google", "chrome", "-"),
                _entry("google", "chrome", "95.0"),
                _entry("google", "chrome", "96.0")]
-    resolved, _ = resolve_cpes(profile, entries)
+    resolved, _ = resolve_cpes(profile, cpe_index(entries))
     assert resolved.software[0].resolved_cpes == \
         ("cpe:2.3:a:google:chrome:95.0:*:*:*:*:*:*:*",)
 
@@ -153,7 +154,7 @@ def test_version_qualified_matching_falls_back():
         org_id="X", name="X", sector="Education", country="United States",
         software=(SoftwareItem(vendor="google", product="chrome", version="42.0"),))
     entries = [_entry("google", "chrome", "-"), _entry("google", "chrome", "95.0")]
-    resolved, _ = resolve_cpes(profile, entries)
+    resolved, _ = resolve_cpes(profile, cpe_index(entries))
     assert len(resolved.software[0].resolved_cpes) == 2
 
 
@@ -173,19 +174,52 @@ def test_resolution_monotone_per_item(items, base, extra):
         software=tuple(SoftwareItem(vendor=v, product=p) for v, p in items))
     base_entries = [_entry(v, p) for v, p in base]
     more_entries = base_entries + [_entry(v, p, version="9") for v, p in extra]
-    _, before = resolve_cpes(profile, base_entries)
-    _, after = resolve_cpes(profile, more_entries)
+    _, before = resolve_cpes(profile, cpe_index(base_entries))
+    _, after = resolve_cpes(profile, cpe_index(more_entries))
     matched_before = {(v, p) for v, p, n in before.rows if n > 0}
     matched_after = {(v, p) for v, p, n in after.rows if n > 0}
     assert matched_before <= matched_after
     assert before.resolved + before.unresolved == len(items)
 
 
+_items = st.lists(st.tuples(_tokens, _tokens, st.sampled_from([None, "1", "2"])),
+                  max_size=5)
+
+
+@given(
+    inventories=st.lists(_items, min_size=1, max_size=4),
+    entries=st.lists(st.tuples(_tokens, _tokens, st.sampled_from(["-", "1", "2"])),
+                     max_size=10),
+)
+@settings(max_examples=120)
+def test_one_index_serves_every_profile(inventories, entries):
+    # Resolving several profiles against one shared index gives what each
+    # gets from an index of its own, and leaves the shared index as built.
+    dictionary = [_entry(v, p, version) for v, p, version in entries]
+    shared = cpe_index(dictionary)
+    before = {key: list(matches) for key, matches in shared.items()}
+    for n, inventory in enumerate(inventories):
+        profile = OrganizationProfile(
+            org_id=f"X{n}", name="X", sector="Education", country="United States",
+            software=tuple(SoftwareItem(vendor=v, product=p, version=version)
+                           for v, p, version in inventory))
+        assert resolve_cpes(profile, shared) == resolve_cpes(profile, cpe_index(dictionary))
+    assert shared == before
+
+
+def test_index_keys_are_normalized_in_dictionary_order():
+    entries = [_entry("Google", "Chrome", "2"), _entry("adobe", "reader"),
+               _entry("google", "chrome", "1")]
+    index = cpe_index(entries)
+    assert list(index) == [("google", "chrome"), ("adobe", "reader")]
+    assert index[("google", "chrome")] == [entries[0], entries[2]]
+
+
 def test_coverage_csv_format(tmp_path):
     profile = OrganizationProfile(
         org_id="X", name="X", sector="Education", country="United States",
         software=(SoftwareItem(vendor="Google", product="Chrome"),))
-    _, report = resolve_cpes(profile, [_entry("google", "chrome")])
+    _, report = resolve_cpes(profile, cpe_index([_entry("google", "chrome")]))
     out = tmp_path / "coverage.csv"
     report.write_csv(out)
     assert out.read_text(encoding="utf-8") == \
