@@ -7,6 +7,13 @@ deterministic and idempotent; nothing in the pipeline needs a seed.
 
 Exit codes: 0 success, 1 usage error (bad flags, missing paths, unknown
 ids), 2 data error (unreadable or invalid content).
+
+A command imports only the modules it runs: ``feeds``, ``enrich``,
+``profiles`` and ``evaluation`` are imported inside the commands that use
+them, so a read command (``rank``, ``evaluate``, ``case-study``) loads
+neither the feed parsers nor the attribution and inventory code.  Calls go
+through the module attribute (``enrich.load_lexicon``), so a function
+rebound on its module is the one that runs.
 """
 
 from __future__ import annotations
@@ -19,11 +26,15 @@ import sys
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import enrich, evaluation, feeds, kgraph, profiles, ranking
-from .errors import DataError, UsageError
-from .feeds import SourceKind
+from . import kgraph, ranking
+from .errors import DataError, DataFormatError, UsageError
+from .kinds import SkillLevel, SourceKind
 from .vocab import load_vocabulary
+
+if TYPE_CHECKING:
+    from . import feeds, profiles
 
 GRAPH_FILENAME = "graph.jsonl"
 
@@ -63,6 +74,13 @@ _POLICY_NAMES = ("apt_threat", "general_threat")
 _POLICY_KEYS = frozenset(f.name for f in dataclasses.fields(ranking.PolicyConfig)) - {"family"}
 
 
+# The top-level keys of a config file, and the keys of its "lexicons" and
+# "vocabularies" sections.
+_CONFIG_KEYS = ("snapshots", "profiles", "date_range", "output_dir", "lexicons",
+                "vocabularies", "policies")
+_DATA_FILE_KEYS = ("countries", "sectors")
+
+
 def _reject_unknown(keys, known, what: str) -> None:
     """A DataError naming the first key outside ``known``, so a misspelt
     setting is not silently replaced by its default."""
@@ -87,7 +105,7 @@ def _policy_config(name: str, raw, family: ranking.Family) -> ranking.PolicyConf
         return ranking.PolicyConfig(
             family=family,
             origin_countries=frozenset(origins),
-            skill_level=feeds.SkillLevel(raw.get("skill_level", "High")),
+            skill_level=SkillLevel(raw.get("skill_level", "High")),
             epss_threshold=number("epss_threshold", ranking.DEFAULT_EPSS_THRESHOLD,
                                   (int, float)),
             risk_appetite=number("risk_appetite", 100, int),
@@ -107,6 +125,7 @@ def load_config(path: str | Path) -> ProjectConfig:
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise DataError(f"{path}: not valid JSON ({exc})")
     _expect(raw, dict, f"{path}: the config")
+    _reject_unknown(raw, _CONFIG_KEYS, f"{path}: unknown config key")
     base = path.parent
 
     def section(key: str, kind: type):
@@ -143,7 +162,9 @@ def load_config(path: str | Path) -> ProjectConfig:
     output_dir = (base / out_rel) if not Path(out_rel).is_absolute() else Path(out_rel)
 
     lexicons = section("lexicons", dict)
+    _reject_unknown(lexicons, _DATA_FILE_KEYS, f"{path}: unknown 'lexicons' key")
     vocab = section("vocabularies", dict)
+    _reject_unknown(vocab, _DATA_FILE_KEYS, f"{path}: unknown 'vocabularies' key")
     policies = section("policies", dict)
     _reject_unknown(policies, _POLICY_NAMES, f"{path}: unknown policy")
     return ProjectConfig(
@@ -164,6 +185,8 @@ def load_config(path: str | Path) -> ProjectConfig:
 
 def load_bundle(config: ProjectConfig) -> tuple[feeds.SnapshotBundle, dict[str, feeds.ParseResult]]:
     """Parse every configured snapshot into one bundle, keeping parse stats."""
+    from . import feeds
+
     bundle = feeds.SnapshotBundle()
     results: dict[str, feeds.ParseResult] = {}
     for kind, snapshot_path in sorted(config.snapshots.items(), key=lambda kv: kv[0].value):
@@ -174,7 +197,7 @@ def load_bundle(config: ProjectConfig) -> tuple[feeds.SnapshotBundle, dict[str, 
                 result = feeds.parse_kev_csv(snapshot_path)
             else:
                 result = feeds.parse_snapshot(snapshot_path, kind)
-        except (feeds.DataFormatError, OSError) as exc:
+        except (DataFormatError, OSError) as exc:
             raise DataError(f"cannot parse {snapshot_path}: {exc}")
         results[kind.value] = result
         getattr(bundle, feeds.SOURCES[kind].bundle_field).extend(result.records)
@@ -183,6 +206,8 @@ def load_bundle(config: ProjectConfig) -> tuple[feeds.SnapshotBundle, dict[str, 
 
 def prepare_inputs(config: ProjectConfig):
     """Parse snapshots, attribute groups, and resolve profile inventories."""
+    from . import enrich, profiles
+
     vocab = load_vocabulary(config.vocab_countries, config.vocab_sectors)
     bundle, _results = load_bundle(config)
     lexicon = enrich.load_lexicon(config.lexicon_countries, config.lexicon_sectors, vocab)
@@ -232,6 +257,8 @@ def _all_org_ids(graph: kgraph.PropertyGraph) -> list[str]:
 
 def cmd_ingest(config: ProjectConfig) -> int:
     """Parse and validate all configured snapshots; write a summary."""
+    from . import feeds
+
     bundle, results = load_bundle(config)
     report = feeds.validate_snapshot(bundle)
     summary = {
@@ -329,6 +356,8 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
 
 def cmd_evaluate(config: ProjectConfig) -> int:
     """Compute nDCG curves, costs, and t-tests for every organization."""
+    from . import evaluation
+
     graph = _require_graph(config)
     orgs = [_org_context(graph, org_id) for org_id in _all_org_ids(graph)]
     report = evaluation.generate_report(
@@ -451,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, feeds.DataFormatError, OSError) as exc:
+    except (DataError, DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,15 +30,11 @@ MIN_ORIGIN_YEAR = 1970
 _TRIGGER_RE = re.compile(r"(?<!\w)(?:targets|targeted|targeting)(?!\w)", re.IGNORECASE)
 _SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
 
-# A year counts as an activity year only inside an activity phrase such as
-# "active since at least 2009" or "formed in 2014".
-_ACTIVITY_YEAR_RE = re.compile(
-    r"(?:since|active|as early as|beginning in|established in|formed in|"
-    r"founded in|created in|observed in|operating since|operated since|"
-    r"emerged in)"
-    r"[^.\d]{0,30}?(19[7-9]\d|20\d\d)(?!\d)",
-    re.IGNORECASE,
-)
+# A year counts as an activity year only inside one of these phrases, as
+# in "active since at least 2009" or "formed in 2014" (_ACTIVITY_YEAR_RE).
+_ACTIVITY_PHRASES = ("since", "active", "as early as", "beginning in", "established in",
+                     "formed in", "founded in", "created in", "observed in",
+                     "operating since", "operated since", "emerged in")
 
 
 @dataclass(frozen=True)
@@ -125,6 +121,25 @@ def _trie_pattern(node: dict) -> str:
     return branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
 
 
+def _trie_regex(terms) -> str:
+    """The terms as one regex alternation, rendered from their prefix trie."""
+    trie: dict = {}
+    for term in terms:
+        node = trie
+        for ch in term:
+            node = node.setdefault(ch, {})
+        node[""] = {}
+    return _trie_pattern(trie)
+
+
+# No activity phrase is a prefix of another, so at any position at most one
+# can match and the trie finds what a flat alternation of them finds.
+_ACTIVITY_YEAR_RE = re.compile(
+    rf"{_trie_regex(_ACTIVITY_PHRASES)}[^.\d]{{0,30}}?(19[7-9]\d|20\d\d)(?!\d)",
+    re.IGNORECASE,
+)
+
+
 @lru_cache(maxsize=32)
 def _compiled(terms: tuple[str, ...]) -> re.Pattern:
     """One regex for the lexicon: its terms as a prefix trie.
@@ -140,13 +155,7 @@ def _compiled(terms: tuple[str, ...]) -> re.Pattern:
     property test that checks the equivalence draws ASCII lexicons.
     Lookarounds instead of ``\\b`` because terms may end in punctuation.
     """
-    trie: dict = {}
-    for term in terms:
-        node = trie
-        for ch in term:
-            node = node.setdefault(ch, {})
-        node[""] = {}
-    return re.compile(rf"(?<!\w){_trie_pattern(trie)}(?!\w)", re.IGNORECASE)
+    return re.compile(rf"(?<!\w){_trie_regex(terms)}(?!\w)", re.IGNORECASE)
 
 
 def scan_terms(text: str, terms: dict[str, str]) -> list[TermMatch]:

@@ -16,3 +16,7 @@ class UsageError(ThreatRankError):
 
 class DataError(ThreatRankError):
     """Input files exist but their content is invalid."""
+
+
+class DataFormatError(ValueError):
+    """A feed file's framing (header, envelope) is wrong, not just one row."""

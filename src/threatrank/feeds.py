@@ -25,6 +25,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from .errors import DataFormatError
+from .kinds import AttackVector, SkillLevel, SourceKind, TechnicalImpact
+
 log = logging.getLogger(__name__)
 
 CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
@@ -39,47 +42,6 @@ KEV_CSV_HEADER = [
     "cveID", "vendorProject", "product", "vulnerabilityName",
     "dateAdded", "shortDescription", "requiredAction", "dueDate",
 ]
-
-
-class AttackVector(str, Enum):
-    NETWORK = "NETWORK"
-    ADJACENT = "ADJACENT"
-    LOCAL = "LOCAL"
-    PHYSICAL = "PHYSICAL"
-
-
-class TechnicalImpact(str, Enum):
-    """The eight weakness impacts that lead to system failure."""
-
-    READ_DATA = "ReadData"
-    MODIFY_DATA = "ModifyData"
-    DENY_SERVICE_UNRELIABLE_EXECUTION = "DenyServiceUnreliableExecution"
-    DENY_SERVICE_RESOURCE_CONSUMPTION = "DenyServiceResourceConsumption"
-    EXECUTE_UNAUTHORIZED_CODE = "ExecuteUnauthorizedCode"
-    GAIN_PRIVILEGES = "GainPrivileges"
-    BYPASS_PROTECTION = "BypassProtection"
-    HIDE_ACTIVITIES = "HideActivities"
-
-
-class SkillLevel(str, Enum):
-    LOW = "Low"
-    MEDIUM = "Medium"
-    HIGH = "High"
-    UNKNOWN = "Unknown"
-
-
-class SourceKind(str, Enum):
-    CVE = "cve"
-    CPE = "cpe"
-    CWE = "cwe"
-    CAPEC = "capec"
-    TECHNIQUE = "technique"
-    TACTIC = "tactic"
-    GROUP = "group"
-    EPSS = "epss"
-    KEV = "kev"
-    EXPLOIT = "exploit"
-    REFERENCE = "reference"
 
 
 @dataclass(frozen=True)
@@ -522,10 +484,6 @@ def dump_snapshot(records: Iterable, path: str | Path) -> None:
         for record in records:
             fh.write(json.dumps(record_to_obj(record), sort_keys=False))
             fh.write("\n")
-
-
-class DataFormatError(ValueError):
-    """A file's framing (header, envelope) is wrong, not just one row."""
 
 
 def _csv_rows(path: str | Path, header: list[str], source: str) -> Iterator[tuple[int, list[str]]]:

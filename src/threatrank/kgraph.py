@@ -14,6 +14,10 @@ The graph is built single-writer, then frozen; after ``freeze()`` it is
 immutable (node props become read-only mappings, their list values tuples;
 adjacency becomes read-only mappings of frozensets) and safe to read from
 any number of workers.
+
+``build_graph`` imports the modules of its inputs (feeds, enrich, profiles,
+vocab) when it runs, so a read command, which only loads a snapshot with
+``load_graph``, never imports them.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ from datetime import date
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from . import profiles as profiles_mod
-from .enrich import GroupAttribution
 from .errors import DataError
-from .feeds import SnapshotBundle
-from .vocab import Vocabulary, default_vocabulary
+
+if TYPE_CHECKING:  # build_graph's inputs; a read command never imports them
+    from .enrich import GroupAttribution
+    from .feeds import SnapshotBundle
+    from .profiles import OrganizationProfile
+    from .vocab import Vocabulary
 
 
 class NodeLabel(Enum):
@@ -259,7 +265,7 @@ class PropertyGraph:
 def build_graph(
     records: SnapshotBundle,
     attributions: Iterable[GroupAttribution] = (),
-    profiles: Iterable["profiles_mod.OrganizationProfile"] = (),
+    profiles: Iterable[OrganizationProfile] = (),
     vocab: Vocabulary | None = None,
 ) -> PropertyGraph:
     """Assemble canonical records into a schema-conformant property graph.
@@ -270,6 +276,9 @@ def build_graph(
     materialized from the controlled vocabularies.  The returned graph is
     not frozen; callers freeze it before sharing.
     """
+    from .profiles import software_key
+    from .vocab import default_vocabulary
+
     vocab = vocab or default_vocabulary()
     g = PropertyGraph()
 
@@ -380,14 +389,14 @@ def build_graph(
         g.link(EdgeType.AFFILIATED_WITH, profile.sector, profile.org_id)
         g.link(EdgeType.OPERATES_IN, profile.org_id, profile.country)
         for item in profile.software:
-            software_key = profiles_mod.software_key(item.vendor, item.product)
-            g.upsert_node(NodeLabel.SOFTWARE, software_key, {
+            software = software_key(item.vendor, item.product)
+            g.upsert_node(NodeLabel.SOFTWARE, software, {
                 "vendor": item.vendor,
                 "product": item.product,
             })
-            g.link(EdgeType.INSTALLS, profile.org_id, software_key)
+            g.link(EdgeType.INSTALLS, profile.org_id, software)
             for cpe_id in item.resolved_cpes:
-                g.link(EdgeType.HAS_VERSION, software_key, cpe_id)
+                g.link(EdgeType.HAS_VERSION, software, cpe_id)
     return g
 
 
@@ -470,21 +479,37 @@ def _check_organization_props(props: dict) -> None:
 
 
 # Per label, a check that the props ranking and the report read have a
-# usable type and range; keyed by label value, checked once per node line.
+# usable type and range; checked once per node line.
 _PROP_CHECKS = {
-    NodeLabel.NVD_CVE.value: _check_cve_props,
-    NodeLabel.CWE.value: _check_cwe_props,
-    NodeLabel.ORGANIZATION.value: _check_organization_props,
+    NodeLabel.NVD_CVE: _check_cve_props,
+    NodeLabel.CWE: _check_cwe_props,
+    NodeLabel.ORGANIZATION: _check_organization_props,
 }
+
+# Label and edge-type values to their members: one dict lookup per line,
+# where calling the Enum runs its Python-level __call__ and __new__.
+_LABELS = {label.value: label for label in NodeLabel}
+_EDGES = {edge_type.value: edge_type for edge_type in EdgeType}
 
 
 def load_graph(path: str | Path) -> PropertyGraph:
     """Read a graph snapshot written by save_graph(); returns it frozen.
 
-    A line that is not a well-formed node or edge record, or a node whose
-    props the read commands cannot use, is a DataError naming ``path:line``.
+    One pass over the lines, streamed: each line is checked to be UTF-8,
+    decoded as exactly one JSON value, and inserted straight into the
+    graph's node table and adjacency, without ``upsert_node``/``link``'s
+    per-call checks (the loader owns the graph until it freezes it).  A
+    node line seen again for the same (label, key) updates its props, later
+    values winning, as ``upsert_node`` does.
+
+    A line that is not a well-formed node or edge record (corrupt JSON,
+    trailing data, an unknown label or edge type, an edge to a node not
+    read yet, a non-UTF-8 byte), or a node whose props the read commands
+    cannot use, is a DataError naming ``path:line``.
     """
     g = PropertyGraph()
+    nodes = g._nodes
+    decode = json.JSONDecoder().raw_decode
     with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -492,20 +517,36 @@ def load_graph(path: str | Path) -> PropertyGraph:
                 continue
             try:
                 line.encode("utf-8")  # a byte that was not UTF-8 fails here
-                obj = json.loads(line)
+                obj, end = decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
                 kind = obj.get("kind") if isinstance(obj, dict) else None
                 if kind == "node":
                     key, props = obj["key"], obj.get("props") or {}
                     if not (isinstance(key, str) and isinstance(props, dict)):
                         raise ValueError("node key must be a string and props an object")
-                    label = NodeLabel(obj["label"])
-                    check = _PROP_CHECKS.get(label.value)
+                    label = _LABELS.get(obj["label"])
+                    if label is None:
+                        raise ValueError(f"{obj['label']!r} is not a valid NodeLabel")
+                    check = _PROP_CHECKS.get(label)
                     if check is not None:
                         check(props)
-                    g.upsert_node(label, key, props)
+                    node = nodes.get((label, key))
+                    if node is None:
+                        nodes[(label, key)] = Node(label, key, props, {}, {})
+                    else:
+                        node.props.update(props)
                 elif kind == "edge":
-                    if not g.link(EdgeType(obj["type"]), obj["src"], obj["dst"]):
+                    edge_type = _EDGES.get(obj["type"])
+                    if edge_type is None:
+                        raise ValueError(f"{obj['type']!r} is not a valid EdgeType")
+                    src_label, dst_label = EDGE_ENDPOINTS[edge_type]
+                    src = nodes.get((src_label, obj["src"]))
+                    dst = nodes.get((dst_label, obj["dst"]))
+                    if src is None or dst is None:
                         raise ValueError("edge references unknown node")
+                    src.outgoing.setdefault(edge_type, set()).add(dst)
+                    dst.incoming.setdefault(edge_type, set()).add(src)
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except (KeyError, TypeError, ValueError) as exc:

@@ -38,7 +38,7 @@ from datetime import date
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .feeds import AttackVector, SkillLevel, TechnicalImpact
+from .kinds import AttackVector, SkillLevel, TechnicalImpact
 # techniques_for_cve is unused here; bench/trace_cli.py rebinds ranking's name.
 from .kgraph import EdgeType, Node, NodeLabel, PropertyGraph, techniques_for_cve  # noqa: F401
 

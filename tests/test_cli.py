@@ -186,6 +186,19 @@ def test_bad_graph_line_exits_two_naming_the_line(built, capsys, old, new):
     line_no = next(i for i, line in enumerate(lines, start=1) if old in line)
     lines[line_no - 1] = lines[line_no - 1].replace(old, new)
     path.write_bytes(b"\n".join(lines))
+    _assert_read_commands_name_line(built, capsys, line_no)
+
+
+def test_trailing_data_on_a_graph_line_exits_two_naming_the_line(built, capsys):
+    path = built / "graph.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    line_no = next(i for i, line in enumerate(lines, start=1) if b'"kind": "edge"' in line)
+    lines[line_no - 1] += b" x"
+    path.write_bytes(b"\n".join(lines))
+    _assert_read_commands_name_line(built, capsys, line_no)
+
+
+def _assert_read_commands_name_line(built, capsys, line_no):
     base = ["--config", CONFIG, "--out", str(built)]
     for command in (["rank", "--org", "ODU", "--policy", "apt_threat"], ["evaluate"],
                     ["case-study", "--org", "ODU"]):
@@ -230,12 +243,20 @@ def test_bad_graph_line_exits_two_naming_the_line(built, capsys, old, new):
     '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"}, "policies": false}',
     '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"}, "snapshots": 0}',
     '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"}, "profiles": ""}',
+    # a misspelt section or data-file key is rejected, not ignored
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "polices": {"apt_threat": {"k": 5}}}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "lexicons": {"country": "nowhere.tsv"}}',
+    '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
+    ' "vocabularies": {"sector": "nowhere.txt"}}',
 ], ids=["snapshots_list", "top_level_array", "top_level_number", "date_range_list",
         "policy_list", "policy_overflow", "path_number", "output_dir_number",
         "origin_countries_string", "origin_countries_not_strings", "risk_appetite_bool",
         "k_float", "k_string", "epss_threshold_string", "epss_threshold_bool",
         "policy_key_misspelt", "policy_name_unknown", "policies_false", "snapshots_zero",
-        "profiles_empty_string"])
+        "profiles_empty_string", "section_misspelt", "lexicon_key_misspelt",
+        "vocabulary_key_misspelt"])
 def test_misshapen_config_exits_two(tmp_path, capsys, text):
     bad = tmp_path / "config.json"
     bad.write_text(text, encoding="utf-8")
@@ -254,6 +275,20 @@ def test_unknown_policy_setting_is_named(tmp_path, policies, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"date_range": {"from": "2021-11-22", "to": "2021-11-28"},
                                 "policies": policies}), encoding="utf-8")
+    with pytest.raises(DataError, match=named):
+        load_config(path)
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({"polices": {"apt_threat": {"k": 5}}}, "unknown config key 'polices'"),
+    ({"lexicons": {"countries": "nowhere.tsv", "sector": "x.tsv"}},
+     "unknown 'lexicons' key 'sector'"),
+    ({"vocabularies": {"country": "nowhere.txt"}}, "unknown 'vocabularies' key 'country'"),
+])
+def test_unknown_config_key_is_named(tmp_path, extra, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"date_range": {"from": "2021-11-22", "to": "2021-11-28"},
+                                **extra}), encoding="utf-8")
     with pytest.raises(DataError, match=named):
         load_config(path)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 from datetime import date
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatrank.enrich import (
+    _ACTIVITY_YEAR_RE,
     GroupAttribution,
     TARGET_WINDOW_CHARS,
     attribute_group,
@@ -17,6 +19,7 @@ from threatrank.enrich import (
 )
 from threatrank.errors import DataError
 from threatrank.feeds import AttackGroupRaw
+from tests.conftest import FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +165,53 @@ def test_trie_scan_matches_alternation_on_packaged_lexicons(lexicon, case_config
         for text in texts:
             got = [(m.start, m.end, m.canonical) for m in scan_terms(text, terms)]
             assert got == _flat_scan(text, terms), text
+
+
+# _ACTIVITY_YEAR_RE as a flat alternation of its phrases, as it was
+# compiled before they were rendered as a prefix trie; the oracle for the
+# trie's matches.
+_OLD_PHRASES = ("since|active|as early as|beginning in|established in|formed in|"
+                "founded in|created in|observed in|operating since|operated since|"
+                "emerged in")
+_FLAT_ACTIVITY_YEAR_RE = re.compile(
+    rf"(?:{_OLD_PHRASES})[^.\d]{{0,30}}?(19[7-9]\d|20\d\d)(?!\d)", re.IGNORECASE)
+
+
+def _year_matches(regex, text):
+    return [(m.span(), m.group(1)) for m in regex.finditer(text)]
+
+
+# Whole phrases, phrase prefixes that share the trie's branches, years in
+# and out of range, and the fillers the window between them may hold.
+_year_pieces = st.sampled_from([
+    *_OLD_PHRASES.split("|"), "operat", "as early", "e", "fo", "found", "activ", "sinc",
+    "1969", "1970", "1999", "2009", "2024", "20", "12009", "20091",
+    " ", ".", ",", "at least ", "the ", "x", "9", "\n", "é"])
+
+
+_activity_text = st.lists(_year_pieces.flatmap(lambda piece: st.tuples(
+    *(st.sampled_from([c.lower(), c.upper()]) for c in piece)).map("".join)),
+    max_size=14).map("".join)
+
+
+@given(_activity_text)
+@settings(max_examples=400, deadline=None)
+def test_activity_year_trie_matches_flat_alternation(text):
+    assert _year_matches(_ACTIVITY_YEAR_RE, text) == _year_matches(_FLAT_ACTIVITY_YEAR_RE, text)
+
+
+def test_activity_year_trie_matches_flat_alternation_on_fixture_groups():
+    descriptions = [json.loads(line)["description"]
+                    for fixture in ("case_study", "synthetic52")
+                    for line in (FIXTURES / fixture / "snapshots" / "group.jsonl")
+                    .read_text(encoding="utf-8").splitlines() if line.strip()]
+    assert descriptions
+    found = 0
+    for text in descriptions:
+        matches = _year_matches(_ACTIVITY_YEAR_RE, text)
+        assert matches == _year_matches(_FLAT_ACTIVITY_YEAR_RE, text), text
+        found += len(matches)
+    assert found
 
 
 def test_attribute_group_full(lexicon):

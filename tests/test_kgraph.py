@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import FrozenInstanceError
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from threatrank import kgraph
 from threatrank.enrich import GroupAttribution
+from threatrank.errors import DataError
 from threatrank.feeds import (
     AttackGroupRaw,
     AttackTactic,
@@ -360,3 +366,105 @@ def test_group_achieves_goal_edges():
     assert graph.stats.dangling_dropped[EdgeType.ACHIEVES_GOAL] == 1
     tactics = [e for e in graph.edges() if e[1] is EdgeType.ACHIEVED_THROUGH]
     assert len(tactics) == 1
+
+
+# ---------------------------------------------------------------------------
+# The one-pass loader against the loader it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_load_graph(path):
+    # load_graph as it was before it decoded with raw_decode and inserted
+    # nodes and edges itself: json.loads, the Enum calls, upsert_node and
+    # link per line.  The oracle for the one-pass loader.
+    g = PropertyGraph()
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                line.encode("utf-8")
+                obj = json.loads(line)
+                kind = obj.get("kind") if isinstance(obj, dict) else None
+                if kind == "node":
+                    key, props = obj["key"], obj.get("props") or {}
+                    if not (isinstance(key, str) and isinstance(props, dict)):
+                        raise ValueError("node key must be a string and props an object")
+                    label = NodeLabel(obj["label"])
+                    check = kgraph._PROP_CHECKS.get(label)
+                    if check is not None:
+                        check(props)
+                    g.upsert_node(label, key, props)
+                elif kind == "edge":
+                    if not g.link(EdgeType(obj["type"]), obj["src"], obj["dst"]):
+                        raise ValueError("edge references unknown node")
+                else:
+                    raise ValueError(f"unknown record kind {kind!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
+    return g.freeze()
+
+
+def _load_outcome(load, path):
+    """``("error", "path:line")`` or ``("graph", signature)``."""
+    try:
+        graph = load(path)
+    except DataError as exc:
+        return "error", re.match(r"(.*?:\d+):", str(exc)).group(1)
+    return "graph", graph_signature(graph)
+
+
+@pytest.fixture(scope="module")
+def case_graph_bytes(case_graph, tmp_path_factory):
+    path = tmp_path_factory.mktemp("saved") / "graph.jsonl"
+    save_graph(case_graph, path)
+    return path.read_bytes()
+
+
+@given(byte=st.sampled_from(list(b'\xff\x00{,\n"]')), insert=st.booleans(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_one_byte_graph_edit_loads_as_the_reference_loader_does(
+        case_graph_bytes, tmp_path_factory, byte, insert, data):
+    at = data.draw(st.integers(0, len(case_graph_bytes) - (0 if insert else 1)))
+    path = tmp_path_factory.mktemp("edited") / "graph.jsonl"
+    path.write_bytes(case_graph_bytes[:at] + bytes([byte])
+                     + case_graph_bytes[at + (0 if insert else 1):])
+    assert _load_outcome(load_graph, path) == _load_outcome(_reference_load_graph, path)
+
+
+@pytest.mark.parametrize("lines, message", [
+    # trailing data after the record
+    (['{"kind": "node", "label": "Cwe", "key": "CWE-1"} x'], "JSONDecodeError: Extra data"),
+    (['{"kind": "node", "label": "Cwe", "key": "CWE-1"}{}'], "JSONDecodeError: Extra data"),
+    # an unknown label or edge type names the value
+    (['{"kind": "node", "label": "Bogus", "key": "k"}'],
+     "ValueError: 'Bogus' is not a valid NodeLabel"),
+    (['{"kind": "node", "label": "Cwe", "key": "CWE-1"}',
+      '{"kind": "edge", "type": "Bogus", "src": "CWE-1", "dst": "CWE-1"}'],
+     "ValueError: 'Bogus' is not a valid EdgeType"),
+    # an edge endpoint must be read before the edge
+    (['{"kind": "edge", "type": "KnownAttack", "src": "CWE-1", "dst": "CAPEC-1"}'],
+     "ValueError: edge references unknown node"),
+    (['{"kind": "node", "label": "Cwe", "key": ["CWE-1"]}'], "ValueError: node key"),
+    (['{"kind": "node", "label": ["Cwe"], "key": "CWE-1"}'], "TypeError"),
+])
+def test_bad_line_is_named_as_the_reference_loader_names_it(tmp_path, lines, message):
+    path = tmp_path / "graph.jsonl"
+    path.write_text("\n".join(["", *lines]) + "\n", encoding="utf-8")  # a blank line first
+    expected = ("error", f"{path}:{len(lines) + 1}")
+    assert _load_outcome(load_graph, path) == expected
+    assert _load_outcome(_reference_load_graph, path) == expected
+    with pytest.raises(DataError, match=re.escape(f"{expected[1]}: {message}")):
+        load_graph(path)
+
+
+def test_duplicate_node_lines_merge_props_later_values_winning(tmp_path):
+    path = tmp_path / "graph.jsonl"
+    path.write_text(
+        '{"kind": "node", "label": "Cwe", "key": "CWE-1", "props": {"name": "a", "x": 1}}\n'
+        '{"kind": "node", "label": "Cwe", "key": "CWE-1", "props": {"name": "b"}}\n'
+        '{"kind": "node", "label": "Cwe", "key": "CWE-1"}\n', encoding="utf-8")
+    graph = load_graph(path)
+    assert dict(graph.find(NodeLabel.CWE, "CWE-1").props) == {"name": "b", "x": 1}
+    assert _load_outcome(load_graph, path) == _load_outcome(_reference_load_graph, path)
