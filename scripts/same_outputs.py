@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Check that two source trees write byte-identical outputs.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/same_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a checkout's root or its ``src`` directory.  Under each
+tree, one full CLI refresh runs on both fixtures and on the three seed-1
+benchmark corpora (generated by ``bench/corpus.py``): ``ingest``,
+``build``, ``rank`` under every policy for every organization,
+``evaluate``, and ``case-study`` for every organization.  Every output
+file whose sha256 differs between the trees, or that only one tree
+wrote, is printed, and the exit code is 1 if there is any (or if a
+command fails); 0 means every output matched.  Nothing is written outside
+a temporary directory.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from corpus import WORKLOADS, generate  # noqa: E402
+
+FIXTURES = ("case_study", "synthetic52")
+SEED = 1
+POLICIES = ("cvss_base", "apt_threat", "general_threat", "ideal")
+# Runs each command of a JSON list in one interpreter; prints the first
+# failing command and exits with its code.
+_CHILD = """
+import contextlib, io, json, sys
+from threatrank.cli import main
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code:
+        print(" ".join(argv), "->", code, file=sys.stderr)
+        sys.exit(code)
+"""
+
+
+def _src_dir(arg: str) -> Path:
+    path = Path(arg).resolve()
+    for candidate in (path / "src", path):
+        if (candidate / "threatrank" / "cli.py").is_file():
+            return candidate
+    raise SystemExit(f"error: no threatrank sources under {path}")
+
+
+def _refresh(config: Path, read_args: list[str], out: Path) -> list[list[str]]:
+    """The commands of one full refresh of ``config``, writing into ``out``."""
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    orgs = sorted(json.loads((config.parent / p).read_text(encoding="utf-8"))["org_id"]
+                  for p in raw["profiles"])
+    base = ["--config", str(config), "--out", str(out)]
+    read = base + read_args
+    return [base + ["ingest"], base + ["build"],
+            *[read + ["rank", "--org", org, "--policy", policy]
+              for org in orgs for policy in POLICIES],
+            read + ["evaluate"],
+            *[read + ["case-study", "--org", org] for org in orgs]]
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 scripts/same_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 1
+    trees = {"parent": _src_dir(argv[0]), "change": _src_dir(argv[1])}
+    differing = failed = compared = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        work = Path(tmp)
+        projects = [(name, ROOT / "fixtures" / name / "config.json", []) for name in FIXTURES]
+        for workload in WORKLOADS:
+            corpus = generate(workload, SEED, work / "corpora" / workload)
+            projects.append((f"{workload}-seed{SEED}", corpus.config, corpus.read_args))
+        for name, config, read_args in projects:
+            digests = {}
+            for tree, src in trees.items():
+                out = work / tree / name
+                env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+                commands = _refresh(config, read_args, out)
+                proc = subprocess.run([sys.executable, "-c", _CHILD], input=json.dumps(commands),
+                                      text=True, env=env, cwd=work, capture_output=True)
+                if proc.returncode:
+                    print(f"{name}: {tree} failed: {proc.stderr.strip()}")
+                    failed += 1
+                digests[tree] = _digests(out)
+            parent, change = digests["parent"], digests["change"]
+            for path in sorted(parent.keys() | change.keys()):
+                if parent.get(path) != change.get(path):
+                    print(f"{name}/{path}: parent {parent.get(path, 'missing')[:16]} "
+                          f"change {change.get(path, 'missing')[:16]}")
+                    differing += 1
+            compared += len(parent.keys() | change.keys())
+            print(f"{name}: {len(change)} output files", file=sys.stderr)
+    print(f"{differing} of {compared} output files differ, {failed} refreshes failed")
+    return int(bool(differing or failed))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -329,8 +329,6 @@ def _write_ranked_csv(path: Path, ranked_lists: list[ranking.RankedList]) -> Non
 
 def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
     """Rank an organization's weekly cohorts under one policy."""
-    graph = _require_graph(config)
-    org = _org_context(graph, org_id)
     try:
         policy = ranking.Policy(policy_name)
     except ValueError:
@@ -338,12 +336,11 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
                          f"(choose from {[p.value for p in ranking.Policy]})")
     family_config = (config.general_config if policy is ranking.Policy.GENERAL_THREAT
                      else config.apt_config)
-    # CVSS base reads no feature bits, so its table skips the path walk.
-    table_config = None if policy is ranking.Policy.CVSS_BASE else family_config
+    graph = _require_graph(config)
+    org = _org_context(graph, org_id)
     cohorts = ranking.generate_candidates(org, graph, config.date_range)
     ranked_lists = [
-        ranking.rank(c, policy, family_config,
-                     ranking.feature_table(graph, c, org, table_config))
+        ranking.rank(c, policy, family_config, ranking.feature_table(graph, c, org))
         for c in cohorts
     ]
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -387,7 +384,7 @@ def cmd_case_study(config: ProjectConfig, org_id: str, k: int | None = None) -> 
     apt = config.apt_config
     printed = False
     for cohort in cohorts:
-        table = ranking.feature_table(graph, cohort, org, apt)
+        table = ranking.feature_table(graph, cohort, org)
         cvss_rank = ranking.rank(cohort, ranking.Policy.CVSS_BASE, apt, table).rank_of()
         threat_ranked = ranking.rank(cohort, ranking.Policy.APT_THREAT, apt, table)
         rows = [

@@ -185,8 +185,8 @@ def generate_report(
 
     A policy is judged against the ideal ranking of its own feature family,
     labelled ``policy:family``, so CVSS base, ranked and costed once per
-    cohort, gets one curve per family; one feature table per (cohort,
-    family) ranks its ideal and its threat policy.
+    cohort, gets one curve per family.  One feature table per cohort ranks
+    every policy of both families.
     """
     report = EvaluationReport()
     configs = (apt_config, general_config)
@@ -202,13 +202,12 @@ def generate_report(
         weekly_costs: dict[Policy, dict[tuple[int, int], float]] = {
             policy: {} for policy in (Policy.CVSS_BASE, Policy.APT_THREAT, Policy.GENERAL_THREAT)}
         for cohort in cohorts:
-            table = feature_table(graph, cohort, org)  # CVSS only: no path walk
+            table = feature_table(graph, cohort, org)
             cvss = rank(cohort, Policy.CVSS_BASE, apt_config, table)
             cvss_of = {cve: row.cvss_base or 0.0 for cve, row in table.items()}
             weekly_costs[Policy.CVSS_BASE][cohort.iso_week] = patch_cost(cvss, COST_K, cvss_of)
             for config in configs:
                 family, threat = config.family, FAMILIES[config.family][0]
-                table = feature_table(graph, cohort, org, config)
                 ideal = rank(cohort, Policy.IDEAL, config, table)
                 ranked = rank(cohort, threat, config, table)
                 depth = max(k_max, config.k)

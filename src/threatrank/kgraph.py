@@ -156,8 +156,9 @@ def _frozen_adjacency(adjacency: dict) -> Mapping:
 class PropertyGraph:
     """Nodes keyed by (label, key); each node holds its own typed adjacency.
 
-    ``neighbors`` and ``edges`` walk those adjacency sets, whose order is
-    not defined: callers that emit results order them by node key.
+    Callers walk a node's ``outgoing``/``incoming`` sets directly, and
+    ``edges`` walks them all; their order is not defined, so callers that
+    emit results order them by node key.
     """
 
     def __init__(self):
@@ -247,14 +248,6 @@ class PropertyGraph:
     def edge_count(self) -> int:
         return sum(len(targets) for node in self._nodes.values()
                    for targets in node.outgoing.values())
-
-    def neighbors(self, node: Node, edge_type: EdgeType, direction: str = "out") -> frozenset:
-        """Adjacent nodes over one edge type; empty when there are none."""
-        if direction not in ("out", "in"):
-            raise ValueError(f"direction must be 'out' or 'in', not {direction!r}")
-        adjacency = node.outgoing if direction == "out" else node.incoming
-        # A frozen node's sets are frozensets already, which frozenset() returns as is.
-        return frozenset(adjacency.get(edge_type, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +408,9 @@ def techniques_for_cve(graph: PropertyGraph, cve_id: str) -> set[tuple[str, str,
     if cve is None:
         return set()
     return {(technique.key, capec.key, cwe.key)
-            for cwe in graph.neighbors(cve, EdgeType.WEAKENED_BY)
-            for capec in graph.neighbors(cwe, EdgeType.KNOWN_ATTACK)
-            for technique in graph.neighbors(capec, EdgeType.EMPLOYS)}
+            for cwe in cve.outgoing.get(EdgeType.WEAKENED_BY, ())
+            for capec in cwe.outgoing.get(EdgeType.KNOWN_ATTACK, ())
+            for technique in capec.outgoing.get(EdgeType.EMPLOYS, ())}
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ resolved CPEs with a date range, grouped by the ISO week of the CVE
 modification date (the date that simulates when a vulnerability presents
 itself for analysis).
 
-Each candidate has one feature record: its CVSS base score and ten binary
-features, extracted together (``feature_bits``).  A threat policy is a
-tuple of six of those names; its score is their sum floored at 1, so
-every applicable CVE stays a candidate:
+Each candidate has one feature row, walked from the graph once and
+holding no setting (``feature_row``): its CVSS base score, the seven bits
+no setting changes, and the facts the settings weigh.  ``feature_bits``
+derives all ten binary features from a row and one family's config.  A
+threat policy is a tuple of six of those names; its score is their sum
+floored at 1, so every applicable CVE stays a candidate:
 
 * APT threat: network attack vector; a weakness->attack-pattern->technique
   path reaching a group focused on the organization's sector; such a group
@@ -26,8 +28,9 @@ A ``PolicyConfig`` holds the settings of one feature ``Family``: a threat
 policy and the ideal that mirrors it (``FAMILIES``).  ``rank`` takes the
 policy as an argument.
 
-Ranking reads a cohort's feature table and never the graph; output order
-never depends on evaluation order (ties break on ascending CVE id).
+Ranking reads a cohort's feature table, one for every policy of both
+families, and never the graph; output order never depends on evaluation
+order (ties break on ascending CVE id).
 """
 
 from __future__ import annotations
@@ -112,8 +115,8 @@ class OrgContext:
             org_id=org_id,
             sector=node.props.get("sector", ""),
             country=node.props.get("country", ""),
-            cpe_ids=frozenset(cpe.key for software in graph.neighbors(node, EdgeType.INSTALLS)
-                              for cpe in graph.neighbors(software, EdgeType.HAS_VERSION)),
+            cpe_ids=frozenset(cpe.key for software in node.outgoing.get(EdgeType.INSTALLS, ())
+                              for cpe in software.outgoing.get(EdgeType.HAS_VERSION, ())),
         )
 
 
@@ -172,7 +175,7 @@ def generate_candidates(
         cpe = graph.find(NodeLabel.CPE, cpe_id)
         if cpe is None:
             continue
-        for cve in graph.neighbors(cpe, EdgeType.AFFECTS, "in"):
+        for cve in cpe.incoming.get(EdgeType.AFFECTS, ()):
             modified = date.fromisoformat(cve.props["modified"])
             if start <= modified <= end:
                 weeks.setdefault(iso_week_of(modified), set()).add(cve.key)
@@ -213,81 +216,99 @@ def policy_bits(policy: Policy, family: Family) -> tuple[str, ...]:
     return bits
 
 
-def _cve_node(graph: PropertyGraph, cve_id: str) -> Node:
+@dataclass(frozen=True)
+class FeatureRow:
+    """The config-free facts of one (CVE, organization) pair.
+
+    ``cvss_base`` is None when the graph holds no score.  ``fixed_bits``
+    holds the seven bits no setting changes; the skill levels of the
+    CAPECs reached, the origin countries of the sector-focused groups
+    reached and the EPSS (probability, percentile) pair, or None, are what
+    ``feature_bits`` weighs against a config.
+    """
+
+    cvss_base: float | None
+    fixed_bits: Mapping[str, int]
+    skill_levels: frozenset[str]
+    origin_countries: frozenset[str]
+    epss: tuple[float, float] | None
+
+
+def feature_row(graph: PropertyGraph, cve_id: str, org: OrgContext) -> FeatureRow:
+    """Walk one candidate's weakness->attack-pattern->technique->group paths once.
+
+    Skill levels and the technique link are independent facts of the CVE's
+    attack patterns, so changing the configured skill level moves a
+    relevance by exactly the skill bit.  The group facts are witnessed by groups reachable
+    through a technique; the country facts only by groups that also focus
+    on the organization's sector.
+    """
     node = graph.find(NodeLabel.NVD_CVE, cve_id)
     if node is None:
         raise KeyError(f"CVE {cve_id!r} not present in the graph")
-    return node
-
-
-def _adjacent_keys(graph: PropertyGraph, node: Node, edge_type: EdgeType) -> set[str]:
-    return {adjacent.key for adjacent in graph.neighbors(node, edge_type)}
-
-
-def _epss_bit(node: Node, config: PolicyConfig) -> int:
-    """EPSS gate: probability at threshold and percentile within appetite."""
-    probability = node.props.get("epss_probability")
-    percentile = node.props.get("epss_percentile")
-    if probability is None or percentile is None:
-        return 0
-    passed = (probability >= config.epss_threshold
-              and percentile * 100.0 >= 100.0 - config.risk_appetite)
-    return int(passed)
-
-
-def feature_bits(
-    graph: PropertyGraph,
-    cve_id: str,
-    org: OrgContext,
-    config: PolicyConfig,
-) -> dict[str, int]:
-    """All ten feature bits of one (CVE, organization) pair.
-
-    One walk over the CVE's weakness->attack-pattern->technique->group
-    paths sets the path bits.  Skill matching and the technique link are
-    independent bits over the CVE's attack patterns, so changing the
-    configured skill level moves a relevance by exactly the skill bit.  The
-    group bits are witnessed by groups reachable through a technique; the
-    country and origin bits only by groups that also satisfy the sector bit.
-    """
-    node = _cve_node(graph, cve_id)
-    failure_impact = skill_match = technique_link = False
+    failure_impact = technique_link = False
+    skill_levels: set[str] = set()
     techniques: set[Node] = set()
-    for cwe in graph.neighbors(node, EdgeType.WEAKENED_BY):
+    for cwe in node.outgoing.get(EdgeType.WEAKENED_BY, ()):
         if FAILURE_IMPACTS.intersection(cwe.props.get("technical_impacts", ())):
             failure_impact = True
-        for capec in graph.neighbors(cwe, EdgeType.KNOWN_ATTACK):
-            if capec.props.get("skill_level") == config.skill_level.value:
-                skill_match = True
-            employed = graph.neighbors(capec, EdgeType.EMPLOYS)
+        for capec in cwe.outgoing.get(EdgeType.KNOWN_ATTACK, ()):
+            level = capec.props.get("skill_level")
+            if isinstance(level, str):  # only a string matches a level; an object would not hash
+                skill_levels.add(level)
+            employed = capec.outgoing.get(EdgeType.EMPLOYS, ())
             technique_link = technique_link or bool(employed)
-            techniques |= employed
+            techniques.update(employed)
     groups: set[Node] = set()
     for technique in techniques:
-        groups |= graph.neighbors(technique, EdgeType.ACHIEVES_GOAL, "in")
-    sector_focus = targets_country = origin_match = False
+        groups.update(technique.incoming.get(EdgeType.ACHIEVES_GOAL, ()))
+    sector_focus = targets_country = False
+    origin_countries: set[str] = set()
     for group in groups:
-        if org.sector not in _adjacent_keys(graph, group, EdgeType.FOCUS_ON):
+        if org.sector not in {sector.key for sector in group.outgoing.get(EdgeType.FOCUS_ON, ())}:
             continue
         sector_focus = True
-        if org.country in _adjacent_keys(graph, group, EdgeType.TARGETS):
+        if org.country in {country.key for country in group.outgoing.get(EdgeType.TARGETS, ())}:
             targets_country = True
-        if _adjacent_keys(graph, group, EdgeType.ORIGINATES) & config.origin_countries:
-            origin_match = True
-    affected = _adjacent_keys(graph, node, EdgeType.AFFECTS)
-    exploited = (graph.neighbors(node, EdgeType.EXPLOITS_KNOWN)
-                 or graph.neighbors(node, EdgeType.REFERENCE_EXPLOIT))
+        origin_countries.update(country.key
+                                for country in group.outgoing.get(EdgeType.ORIGINATES, ()))
+    props = node.props
+    probability, percentile = props.get("epss_probability"), props.get("epss_percentile")
+    affected = {cpe.key for cpe in node.outgoing.get(EdgeType.AFFECTS, ())}
+    exploited = (EdgeType.EXPLOITS_KNOWN in node.outgoing
+                 or EdgeType.REFERENCE_EXPLOIT in node.outgoing)
+    return FeatureRow(
+        cvss_base=props.get("cvss_base"),
+        fixed_bits={
+            "av_network": int(props.get("attack_vector") == AttackVector.NETWORK.value),
+            "sector_focus": int(sector_focus),
+            "targets_country": int(targets_country),
+            "technique_link": int(technique_link),
+            "failure_impact": int(failure_impact),
+            "exploit_known": int(exploited),
+            "affects_software": int(bool(affected & org.cpe_ids)),
+        },
+        skill_levels=frozenset(skill_levels),
+        origin_countries=frozenset(origin_countries),
+        epss=None if probability is None or percentile is None else (probability, percentile),
+    )
+
+
+def feature_bits(row: FeatureRow, config: PolicyConfig) -> dict[str, int]:
+    """All ten feature bits of a row under one family's settings.
+
+    The config decides three: a reached CAPEC at the configured skill
+    level, a sector-focused group from a configured origin country, and
+    the EPSS gate (probability at threshold, percentile within appetite).
+    """
+    epss_gate = row.epss is not None and (
+        row.epss[0] >= config.epss_threshold
+        and row.epss[1] * 100.0 >= 100.0 - config.risk_appetite)
     return {
-        "av_network": int(node.props.get("attack_vector") == AttackVector.NETWORK.value),
-        "sector_focus": int(sector_focus),
-        "targets_country": int(targets_country),
-        "origin_match": int(origin_match),
-        "skill_match": int(skill_match),
-        "technique_link": int(technique_link),
-        "failure_impact": int(failure_impact),
-        "epss_gate": _epss_bit(node, config),
-        "exploit_known": int(bool(exploited)),
-        "affects_software": int(bool(affected & org.cpe_ids)),
+        **row.fixed_bits,
+        "origin_match": int(not row.origin_countries.isdisjoint(config.origin_countries)),
+        "skill_match": int(config.skill_level.value in row.skill_levels),
+        "epss_gate": int(epss_gate),
     }
 
 
@@ -296,42 +317,14 @@ def score_from_bits(bits: Mapping[str, int]) -> int:
     return max(1, sum(bits.values()))
 
 
-# ---------------------------------------------------------------------------
-# The per-cohort feature table
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FeatureRow:
-    """The feature record of one (CVE, organization) pair.
-
-    ``cvss_base`` is None when the graph holds no score; ``bits`` holds the
-    ten ``feature_bits``, or nothing for a table built without a config.
-    """
-
-    cvss_base: float | None
-    bits: Mapping[str, int]
-
-
-def feature_table(
-    graph: PropertyGraph,
-    cohort: WeeklyCohort,
-    org: OrgContext,
-    config: PolicyConfig | None = None,
-) -> dict[str, FeatureRow]:
+def feature_table(graph: PropertyGraph, cohort: WeeklyCohort,
+                  org: OrgContext) -> dict[str, FeatureRow]:
     """Feature rows of a cohort's candidates, keyed by CVE id.
 
-    Bits depend on the config's origin countries, skill level and EPSS
-    gate, so one table serves every policy of one feature family.  Without
-    a config the table holds CVSS scores only and skips the path walk.
+    The rows hold no setting, so one table serves every policy of both
+    feature families.
     """
-    return {
-        cve_id: FeatureRow(
-            cvss_base=_cve_node(graph, cve_id).props.get("cvss_base"),
-            bits=feature_bits(graph, cve_id, org, config) if config is not None else {},
-        )
-        for cve_id in cohort.cve_ids
-    }
+    return {cve_id: feature_row(graph, cve_id, org) for cve_id in cohort.cve_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +354,14 @@ def rank(
 ) -> RankedList:
     """Rank one weekly cohort under a policy of the config's family.
 
-    ``records`` is the cohort's ``feature_table``; CVSS-base items carry no
-    feature bits.
+    ``records`` is the cohort's ``feature_table``, whose rows the config
+    turns into bits; CVSS-base items carry no feature bits.
     """
     names = policy_bits(policy, config.family)
-    bits_of = {cve: {name: records[cve].bits[name] for name in names}
-               for cve in cohort.cve_ids}
+    bits_of = {}
+    for cve in cohort.cve_ids:
+        bits = feature_bits(records[cve], config)
+        bits_of[cve] = {name: bits[name] for name in names}
     if policy is Policy.CVSS_BASE:
         scored = [(cve, _cvss_score(cve, records[cve].cvss_base)) for cve in cohort.cve_ids]
     else:

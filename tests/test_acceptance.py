@@ -98,7 +98,7 @@ def test_c1_case_study_reproduction():
         assert len(cohorts) == 1 and len(cohorts[0].cve_ids) == 39
 
         apt = config.apt_config
-        table = feature_table(graph, cohorts[0], org, apt)
+        table = feature_table(graph, cohorts[0], org)
         threat = rank(cohorts[0], Policy.APT_THREAT, apt, table)
         cvss = rank(cohorts[0], Policy.CVSS_BASE, apt, table)
 
@@ -188,7 +188,7 @@ def test_c3_relevance_range_and_monotonicity():
                 risk_appetite=rng.randint(0, 100),
             )
             cohort = WeeklyCohort(org_id="fuzz", iso_week=(2021, 1), cve_ids=(cve_id,))
-            table = feature_table(graph, cohort, org, config)
+            table = feature_table(graph, cohort, org)
             for family, (threat, _bits) in FAMILIES.items():
                 family_config = replace(config, family=family)
                 for policy in (threat, Policy.IDEAL):
@@ -288,7 +288,7 @@ def test_c6_synthetic_corpus_improvement():
         apt = config.apt_config
         cvss_series, threat_series = [], []
         for cohort in cohorts:
-            table = feature_table(graph, cohort, org, apt)
+            table = feature_table(graph, cohort, org)
             ideal = rank(cohort, Policy.IDEAL, apt, table)
             cvss = rank(cohort, Policy.CVSS_BASE, apt, table)
             threat = rank(cohort, Policy.APT_THREAT, apt, table)
@@ -377,7 +377,7 @@ def test_c9_corpus_scale_targets():
 
         sector_node = graph.find(NodeLabel.DHS_SECTOR, "Government Facilities")
         assert sector_node is not None
-        focused = graph.neighbors(sector_node, EdgeType.FOCUS_ON, "in")
+        focused = sector_node.incoming.get(EdgeType.FOCUS_ON, ())
         assert abs(len(focused) - 50) <= 5
 
         org = OrgContext.from_graph(graph, "ODU")

@@ -128,6 +128,15 @@ def test_rank_unknown_policy_exits_one(built, capsys):
     assert "sorcery" in capsys.readouterr().err
 
 
+def test_rank_unknown_policy_is_a_usage_error_before_the_graph(tmp_path, capsys):
+    # no graph.jsonl: the policy is checked first, so its name is the error
+    code = _run("--config", CONFIG, "--out", str(tmp_path / "fresh"),
+                "rank", "--org", "ODU", "--policy", "bogus")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unknown policy: 'bogus'" in err and "graph.jsonl" not in err
+
+
 def test_rank_without_build_exits_one(tmp_path, capsys):
     out = tmp_path / "fresh"
     code = _run("--config", CONFIG, "--out", str(out),

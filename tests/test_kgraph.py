@@ -41,6 +41,7 @@ from threatrank.ranking import (
     OrgContext,
     PolicyConfig,
     feature_bits,
+    feature_row,
     generate_candidates,
 )
 from threatrank.vocab import Vocabulary
@@ -103,27 +104,21 @@ def test_add_edge_rejects_schema_violation():
     assert cve.outgoing == {} and country.incoming == {}
 
 
-def test_neighbors_unknown_and_isolated_nodes():
+def test_adjacency_of_isolated_and_linked_nodes():
     g = PropertyGraph()
     node = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000")
-    assert g.neighbors(node, EdgeType.AFFECTS, "out") == set()
-    assert g.neighbors(node, EdgeType.AFFECTS, "in") == set()
+    assert node.outgoing == {} and node.incoming == {}
     assert g.find(NodeLabel.NVD_CVE, "CVE-2021-99999") is None
-    # a linked node has no neighbors over the edge types it lacks
+    # a linked node has no entry for the edge types it lacks
     cpe = g.upsert_node(NodeLabel.CPE, "cpe:2.3:a:v:p:-:*:*:*:*:*:*:*")
     assert g.link(EdgeType.AFFECTS, node.key, cpe.key)
-    assert g.neighbors(node, EdgeType.AFFECTS, "out") == {cpe}
-    assert g.neighbors(cpe, EdgeType.AFFECTS, "in") == {node}
-    assert g.neighbors(node, EdgeType.WEAKENED_BY, "out") == set()
-    assert g.neighbors(cpe, EdgeType.AFFECTS, "out") == set()
+    assert node.outgoing == {EdgeType.AFFECTS: {cpe}}
+    assert cpe.incoming == {EdgeType.AFFECTS: {node}}
+    assert node.incoming == {} and cpe.outgoing == {}
+    g.freeze()
+    assert node.outgoing == {EdgeType.AFFECTS: frozenset({cpe})}
+    assert cpe.outgoing == {} and EdgeType.WEAKENED_BY not in node.outgoing
     assert "cpe:2.3" not in repr(node)  # repr does not walk the adjacency
-
-
-def test_neighbors_direction_validation():
-    g = PropertyGraph()
-    node = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000")
-    with pytest.raises(ValueError):
-        g.neighbors(node, EdgeType.AFFECTS, "sideways")
 
 
 def test_dangling_references_are_dropped_and_counted():
@@ -164,9 +159,7 @@ def test_frozen_graph_props_are_read_only(tmp_path):
     with pytest.raises(AttributeError):
         cwe_props["notes"][0].append("more")
     assert cwe_props == {"technical_impacts": ("Modify Data",), "notes": (("nested",),)}
-    # adjacency: neither what neighbors() returns nor a node's own fields can change the graph
-    with pytest.raises(AttributeError):
-        g.neighbors(node, EdgeType.WEAKENED_BY).add(node)
+    # adjacency: neither a node's edge sets nor its own fields can change the graph
     with pytest.raises(AttributeError):
         node.outgoing[EdgeType.WEAKENED_BY].add(node)
     with pytest.raises(AttributeError):
@@ -185,8 +178,8 @@ def test_frozen_graph_props_are_read_only(tmp_path):
         g.add_edge(cwe, EdgeType.WEAKENED_BY, cwe)
     with pytest.raises(GraphFrozenError):
         g.link(EdgeType.WEAKENED_BY, node.key, cwe.key)
-    assert g.neighbors(node, EdgeType.WEAKENED_BY) == {cwe}
-    assert g.neighbors(cwe, EdgeType.WEAKENED_BY, "in") == {node}
+    assert node.outgoing[EdgeType.WEAKENED_BY] == {cwe}
+    assert cwe.incoming[EdgeType.WEAKENED_BY] == {node}
     assert g.edge_count == 1 and g.stats.schema_rejected == 0
     assert graph_signature(g) == signature
     save_graph(g, tmp_path / "graph.jsonl")
@@ -198,7 +191,7 @@ def test_frozen_graph_props_are_read_only(tmp_path):
         reloaded.find(NodeLabel.CWE, "CWE-416").props["technical_impacts"].append("Read Data")
     reloaded_cve = reloaded.find(NodeLabel.NVD_CVE, "CVE-2021-38000")
     with pytest.raises(AttributeError):
-        reloaded.neighbors(reloaded_cve, EdgeType.WEAKENED_BY).add(reloaded_cve)
+        reloaded_cve.outgoing[EdgeType.WEAKENED_BY].add(reloaded_cve)
     with pytest.raises(TypeError):
         reloaded_cve.outgoing[EdgeType.AFFECTS] = set()
     assert graph_signature(reloaded) == signature
@@ -207,8 +200,8 @@ def test_frozen_graph_props_are_read_only(tmp_path):
 def test_in_out_adjacency_consistency():
     graph = build_graph(random_bundle(seed=7, scale=1) , vocab=None)
     for src, edge_type, dst in graph.edges():
-        assert dst in graph.neighbors(src, edge_type, "out")
-        assert src in graph.neighbors(dst, edge_type, "in")
+        assert dst in src.outgoing[edge_type]
+        assert src in dst.incoming[edge_type]
 
 
 def test_rebuild_is_isomorphic():
@@ -245,7 +238,7 @@ def test_case_graph_has_three_kev_edges(case_graph):
 
 def test_case_graph_kev_neighbor(case_graph):
     node = case_graph.find(NodeLabel.NVD_CVE, "CVE-2021-38000")
-    keys = {n.key for n in case_graph.neighbors(node, EdgeType.EXPLOITS_KNOWN, "out")}
+    keys = {n.key for n in node.outgoing[EdgeType.EXPLOITS_KNOWN]}
     assert keys == {"CVE-2021-38000"}  # catalog entries are keyed by CVE id
 
 
@@ -313,7 +306,7 @@ def test_groups_threatening_fixture(case_graph):
         org = OrgContext(org_id="X", sector=sector, country="United States",
                          cpe_ids=frozenset())
         config = PolicyConfig(family=Family.APT, origin_countries=frozenset(origins))
-        bits = feature_bits(case_graph, "CVE-2021-38000", org, config)
+        bits = feature_bits(feature_row(case_graph, "CVE-2021-38000", org), config)
         return tuple(bits[name] for name in GROUP_BITS)
 
     assert group_bits("Education", {"China"}) == (1, 1, 1)
@@ -326,7 +319,7 @@ def test_us_filter_excludes_non_us_group(case_graph):
     # attribution edges out, so it threatens no sector.
     node = case_graph.find(NodeLabel.ATTACK_GROUP, "G0903")
     assert node is not None  # the group node itself is kept
-    assert case_graph.neighbors(node, EdgeType.FOCUS_ON, "out") == set()
+    assert EdgeType.FOCUS_ON not in node.outgoing
 
 
 def test_case_graph_conformance_audit(case_graph):

@@ -27,9 +27,10 @@ from threatrank.feeds import (
 )
 from threatrank.enrich import GroupAttribution
 from threatrank.feeds import AttackGroupRaw
-from threatrank.kgraph import build_graph
+from threatrank.kgraph import EdgeType, NodeLabel, build_graph
 from threatrank.ranking import (
     APT_BITS,
+    FAILURE_IMPACTS,
     FAMILIES,
     GENERAL_BITS,
     Family,
@@ -38,6 +39,7 @@ from threatrank.ranking import (
     PolicyConfig,
     WeeklyCohort,
     feature_bits,
+    feature_row,
     feature_table,
     generate_candidates,
     order_scored,
@@ -117,7 +119,7 @@ def _item(graph, cve_id, org, config, policy=None):
     the config family's threat policy."""
     cohort = WeeklyCohort(org_id=org.org_id, iso_week=(2021, 1), cve_ids=(cve_id,))
     policy = policy or FAMILIES[config.family][0]
-    return rank(cohort, policy, config, feature_table(graph, cohort, org, config)).items[0]
+    return rank(cohort, policy, config, feature_table(graph, cohort, org)).items[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +191,6 @@ def test_cvss_base_scores(case_graph, case_org):
 
 
 def test_cvss_base_missing_score_warns(caplog):
-    from threatrank.kgraph import NodeLabel
-
     graph = build_graph(SnapshotBundle(), vocab=TINY_VOCAB)
     graph.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-10000", {})
     with caplog.at_level("WARNING"):
@@ -218,22 +218,21 @@ def test_apt_bits_composition(case_graph, case_org):
 
 def test_apt_origin_filter_respects_config(case_graph, case_org):
     config = replace(APT, origin_countries=frozenset({"Iran"}))
-    bits = feature_bits(case_graph, "CVE-2021-38000", case_org, config)
+    bits = feature_bits(feature_row(case_graph, "CVE-2021-38000", case_org), config)
     assert bits["origin_match"] == 0
     assert bits["sector_focus"] == 1
 
 
 def test_epss_gate_threshold_is_inclusive(case_graph, case_org):
-    bits = feature_bits(case_graph, "CVE-2021-38000", case_org, APT)
+    bits = feature_bits(feature_row(case_graph, "CVE-2021-38000", case_org), APT)
     assert bits["epss_gate"] == 1  # probability exactly 0.876
 
 
 def test_risk_appetite_gates_percentile(case_graph, case_org):
     # percentile 0.94 fails a 5-point appetite (needs >= 95th percentile)
-    strict = replace(APT, risk_appetite=5)
-    assert feature_bits(case_graph, "CVE-2021-38000", case_org, strict)["epss_gate"] == 0
-    lenient = replace(APT, risk_appetite=6)
-    assert feature_bits(case_graph, "CVE-2021-38000", case_org, lenient)["epss_gate"] == 1
+    row = feature_row(case_graph, "CVE-2021-38000", case_org)
+    assert feature_bits(row, replace(APT, risk_appetite=5))["epss_gate"] == 0
+    assert feature_bits(row, replace(APT, risk_appetite=6))["epss_gate"] == 1
 
 
 def test_general_threat_full_house():
@@ -260,23 +259,23 @@ def test_general_threat_skill_flip_changes_exactly_one_bit():
 
 def test_general_threat_failure_impact_bit():
     graph = _mini_graph(impacts=(TechnicalImpact.READ_DATA,))
-    bits = feature_bits(graph, "CVE-2021-10000", MINI_ORG, GENERAL)
+    bits = feature_bits(feature_row(graph, "CVE-2021-10000", MINI_ORG), GENERAL)
     assert bits["failure_impact"] == 0
     graph = _mini_graph(impacts=(TechnicalImpact.GAIN_PRIVILEGES,))
-    bits = feature_bits(graph, "CVE-2021-10000", MINI_ORG, GENERAL)
+    bits = feature_bits(feature_row(graph, "CVE-2021-10000", MINI_ORG), GENERAL)
     assert bits["failure_impact"] == 1
 
 
 def test_ideal_exploit_bit_variants(case_graph, case_org):
-    bits = feature_bits(case_graph, "CVE-2021-38000", case_org, APT)
+    bits = feature_bits(feature_row(case_graph, "CVE-2021-38000", case_org), APT)
     assert bits["exploit_known"] == 1  # KEV entry
-    bits = feature_bits(case_graph, "CVE-2021-37966", case_org, APT)
+    bits = feature_bits(feature_row(case_graph, "CVE-2021-37966", case_org), APT)
     assert bits["exploit_known"] == 0  # in neither catalog
 
 
 def test_ideal_exploitdb_only_counts():
     graph = _mini_graph(in_exploitdb=True, in_kev=False)
-    bits = feature_bits(graph, "CVE-2021-10000", MINI_ORG, APT)
+    bits = feature_bits(feature_row(graph, "CVE-2021-10000", MINI_ORG), APT)
     assert bits["exploit_known"] == 1
 
 
@@ -324,7 +323,7 @@ def test_threat_policy_ranks_only_in_its_family():
 def _case_rankings(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     apt = case_config.apt_config
-    table = feature_table(case_graph, cohort, case_org, apt)
+    table = feature_table(case_graph, cohort, case_org)
     threat = rank(cohort, Policy.APT_THREAT, apt, table)
     cvss = rank(cohort, Policy.CVSS_BASE, apt, table)
     return cohort, cvss, threat
@@ -358,15 +357,14 @@ def test_rank_singleton_cohort():
     graph = _mini_graph()
     cohort = WeeklyCohort(org_id="X", iso_week=(2021, 5), cve_ids=("CVE-2021-10000",))
     for config in (APT, GENERAL):
-        table = feature_table(graph, cohort, MINI_ORG, config)
+        table = feature_table(graph, cohort, MINI_ORG)
         for policy in (Policy.CVSS_BASE, FAMILIES[config.family][0], Policy.IDEAL):
             assert [i.rank for i in rank(cohort, policy, config, table).items] == [1]
 
 
-def test_cvss_ranking_carries_no_bits_and_skips_the_walk(case_graph, case_org, case_config):
+def test_cvss_ranking_carries_no_bits(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     table = feature_table(case_graph, cohort, case_org)
-    assert all(row.bits == {} for row in table.values())
     cvss = rank(cohort, Policy.CVSS_BASE, case_config.apt_config, table)
     assert all(item.feature_bits == {} for item in cvss.items)
 
@@ -391,12 +389,16 @@ def test_order_scored_is_gap_free_and_sorted(scores):
             assert c1 < c2
 
 
+# A power-of-two factor scales every float exactly, so it keeps each
+# pair's strict order and ties; an arbitrary factor can round two close
+# scores (9.999999999999998 and 10.0 times 819.4220127764424) to one
+# float, and the tie then reorders them by CVE id.
 @given(st.lists(st.floats(0.1, 10, allow_nan=False), min_size=1, max_size=30),
-       st.floats(0.001, 1000, allow_nan=False))
+       st.integers(-10, 10))
 @settings(max_examples=100)
-def test_positive_scaling_preserves_order(scores, factor):
+def test_positive_scaling_preserves_order(scores, exponent):
     base = [(f"CVE-2020-{10000 + i}", s) for i, s in enumerate(scores)]
-    scaled = [(cve, s * factor) for cve, s in base]
+    scaled = [(cve, s * 2.0 ** exponent) for cve, s in base]
     assert [c for c, _s, _r in order_scored(base)] == [c for c, _s, _r in order_scored(scaled)]
 
 
@@ -434,25 +436,141 @@ def test_raising_one_score_never_lowers_rank(scores, data):
 
 def test_feature_record_population(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    row = feature_table(case_graph, cohort, case_org, case_config.apt_config)["CVE-2021-38000"]
+    row = feature_table(case_graph, cohort, case_org)["CVE-2021-38000"]
     assert row.cvss_base == 6.1
     # CWE-601 -> CAPEC-194 (Medium skill) -> T1566 (Phishing) -> G0901, a
     # China-origin group focused on Education and targeting the US.  G0903
     # also employs T1566; it carries no sector or country edges, so it is
     # reached without contributing bits.  KEV and ExploitDB both list it.
-    assert row.bits == {
+    assert row.skill_levels == {"Medium"}
+    # G0901's description also gives it South Korean and US origins
+    assert row.origin_countries == {"China", "South Korea", "United States"}
+    assert row.epss == (0.876, 0.94)
+    assert feature_bits(row, case_config.apt_config) == {
         "av_network": 1, "sector_focus": 1, "targets_country": 1, "origin_match": 1,
         "skill_match": 0, "technique_link": 1, "failure_impact": 1,
         "epss_gate": 1, "exploit_known": 1, "affects_software": 1,
     }
 
 
+def test_feature_row_ignores_a_skill_level_that_is_not_a_string():
+    # graph.jsonl is outside input: a Capec whose skill_level is an object
+    # matches no configured level and must not end a read in a traceback
+    graph = build_graph(SnapshotBundle(), vocab=TINY_VOCAB)
+    graph.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-10000", {})
+    graph.upsert_node(NodeLabel.CWE, "CWE-79")
+    graph.upsert_node(NodeLabel.CAPEC, "CAPEC-63", {"skill_level": {"level": "High"}})
+    assert graph.link(EdgeType.WEAKENED_BY, "CVE-2021-10000", "CWE-79")
+    assert graph.link(EdgeType.KNOWN_ATTACK, "CWE-79", "CAPEC-63")
+    row = feature_row(graph.freeze(), "CVE-2021-10000", MINI_ORG)
+    assert row.skill_levels == frozenset()
+    assert feature_bits(row, GENERAL)["skill_match"] == 0
+
+
 def test_feature_record_marks_absent_fields():
     graph = _mini_graph(cwe_chain=False, epss=None)
-    bits = feature_bits(graph, "CVE-2021-10000", MINI_ORG, APT)
+    bits = feature_bits(feature_row(graph, "CVE-2021-10000", MINI_ORG), APT)
     # no weakness chain: no path bits; no EPSS row: the gate stays shut
     assert bits == {
         "av_network": 1, "sector_focus": 0, "targets_country": 0, "origin_match": 0,
         "skill_match": 0, "technique_link": 0, "failure_impact": 0,
         "epss_gate": 0, "exploit_known": 0, "affects_software": 1,
     }
+
+
+# ---------------------------------------------------------------------------
+# The config-free row against the one-walk-per-config extraction it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_feature_bits(graph, cve_id, org, config):
+    """The ten bits from one walk that weighs the config as it goes.
+
+    This is how the bits were extracted before the walk and the config were
+    split; it reads the same adjacency.
+    """
+    def adjacent(node, edge_type, direction="out"):
+        return (node.outgoing if direction == "out" else node.incoming).get(edge_type, frozenset())
+
+    def adjacent_keys(node, edge_type):
+        return {other.key for other in adjacent(node, edge_type)}
+
+    node = graph.find(NodeLabel.NVD_CVE, cve_id)
+    failure_impact = skill_match = technique_link = False
+    techniques = set()
+    for cwe in adjacent(node, EdgeType.WEAKENED_BY):
+        if FAILURE_IMPACTS.intersection(cwe.props.get("technical_impacts", ())):
+            failure_impact = True
+        for capec in adjacent(cwe, EdgeType.KNOWN_ATTACK):
+            if capec.props.get("skill_level") == config.skill_level.value:
+                skill_match = True
+            employed = adjacent(capec, EdgeType.EMPLOYS)
+            technique_link = technique_link or bool(employed)
+            techniques |= employed
+    groups = set()
+    for technique in techniques:
+        groups |= adjacent(technique, EdgeType.ACHIEVES_GOAL, "in")
+    sector_focus = targets_country = origin_match = False
+    for group in groups:
+        if org.sector not in adjacent_keys(group, EdgeType.FOCUS_ON):
+            continue
+        sector_focus = True
+        if org.country in adjacent_keys(group, EdgeType.TARGETS):
+            targets_country = True
+        if adjacent_keys(group, EdgeType.ORIGINATES) & config.origin_countries:
+            origin_match = True
+    probability = node.props.get("epss_probability")
+    percentile = node.props.get("epss_percentile")
+    epss_gate = (probability is not None and percentile is not None
+                 and probability >= config.epss_threshold
+                 and percentile * 100.0 >= 100.0 - config.risk_appetite)
+    exploited = (adjacent(node, EdgeType.EXPLOITS_KNOWN)
+                 or adjacent(node, EdgeType.REFERENCE_EXPLOIT))
+    return {
+        "av_network": int(node.props.get("attack_vector") == AttackVector.NETWORK.value),
+        "sector_focus": int(sector_focus),
+        "targets_country": int(targets_country),
+        "origin_match": int(origin_match),
+        "skill_match": int(skill_match),
+        "technique_link": int(technique_link),
+        "failure_impact": int(failure_impact),
+        "epss_gate": int(epss_gate),
+        "exploit_known": int(bool(exploited)),
+        "affects_software": int(bool(adjacent_keys(node, EdgeType.AFFECTS) & org.cpe_ids)),
+    }
+
+
+@pytest.fixture(scope="module")
+def fixture_candidates(case_graph, synth_graph):
+    """(graph, org, CVE id, row) of every candidate of every org on both fixtures,
+    with the country vocabulary and the EPSS probabilities they hold."""
+    candidates, countries, probabilities = [], set(), set()
+    for graph in (case_graph, synth_graph):
+        countries.update(n.key for n in graph.nodes_with_label(NodeLabel.COUNTRY))
+        for org_node in graph.nodes_with_label(NodeLabel.ORGANIZATION):
+            org = OrgContext.from_graph(graph, org_node.key)
+            for cohort in generate_candidates(org, graph, (date.min, date.max)):
+                for cve_id in cohort.cve_ids:
+                    row = feature_row(graph, cve_id, org)
+                    candidates.append((graph, org, cve_id, row))
+                    if row.epss is not None:
+                        probabilities.add(row.epss[0])
+    return candidates, sorted(countries), sorted(probabilities)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_feature_bits_of_a_row_equal_the_config_walk(fixture_candidates, data):
+    candidates, countries, probabilities = fixture_candidates
+    assert len(candidates) == 39 + 1399 and probabilities
+    config = PolicyConfig(
+        family=data.draw(st.sampled_from(Family)),
+        origin_countries=data.draw(st.frozensets(st.sampled_from(countries))
+                                   | st.frozensets(st.sampled_from(["China", "Iran", "Russia"]))),
+        skill_level=data.draw(st.sampled_from([SkillLevel.LOW, SkillLevel.HIGH])),
+        epss_threshold=data.draw(st.floats(0.0, 1.0) | st.sampled_from(probabilities)),
+        risk_appetite=data.draw(st.integers(0, 100)),
+    )
+    for graph, org, cve_id, row in candidates:
+        assert feature_bits(row, config) == _reference_feature_bits(graph, cve_id, org, config), \
+            cve_id
