@@ -14,6 +14,12 @@ them, so a read command (``rank``, ``evaluate``, ``case-study``) loads
 neither the feed parsers nor the attribution and inventory code.  Calls go
 through the module attribute (``enrich.load_lexicon``), so a function
 rebound on its module is the one that runs.
+
+``main`` runs a command with the cyclic garbage collector paused.  What a
+command keeps (records, the graph and its adjacency cycles) lives until
+the process exits, and what it drops is acyclic and freed by reference
+counting, so a collection pass would only re-walk the growing heap.  The
+collector's previous state is restored when the command returns.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -446,6 +453,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    The collector is restored to its previous state when the command ends,
+    however it ends.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -139,6 +139,22 @@ class BuildStats:
         return sum(self.dangling_dropped.values())
 
 
+def _join(src: Node, edge_type: EdgeType, dst: Node) -> None:
+    """Record one edge in both endpoints' adjacency.
+
+    A set is made only for an edge type new to the node; ``setdefault``
+    would build and drop one per call.
+    """
+    targets = src.outgoing.get(edge_type)
+    if targets is None:
+        targets = src.outgoing[edge_type] = set()
+    targets.add(dst)
+    sources = dst.incoming.get(edge_type)
+    if sources is None:
+        sources = dst.incoming[edge_type] = set()
+    sources.add(src)
+
+
 def _as_tuple(values: list) -> tuple:
     """A list prop, nested lists included, as read-only tuples."""
     return tuple(_as_tuple(v) if type(v) is list else v for v in values)
@@ -192,8 +208,7 @@ class PropertyGraph:
         if (src.label, dst.label) != EDGE_ENDPOINTS[edge_type]:
             self.stats.schema_rejected += 1
             return False
-        src.outgoing.setdefault(edge_type, set()).add(dst)
-        dst.incoming.setdefault(edge_type, set()).add(src)
+        _join(src, edge_type, dst)
         return True
 
     def link(self, edge_type: EdgeType, src_key: str, dst_key: str) -> bool:
@@ -418,28 +433,34 @@ def techniques_for_cve(graph: PropertyGraph, cve_id: str) -> set[tuple[str, str,
 # ---------------------------------------------------------------------------
 
 
+# json.dumps with its default settings, without its per-call keyword checks.
+_encode = json.JSONEncoder().encode
+
+
 def save_graph(graph: PropertyGraph, path: str | Path) -> None:
     """Write the graph as newline-delimited records, nodes then edges.
 
     Nodes are ordered by (label, key) and edges by (source key, type,
     target key) so snapshots of isomorphic graphs are byte-identical.
+
+    Each line is byte-for-byte ``json.dumps`` of its record: ``{kind,
+    label, key, props}`` with the top-level props sorted by name (nested
+    values keep their order), or ``{kind, type, src, dst}``.  It is rendered
+    from a fixed template, where label and edge-type values, fixed ASCII
+    names, go in verbatim and only keys and props are encoded, and written
+    at once, so the file is never held whole.
     """
     nodes = sorted(graph.nodes(), key=lambda n: (n.label.value, n.key))
     edge_rows = sorted((src.key, edge_type.value, dst.key) for src, edge_type, dst in graph.edges())
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        write = fh.write
         for node in nodes:
-            fh.write(json.dumps({
-                "kind": "node",
-                "label": node.label.value,
-                "key": node.key,
-                "props": {k: node.props[k] for k in sorted(node.props)},
-            }, sort_keys=False))
-            fh.write("\n")
+            props = node.props
+            write(f'{{"kind": "node", "label": "{node.label.value}", "key": {_encode(node.key)}, '
+                  f'"props": {_encode({k: props[k] for k in sorted(props)})}}}\n')
         for src_key, type_name, dst_key in edge_rows:
-            fh.write(json.dumps({
-                "kind": "edge", "type": type_name, "src": src_key, "dst": dst_key,
-            }, sort_keys=False))
-            fh.write("\n")
+            write(f'{{"kind": "edge", "type": "{type_name}", '
+                  f'"src": {_encode(src_key)}, "dst": {_encode(dst_key)}}}\n')
 
 
 # Numeric NvdCve props the read commands compare, with their upper bound;
@@ -538,8 +559,7 @@ def load_graph(path: str | Path) -> PropertyGraph:
                     dst = nodes.get((dst_label, obj["dst"]))
                     if src is None or dst is None:
                         raise ValueError("edge references unknown node")
-                    src.outgoing.setdefault(edge_type, set()).add(dst)
-                    dst.incoming.setdefault(edge_type, set()).add(src)
+                    _join(src, edge_type, dst)
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except (KeyError, TypeError, ValueError) as exc:

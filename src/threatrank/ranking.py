@@ -35,7 +35,6 @@ order (ties break on ascending CVE id).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
@@ -44,8 +43,6 @@ from typing import Iterable, Mapping
 from .kinds import AttackVector, SkillLevel, TechnicalImpact
 # techniques_for_cve is unused here; bench/trace_cli.py rebinds ranking's name.
 from .kgraph import EdgeType, Node, NodeLabel, PropertyGraph, techniques_for_cve  # noqa: F401
-
-log = logging.getLogger(__name__)
 
 # CWE technical impacts treated as failure-class ("high impact") for the
 # general-threat policy.
@@ -341,7 +338,10 @@ def order_scored(scored: Iterable[tuple[str, float]]) -> list[tuple[str, float, 
 def _cvss_score(cve_id: str, cvss_base: float | None) -> float:
     """CVSS base score; missing scores rank last with a warning."""
     if cvss_base is None:
-        log.warning("%s has no CVSS base score; treating as 0.0", cve_id)
+        # Imported only here: a read command otherwise never loads logging.
+        import logging
+
+        logging.getLogger(__name__).warning("%s has no CVSS base score; treating as 0.0", cve_id)
         return 0.0
     return float(cvss_base)
 
@@ -355,12 +355,13 @@ def rank(
     """Rank one weekly cohort under a policy of the config's family.
 
     ``records`` is the cohort's ``feature_table``, whose rows the config
-    turns into bits; CVSS-base items carry no feature bits.
+    turns into bits; CVSS-base items carry no feature bits, and their rows'
+    bits are never derived.
     """
     names = policy_bits(policy, config.family)
     bits_of = {}
     for cve in cohort.cve_ids:
-        bits = feature_bits(records[cve], config)
+        bits = feature_bits(records[cve], config) if names else {}
         bits_of[cve] = {name: bits[name] for name in names}
     if policy is Policy.CVSS_BASE:
         scored = [(cve, _cvss_score(cve, records[cve].cvss_base)) for cve in cohort.cve_ids]

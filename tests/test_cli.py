@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threatrank import cli
 from threatrank.cli import load_config, main
 from threatrank.errors import DataError
 from threatrank.ranking import Family, PolicyConfig
@@ -423,6 +425,31 @@ def test_one_byte_graph_edit_keeps_the_exit_code_contract(built_copy, byte, inse
 def test_bad_flags_exit_one(capsys):
     assert _run("--config", CONFIG, "frobnicate") == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("was_enabled", [True, False], ids=["gc_enabled", "gc_disabled"])
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
+                                                  code, was_enabled):
+    bad = tmp_path / "config.json"
+    bad.write_text("{not json", encoding="utf-8")
+    config = {0: CONFIG, 1: str(tmp_path / "nope.json"), 2: str(bad)}[code]
+    during = []
+
+    def recording_load_config(path):
+        during.append(gc.isenabled())
+        return load_config(path)
+
+    monkeypatch.setattr(cli, "load_config", recording_load_config)
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        assert _run("--config", config, "--out", str(tmp_path / "out"), "ingest") == code
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert during == [False]  # the command ran with the collector paused
+    assert after is was_enabled
 
 
 def test_evaluate_is_deterministic(tmp_path):

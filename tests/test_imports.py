@@ -41,7 +41,7 @@ PUBLIC_NAMES = {
 ALL_NAMES = sorted(name for names in PUBLIC_NAMES.values() for name in names)
 
 # Run in a fresh interpreter: the modules one import of the package and
-# then the three read commands leave loaded.
+# then the three read commands leave loaded, and whether logging is one.
 _CHILD = """
 import contextlib, io, json, sys
 import threatrank
@@ -53,7 +53,8 @@ with contextlib.redirect_stdout(io.StringIO()):
              main([*base, "evaluate"]),
              main([*base, "case-study", "--org", org])]
 print(json.dumps({"after_package": after_package, "codes": codes,
-                  "after_commands": sorted(m for m in sys.modules if m.startswith("threatrank"))}))
+                  "after_commands": sorted(m for m in sys.modules if m.startswith("threatrank")),
+                  "logging": "logging" in sys.modules}))
 """
 
 
@@ -73,6 +74,7 @@ def test_read_commands_import_no_ingest_or_build_module(tmp_path, capsys):
     loaded = set(result["after_commands"])
     assert {"threatrank.kgraph", "threatrank.ranking", "threatrank.evaluation"} <= loaded
     assert not loaded & {"threatrank.feeds", "threatrank.enrich", "threatrank.profiles"}
+    assert result["logging"] is False  # only a missing CVSS score imports it
 
 
 @pytest.mark.parametrize("module, name", [(module, name) for module, names

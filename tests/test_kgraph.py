@@ -461,3 +461,70 @@ def test_duplicate_node_lines_merge_props_later_values_winning(tmp_path):
     graph = load_graph(path)
     assert dict(graph.find(NodeLabel.CWE, "CWE-1").props) == {"name": "b", "x": 1}
     assert _load_outcome(load_graph, path) == _load_outcome(_reference_load_graph, path)
+
+
+# ---------------------------------------------------------------------------
+# The template writer against the writer it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_save_graph(graph, path):
+    # save_graph as it was before it rendered lines from templates: one
+    # record dict and a full json.dumps per line.  The oracle for the
+    # template writer.
+    nodes = sorted(graph.nodes(), key=lambda n: (n.label.value, n.key))
+    edge_rows = sorted((src.key, edge_type.value, dst.key) for src, edge_type, dst in graph.edges())
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        for node in nodes:
+            fh.write(json.dumps({
+                "kind": "node",
+                "label": node.label.value,
+                "key": node.key,
+                "props": {k: node.props[k] for k in sorted(node.props)},
+            }, sort_keys=False))
+            fh.write("\n")
+        for src_key, type_name, dst_key in edge_rows:
+            fh.write(json.dumps({
+                "kind": "edge", "type": type_name, "src": src_key, "dst": dst_key,
+            }, sort_keys=False))
+            fh.write("\n")
+
+
+# Text holding what JSON escapes: quotes, backslashes, control characters,
+# non-ASCII text and lone surrogates.
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\tab9é€\U0001f600\ud800\udfff')
+                | st.characters(), max_size=6)
+_KEYS = st.sampled_from(["a", "b", 'a"']) | _TEXT  # a few shared keys, so sort ties occur
+_SCALARS = (st.none() | st.booleans()
+            | st.integers() | st.sampled_from([2 ** 64, -(2 ** 63), 10 ** 30])
+            | st.floats() | st.sampled_from([1e-07, -0.0, 0.1, 1e16, 5e-324])
+            | _TEXT)
+# Lists, tuples (lists become tuples on freeze) and dicts, nested, with
+# inner keys in the order drawn.
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=8)
+_PROPS = st.dictionaries(_TEXT, _VALUES, max_size=4)  # empty props included
+
+
+@given(nodes=st.lists(st.tuples(st.sampled_from(list(NodeLabel)), _KEYS, _PROPS), max_size=10),
+       edges=st.lists(st.tuples(st.sampled_from(list(EdgeType)), _KEYS, _KEYS), max_size=10),
+       freeze=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_save_graph_writes_what_the_reference_writer_writes(
+        tmp_path_factory, nodes, edges, freeze):
+    g = PropertyGraph()
+    for label, key, props in nodes:
+        g.upsert_node(label, key, props)
+    for edge_type, src_key, dst_key in edges:
+        src_label, dst_label = EDGE_ENDPOINTS[edge_type]
+        assert g.add_edge(g.upsert_node(src_label, src_key), edge_type,
+                          g.upsert_node(dst_label, dst_key))
+    if freeze:
+        g.freeze()
+    out = tmp_path_factory.mktemp("saved")
+    save_graph(g, out / "graph.jsonl")
+    _reference_save_graph(g, out / "reference.jsonl")
+    assert (out / "graph.jsonl").read_bytes() == (out / "reference.jsonl").read_bytes()

@@ -27,6 +27,7 @@ from threatrank.feeds import (
 )
 from threatrank.enrich import GroupAttribution
 from threatrank.feeds import AttackGroupRaw
+from threatrank import ranking
 from threatrank.kgraph import EdgeType, NodeLabel, build_graph
 from threatrank.ranking import (
     APT_BITS,
@@ -362,11 +363,17 @@ def test_rank_singleton_cohort():
             assert [i.rank for i in rank(cohort, policy, config, table).items] == [1]
 
 
-def test_cvss_ranking_carries_no_bits(case_graph, case_org, case_config):
+def test_cvss_ranking_carries_no_bits(case_graph, case_org, case_config, monkeypatch):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     table = feature_table(case_graph, cohort, case_org)
+    derived = []
+    monkeypatch.setattr(ranking, "feature_bits",
+                        lambda row, config: derived.append(row) or feature_bits(row, config))
     cvss = rank(cohort, Policy.CVSS_BASE, case_config.apt_config, table)
     assert all(item.feature_bits == {} for item in cvss.items)
+    assert derived == []  # a policy that sums no bits derives none
+    rank(cohort, Policy.APT_THREAT, case_config.apt_config, table)
+    assert len(derived) == len(cohort.cve_ids)
 
 
 def test_rank_deterministic(case_graph, case_org, case_config):
