@@ -18,7 +18,8 @@ import sys
 from datetime import date, timedelta
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from threatrank.feeds import (  # noqa: E402
     AttackGroupRaw,
@@ -33,10 +34,10 @@ from threatrank.feeds import (  # noqa: E402
     ReferenceRecord,
     SkillLevel,
     TechnicalImpact,
-    dump_snapshot,
 )
+from scripts.snapshot_writer import dump_snapshot  # noqa: E402
 
-OUT_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "case_study"
+OUT_DIR = ROOT / "fixtures" / "case_study"
 
 WEEK_MONDAY = date(2021, 11, 22)  # ISO week 2021-W47
 

@@ -20,7 +20,8 @@ import sys
 from datetime import date, timedelta
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from threatrank.feeds import (  # noqa: E402
     AttackGroupRaw,
@@ -35,10 +36,10 @@ from threatrank.feeds import (  # noqa: E402
     ReferenceRecord,
     SkillLevel,
     TechnicalImpact,
-    dump_snapshot,
 )
+from scripts.snapshot_writer import dump_snapshot  # noqa: E402
 
-OUT_DIR = Path(__file__).resolve().parents[1] / "fixtures" / "synthetic52"
+OUT_DIR = ROOT / "fixtures" / "synthetic52"
 
 SEED = 20201231
 YEAR = 2020

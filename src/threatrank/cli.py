@@ -232,11 +232,13 @@ def prepare_inputs(config: ProjectConfig):
     return vocab, bundle, attributions, resolved_profiles, coverage
 
 
-def build_pipeline(config: ProjectConfig) -> kgraph.PropertyGraph:
-    """Parse, enrich, resolve, and assemble the frozen knowledge graph."""
-    vocab, bundle, attributions, resolved_profiles, _coverage = prepare_inputs(config)
+def build_pipeline(config: ProjectConfig) -> tuple[kgraph.PropertyGraph,
+                                                   dict[str, profiles.CoverageReport]]:
+    """Parse, enrich, resolve, and assemble the frozen knowledge graph; also
+    return each organization's CPE coverage report."""
+    vocab, bundle, attributions, resolved_profiles, coverage = prepare_inputs(config)
     graph = kgraph.build_graph(bundle, attributions, resolved_profiles, vocab)
-    return graph.freeze()
+    return graph.freeze(), coverage
 
 
 def _require_graph(config: ProjectConfig) -> kgraph.PropertyGraph:
@@ -298,8 +300,7 @@ def cmd_ingest(config: ProjectConfig) -> int:
 
 def cmd_build(config: ProjectConfig) -> int:
     """Build the knowledge graph; persist its snapshot and coverage CSVs."""
-    vocab, bundle, attributions, resolved_profiles, coverage = prepare_inputs(config)
-    graph = kgraph.build_graph(bundle, attributions, resolved_profiles, vocab).freeze()
+    graph, coverage = build_pipeline(config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     for org_id, report in sorted(coverage.items()):
         report.write_csv(config.output_dir / f"coverage_{org_id}.csv")

@@ -7,10 +7,16 @@ Two input shapes are supported:
   raw upstream feeds into this form), and
 * plain CSV for EPSS and KEV, the two upstreams with stable CSV exports.
 
+Each kind is one row of ``SOURCES``: a field table that pairs every field
+of the record type, in order and primary key first, with the reader of its
+value, and at most one rule over the whole record.  One loop,
+``Source.from_obj``, reads snapshot objects and CSV rows alike.  An absent
+or ``null`` text field takes its default; a ``null`` list, a boolean where
+a number belongs, or any value its reader refuses makes the line dirty.
+
 Parsers are pure and reentrant.  Malformed lines are skipped and counted
 rather than aborting: CTI feeds are routinely dirty.  Duplicate primary
-keys are resolved last-wins with a warning.  Dates are ISO-8601 calendar
-dates in UTC; any time-of-day component is discarded.
+keys are resolved last-wins with a warning.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import csv
 import json
 import logging
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -135,213 +141,108 @@ class ReferenceRecord:
 
 
 # ---------------------------------------------------------------------------
-# Field-level parsing helpers
+# Field readers: each reads one value as the record holds it, or raises ValueError
 # ---------------------------------------------------------------------------
 
+Reader = Callable[[object], object]
+_ABSENT = object()  # the value of a field the object does not hold; null is None
 
-def _parse_date(value) -> date:
-    """Parse an ISO-8601 date, discarding any time-of-day suffix."""
-    if isinstance(value, date):
+
+def _text(default: str | None = "", pattern: re.Pattern | None = None) -> Reader:
+    """A string that ``pattern``, if given, matches; absent or null reads as
+    ``default``, or is missing if that is None."""
+    def read(value):
+        if value is None or value is _ABSENT:
+            if default is None:
+                raise ValueError("is missing")
+            return default
+        if not isinstance(value, str):
+            raise ValueError("must be a string")
+        if pattern is not None and not pattern.match(value):
+            raise ValueError(f"is malformed: {value!r}")
         return value
+    return read
+
+
+def _strings(pattern: re.Pattern | None = None, non_empty: bool = False) -> Reader:
+    """A list of strings that ``pattern``, if given, matches; absent reads as ()."""
+    def read(value):
+        if value is _ABSENT:
+            value = []
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ValueError("must be a list of strings")
+        if pattern is not None:
+            for v in value:
+                if not pattern.match(v):
+                    raise ValueError(f"contains malformed id {v!r}")
+        if non_empty and not value:
+            raise ValueError("must be non-empty")
+        return tuple(value)
+    return read
+
+
+def _date(value) -> date:
+    """An ISO-8601 date string; any time-of-day suffix is discarded."""
     if not isinstance(value, str) or len(value) < 10:
-        raise ValueError(f"not an ISO date: {value!r}")
+        raise ValueError(f"is not an ISO date: {value!r}")
     return date.fromisoformat(value[:10])
 
 
-def _parse_str(obj: dict, key: str, required: bool = True, default: str = "") -> str:
-    value = obj.get(key)
-    if value is None:
-        if required:
-            raise ValueError(f"missing field {key!r}")
-        return default
-    if not isinstance(value, str):
-        raise ValueError(f"field {key!r} must be a string")
-    return value
-
-
-def _parse_str_list(obj: dict, key: str, pattern: re.Pattern | None = None) -> tuple[str, ...]:
-    value = obj.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"field {key!r} must be a list of strings")
-    if pattern is not None:
-        for v in value:
-            if not pattern.match(v):
-                raise ValueError(f"field {key!r} contains malformed id {v!r}")
-    return tuple(value)
-
-
-def _parse_unit(obj: dict, key: str) -> float:
-    try:
-        value = float(obj[key])
-    except KeyError:
-        raise ValueError(f"missing field {key!r}") from None
-    except (OverflowError, TypeError, ValueError):
-        raise ValueError(f"field {key!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"field {key!r} out of range [0,1]: {value}")
-    return value
-
-
-def _require_id(value: str, pattern: re.Pattern, what: str) -> str:
-    if not pattern.match(value):
-        raise ValueError(f"malformed {what}: {value!r}")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Per-kind object -> record converters
-# ---------------------------------------------------------------------------
-
-
-def _cve_from_obj(obj: dict) -> CveRecord:
-    cve_id = _require_id(_parse_str(obj, "cve_id"), CVE_ID_RE, "CVE id")
-    published = _parse_date(obj.get("published"))
-    modified = _parse_date(obj.get("modified"))
-    if modified < published:
-        raise ValueError(f"{cve_id}: modified {modified} precedes published {published}")
-    try:
-        cvss = float(obj["cvss_base"])
-    except (KeyError, OverflowError, TypeError, ValueError):
-        raise ValueError(f"{cve_id}: bad cvss_base") from None
-    if not 0.0 <= cvss <= 10.0:
-        raise ValueError(f"{cve_id}: cvss_base out of range: {cvss}")
-    try:
-        vector = AttackVector(_parse_str(obj, "attack_vector"))
-    except ValueError:
-        raise ValueError(f"{cve_id}: unknown attack_vector {obj.get('attack_vector')!r}") from None
-    return CveRecord(
-        cve_id=cve_id,
-        description=_parse_str(obj, "description", required=False),
-        published=published,
-        modified=modified,
-        cvss_base=cvss,
-        attack_vector=vector,
-        cwe_ids=_parse_str_list(obj, "cwe_ids", CWE_ID_RE),
-        affected_cpes=_parse_str_list(obj, "affected_cpes"),
-        reference_urls=_parse_str_list(obj, "reference_urls"),
-    )
-
-
-def _cpe_from_obj(obj: dict) -> CpeEntry:
-    entry = CpeEntry(
-        cpe_id=_parse_str(obj, "cpe_id"),
-        vendor=_parse_str(obj, "vendor"),
-        product=_parse_str(obj, "product"),
-        deprecated=bool(obj.get("deprecated", False)),
-        language_tag=_parse_str(obj, "language_tag", required=False, default="en-US"),
-    )
-    # Deprecated and non-US-English dictionary entries are excluded from the
-    # canonical set; counting them as skips keeps skips+accepted == lines.
-    if entry.deprecated:
-        raise ValueError(f"{entry.cpe_id}: deprecated entry excluded")
-    tag = entry.language_tag.lower().replace("_", "-")
-    if tag not in ("en", "en-us"):
-        raise ValueError(f"{entry.cpe_id}: non-US-English entry excluded ({entry.language_tag})")
-    return entry
-
-
-def _cwe_from_obj(obj: dict) -> CweEntry:
-    cwe_id = _require_id(_parse_str(obj, "cwe_id"), CWE_ID_RE, "CWE id")
-    impacts = []
-    for raw in _parse_str_list(obj, "technical_impacts"):
+def _number(convert: type, upper: float | None = None) -> Reader:
+    """A number or numeric string as ``convert`` reads it, within [0, upper]
+    if bounded.  A bool is not a number, and ``int`` takes whole numbers only."""
+    def read(value):
+        if isinstance(value, bool):
+            raise ValueError(f"is not a number: {value!r}")
         try:
-            impacts.append(TechnicalImpact(raw))
+            number = convert(value)
+        except (OverflowError, TypeError, ValueError):
+            raise ValueError(f"is not a number: {value!r}") from None
+        if convert is int and isinstance(value, float) and number != value:
+            raise ValueError(f"is not a whole number: {value!r}")
+        if upper is not None and not 0 <= number <= upper:
+            raise ValueError(f"out of range [0, {upper:g}]: {number}")
+        return number
+    return read
+
+
+def _member(enum: type[Enum], default: Enum | None = None) -> Reader:
+    """A value of ``enum``; absent reads as ``default`` if there is one."""
+    def read(value):
+        if value is _ABSENT and default is not None:
+            return default
+        try:
+            return enum(value)
         except ValueError:
-            raise ValueError(f"{cwe_id}: unknown technical impact {raw!r}") from None
-    return CweEntry(
-        cwe_id=cwe_id,
-        name=_parse_str(obj, "name", required=False),
-        technical_impacts=tuple(impacts),
-        related_capecs=_parse_str_list(obj, "related_capecs", CAPEC_ID_RE),
-    )
+            raise ValueError(f"is not a {enum.__name__}: {value!r}") from None
+    return read
 
 
-def _capec_from_obj(obj: dict) -> CapecEntry:
-    capec_id = _require_id(_parse_str(obj, "capec_id"), CAPEC_ID_RE, "CAPEC id")
-    try:
-        skill = SkillLevel(obj.get("skill_level", "Unknown"))
-    except ValueError:
-        raise ValueError(f"{capec_id}: unknown skill level {obj.get('skill_level')!r}") from None
-    return CapecEntry(
-        capec_id=capec_id,
-        name=_parse_str(obj, "name", required=False),
-        skill_level=skill,
-        related_techniques=_parse_str_list(obj, "related_techniques", TECHNIQUE_ID_RE),
-    )
+def _members(enum: type[Enum]) -> Reader:
+    """A list of values of ``enum``; absent reads as ()."""
+    strings, member = _strings(), _member(enum)
+    return lambda value: tuple(map(member, strings(value)))
 
 
-def _technique_from_obj(obj: dict) -> AttackTechnique:
-    technique_id = _require_id(_parse_str(obj, "technique_id"), TECHNIQUE_ID_RE, "technique id")
-    tactics = _parse_str_list(obj, "tactic_ids", TACTIC_ID_RE)
-    if not tactics:
-        raise ValueError(f"{technique_id}: technique must reference at least one tactic")
-    return AttackTechnique(
-        technique_id=technique_id,
-        name=_parse_str(obj, "name", required=False),
-        tactic_ids=tactics,
-    )
+def _flag(value) -> bool:
+    """A truth value; absent or null reads as False."""
+    return value is not _ABSENT and bool(value)
 
 
-def _tactic_from_obj(obj: dict) -> AttackTactic:
-    return AttackTactic(
-        tactic_id=_require_id(_parse_str(obj, "tactic_id"), TACTIC_ID_RE, "tactic id"),
-        name=_parse_str(obj, "name", required=False),
-    )
+def _not_before(later: str, earlier: str) -> Callable[[object], None]:
+    def check(record) -> None:
+        if getattr(record, later) < getattr(record, earlier):
+            raise ValueError(f"{later} precedes {earlier}")
+    return check
 
 
-def _group_from_obj(obj: dict) -> AttackGroupRaw:
-    return AttackGroupRaw(
-        group_id=_require_id(_parse_str(obj, "group_id"), GROUP_ID_RE, "group id"),
-        name=_parse_str(obj, "name", required=False),
-        description=_parse_str(obj, "description", required=False),
-        created=_parse_date(obj.get("created")),
-        technique_ids=_parse_str_list(obj, "technique_ids", TECHNIQUE_ID_RE),
-    )
-
-
-def _epss_from_obj(obj: dict) -> EpssScore:
-    # Accept "cve" as an alias used by upstream exports; serialize as cve_id.
-    raw_id = obj.get("cve_id", obj.get("cve"))
-    if not isinstance(raw_id, str):
-        raise ValueError("missing field 'cve_id'")
-    return EpssScore(
-        cve_id=_require_id(raw_id, CVE_ID_RE, "CVE id"),
-        probability=_parse_unit(obj, "probability"),
-        percentile=_parse_unit(obj, "percentile"),
-    )
-
-
-def _kev_from_obj(obj: dict) -> KevEntry:
-    cve_id = _require_id(_parse_str(obj, "cve_id"), CVE_ID_RE, "CVE id")
-    date_added = _parse_date(obj.get("date_added"))
-    due_date = _parse_date(obj.get("due_date"))
-    if due_date < date_added:
-        raise ValueError(f"{cve_id}: due_date precedes date_added")
-    return KevEntry(
-        cve_id=cve_id,
-        vendor_project=_parse_str(obj, "vendor_project", required=False),
-        product=_parse_str(obj, "product", required=False),
-        vulnerability_name=_parse_str(obj, "vulnerability_name", required=False),
-        date_added=date_added,
-        short_description=_parse_str(obj, "short_description", required=False),
-        required_action=_parse_str(obj, "required_action", required=False),
-        due_date=due_date,
-    )
-
-
-def _exploit_from_obj(obj: dict) -> ExploitRef:
-    try:
-        exploitdb_id = int(obj["exploitdb_id"])
-    except (KeyError, OverflowError, TypeError, ValueError):
-        raise ValueError("bad exploitdb_id") from None
-    cve_ids = _parse_str_list(obj, "cve_ids", CVE_ID_RE)
-    if not cve_ids:
-        raise ValueError(f"exploit {exploitdb_id}: cve_ids must be non-empty")
-    return ExploitRef(exploitdb_id=exploitdb_id, cve_ids=cve_ids)
-
-
-def _reference_from_obj(obj: dict) -> ReferenceRecord:
-    return ReferenceRecord(url=_parse_str(obj, "url"))
+def _current_english(entry: CpeEntry) -> None:
+    """Deprecated and non-US-English dictionary entries are excluded from the
+    canonical set; counting them as skips keeps skips+accepted == lines."""
+    if entry.deprecated:
+        raise ValueError("deprecated entry excluded")
+    if entry.language_tag.lower().replace("_", "-") not in ("en", "en-us"):
+        raise ValueError(f"language_tag {entry.language_tag!r} is not US English")
 
 
 # ---------------------------------------------------------------------------
@@ -354,48 +255,80 @@ class Source:
     """Everything that tells one source kind's records apart."""
 
     record_type: type
-    key: str  # primary-key field of record_type
     bundle_field: str  # the SnapshotBundle list holding these records
-    from_obj: Callable[[dict], object]
+    fields: dict[str, Reader]  # each field of record_type, in order: primary key first
+    check: Callable[[object], None] | None = None  # a rule over the whole record
+    aliases: dict[str, str] = field(default_factory=dict)  # key read for an absent field
 
+    @property
+    def key(self) -> str:
+        return next(iter(self.fields))
+
+    def from_obj(self, obj: dict):
+        """The record ``obj`` holds; a ValueError names the field at fault."""
+        values = []
+        for name, read in self.fields.items():
+            value = obj.get(name, _ABSENT)
+            if value is _ABSENT and name in self.aliases:
+                value = obj.get(self.aliases[name], _ABSENT)
+            try:
+                values.append(read(value))
+            except ValueError as exc:
+                problem = "is missing" if value is _ABSENT else exc
+                raise ValueError(f"field {name!r} {problem}") from None
+        record = self.record_type(*values)
+        if self.check is not None:
+            self.check(record)
+        return record
+
+
+_OPTIONAL, _REQUIRED, _STRINGS = _text(), _text(None), _strings()
+_CVE_ID = _text(None, CVE_ID_RE)
+_TECHNIQUE_IDS = _strings(TECHNIQUE_ID_RE)
+_UNIT = _number(float, 1.0)
 
 SOURCES: dict[SourceKind, Source] = {
-    SourceKind.CVE: Source(CveRecord, "cve_id", "cves", _cve_from_obj),
-    SourceKind.CPE: Source(CpeEntry, "cpe_id", "cpes", _cpe_from_obj),
-    SourceKind.CWE: Source(CweEntry, "cwe_id", "cwes", _cwe_from_obj),
-    SourceKind.CAPEC: Source(CapecEntry, "capec_id", "capecs", _capec_from_obj),
-    SourceKind.TECHNIQUE: Source(AttackTechnique, "technique_id", "techniques",
-                                 _technique_from_obj),
-    SourceKind.TACTIC: Source(AttackTactic, "tactic_id", "tactics", _tactic_from_obj),
-    SourceKind.GROUP: Source(AttackGroupRaw, "group_id", "groups", _group_from_obj),
-    SourceKind.EPSS: Source(EpssScore, "cve_id", "epss", _epss_from_obj),
-    SourceKind.KEV: Source(KevEntry, "cve_id", "kev", _kev_from_obj),
-    SourceKind.EXPLOIT: Source(ExploitRef, "exploitdb_id", "exploits", _exploit_from_obj),
-    SourceKind.REFERENCE: Source(ReferenceRecord, "url", "references", _reference_from_obj),
+    SourceKind.CVE: Source(CveRecord, "cves", {
+        "cve_id": _CVE_ID, "description": _OPTIONAL, "published": _date, "modified": _date,
+        "cvss_base": _number(float, 10.0), "attack_vector": _member(AttackVector),
+        "cwe_ids": _strings(CWE_ID_RE), "affected_cpes": _STRINGS, "reference_urls": _STRINGS,
+    }, check=_not_before("modified", "published")),
+    SourceKind.CPE: Source(CpeEntry, "cpes", {
+        "cpe_id": _REQUIRED, "vendor": _REQUIRED, "product": _REQUIRED, "deprecated": _flag,
+        "language_tag": _text("en-US"),
+    }, check=_current_english),
+    SourceKind.CWE: Source(CweEntry, "cwes", {
+        "cwe_id": _text(None, CWE_ID_RE), "name": _OPTIONAL,
+        "technical_impacts": _members(TechnicalImpact), "related_capecs": _strings(CAPEC_ID_RE),
+    }),
+    SourceKind.CAPEC: Source(CapecEntry, "capecs", {
+        "capec_id": _text(None, CAPEC_ID_RE), "name": _OPTIONAL,
+        "skill_level": _member(SkillLevel, SkillLevel.UNKNOWN),
+        "related_techniques": _TECHNIQUE_IDS,
+    }),
+    SourceKind.TECHNIQUE: Source(AttackTechnique, "techniques", {
+        "technique_id": _text(None, TECHNIQUE_ID_RE), "name": _OPTIONAL,
+        "tactic_ids": _strings(TACTIC_ID_RE, non_empty=True),
+    }),
+    SourceKind.TACTIC: Source(AttackTactic, "tactics",
+                              {"tactic_id": _text(None, TACTIC_ID_RE), "name": _OPTIONAL}),
+    SourceKind.GROUP: Source(AttackGroupRaw, "groups", {
+        "group_id": _text(None, GROUP_ID_RE), "name": _OPTIONAL, "description": _OPTIONAL,
+        "created": _date, "technique_ids": _TECHNIQUE_IDS,
+    }),
+    # Upstream EPSS exports name the CVE column "cve".
+    SourceKind.EPSS: Source(EpssScore, "epss", {
+        "cve_id": _CVE_ID, "probability": _UNIT, "percentile": _UNIT,
+    }, aliases={"cve_id": "cve"}),
+    SourceKind.KEV: Source(KevEntry, "kev", {
+        "cve_id": _CVE_ID, "vendor_project": _OPTIONAL, "product": _OPTIONAL,
+        "vulnerability_name": _OPTIONAL, "date_added": _date, "short_description": _OPTIONAL,
+        "required_action": _OPTIONAL, "due_date": _date,
+    }, check=_not_before("due_date", "date_added")),
+    SourceKind.EXPLOIT: Source(ExploitRef, "exploits", {
+        "exploitdb_id": _number(int), "cve_ids": _strings(CVE_ID_RE, non_empty=True)}),
+    SourceKind.REFERENCE: Source(ReferenceRecord, "references", {"url": _REQUIRED}),
 }
-
-_KIND_BY_TYPE = {source.record_type: kind for kind, source in SOURCES.items()}
-
-
-def primary_key(record) -> str | int:
-    """Primary key value of any canonical record."""
-    return getattr(record, SOURCES[_KIND_BY_TYPE[type(record)]].key)
-
-
-def record_to_obj(record) -> dict:
-    """Serialize a canonical record back to its normalized snapshot object."""
-    kind = _KIND_BY_TYPE[type(record)]
-    obj: dict = {"kind": kind.value}
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if isinstance(value, date):
-            value = value.isoformat()
-        elif isinstance(value, Enum):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = [v.value if isinstance(v, Enum) else v for v in value]
-        obj[f.name] = value
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +364,14 @@ def _utf8(text: str) -> str:
 
 
 def _collect(path: str | Path, rows: Iterable[tuple[int, object]],
-             to_record: Callable) -> ParseResult:
+             to_record: Callable, kind: SourceKind) -> ParseResult:
     """Convert ``(line_no, payload)`` rows; a ValueError skips the row.
 
     A repeated primary key keeps the later record, in the first one's place.
     """
     result = ParseResult()
     by_key: dict = {}
+    key_field = SOURCES[kind].key
     for line_no, payload in rows:
         try:
             record = to_record(payload)
@@ -445,7 +379,7 @@ def _collect(path: str | Path, rows: Iterable[tuple[int, object]],
             result.skipped.append((line_no, str(exc)))
             continue
         result.accepted += 1
-        key = primary_key(record)
+        key = getattr(record, key_field)
         if key in by_key:
             result.replaced += 1
             log.warning("%s: duplicate primary key %r, keeping the later record", path, key)
@@ -475,15 +409,7 @@ def parse_snapshot(path: str | Path, kind: SourceKind | str) -> ParseResult:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         rows = ((line_no, line.strip()) for line_no, line in enumerate(fh, start=1)
                 if not line.isspace())
-        return _collect(path, rows, to_record)
-
-
-def dump_snapshot(records: Iterable, path: str | Path) -> None:
-    """Write canonical records in the normalized newline-delimited format."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_obj(record), sort_keys=False))
-            fh.write("\n")
+        return _collect(path, rows, to_record, kind)
 
 
 def _csv_rows(path: str | Path, header: list[str], source: str) -> Iterator[tuple[int, list[str]]]:
@@ -513,18 +439,16 @@ def _check_row(row: list[str], width: int) -> None:
 
 def _epss_from_row(row: list[str]) -> EpssScore:
     _check_row(row, 3)
-    return _epss_from_obj({"cve_id": row[0].strip(), "probability": row[1], "percentile": row[2]})
-
-
-_KEV_FIELDS = [f.name for f in fields(KevEntry)]  # the CISA columns, in order
+    return SOURCES[SourceKind.EPSS].from_obj(
+        {"cve_id": row[0].strip(), "probability": row[1], "percentile": row[2]})
 
 
 def _kev_from_row(row: list[str]) -> KevEntry:
     _check_row(row, 8)
-    obj = dict(zip(_KEV_FIELDS, row))
+    obj = dict(zip(SOURCES[SourceKind.KEV].fields, row))  # the CISA columns, in order
     for name in ("cve_id", "date_added", "due_date"):
         obj[name] = obj[name].strip()
-    return _kev_from_obj(obj)
+    return SOURCES[SourceKind.KEV].from_obj(obj)
 
 
 def parse_epss_csv(path: str | Path) -> ParseResult:
@@ -533,12 +457,13 @@ def parse_epss_csv(path: str | Path) -> ParseResult:
     Comment lines starting with ``#`` are allowed; rows with a probability
     or percentile outside [0,1] are rejected with a diagnostic.
     """
-    return _collect(path, _csv_rows(path, EPSS_CSV_HEADER, "EPSS"), _epss_from_row)
+    return _collect(path, _csv_rows(path, EPSS_CSV_HEADER, "EPSS"), _epss_from_row,
+                    SourceKind.EPSS)
 
 
 def parse_kev_csv(path: str | Path) -> ParseResult:
     """Parse a KEV catalog CSV (the eight-column CISA export header)."""
-    return _collect(path, _csv_rows(path, KEV_CSV_HEADER, "KEV"), _kev_from_row)
+    return _collect(path, _csv_rows(path, KEV_CSV_HEADER, "KEV"), _kev_from_row, SourceKind.KEV)
 
 
 # ---------------------------------------------------------------------------
@@ -562,13 +487,6 @@ class SnapshotBundle:
     exploits: list[ExploitRef] = field(default_factory=list)
     references: list[ReferenceRecord] = field(default_factory=list)
 
-    @classmethod
-    def from_records(cls, records: Iterable) -> "SnapshotBundle":
-        bundle = cls()
-        for record in records:
-            getattr(bundle, SOURCES[_KIND_BY_TYPE[type(record)]].bundle_field).append(record)
-        return bundle
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -585,13 +503,11 @@ class ValidationReport:
         return [f for f in self.findings if f.category == category]
 
 
-def validate_snapshot(records) -> ValidationReport:
+def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
     """Cross-check a snapshot: dangling references, duplicates, ranges.
 
-    Accepts a SnapshotBundle or any iterable of canonical records.  The
-    report is empty exactly when the snapshot is internally consistent.
+    The report is empty exactly when the snapshot is internally consistent.
     """
-    bundle = records if isinstance(records, SnapshotBundle) else SnapshotBundle.from_records(records)
     report = ValidationReport()
 
     keys: dict[SourceKind, set] = {}

@@ -66,7 +66,7 @@ def case_config():
 
 @pytest.fixture(scope="session")
 def case_graph(case_config):
-    return build_pipeline(case_config)
+    return build_pipeline(case_config)[0]
 
 
 @pytest.fixture(scope="session")
@@ -81,4 +81,4 @@ def synth_config():
 
 @pytest.fixture(scope="session")
 def synth_graph(synth_config):
-    return build_pipeline(synth_config)
+    return build_pipeline(synth_config)[0]

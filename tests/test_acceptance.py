@@ -92,7 +92,7 @@ def test_c1_case_study_reproduction():
     with criterion("criterion 1: case-study ranking reproduction"):
         started = time.perf_counter()
         config = load_config(CASE_STUDY / "config.json")
-        graph = build_pipeline(config)
+        graph, _coverage = build_pipeline(config)
         org = OrgContext.from_graph(graph, "ODU")
         cohorts = generate_candidates(org, graph, config.date_range)
         assert len(cohorts) == 1 and len(cohorts[0].cve_ids) == 39
@@ -280,7 +280,7 @@ def test_c6_synthetic_corpus_improvement():
     with criterion("criterion 6: synthetic-corpus nDCG improvement"):
         started = time.perf_counter()
         config = load_config(SYNTHETIC / "config.json")
-        graph = build_pipeline(config)
+        graph, _coverage = build_pipeline(config)
         org = OrgContext.from_graph(graph, "SYNTHU")
         cohorts = generate_candidates(org, graph, config.date_range)
         assert len(cohorts) == 52
@@ -373,7 +373,7 @@ def test_c9_corpus_scale_targets():
         from threatrank.kgraph import EdgeType, NodeLabel
 
         config = load_config(os.environ["THREATRANK_CORPUS_CONFIG"])
-        graph = build_pipeline(config)
+        graph, _coverage = build_pipeline(config)
 
         sector_node = graph.find(NodeLabel.DHS_SECTOR, "Government Facilities")
         assert sector_node is not None

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date, timedelta
 
 import pytest
@@ -27,13 +27,12 @@ from threatrank.feeds import (
     SnapshotBundle,
     SourceKind,
     TechnicalImpact,
-    dump_snapshot,
     parse_epss_csv,
     parse_kev_csv,
     parse_snapshot,
-    record_to_obj,
     validate_snapshot,
 )
+from scripts.snapshot_writer import dump_snapshot, record_to_obj
 
 # ---------------------------------------------------------------------------
 # EPSS CSV
@@ -288,6 +287,65 @@ def test_overflowing_numbers_are_skipped(tmp_path):
         assert result.records == [] and result.skipped_count == 1
 
 
+# One snapshot line per row: (kind, the object less its "kind", then the
+# record it reads as, or for a skip the name of the field at fault).
+_CVE = {"cve_id": "CVE-2020-10000", "published": "2020-01-01", "modified": "2020-02-01",
+        "cvss_base": 5.0, "attack_vector": "LOCAL"}
+_CVE_RECORD = CveRecord("CVE-2020-10000", "", date(2020, 1, 1), date(2020, 2, 1), 5.0,
+                        AttackVector.LOCAL)
+_CPE = {"cpe_id": "cpe:2.3:a:v:p:-:*:*:*:*:*:*:*", "vendor": "v", "product": "p"}
+_EPSS = {"cve": "CVE-2020-10000", "probability": 0.5, "percentile": 0.25}
+_EXPLOIT = {"exploitdb_id": 12, "cve_ids": ["CVE-2020-10000"]}
+_KEV = {"cve_id": "CVE-2021-38000", "date_added": "2021-11-03", "due_date": "2021-11-17"}
+_LINE_RULES = [
+    ("cve", {**_CVE, "description": None}, _CVE_RECORD),
+    ("cve", {**_CVE, "cwe_ids": None}, "cwe_ids"),
+    ("cve", {**_CVE, "cvss_base": "7.5"}, replace(_CVE_RECORD, cvss_base=7.5)),
+    ("cve", {**_CVE, "published": "2020-05-01"}, "modified"),
+    ("cpe", {k: v for k, v in _CPE.items() if k != "cpe_id"}, "cpe_id"),
+    ("cpe", {**_CPE, "deprecated": "no"}, "deprecated"),
+    ("cpe", {**_CPE, "language_tag": "EN_us"},
+     CpeEntry("cpe:2.3:a:v:p:-:*:*:*:*:*:*:*", "v", "p", language_tag="EN_us")),
+    ("reference", {}, "url"),
+    ("epss", _EPSS, EpssScore("CVE-2020-10000", 0.5, 0.25)),
+    ("epss", {**_EPSS, "cve_id": None}, "cve_id"),
+    ("exploit", {**_EXPLOIT, "exploitdb_id": "12"}, ExploitRef(12, ("CVE-2020-10000",))),
+    ("exploit", {**_EXPLOIT, "exploitdb_id": 12.0}, ExploitRef(12, ("CVE-2020-10000",))),
+    ("exploit", {**_EXPLOIT, "cve_ids": []}, "cve_ids"),
+    ("capec", {"capec_id": "CAPEC-63"}, CapecEntry("CAPEC-63", "", SkillLevel.UNKNOWN)),
+    ("capec", {"capec_id": "CAPEC-63", "skill_level": None}, "skill_level"),
+    ("technique", {"technique_id": "T1059", "tactic_ids": []}, "tactic_ids"),
+    ("kev", {**_KEV, "due_date": "2021-11-01"}, "due_date"),
+    # A JSON boolean is not a number, and an ExploitDB id is a whole number.
+    ("cve", {**_CVE, "cvss_base": True}, "cvss_base"),
+    ("epss", {**_EPSS, "percentile": True}, "percentile"),
+    ("exploit", {**_EXPLOIT, "exploitdb_id": True}, "exploitdb_id"),
+    ("exploit", {**_EXPLOIT, "exploitdb_id": 1.7}, "exploitdb_id"),
+]
+
+
+def _parse_line(tmp_path, kind: str, obj: dict):
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps({"kind": kind, **obj}) + "\n", encoding="utf-8")
+    return parse_snapshot(path, kind)
+
+
+@pytest.mark.parametrize("kind,obj,expected", _LINE_RULES)
+def test_null_and_dirty_line_rules(tmp_path, kind, obj, expected):
+    result = _parse_line(tmp_path, kind, obj)
+    if isinstance(expected, str):
+        assert result.records == [] and result.skipped_count == 1
+    else:
+        assert result.records == [expected] and result.skipped_count == 0
+
+
+@pytest.mark.parametrize("kind,obj,field_name",
+                         [row for row in _LINE_RULES if isinstance(row[2], str)])
+def test_skip_reason_names_the_field(tmp_path, kind, obj, field_name):
+    (_line_no, reason), = _parse_line(tmp_path, kind, obj).skipped
+    assert field_name in reason
+
+
 # One valid and one non-UTF-8 data row per format: (header, good, bad, parser).
 _NON_UTF8 = {
     "cwe.jsonl": (b"", b'{"kind": "cwe", "cwe_id": "CWE-79"}',
@@ -433,8 +491,7 @@ def _cve(cve_id="CVE-2020-10000", cwe_ids=(), cpes=(), urls=()):
 
 
 def test_validate_dangling_cwe_reference():
-    records = [_cve(cwe_ids=["CWE-9999"])]
-    report = validate_snapshot(records)
+    report = validate_snapshot(SnapshotBundle(cves=[_cve(cwe_ids=["CWE-9999"])]))
     dangling = report.by_category("dangling_reference")
     # independent set-difference oracle
     present = set()
@@ -444,20 +501,19 @@ def test_validate_dangling_cwe_reference():
 
 
 def test_validate_clean_fixture_is_empty():
-    records = [
-        _cve(cwe_ids=["CWE-79"]),
-        CweEntry("CWE-79", "xss", (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,), ()),
-    ]
-    assert validate_snapshot(records).findings == []
+    bundle = SnapshotBundle(
+        cves=[_cve(cwe_ids=["CWE-79"])],
+        cwes=[CweEntry("CWE-79", "xss", (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,), ())],
+    )
+    assert validate_snapshot(bundle).findings == []
 
 
 def test_validate_duplicate_epss_rows():
-    records = [
-        _cve(),
-        EpssScore("CVE-2020-10000", 0.5, 0.5),
-        EpssScore("CVE-2020-10000", 0.6, 0.6),
-    ]
-    report = validate_snapshot(records)
+    bundle = SnapshotBundle(
+        cves=[_cve()],
+        epss=[EpssScore("CVE-2020-10000", 0.5, 0.5), EpssScore("CVE-2020-10000", 0.6, 0.6)],
+    )
+    report = validate_snapshot(bundle)
     assert len(report.by_category("duplicate")) == 1
 
 
@@ -470,24 +526,23 @@ def test_validate_case_study_fixture_is_clean(case_config):
         assert result.skipped_count == 0
 
 
-def test_bundle_from_records_partitions_by_type():
-    records = [_cve(), EpssScore("CVE-2020-10000", 0.1, 0.1), ReferenceRecord("https://x")]
-    bundle = SnapshotBundle.from_records(records)
-    assert len(bundle.cves) == 1 and len(bundle.epss) == 1 and len(bundle.references) == 1
-
-
 def test_sources_describe_every_kind_in_order():
     assert list(SOURCES) == list(SourceKind)
     bundle_fields = {f.name for f in fields(SnapshotBundle)}
     for source in SOURCES.values():
         assert source.bundle_field in bundle_fields
-        assert source.key in {f.name for f in fields(source.record_type)}
+        # from_obj builds the record positionally, so the table keeps field order
+        assert list(source.fields) == [f.name for f in fields(source.record_type)]
+        assert source.key == fields(source.record_type)[0].name
 
 
 def test_validate_duplicates_follow_source_kind_order():
-    records = [ReferenceRecord("https://x"), ReferenceRecord("https://x"),
-               CweEntry("CWE-79", "xss"), _cve(), CweEntry("CWE-79", "xss"), _cve()]
-    report = validate_snapshot(records)
+    bundle = SnapshotBundle(
+        cves=[_cve(), _cve()],
+        cwes=[CweEntry("CWE-79", "xss"), CweEntry("CWE-79", "xss")],
+        references=[ReferenceRecord("https://x"), ReferenceRecord("https://x")],
+    )
+    report = validate_snapshot(bundle)
     assert [(f.category, f.subject) for f in report.findings] == [
         ("duplicate", "CVE-2020-10000"), ("duplicate", "CWE-79"), ("duplicate", "https://x"),
     ]
