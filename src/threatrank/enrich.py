@@ -7,13 +7,17 @@ evidence span so results can be audited against the source text.
 
 No statistical NER or parsing: a bounded window after each targeting
 trigger word, scanned with phrase lexicons, is reproducible and testable.
-Each lexicon compiles once into one prefix-trie regex (``_compiled``).
+Each lexicon is one prefix-trie regex.  An all-ASCII ``Lexicon`` compiles
+its tries once, without IGNORECASE: an ASCII description is lower-cased
+once and every scan runs over that text, with each span read back from
+the description at the same offsets.  Any other description or lexicon
+takes the IGNORECASE scans (``_compiled``), compiled on first use.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -27,11 +31,13 @@ TARGET_WINDOW_CHARS = 120
 
 MIN_ORIGIN_YEAR = 1970
 
-_TRIGGER_RE = re.compile(r"(?<!\w)(?:targets|targeted|targeting)(?!\w)", re.IGNORECASE)
+# "targets", "targeted" or "targeting" as a word; the literal comes first
+# so that sre can search for it.
+_TRIGGER = r"target(?<!\wtarget)(?:s|ed|ing)(?!\w)"
 _SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
 
 # A year counts as an activity year only inside one of these phrases, as
-# in "active since at least 2009" or "formed in 2014" (_ACTIVITY_YEAR_RE).
+# in "active since at least 2009" or "formed in 2014" (_ACTIVITY_YEAR).
 _ACTIVITY_PHRASES = ("since", "active", "as early as", "beginning in", "established in",
                      "formed in", "founded in", "created in", "observed in",
                      "operating since", "operated since", "emerged in")
@@ -52,12 +58,21 @@ class Lexicon:
 
     country_terms: dict[str, str]
     sector_terms: dict[str, str]
+    # The country and sector tries without IGNORECASE, for lower-cased
+    # ASCII text; None when a term is not ASCII.
+    lower_patterns: tuple[re.Pattern, re.Pattern] | None = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for terms, kind in ((self.country_terms, "country"), (self.sector_terms, "sector")):
             for term in terms:
                 if term != term.lower():
                     raise DataError(f"{kind} lexicon term {term!r} is not lowercase")
+        tables = (self.country_terms, self.sector_terms)
+        patterns = None
+        if all(term.isascii() for terms in tables for term in terms):
+            patterns = tuple(re.compile(_term_regex(terms)) for terms in tables)
+        object.__setattr__(self, "lower_patterns", patterns)
 
 
 @dataclass(frozen=True)
@@ -122,27 +137,35 @@ def _trie_pattern(node: dict) -> str:
 
 
 def _trie_regex(terms) -> str:
-    """The terms as one regex alternation, rendered from their prefix trie."""
+    """The terms as one regex alternation, rendered from their prefix trie;
+    a regex that matches nothing when there are no terms."""
     trie: dict = {}
     for term in terms:
         node = trie
         for ch in term:
             node = node.setdefault(ch, {})
         node[""] = {}
-    return _trie_pattern(trie)
+    return _trie_pattern(trie) if trie else "(?!)"
+
+
+def _term_regex(terms) -> str:
+    # Lookarounds instead of \b because terms may end in punctuation.
+    return rf"(?<!\w){_trie_regex(terms)}(?!\w)"
 
 
 # No activity phrase is a prefix of another, so at any position at most one
 # can match and the trie finds what a flat alternation of them finds.
-_ACTIVITY_YEAR_RE = re.compile(
-    rf"{_trie_regex(_ACTIVITY_PHRASES)}[^.\d]{{0,30}}?(19[7-9]\d|20\d\d)(?!\d)",
-    re.IGNORECASE,
-)
+_ACTIVITY_YEAR = rf"{_trie_regex(_ACTIVITY_PHRASES)}[^.\d]{{0,30}}?(19[7-9]\d|20\d\d)(?!\d)"
+
+# The trigger and activity-year scans of lower-cased ASCII text.  For ASCII
+# text and patterns, IGNORECASE matching is matching the lower-cased text.
+_LOWER_TRIGGER_RE = re.compile(_TRIGGER)
+_LOWER_ACTIVITY_YEAR_RE = re.compile(_ACTIVITY_YEAR)
 
 
 @lru_cache(maxsize=32)
 def _compiled(terms: tuple[str, ...]) -> re.Pattern:
-    """One regex for the lexicon: its terms as a prefix trie.
+    """One IGNORECASE regex for the lexicon: its terms as a prefix trie.
 
     It finds what a longest-first alternation of the terms finds, but
     ``sre`` follows one trie branch per text character instead of trying
@@ -153,9 +176,8 @@ def _compiled(terms: tuple[str, ...]) -> re.Pattern:
     ASCII characters do, but ``sre`` folds a few non-ASCII letters onto
     ASCII ones (``ſ`` onto ``s``, the Kelvin sign onto ``k``), so the
     property test that checks the equivalence draws ASCII lexicons.
-    Lookarounds instead of ``\\b`` because terms may end in punctuation.
     """
-    return re.compile(rf"(?<!\w){_trie_regex(terms)}(?!\w)", re.IGNORECASE)
+    return re.compile(_term_regex(terms), re.IGNORECASE)
 
 
 def scan_terms(text: str, terms: dict[str, str]) -> list[TermMatch]:
@@ -164,38 +186,23 @@ def scan_terms(text: str, terms: dict[str, str]) -> list[TermMatch]:
     A span that matches only through ``sre``'s Unicode case folding and
     does not lowercase to a term ("Ruſſia") is not a match.
     """
+    return _scan(_compiled(tuple(terms)), text, text, terms)
+
+
+def _scan(pattern: re.Pattern, text: str, source: str, terms: dict[str, str]) -> list[TermMatch]:
+    """The term matches ``pattern`` finds in ``text``, each span read from
+    ``source`` at the same offsets: ``text`` is ``source`` or, for the
+    plain patterns, ``source`` lower-cased."""
     if not terms or not text:
         return []
     matches = []
-    for m in _compiled(tuple(terms)).finditer(text):
-        span = m.group(0)
-        term = span.lower()
+    for m in pattern.finditer(text):
+        term = m.group().lower()
         if term in terms:
-            matches.append(TermMatch(term=term, canonical=terms[term], span_text=span,
-                                     start=m.start(), end=m.end()))
+            start, end = m.span()
+            matches.append(TermMatch(term=term, canonical=terms[term],
+                                     span_text=source[start:end], start=start, end=end))
     return matches
-
-
-def _dedupe_keep_order(values):
-    seen = set()
-    out = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
-def _target_windows(description: str) -> list[str]:
-    windows = []
-    for trigger in _TRIGGER_RE.finditer(description):
-        start = trigger.end()
-        window = description[start:start + TARGET_WINDOW_CHARS]
-        sentence_end = _SENTENCE_END_RE.search(window)
-        if sentence_end is not None:
-            window = window[:sentence_end.start()]
-        windows.append(window)
-    return windows
 
 
 def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution:
@@ -206,23 +213,38 @@ def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution
     year is the earliest year inside an activity phrase, or the creation
     year when there is none.  Targeted countries and sectors are matched
     in the windows after targeting trigger words.
+
+    An ASCII description with an all-ASCII lexicon is scanned once
+    lower-cased, with plain patterns; any other takes the IGNORECASE
+    patterns.  Both give the same spans on such input.
     """
+    description = group.description
+    country_terms, sector_terms = lexicon.country_terms, lexicon.sector_terms
+    if lexicon.lower_patterns is not None and description.isascii():
+        text = description.lower()
+        country_re, sector_re = lexicon.lower_patterns
+        trigger_re, year_re = _LOWER_TRIGGER_RE, _LOWER_ACTIVITY_YEAR_RE
+    else:
+        text = description
+        country_re, sector_re = _compiled(tuple(country_terms)), _compiled(tuple(sector_terms))
+        trigger_re = re.compile(_TRIGGER, re.IGNORECASE)
+        year_re = re.compile(_ACTIVITY_YEAR, re.IGNORECASE)
     evidence: list[tuple[str, str]] = []
 
-    origin_matches = scan_terms(group.description, lexicon.country_terms)
-    origin_countries = _dedupe_keep_order(m.canonical for m in origin_matches)
-    for country in origin_countries:
-        span = next(m.span_text for m in origin_matches if m.canonical == country)
-        evidence.append((f"origin_country:{country}", span))
+    origin_countries: list[str] = []
+    for m in _scan(country_re, text, description, country_terms):
+        if m.canonical not in origin_countries:
+            origin_countries.append(m.canonical)
+            evidence.append((f"origin_country:{m.canonical}", m.span_text))
 
     year_matches = [
-        m for m in _ACTIVITY_YEAR_RE.finditer(group.description)
+        m for m in year_re.finditer(text)
         if MIN_ORIGIN_YEAR <= int(m.group(1)) <= group.created.year
     ]
     if year_matches:
         best = min(year_matches, key=lambda m: int(m.group(1)))
         origin_year = int(best.group(1))
-        evidence.append(("origin_year", best.group(0)))
+        evidence.append(("origin_year", description[best.start():best.end()]))
     else:
         origin_year = group.created.year
         # No activity phrase in the text; the creation date stands in.
@@ -230,12 +252,20 @@ def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution
 
     targeted_countries: list[str] = []
     targeted_sectors: list[str] = []
-    for window in _target_windows(group.description):
-        for m in scan_terms(window, lexicon.country_terms):
+    for trigger in trigger_re.finditer(text):
+        # The window runs from the trigger to the end of its sentence, or
+        # for TARGET_WINDOW_CHARS at most.
+        start = trigger.end()
+        end = start + TARGET_WINDOW_CHARS
+        sentence_end = _SENTENCE_END_RE.search(text, start, end)
+        if sentence_end is not None:
+            end = sentence_end.start()
+        window, source = text[start:end], description[start:end]
+        for m in _scan(country_re, window, source, country_terms):
             if m.canonical not in targeted_countries:
                 targeted_countries.append(m.canonical)
                 evidence.append((f"targeted_country:{m.canonical}", m.span_text))
-        for m in scan_terms(window, lexicon.sector_terms):
+        for m in _scan(sector_re, window, source, sector_terms):
             if m.canonical not in targeted_sectors:
                 targeted_sectors.append(m.canonical)
                 evidence.append((f"targeted_sector:{m.canonical}", m.span_text))

@@ -433,8 +433,10 @@ def techniques_for_cve(graph: PropertyGraph, cve_id: str) -> set[tuple[str, str,
 # ---------------------------------------------------------------------------
 
 
-# json.dumps with its default settings, without its per-call keyword checks.
+# json.dumps with its default settings, without its per-call keyword checks,
+# and the C function it calls for a str.
 _encode = json.JSONEncoder().encode
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def save_graph(graph: PropertyGraph, path: str | Path) -> None:
@@ -450,17 +452,22 @@ def save_graph(graph: PropertyGraph, path: str | Path) -> None:
     names, go in verbatim and only keys and props are encoded, and written
     at once, so the file is never held whole.
     """
-    nodes = sorted(graph.nodes(), key=lambda n: (n.label.value, n.key))
-    edge_rows = sorted((src.key, edge_type.value, dst.key) for src, edge_type, dst in graph.edges())
+    # Enum.value is a Python-level descriptor: read it once per member.
+    label_names = {label: label.value for label in NodeLabel}
+    type_names = {edge_type: edge_type.value for edge_type in EdgeType}
+    nodes = sorted(graph.nodes(), key=lambda n: (label_names[n.label], n.key))
+    edge_rows = sorted((src.key, type_names[edge_type], dst.key)
+                       for src, edge_type, dst in graph.edges())
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         write = fh.write
         for node in nodes:
             props = node.props
-            write(f'{{"kind": "node", "label": "{node.label.value}", "key": {_encode(node.key)}, '
+            write(f'{{"kind": "node", "label": "{label_names[node.label]}", '
+                  f'"key": {_encode_str(node.key)}, '
                   f'"props": {_encode({k: props[k] for k in sorted(props)})}}}\n')
         for src_key, type_name, dst_key in edge_rows:
             write(f'{{"kind": "edge", "type": "{type_name}", '
-                  f'"src": {_encode(src_key)}, "dst": {_encode(dst_key)}}}\n')
+                  f'"src": {_encode_str(src_key)}, "dst": {_encode_str(dst_key)}}}\n')
 
 
 # Numeric NvdCve props the read commands compare, with their upper bound;

@@ -1,25 +1,34 @@
 from __future__ import annotations
 
+import importlib
 import json
 import re
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threatrank import enrich
 from threatrank.enrich import (
-    _ACTIVITY_YEAR_RE,
+    _ACTIVITY_PHRASES,
+    _ACTIVITY_YEAR,
     GroupAttribution,
+    Lexicon,
     TARGET_WINDOW_CHARS,
+    _trie_regex,
     attribute_group,
     filter_us_targeting,
     load_lexicon,
     scan_terms,
 )
 from threatrank.errors import DataError
-from threatrank.feeds import AttackGroupRaw
+from threatrank.feeds import AttackGroupRaw, SourceKind, parse_snapshot
 from tests.conftest import FIXTURES
+
+# The activity-year pattern as attribute_group's IGNORECASE path compiles it.
+_ACTIVITY_YEAR_RE = re.compile(_ACTIVITY_YEAR, re.IGNORECASE)
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +248,135 @@ def test_attribution_evidence_is_verbatim(lexicon, case_config):
             if kind == "origin_year_default":
                 continue  # creation-date fallback has no text span
             assert span in group.description, (kind, span)
+
+
+# attribute_group as it was before the lower-cased ASCII scan: every scan
+# runs over the description itself with IGNORECASE patterns.  The oracle
+# for both of its paths.
+_REFERENCE_TRIGGER_RE = re.compile(r"(?<!\w)(?:targets|targeted|targeting)(?!\w)",
+                                   re.IGNORECASE)
+_REFERENCE_SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
+
+
+def _reference_scan(text, terms):
+    if not terms or not text:
+        return []
+    regex = re.compile(rf"(?<!\w){_trie_regex(terms)}(?!\w)", re.IGNORECASE)
+    matches = []
+    for m in regex.finditer(text):
+        span = m.group(0)
+        if span.lower() in terms:
+            matches.append((terms[span.lower()], span))
+    return matches
+
+
+def _reference_attribute_group(group, lexicon):
+    description = group.description
+    evidence = []
+    origin_matches = _reference_scan(description, lexicon.country_terms)
+    origin_countries = list(dict.fromkeys(country for country, _ in origin_matches))
+    for country in origin_countries:
+        span = next(span for found, span in origin_matches if found == country)
+        evidence.append((f"origin_country:{country}", span))
+    year_matches = [m for m in _FLAT_ACTIVITY_YEAR_RE.finditer(description)
+                    if 1970 <= int(m.group(1)) <= group.created.year]
+    if year_matches:
+        best = min(year_matches, key=lambda m: int(m.group(1)))
+        origin_year = int(best.group(1))
+        evidence.append(("origin_year", best.group(0)))
+    else:
+        origin_year = group.created.year
+        evidence.append(("origin_year_default", group.created.isoformat()))
+    targeted_countries, targeted_sectors = [], []
+    for trigger in _REFERENCE_TRIGGER_RE.finditer(description):
+        window = description[trigger.end():trigger.end() + TARGET_WINDOW_CHARS]
+        sentence_end = _REFERENCE_SENTENCE_END_RE.search(window)
+        if sentence_end is not None:
+            window = window[:sentence_end.start()]
+        for terms, found, kind in ((lexicon.country_terms, targeted_countries, "country"),
+                                   (lexicon.sector_terms, targeted_sectors, "sector")):
+            for value, span in _reference_scan(window, terms):
+                if value not in found:
+                    found.append(value)
+                    evidence.append((f"targeted_{kind}:{value}", span))
+    return GroupAttribution(group.group_id, tuple(origin_countries), origin_year,
+                            tuple(targeted_countries), tuple(targeted_sectors), tuple(evidence))
+
+
+# Lexicon terms from letters that sre folds non-ASCII letters onto (i, k,
+# s), so the glue below can form fold-only spans.  Some lexicons also hold
+# one non-ASCII term, which sends every description to the IGNORECASE path.
+_attribution_terms = st.text(st.sampled_from("aiksz .-'"), min_size=1, max_size=6)
+_non_ascii_term = st.tuples(_attribution_terms, st.sampled_from(["ſ", "ı", "é", "ß", "\u0307"]),
+                            st.integers(0, 6)).map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
+_ASCII_GLUE = [" ", ",", "a", "_", "9", "-", "x "]
+_NON_ASCII_GLUE = ["ſ", "\u212a", "İ", "ı", "é", "ß"]
+_ATTRIBUTION_WORDS = [
+    *_ACTIVITY_PHRASES, "at least ", "1969", "1970", "2009", "2024", "2031", "12009",
+    "targets", "targeted", "targeting", "target", "targetſ", "retargeted", "targetings",
+    ".", ". ", "!", "? ", ".\n", ".x"]
+
+
+def _mixed_case(words):
+    return st.sampled_from(sorted(words)).flatmap(lambda word: st.tuples(
+        *(st.sampled_from([c.lower(), c.upper()]) for c in word)).map("".join))
+
+
+@st.composite
+def _attribution_case(draw):
+    countries = draw(st.lists(_attribution_terms, min_size=1, max_size=8))
+    sectors = draw(st.lists(_attribution_terms, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        draw(st.sampled_from([countries, sectors])).append(draw(_non_ascii_term))
+    lexicon = Lexicon(country_terms={t: f"C{i}" for i, t in enumerate(countries)},
+                      sector_terms={t: f"S{i}" for i, t in enumerate(sectors)})
+    glue = _ASCII_GLUE if draw(st.booleans()) else _ASCII_GLUE + _NON_ASCII_GLUE
+    piece = st.one_of(_mixed_case(countries + sectors), _mixed_case(_ATTRIBUTION_WORDS),
+                      st.sampled_from(glue))
+    text = "".join(draw(st.lists(piece, max_size=30)))
+    return _group(text, created=date(draw(st.integers(1990, 2030)), 1, 1)), lexicon
+
+
+@given(_attribution_case())
+@settings(max_examples=500, deadline=None)
+def test_attribution_matches_reference(case):
+    group, lexicon = case
+    assert attribute_group(group, lexicon) == _reference_attribute_group(group, lexicon)
+
+
+def test_fold_only_span_hides_the_term_inside_it(lexicon):
+    # "ſouth korea" folds onto "south korea" and is dropped, but its span
+    # still covers "korea": a lower-cased scan would find it.
+    result = attribute_group(_group("A group that targets ſouth Korea."), lexicon)
+    assert result.targeted_countries == ()
+    # The same through a non-ASCII lexicon term and an ASCII description.
+    folding = Lexicon(country_terms={"ſ a": "C0", "a": "C1"}, sector_terms={})
+    assert folding.lower_patterns is None
+    assert attribute_group(_group("S a"), folding).origin_countries == ()
+
+
+def test_attribution_matches_reference_on_fixture_groups(lexicon):
+    groups = [group for fixture in ("case_study", "synthetic52")
+              for group in parse_snapshot(FIXTURES / fixture / "snapshots" / "group.jsonl",
+                                          SourceKind.GROUP).records]
+    assert groups and lexicon.lower_patterns is not None
+    for group in groups:
+        assert attribute_group(group, lexicon) == _reference_attribute_group(group, lexicon)
+
+
+def test_ascii_attribution_compiles_no_regex(lexicon):
+    compiler = getattr(re, "_compiler", None) or importlib.import_module("sre_compile")
+    group = _group("A Chinese group, active since 2010, that targets banks in Germany. "
+                   "It also TARGETED hospitals in North Korea.")
+    expected = _reference_attribute_group(group, lexicon)
+    with mock.patch.object(compiler, "compile", wraps=compiler.compile) as compile_, \
+            mock.patch.object(enrich, "_compiled", wraps=enrich._compiled) as compiled:
+        assert attribute_group(group, lexicon) == expected
+        assert compile_.call_count == 0 and compiled.call_count == 0
+        # A non-ASCII description takes the IGNORECASE path, which does.
+        attribute_group(_group("A Ruſſian group."), lexicon)
+        assert compiled.call_count == 2
+    assert expected.targeted_countries == ("Germany", "North Korea")
 
 
 def test_attribution_deterministic(lexicon):

@@ -3,11 +3,13 @@ from __future__ import annotations
 import json
 from dataclasses import fields, replace
 from datetime import date, timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threatrank import feeds
 from threatrank.feeds import (
     SOURCES,
     AttackGroupRaw,
@@ -33,6 +35,7 @@ from threatrank.feeds import (
     validate_snapshot,
 )
 from scripts.snapshot_writer import dump_snapshot, record_to_obj
+from tests.conftest import CASE_STUDY
 
 # ---------------------------------------------------------------------------
 # EPSS CSV
@@ -203,6 +206,59 @@ def test_parse_snapshot_skip_counts(tmp_path):
     assert len(result.records) == 100
     assert result.skipped_count == 3
     assert result.accepted + result.skipped_count == len(lines)
+
+
+@pytest.mark.parametrize("line", [
+    '{"kind": "cve"}', '[1, 2]', '"text"', '3', 'null',
+    '\ufeff{"kind": "cve"}', '\ufeff', '{"a": 1}{"b": 2}', '{"a": 1} \t {"b": 2}',
+    '{"a": 1} x', '{"a": 1},', '{"a": 1', '{"a": }', '{"a": 1}\x00', 'nul', '\x00{}',
+    '{"a": "\\ud800"}', '{"a": NaN}', '{"a" 1}', '[1,]',
+])
+def test_line_decoding_matches_json_loads(line):
+    try:
+        expected = ("value", json.loads(line))
+    except json.JSONDecodeError as exc:
+        expected = ("error", str(exc))
+    try:
+        got = ("value", feeds._json_value(line))
+    except json.JSONDecodeError as exc:
+        got = ("error", str(exc))
+    assert repr(got) == repr(expected)
+
+
+_SNAPSHOT_FILES = sorted(CASE_STUDY.glob("snapshots/*.jsonl"))
+
+
+def _parse_outcome(path, kind):
+    result = parse_snapshot(path, kind)
+    return result.skipped, repr(result.records), result.accepted, result.replaced
+
+
+# The one-byte edits of the CLI's feed fuzz test, and a UTF-8 byte order mark.
+@given(path=st.sampled_from(_SNAPSHOT_FILES),
+       edit=st.sampled_from([bytes([b]) for b in b'\xff\x00{,\n" 1'] + ["\ufeff".encode()]),
+       insert=st.booleans(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_byte_snapshot_edit_parses_as_with_json_loads(tmp_path_factory, path, edit,
+                                                          insert, data):
+    original = path.read_bytes()
+    at = data.draw(st.integers(0, len(original) - (0 if insert else 1)))
+    edited = tmp_path_factory.mktemp("edited") / path.name
+    edited.write_bytes(original[:at] + edit + original[at + (0 if insert else 1):])
+    kind = SourceKind(path.stem)
+    got = _parse_outcome(edited, kind)
+    with mock.patch.object(feeds, "_json_value", json.loads):
+        assert got == _parse_outcome(edited, kind)
+
+
+def test_byte_order_mark_line_is_skipped_as_json_loads_reports(tmp_path):
+    path = tmp_path / "reference.jsonl"
+    path.write_text('\ufeff{"kind": "reference", "url": "https://a"}\n'
+                    '{"kind": "reference", "url": "https://b"}\n', encoding="utf-8")
+    result = parse_snapshot(path, SourceKind.REFERENCE)
+    assert result.records == [ReferenceRecord("https://b")]
+    assert result.skipped == [
+        (1, "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")]
 
 
 def test_parse_snapshot_duplicate_primary_key(tmp_path, caplog):
@@ -506,6 +562,30 @@ def test_validate_clean_fixture_is_empty():
         cwes=[CweEntry("CWE-79", "xss", (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,), ())],
     )
     assert validate_snapshot(bundle).findings == []
+
+
+def test_validate_reports_each_out_of_range_rule():
+    # No parsed line reaches these rules (from_obj skips each one), so the
+    # bundle is built by hand: one record breaks each rule.
+    cves = [replace(_cve("CVE-2020-10001"), cvss_base=10.5),
+            replace(_cve("CVE-2020-10002"), modified=date(2019, 12, 31)),
+            _cve("CVE-2020-10003")]
+    bundle = SnapshotBundle(
+        cves=cves,
+        epss=[EpssScore("CVE-2020-10003", 0.5, 1.5)],
+        kev=[KevEntry("CVE-2020-10003", "v", "p", "n", date(2021, 2, 1), "d", "a",
+                      date(2021, 1, 1))],
+        exploits=[ExploitRef(7, ())],
+    )
+    report = validate_snapshot(bundle)
+    assert [(f.subject, f.detail) for f in report.by_category("out_of_range")] == [
+        ("CVE-2020-10001", "cvss_base 10.5"),
+        ("CVE-2020-10002", "modified date precedes published date"),
+        ("CVE-2020-10003", "EPSS values outside [0,1]"),
+        ("CVE-2020-10003", "due_date precedes date_added"),
+        ("7", "exploit ref with no CVEs"),
+    ]
+    assert report.findings == report.by_category("out_of_range")
 
 
 def test_validate_duplicate_epss_rows():
