@@ -15,11 +15,17 @@ neither the feed parsers nor the attribution and inventory code.  Calls go
 through the module attribute (``enrich.load_lexicon``), so a function
 rebound on its module is the one that runs.
 
-``main`` runs a command with the cyclic garbage collector paused.  What a
-command keeps (records, the graph and its adjacency cycles) lives until
-the process exits, and what it drops is acyclic and freed by reference
-counting, so a collection pass would only re-walk the growing heap.  The
-collector's previous state is restored when the command returns.
+``main`` runs a command with the cyclic garbage collector paused, so no
+collection pass re-walks the growing heap while the command builds it.
+Everything the command allocated is then still in the youngest
+generation, and the graph's adjacency cycles are garbage once the command
+returns: the first young-generation pass after the collector is restored
+walks all of it and frees those cycles.  When ``main`` runs the process's
+own command line, the process exits next, so ``main`` freezes the heap
+instead (``gc.freeze``) and leaves it to the OS; a frozen cycle is never
+finalised, so every file a command writes is closed before it returns.
+Called in-process with any other argument list, ``main`` freezes nothing
+and the caller's collector frees the command's garbage as usual.
 """
 
 from __future__ import annotations
@@ -224,8 +230,15 @@ def prepare_inputs(config: ProjectConfig):
     cpe_index = profiles.cpe_index(bundle.cpes)
     resolved_profiles = []
     coverage: dict[str, profiles.CoverageReport] = {}
+    path_of: dict[str, Path] = {}
     for profile_path in config.profile_paths:
         profile = profiles.load_profile(profile_path, vocab)
+        # One org's coverage file, Organization node and inventory come from
+        # one profile; a second profile with its id would silently merge.
+        if profile.org_id in path_of:
+            raise DataError(f"org_id {profile.org_id!r} is used by two profiles: "
+                            f"{path_of[profile.org_id]} and {profile_path}")
+        path_of[profile.org_id] = profile_path
         resolved, report = profiles.resolve_cpes(profile, cpe_index)
         resolved_profiles.append(resolved)
         coverage[profile.org_id] = report
@@ -457,13 +470,21 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic garbage collector paused.
 
     The collector is restored to its previous state when the command ends,
-    however it ends.
+    however it ends.  If it was on and ``argv`` is the process's own command
+    line (None or ``sys.argv[1:]``), everything the command allocated is
+    frozen first, so neither the next young-generation pass nor the exit
+    walks and frees a heap the OS is about to take back.  Any other
+    ``argv`` is an in-process call: nothing is frozen, and the command's
+    garbage is collected as usual.
     """
     gc_was_enabled = gc.isenabled()
+    exits_next = gc_was_enabled and (argv is None or argv == sys.argv[1:])
     gc.disable()
     try:
         return _run(argv)
     finally:
+        if exits_next:
+            gc.freeze()
         if gc_was_enabled:
             gc.enable()
 

@@ -6,7 +6,11 @@ import gc
 import hashlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +19,10 @@ from hypothesis import strategies as st
 from threatrank import cli
 from threatrank.cli import load_config, main
 from threatrank.errors import DataError
+from threatrank.kgraph import Node
 from threatrank.ranking import Family, PolicyConfig
 from threatrank.vocab import read_data_file
-from tests.conftest import CASE_STUDY, FIXTURES
+from tests.conftest import CASE_STUDY, FIXTURES, REPO_ROOT
 
 CONFIG = str(CASE_STUDY / "config.json")
 
@@ -168,6 +173,25 @@ def test_config_with_missing_snapshot_exits_one(tmp_path, capsys):
     code = _run("--config", str(bad), "ingest")
     assert code == 1
     assert "not_there.jsonl" in capsys.readouterr().err
+
+
+def test_two_profiles_with_one_org_id_exit_two_naming_both(tmp_path, capsys):
+    config = json.loads((CASE_STUDY / "config.json").read_text(encoding="utf-8"))
+    config["snapshots"] = {kind: str(CASE_STUDY / rel)
+                           for kind, rel in config["snapshots"].items()}
+    first = CASE_STUDY / "profiles" / "odu.json"
+    second = tmp_path / "odu_again.json"
+    profile = json.loads(first.read_text(encoding="utf-8"))
+    profile["software"] = profile["software"][:1]
+    second.write_text(json.dumps(profile), encoding="utf-8")
+    config["profiles"] = [str(first), str(second)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run("--config", str(path), "--out", str(out), "build") == 2
+    err = capsys.readouterr().err
+    assert "'ODU'" in err and str(first) in err and str(second) in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_corrupt_config_exits_two(tmp_path, capsys):
@@ -450,6 +474,84 @@ def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys, monkeypatch,
     capsys.readouterr()
     assert during == [False]  # the command ran with the collector paused
     assert after is was_enabled
+
+
+# Run in a fresh interpreter as the process's own command line, the way the
+# console script and ``python -m threatrank.cli`` run ``main``.
+_EXIT_CHILD = """
+import gc, json, sys
+from threatrank.cli import main
+from threatrank.kgraph import Node
+if sys.argv.pop(1) == "gc_off":
+    gc.disable()
+code = main(sys.argv[1:])
+result = {"frozen": gc.get_freeze_count(), "enabled": gc.isenabled(),
+          "nodes": sum(type(o) is Node for o in gc.get_objects())}
+gc.collect()
+result["collected_nodes"] = sum(type(o) is Node for o in gc.get_objects())
+print(json.dumps(result))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("collector", ["gc_on", "gc_off"])
+def test_main_as_the_program_freezes_the_command_heap(built, collector):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _EXIT_CHILD, collector, "--config", CONFIG, "--out", str(built),
+         "rank", "--org", "ODU", "--policy", "apt_threat"],
+        env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout.splitlines()[-1])
+    assert result["enabled"] is (collector == "gc_on")
+    if collector == "gc_on":
+        # The graph went to the permanent generation, where no pass walks it.
+        assert result["frozen"] > 0
+        assert result["nodes"] == 0
+    else:  # a caller that turned the collector off gets nothing frozen
+        assert result["frozen"] == 0
+        assert result["nodes"] > 0
+    assert result["collected_nodes"] == 0
+
+
+def _node_count() -> int:
+    gc.collect()
+    return sum(type(o) is Node for o in gc.get_objects())
+
+
+def test_main_in_process_freezes_nothing_and_its_graph_is_collected(built, monkeypatch):
+    frozen, nodes = gc.get_freeze_count(), _node_count()
+    loaded = []
+    load_graph = cli.kgraph.load_graph
+
+    def counting_load_graph(path):
+        graph = load_graph(path)
+        loaded.append(sum(1 for _ in graph.nodes()))
+        return graph
+
+    monkeypatch.setattr(cli.kgraph, "load_graph", counting_load_graph)
+    assert _run("--config", CONFIG, "--out", str(built),
+                "rank", "--org", "ODU", "--policy", "apt_threat") == 0
+    assert loaded[0] > 0
+    assert gc.get_freeze_count() == frozen
+    assert _node_count() == nodes
+
+
+def test_no_command_leaves_a_file_open(tmp_path, monkeypatch):
+    # A file left to the collector is never closed once main freezes the heap.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    out = str(tmp_path / "out")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for command in (["ingest"], ["build"],
+                        ["rank", "--org", "ODU", "--policy", "apt_threat"],
+                        ["evaluate"], ["case-study", "--org", "ODU"]):
+            assert _run("--config", CONFIG, "--out", out, *command) == 0
+            gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert unraisable == []
 
 
 def test_evaluate_is_deterministic(tmp_path):
