@@ -6,8 +6,9 @@ Usage, from the root of a checkout:
     python3 scripts/same_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a checkout's root or its ``src`` directory.  Under each
-tree, one full CLI refresh runs on both fixtures and on the three seed-1
-benchmark corpora (generated by ``bench/corpus.py``): ``ingest``,
+tree, one full CLI refresh runs on both fixtures and on the three
+benchmark corpora (generated by ``bench/corpus.py``) at seed 1, the seed
+the benchmark runs, and at the held-out seed 2: ``ingest``,
 ``build``, ``rank`` under every policy for every organization,
 ``evaluate``, and ``case-study`` for every organization.  Every output
 file whose sha256 differs between the trees, or that only one tree
@@ -32,7 +33,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 from corpus import WORKLOADS, generate  # noqa: E402
 
 FIXTURES = ("case_study", "synthetic52")
-SEED = 1
+# The benchmark's seed, and a held-out one.
+SEEDS = (1, 2)
 POLICIES = ("cvss_base", "apt_threat", "general_threat", "ideal")
 # Runs each command of a JSON list in one interpreter; prints the first
 # failing command and exits with its code.
@@ -84,9 +86,11 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         work = Path(tmp)
         projects = [(name, ROOT / "fixtures" / name / "config.json", []) for name in FIXTURES]
-        for workload in WORKLOADS:
-            corpus = generate(workload, SEED, work / "corpora" / workload)
-            projects.append((f"{workload}-seed{SEED}", corpus.config, corpus.read_args))
+        for seed in SEEDS:
+            for workload in WORKLOADS:
+                name = f"{workload}-seed{seed}"
+                corpus = generate(workload, seed, work / "corpora" / name)
+                projects.append((name, corpus.config, corpus.read_args))
         for name, config, read_args in projects:
             digests = {}
             for tree, src in trees.items():

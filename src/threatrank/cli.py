@@ -135,7 +135,8 @@ def load_config(path: str | Path) -> ProjectConfig:
         raise UsageError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    # JSONDecodeError or UnicodeDecodeError; RecursionError for nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})")
     _expect(raw, dict, f"{path}: the config")
     _reject_unknown(raw, _CONFIG_KEYS, f"{path}: unknown config key")
@@ -336,13 +337,18 @@ def cmd_build(config: ProjectConfig) -> int:
 
 
 def _write_ranked_csv(path: Path, ranked_lists: list[ranking.RankedList]) -> None:
+    """Write ranked rows; each distinct ``feature_bits`` pattern is rendered once."""
+    rendered: dict[tuple, str] = {}
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["org", "policy", "iso_week", "rank", "cve", "score", "feature_bits"])
         for ranked in ranked_lists:
             week = f"{ranked.iso_week[0]}-W{ranked.iso_week[1]:02d}"
             for item in ranked.items:
-                bits = "|".join(f"{name}={bit}" for name, bit in item.feature_bits.items())
+                pattern = tuple(item.feature_bits.items())
+                bits = rendered.get(pattern)
+                if bits is None:
+                    bits = rendered[pattern] = "|".join(f"{name}={bit}" for name, bit in pattern)
                 score = f"{item.score:g}"
                 writer.writerow([ranked.org_id, ranked.policy.value, week,
                                  item.rank, item.cve_id, score, bits])

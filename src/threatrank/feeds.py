@@ -365,7 +365,8 @@ def _utf8(text: str) -> str:
 
 def _collect(path: str | Path, rows: Iterable[tuple[int, object]],
              to_record: Callable, kind: SourceKind) -> ParseResult:
-    """Convert ``(line_no, payload)`` rows; a ValueError skips the row.
+    """Convert ``(line_no, payload)`` rows; a ValueError skips the row, as
+    does a RecursionError (a JSON line nested too deeply to decode).
 
     A repeated primary key keeps the later record, in the first one's place.
     """
@@ -375,7 +376,7 @@ def _collect(path: str | Path, rows: Iterable[tuple[int, object]],
     for line_no, payload in rows:
         try:
             record = to_record(payload)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             result.skipped.append((line_no, str(exc)))
             continue
         result.accepted += 1

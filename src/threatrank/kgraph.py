@@ -156,8 +156,33 @@ def _join(src: Node, edge_type: EdgeType, dst: Node) -> None:
 
 
 def _as_tuple(values: list) -> tuple:
-    """A list prop, nested lists included, as read-only tuples."""
-    return tuple(_as_tuple(v) if type(v) is list else v for v in values)
+    """A list prop, nested lists included, as read-only tuples.
+
+    Copied with an explicit stack, not by recursion, so a prop nested as
+    deeply as the JSON decoder reads freezes too.  A list that contains
+    itself is a ValueError.
+    """
+    if list not in map(type, values):
+        return tuple(values)
+    # One frame per list being copied: the list, its items left, its copy so far.
+    stack = [(values, iter(values), [])]
+    open_ids = {id(values)}
+    while True:
+        source, items, copied = stack[-1]
+        for value in items:
+            if type(value) is list:
+                if id(value) in open_ids:
+                    raise ValueError("a list prop contains itself")
+                open_ids.add(id(value))
+                stack.append((value, iter(value), []))
+                break
+            copied.append(value)
+        else:
+            stack.pop()
+            open_ids.discard(id(source))
+            if not stack:
+                return tuple(copied)
+            stack[-1][2].append(tuple(copied))
 
 
 def _frozen_adjacency(adjacency: dict) -> Mapping:
@@ -524,9 +549,10 @@ def load_graph(path: str | Path) -> PropertyGraph:
     values winning, as ``upsert_node`` does.
 
     A line that is not a well-formed node or edge record (corrupt JSON,
-    trailing data, an unknown label or edge type, an edge to a node not
-    read yet, a non-UTF-8 byte), or a node whose props the read commands
-    cannot use, is a DataError naming ``path:line``.
+    JSON nested deeper than the decoder reads, trailing data, an unknown
+    label or edge type, an edge to a node not read yet, a non-UTF-8 byte),
+    or a node whose props the read commands cannot use, is a DataError
+    naming ``path:line``.
     """
     g = PropertyGraph()
     nodes = g._nodes
@@ -569,6 +595,6 @@ def load_graph(path: str | Path) -> PropertyGraph:
                     _join(src, edge_type, dst)
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise DataError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
     return g.freeze()

@@ -86,7 +86,8 @@ def load_profile(path: str | Path, vocab: Vocabulary | None = None) -> Organizat
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    # JSONDecodeError or UnicodeDecodeError; RecursionError for nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise ProfileError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("software", []), list):
         raise ProfileError(f"{path}: a profile is an object with a 'software' array")

@@ -5,12 +5,17 @@ resolved CPEs with a date range, grouped by the ISO week of the CVE
 modification date (the date that simulates when a vulnerability presents
 itself for analysis).
 
-Each candidate has one feature row, walked from the graph once and
-holding no setting (``feature_row``): its CVSS base score, the seven bits
-no setting changes, and the facts the settings weigh.  ``feature_bits``
-derives all ten binary features from a row and one family's config.  A
-threat policy is a tuple of six of those names; its score is their sum
-floored at 1, so every applicable CVE stays a candidate:
+Each candidate has one feature row holding no setting (``feature_row``):
+its CVSS base score, the seven bits no setting changes, and the facts the
+settings weigh.  The path facts of a row are ORs and unions over its
+CWEs' weakness->attack-pattern->technique->group paths, so a cohort's
+``feature_table`` walks each (organization, CWE) pair once and combines
+the walks per row; the organization's sector-focused groups are read off
+its sector node, and those targeting its country off its country node.
+``feature_bits`` derives all ten binary features from a row and one
+family's config.  A threat policy is a tuple of six of those names; its
+score is their sum floored at 1, so every applicable CVE stays a
+candidate:
 
 * APT threat: network attack vector; a weakness->attack-pattern->technique
   path reaching a group focused on the organization's sector; such a group
@@ -38,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .kinds import AttackVector, SkillLevel, TechnicalImpact
@@ -162,20 +168,22 @@ def generate_candidates(
     resolved CPEs and its modification date falls inside the (inclusive)
     range.  Each CVE lands in the ISO week of its modification date; since
     snapshot parsing keeps the latest record per CVE id, a CVE modified
-    twice appears only in the week of its latest modification.
+    twice appears only in the week of its latest modification.  A CVE that
+    affects several of the CPEs is collected once, so its date is parsed once.
     """
     start, end = date_range
     if start > end:
         raise ValueError(f"empty date range: {start} > {end}")
-    weeks: dict[tuple[int, int], set[str]] = {}
+    candidates: set[Node] = set()
     for cpe_id in org.cpe_ids:
         cpe = graph.find(NodeLabel.CPE, cpe_id)
-        if cpe is None:
-            continue
-        for cve in cpe.incoming.get(EdgeType.AFFECTS, ()):
-            modified = date.fromisoformat(cve.props["modified"])
-            if start <= modified <= end:
-                weeks.setdefault(iso_week_of(modified), set()).add(cve.key)
+        if cpe is not None:
+            candidates.update(cpe.incoming.get(EdgeType.AFFECTS, ()))
+    weeks: dict[tuple[int, int], list[str]] = {}
+    for cve in candidates:
+        modified = date.fromisoformat(cve.props["modified"])
+        if start <= modified <= end:
+            weeks.setdefault(iso_week_of(modified), []).append(cve.key)
     return [
         WeeklyCohort(org_id=org.org_id, iso_week=week, cve_ids=tuple(sorted(cve_ids)))
         for week, cve_ids in sorted(weeks.items())
@@ -231,64 +239,102 @@ class FeatureRow:
     epss: tuple[float, float] | None
 
 
-def feature_row(graph: PropertyGraph, cve_id: str, org: OrgContext) -> FeatureRow:
-    """Walk one candidate's weakness->attack-pattern->technique->group paths once.
+# The facts of one weakness's paths, or of the union of several weaknesses'
+# paths: the failure_impact and technique_link bits, the skill levels, the
+# sector_focus and targets_country bits and the origin countries.  Each is
+# an OR or a union over the paths, so a CVE's facts combine its CWEs' facts.
+_PathFacts = tuple[int, int, frozenset, int, int, frozenset]
+_NO_PATHS: _PathFacts = (0, 0, frozenset(), 0, 0, frozenset())
+_NETWORK = AttackVector.NETWORK.value
 
-    Skill levels and the technique link are independent facts of the CVE's
-    attack patterns, so changing the configured skill level moves a
-    relevance by exactly the skill bit.  The group facts are witnessed by groups reachable
-    through a technique; the country facts only by groups that also focus
-    on the organization's sector.
+
+def _row_reader(graph: PropertyGraph, org: OrgContext):
+    """A function that reads one CVE's ``FeatureRow`` for ``org``.
+
+    The reader walks each weakness's CWE->CAPEC->technique->group paths the
+    first time a CVE reaches it and keeps their facts, and combines each
+    distinct set of CWEs once; it lives for one ``feature_row`` or
+    ``feature_table`` call.  The sector-focused groups are the sources of
+    the org's sector node's incoming FOCUS_ON edges, and the groups that
+    target the org's country those of its country node's incoming TARGETS
+    edges; a sector or country with no node has none.
     """
-    node = graph.find(NodeLabel.NVD_CVE, cve_id)
-    if node is None:
-        raise KeyError(f"CVE {cve_id!r} not present in the graph")
-    failure_impact = technique_link = False
-    skill_levels: set[str] = set()
-    techniques: set[Node] = set()
-    for cwe in node.outgoing.get(EdgeType.WEAKENED_BY, ()):
-        if FAILURE_IMPACTS.intersection(cwe.props.get("technical_impacts", ())):
-            failure_impact = True
+    sector = graph.find(NodeLabel.DHS_SECTOR, org.sector)
+    country = graph.find(NodeLabel.COUNTRY, org.country)
+    focused = sector.incoming.get(EdgeType.FOCUS_ON, frozenset()) if sector else frozenset()
+    targeting = country.incoming.get(EdgeType.TARGETS, frozenset()) if country else frozenset()
+    by_cwe: dict[Node, _PathFacts] = {}
+    by_cwes: dict[frozenset, _PathFacts] = {frozenset(): _NO_PATHS}
+
+    def weakness_facts(cwe: Node) -> _PathFacts:
+        skill_levels: set[str] = set()
+        techniques: set[Node] = set()
         for capec in cwe.outgoing.get(EdgeType.KNOWN_ATTACK, ()):
             level = capec.props.get("skill_level")
             if isinstance(level, str):  # only a string matches a level; an object would not hash
                 skill_levels.add(level)
-            employed = capec.outgoing.get(EdgeType.EMPLOYS, ())
-            technique_link = technique_link or bool(employed)
-            techniques.update(employed)
-    groups: set[Node] = set()
-    for technique in techniques:
-        groups.update(technique.incoming.get(EdgeType.ACHIEVES_GOAL, ()))
-    sector_focus = targets_country = False
-    origin_countries: set[str] = set()
-    for group in groups:
-        if org.sector not in {sector.key for sector in group.outgoing.get(EdgeType.FOCUS_ON, ())}:
-            continue
-        sector_focus = True
-        if org.country in {country.key for country in group.outgoing.get(EdgeType.TARGETS, ())}:
-            targets_country = True
-        origin_countries.update(country.key
-                                for country in group.outgoing.get(EdgeType.ORIGINATES, ()))
-    props = node.props
-    probability, percentile = props.get("epss_probability"), props.get("epss_percentile")
-    affected = {cpe.key for cpe in node.outgoing.get(EdgeType.AFFECTS, ())}
-    exploited = (EdgeType.EXPLOITS_KNOWN in node.outgoing
-                 or EdgeType.REFERENCE_EXPLOIT in node.outgoing)
-    return FeatureRow(
-        cvss_base=props.get("cvss_base"),
-        fixed_bits={
-            "av_network": int(props.get("attack_vector") == AttackVector.NETWORK.value),
-            "sector_focus": int(sector_focus),
-            "targets_country": int(targets_country),
-            "technique_link": int(technique_link),
-            "failure_impact": int(failure_impact),
-            "exploit_known": int(exploited),
-            "affects_software": int(bool(affected & org.cpe_ids)),
-        },
-        skill_levels=frozenset(skill_levels),
-        origin_countries=frozenset(origin_countries),
-        epss=None if probability is None or percentile is None else (probability, percentile),
-    )
+            techniques.update(capec.outgoing.get(EdgeType.EMPLOYS, ()))
+        groups: set[Node] = set()
+        for technique in techniques:
+            groups.update(technique.incoming.get(EdgeType.ACHIEVES_GOAL, ()))
+        reached = focused.intersection(groups)
+        facts = by_cwe[cwe] = (
+            int(not FAILURE_IMPACTS.isdisjoint(cwe.props.get("technical_impacts", ()))),
+            int(bool(techniques)),
+            frozenset(skill_levels),
+            int(bool(reached)),
+            int(not targeting.isdisjoint(reached)),
+            frozenset(origin.key for group in reached
+                      for origin in group.outgoing.get(EdgeType.ORIGINATES, ())),
+        )
+        return facts
+
+    def cwes_facts(cwes: frozenset) -> _PathFacts:
+        failure, link, skills, focus, targets, origins = zip(
+            *(by_cwe.get(cwe) or weakness_facts(cwe) for cwe in cwes))
+        facts = by_cwes[cwes] = (max(failure), max(link), frozenset().union(*skills),
+                                 max(focus), max(targets), frozenset().union(*origins))
+        return facts
+
+    def read(cve_id: str) -> FeatureRow:
+        node = graph.find(NodeLabel.NVD_CVE, cve_id)
+        if node is None:
+            raise KeyError(f"CVE {cve_id!r} not present in the graph")
+        outgoing, props = node.outgoing, node.props
+        cwes = frozenset(outgoing.get(EdgeType.WEAKENED_BY, ()))
+        failure, link, skills, focus, targets, origins = by_cwes.get(cwes) or cwes_facts(cwes)
+        probability, percentile = props.get("epss_probability"), props.get("epss_percentile")
+        affected = (cpe.key for cpe in outgoing.get(EdgeType.AFFECTS, ()))
+        exploited = EdgeType.EXPLOITS_KNOWN in outgoing or EdgeType.REFERENCE_EXPLOIT in outgoing
+        return FeatureRow(
+            cvss_base=props.get("cvss_base"),
+            fixed_bits={
+                "av_network": int(props.get("attack_vector") == _NETWORK),
+                "sector_focus": focus,
+                "targets_country": targets,
+                "technique_link": link,
+                "failure_impact": failure,
+                "exploit_known": int(exploited),
+                "affects_software": int(not org.cpe_ids.isdisjoint(affected)),
+            },
+            skill_levels=skills,
+            origin_countries=origins,
+            epss=None if probability is None or percentile is None else (probability, percentile),
+        )
+
+    return read
+
+
+def feature_row(graph: PropertyGraph, cve_id: str, org: OrgContext) -> FeatureRow:
+    """One candidate's facts from its weakness->attack-pattern->technique->group paths.
+
+    Skill levels and the technique link are independent facts of the CVE's
+    attack patterns, so changing the configured skill level moves a
+    relevance by exactly the skill bit.  The group facts are witnessed by
+    groups reachable through a technique; the country facts only by groups
+    that also focus on the organization's sector.
+    """
+    return _row_reader(graph, org)(cve_id)
 
 
 def feature_bits(row: FeatureRow, config: PolicyConfig) -> dict[str, int]:
@@ -319,9 +365,11 @@ def feature_table(graph: PropertyGraph, cohort: WeeklyCohort,
     """Feature rows of a cohort's candidates, keyed by CVE id.
 
     The rows hold no setting, so one table serves every policy of both
-    feature families.
+    feature families.  One reader serves the whole cohort, so each CWE the
+    candidates reach is walked once.
     """
-    return {cve_id: feature_row(graph, cve_id, org) for cve_id in cohort.cve_ids}
+    read = _row_reader(graph, org)
+    return {cve_id: read(cve_id) for cve_id in cohort.cve_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -355,20 +403,28 @@ def rank(
     """Rank one weekly cohort under a policy of the config's family.
 
     ``records`` is the cohort's ``feature_table``, whose rows the config
-    turns into bits; CVSS-base items carry no feature bits, and their rows'
-    bits are never derived.
+    turns into bits, once per row; the rows of one bit pattern share its
+    bits mapping and score.  CVSS-base items carry no feature bits, and
+    their rows' bits are never derived.
     """
     names = policy_bits(policy, config.family)
-    bits_of = {}
-    for cve in cohort.cve_ids:
-        bits = feature_bits(records[cve], config) if names else {}
-        bits_of[cve] = {name: bits[name] for name in names}
-    if policy is Policy.CVSS_BASE:
-        scored = [(cve, _cvss_score(cve, records[cve].cvss_base)) for cve in cohort.cve_ids]
+    bits_of: dict[str, Mapping[str, int]] = {}
+    if names:
+        pick = itemgetter(*names)  # a policy sums six bits, so this picks a tuple
+        patterns: dict[tuple[int, ...], tuple[dict[str, int], float]] = {}
+        scored = []
+        for cve in cohort.cve_ids:
+            pattern = pick(feature_bits(records[cve], config))
+            shared = patterns.get(pattern)
+            if shared is None:
+                bits = dict(zip(names, pattern))
+                shared = patterns[pattern] = (bits, float(score_from_bits(bits)))
+            bits_of[cve], score = shared
+            scored.append((cve, score))
     else:
-        scored = [(cve, float(score_from_bits(bits))) for cve, bits in bits_of.items()]
+        scored = [(cve, _cvss_score(cve, records[cve].cvss_base)) for cve in cohort.cve_ids]
     items = tuple(
-        RankedItem(cve_id=cve, score=score, rank=position, feature_bits=bits_of[cve])
+        RankedItem(cve_id=cve, score=score, rank=position, feature_bits=bits_of.get(cve, {}))
         for cve, score, position in order_scored(scored)
     )
     return RankedList(org_id=cohort.org_id, policy=policy,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threatrank import cli
+from threatrank import cli, kgraph
 from threatrank.cli import load_config, main
 from threatrank.errors import DataError
 from threatrank.kgraph import Node
@@ -389,6 +389,76 @@ def test_non_utf8_vocabulary_or_lexicon_exits_two(tmp_path, capsys, section, kin
     err = capsys.readouterr().err
     assert str(data_file) in err
     assert "Traceback" not in err
+
+
+# 1,000 nested arrays: a 2 KB JSON value too deep for the decoder, which
+# raises RecursionError, not a ValueError.
+_DEEP_JSON = "[" * 1000 + "]" * 1000
+
+
+def test_deeply_nested_config_exits_two(tmp_path, capsys):
+    bad = tmp_path / "config.json"
+    bad.write_text(_DEEP_JSON, encoding="utf-8")
+    assert _run("--config", str(bad), "ingest") == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+
+
+def test_deeply_nested_feed_line_is_skipped(tmp_path):
+    case = tmp_path / "case"
+    shutil.copytree(CASE_STUDY, case, ignore=shutil.ignore_patterns("out"))
+    with (case / "snapshots" / "cwe.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write(_DEEP_JSON + "\n")
+    out = tmp_path / "out"
+    assert _run("--config", str(case / "config.json"), "--out", str(out), "ingest") == 0
+    sources = json.loads((out / "ingest_summary.json").read_text(encoding="utf-8"))["sources"]
+    assert (sources["cwe"]["records"], sources["cwe"]["skipped"]) == (7, 1)  # of 8 lines
+
+
+def test_deeply_nested_profile_exits_two_naming_it(tmp_path, capsys):
+    config = json.loads((CASE_STUDY / "config.json").read_text(encoding="utf-8"))
+    config["snapshots"] = {kind: str(CASE_STUDY / rel)
+                           for kind, rel in config["snapshots"].items()}
+    profile = tmp_path / "deep.json"
+    profile.write_text(_DEEP_JSON, encoding="utf-8")
+    config["profiles"] = [str(profile)]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert _run("--config", str(path), "--out", str(tmp_path / "out"), "build") == 2
+    err = capsys.readouterr().err
+    assert str(profile) in err and "Traceback" not in err
+
+
+def test_deeply_nested_graph_line_exits_two_naming_the_line(built, capsys):
+    path = built / "graph.jsonl"
+    lines = path.read_bytes().split(b"\n")
+    line_no = next(i for i, line in enumerate(lines, start=1) if b'"kind": "edge"' in line)
+    lines[line_no - 1] = _DEEP_JSON.encode()
+    path.write_bytes(b"\n".join(lines))
+    _assert_read_commands_name_line(built, capsys, line_no)
+
+
+def test_deeply_nested_graph_prop_loads(built):
+    # 500 levels decode; freezing the prop must not recurse once per level
+    ranked = built / "ranked_ODU_apt_threat.csv"
+    base = ["--config", CONFIG, "--out", str(built)]
+    assert _run(*base, "rank", "--org", "ODU", "--policy", "apt_threat") == 0
+    expected = ranked.read_bytes()
+    path = built / "graph.jsonl"
+    data = path.read_bytes()
+    old = b'{"kind": "node", "label": "Cpe", "key": '
+    assert old in data
+    at = data.index(b'"props": {', data.index(old)) + len(b'"props": {')
+    path.write_bytes(data[:at] + b'"deep": ' + b"[" * 500 + b"]" * 500 + b", " + data[at:])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert _run(*base, "rank", "--org", "ODU", "--policy", "apt_threat") == 0
+    assert ranked.read_bytes() == expected
+    node = next(n for n in kgraph.load_graph(path).nodes() if "deep" in n.props)
+    value, depth = node.props["deep"], 1
+    while value:
+        assert type(value) is tuple and len(value) == 1
+        value, depth = value[0], depth + 1
+    assert value == () and depth == 500
 
 
 # Snapshot and CSV inputs of the case fixture, as paths under its directory.

@@ -135,6 +135,27 @@ def test_frozen_graph_rejects_writes():
         g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000")
 
 
+def test_freeze_copies_nested_list_props_without_recursion():
+    deep = []
+    for _ in range(5000):  # far past the recursion limit
+        deep = [deep, "x"]
+    loop = ["a"]
+    loop.append(loop)
+    g = PropertyGraph()
+    node = g.upsert_node(NodeLabel.CWE, "CWE-1", {"deep": deep, "flat": ["a", "b"]})
+    g.freeze()
+    value, depth = node.props["deep"], 0
+    while value:
+        assert type(value) is tuple and value[1] == "x"
+        value, depth = value[0], depth + 1
+    assert value == () and depth == 5000
+    assert node.props["flat"] == ("a", "b")
+    g = PropertyGraph()
+    g.upsert_node(NodeLabel.CWE, "CWE-1", {"loop": loop})
+    with pytest.raises(ValueError, match="contains itself"):
+        g.freeze()
+
+
 def test_frozen_graph_props_are_read_only(tmp_path):
     g = PropertyGraph()
     node = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000", {"cvss_base": 6.1})

@@ -28,7 +28,7 @@ from threatrank.feeds import (
 from threatrank.enrich import GroupAttribution
 from threatrank.feeds import AttackGroupRaw
 from threatrank import ranking
-from threatrank.kgraph import EdgeType, NodeLabel, build_graph
+from threatrank.kgraph import EdgeType, NodeLabel, PropertyGraph, build_graph
 from threatrank.ranking import (
     APT_BITS,
     FAILURE_IMPACTS,
@@ -581,3 +581,153 @@ def test_feature_bits_of_a_row_equal_the_config_walk(fixture_candidates, data):
     for graph, org, cve_id, row in candidates:
         assert feature_bits(row, config) == _reference_feature_bits(graph, cve_id, org, config), \
             cve_id
+
+
+# ---------------------------------------------------------------------------
+# The per-(org, CWE) reader against a walk per candidate
+# ---------------------------------------------------------------------------
+
+
+def _reference_feature_row(graph, cve_id, org):
+    """One candidate's row from its own walk of every path.
+
+    This is how ``feature_row`` read a row before the walk of each CWE was
+    shared across a call's candidates.
+    """
+    node = graph.find(NodeLabel.NVD_CVE, cve_id)
+    failure_impact = technique_link = False
+    skill_levels = set()
+    techniques = set()
+    for cwe in node.outgoing.get(EdgeType.WEAKENED_BY, ()):
+        if FAILURE_IMPACTS.intersection(cwe.props.get("technical_impacts", ())):
+            failure_impact = True
+        for capec in cwe.outgoing.get(EdgeType.KNOWN_ATTACK, ()):
+            level = capec.props.get("skill_level")
+            if isinstance(level, str):
+                skill_levels.add(level)
+            employed = capec.outgoing.get(EdgeType.EMPLOYS, ())
+            technique_link = technique_link or bool(employed)
+            techniques.update(employed)
+    groups = set()
+    for technique in techniques:
+        groups.update(technique.incoming.get(EdgeType.ACHIEVES_GOAL, ()))
+    sector_focus = targets_country = False
+    origin_countries = set()
+    for group in groups:
+        if org.sector not in {sector.key for sector in group.outgoing.get(EdgeType.FOCUS_ON, ())}:
+            continue
+        sector_focus = True
+        if org.country in {country.key for country in group.outgoing.get(EdgeType.TARGETS, ())}:
+            targets_country = True
+        origin_countries.update(country.key
+                                for country in group.outgoing.get(EdgeType.ORIGINATES, ()))
+    props = node.props
+    probability, percentile = props.get("epss_probability"), props.get("epss_percentile")
+    affected = {cpe.key for cpe in node.outgoing.get(EdgeType.AFFECTS, ())}
+    exploited = (EdgeType.EXPLOITS_KNOWN in node.outgoing
+                 or EdgeType.REFERENCE_EXPLOIT in node.outgoing)
+    return ranking.FeatureRow(
+        cvss_base=props.get("cvss_base"),
+        fixed_bits={
+            "av_network": int(props.get("attack_vector") == AttackVector.NETWORK.value),
+            "sector_focus": int(sector_focus),
+            "targets_country": int(targets_country),
+            "technique_link": int(technique_link),
+            "failure_impact": int(failure_impact),
+            "exploit_known": int(exploited),
+            "affects_software": int(bool(affected & org.cpe_ids)),
+        },
+        skill_levels=frozenset(skill_levels),
+        origin_countries=frozenset(origin_countries),
+        epss=None if probability is None or percentile is None else (probability, percentile),
+    )
+
+
+# Sector and country names an org may name; only some of them get a node.
+_SECTORS = ("Education", "Energy", "Healthcare")
+_COUNTRIES = ("United States", "China", "Iran")
+# CAPEC skill levels as graph.jsonl may hold them: strings, null and values
+# that are not strings (a list prop is frozen into a tuple).
+_SKILLS = st.sampled_from(["Low", "Medium", "High", None, {"level": "High"}, ["High"], 3])
+
+
+@st.composite
+def _meshes(draw):
+    """A random CVE->CWE->CAPEC->technique<-group mesh, and an org over it.
+
+    Small pools make shared CAPECs, techniques and groups, and so diamond
+    paths, the common case.
+    """
+    def subset(pool, max_size=None):
+        return draw(st.lists(st.sampled_from(pool), unique=True,
+                             max_size=len(pool) if max_size is None else max_size)) \
+            if pool else []
+
+    graph = PropertyGraph()
+    sectors = subset(_SECTORS)  # the sectors and countries that have a node
+    countries = subset(_COUNTRIES)
+    for sector in sectors:
+        graph.upsert_node(NodeLabel.DHS_SECTOR, sector)
+    for country in countries:
+        graph.upsert_node(NodeLabel.COUNTRY, country)
+    techniques = [f"T{i}" for i in range(draw(st.integers(0, 4)))]
+    for technique in techniques:
+        graph.upsert_node(NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, technique)
+    capecs = [f"CAPEC-{i}" for i in range(draw(st.integers(0, 5)))]
+    for capec in capecs:
+        level = draw(_SKILLS)
+        graph.upsert_node(NodeLabel.CAPEC, capec, {} if level is None else {"skill_level": level})
+        for technique in subset(techniques):
+            graph.link(EdgeType.EMPLOYS, capec, technique)
+    cwes = [f"CWE-{i}" for i in range(draw(st.integers(0, 5)))]
+    impacts = [impact.value for impact in TechnicalImpact]
+    for cwe in cwes:
+        graph.upsert_node(NodeLabel.CWE, cwe, {"technical_impacts": subset(impacts, 2)})
+        for capec in subset(capecs):
+            graph.link(EdgeType.KNOWN_ATTACK, cwe, capec)
+    for i in range(draw(st.integers(0, 5))):
+        group = f"G{i}"
+        graph.upsert_node(NodeLabel.ATTACK_GROUP, group)
+        for technique in subset(techniques):
+            graph.link(EdgeType.ACHIEVES_GOAL, group, technique)
+        for sector in subset(sectors):
+            graph.link(EdgeType.FOCUS_ON, group, sector)
+        for country in subset(countries):
+            graph.link(EdgeType.TARGETS, group, country)
+        for country in subset(countries):
+            graph.link(EdgeType.ORIGINATES, group, country)
+    cpes = ["cpe:a", "cpe:b", "cpe:c"]
+    for cpe in cpes:
+        graph.upsert_node(NodeLabel.CPE, cpe)
+    cve_ids = [f"CVE-2021-{10000 + i}" for i in range(draw(st.integers(1, 8)))]
+    for cve_id in cve_ids:
+        props = {"modified": "2021-01-04",
+                 "attack_vector": draw(st.sampled_from([v.value for v in AttackVector]))}
+        if draw(st.booleans()):
+            props["cvss_base"] = draw(st.floats(0, 10))
+        if draw(st.booleans()):
+            props["epss_probability"], props["epss_percentile"] = draw(st.floats(0, 1)), 0.5
+        graph.upsert_node(NodeLabel.NVD_CVE, cve_id, props)
+        for cwe in subset(cwes):
+            graph.link(EdgeType.WEAKENED_BY, cve_id, cwe)
+        for cpe in subset(cpes):
+            graph.link(EdgeType.AFFECTS, cve_id, cpe)
+        if draw(st.booleans()):
+            graph.upsert_node(NodeLabel.CISA_EXPLOIT_CATALOG, cve_id)
+            graph.link(EdgeType.EXPLOITS_KNOWN, cve_id, cve_id)
+    org = OrgContext(org_id="X", sector=draw(st.sampled_from(_SECTORS)),
+                     country=draw(st.sampled_from(_COUNTRIES)),
+                     cpe_ids=frozenset(subset(cpes)))
+    return graph.freeze(), org, tuple(cve_ids)
+
+
+@given(_meshes())
+@settings(max_examples=300, deadline=None)
+def test_feature_table_and_row_equal_a_walk_per_candidate(mesh):
+    graph, org, cve_ids = mesh
+    expected = {cve_id: _reference_feature_row(graph, cve_id, org) for cve_id in cve_ids}
+    cohort = WeeklyCohort(org_id=org.org_id, iso_week=(2021, 1), cve_ids=cve_ids)
+    assert feature_table(graph, cohort, org) == expected
+    for cve_id in cve_ids:
+        assert feature_row(graph, cve_id, org) == expected[cve_id], cve_id
+
