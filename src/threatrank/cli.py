@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import kgraph, ranking
-from .errors import DataError, DataFormatError, UsageError
+from .errors import DataError, UsageError
 from .kinds import SkillLevel, SourceKind
 from .vocab import load_vocabulary
 
@@ -211,19 +211,21 @@ def load_bundle(config: ProjectConfig) -> tuple[feeds.SnapshotBundle, dict[str, 
                 result = feeds.parse_kev_csv(snapshot_path)
             else:
                 result = feeds.parse_snapshot(snapshot_path, kind)
-        except (DataFormatError, OSError) as exc:
-            raise DataError(f"cannot parse {snapshot_path}: {exc}")
+        except OSError as exc:  # its message would repeat the path
+            raise DataError(f"cannot parse {snapshot_path}: {exc.strerror or exc}")
         results[kind.value] = result
         getattr(bundle, feeds.SOURCES[kind].bundle_field).extend(result.records)
     return bundle, results
 
 
-def prepare_inputs(config: ProjectConfig):
-    """Parse snapshots, attribute groups, and resolve profile inventories."""
+def build_pipeline(config: ProjectConfig) -> tuple[kgraph.PropertyGraph,
+                                                   dict[str, profiles.CoverageReport]]:
+    """Parse, enrich, resolve, and assemble the frozen knowledge graph; also
+    return each organization's CPE coverage report."""
     from . import enrich, profiles
 
     vocab = load_vocabulary(config.vocab_countries, config.vocab_sectors)
-    bundle, _results = load_bundle(config)
+    bundle, _ = load_bundle(config)
     lexicon = enrich.load_lexicon(config.lexicon_countries, config.lexicon_sectors, vocab)
     attributions = enrich.filter_us_targeting(
         enrich.attribute_group(group, lexicon) for group in bundle.groups
@@ -243,14 +245,6 @@ def prepare_inputs(config: ProjectConfig):
         resolved, report = profiles.resolve_cpes(profile, cpe_index)
         resolved_profiles.append(resolved)
         coverage[profile.org_id] = report
-    return vocab, bundle, attributions, resolved_profiles, coverage
-
-
-def build_pipeline(config: ProjectConfig) -> tuple[kgraph.PropertyGraph,
-                                                   dict[str, profiles.CoverageReport]]:
-    """Parse, enrich, resolve, and assemble the frozen knowledge graph; also
-    return each organization's CPE coverage report."""
-    vocab, bundle, attributions, resolved_profiles, coverage = prepare_inputs(config)
     graph = kgraph.build_graph(bundle, attributions, resolved_profiles, vocab)
     return graph.freeze(), coverage
 
@@ -527,7 +521,7 @@ def _run(argv: list[str] | None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, DataFormatError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -180,19 +180,11 @@ def _compiled(terms: tuple[str, ...]) -> re.Pattern:
     return re.compile(_term_regex(terms), re.IGNORECASE)
 
 
-def scan_terms(text: str, terms: dict[str, str]) -> list[TermMatch]:
-    """All lexicon phrase matches in the text, in order of occurrence.
-
-    A span that matches only through ``sre``'s Unicode case folding and
-    does not lowercase to a term ("Ruſſia") is not a match.
-    """
-    return _scan(_compiled(tuple(terms)), text, text, terms)
-
-
 def _scan(pattern: re.Pattern, text: str, source: str, terms: dict[str, str]) -> list[TermMatch]:
     """The term matches ``pattern`` finds in ``text``, each span read from
     ``source`` at the same offsets: ``text`` is ``source`` or, for the
-    plain patterns, ``source`` lower-cased."""
+    plain patterns, ``source`` lower-cased.  A span that only Unicode case
+    folding matches ("Ruſſia" for "russia") is not a match."""
     if not terms or not text:
         return []
     matches = []

@@ -16,7 +16,3 @@ class UsageError(ThreatRankError):
 
 class DataError(ThreatRankError):
     """Input files exist but their content is invalid."""
-
-
-class DataFormatError(ValueError):
-    """A feed file's framing (header, envelope) is wrong, not just one row."""

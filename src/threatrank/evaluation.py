@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .kgraph import PropertyGraph
 from .ranking import (
     FAMILIES,
     Family,
@@ -35,6 +34,9 @@ from .ranking import (
     rank,
 )
 from .stats import TTestResult, paired_t_test
+
+if TYPE_CHECKING:
+    from .kgraph import PropertyGraph
 
 
 class Severity(Enum):
@@ -57,6 +59,7 @@ PATCH_UNITS = {
 }
 # Patch costs sum the top COST_K items of each weekly ranking.
 COST_K = 20
+K_MAX = 100  # nDCG@K curves run for K in 1..K_MAX
 
 
 def severity_band(cvss: float) -> Severity:
@@ -173,11 +176,10 @@ def generate_report(
     date_range: tuple[date, date],
     apt_config: PolicyConfig,
     general_config: PolicyConfig,
-    k_max: int = 100,
 ) -> EvaluationReport:
     """Evaluate every organization over the date range.
 
-    Emits per-policy nDCG@K curves for K in 1..k_max (cohorts shorter than
+    Emits per-policy nDCG@K curves for K in 1..K_MAX (cohorts shorter than
     K contribute their truncated nDCG), annualized top-``COST_K`` patch
     costs, and a paired t-test of each threat policy against the CVSS-base
     ranking on the weekly nDCG@k series.  Degenerate series (fewer than two
@@ -210,7 +212,7 @@ def generate_report(
                 family, threat = config.family, FAMILIES[config.family][0]
                 ideal = rank(cohort, Policy.IDEAL, config, table)
                 ranked = rank(cohort, threat, config, table)
-                depth = max(k_max, config.k)
+                depth = max(K_MAX, config.k)
                 curves[family, Policy.CVSS_BASE].append(ndcg_at_k(cvss, ideal, depth))
                 curves[family, threat].append(ndcg_at_k(ranked, ideal, depth))
                 weekly_costs[threat][cohort.iso_week] = patch_cost(ranked, COST_K, cvss_of)
@@ -224,7 +226,7 @@ def generate_report(
                 for year in years:
                     year_curves = [curve for curve, cohort in zip(curves[family, policy], cohorts)
                                    if cohort.iso_week[0] == year]
-                    for k in range(1, k_max + 1):
+                    for k in range(1, K_MAX + 1):
                         values = [curve[k - 1] for curve in year_curves]
                         report.ndcg_rows.append((org.org_id, label[policy], year, k,
                                                  sum(values) / len(values), len(values)))

@@ -31,7 +31,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import DataFormatError
+from .errors import DataError
 from .kinds import AttackVector, SkillLevel, SourceKind, TechnicalImpact
 
 log = logging.getLogger(__name__)
@@ -431,7 +431,7 @@ def parse_snapshot(path: str | Path, kind: SourceKind | str) -> ParseResult:
 
 def _csv_rows(path: str | Path, header: list[str], source: str) -> Iterator[tuple[int, list[str]]]:
     """``(line_no, row)`` per data row; the first row that is not blank or a
-    ``#`` comment must be ``header``, else the file is a DataFormatError."""
+    ``#`` comment must be ``header``, else the file is a DataError."""
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         header_seen = False
         for line_no, row in enumerate(csv.reader(fh), start=1):
@@ -442,7 +442,7 @@ def _csv_rows(path: str | Path, header: list[str], source: str) -> Iterator[tupl
             elif [c.strip() for c in row] == header:
                 header_seen = True
             else:
-                raise DataFormatError(
+                raise DataError(
                     f"{path}: expected {source} header {','.join(header)!r}, "
                     f"found {','.join(row)!r}"
                 )

@@ -134,7 +134,7 @@ class BuildStats:
     dangling_dropped: Counter = field(default_factory=Counter)
     schema_rejected: int = 0
 
-    @property
+    @property  # bench/trace_cli.py is its only reader
     def dangling_total(self) -> int:
         return sum(self.dangling_dropped.values())
 
@@ -260,10 +260,6 @@ class PropertyGraph:
                 object.__setattr__(node, "incoming", _frozen_adjacency(node.incoming))
             self._frozen = True
         return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     # -- lookups ------------------------------------------------------------
 

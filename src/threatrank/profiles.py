@@ -22,9 +22,6 @@ from .vocab import Vocabulary, default_vocabulary
 
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
 
-class ProfileError(DataError):
-    """Profile file is malformed or names unknown vocabulary values."""
-
 
 @dataclass(frozen=True)
 class SoftwareItem:
@@ -49,13 +46,9 @@ class CoverageReport:
 
     rows: list[tuple[str, str, int]] = field(default_factory=list)
 
-    @property
+    @property  # bench/trace_cli.py is its only reader
     def resolved(self) -> int:
         return sum(1 for _, _, n in self.rows if n > 0)
-
-    @property
-    def unresolved(self) -> int:
-        return sum(1 for _, _, n in self.rows if n == 0)
 
     def write_csv(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
@@ -88,24 +81,24 @@ def load_profile(path: str | Path, vocab: Vocabulary | None = None) -> Organizat
         obj = json.loads(path.read_text(encoding="utf-8"))
     # JSONDecodeError or UnicodeDecodeError; RecursionError for nesting too deep to decode
     except (ValueError, RecursionError) as exc:
-        raise ProfileError(f"{path}: not valid JSON ({exc})") from None
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("software", []), list):
-        raise ProfileError(f"{path}: a profile is an object with a 'software' array")
+        raise DataError(f"{path}: a profile is an object with a 'software' array")
     for key in ("org_id", "name", "sector", "country"):
         if not isinstance(obj.get(key), str) or not obj[key]:
-            raise ProfileError(f"{path}: missing or empty field {key!r}")
+            raise DataError(f"{path}: missing or empty field {key!r}")
     if not vocab.is_sector(obj["sector"]):
-        raise ProfileError(f"{path}: {obj['sector']!r} is not a DHS sector")
+        raise DataError(f"{path}: {obj['sector']!r} is not a DHS sector")
     if not vocab.is_country(obj["country"]):
-        raise ProfileError(f"{path}: {obj['country']!r} is not a known country")
+        raise DataError(f"{path}: {obj['country']!r} is not a known country")
     software = []
     for i, raw in enumerate(obj.get("software", [])):
         if not isinstance(raw, dict) or not all(
                 isinstance(raw.get(key), str) and raw[key] for key in ("vendor", "product")):
-            raise ProfileError(f"{path}: software[{i}] needs vendor and product strings")
+            raise DataError(f"{path}: software[{i}] needs vendor and product strings")
         version = raw.get("version")
         if version is not None and not isinstance(version, str):
-            raise ProfileError(f"{path}: software[{i}] version must be a string or null")
+            raise DataError(f"{path}: software[{i}] version must be a string or null")
         software.append(SoftwareItem(vendor=raw["vendor"], product=raw["product"],
                                      version=version or None))
     return OrganizationProfile(

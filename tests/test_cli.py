@@ -373,6 +373,29 @@ def test_non_utf8_feed_rows_are_skipped(tmp_path):
     assert (sources["epss"]["records"], sources["epss"]["skipped"]) == (39, 1)  # of 40 rows
 
 
+@pytest.mark.parametrize("name, old, new", [
+    ("epss.csv", b"cve,epss,percentile", b"cve,score,percentile"),
+    ("kev.csv", b"cveID,vendorProject", b"cveId,vendorProject"),
+    ("epss.csv", None, None),  # a directory where the file belongs
+], ids=["epss_header", "kev_header", "epss_directory"])
+def test_unreadable_csv_feed_exits_two_naming_it_once(tmp_path, capsys, name, old, new):
+    case = tmp_path / "case"
+    shutil.copytree(CASE_STUDY, case, ignore=shutil.ignore_patterns("out"))
+    path = case / name
+    if old is None:
+        path.unlink()
+        path.mkdir()
+    else:
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+    assert _run("--config", str(case / "config.json"), "--out", str(tmp_path / "out"),
+                "ingest") == 2
+    err = capsys.readouterr().err
+    assert err.count(str(path)) == 1, err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("section, kind", [("vocabularies", "countries"),
                                            ("lexicons", "sectors")])
 def test_non_utf8_vocabulary_or_lexicon_exits_two(tmp_path, capsys, section, kind):

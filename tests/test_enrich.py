@@ -21,7 +21,6 @@ from threatrank.enrich import (
     attribute_group,
     filter_us_targeting,
     load_lexicon,
-    scan_terms,
 )
 from threatrank.errors import DataError
 from threatrank.feeds import AttackGroupRaw, SourceKind, parse_snapshot
@@ -29,6 +28,12 @@ from tests.conftest import FIXTURES
 
 # The activity-year pattern as attribute_group's IGNORECASE path compiles it.
 _ACTIVITY_YEAR_RE = re.compile(_ACTIVITY_YEAR, re.IGNORECASE)
+
+
+def scan_terms(text, terms):
+    # Every lexicon phrase match in the text, in order, as attribute_group's
+    # IGNORECASE path scans it.
+    return enrich._scan(enrich._compiled(tuple(terms)), text, text, terms)
 
 
 @pytest.fixture(scope="module")

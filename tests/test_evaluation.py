@@ -254,12 +254,13 @@ def test_report_builds_one_feature_table_per_cohort(monkeypatch, case_graph, cas
 
     feature_table = evaluation.feature_table
     monkeypatch.setattr(evaluation, "feature_table", counted)
+    monkeypatch.setattr(evaluation, "K_MAX", 5)
     synth_org = OrgContext.from_graph(synth_graph, "SYNTHU")
     for graph, org, config in ((case_graph, case_org, case_config),
                                (synth_graph, synth_org, synth_config)):
         tables.clear()
         generate_report(graph, [org], config.date_range,
-                        config.apt_config, config.general_config, k_max=5)
+                        config.apt_config, config.general_config)
         cohorts = generate_candidates(org, graph, config.date_range)
         assert tables == [cohort.iso_week for cohort in cohorts]
     assert len(tables) == 52
@@ -306,13 +307,14 @@ def test_report_cost_rows_match_direct_computation(case_graph, case_org, case_co
     assert row[3] == pytest.approx(expected, abs=1e-12)
 
 
-def test_report_ttests_on_synthetic_corpus(synth_graph, synth_config):
+def test_report_ttests_on_synthetic_corpus(synth_graph, synth_config, monkeypatch):
+    from threatrank import evaluation
     from threatrank.ranking import OrgContext
 
+    monkeypatch.setattr(evaluation, "K_MAX", 20)
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
     report = generate_report(synth_graph, [org], synth_config.date_range,
-                             synth_config.apt_config, synth_config.general_config,
-                             k_max=20)
+                             synth_config.apt_config, synth_config.general_config)
     assert len(report.ttest_rows) == 2
     for _org, policy_a, policy_b, result in report.ttest_rows:
         assert policy_a.startswith("cvss_base")
@@ -320,27 +322,32 @@ def test_report_ttests_on_synthetic_corpus(synth_graph, synth_config):
         assert result.mean_diff < 0  # threat policies dominate the baseline
 
 
-def test_ttests_do_not_depend_on_k_max(synth_graph, synth_config):
-    # The policies' k (20) lies past k_max=5; the t-test still reads nDCG@20.
+def test_ttests_do_not_depend_on_k_max(synth_graph, synth_config, monkeypatch):
+    # The policies' k (20) lies past K_MAX=5; the t-test still reads nDCG@20.
+    from threatrank import evaluation
     from threatrank.ranking import OrgContext
 
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
     args = (synth_graph, [org], synth_config.date_range,
             synth_config.apt_config, synth_config.general_config)
-    short, full = generate_report(*args, k_max=5), generate_report(*args, k_max=100)
+    full = generate_report(*args)
+    monkeypatch.setattr(evaluation, "K_MAX", 5)
+    short = generate_report(*args)
     assert len(short.ttest_rows) == 2
     assert short.ttest_rows == full.ttest_rows
     assert short.ndcg_rows == [row for row in full.ndcg_rows if row[3] <= 5]
 
 
-def test_weekly_average(synth_graph, synth_config):
+def test_weekly_average(synth_graph, synth_config, monkeypatch):
     # Each nDCG row is the plain mean of that year's weekly curve entries,
     # summed in cohort order.
+    from threatrank import evaluation
     from threatrank.ranking import OrgContext, feature_table, generate_candidates, rank
 
+    monkeypatch.setattr(evaluation, "K_MAX", 20)
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
     report = generate_report(synth_graph, [org], synth_config.date_range,
-                             synth_config.apt_config, synth_config.general_config, k_max=20)
+                             synth_config.apt_config, synth_config.general_config)
     rows = {(row[1], row[2], row[3]): (row[4], row[5]) for row in report.ndcg_rows}
     apt = synth_config.apt_config
     weekly: dict[int, list[list[float]]] = {}

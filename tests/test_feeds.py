@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatrank import feeds
+from threatrank.errors import DataError
 from threatrank.feeds import (
     SOURCES,
     AttackGroupRaw,
@@ -20,7 +21,6 @@ from threatrank.feeds import (
     CpeEntry,
     CveRecord,
     CweEntry,
-    DataFormatError,
     EpssScore,
     ExploitRef,
     KevEntry,
@@ -65,7 +65,7 @@ def test_parse_epss_csv(tmp_path):
 def test_parse_epss_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "epss.csv"
     path.write_text("cve,score,pct\nCVE-2020-0001,0,0\n", encoding="utf-8")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataError):
         parse_epss_csv(path)
 
 
@@ -432,7 +432,7 @@ def test_non_utf8_row_is_skipped_and_counted(tmp_path, name, newline):
 def test_non_utf8_csv_header_is_a_format_error(tmp_path):
     path = tmp_path / "epss.csv"
     path.write_bytes(b"cve,ep\xffss,percentile\nCVE-2020-0001,0.1,0.2\n")
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataError):
         parse_epss_csv(path)
 
 

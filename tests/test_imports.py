@@ -101,8 +101,7 @@ def test_unknown_name_is_an_attribute_error():
 
 
 def test_feeds_reexports_the_shared_kinds_and_format_error():
-    from threatrank import errors, feeds, kinds
+    from threatrank import feeds, kinds
 
     for name in PUBLIC_NAMES["kinds"]:
         assert getattr(feeds, name) is getattr(kinds, name)
-    assert feeds.DataFormatError is errors.DataFormatError

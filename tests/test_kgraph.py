@@ -239,7 +239,8 @@ def test_snapshot_round_trip(tmp_path):
     path = tmp_path / "graph.jsonl"
     save_graph(graph, path)
     reloaded = load_graph(path)
-    assert reloaded.frozen
+    with pytest.raises(GraphFrozenError):
+        reloaded.upsert_node(NodeLabel.NVD_CVE, "CVE-2099-0001")
     assert graph_signature(reloaded) == graph_signature(graph)
     # deterministic bytes
     again = tmp_path / "graph2.jsonl"
