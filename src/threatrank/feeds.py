@@ -507,57 +507,33 @@ class SnapshotBundle:
 
 @dataclass(frozen=True)
 class Finding:
-    category: str  # dangling_reference | duplicate | out_of_range
     subject: str
     detail: str
 
 
 @dataclass
 class ValidationReport:
-    findings: list[Finding] = field(default_factory=list)
+    """Each reference a snapshot makes to a record it does not hold."""
 
-    def by_category(self, category: str) -> list[Finding]:
-        return [f for f in self.findings if f.category == category]
+    findings: list[Finding] = field(default_factory=list)
 
 
 def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
-    """Cross-check a snapshot: dangling references, duplicates, ranges.
-
-    The report is empty exactly when the snapshot is internally consistent.
-    A parsed snapshot always has no ``out_of_range`` finding: the parsers
-    already skip every line those rules test for, so only a bundle built
-    by hand can reach them.
-    """
+    """The dangling references of a snapshot: each id that a record names and
+    no record of the named kind holds.  None when every reference resolves."""
     report = ValidationReport()
-
-    keys: dict[SourceKind, set] = {}
-    for kind in SourceKind:
-        source = SOURCES[kind]
-        seen = keys[kind] = set()
-        for item in getattr(bundle, source.bundle_field):
-            key = getattr(item, source.key)
-            if key in seen:
-                report.findings.append(
-                    Finding("duplicate", str(key), f"duplicate {kind.value} record"))
-            seen.add(key)
+    keys = {kind: {getattr(item, source.key) for item in getattr(bundle, source.bundle_field)}
+            for kind, source in SOURCES.items()}
 
     def dangling(subject, targets, present, what):
         for target in targets:
             if target not in present:
-                report.findings.append(
-                    Finding("dangling_reference", subject, f"references absent {what} {target}")
-                )
+                report.findings.append(Finding(subject, f"references absent {what} {target}"))
 
     for cve in bundle.cves:
         dangling(cve.cve_id, cve.cwe_ids, keys[SourceKind.CWE], "CWE")
         dangling(cve.cve_id, cve.affected_cpes, keys[SourceKind.CPE], "CPE")
         dangling(cve.cve_id, cve.reference_urls, keys[SourceKind.REFERENCE], "reference")
-        if not 0.0 <= cve.cvss_base <= 10.0:
-            report.findings.append(Finding("out_of_range", cve.cve_id, f"cvss_base {cve.cvss_base}"))
-        if cve.modified < cve.published:
-            report.findings.append(
-                Finding("out_of_range", cve.cve_id, "modified date precedes published date")
-            )
     for cwe in bundle.cwes:
         dangling(cwe.cwe_id, cwe.related_capecs, keys[SourceKind.CAPEC], "CAPEC")
     for capec in bundle.capecs:
@@ -568,18 +544,8 @@ def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
         dangling(group.group_id, group.technique_ids, keys[SourceKind.TECHNIQUE], "technique")
     for score in bundle.epss:
         dangling(score.cve_id, [score.cve_id], keys[SourceKind.CVE], "CVE")
-        if not (0.0 <= score.probability <= 1.0 and 0.0 <= score.percentile <= 1.0):
-            report.findings.append(Finding("out_of_range", score.cve_id, "EPSS values outside [0,1]"))
     for entry in bundle.kev:
         dangling(entry.cve_id, [entry.cve_id], keys[SourceKind.CVE], "CVE")
-        if entry.due_date < entry.date_added:
-            report.findings.append(
-                Finding("out_of_range", entry.cve_id, "due_date precedes date_added")
-            )
     for ref in bundle.exploits:
         dangling(f"exploit {ref.exploitdb_id}", ref.cve_ids, keys[SourceKind.CVE], "CVE")
-        if not ref.cve_ids:
-            report.findings.append(
-                Finding("out_of_range", str(ref.exploitdb_id), "exploit ref with no CVEs")
-            )
     return report

@@ -131,8 +131,9 @@ class Node:
 
 @dataclass
 class BuildStats:
+    """The references a build dropped for want of a node, by edge type or source."""
+
     dangling_dropped: Counter = field(default_factory=Counter)
-    schema_rejected: int = 0
 
     @property  # bench/trace_cli.py is its only reader
     def dangling_total(self) -> int:
@@ -227,14 +228,15 @@ class PropertyGraph:
             node.props.update(props)
         return node
 
-    def add_edge(self, src: Node, edge_type: EdgeType, dst: Node) -> bool:
-        """Add one typed edge; returns False (and counts) on schema violation."""
+    def add_edge(self, src: Node, edge_type: EdgeType, dst: Node) -> None:
+        """Add one typed edge.  Endpoints whose labels are not the edge type's
+        are a caller's bug: a ValueError, and the graph is left unchanged."""
         self._check_writable()
-        if (src.label, dst.label) != EDGE_ENDPOINTS[edge_type]:
-            self.stats.schema_rejected += 1
-            return False
+        src_label, dst_label = EDGE_ENDPOINTS[edge_type]
+        if src.label is not src_label or dst.label is not dst_label:
+            raise ValueError(f"{edge_type.value} joins {src_label.value} to {dst_label.value}, "
+                             f"not {src.label.value} to {dst.label.value}")
         _join(src, edge_type, dst)
-        return True
 
     def link(self, edge_type: EdgeType, src_key: str, dst_key: str) -> bool:
         """Add an edge by endpoint keys; drops and counts dangling references."""
@@ -245,7 +247,8 @@ class PropertyGraph:
             self._check_writable()
             self.stats.dangling_dropped[edge_type] += 1
             return False
-        return self.add_edge(src, edge_type, dst)
+        self.add_edge(src, edge_type, dst)
+        return True
 
     def freeze(self) -> "PropertyGraph":
         if not self._frozen:

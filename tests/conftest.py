@@ -66,7 +66,8 @@ def case_config():
 
 @pytest.fixture(scope="session")
 def case_graph(case_config):
-    return build_pipeline(case_config)[0]
+    # Every test shares this graph, so none may mutate it: frozen, a write raises.
+    return build_pipeline(case_config)[0].freeze()
 
 
 @pytest.fixture(scope="session")
@@ -81,4 +82,5 @@ def synth_config():
 
 @pytest.fixture(scope="session")
 def synth_graph(synth_config):
-    return build_pipeline(synth_config)[0]
+    # Every test shares this graph, so none may mutate it: frozen, a write raises.
+    return build_pipeline(synth_config)[0].freeze()

@@ -548,7 +548,7 @@ def _cve(cve_id="CVE-2020-10000", cwe_ids=(), cpes=(), urls=()):
 
 def test_validate_dangling_cwe_reference():
     report = validate_snapshot(SnapshotBundle(cves=[_cve(cwe_ids=["CWE-9999"])]))
-    dangling = report.by_category("dangling_reference")
+    dangling = report.findings
     # independent set-difference oracle
     present = set()
     missing = {"CWE-9999"} - present
@@ -564,37 +564,47 @@ def test_validate_clean_fixture_is_empty():
     assert validate_snapshot(bundle).findings == []
 
 
-def test_validate_reports_each_out_of_range_rule():
-    # No parsed line reaches these rules (from_obj skips each one), so the
-    # bundle is built by hand: one record breaks each rule.
-    cves = [replace(_cve("CVE-2020-10001"), cvss_base=10.5),
-            replace(_cve("CVE-2020-10002"), modified=date(2019, 12, 31)),
-            _cve("CVE-2020-10003")]
-    bundle = SnapshotBundle(
-        cves=cves,
-        epss=[EpssScore("CVE-2020-10003", 0.5, 1.5)],
-        kev=[KevEntry("CVE-2020-10003", "v", "p", "n", date(2021, 2, 1), "d", "a",
-                      date(2021, 1, 1))],
-        exploits=[ExploitRef(7, ())],
-    )
-    report = validate_snapshot(bundle)
-    assert [(f.subject, f.detail) for f in report.by_category("out_of_range")] == [
-        ("CVE-2020-10001", "cvss_base 10.5"),
-        ("CVE-2020-10002", "modified date precedes published date"),
-        ("CVE-2020-10003", "EPSS values outside [0,1]"),
-        ("CVE-2020-10003", "due_date precedes date_added"),
-        ("7", "exploit ref with no CVEs"),
-    ]
-    assert report.findings == report.by_category("out_of_range")
+def test_ingest_counts_each_bad_line_where_it_is_parsed(tmp_path):
+    # The parsers skip each out-of-range line and keep one record per key,
+    # so ingest's "duplicates" and "out_of_range" are 0 on any feed file.
+    from threatrank.cli import load_bundle, load_config, main
 
+    feeds_dir = tmp_path / "snapshots"
+    feeds_dir.mkdir()
+    cve = _cve(cwe_ids=["CWE-79"], urls=["https://x"])
+    written = {
+        "cve": [cve,
+                replace(_cve("CVE-2020-10001"), cvss_base=10.5),
+                replace(_cve("CVE-2020-10002"), modified=date(2019, 12, 31)),
+                cve,
+                _cve("CVE-2020-10003", cwe_ids=["CWE-9999"])],
+        "cwe": [CweEntry("CWE-79", "xss"), CweEntry("CWE-79", "xss")],
+        "reference": [ReferenceRecord("https://x"), ReferenceRecord("https://x")],
+        "epss": [EpssScore(cve.cve_id, 0.5, 0.5), EpssScore(cve.cve_id, 0.6, 0.6),
+                 EpssScore(cve.cve_id, 0.5, 1.5)],
+        "kev": [KevEntry(cve.cve_id, "v", "p", "n", date(2021, 2, 1), "d", "a",
+                         date(2021, 1, 1))],
+        "exploit": [ExploitRef(7, ())],
+    }
+    for kind, records in written.items():
+        dump_snapshot(records, feeds_dir / f"{kind}.jsonl")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "snapshots": {kind: f"snapshots/{kind}.jsonl" for kind in written},
+        "date_range": {"from": "2020-01-01", "to": "2020-12-31"},
+    }), encoding="utf-8")
 
-def test_validate_duplicate_epss_rows():
-    bundle = SnapshotBundle(
-        cves=[_cve()],
-        epss=[EpssScore("CVE-2020-10000", 0.5, 0.5), EpssScore("CVE-2020-10000", 0.6, 0.6)],
-    )
-    report = validate_snapshot(bundle)
-    assert len(report.by_category("duplicate")) == 1
+    assert main(["--config", str(config_path), "ingest"]) == 0
+    summary = json.loads((tmp_path / "out" / "ingest_summary.json").read_text(encoding="utf-8"))
+    counts = {kind: (info["accepted"], info["skipped"], info["replaced_duplicates"])
+              for kind, info in summary["sources"].items()}
+    assert counts == {"cve": (3, 2, 1), "cwe": (2, 0, 1), "reference": (2, 0, 1),
+                      "epss": (2, 1, 1), "kev": (0, 1, 0), "exploit": (0, 1, 0)}
+    assert summary["validation"] == {"findings": 1, "dangling_references": 1,
+                                     "duplicates": 0, "out_of_range": 0}
+    _, results = load_bundle(load_config(config_path))
+    assert {kind: [line for line, _ in result.skipped] for kind, result in results.items()} \
+        == {"cve": [2, 3], "cwe": [], "reference": [], "epss": [3], "kev": [1], "exploit": [1]}
 
 
 def test_validate_case_study_fixture_is_clean(case_config):
@@ -614,15 +624,3 @@ def test_sources_describe_every_kind_in_order():
         # from_obj builds the record positionally, so the table keeps field order
         assert list(source.fields) == [f.name for f in fields(source.record_type)]
         assert source.key == fields(source.record_type)[0].name
-
-
-def test_validate_duplicates_follow_source_kind_order():
-    bundle = SnapshotBundle(
-        cves=[_cve(), _cve()],
-        cwes=[CweEntry("CWE-79", "xss"), CweEntry("CWE-79", "xss")],
-        references=[ReferenceRecord("https://x"), ReferenceRecord("https://x")],
-    )
-    report = validate_snapshot(bundle)
-    assert [(f.category, f.subject) for f in report.findings] == [
-        ("duplicate", "CVE-2020-10000"), ("duplicate", "CWE-79"), ("duplicate", "https://x"),
-    ]
