@@ -8,7 +8,6 @@ the feed tests use it to check that a written record reads back equal.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -22,15 +21,14 @@ _KIND_BY_TYPE = {source.record_type: kind for kind, source in SOURCES.items()}
 def record_to_obj(record) -> dict:
     """Serialize a canonical record back to its normalized snapshot object."""
     obj: dict = {"kind": _KIND_BY_TYPE[type(record)].value}
-    for f in fields(record):
-        value = getattr(record, f.name)
+    for name, value in zip(record._fields, record):
         if isinstance(value, date):
             value = value.isoformat()
         elif isinstance(value, Enum):
             value = value.value
         elif isinstance(value, tuple):
             value = [v.value if isinstance(v, Enum) else v for v in value]
-        obj[f.name] = value
+        obj[name] = value
     return obj
 
 

@@ -32,14 +32,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import gc
 import json
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import kgraph, ranking
 from .errors import DataError, UsageError
@@ -52,8 +50,7 @@ if TYPE_CHECKING:
 GRAPH_FILENAME = "graph.jsonl"
 
 
-@dataclass
-class ProjectConfig:
+class ProjectConfig(NamedTuple):
     """Parsed project configuration; all paths resolved against the file."""
 
     snapshots: dict[SourceKind, Path]
@@ -84,7 +81,7 @@ def _expect(value, kind: type | tuple[type, ...], what: str):
 # The names under "policies", and the keys each may set: every PolicyConfig
 # field but the family, which the name decides.
 _POLICY_NAMES = ("apt_threat", "general_threat")
-_POLICY_KEYS = frozenset(f.name for f in dataclasses.fields(ranking.PolicyConfig)) - {"family"}
+_POLICY_KEYS = frozenset(ranking.PolicyConfig._fields) - {"family"}
 
 
 # The top-level keys of a config file, and the keys of its "lexicons" and
@@ -499,7 +496,7 @@ def _run(argv: list[str] | None) -> int:
         args = parser.parse_args(argv)
         config = load_config(args.config)
         if args.out:
-            config.output_dir = Path(args.out)
+            config = config._replace(output_dir=Path(args.out))
         if args.date_from or args.date_to:
             try:
                 start = date.fromisoformat(args.date_from) if args.date_from \
@@ -510,7 +507,7 @@ def _run(argv: list[str] | None) -> int:
                 raise UsageError(f"bad date override: {exc}")
             if start > end:
                 raise UsageError(f"empty date range after --from/--to: {start} > {end}")
-            config.date_range = (start, end)
+            config = config._replace(date_range=(start, end))
         if args.command == "ingest":
             return cmd_ingest(config)
         if args.command == "build":

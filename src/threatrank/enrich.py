@@ -17,9 +17,9 @@ takes the IGNORECASE scans (``_compiled``), compiled on first use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError
 from .feeds import AttackGroupRaw
@@ -43,8 +43,7 @@ _ACTIVITY_PHRASES = ("since", "active", "as early as", "beginning in", "establis
                      "operating since", "operated since", "emerged in")
 
 
-@dataclass(frozen=True)
-class TermMatch:
+class TermMatch(NamedTuple):
     term: str
     canonical: str
     span_text: str
@@ -52,31 +51,46 @@ class TermMatch:
     end: int
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Lowercase term -> canonical value maps for countries and sectors."""
-
+class _LexiconFields(NamedTuple):
     country_terms: dict[str, str]
     sector_terms: dict[str, str]
     # The country and sector tries without IGNORECASE, for lower-cased
     # ASCII text; None when a term is not ASCII.
-    lower_patterns: tuple[re.Pattern, re.Pattern] | None = field(
-        init=False, repr=False, compare=False)
+    lower_patterns: tuple[re.Pattern, re.Pattern] | None
 
-    def __post_init__(self):
-        for terms, kind in ((self.country_terms, "country"), (self.sector_terms, "sector")):
+
+class Lexicon(_LexiconFields):
+    """Lowercase term -> canonical value maps for countries and sectors.
+
+    Built from the two maps alone.  Every way of building one, the
+    constructor and ``_make`` (so ``_replace``) alike, checks that each
+    term is lowercase and derives ``lower_patterns`` from the terms.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, country_terms: dict[str, str], sector_terms: dict[str, str]):
+        for terms, kind in ((country_terms, "country"), (sector_terms, "sector")):
             for term in terms:
                 if term != term.lower():
                     raise DataError(f"{kind} lexicon term {term!r} is not lowercase")
-        tables = (self.country_terms, self.sector_terms)
+        tables = (country_terms, sector_terms)
         patterns = None
         if all(term.isascii() for terms in tables for term in terms):
             patterns = tuple(re.compile(_term_regex(terms)) for terms in tables)
-        object.__setattr__(self, "lower_patterns", patterns)
+        return super().__new__(cls, country_terms, sector_terms, patterns)
+
+    @classmethod
+    def _make(cls, iterable) -> "Lexicon":
+        country_terms, sector_terms, _derived = iterable
+        return cls(country_terms, sector_terms)
+
+    def __repr__(self) -> str:
+        # The compiled tries are left out, as they are derived from the terms.
+        return f"Lexicon(country_terms={self.country_terms!r}, sector_terms={self.sector_terms!r})"
 
 
-@dataclass(frozen=True)
-class GroupAttribution:
+class GroupAttribution(NamedTuple):
     group_id: str
     origin_countries: tuple[str, ...]
     origin_year: int

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .ranking import (
     FAMILIES,
@@ -129,16 +128,15 @@ def ndcg_at_k(policy_list: RankedList, ideal_list: RankedList, k: int) -> list[f
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     """Aggregated evaluation rows, ready for CSV emission."""
 
     # (org, policy label, year, k) -> (mean ndcg, observation count)
-    ndcg_rows: list[tuple[str, str, int, int, float, int]] = field(default_factory=list)
+    ndcg_rows: list[tuple[str, str, int, int, float, int]]
     # (org, policy, year, cost units)
-    cost_rows: list[tuple[str, str, int, float]] = field(default_factory=list)
+    cost_rows: list[tuple[str, str, int, float]]
     # (org, policy_a, policy_b, result)
-    ttest_rows: list[tuple[str, str, str, TTestResult]] = field(default_factory=list)
+    ttest_rows: list[tuple[str, str, str, TTestResult]]
 
     def write_csvs(self, out_dir: str | Path) -> dict[str, Path]:
         out_dir = Path(out_dir)
@@ -190,7 +188,7 @@ def generate_report(
     cohort, gets one curve per family.  One feature table per cohort ranks
     every policy of both families.
     """
-    report = EvaluationReport()
+    ndcg_rows, cost_rows, ttest_rows = [], [], []
     configs = (apt_config, general_config)
     for org in orgs:
         cohorts = generate_candidates(org, graph, date_range)
@@ -228,8 +226,8 @@ def generate_report(
                                    if cohort.iso_week[0] == year]
                     for k in range(1, K_MAX + 1):
                         values = [curve[k - 1] for curve in year_curves]
-                        report.ndcg_rows.append((org.org_id, label[policy], year, k,
-                                                 sum(values) / len(values), len(values)))
+                        ndcg_rows.append((org.org_id, label[policy], year, k,
+                                          sum(values) / len(values), len(values)))
 
             # Paired t-test on the weekly nDCG@k series over the whole range.
             try:
@@ -238,12 +236,12 @@ def generate_report(
                     [curve[config.k - 1] for curve in curves[family, threat]])
             except ValueError:
                 continue
-            report.ttest_rows.append(
+            ttest_rows.append(
                 (org.org_id, label[Policy.CVSS_BASE], label[threat], result))
 
         # Annualized patch costs of the top COST_K items.
         for policy, weekly in weekly_costs.items():
             for year in years:
-                report.cost_rows.append(
+                cost_rows.append(
                     (org.org_id, policy.value, year, annualized_cost(weekly, year)))
-    return report
+    return EvaluationReport(ndcg_rows, cost_rows, ttest_rows)

@@ -14,27 +14,34 @@ value, and at most one rule over the whole record.  One loop,
 or ``null`` text field takes its default; a ``null`` list, a boolean where
 a number belongs, or any value its reader refuses makes the line dirty.
 
+Every record type is an immutable ``typing.NamedTuple``: building one
+costs a tuple, and defining one costs far less at import than a
+dataclass, which every command that parses feeds would pay.  Copy a
+record with ``_replace``; its field names are in ``_fields``.  A record
+is a tuple, so it equals any tuple with the same values, and ``json``
+would write it as an array: no record is ever JSON-encoded.
+``ParseResult`` and ``SnapshotBundle`` are filled in place, and each
+instance starts with lists of its own.
+
 Parsers are pure and reentrant.  Malformed lines are skipped and counted
 rather than aborting: CTI feeds are routinely dirty.  Duplicate primary
-keys are resolved last-wins with a warning.
+keys are resolved last-wins with a warning; only that warning imports
+``logging``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import logging
 import re
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DataError
 from .kinds import AttackVector, SkillLevel, SourceKind, TechnicalImpact
-
-log = logging.getLogger(__name__)
 
 CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
 CWE_ID_RE = re.compile(r"^CWE-\d+$")
@@ -50,8 +57,7 @@ KEV_CSV_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class CveRecord:
+class CveRecord(NamedTuple):
     cve_id: str
     description: str
     published: date
@@ -63,8 +69,7 @@ class CveRecord:
     reference_urls: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CpeEntry:
+class CpeEntry(NamedTuple):
     cpe_id: str
     vendor: str
     product: str
@@ -72,37 +77,32 @@ class CpeEntry:
     language_tag: str = "en-US"
 
 
-@dataclass(frozen=True)
-class CweEntry:
+class CweEntry(NamedTuple):
     cwe_id: str
     name: str
     technical_impacts: tuple[TechnicalImpact, ...] = ()
     related_capecs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CapecEntry:
+class CapecEntry(NamedTuple):
     capec_id: str
     name: str
     skill_level: SkillLevel = SkillLevel.UNKNOWN
     related_techniques: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AttackTechnique:
+class AttackTechnique(NamedTuple):
     technique_id: str
     name: str
     tactic_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class AttackTactic:
+class AttackTactic(NamedTuple):
     tactic_id: str
     name: str
 
 
-@dataclass(frozen=True)
-class AttackGroupRaw:
+class AttackGroupRaw(NamedTuple):
     group_id: str
     name: str
     description: str
@@ -110,15 +110,13 @@ class AttackGroupRaw:
     technique_ids: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class EpssScore:
+class EpssScore(NamedTuple):
     cve_id: str
     probability: float
     percentile: float
 
 
-@dataclass(frozen=True)
-class KevEntry:
+class KevEntry(NamedTuple):
     cve_id: str
     vendor_project: str
     product: str
@@ -129,14 +127,12 @@ class KevEntry:
     due_date: date
 
 
-@dataclass(frozen=True)
-class ExploitRef:
+class ExploitRef(NamedTuple):
     exploitdb_id: int
     cve_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ReferenceRecord:
+class ReferenceRecord(NamedTuple):
     url: str
 
 
@@ -250,15 +246,14 @@ def _current_english(entry: CpeEntry) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Source:
+class Source(NamedTuple):
     """Everything that tells one source kind's records apart."""
 
     record_type: type
     bundle_field: str  # the SnapshotBundle list holding these records
     fields: dict[str, Reader]  # each field of record_type, in order: primary key first
     check: Callable[[object], None] | None = None  # a rule over the whole record
-    aliases: dict[str, str] = field(default_factory=dict)  # key read for an absent field
+    aliases: Mapping[str, str] = MappingProxyType({})  # key read for an absent field
 
     @property
     def key(self) -> str:
@@ -336,7 +331,6 @@ SOURCES: dict[SourceKind, Source] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ParseResult:
     """Outcome of parsing one snapshot or CSV file.
 
@@ -346,10 +340,13 @@ class ParseResult:
     overwritten ones, so ``len(records) == accepted - replaced``.
     """
 
-    records: list = field(default_factory=list)
-    accepted: int = 0
-    skipped: list[tuple[int, str]] = field(default_factory=list)
-    replaced: int = 0
+    __slots__ = ("records", "accepted", "skipped", "replaced")
+
+    def __init__(self):
+        self.records: list = []
+        self.accepted = 0
+        self.skipped: list[tuple[int, str]] = []
+        self.replaced = 0
 
     @property
     def skipped_count(self) -> int:
@@ -383,7 +380,11 @@ def _collect(path: str | Path, rows: Iterable[tuple[int, object]],
         key = getattr(record, key_field)
         if key in by_key:
             result.replaced += 1
-            log.warning("%s: duplicate primary key %r, keeping the later record", path, key)
+            # Imported only here: clean feeds never load logging.
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "%s: duplicate primary key %r, keeping the later record", path, key)
         by_key[key] = record
     result.records = list(by_key.values())
     return result
@@ -488,47 +489,57 @@ def parse_kev_csv(path: str | Path) -> ParseResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SnapshotBundle:
-    """All canonical records of one snapshot, grouped by source kind."""
+    """All canonical records of one snapshot, grouped by source kind.
 
-    cves: list[CveRecord] = field(default_factory=list)
-    cpes: list[CpeEntry] = field(default_factory=list)
-    cwes: list[CweEntry] = field(default_factory=list)
-    capecs: list[CapecEntry] = field(default_factory=list)
-    techniques: list[AttackTechnique] = field(default_factory=list)
-    tactics: list[AttackTactic] = field(default_factory=list)
-    groups: list[AttackGroupRaw] = field(default_factory=list)
-    epss: list[EpssScore] = field(default_factory=list)
-    kev: list[KevEntry] = field(default_factory=list)
-    exploits: list[ExploitRef] = field(default_factory=list)
-    references: list[ReferenceRecord] = field(default_factory=list)
+    Each list is filled in place; a list not passed in is a new one.
+    """
+
+    __slots__ = ("cves", "cpes", "cwes", "capecs", "techniques", "tactics", "groups", "epss",
+                 "kev", "exploits", "references")
+
+    def __init__(self, cves: list[CveRecord] | None = None, cpes: list[CpeEntry] | None = None,
+                 cwes: list[CweEntry] | None = None, capecs: list[CapecEntry] | None = None,
+                 techniques: list[AttackTechnique] | None = None,
+                 tactics: list[AttackTactic] | None = None,
+                 groups: list[AttackGroupRaw] | None = None, epss: list[EpssScore] | None = None,
+                 kev: list[KevEntry] | None = None, exploits: list[ExploitRef] | None = None,
+                 references: list[ReferenceRecord] | None = None):
+        self.cves = [] if cves is None else cves
+        self.cpes = [] if cpes is None else cpes
+        self.cwes = [] if cwes is None else cwes
+        self.capecs = [] if capecs is None else capecs
+        self.techniques = [] if techniques is None else techniques
+        self.tactics = [] if tactics is None else tactics
+        self.groups = [] if groups is None else groups
+        self.epss = [] if epss is None else epss
+        self.kev = [] if kev is None else kev
+        self.exploits = [] if exploits is None else exploits
+        self.references = [] if references is None else references
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     subject: str
     detail: str
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Each reference a snapshot makes to a record it does not hold."""
 
-    findings: list[Finding] = field(default_factory=list)
+    findings: list[Finding]
 
 
 def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
     """The dangling references of a snapshot: each id that a record names and
     no record of the named kind holds.  None when every reference resolves."""
-    report = ValidationReport()
+    findings: list[Finding] = []
     keys = {kind: {getattr(item, source.key) for item in getattr(bundle, source.bundle_field)}
             for kind, source in SOURCES.items()}
 
     def dangling(subject, targets, present, what):
         for target in targets:
             if target not in present:
-                report.findings.append(Finding(subject, f"references absent {what} {target}"))
+                findings.append(Finding(subject, f"references absent {what} {target}"))
 
     for cve in bundle.cves:
         dangling(cve.cve_id, cve.cwe_ids, keys[SourceKind.CWE], "CWE")
@@ -548,4 +559,4 @@ def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
         dangling(entry.cve_id, [entry.cve_id], keys[SourceKind.CVE], "CVE")
     for ref in bundle.exploits:
         dangling(f"exploit {ref.exploitdb_id}", ref.cve_ids, keys[SourceKind.CVE], "CVE")
-    return report
+    return ValidationReport(findings)

@@ -8,7 +8,9 @@ turned into stub nodes, so query results never contain phantom entities.
 
 A node is identified by its (label, key) alone and carries its own typed
 adjacency, out and in, so a path query hops from node to node with no id
-table in between.
+table in between.  ``Node`` is a small ``__slots__`` class with read-only
+fields, not a dataclass, so each node ``load_graph`` reads costs five slot
+stores.
 
 The graph is built single-writer, then frozen; after ``freeze()`` it is
 immutable (node props become read-only mappings, their list values tuples;
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -115,25 +116,56 @@ class GraphFrozenError(RuntimeError):
 _EMPTY = MappingProxyType({})  # the props or adjacency of every frozen node that has none
 
 
-@dataclass(frozen=True, slots=True, eq=False)  # eq=False: nodes hash and compare by identity
 class Node:
-    """One entity and its typed edges; adjacency sets are unordered."""
+    """One entity and its typed edges; adjacency sets are unordered.
+
+    Nodes hash and compare by identity.  The five fields are read-only once
+    ``__init__`` ends: assigning or deleting one is an AttributeError, and
+    only ``PropertyGraph.freeze`` swaps them, through the slot setters.
+    """
+
+    __slots__ = ("label", "key", "props", "outgoing", "incoming")
 
     label: NodeLabel
     key: str
     props: Mapping  # a dict while building, read-only once the graph is frozen
     # Edge type -> target nodes (sets while building, then frozensets) and
-    # edge type -> source nodes; left out of repr, which would print the
-    # whole connected component.
-    outgoing: Mapping = field(repr=False)
-    incoming: Mapping = field(repr=False)
+    # edge type -> source nodes.
+    outgoing: Mapping
+    incoming: Mapping
+
+    def __init__(self, label: NodeLabel, key: str, props: Mapping, outgoing: Mapping,
+                 incoming: Mapping):
+        _set_label(self, label)
+        _set_key(self, key)
+        _set_props(self, props)
+        _set_outgoing(self, outgoing)
+        _set_incoming(self, incoming)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Node field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete Node field {name!r}")
+
+    def __repr__(self) -> str:
+        # The adjacency is left out: it would print the whole connected component.
+        return f"Node(label={self.label!r}, key={self.key!r}, props={self.props!r})"
 
 
-@dataclass
+# The slot descriptors' setters, which skip Node.__setattr__: calling them
+# is also faster than object.__setattr__ on a slot.
+_set_label, _set_key, _set_props, _set_outgoing, _set_incoming = (
+    getattr(Node, name).__set__ for name in Node.__slots__)
+
+
 class BuildStats:
     """The references a build dropped for want of a node, by edge type or source."""
 
-    dangling_dropped: Counter = field(default_factory=Counter)
+    __slots__ = ("dangling_dropped",)
+
+    def __init__(self):
+        self.dangling_dropped: Counter = Counter()
 
     @property  # bench/trace_cli.py is its only reader
     def dangling_total(self) -> int:
@@ -257,10 +289,9 @@ class PropertyGraph:
                 for key, value in props.items():
                     if type(value) is list:
                         props[key] = _as_tuple(value)
-                # Node is a frozen dataclass; only freeze() swaps its fields.
-                object.__setattr__(node, "props", MappingProxyType(props) if props else _EMPTY)
-                object.__setattr__(node, "outgoing", _frozen_adjacency(node.outgoing))
-                object.__setattr__(node, "incoming", _frozen_adjacency(node.incoming))
+                _set_props(node, MappingProxyType(props) if props else _EMPTY)
+                _set_outgoing(node, _frozen_adjacency(node.outgoing))
+                _set_incoming(node, _frozen_adjacency(node.incoming))
             self._frozen = True
         return self
 

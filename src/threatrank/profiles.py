@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataError
 from .feeds import CpeEntry
@@ -23,16 +22,14 @@ from .vocab import Vocabulary, default_vocabulary
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
 
 
-@dataclass(frozen=True)
-class SoftwareItem:
+class SoftwareItem(NamedTuple):
     vendor: str
     product: str
     version: str | None = None
     resolved_cpes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class OrganizationProfile:
+class OrganizationProfile(NamedTuple):
     org_id: str
     name: str
     sector: str
@@ -40,11 +37,10 @@ class OrganizationProfile:
     software: tuple[SoftwareItem, ...] = ()
 
 
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Per-item CPE match counts for one resolved profile."""
 
-    rows: list[tuple[str, str, int]] = field(default_factory=list)
+    rows: list[tuple[str, str, int]]
 
     @property  # bench/trace_cli.py is its only reader
     def resolved(self) -> int:
@@ -143,7 +139,7 @@ def resolve_cpes(
     The index is not changed, so one index serves every profile.
     """
     resolved_items = []
-    report = CoverageReport()
+    rows = []
     for item in profile.software:
         matches = index.get((normalize_token(item.vendor), normalize_token(item.product)), ())
         if item.version:
@@ -151,6 +147,6 @@ def resolve_cpes(
             if exact:
                 matches = exact
         cpe_ids = tuple(dict.fromkeys(e.cpe_id for e in matches))
-        resolved_items.append(replace(item, resolved_cpes=cpe_ids))
-        report.rows.append((item.vendor, item.product, len(cpe_ids)))
-    return replace(profile, software=tuple(resolved_items)), report
+        resolved_items.append(item._replace(resolved_cpes=cpe_ids))
+        rows.append((item.vendor, item.product, len(cpe_ids)))
+    return profile._replace(software=tuple(resolved_items)), CoverageReport(rows)

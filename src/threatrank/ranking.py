@@ -40,11 +40,11 @@ order (ties break on ascending CVE id).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Mapping
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .kinds import AttackVector, SkillLevel, TechnicalImpact
 # techniques_for_cve is unused here; bench/trace_cli.py rebinds ranking's name.
@@ -77,10 +77,7 @@ class Family(Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    """One family's settings, as a ``policies.<threat>`` config object sets them."""
-
+class _PolicyFields(NamedTuple):
     family: Family
     origin_countries: frozenset[str] = DEFAULT_ORIGIN_COUNTRIES
     skill_level: SkillLevel = SkillLevel.HIGH
@@ -88,7 +85,18 @@ class PolicyConfig:
     risk_appetite: int = 100
     k: int = 20
 
-    def __post_init__(self):
+
+class PolicyConfig(_PolicyFields):
+    """One family's settings, as a ``policies.<threat>`` config object sets them.
+
+    Every way of building one checks the settings: the constructor, and
+    ``_make``, through which ``_replace`` builds its copy.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.epss_threshold <= 1.0:
             raise ValueError(f"epss_threshold outside [0,1]: {self.epss_threshold}")
         if not 0 <= self.risk_appetite <= 100:
@@ -97,10 +105,14 @@ class PolicyConfig:
             raise ValueError(f"k must be positive: {self.k}")
         if self.skill_level not in (SkillLevel.LOW, SkillLevel.HIGH):
             raise ValueError("skill_level must be Low or High")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "PolicyConfig":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class OrgContext:
+class OrgContext(NamedTuple):
     """The slice of an organization the scoring functions need."""
 
     org_id: str
@@ -123,23 +135,20 @@ class OrgContext:
         )
 
 
-@dataclass(frozen=True)
-class WeeklyCohort:
+class WeeklyCohort(NamedTuple):
     org_id: str
     iso_week: tuple[int, int]  # (ISO year, ISO week number)
     cve_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RankedItem:
+class RankedItem(NamedTuple):
     cve_id: str
     score: float
     rank: int
-    feature_bits: Mapping[str, int] = field(default_factory=dict)
+    feature_bits: Mapping[str, int] = MappingProxyType({})  # read-only: the default is shared
 
 
-@dataclass(frozen=True)
-class RankedList:
+class RankedList(NamedTuple):
     org_id: str
     policy: Policy
     iso_week: tuple[int, int]
@@ -221,8 +230,7 @@ def policy_bits(policy: Policy, family: Family) -> tuple[str, ...]:
     return bits
 
 
-@dataclass(frozen=True)
-class FeatureRow:
+class FeatureRow(NamedTuple):
     """The config-free facts of one (CVE, organization) pair.
 
     ``cvss_base`` is None when the graph holds no score.  ``fixed_bits``

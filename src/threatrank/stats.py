@@ -10,9 +10,8 @@ an independent numerical-integration oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import fmean, stdev
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 _MAX_ITER = 300
 _EPS = 3e-16
@@ -85,8 +84,7 @@ def student_t_cdf(t: float, df: float) -> float:
     return 1.0 - tail if t >= 0 else tail
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(NamedTuple):
     n: int
     mean_diff: float
     sd_diff: float

@@ -8,9 +8,9 @@ are validated against these lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError
 
@@ -39,8 +39,7 @@ def read_data_file(path: str | Path | None, packaged: str) -> str:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(NamedTuple):
     """Canonical country and sector names, preserving file order."""
 
     countries: tuple[str, ...]

@@ -16,7 +16,6 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from statistics import fmean
 
 import pytest
@@ -190,7 +189,7 @@ def test_c3_relevance_range_and_monotonicity():
             cohort = WeeklyCohort(org_id="fuzz", iso_week=(2021, 1), cve_ids=(cve_id,))
             table = feature_table(graph, cohort, org)
             for family, (threat, _bits) in FAMILIES.items():
-                family_config = replace(config, family=family)
+                family_config = config._replace(family=family)
                 for policy in (threat, Policy.IDEAL):
                     score = rank(cohort, policy, family_config, table).items[0].score
                     assert 1 <= score <= 6, (cve_id, score)
@@ -317,7 +316,7 @@ def test_c7_graph_schema_conformance():
     with criterion("criterion 7: fuzz-built graph schema conformance"):
         for seed in (1, 31337):
             bundle = random_bundle(seed=seed)
-            assert sum(len(records) for records in vars(bundle).values()) == 10_000
+            assert sum(len(getattr(bundle, name)) for name in bundle.__slots__) == 10_000
             graph = build_graph(bundle, random_attributions(seed + 1, bundle))
             assert audit_edge_conformance(graph) == []
 

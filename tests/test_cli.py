@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
@@ -351,7 +350,7 @@ def test_policy_config_holds_only_what_the_config_sets(tmp_path):
     for policy_config, family in ((config.apt_config, Family.APT),
                                   (config.general_config, Family.GENERAL)):
         assert policy_config.family is family
-        names = {field.name for field in dataclasses.fields(policy_config)} - {"family"}
+        names = set(policy_config._fields) - {"family"}
         assert names == settings.keys()
         default = PolicyConfig(family=family)
         for name in names:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields, replace
 from datetime import date, timedelta
 from unittest import mock
 
@@ -356,7 +355,7 @@ _KEV = {"cve_id": "CVE-2021-38000", "date_added": "2021-11-03", "due_date": "202
 _LINE_RULES = [
     ("cve", {**_CVE, "description": None}, _CVE_RECORD),
     ("cve", {**_CVE, "cwe_ids": None}, "cwe_ids"),
-    ("cve", {**_CVE, "cvss_base": "7.5"}, replace(_CVE_RECORD, cvss_base=7.5)),
+    ("cve", {**_CVE, "cvss_base": "7.5"}, _CVE_RECORD._replace(cvss_base=7.5)),
     ("cve", {**_CVE, "published": "2020-05-01"}, "modified"),
     ("cpe", {k: v for k, v in _CPE.items() if k != "cpe_id"}, "cpe_id"),
     ("cpe", {**_CPE, "deprecated": "no"}, "deprecated"),
@@ -574,8 +573,8 @@ def test_ingest_counts_each_bad_line_where_it_is_parsed(tmp_path):
     cve = _cve(cwe_ids=["CWE-79"], urls=["https://x"])
     written = {
         "cve": [cve,
-                replace(_cve("CVE-2020-10001"), cvss_base=10.5),
-                replace(_cve("CVE-2020-10002"), modified=date(2019, 12, 31)),
+                _cve("CVE-2020-10001")._replace(cvss_base=10.5),
+                _cve("CVE-2020-10002")._replace(modified=date(2019, 12, 31)),
                 cve,
                 _cve("CVE-2020-10003", cwe_ids=["CWE-9999"])],
         "cwe": [CweEntry("CWE-79", "xss"), CweEntry("CWE-79", "xss")],
@@ -618,9 +617,9 @@ def test_validate_case_study_fixture_is_clean(case_config):
 
 def test_sources_describe_every_kind_in_order():
     assert list(SOURCES) == list(SourceKind)
-    bundle_fields = {f.name for f in fields(SnapshotBundle)}
+    bundle_fields = set(SnapshotBundle.__slots__)
     for source in SOURCES.values():
         assert source.bundle_field in bundle_fields
         # from_obj builds the record positionally, so the table keeps field order
-        assert list(source.fields) == [f.name for f in fields(source.record_type)]
-        assert source.key == fields(source.record_type)[0].name
+        assert list(source.fields) == list(source.record_type._fields)
+        assert source.key == source.record_type._fields[0]

@@ -41,7 +41,8 @@ PUBLIC_NAMES = {
 ALL_NAMES = sorted(name for names in PUBLIC_NAMES.values() for name in names)
 
 # Run in a fresh interpreter: the modules one import of the package and
-# then the three read commands leave loaded, and whether logging is one.
+# then the three read commands leave loaded, and whether logging and
+# dataclasses are among them.
 _CHILD = """
 import contextlib, io, json, sys
 import threatrank
@@ -54,8 +55,29 @@ with contextlib.redirect_stdout(io.StringIO()):
              main([*base, "case-study", "--org", org])]
 print(json.dumps({"after_package": after_package, "codes": codes,
                   "after_commands": sorted(m for m in sys.modules if m.startswith("threatrank")),
-                  "logging": "logging" in sys.modules}))
+                  "logging": "logging" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
+
+# Run in a fresh interpreter: ingest and build, then whether logging and
+# dataclasses are loaded.
+_SETUP_CHILD = """
+import contextlib, io, json, sys
+from threatrank.cli import main
+base = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([*base, "ingest"]), main([*base, "build"])]
+print(json.dumps({"codes": codes, "logging": "logging" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
+"""
+
+
+def _run_child(code: str, *args: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(REPO_ROOT), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", code, *args],
+                           env=env, capture_output=True, text=True, check=True)
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 def test_read_commands_import_no_ingest_or_build_module(tmp_path, capsys):
@@ -63,18 +85,22 @@ def test_read_commands_import_no_ingest_or_build_module(tmp_path, capsys):
     config = str(CASE_STUDY / "config.json")
     assert main(["--config", config, "--out", str(out), "build"]) == 0
     capsys.readouterr()
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(REPO_ROOT / "src"), str(REPO_ROOT), os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run(
-        [sys.executable, "-c", _CHILD, "--config", config, "--out", str(out), "ODU"],
-        env=env, capture_output=True, text=True, check=True)
-    result = json.loads(child.stdout.splitlines()[-1])
+    result = _run_child(_CHILD, "--config", config, "--out", str(out), "ODU")
     assert result["after_package"] == ["threatrank"]
     assert result["codes"] == [0, 0, 0]
     loaded = set(result["after_commands"])
     assert {"threatrank.kgraph", "threatrank.ranking", "threatrank.evaluation"} <= loaded
     assert not loaded & {"threatrank.feeds", "threatrank.enrich", "threatrank.profiles"}
     assert result["logging"] is False  # only a missing CVSS score imports it
+    assert result["dataclasses"] is False
+
+
+def test_ingest_and_build_import_neither_dataclasses_nor_logging(tmp_path):
+    # The fixture's feeds hold no duplicate primary key, the one thing that
+    # makes ingest or build import logging.
+    result = _run_child(_SETUP_CHILD, "--config", str(CASE_STUDY / "config.json"),
+                        "--out", str(tmp_path / "out"))
+    assert result == {"codes": [0, 0], "logging": False, "dataclasses": False}
 
 
 @pytest.mark.parametrize("module, name", [(module, name) for module, names

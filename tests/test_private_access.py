@@ -9,8 +9,13 @@ import ast
 from tests.test_stdlib_only import SOURCES
 
 
+# A named tuple's own API: its leading underscore only keeps it apart from
+# the field names.
+_NAMEDTUPLE_API = frozenset({"_asdict", "_field_defaults", "_fields", "_make", "_replace"})
+
+
 def _is_private(name: str) -> bool:
-    return name.startswith("_") and not name.endswith("__")
+    return name.startswith("_") and not name.endswith("__") and name not in _NAMEDTUPLE_API
 
 
 def _is_threatrank(node: ast.ImportFrom) -> bool:
@@ -62,6 +67,7 @@ def test_private_reads_are_detected():
         "b = SnapshotBundle._private()\n"
         "c = threatrank.kgraph._x\n"
         "d = feeds.SOURCES, self._own, feeds.__name__\n"
+        "e = feeds.CveRecord._fields, SnapshotBundle._replace\n"
     )
     assert sorted(private_reads(tree)) == [
         ".feeds._KIND_BY_TYPE",

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -218,7 +217,7 @@ def test_apt_bits_composition(case_graph, case_org):
 
 
 def test_apt_origin_filter_respects_config(case_graph, case_org):
-    config = replace(APT, origin_countries=frozenset({"Iran"}))
+    config = APT._replace(origin_countries=frozenset({"Iran"}))
     bits = feature_bits(feature_row(case_graph, "CVE-2021-38000", case_org), config)
     assert bits["origin_match"] == 0
     assert bits["sector_focus"] == 1
@@ -232,8 +231,8 @@ def test_epss_gate_threshold_is_inclusive(case_graph, case_org):
 def test_risk_appetite_gates_percentile(case_graph, case_org):
     # percentile 0.94 fails a 5-point appetite (needs >= 95th percentile)
     row = feature_row(case_graph, "CVE-2021-38000", case_org)
-    assert feature_bits(row, replace(APT, risk_appetite=5))["epss_gate"] == 0
-    assert feature_bits(row, replace(APT, risk_appetite=6))["epss_gate"] == 1
+    assert feature_bits(row, APT._replace(risk_appetite=5))["epss_gate"] == 0
+    assert feature_bits(row, APT._replace(risk_appetite=6))["epss_gate"] == 1
 
 
 def test_general_threat_full_house():
@@ -250,7 +249,7 @@ def test_general_threat_skill_flip_changes_exactly_one_bit():
     graph = _mini_graph(skill=SkillLevel.HIGH)
     high = _item(graph, "CVE-2021-10000", MINI_ORG, GENERAL)
     low = _item(graph, "CVE-2021-10000", MINI_ORG,
-                replace(GENERAL, skill_level=SkillLevel.LOW))
+                GENERAL._replace(skill_level=SkillLevel.LOW))
     assert high.feature_bits["skill_match"] == 1 and low.feature_bits["skill_match"] == 0
     changed = {name for name in high.feature_bits
                if high.feature_bits[name] != low.feature_bits[name]}

@@ -6,10 +6,12 @@ tests.
 
 Dunders are exempt, and so is a method that overrides a method of a
 standard-library base class (``argparse.ArgumentParser.error``), which the
-library calls.  A reference is a name, an attribute, or a string that is an
-identifier (``bench/trace_cli.py`` rebinds functions by name); names match
-by their last part, so a definition counts as used when any reference
-spells its name.
+library calls.  A class inherits the standard-library bases of a base class
+its module defines, and a ``typing.NamedTuple`` base stands for the named
+tuple API (``_make``, which ``_replace`` calls).  A reference is a name, an
+attribute, or a string that is an identifier (``bench/trace_cli.py``
+rebinds functions by name); names match by their last part, so a
+definition counts as used when any reference spells its name.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import ast
 import builtins
 import importlib
 import sys
-from collections import Counter
+import typing
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import threatrank
@@ -58,7 +61,8 @@ def _stdlib_object(base: ast.expr, imported: dict[str, str]):
     obj = importlib.import_module(dotted[0])
     for attr in dotted[1:]:
         obj = getattr(obj, attr, None)
-    return obj
+    # typing.NamedTuple is a function; the classes it makes are named tuples.
+    return namedtuple("NamedTuple", ()) if obj is typing.NamedTuple else obj
 
 
 def _imports(tree: ast.Module) -> dict[str, str]:
@@ -77,15 +81,21 @@ def _imports(tree: ast.Module) -> dict[str, str]:
 def _definitions(tree: ast.Module):
     """``(qualified name, node, overrides a stdlib base)`` per def and class."""
     imported = _imports(tree)
+    local_bases: dict[str, list] = {}  # a class this module defines -> its stdlib bases
 
     def visit(body, prefix, bases):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 overrides = any(hasattr(base, node.name) for base in bases)
                 yield f"{prefix}{node.name}", node, overrides
-                stdlib_bases = [base for base in (_stdlib_object(expr, imported)
-                                                  for expr in getattr(node, "bases", ()))
-                                if base is not None]
+                stdlib_bases = []
+                for expr in getattr(node, "bases", ()):
+                    if isinstance(expr, ast.Name) and expr.id in local_bases:
+                        stdlib_bases.extend(local_bases[expr.id])
+                    elif (base := _stdlib_object(expr, imported)) is not None:
+                        stdlib_bases.append(base)
+                if isinstance(node, ast.ClassDef):
+                    local_bases[node.name] = stdlib_bases
                 yield from visit(node.body, f"{prefix}{node.name}.", stdlib_bases)
             elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For, ast.While)):
                 yield from visit(ast.iter_child_nodes(node), prefix, bases)
@@ -142,7 +152,13 @@ def test_unused_names_are_detected():
         "    def shade(self): return 2\n"
         "if True:\n"
         "    def guarded(): pass\n"
+        "from typing import NamedTuple\n"
+        "class _Fields(NamedTuple):\n"
+        "    x: int\n"
+        "class Checked(_Fields):\n"
+        "    def _make(cls, iterable): pass\n"
+        "    def _extra(self): pass\n"
     )
-    reader = ast.parse("used(); Parser(); Colour; rebind('guarded')\n")
+    reader = ast.parse("used(); Parser(); Colour; rebind('guarded'); Checked\n")
     assert unused({"m": source}, [source, reader], {"exported"}) == [
-        "m.Colour.shade", "m.Parser.extra", "m.only_recursive"]
+        "m.Checked._extra", "m.Colour.shade", "m.Parser.extra", "m.only_recursive"]

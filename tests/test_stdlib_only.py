@@ -1,5 +1,6 @@
 """The runtime is stdlib-only: every module imports only the standard
-library or threatrank itself."""
+library or threatrank itself, and none imports ``dataclasses``, whose
+import and per-class set-up every command would pay at start-up."""
 
 from __future__ import annotations
 
@@ -30,3 +31,8 @@ def test_runtime_imports_only_stdlib_and_threatrank():
         if module != "threatrank" and module not in sys.stdlib_module_names
     }
     assert outside == set()
+
+
+def test_no_module_imports_dataclasses():
+    assert [path.name for path in SOURCES
+            if "dataclasses" in _imported_top_levels(path)] == []
