@@ -33,7 +33,9 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import json
+import re
 import sys
 from datetime import date
 from pathlib import Path
@@ -317,9 +319,10 @@ def cmd_build(config: ProjectConfig) -> int:
         (key.value if isinstance(key, kgraph.EdgeType) else str(key)): count
         for key, count in graph.stats.dangling_dropped.items()
     }
+    edges = graph.edge_count
     stats = {
         "nodes": graph.node_count,
-        "edges": graph.edge_count,
+        "edges": edges,
         "dangling_dropped": dict(sorted(dropped.items())),
         # Kept so the summary keeps its shape; always 0, because link finds
         # both endpoints by the labels the edge type joins.
@@ -327,26 +330,44 @@ def cmd_build(config: ProjectConfig) -> int:
     }
     (config.output_dir / "build_summary.json").write_text(
         json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"graph: {graph.node_count} nodes, {graph.edge_count} edges -> {graph_path}")
+    print(f"graph: {graph.node_count} nodes, {edges} edges -> {graph_path}")
     return 0
 
 
+# Finds a character that can make ``csv.writer`` quote a field: the
+# delimiter, the quote character or a line break.
+_CSV_SPECIAL = re.compile('[,"\r\n]').search
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    if _CSV_SPECIAL(text) is None:
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]  # drop the empty last field and the line end
+
+
 def _write_ranked_csv(path: Path, ranked_lists: list[ranking.RankedList]) -> None:
-    """Write ranked rows; each distinct ``feature_bits`` pattern is rendered once."""
-    rendered: dict[tuple, str] = {}
+    """Write ranked rows, each line from one template, as ``csv.writer`` would.
+
+    Only the org and CVE ids can hold text that csv quotes; the other
+    fields are numbers, fixed names and ``name=bit`` pairs.  Each distinct
+    ``feature_bits`` mapping is rendered once.
+    """
+    rendered: dict[int, str] = {}  # by id(): every mapping stays alive in ranked_lists
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["org", "policy", "iso_week", "rank", "cve", "score", "feature_bits"])
+        write = fh.write
+        write("org,policy,iso_week,rank,cve,score,feature_bits\n")
         for ranked in ranked_lists:
-            week = f"{ranked.iso_week[0]}-W{ranked.iso_week[1]:02d}"
+            year, week = ranked.iso_week
+            head = f"{_csv_field(ranked.org_id)},{ranked.policy.value},{year}-W{week:02d},"
             for item in ranked.items:
-                pattern = tuple(item.feature_bits.items())
-                bits = rendered.get(pattern)
+                bits = rendered.get(id(item.feature_bits))
                 if bits is None:
-                    bits = rendered[pattern] = "|".join(f"{name}={bit}" for name, bit in pattern)
-                score = f"{item.score:g}"
-                writer.writerow([ranked.org_id, ranked.policy.value, week,
-                                 item.rank, item.cve_id, score, bits])
+                    bits = rendered[id(item.feature_bits)] = "|".join(
+                        f"{name}={bit}" for name, bit in item.feature_bits.items())
+                write(f"{head}{item.rank},{_csv_field(item.cve_id)},{item.score:g},{bits}\n")
 
 
 def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:

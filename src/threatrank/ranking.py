@@ -6,16 +6,16 @@ modification date (the date that simulates when a vulnerability presents
 itself for analysis).
 
 Each candidate has one feature row holding no setting (``feature_row``):
-its CVSS base score, the seven bits no setting changes, and the facts the
-settings weigh.  The path facts of a row are ORs and unions over its
-CWEs' weakness->attack-pattern->technique->group paths, so a cohort's
+its CVSS base score, a mask of the seven bits no setting changes, and the
+facts the settings weigh.  The path facts of a row are ORs and unions over
+its CWEs' weakness->attack-pattern->technique->group paths, so a cohort's
 ``feature_table`` walks each (organization, CWE) pair once and combines
 the walks per row; the organization's sector-focused groups are read off
 its sector node, and those targeting its country off its country node.
 ``feature_bits`` derives all ten binary features from a row and one
-family's config.  A threat policy is a tuple of six of those names; its
-score is their sum floored at 1, so every applicable CVE stays a
-candidate:
+family's config, and ``rank`` the same bits as one integer mask.  A threat
+policy is a tuple of six of those names; its score is their sum floored
+at 1, so every applicable CVE stays a candidate:
 
 * APT threat: network attack vector; a weakness->attack-pattern->technique
   path reaching a group focused on the organization's sector; such a group
@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from datetime import date
 from enum import Enum
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -178,7 +179,8 @@ def generate_candidates(
     range.  Each CVE lands in the ISO week of its modification date; since
     snapshot parsing keeps the latest record per CVE id, a CVE modified
     twice appears only in the week of its latest modification.  A CVE that
-    affects several of the CPEs is collected once, so its date is parsed once.
+    affects several of the CPEs is collected once, and each distinct
+    modification date is parsed once per call.
     """
     start, end = date_range
     if start > end:
@@ -188,11 +190,16 @@ def generate_candidates(
         cpe = graph.find(NodeLabel.CPE, cpe_id)
         if cpe is not None:
             candidates.update(cpe.incoming.get(EdgeType.AFFECTS, ()))
+    week_of: dict[str, tuple[int, int] | None] = {}  # None: outside the range
     weeks: dict[tuple[int, int], list[str]] = {}
     for cve in candidates:
-        modified = date.fromisoformat(cve.props["modified"])
-        if start <= modified <= end:
-            weeks.setdefault(iso_week_of(modified), []).append(cve.key)
+        modified = cve.props["modified"]
+        if modified not in week_of:
+            day = date.fromisoformat(modified)
+            week_of[modified] = iso_week_of(day) if start <= day <= end else None
+        week = week_of[modified]
+        if week is not None:
+            weeks.setdefault(week, []).append(cve.key)
     return [
         WeeklyCohort(org_id=org.org_id, iso_week=week, cve_ids=tuple(sorted(cve_ids)))
         for week, cve_ids in sorted(weeks.items())
@@ -230,29 +237,38 @@ def policy_bits(policy: Policy, family: Family) -> tuple[str, ...]:
     return bits
 
 
+# The seven bits no setting changes, in mask order: bit i of a row's
+# ``fixed_mask`` is ``FIXED_BITS[i]``.  The three bits a config decides
+# follow them, so bit i of a row's mask under a config is ``BIT_NAMES[i]``.
+FIXED_BITS = ("av_network", "sector_focus", "targets_country", "technique_link",
+              "failure_impact", "exploit_known", "affects_software")
+BIT_NAMES = FIXED_BITS + ("origin_match", "skill_match", "epss_gate")
+_BIT = {name: 1 << i for i, name in enumerate(BIT_NAMES)}
+
+
 class FeatureRow(NamedTuple):
     """The config-free facts of one (CVE, organization) pair.
 
-    ``cvss_base`` is None when the graph holds no score.  ``fixed_bits``
-    holds the seven bits no setting changes; the skill levels of the
-    CAPECs reached, the origin countries of the sector-focused groups
-    reached and the EPSS (probability, percentile) pair, or None, are what
-    ``feature_bits`` weighs against a config.
+    ``cvss_base`` is None when the graph holds no score.  ``fixed_mask``
+    holds the seven bits no setting changes, bit i being ``FIXED_BITS[i]``;
+    the skill levels of the CAPECs reached, the origin countries of the
+    sector-focused groups reached and the EPSS (probability, percentile)
+    pair, or None, are what ``feature_bits`` weighs against a config.
     """
 
     cvss_base: float | None
-    fixed_bits: Mapping[str, int]
+    fixed_mask: int
     skill_levels: frozenset[str]
     origin_countries: frozenset[str]
     epss: tuple[float, float] | None
 
 
 # The facts of one weakness's paths, or of the union of several weaknesses'
-# paths: the failure_impact and technique_link bits, the skill levels, the
-# sector_focus and targets_country bits and the origin countries.  Each is
+# paths: the mask of their failure_impact, technique_link, sector_focus and
+# targets_country bits, the skill levels and the origin countries.  Each is
 # an OR or a union over the paths, so a CVE's facts combine its CWEs' facts.
-_PathFacts = tuple[int, int, frozenset, int, int, frozenset]
-_NO_PATHS: _PathFacts = (0, 0, frozenset(), 0, 0, frozenset())
+_PathFacts = tuple[int, frozenset, frozenset]
+_NO_PATHS: _PathFacts = (0, frozenset(), frozenset())
 _NETWORK = AttackVector.NETWORK.value
 
 
@@ -286,22 +302,27 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
         for technique in techniques:
             groups.update(technique.incoming.get(EdgeType.ACHIEVES_GOAL, ()))
         reached = focused.intersection(groups)
+        mask = 0
+        if not FAILURE_IMPACTS.isdisjoint(cwe.props.get("technical_impacts", ())):
+            mask |= _BIT["failure_impact"]
+        if techniques:
+            mask |= _BIT["technique_link"]
+        if reached:
+            mask |= _BIT["sector_focus"]
+        if not targeting.isdisjoint(reached):
+            mask |= _BIT["targets_country"]
         facts = by_cwe[cwe] = (
-            int(not FAILURE_IMPACTS.isdisjoint(cwe.props.get("technical_impacts", ()))),
-            int(bool(techniques)),
+            mask,
             frozenset(skill_levels),
-            int(bool(reached)),
-            int(not targeting.isdisjoint(reached)),
             frozenset(origin.key for group in reached
                       for origin in group.outgoing.get(EdgeType.ORIGINATES, ())),
         )
         return facts
 
     def cwes_facts(cwes: frozenset) -> _PathFacts:
-        failure, link, skills, focus, targets, origins = zip(
-            *(by_cwe.get(cwe) or weakness_facts(cwe) for cwe in cwes))
-        facts = by_cwes[cwes] = (max(failure), max(link), frozenset().union(*skills),
-                                 max(focus), max(targets), frozenset().union(*origins))
+        masks, skills, origins = zip(*(by_cwe.get(cwe) or weakness_facts(cwe) for cwe in cwes))
+        facts = by_cwes[cwes] = (reduce(or_, masks), frozenset().union(*skills),
+                                 frozenset().union(*origins))
         return facts
 
     def read(cve_id: str) -> FeatureRow:
@@ -310,25 +331,17 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
             raise KeyError(f"CVE {cve_id!r} not present in the graph")
         outgoing, props = node.outgoing, node.props
         cwes = frozenset(outgoing.get(EdgeType.WEAKENED_BY, ()))
-        failure, link, skills, focus, targets, origins = by_cwes.get(cwes) or cwes_facts(cwes)
+        mask, skills, origins = by_cwes.get(cwes) or cwes_facts(cwes)
+        if props.get("attack_vector") == _NETWORK:
+            mask |= _BIT["av_network"]
+        if EdgeType.EXPLOITS_KNOWN in outgoing or EdgeType.REFERENCE_EXPLOIT in outgoing:
+            mask |= _BIT["exploit_known"]
+        if not org.cpe_ids.isdisjoint(cpe.key for cpe in outgoing.get(EdgeType.AFFECTS, ())):
+            mask |= _BIT["affects_software"]
         probability, percentile = props.get("epss_probability"), props.get("epss_percentile")
-        affected = (cpe.key for cpe in outgoing.get(EdgeType.AFFECTS, ()))
-        exploited = EdgeType.EXPLOITS_KNOWN in outgoing or EdgeType.REFERENCE_EXPLOIT in outgoing
         return FeatureRow(
-            cvss_base=props.get("cvss_base"),
-            fixed_bits={
-                "av_network": int(props.get("attack_vector") == _NETWORK),
-                "sector_focus": focus,
-                "targets_country": targets,
-                "technique_link": link,
-                "failure_impact": failure,
-                "exploit_known": int(exploited),
-                "affects_software": int(not org.cpe_ids.isdisjoint(affected)),
-            },
-            skill_levels=skills,
-            origin_countries=origins,
-            epss=None if probability is None or percentile is None else (probability, percentile),
-        )
+            props.get("cvss_base"), mask, skills, origins,
+            None if probability is None or percentile is None else (probability, percentile))
 
     return read
 
@@ -345,22 +358,38 @@ def feature_row(graph: PropertyGraph, cve_id: str, org: OrgContext) -> FeatureRo
     return _row_reader(graph, org)(cve_id)
 
 
-def feature_bits(row: FeatureRow, config: PolicyConfig) -> dict[str, int]:
-    """All ten feature bits of a row under one family's settings.
+def _row_masks(config: PolicyConfig):
+    """A function from a row to its ten-bit mask under one family's settings.
 
-    The config decides three: a reached CAPEC at the configured skill
-    level, a sector-focused group from a configured origin country, and
-    the EPSS gate (probability at threshold, percentile within appetite).
+    Bit i of the mask is ``BIT_NAMES[i]``.  The config decides three: a
+    reached CAPEC at the configured skill level, a sector-focused group
+    from a configured origin country, and the EPSS gate (probability at
+    threshold, percentile within appetite).  The settings are read once,
+    when the function is made.
     """
-    epss_gate = row.epss is not None and (
-        row.epss[0] >= config.epss_threshold
-        and row.epss[1] * 100.0 >= 100.0 - config.risk_appetite)
-    return {
-        **row.fixed_bits,
-        "origin_match": int(not row.origin_countries.isdisjoint(config.origin_countries)),
-        "skill_match": int(config.skill_level.value in row.skill_levels),
-        "epss_gate": int(epss_gate),
-    }
+    origins, skill = config.origin_countries, config.skill_level.value
+    threshold, floor = config.epss_threshold, 100.0 - config.risk_appetite
+    origin_match, skill_match, epss_gate = (
+        _BIT["origin_match"], _BIT["skill_match"], _BIT["epss_gate"])
+
+    def mask_of(row: FeatureRow) -> int:
+        mask = row.fixed_mask
+        if not row.origin_countries.isdisjoint(origins):
+            mask |= origin_match
+        if skill in row.skill_levels:
+            mask |= skill_match
+        epss = row.epss
+        if epss is not None and epss[0] >= threshold and epss[1] * 100.0 >= floor:
+            mask |= epss_gate
+        return mask
+
+    return mask_of
+
+
+def feature_bits(row: FeatureRow, config: PolicyConfig) -> dict[str, int]:
+    """All ten feature bits of a row under one family's settings, in ``BIT_NAMES`` order."""
+    mask = _row_masks(config)(row)
+    return {name: mask >> i & 1 for i, name in enumerate(BIT_NAMES)}
 
 
 def score_from_bits(bits: Mapping[str, int]) -> int:
@@ -385,9 +414,17 @@ def feature_table(graph: PropertyGraph, cohort: WeeklyCohort,
 # ---------------------------------------------------------------------------
 
 
+_CVE, _SCORE = itemgetter(0), itemgetter(1)
+
+
 def order_scored(scored: Iterable[tuple[str, float]]) -> list[tuple[str, float, int]]:
-    """Order (cve, score) pairs: descending score, ascending CVE id, ranks 1..n."""
-    ordered = sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+    """Order (cve, score) pairs: descending score, ascending CVE id, ranks 1..n.
+
+    Two stable sorts: by CVE id, then by score with ``reverse=True``, which
+    keeps pairs of equal score in the order the first sort left them.
+    """
+    ordered = sorted(scored, key=_CVE)
+    ordered.sort(key=_SCORE, reverse=True)
     return [(cve, score, position) for position, (cve, score) in enumerate(ordered, start=1)]
 
 
@@ -411,29 +448,30 @@ def rank(
     """Rank one weekly cohort under a policy of the config's family.
 
     ``records`` is the cohort's ``feature_table``, whose rows the config
-    turns into bits, once per row; the rows of one bit pattern share its
-    bits mapping and score.  CVSS-base items carry no feature bits, and
-    their rows' bits are never derived.
+    turns into bit masks, once per row; a row's pattern is its mask's
+    policy bits.  The rows of one pattern share its read-only bits mapping
+    and its score, each built once.  CVSS-base items carry the default
+    empty bits, and their rows' masks are never derived.
     """
     names = policy_bits(policy, config.family)
-    bits_of: dict[str, Mapping[str, int]] = {}
     if names:
-        pick = itemgetter(*names)  # a policy sums six bits, so this picks a tuple
-        patterns: dict[tuple[int, ...], tuple[dict[str, int], float]] = {}
+        mask_of = _row_masks(config)
+        wanted = reduce(or_, (_BIT[name] for name in names))
+        patterns: dict[int, tuple[Mapping[str, int], float]] = {}
+        bits_of: dict[str, Mapping[str, int]] = {}
         scored = []
         for cve in cohort.cve_ids:
-            pattern = pick(feature_bits(records[cve], config))
+            pattern = mask_of(records[cve]) & wanted
             shared = patterns.get(pattern)
             if shared is None:
-                bits = dict(zip(names, pattern))
+                bits = MappingProxyType({name: int(pattern & _BIT[name] != 0) for name in names})
                 shared = patterns[pattern] = (bits, float(score_from_bits(bits)))
             bits_of[cve], score = shared
             scored.append((cve, score))
+        items = tuple([RankedItem(cve, score, position, bits_of[cve])
+                       for cve, score, position in order_scored(scored)])
     else:
         scored = [(cve, _cvss_score(cve, records[cve].cvss_base)) for cve in cohort.cve_ids]
-    items = tuple(
-        RankedItem(cve_id=cve, score=score, rank=position, feature_bits=bits_of.get(cve, {}))
-        for cve, score, position in order_scored(scored)
-    )
-    return RankedList(org_id=cohort.org_id, policy=policy,
-                      iso_week=cohort.iso_week, items=items)
+        items = tuple([RankedItem(cve, score, position)
+                       for cve, score, position in order_scored(scored)])
+    return RankedList(cohort.org_id, policy, cohort.iso_week, items)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import gc
 import hashlib
 import io
@@ -10,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,15 @@ from threatrank import cli, kgraph
 from threatrank.cli import load_config, main
 from threatrank.errors import DataError
 from threatrank.kgraph import Node
-from threatrank.ranking import Family, PolicyConfig
+from threatrank.ranking import (
+    APT_BITS,
+    GENERAL_BITS,
+    Family,
+    Policy,
+    PolicyConfig,
+    RankedItem,
+    RankedList,
+)
 from threatrank.vocab import read_data_file
 from tests.conftest import CASE_STUDY, FIXTURES, REPO_ROOT
 
@@ -677,6 +687,58 @@ def test_reversed_date_override_exits_one(built, capsys, command):
     assert "Traceback" not in err
     assert sorted(p.name for p in built.iterdir()) == [
         "build_summary.json", "coverage_ODU.csv", "graph.jsonl"]
+
+
+def _reference_write_ranked_csv(path, ranked_lists):
+    """The ranked CSV as ``csv.writer`` writes it, one ``writerow`` per item."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["org", "policy", "iso_week", "rank", "cve", "score", "feature_bits"])
+        for ranked in ranked_lists:
+            week = f"{ranked.iso_week[0]}-W{ranked.iso_week[1]:02d}"
+            for item in ranked.items:
+                bits = "|".join(f"{name}={bit}" for name, bit in item.feature_bits.items())
+                writer.writerow([ranked.org_id, ranked.policy.value, week,
+                                 item.rank, item.cve_id, f"{item.score:g}", bits])
+
+
+# Ids holding what csv quotes or might: commas, quotes, line breaks, leading
+# spaces, non-ASCII text and the empty string.  Lone surrogates are left out:
+# neither writer can encode them.
+_ID_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "\x00", "é", "€",
+                                    "\U0001f600", "C", "-", "1"])
+                   | st.characters(blacklist_categories=("Cs",)), max_size=8)
+_IDS = (st.sampled_from(["", " ", " CVE-2021-1", "CVE-2021-44228", "a,b", 'say "hi"', "\r\n"])
+        | _ID_TEXT)
+# Bits mappings as rank builds them: the shared empty default and read-only
+# policy patterns; and plain dicts.  Items draw from a pool, so they share.
+_PATTERNS = st.builds(lambda names, bits: dict(zip(names, bits)),
+                      st.sampled_from([APT_BITS, GENERAL_BITS]),
+                      st.lists(st.integers(0, 1), min_size=6, max_size=6))
+_BITS = (st.just(RankedItem._field_defaults["feature_bits"])
+         | _PATTERNS.map(MappingProxyType) | _PATTERNS)
+_SCORES = st.floats(0, 10) | st.integers(1, 6).map(float)
+
+
+@st.composite
+def _ranked_lists(draw):
+    pool = draw(st.lists(_BITS, min_size=1, max_size=4))  # drawn items share these objects
+    lists = []
+    for _ in range(draw(st.integers(0, 3))):
+        items = tuple(RankedItem(draw(_IDS), draw(_SCORES), position, draw(st.sampled_from(pool)))
+                      for position in range(1, draw(st.integers(0, 4)) + 1))
+        lists.append(RankedList(draw(_IDS), draw(st.sampled_from(list(Policy))),
+                                (draw(st.integers(1, 9999)), draw(st.integers(1, 53))), items))
+    return lists
+
+
+@given(ranked_lists=_ranked_lists())
+@settings(max_examples=200, deadline=None)
+def test_ranked_csv_writes_what_the_reference_writer_writes(tmp_path_factory, ranked_lists):
+    out = tmp_path_factory.mktemp("ranked")
+    cli._write_ranked_csv(out / "ranked.csv", ranked_lists)
+    _reference_write_ranked_csv(out / "reference.csv", ranked_lists)
+    assert (out / "ranked.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
 # Golden outputs of a full pipeline run: sha256 over every output file in

@@ -37,6 +37,7 @@ from threatrank.ranking import (
     OrgContext,
     Policy,
     PolicyConfig,
+    RankedItem,
     WeeklyCohort,
     feature_bits,
     feature_row,
@@ -366,13 +367,31 @@ def test_cvss_ranking_carries_no_bits(case_graph, case_org, case_config, monkeyp
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     table = feature_table(case_graph, cohort, case_org)
     derived = []
-    monkeypatch.setattr(ranking, "feature_bits",
-                        lambda row, config: derived.append(row) or feature_bits(row, config))
+    row_masks = ranking._row_masks
+
+    def counting_row_masks(config):
+        mask_of = row_masks(config)
+        return lambda row: derived.append(row) or mask_of(row)
+
+    monkeypatch.setattr(ranking, "_row_masks", counting_row_masks)
     cvss = rank(cohort, Policy.CVSS_BASE, case_config.apt_config, table)
-    assert all(item.feature_bits == {} for item in cvss.items)
+    default = RankedItem._field_defaults["feature_bits"]
+    assert all(item.feature_bits is default for item in cvss.items)
     assert derived == []  # a policy that sums no bits derives none
     rank(cohort, Policy.APT_THREAT, case_config.apt_config, table)
-    assert len(derived) == len(cohort.cve_ids)
+    assert len(derived) == len(cohort.cve_ids)  # a threat policy derives each row once
+
+
+def test_ranked_feature_bits_are_read_only(case_graph, case_org, case_config):
+    cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
+    table = feature_table(case_graph, cohort, case_org)
+    for policy in (Policy.CVSS_BASE, Policy.APT_THREAT, Policy.IDEAL):
+        ranked = rank(cohort, policy, case_config.apt_config, table)
+        before = [dict(item.feature_bits) for item in ranked.items]
+        for item in ranked.items:
+            with pytest.raises(TypeError):
+                item.feature_bits["av_network"] = 0
+        assert [dict(item.feature_bits) for item in ranked.items] == before
 
 
 def test_rank_deterministic(case_graph, case_org, case_config):
@@ -625,17 +644,18 @@ def _reference_feature_row(graph, cve_id, org):
     affected = {cpe.key for cpe in node.outgoing.get(EdgeType.AFFECTS, ())}
     exploited = (EdgeType.EXPLOITS_KNOWN in node.outgoing
                  or EdgeType.REFERENCE_EXPLOIT in node.outgoing)
+    fixed_bits = {
+        "av_network": int(props.get("attack_vector") == AttackVector.NETWORK.value),
+        "sector_focus": int(sector_focus),
+        "targets_country": int(targets_country),
+        "technique_link": int(technique_link),
+        "failure_impact": int(failure_impact),
+        "exploit_known": int(exploited),
+        "affects_software": int(bool(affected & org.cpe_ids)),
+    }
     return ranking.FeatureRow(
         cvss_base=props.get("cvss_base"),
-        fixed_bits={
-            "av_network": int(props.get("attack_vector") == AttackVector.NETWORK.value),
-            "sector_focus": int(sector_focus),
-            "targets_country": int(targets_country),
-            "technique_link": int(technique_link),
-            "failure_impact": int(failure_impact),
-            "exploit_known": int(exploited),
-            "affects_software": int(bool(affected & org.cpe_ids)),
-        },
+        fixed_mask=sum(fixed_bits[name] << i for i, name in enumerate(ranking.FIXED_BITS)),
         skill_levels=frozenset(skill_levels),
         origin_countries=frozenset(origin_countries),
         epss=None if probability is None or percentile is None else (probability, percentile),
