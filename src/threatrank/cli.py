@@ -382,10 +382,8 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
     graph = _require_graph(config)
     org = _org_context(graph, org_id)
     cohorts = ranking.generate_candidates(org, graph, config.date_range)
-    ranked_lists = [
-        ranking.rank(c, policy, family_config, ranking.feature_table(graph, c, org))
-        for c in cohorts
-    ]
+    table = ranking.feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
+    ranked_lists = [ranking.rank(c, policy, family_config, table) for c in cohorts]
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / f"ranked_{org_id}_{policy.value}.csv"
     _write_ranked_csv(out_path, ranked_lists)
@@ -426,8 +424,8 @@ def cmd_case_study(config: ProjectConfig, org_id: str, k: int | None = None) -> 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     apt = config.apt_config
     printed = False
+    table = ranking.feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
     for cohort in cohorts:
-        table = ranking.feature_table(graph, cohort, org)
         cvss_rank = ranking.rank(cohort, ranking.Policy.CVSS_BASE, apt, table).rank_of()
         threat_ranked = ranking.rank(cohort, ranking.Policy.APT_THREAT, apt, table)
         rows = [

@@ -214,11 +214,12 @@ def _scan(pattern: re.Pattern, text: str, source: str, terms: dict[str, str]) ->
 def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution:
     """Full attribution for one group, with evidence spans per value.
 
-    Origin countries are all country-lexicon matches in the description
-    (groups with several attributed origins keep all of them).  The origin
+    Targeted countries and sectors are matched in the windows after
+    targeting trigger words.  Origin countries are the country-lexicon
+    matches outside those windows (groups with several attributed origins
+    keep all of them), so a targeted country is not an origin.  The origin
     year is the earliest year inside an activity phrase, or the creation
-    year when there is none.  Targeted countries and sectors are matched
-    in the windows after targeting trigger words.
+    year when there is none.
 
     An ASCII description with an all-ASCII lexicon is scanned once
     lower-cased, with plain patterns; any other takes the IGNORECASE
@@ -237,8 +238,26 @@ def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution
         year_re = re.compile(_ACTIVITY_YEAR, re.IGNORECASE)
     evidence: list[tuple[str, str]] = []
 
+    # Each target window runs from a trigger to the end of its sentence, or
+    # for TARGET_WINDOW_CHARS at most.
+    windows = []
+    for trigger in trigger_re.finditer(text):
+        start = trigger.end()
+        end = start + TARGET_WINDOW_CHARS
+        sentence_end = _SENTENCE_END_RE.search(text, start, end)
+        windows.append((start, end if sentence_end is None else sentence_end.start()))
+
+    # The origin scan reads the text with every window blanked, which
+    # keeps each span's offsets.
+    pieces, at = [], 0
+    for start, end in windows:
+        start = max(start, at)  # windows may overlap
+        pieces += (text[at:start], " " * len(text[start:end]))
+        at = max(end, start)
+    untargeted = "".join(pieces) + text[at:]
+
     origin_countries: list[str] = []
-    for m in _scan(country_re, text, description, country_terms):
+    for m in _scan(country_re, untargeted, description, country_terms):
         if m.canonical not in origin_countries:
             origin_countries.append(m.canonical)
             evidence.append((f"origin_country:{m.canonical}", m.span_text))
@@ -258,14 +277,7 @@ def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution
 
     targeted_countries: list[str] = []
     targeted_sectors: list[str] = []
-    for trigger in trigger_re.finditer(text):
-        # The window runs from the trigger to the end of its sentence, or
-        # for TARGET_WINDOW_CHARS at most.
-        start = trigger.end()
-        end = start + TARGET_WINDOW_CHARS
-        sentence_end = _SENTENCE_END_RE.search(text, start, end)
-        if sentence_end is not None:
-            end = sentence_end.start()
+    for start, end in windows:
         window, source = text[start:end], description[start:end]
         for m in _scan(country_re, window, source, country_terms):
             if m.canonical not in targeted_countries:

@@ -185,8 +185,8 @@ def generate_report(
 
     A policy is judged against the ideal ranking of its own feature family,
     labelled ``policy:family``, so CVSS base, ranked and costed once per
-    cohort, gets one curve per family.  One feature table per cohort ranks
-    every policy of both families.
+    cohort, gets one curve per family.  One feature table per organization
+    ranks every cohort under every policy of both families.
     """
     ndcg_rows, cost_rows, ttest_rows = [], [], []
     configs = (apt_config, general_config)
@@ -201,10 +201,10 @@ def generate_report(
             for policy in (Policy.CVSS_BASE, FAMILIES[config.family][0])}
         weekly_costs: dict[Policy, dict[tuple[int, int], float]] = {
             policy: {} for policy in (Policy.CVSS_BASE, Policy.APT_THREAT, Policy.GENERAL_THREAT)}
+        table = feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
+        cvss_of = {cve: row.cvss_base or 0.0 for cve, row in table.items()}
         for cohort in cohorts:
-            table = feature_table(graph, cohort, org)
             cvss = rank(cohort, Policy.CVSS_BASE, apt_config, table)
-            cvss_of = {cve: row.cvss_base or 0.0 for cve, row in table.items()}
             weekly_costs[Policy.CVSS_BASE][cohort.iso_week] = patch_cost(cvss, COST_K, cvss_of)
             for config in configs:
                 family, threat = config.family, FAMILIES[config.family][0]

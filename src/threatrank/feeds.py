@@ -492,30 +492,19 @@ def parse_kev_csv(path: str | Path) -> ParseResult:
 class SnapshotBundle:
     """All canonical records of one snapshot, grouped by source kind.
 
-    Each list is filled in place; a list not passed in is a new one.
+    One list per ``SOURCES`` row, named by its ``bundle_field``.  Each list
+    is filled in place; a list not passed in is a new one.
     """
 
-    __slots__ = ("cves", "cpes", "cwes", "capecs", "techniques", "tactics", "groups", "epss",
-                 "kev", "exploits", "references")
+    __slots__ = tuple(source.bundle_field for source in SOURCES.values())
 
-    def __init__(self, cves: list[CveRecord] | None = None, cpes: list[CpeEntry] | None = None,
-                 cwes: list[CweEntry] | None = None, capecs: list[CapecEntry] | None = None,
-                 techniques: list[AttackTechnique] | None = None,
-                 tactics: list[AttackTactic] | None = None,
-                 groups: list[AttackGroupRaw] | None = None, epss: list[EpssScore] | None = None,
-                 kev: list[KevEntry] | None = None, exploits: list[ExploitRef] | None = None,
-                 references: list[ReferenceRecord] | None = None):
-        self.cves = [] if cves is None else cves
-        self.cpes = [] if cpes is None else cpes
-        self.cwes = [] if cwes is None else cwes
-        self.capecs = [] if capecs is None else capecs
-        self.techniques = [] if techniques is None else techniques
-        self.tactics = [] if tactics is None else tactics
-        self.groups = [] if groups is None else groups
-        self.epss = [] if epss is None else epss
-        self.kev = [] if kev is None else kev
-        self.exploits = [] if exploits is None else exploits
-        self.references = [] if references is None else references
+    def __init__(self, **lists: list):
+        for name in self.__slots__:
+            value = lists.pop(name, None)
+            setattr(self, name, [] if value is None else value)
+        if lists:
+            raise TypeError(f"SnapshotBundle() got an unexpected keyword argument "
+                            f"{next(iter(lists))!r}")
 
 
 class Finding(NamedTuple):

@@ -5,13 +5,14 @@ resolved CPEs with a date range, grouped by the ISO week of the CVE
 modification date (the date that simulates when a vulnerability presents
 itself for analysis).
 
-Each candidate has one feature row holding no setting (``feature_row``):
-its CVSS base score, a mask of the seven bits no setting changes, and the
-facts the settings weigh.  The path facts of a row are ORs and unions over
-its CWEs' weakness->attack-pattern->technique->group paths, so a cohort's
-``feature_table`` walks each (organization, CWE) pair once and combines
-the walks per row; the organization's sector-focused groups are read off
-its sector node, and those targeting its country off its country node.
+Each candidate has one feature row holding no setting: its CVSS base
+score, a mask of the seven bits no setting changes, and the facts the
+settings weigh.  The path facts of a row are ORs and unions over its CWEs'
+weakness->attack-pattern->technique->group paths, so an organization's
+``feature_table``, one over all of its cohorts, walks each (organization,
+CWE) pair once and combines the walks per row; the organization's
+sector-focused groups are read off its sector node, and those targeting
+its country off its country node.
 ``feature_bits`` derives all ten binary features from a row and one
 family's config, and ``rank`` the same bits as one integer mask.  A threat
 policy is a tuple of six of those names; its score is their sum floored
@@ -33,9 +34,9 @@ A ``PolicyConfig`` holds the settings of one feature ``Family``: a threat
 policy and the ideal that mirrors it (``FAMILIES``).  ``rank`` takes the
 policy as an argument.
 
-Ranking reads a cohort's feature table, one for every policy of both
-families, and never the graph; output order never depends on evaluation
-order (ties break on ascending CVE id).
+Ranking reads the organization's feature table, one for every cohort and
+every policy of both families, and never the graph; output order never
+depends on evaluation order (ties break on ascending CVE id).
 """
 
 from __future__ import annotations
@@ -277,16 +278,18 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
 
     The reader walks each weakness's CWE->CAPEC->technique->group paths the
     first time a CVE reaches it and keeps their facts, and combines each
-    distinct set of CWEs once; it lives for one ``feature_row`` or
-    ``feature_table`` call.  The sector-focused groups are the sources of
-    the org's sector node's incoming FOCUS_ON edges, and the groups that
-    target the org's country those of its country node's incoming TARGETS
-    edges; a sector or country with no node has none.
+    distinct set of CWEs once; it lives for one ``feature_table`` call.
+    The sector-focused groups are the sources of the org's sector node's
+    incoming FOCUS_ON edges, and the groups that target the org's country
+    those of its country node's incoming TARGETS edges; a sector or country
+    with no node has none.  Software is affected when an AFFECTS edge ends
+    at one of the org's CPE nodes.
     """
     sector = graph.find(NodeLabel.DHS_SECTOR, org.sector)
     country = graph.find(NodeLabel.COUNTRY, org.country)
     focused = sector.incoming.get(EdgeType.FOCUS_ON, frozenset()) if sector else frozenset()
     targeting = country.incoming.get(EdgeType.TARGETS, frozenset()) if country else frozenset()
+    cpes = {graph.find(NodeLabel.CPE, cpe_id) for cpe_id in org.cpe_ids} - {None}
     by_cwe: dict[Node, _PathFacts] = {}
     by_cwes: dict[frozenset, _PathFacts] = {frozenset(): _NO_PATHS}
 
@@ -336,7 +339,7 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
             mask |= _BIT["av_network"]
         if EdgeType.EXPLOITS_KNOWN in outgoing or EdgeType.REFERENCE_EXPLOIT in outgoing:
             mask |= _BIT["exploit_known"]
-        if not org.cpe_ids.isdisjoint(cpe.key for cpe in outgoing.get(EdgeType.AFFECTS, ())):
+        if not cpes.isdisjoint(outgoing.get(EdgeType.AFFECTS, ())):
             mask |= _BIT["affects_software"]
         probability, percentile = props.get("epss_probability"), props.get("epss_percentile")
         return FeatureRow(
@@ -344,18 +347,6 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
             None if probability is None or percentile is None else (probability, percentile))
 
     return read
-
-
-def feature_row(graph: PropertyGraph, cve_id: str, org: OrgContext) -> FeatureRow:
-    """One candidate's facts from its weakness->attack-pattern->technique->group paths.
-
-    Skill levels and the technique link are independent facts of the CVE's
-    attack patterns, so changing the configured skill level moves a
-    relevance by exactly the skill bit.  The group facts are witnessed by
-    groups reachable through a technique; the country facts only by groups
-    that also focus on the organization's sector.
-    """
-    return _row_reader(graph, org)(cve_id)
 
 
 def _row_masks(config: PolicyConfig):
@@ -397,16 +388,23 @@ def score_from_bits(bits: Mapping[str, int]) -> int:
     return max(1, sum(bits.values()))
 
 
-def feature_table(graph: PropertyGraph, cohort: WeeklyCohort,
+def feature_table(graph: PropertyGraph, cve_ids: Iterable[str],
                   org: OrgContext) -> dict[str, FeatureRow]:
-    """Feature rows of a cohort's candidates, keyed by CVE id.
+    """Feature rows of an organization's candidates, keyed by CVE id.
 
-    The rows hold no setting, so one table serves every policy of both
-    feature families.  One reader serves the whole cohort, so each CWE the
+    A row is one candidate's facts from its weakness->attack-pattern->
+    technique->group paths.  Skill levels and the technique link are
+    independent facts of the CVE's attack patterns, so changing the
+    configured skill level moves a relevance by exactly the skill bit.  The
+    group facts are witnessed by groups reachable through a technique; the
+    country facts only by groups that also focus on the organization's
+    sector.  The rows hold no setting, so one table, over all of the
+    organization's cohorts, serves every cohort and every policy of both
+    feature families; one reader serves the whole table, so each CWE the
     candidates reach is walked once.
     """
     read = _row_reader(graph, org)
-    return {cve_id: read(cve_id) for cve_id in cohort.cve_ids}
+    return {cve_id: read(cve_id) for cve_id in cve_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +445,9 @@ def rank(
 ) -> RankedList:
     """Rank one weekly cohort under a policy of the config's family.
 
-    ``records`` is the cohort's ``feature_table``, whose rows the config
-    turns into bit masks, once per row; a row's pattern is its mask's
+    ``records`` holds a row for each of the cohort's candidates, as the
+    organization's ``feature_table`` does.  The config turns the cohort's
+    rows into bit masks, once per row; a row's pattern is its mask's
     policy bits.  The rows of one pattern share its read-only bits mapping
     and its score, each built once.  CVSS-base items carry the default
     empty bits, and their rows' masks are never derived.

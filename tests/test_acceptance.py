@@ -97,7 +97,7 @@ def test_c1_case_study_reproduction():
         assert len(cohorts) == 1 and len(cohorts[0].cve_ids) == 39
 
         apt = config.apt_config
-        table = feature_table(graph, cohorts[0], org)
+        table = feature_table(graph, cohorts[0].cve_ids, org)
         threat = rank(cohorts[0], Policy.APT_THREAT, apt, table)
         cvss = rank(cohorts[0], Policy.CVSS_BASE, apt, table)
 
@@ -187,7 +187,7 @@ def test_c3_relevance_range_and_monotonicity():
                 risk_appetite=rng.randint(0, 100),
             )
             cohort = WeeklyCohort(org_id="fuzz", iso_week=(2021, 1), cve_ids=(cve_id,))
-            table = feature_table(graph, cohort, org)
+            table = feature_table(graph, cohort.cve_ids, org)
             for family, (threat, _bits) in FAMILIES.items():
                 family_config = config._replace(family=family)
                 for policy in (threat, Policy.IDEAL):
@@ -287,7 +287,7 @@ def test_c6_synthetic_corpus_improvement():
         apt = config.apt_config
         cvss_series, threat_series = [], []
         for cohort in cohorts:
-            table = feature_table(graph, cohort, org)
+            table = feature_table(graph, cohort.cve_ids, org)
             ideal = rank(cohort, Policy.IDEAL, apt, table)
             cvss = rank(cohort, Policy.CVSS_BASE, apt, table)
             threat = rank(cohort, Policy.APT_THREAT, apt, table)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threatrank import cli, kgraph
+from threatrank import cli, kgraph, ranking
 from threatrank.cli import load_config, main
 from threatrank.errors import DataError
 from threatrank.kgraph import Node
@@ -31,7 +31,7 @@ from threatrank.ranking import (
     RankedList,
 )
 from threatrank.vocab import read_data_file
-from tests.conftest import CASE_STUDY, FIXTURES, REPO_ROOT
+from tests.conftest import CASE_STUDY, FIXTURES, REPO_ROOT, SYNTHETIC
 
 CONFIG = str(CASE_STUDY / "config.json")
 
@@ -667,6 +667,47 @@ def test_evaluate_is_deterministic(tmp_path):
         assert (out / name).read_bytes() == first[name]
 
 
+def test_read_commands_build_one_feature_table_per_organization(tmp_path, monkeypatch):
+    # Two organizations over the synthetic fixture's feeds, thirteen weeks
+    config = json.loads((SYNTHETIC / "config.json").read_text(encoding="utf-8"))
+    config["snapshots"] = {kind: str(SYNTHETIC / rel)
+                           for kind, rel in config["snapshots"].items()}
+    first = SYNTHETIC / "profiles" / "synthu.json"
+    second = tmp_path / "synthv.json"
+    profile = json.loads(first.read_text(encoding="utf-8"))
+    profile["org_id"], profile["software"] = "SYNTHV", profile["software"][::2]
+    second.write_text(json.dumps(profile), encoding="utf-8")
+    config["profiles"] = [str(first), str(second)]
+    config["date_range"] = {"from": "2020-01-01", "to": "2020-03-31"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    base = ["--config", str(path), "--out", str(out)]
+    assert _run(*base, "build") == 0
+
+    readers = []
+    row_reader = ranking._row_reader
+
+    def counted(graph, org):
+        readers.append(org.org_id)
+        return row_reader(graph, org)
+
+    def readers_of(*args):
+        readers.clear()
+        assert _run(*base, *args) == 0
+        return sorted(readers)
+
+    monkeypatch.setattr(ranking, "_row_reader", counted)
+    orgs = ["SYNTHU", "SYNTHV"]
+    for org in orgs:
+        for policy in ("cvss_base", "apt_threat", "general_threat", "ideal"):
+            assert readers_of("rank", "--org", org, "--policy", policy) == [org]
+        assert readers_of("case-study", "--org", org) == [org]
+        with (out / f"ranked_{org}_ideal.csv").open(encoding="utf-8", newline="") as fh:
+            assert len({row["iso_week"] for row in csv.DictReader(fh)}) > 1
+    assert readers_of("evaluate") == orgs
+
+
 def test_date_range_override_narrows_cohorts(built, capsys):
     code = _run("--config", CONFIG, "--out", str(built),
                 "--from", "2021-12-01", "--to", "2021-12-31",
@@ -748,9 +789,9 @@ def test_ranked_csv_writes_what_the_reference_writer_writes(tmp_path_factory, ra
 # Values: (org, weekly cohorts, output files, digest).
 GOLDEN_OUTPUTS = {
     "case_study": ("ODU", 1, 12,
-                   "9ed915c753466ffd2a57f1e80e24471f07c0388c76a6a01fd6f105af5d0a5784"),
+                   "d598f050f716e350cbf3f824181f7ab61ce3826c7983e54efe71de51fcc12e81"),
     "synthetic52": ("SYNTHU", 52, 63,
-                    "0fdf6f12c9097f0c53447555cea972cdd4fda7bc6e4b7749c9e58e1e35e87b6e"),
+                    "25759cde9af9acac1c9d03df1b43f94a2d023f62b684059d98fa5bdd11a2991c"),
 }
 
 

@@ -77,6 +77,17 @@ def test_origin_keeps_multiple_countries(lexicon):
     assert result.origin_countries == ("Russia", "Ukraine")
 
 
+@pytest.mark.parametrize("dash", ["-", "\u2014"], ids=["ascii", "non_ascii"])
+def test_a_targeted_country_is_not_an_origin(lexicon, dash):
+    # Two overlapping target windows; the second sentence names an origin
+    description = (f"A Chinese group {dash} it has targeted Russia, and it targets Iran and "
+                   "the United States. Russian operators later joined it.")
+    result = attribute_group(_group(description), lexicon)
+    assert result.targeted_countries == ("Russia", "Iran", "United States")
+    assert result.origin_countries == ("China", "Russia")
+    assert ("origin_country:Russia", "Russian") in result.evidence
+
+
 def test_targets_sentence(lexicon):
     result = attribute_group(_group(
         "The group targeted organizations in the financial services and "
@@ -263,22 +274,35 @@ _REFERENCE_TRIGGER_RE = re.compile(r"(?<!\w)(?:targets|targeted|targeting)(?!\w)
 _REFERENCE_SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
 
 
-def _reference_scan(text, terms):
+def _reference_scan(text, terms, source=None):
+    """(canonical, span) of each term match in ``text``, the span read from
+    ``source`` (``text`` by default) at the match's offsets."""
     if not terms or not text:
         return []
+    source = text if source is None else source
     regex = re.compile(rf"(?<!\w){_trie_regex(terms)}(?!\w)", re.IGNORECASE)
     matches = []
     for m in regex.finditer(text):
-        span = m.group(0)
-        if span.lower() in terms:
-            matches.append((terms[span.lower()], span))
+        if m.group(0).lower() in terms:
+            matches.append((terms[m.group(0).lower()], source[m.start():m.end()]))
     return matches
 
 
 def _reference_attribute_group(group, lexicon):
     description = group.description
     evidence = []
-    origin_matches = _reference_scan(description, lexicon.country_terms)
+    windows = []
+    for trigger in _REFERENCE_TRIGGER_RE.finditer(description):
+        window = description[trigger.end():trigger.end() + TARGET_WINDOW_CHARS]
+        sentence_end = _REFERENCE_SENTENCE_END_RE.search(window)
+        if sentence_end is not None:
+            window = window[:sentence_end.start()]
+        windows.append((trigger.end(), window))
+    # Origins: the country matches once every target window is blanked out
+    untargeted = list(description)
+    for start, window in windows:
+        untargeted[start:start + len(window)] = " " * len(window)
+    origin_matches = _reference_scan("".join(untargeted), lexicon.country_terms, description)
     origin_countries = list(dict.fromkeys(country for country, _ in origin_matches))
     for country in origin_countries:
         span = next(span for found, span in origin_matches if found == country)
@@ -293,11 +317,7 @@ def _reference_attribute_group(group, lexicon):
         origin_year = group.created.year
         evidence.append(("origin_year_default", group.created.isoformat()))
     targeted_countries, targeted_sectors = [], []
-    for trigger in _REFERENCE_TRIGGER_RE.finditer(description):
-        window = description[trigger.end():trigger.end() + TARGET_WINDOW_CHARS]
-        sentence_end = _REFERENCE_SENTENCE_END_RE.search(window)
-        if sentence_end is not None:
-            window = window[:sentence_end.start()]
+    for _start, window in windows:
         for terms, found, kind in ((lexicon.country_terms, targeted_countries, "country"),
                                    (lexicon.sector_terms, targeted_sectors, "sector")):
             for value, span in _reference_scan(window, terms):

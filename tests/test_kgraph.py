@@ -40,7 +40,7 @@ from threatrank.ranking import (
     OrgContext,
     PolicyConfig,
     feature_bits,
-    feature_row,
+    feature_table,
     generate_candidates,
 )
 from threatrank.vocab import Vocabulary
@@ -329,11 +329,14 @@ def test_groups_threatening_fixture(case_graph):
         org = OrgContext(org_id="X", sector=sector, country="United States",
                          cpe_ids=frozenset())
         config = PolicyConfig(family=Family.APT, origin_countries=frozenset(origins))
-        bits = feature_bits(feature_row(case_graph, "CVE-2021-38000", org), config)
+        row = feature_table(case_graph, ["CVE-2021-38000"], org)["CVE-2021-38000"]
+        bits = feature_bits(row, config)
         return tuple(bits[name] for name in GROUP_BITS)
 
     assert group_bits("Education", {"China"}) == (1, 1, 1)
     assert group_bits("Education", {"Iran"}) == (1, 1, 0)
+    # G0901 targets the United States and South Korea; neither is an origin
+    assert group_bits("Education", {"United States", "South Korea"}) == (1, 1, 0)
     assert group_bits("Nonexistent Sector", {"China"}) == (0, 0, 0)
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from threatrank.cli import main
+from threatrank.ranking import DEFAULT_ORIGIN_COUNTRIES
 from tests.conftest import CASE_STUDY, REPO_ROOT, SYNTHETIC
 
 sys.path.insert(0, str(REPO_ROOT / "bench"))
@@ -220,3 +221,43 @@ def test_policy_edits_need_no_rebuild(project, refreshed, tmp_path):
     edited.read(rebuilt)
     assert _digests(stale) == _digests(rebuilt)
     assert _digests(rebuilt) != _digests(refreshed)  # the edit moved some output
+
+
+# ---------------------------------------------------------------------------
+# Targeting is not origin
+# ---------------------------------------------------------------------------
+
+
+def _originates(out: Path) -> list[str]:
+    """The Originates edge lines of a built graph, sorted."""
+    lines = (out / "graph.jsonl").read_text(encoding="utf-8").splitlines()
+    return sorted(line for line in lines if '"type": "Originates"' in line)
+
+
+def test_a_targeted_country_is_not_an_origin(project, refreshed, tmp_path):
+    targeting = project.copy(tmp_path / "project")
+    # A configured origin country that is no organization's home, so a
+    # group targeting it moves no targets_country bit; the last one by name,
+    # as the fixtures' groups mostly originate from China.
+    origins = targeting.raw["policies"].get("apt_threat", {}).get(
+        "origin_countries", DEFAULT_ORIGIN_COUNTRIES)
+    homes = {json.loads((targeting.root / rel).read_text(encoding="utf-8"))["country"]
+             for rel in targeting.raw["profiles"]}
+    country = max(set(origins) - homes)
+    feed = targeting.root / targeting.raw["snapshots"]["group"]
+    groups = [json.loads(line) for line in feed.read_text(encoding="utf-8").splitlines()
+              if line.strip()]
+    assert groups
+    for group in groups:
+        group["description"] += f" It has also targeted {country}."
+    feed.write_text("".join(json.dumps(group) + "\n" for group in groups), encoding="utf-8")
+    out = tmp_path / "out"
+    targeting.build(out)
+    targeting.read(out)
+    # Each group now targets the country, and none of them originates from it
+    assert (out / "graph.jsonl").read_bytes() != (refreshed / "graph.jsonl").read_bytes()
+    assert _originates(out) == _originates(refreshed)
+    built = {"graph.jsonl", "build_summary.json"}  # they count the new Targets edges
+    assert ({name: digest for name, digest in _digests(out).items() if name not in built}
+            == {name: digest for name, digest in _digests(refreshed).items()
+                if name not in built})

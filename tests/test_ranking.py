@@ -40,7 +40,6 @@ from threatrank.ranking import (
     RankedItem,
     WeeklyCohort,
     feature_bits,
-    feature_row,
     feature_table,
     generate_candidates,
     order_scored,
@@ -115,12 +114,17 @@ MINI_ORG = OrgContext(org_id="X", sector="Education", country="United States",
                       cpe_ids=frozenset({CPE_A}))
 
 
+def _row(graph, cve_id, org):
+    """One candidate's feature row, from a one-row table."""
+    return feature_table(graph, [cve_id], org)[cve_id]
+
+
 def _item(graph, cve_id, org, config, policy=None):
     """One candidate's ranked item through rank(), under ``policy`` or else
     the config family's threat policy."""
     cohort = WeeklyCohort(org_id=org.org_id, iso_week=(2021, 1), cve_ids=(cve_id,))
     policy = policy or FAMILIES[config.family][0]
-    return rank(cohort, policy, config, feature_table(graph, cohort, org)).items[0]
+    return rank(cohort, policy, config, feature_table(graph, cohort.cve_ids, org)).items[0]
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +223,19 @@ def test_apt_bits_composition(case_graph, case_org):
 
 def test_apt_origin_filter_respects_config(case_graph, case_org):
     config = APT._replace(origin_countries=frozenset({"Iran"}))
-    bits = feature_bits(feature_row(case_graph, "CVE-2021-38000", case_org), config)
+    bits = feature_bits(_row(case_graph, "CVE-2021-38000", case_org), config)
     assert bits["origin_match"] == 0
     assert bits["sector_focus"] == 1
 
 
 def test_epss_gate_threshold_is_inclusive(case_graph, case_org):
-    bits = feature_bits(feature_row(case_graph, "CVE-2021-38000", case_org), APT)
+    bits = feature_bits(_row(case_graph, "CVE-2021-38000", case_org), APT)
     assert bits["epss_gate"] == 1  # probability exactly 0.876
 
 
 def test_risk_appetite_gates_percentile(case_graph, case_org):
     # percentile 0.94 fails a 5-point appetite (needs >= 95th percentile)
-    row = feature_row(case_graph, "CVE-2021-38000", case_org)
+    row = _row(case_graph, "CVE-2021-38000", case_org)
     assert feature_bits(row, APT._replace(risk_appetite=5))["epss_gate"] == 0
     assert feature_bits(row, APT._replace(risk_appetite=6))["epss_gate"] == 1
 
@@ -260,23 +264,23 @@ def test_general_threat_skill_flip_changes_exactly_one_bit():
 
 def test_general_threat_failure_impact_bit():
     graph = _mini_graph(impacts=(TechnicalImpact.READ_DATA,))
-    bits = feature_bits(feature_row(graph, "CVE-2021-10000", MINI_ORG), GENERAL)
+    bits = feature_bits(_row(graph, "CVE-2021-10000", MINI_ORG), GENERAL)
     assert bits["failure_impact"] == 0
     graph = _mini_graph(impacts=(TechnicalImpact.GAIN_PRIVILEGES,))
-    bits = feature_bits(feature_row(graph, "CVE-2021-10000", MINI_ORG), GENERAL)
+    bits = feature_bits(_row(graph, "CVE-2021-10000", MINI_ORG), GENERAL)
     assert bits["failure_impact"] == 1
 
 
 def test_ideal_exploit_bit_variants(case_graph, case_org):
-    bits = feature_bits(feature_row(case_graph, "CVE-2021-38000", case_org), APT)
+    bits = feature_bits(_row(case_graph, "CVE-2021-38000", case_org), APT)
     assert bits["exploit_known"] == 1  # KEV entry
-    bits = feature_bits(feature_row(case_graph, "CVE-2021-37966", case_org), APT)
+    bits = feature_bits(_row(case_graph, "CVE-2021-37966", case_org), APT)
     assert bits["exploit_known"] == 0  # in neither catalog
 
 
 def test_ideal_exploitdb_only_counts():
     graph = _mini_graph(in_exploitdb=True, in_kev=False)
-    bits = feature_bits(feature_row(graph, "CVE-2021-10000", MINI_ORG), APT)
+    bits = feature_bits(_row(graph, "CVE-2021-10000", MINI_ORG), APT)
     assert bits["exploit_known"] == 1
 
 
@@ -324,7 +328,7 @@ def test_threat_policy_ranks_only_in_its_family():
 def _case_rankings(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     apt = case_config.apt_config
-    table = feature_table(case_graph, cohort, case_org)
+    table = feature_table(case_graph, cohort.cve_ids, case_org)
     threat = rank(cohort, Policy.APT_THREAT, apt, table)
     cvss = rank(cohort, Policy.CVSS_BASE, apt, table)
     return cohort, cvss, threat
@@ -358,14 +362,14 @@ def test_rank_singleton_cohort():
     graph = _mini_graph()
     cohort = WeeklyCohort(org_id="X", iso_week=(2021, 5), cve_ids=("CVE-2021-10000",))
     for config in (APT, GENERAL):
-        table = feature_table(graph, cohort, MINI_ORG)
+        table = feature_table(graph, cohort.cve_ids, MINI_ORG)
         for policy in (Policy.CVSS_BASE, FAMILIES[config.family][0], Policy.IDEAL):
             assert [i.rank for i in rank(cohort, policy, config, table).items] == [1]
 
 
 def test_cvss_ranking_carries_no_bits(case_graph, case_org, case_config, monkeypatch):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    table = feature_table(case_graph, cohort, case_org)
+    table = feature_table(case_graph, cohort.cve_ids, case_org)
     derived = []
     row_masks = ranking._row_masks
 
@@ -384,7 +388,7 @@ def test_cvss_ranking_carries_no_bits(case_graph, case_org, case_config, monkeyp
 
 def test_ranked_feature_bits_are_read_only(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    table = feature_table(case_graph, cohort, case_org)
+    table = feature_table(case_graph, cohort.cve_ids, case_org)
     for policy in (Policy.CVSS_BASE, Policy.APT_THREAT, Policy.IDEAL):
         ranked = rank(cohort, policy, case_config.apt_config, table)
         before = [dict(item.feature_bits) for item in ranked.items]
@@ -461,15 +465,15 @@ def test_raising_one_score_never_lowers_rank(scores, data):
 
 def test_feature_record_population(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    row = feature_table(case_graph, cohort, case_org)["CVE-2021-38000"]
+    row = feature_table(case_graph, cohort.cve_ids, case_org)["CVE-2021-38000"]
     assert row.cvss_base == 6.1
     # CWE-601 -> CAPEC-194 (Medium skill) -> T1566 (Phishing) -> G0901, a
     # China-origin group focused on Education and targeting the US.  G0903
     # also employs T1566; it carries no sector or country edges, so it is
     # reached without contributing bits.  KEV and ExploitDB both list it.
     assert row.skill_levels == {"Medium"}
-    # G0901's description also gives it South Korean and US origins
-    assert row.origin_countries == {"China", "South Korea", "United States"}
+    # The countries G0901 targets, South Korea and the US, are not origins
+    assert row.origin_countries == {"China"}
     assert row.epss == (0.876, 0.94)
     assert feature_bits(row, case_config.apt_config) == {
         "av_network": 1, "sector_focus": 1, "targets_country": 1, "origin_match": 1,
@@ -487,14 +491,14 @@ def test_feature_row_ignores_a_skill_level_that_is_not_a_string():
     graph.upsert_node(NodeLabel.CAPEC, "CAPEC-63", {"skill_level": {"level": "High"}})
     assert graph.link(EdgeType.WEAKENED_BY, "CVE-2021-10000", "CWE-79")
     assert graph.link(EdgeType.KNOWN_ATTACK, "CWE-79", "CAPEC-63")
-    row = feature_row(graph.freeze(), "CVE-2021-10000", MINI_ORG)
+    row = _row(graph.freeze(), "CVE-2021-10000", MINI_ORG)
     assert row.skill_levels == frozenset()
     assert feature_bits(row, GENERAL)["skill_match"] == 0
 
 
 def test_feature_record_marks_absent_fields():
     graph = _mini_graph(cwe_chain=False, epss=None)
-    bits = feature_bits(feature_row(graph, "CVE-2021-10000", MINI_ORG), APT)
+    bits = feature_bits(_row(graph, "CVE-2021-10000", MINI_ORG), APT)
     # no weakness chain: no path bits; no EPSS row: the gate stays shut
     assert bits == {
         "av_network": 1, "sector_focus": 0, "targets_country": 0, "origin_match": 0,
@@ -576,7 +580,7 @@ def fixture_candidates(case_graph, synth_graph):
             org = OrgContext.from_graph(graph, org_node.key)
             for cohort in generate_candidates(org, graph, (date.min, date.max)):
                 for cve_id in cohort.cve_ids:
-                    row = feature_row(graph, cve_id, org)
+                    row = _row(graph, cve_id, org)
                     candidates.append((graph, org, cve_id, row))
                     if row.epss is not None:
                         probabilities.add(row.epss[0])
@@ -675,7 +679,8 @@ def _meshes(draw):
     """A random CVE->CWE->CAPEC->technique<-group mesh, and an org over it.
 
     Small pools make shared CAPECs, techniques and groups, and so diamond
-    paths, the common case.
+    paths, the common case.  The CVEs are modified in one of three ISO
+    weeks, so the org's candidates fall into up to three cohorts.
     """
     def subset(pool, max_size=None):
         return draw(st.lists(st.sampled_from(pool), unique=True,
@@ -720,7 +725,7 @@ def _meshes(draw):
         graph.upsert_node(NodeLabel.CPE, cpe)
     cve_ids = [f"CVE-2021-{10000 + i}" for i in range(draw(st.integers(1, 8)))]
     for cve_id in cve_ids:
-        props = {"modified": "2021-01-04",
+        props = {"modified": draw(st.sampled_from(["2021-01-04", "2021-01-13", "2021-01-24"])),
                  "attack_vector": draw(st.sampled_from([v.value for v in AttackVector]))}
         if draw(st.booleans()):
             props["cvss_base"] = draw(st.floats(0, 10))
@@ -745,8 +750,11 @@ def _meshes(draw):
 def test_feature_table_and_row_equal_a_walk_per_candidate(mesh):
     graph, org, cve_ids = mesh
     expected = {cve_id: _reference_feature_row(graph, cve_id, org) for cve_id in cve_ids}
-    cohort = WeeklyCohort(org_id=org.org_id, iso_week=(2021, 1), cve_ids=cve_ids)
-    assert feature_table(graph, cohort, org) == expected
+    # One table over every cohort's candidates, as the read commands build it
+    cohorts = generate_candidates(org, graph, (date.min, date.max))
+    candidates = [cve_id for cohort in cohorts for cve_id in cohort.cve_ids]
+    assert feature_table(graph, candidates, org) == {cve: expected[cve] for cve in candidates}
+    # ... one over every CVE of the mesh, and one row at a time
+    assert feature_table(graph, cve_ids, org) == expected
     for cve_id in cve_ids:
-        assert feature_row(graph, cve_id, org) == expected[cve_id], cve_id
-
+        assert _row(graph, cve_id, org) == expected[cve_id], cve_id

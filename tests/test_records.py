@@ -98,6 +98,16 @@ def test_containers_share_no_list():
     assert BuildStats().dangling_dropped is not BuildStats().dangling_dropped
 
 
+def test_snapshot_bundle_holds_one_list_per_source():
+    assert SnapshotBundle.__slots__ == tuple(
+        source.bundle_field for source in feeds.SOURCES.values())
+    cves = []
+    bundle = SnapshotBundle(cves=cves, kev=None)
+    assert bundle.cves is cves and bundle.kev == [] and bundle.epss == []
+    with pytest.raises(TypeError, match="'cvez'"):
+        SnapshotBundle(cvez=[])
+
+
 def test_record_defaults_are_read_only():
     with pytest.raises(TypeError):
         RankedItem("CVE-2021-1", 1.0, 1).feature_bits["av_network"] = 1
