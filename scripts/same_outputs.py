@@ -13,8 +13,9 @@ the benchmark runs, and at the held-out seed 2: ``ingest``,
 ``evaluate``, and ``case-study`` for every organization.  Every output
 file whose sha256 differs between the trees, or that only one tree
 wrote, is printed, and the exit code is 1 if there is any (or if a
-command fails); 0 means every output matched.  Nothing is written outside
-a temporary directory.
+command fails); 0 means every output matched.  The last line also gives
+each tree's ``threatrank`` package size in source lines.  Nothing is
+written outside a temporary directory.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ def _refresh(config: Path, read_args: list[str], out: Path) -> list[list[str]]:
             *[read + ["case-study", "--org", org] for org in orgs]]
 
 
+def _source_lines(src: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in (src / "threatrank").rglob("*.py"))
+
+
 def _digests(out: Path) -> dict[str, str]:
     return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*")) if path.is_file()}
@@ -111,7 +116,9 @@ def main(argv: list[str]) -> int:
                     differing += 1
             compared += len(parent.keys() | change.keys())
             print(f"{name}: {len(change)} output files", file=sys.stderr)
-    print(f"{differing} of {compared} output files differ, {failed} refreshes failed")
+    sizes = ", ".join(f"{tree} {_source_lines(src)}" for tree, src in trees.items())
+    print(f"{differing} of {compared} output files differ, {failed} refreshes failed; "
+          f"src/threatrank lines: {sizes}")
     return int(bool(differing or failed))
 
 

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .ranking import (
     FAMILIES,
-    Family,
     OrgContext,
     Policy,
     PolicyConfig,
@@ -141,30 +140,24 @@ class EvaluationReport(NamedTuple):
     def write_csvs(self, out_dir: str | Path) -> dict[str, Path]:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "ndcg_by_k": out_dir / "ndcg_by_k.csv",
-            "cost": out_dir / "cost.csv",
-            "ttest": out_dir / "ttest.csv",
-        }
-        with paths["ndcg_by_k"].open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["org", "policy", "year", "k", "mean_ndcg", "n_observations"])
-            for org, policy, year, k, mean_ndcg, n in self.ndcg_rows:
-                writer.writerow([org, policy, year, k, f"{mean_ndcg:.6f}", n])
-        with paths["cost"].open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["org", "policy", "year", "cost_units"])
-            for org, policy, year, cost in self.cost_rows:
-                writer.writerow([org, policy, year, f"{cost:.2f}"])
-        with paths["ttest"].open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["org", "policy_a", "policy_b", "n", "t", "df", "p_one", "p_two"])
-            for org, policy_a, policy_b, result in self.ttest_rows:
-                writer.writerow([
-                    org, policy_a, policy_b, result.n,
-                    repr(result.t), result.df,
-                    repr(result.p_one_sided), repr(result.p_two_sided),
-                ])
+        tables = (
+            ("ndcg_by_k", ["org", "policy", "year", "k", "mean_ndcg", "n_observations"],
+             ([org, policy, year, k, f"{mean_ndcg:.6f}", n]
+              for org, policy, year, k, mean_ndcg, n in self.ndcg_rows)),
+            ("cost", ["org", "policy", "year", "cost_units"],
+             ([org, policy, year, f"{cost:.2f}"] for org, policy, year, cost in self.cost_rows)),
+            ("ttest", ["org", "policy_a", "policy_b", "n", "t", "df", "p_one", "p_two"],
+             ([org, policy_a, policy_b, result.n, repr(result.t), result.df,
+               repr(result.p_one_sided), repr(result.p_two_sided)]
+              for org, policy_a, policy_b, result in self.ttest_rows)),
+        )
+        paths = {}
+        for name, header, rows in tables:
+            paths[name] = out_dir / f"{name}.csv"
+            with paths[name].open("w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(header)
+                writer.writerows(rows)
         return paths
 
 
@@ -183,65 +176,55 @@ def generate_report(
     ranking on the weekly nDCG@k series.  Degenerate series (fewer than two
     weeks or zero variance) emit no t-test row.
 
-    A policy is judged against the ideal ranking of its own feature family,
-    labelled ``policy:family``, so CVSS base, ranked and costed once per
-    cohort, gets one curve per family.  One feature table per organization
-    ranks every cohort under every policy of both families.
+    One feature table per organization ranks its cohorts into one list per
+    policy, in cohort order, and a costed policy's weekly costs are taken
+    as its list is made.  A policy is judged against the ideal list of its
+    own feature family, labelled ``policy:family``, so CVSS base, ranked
+    and costed once per cohort, gets one curve per family.
     """
     ndcg_rows, cost_rows, ttest_rows = [], [], []
-    configs = (apt_config, general_config)
     for org in orgs:
         cohorts = generate_candidates(org, graph, date_range)
         if not cohorts:
             continue
         years = sorted({cohort.iso_week[0] for cohort in cohorts})
-        # (family, policy) -> one nDCG curve per cohort; policy -> ISO week -> cost.
-        curves: dict[tuple[Family, Policy], list[list[float]]] = {
-            (config.family, policy): [] for config in configs
-            for policy in (Policy.CVSS_BASE, FAMILIES[config.family][0])}
-        weekly_costs: dict[Policy, dict[tuple[int, int], float]] = {
-            policy: {} for policy in (Policy.CVSS_BASE, Policy.APT_THREAT, Policy.GENERAL_THREAT)}
         table = feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
         cvss_of = {cve: row.cvss_base or 0.0 for cve, row in table.items()}
-        for cohort in cohorts:
-            cvss = rank(cohort, Policy.CVSS_BASE, apt_config, table)
-            weekly_costs[Policy.CVSS_BASE][cohort.iso_week] = patch_cost(cvss, COST_K, cvss_of)
-            for config in configs:
-                family, threat = config.family, FAMILIES[config.family][0]
-                ideal = rank(cohort, Policy.IDEAL, config, table)
-                ranked = rank(cohort, threat, config, table)
-                depth = max(K_MAX, config.k)
-                curves[family, Policy.CVSS_BASE].append(ndcg_at_k(cvss, ideal, depth))
-                curves[family, threat].append(ndcg_at_k(ranked, ideal, depth))
-                weekly_costs[threat][cohort.iso_week] = patch_cost(ranked, COST_K, cvss_of)
 
-        for config in configs:
-            family, threat = config.family, FAMILIES[config.family][0]
-            label = {policy: f"{policy.value}:{family.value}"
-                     for policy in (Policy.CVSS_BASE, threat)}
+        def ranked(policy: Policy, config: PolicyConfig) -> list[RankedList]:
+            """One list per cohort; a costed policy adds its annualized costs."""
+            lists = [rank(cohort, policy, config, table) for cohort in cohorts]
+            if policy is not Policy.IDEAL:
+                weekly = {week.iso_week: patch_cost(week, COST_K, cvss_of) for week in lists}
+                cost_rows.extend((org.org_id, policy.value, year, annualized_cost(weekly, year))
+                                 for year in years)
+            return lists
+
+        cvss = ranked(Policy.CVSS_BASE, apt_config)
+        for config in (apt_config, general_config):
+            threat = FAMILIES[config.family][0]
+            ideal = ranked(Policy.IDEAL, config)
+            depth = max(K_MAX, config.k)
+            # (policy:family label, one nDCG curve per cohort), CVSS base first.
+            labelled = [(f"{policy.value}:{config.family.value}",
+                         [ndcg_at_k(week, best, depth) for week, best in zip(lists, ideal)])
+                        for policy, lists in ((Policy.CVSS_BASE, cvss),
+                                              (threat, ranked(threat, config)))]
             # nDCG@K curves, averaged per ISO year in cohort order.
-            for policy in label:
+            for label, curves in labelled:
                 for year in years:
-                    year_curves = [curve for curve, cohort in zip(curves[family, policy], cohorts)
+                    year_curves = [curve for curve, cohort in zip(curves, cohorts)
                                    if cohort.iso_week[0] == year]
                     for k in range(1, K_MAX + 1):
                         values = [curve[k - 1] for curve in year_curves]
-                        ndcg_rows.append((org.org_id, label[policy], year, k,
+                        ndcg_rows.append((org.org_id, label, year, k,
                                           sum(values) / len(values), len(values)))
 
             # Paired t-test on the weekly nDCG@k series over the whole range.
             try:
-                result = paired_t_test(
-                    [curve[config.k - 1] for curve in curves[family, Policy.CVSS_BASE]],
-                    [curve[config.k - 1] for curve in curves[family, threat]])
+                result = paired_t_test(*[[curve[config.k - 1] for curve in curves]
+                                         for _label, curves in labelled])
             except ValueError:
                 continue
-            ttest_rows.append(
-                (org.org_id, label[Policy.CVSS_BASE], label[threat], result))
-
-        # Annualized patch costs of the top COST_K items.
-        for policy, weekly in weekly_costs.items():
-            for year in years:
-                cost_rows.append(
-                    (org.org_id, policy.value, year, annualized_cost(weekly, year)))
+            ttest_rows.append((org.org_id, labelled[0][0], labelled[1][0], result))
     return EvaluationReport(ndcg_rows, cost_rows, ttest_rows)

@@ -520,7 +520,7 @@ class ValidationReport(NamedTuple):
 
 def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
     """The dangling references of a snapshot: each id that a record names and
-    no record of the named kind holds.  None when every reference resolves."""
+    no record of the named kind holds.  No findings when every reference resolves."""
     findings: list[Finding] = []
     keys = {kind: {getattr(item, source.key) for item in getattr(bundle, source.bundle_field)}
             for kind, source in SOURCES.items()}

@@ -282,6 +282,37 @@ def test_report_cost_rows_match_direct_computation(case_graph, case_org, case_co
     assert row[3] == pytest.approx(expected, abs=1e-12)
 
 
+def test_report_ranks_and_costs_cvss_base_once_per_cohort(case_graph, case_org, case_config,
+                                                          monkeypatch):
+    from collections import Counter
+
+    from threatrank import evaluation, ranking
+    from threatrank.ranking import Family, generate_candidates
+
+    ranks, costs = Counter(), Counter()
+
+    def counted_rank(cohort, policy, config, records):
+        ranks[policy, config.family] += 1
+        return ranking.rank(cohort, policy, config, records)
+
+    def counted_patch_cost(ranked, k, cvss_of):
+        costs[ranked.policy] += 1
+        return patch_cost(ranked, k, cvss_of)
+
+    monkeypatch.setattr(evaluation, "rank", counted_rank)
+    monkeypatch.setattr(evaluation, "patch_cost", counted_patch_cost)
+    generate_report(case_graph, [case_org], case_config.date_range,
+                    case_config.apt_config, case_config.general_config)
+    cohorts = len(generate_candidates(case_org, case_graph, case_config.date_range))
+    assert ranks == {(Policy.CVSS_BASE, Family.APT): cohorts,
+                     (Policy.IDEAL, Family.APT): cohorts,
+                     (Policy.APT_THREAT, Family.APT): cohorts,
+                     (Policy.IDEAL, Family.GENERAL): cohorts,
+                     (Policy.GENERAL_THREAT, Family.GENERAL): cohorts}
+    assert costs == {Policy.CVSS_BASE: cohorts, Policy.APT_THREAT: cohorts,
+                     Policy.GENERAL_THREAT: cohorts}
+
+
 def test_report_ttests_on_synthetic_corpus(synth_graph, synth_config, monkeypatch):
     from threatrank import evaluation
     from threatrank.ranking import OrgContext

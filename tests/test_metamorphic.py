@@ -144,6 +144,20 @@ def test_feed_line_order_leaves_every_output_unchanged(project, refreshed, tmp_p
 
 
 # ---------------------------------------------------------------------------
+# Dangling references
+# ---------------------------------------------------------------------------
+
+
+def test_ingest_and_build_count_the_same_dangling_references(refreshed):
+    # validate_snapshot and build_graph each resolve the feed references
+    # on their own; every reference ingest reports, build drops.
+    ingest = json.loads((refreshed / "ingest_summary.json").read_text(encoding="utf-8"))
+    build = json.loads((refreshed / "build_summary.json").read_text(encoding="utf-8"))
+    assert (ingest["validation"]["dangling_references"]
+            == sum(build["dangling_dropped"].values()))
+
+
+# ---------------------------------------------------------------------------
 # Date window
 # ---------------------------------------------------------------------------
 
