@@ -514,14 +514,16 @@ def _run(argv: list[str] | None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config)
-        if args.out:
+        if args.out is not None:
+            if not args.out:
+                raise UsageError("--out must name a directory, not ''")
             config = config._replace(output_dir=Path(args.out))
-        if args.date_from or args.date_to:
+        if args.date_from is not None or args.date_to is not None:
             try:
-                start = date.fromisoformat(args.date_from) if args.date_from \
-                    else config.date_range[0]
-                end = date.fromisoformat(args.date_to) if args.date_to \
-                    else config.date_range[1]
+                start = config.date_range[0] if args.date_from is None \
+                    else date.fromisoformat(args.date_from)
+                end = config.date_range[1] if args.date_to is None \
+                    else date.fromisoformat(args.date_to)
             except ValueError as exc:
                 raise UsageError(f"bad date override: {exc}")
             if start > end:

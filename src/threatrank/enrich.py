@@ -7,11 +7,15 @@ evidence span so results can be audited against the source text.
 
 No statistical NER or parsing: a bounded window after each targeting
 trigger word, scanned with phrase lexicons, is reproducible and testable.
-Each lexicon is one prefix-trie regex.  An all-ASCII ``Lexicon`` compiles
-its tries once, without IGNORECASE: an ASCII description is lower-cased
-once and every scan runs over that text, with each span read back from
-the description at the same offsets.  Any other description or lexicon
-takes the IGNORECASE scans (``_compiled``), compiled on first use.
+An all-ASCII ``Lexicon`` indexes its terms by first word and compiles no
+regex: an ASCII description is lower-cased once, and every scan looks up
+the words of that text in the index and checks each candidate term with
+``str.find`` and ``str.startswith``, each span read back from the
+description at the same offsets.  Any other description or lexicon takes
+the IGNORECASE prefix-trie regexes (``_compiled``), compiled on first use.
+Both find the same spans on ASCII text: at each position not preceded by
+a word character, the longest term that ends at a word boundary, leftmost
+first, with no two matches overlapping.
 """
 
 from __future__ import annotations
@@ -51,12 +55,27 @@ class TermMatch(NamedTuple):
     end: int
 
 
+# The characters ``\w`` matches in ASCII text, and a table that blanks
+# every other ASCII character, so the words of an ASCII text are
+# ``text.translate(_BLANK_NON_WORD).split()``.
+_WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+_BLANK_NON_WORD = str.maketrans({chr(c): " " for c in range(128) if chr(c) not in _WORD_CHARS})
+
+
+def _word_index(terms) -> dict[str, tuple[str, ...]]:
+    """Each term's first word -> the terms that start with it, longest first."""
+    by_word: dict[str, list[str]] = {}
+    for term in terms:
+        by_word.setdefault(term.translate(_BLANK_NON_WORD).split(None, 1)[0], []).append(term)
+    return {word: tuple(sorted(found, key=len, reverse=True)) for word, found in by_word.items()}
+
+
 class _LexiconFields(NamedTuple):
     country_terms: dict[str, str]
     sector_terms: dict[str, str]
-    # The country and sector tries without IGNORECASE, for lower-cased
-    # ASCII text; None when a term is not ASCII.
-    lower_patterns: tuple[re.Pattern, re.Pattern] | None
+    # The country and sector terms by first word, for lower-cased ASCII
+    # text; None unless every term is ASCII and starts with a word character.
+    word_index: tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]] | None
 
 
 class Lexicon(_LexiconFields):
@@ -64,7 +83,10 @@ class Lexicon(_LexiconFields):
 
     Built from the two maps alone.  Every way of building one, the
     constructor and ``_make`` (so ``_replace``) alike, checks that each
-    term is lowercase and derives ``lower_patterns`` from the terms.
+    term is lowercase and derives ``word_index`` from the terms.  Building
+    one compiles no regex.  A non-ASCII description, or any description
+    when a term is empty, not ASCII or starts with a non-word character,
+    is scanned with ``_compiled``'s tries.
     """
 
     __slots__ = ()
@@ -75,10 +97,10 @@ class Lexicon(_LexiconFields):
                 if term != term.lower():
                     raise DataError(f"{kind} lexicon term {term!r} is not lowercase")
         tables = (country_terms, sector_terms)
-        patterns = None
-        if all(term.isascii() for terms in tables for term in terms):
-            patterns = tuple(re.compile(_term_regex(terms)) for terms in tables)
-        return super().__new__(cls, country_terms, sector_terms, patterns)
+        index = None
+        if all(term[:1] in _WORD_CHARS and term.isascii() for terms in tables for term in terms):
+            index = (_word_index(country_terms), _word_index(sector_terms))
+        return super().__new__(cls, country_terms, sector_terms, index)
 
     @classmethod
     def _make(cls, iterable) -> "Lexicon":
@@ -86,7 +108,7 @@ class Lexicon(_LexiconFields):
         return cls(country_terms, sector_terms)
 
     def __repr__(self) -> str:
-        # The compiled tries are left out, as they are derived from the terms.
+        # The word index is left out, as it is derived from the terms.
         return f"Lexicon(country_terms={self.country_terms!r}, sector_terms={self.sector_terms!r})"
 
 
@@ -196,9 +218,8 @@ def _compiled(terms: tuple[str, ...]) -> re.Pattern:
 
 def _scan(pattern: re.Pattern, text: str, source: str, terms: dict[str, str]) -> list[TermMatch]:
     """The term matches ``pattern`` finds in ``text``, each span read from
-    ``source`` at the same offsets: ``text`` is ``source`` or, for the
-    plain patterns, ``source`` lower-cased.  A span that only Unicode case
-    folding matches ("Ruſſia" for "russia") is not a match."""
+    ``source`` at the same offsets.  A span that only Unicode case folding
+    matches ("Ruſſia" for "russia") is not a match."""
     if not terms or not text:
         return []
     matches = []
@@ -208,6 +229,35 @@ def _scan(pattern: re.Pattern, text: str, source: str, terms: dict[str, str]) ->
             start, end = m.span()
             matches.append(TermMatch(term=term, canonical=terms[term],
                                      span_text=source[start:end], start=start, end=end))
+    return matches
+
+
+def _word_scan(index: dict[str, tuple[str, ...]], text: str, source: str,
+               terms: dict[str, str]) -> list[TermMatch]:
+    """What ``_scan`` finds with the term trie in lower-cased ASCII ``text``,
+    found through the word index: only the terms whose first word is a
+    word of ``text`` are tried, and only where that word starts."""
+    found: dict[int, str] = {}  # start -> the longest term that matches there
+    size = len(text)
+    for word in index.keys() & text.translate(_BLANK_NON_WORD).split():
+        start = text.find(word)
+        while start >= 0:
+            if not start or text[start - 1] not in _WORD_CHARS:
+                for term in index[word]:
+                    end = start + len(term)
+                    if text.startswith(term, start) and (
+                            end == size or text[end] not in _WORD_CHARS):
+                        found[start] = term
+                        break
+            start = text.find(word, start + 1)
+    matches = []
+    at = 0  # matches do not overlap: the leftmost wins
+    for start in sorted(found):
+        if start >= at:
+            term = found[start]
+            at = start + len(term)
+            matches.append(TermMatch(term=term, canonical=terms[term],
+                                     span_text=source[start:at], start=start, end=at))
     return matches
 
 
@@ -222,18 +272,19 @@ def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution
     year when there is none.
 
     An ASCII description with an all-ASCII lexicon is scanned once
-    lower-cased, with plain patterns; any other takes the IGNORECASE
-    patterns.  Both give the same spans on such input.
+    lower-cased, through the lexicon's word index; any other takes the
+    IGNORECASE patterns.  Both give the same spans on such input.
     """
     description = group.description
     country_terms, sector_terms = lexicon.country_terms, lexicon.sector_terms
-    if lexicon.lower_patterns is not None and description.isascii():
+    if lexicon.word_index is not None and description.isascii():
         text = description.lower()
-        country_re, sector_re = lexicon.lower_patterns
+        scan, (countries, sectors) = _word_scan, lexicon.word_index
         trigger_re, year_re = _LOWER_TRIGGER_RE, _LOWER_ACTIVITY_YEAR_RE
     else:
         text = description
-        country_re, sector_re = _compiled(tuple(country_terms)), _compiled(tuple(sector_terms))
+        scan = _scan
+        countries, sectors = _compiled(tuple(country_terms)), _compiled(tuple(sector_terms))
         trigger_re = re.compile(_TRIGGER, re.IGNORECASE)
         year_re = re.compile(_ACTIVITY_YEAR, re.IGNORECASE)
     evidence: list[tuple[str, str]] = []
@@ -257,7 +308,7 @@ def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution
     untargeted = "".join(pieces) + text[at:]
 
     origin_countries: list[str] = []
-    for m in _scan(country_re, untargeted, description, country_terms):
+    for m in scan(countries, untargeted, description, country_terms):
         if m.canonical not in origin_countries:
             origin_countries.append(m.canonical)
             evidence.append((f"origin_country:{m.canonical}", m.span_text))
@@ -279,11 +330,11 @@ def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution
     targeted_sectors: list[str] = []
     for start, end in windows:
         window, source = text[start:end], description[start:end]
-        for m in _scan(country_re, window, source, country_terms):
+        for m in scan(countries, window, source, country_terms):
             if m.canonical not in targeted_countries:
                 targeted_countries.append(m.canonical)
                 evidence.append((f"targeted_country:{m.canonical}", m.span_text))
-        for m in _scan(sector_re, window, source, sector_terms):
+        for m in scan(sectors, window, source, sector_terms):
             if m.canonical not in targeted_sectors:
                 targeted_sectors.append(m.canonical)
                 evidence.append((f"targeted_sector:{m.canonical}", m.span_text))

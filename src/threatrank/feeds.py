@@ -203,13 +203,19 @@ def _number(convert: type, upper: float | None = None) -> Reader:
 
 
 def _member(enum: type[Enum], default: Enum | None = None) -> Reader:
-    """A value of ``enum``; absent reads as ``default`` if there is one."""
+    """A value of ``enum``; absent reads as ``default`` if there is one.
+
+    Each value maps to its member through a dict built once: calling the
+    Enum runs its Python-level ``__call__`` and ``__new__`` on every line.
+    """
+    members = {member.value: member for member in enum}
+
     def read(value):
         if value is _ABSENT and default is not None:
             return default
         try:
-            return enum(value)
-        except ValueError:
+            return members[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ValueError(f"is not a {enum.__name__}: {value!r}") from None
     return read
 
@@ -518,34 +524,45 @@ class ValidationReport(NamedTuple):
     findings: list[Finding]
 
 
+def _dangling(findings: list[Finding], subject: str, ids, present: set, what: str) -> None:
+    findings += [Finding(subject, f"references absent {what} {target}")
+                 for target in ids if target not in present]
+
+
 def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
     """The dangling references of a snapshot: each id that a record names and
-    no record of the named kind holds.  No findings when every reference resolves."""
+    no record of the named kind holds.  No findings when every reference resolves.
+
+    Findings come record by record, in bundle order: CVEs (their CWEs, CPEs
+    and references), CWEs, CAPECs, techniques, groups, EPSS scores, KEV
+    entries, then exploits.
+    """
+    cves = {cve.cve_id for cve in bundle.cves}
+    cpes = {cpe.cpe_id for cpe in bundle.cpes}
+    cwes = {cwe.cwe_id for cwe in bundle.cwes}
+    capecs = {capec.capec_id for capec in bundle.capecs}
+    techniques = {technique.technique_id for technique in bundle.techniques}
+    tactics = {tactic.tactic_id for tactic in bundle.tactics}
+    references = {ref.url for ref in bundle.references}
     findings: list[Finding] = []
-    keys = {kind: {getattr(item, source.key) for item in getattr(bundle, source.bundle_field)}
-            for kind, source in SOURCES.items()}
-
-    def dangling(subject, targets, present, what):
-        for target in targets:
-            if target not in present:
-                findings.append(Finding(subject, f"references absent {what} {target}"))
-
     for cve in bundle.cves:
-        dangling(cve.cve_id, cve.cwe_ids, keys[SourceKind.CWE], "CWE")
-        dangling(cve.cve_id, cve.affected_cpes, keys[SourceKind.CPE], "CPE")
-        dangling(cve.cve_id, cve.reference_urls, keys[SourceKind.REFERENCE], "reference")
-    for cwe in bundle.cwes:
-        dangling(cwe.cwe_id, cwe.related_capecs, keys[SourceKind.CAPEC], "CAPEC")
-    for capec in bundle.capecs:
-        dangling(capec.capec_id, capec.related_techniques, keys[SourceKind.TECHNIQUE], "technique")
-    for technique in bundle.techniques:
-        dangling(technique.technique_id, technique.tactic_ids, keys[SourceKind.TACTIC], "tactic")
-    for group in bundle.groups:
-        dangling(group.group_id, group.technique_ids, keys[SourceKind.TECHNIQUE], "technique")
-    for score in bundle.epss:
-        dangling(score.cve_id, [score.cve_id], keys[SourceKind.CVE], "CVE")
-    for entry in bundle.kev:
-        dangling(entry.cve_id, [entry.cve_id], keys[SourceKind.CVE], "CVE")
-    for ref in bundle.exploits:
-        dangling(f"exploit {ref.exploitdb_id}", ref.cve_ids, keys[SourceKind.CVE], "CVE")
+        for ids, present, what in ((cve.cwe_ids, cwes, "CWE"), (cve.affected_cpes, cpes, "CPE"),
+                                   (cve.reference_urls, references, "reference")):
+            if not present.issuperset(ids):
+                _dangling(findings, cve.cve_id, ids, present, what)
+    for named, present, what in (
+            (((cwe.cwe_id, cwe.related_capecs) for cwe in bundle.cwes), capecs, "CAPEC"),
+            (((capec.capec_id, capec.related_techniques) for capec in bundle.capecs),
+             techniques, "technique"),
+            (((technique.technique_id, technique.tactic_ids) for technique in bundle.techniques),
+             tactics, "tactic"),
+            (((group.group_id, group.technique_ids) for group in bundle.groups),
+             techniques, "technique"),
+            (((score.cve_id, (score.cve_id,)) for score in bundle.epss), cves, "CVE"),
+            (((entry.cve_id, (entry.cve_id,)) for entry in bundle.kev), cves, "CVE"),
+            (((f"exploit {ref.exploitdb_id}", ref.cve_ids) for ref in bundle.exploits),
+             cves, "CVE")):
+        for subject, ids in named:
+            if not present.issuperset(ids):
+                _dangling(findings, subject, ids, present, what)
     return ValidationReport(findings)

@@ -1,10 +1,11 @@
 """In-memory labeled property graph over the fused CTI records.
 
 Fourteen node labels and sixteen typed relationships form the schema; every
-edge type has a fixed (source label, target label) pair and conformance is
-enforced on insertion.  Dangling cross-references (an edge whose endpoint
-was never materialized as a record) are dropped and counted rather than
-turned into stub nodes, so query results never contain phantom entities.
+edge type has a fixed (source label, target label) pair, and ``link`` looks
+each endpoint up under its label, so every edge conforms.  Dangling
+cross-references (an edge whose endpoint was never materialized as a
+record) are dropped and counted rather than turned into stub nodes, so
+query results never contain phantom entities.
 
 A node is identified by its (label, key) alone and carries its own typed
 adjacency, out and in, so a path query hops from node to node with no id
@@ -242,17 +243,14 @@ class PropertyGraph:
 
     # -- construction -------------------------------------------------------
 
-    def _check_writable(self):
-        if self._frozen:
-            raise GraphFrozenError("graph is frozen")
-
     def upsert_node(self, label: NodeLabel, key: str, props: dict | None = None) -> Node:
         """Insert or update a node; idempotent on (label, key).
 
         Later property values win on key collision; existing properties not
         mentioned are preserved.
         """
-        self._check_writable()
+        if self._frozen:
+            raise GraphFrozenError("graph is frozen")
         node = self._nodes.get((label, key))
         if node is None:
             node = self._nodes[(label, key)] = Node(label, key, dict(props or {}), {}, {})
@@ -260,26 +258,21 @@ class PropertyGraph:
             node.props.update(props)
         return node
 
-    def add_edge(self, src: Node, edge_type: EdgeType, dst: Node) -> None:
-        """Add one typed edge.  Endpoints whose labels are not the edge type's
-        are a caller's bug: a ValueError, and the graph is left unchanged."""
-        self._check_writable()
-        src_label, dst_label = EDGE_ENDPOINTS[edge_type]
-        if src.label is not src_label or dst.label is not dst_label:
-            raise ValueError(f"{edge_type.value} joins {src_label.value} to {dst_label.value}, "
-                             f"not {src.label.value} to {dst.label.value}")
-        _join(src, edge_type, dst)
-
     def link(self, edge_type: EdgeType, src_key: str, dst_key: str) -> bool:
-        """Add an edge by endpoint keys; drops and counts dangling references."""
+        """Add an edge by endpoint keys; drops and counts dangling references.
+
+        Each endpoint is looked up under the label the edge type joins, so
+        the edge conforms to the schema.
+        """
         src_label, dst_label = EDGE_ENDPOINTS[edge_type]
         src = self._nodes.get((src_label, src_key))
         dst = self._nodes.get((dst_label, dst_key))
+        if self._frozen:
+            raise GraphFrozenError("graph is frozen")
         if src is None or dst is None:
-            self._check_writable()
             self.stats.dangling_dropped[edge_type] += 1
             return False
-        self.add_edge(src, edge_type, dst)
+        _join(src, edge_type, dst)
         return True
 
     def freeze(self) -> "PropertyGraph":
@@ -488,10 +481,23 @@ def techniques_for_cve(graph: PropertyGraph, cve_id: str) -> set[tuple[str, str,
 # ---------------------------------------------------------------------------
 
 
-# json.dumps with its default settings, without its per-call keyword checks,
-# and the C function it calls for a str.
-_encode = json.JSONEncoder().encode
+# The function json.dumps calls for a str.
 _encode_str = json.encoder.encode_basestring_ascii
+
+
+def _props_encoder():
+    """``json.dumps`` with its default settings, for one ``save_graph`` call.
+
+    ``JSONEncoder.encode`` makes a new C encoder for every value; this makes
+    one.  Its circular-reference markers are its own, so a call that fails
+    leaves nothing behind for another save.  Where ``_json`` is missing,
+    ``JSONEncoder().encode`` does the work.
+    """
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return json.JSONEncoder().encode
+    encode = make({}, None, _encode_str, None, ": ", ", ", False, False, True)
+    return lambda value: "".join(encode(value, 0))
 
 
 def save_graph(graph: PropertyGraph, path: str | Path) -> None:
@@ -513,13 +519,14 @@ def save_graph(graph: PropertyGraph, path: str | Path) -> None:
     nodes = sorted(graph.nodes(), key=lambda n: (label_names[n.label], n.key))
     edge_rows = sorted((src.key, type_names[edge_type], dst.key)
                        for src, edge_type, dst in graph.edges())
+    encode = _props_encoder()
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         write = fh.write
         for node in nodes:
             props = node.props
             write(f'{{"kind": "node", "label": "{label_names[node.label]}", '
                   f'"key": {_encode_str(node.key)}, '
-                  f'"props": {_encode({k: props[k] for k in sorted(props)})}}}\n')
+                  f'"props": {encode({k: props[k] for k in sorted(props)})}}}\n')
         for src_key, type_name, dst_key in edge_rows:
             write(f'{{"kind": "edge", "type": "{type_name}", '
                   f'"src": {_encode_str(src_key)}, "dst": {_encode_str(dst_key)}}}\n')

@@ -120,9 +120,14 @@ def cpe_index(dictionary: Iterable[CpeEntry]) -> dict[tuple[str, str], list[CpeE
     only reads it.
     """
     index: dict[tuple[str, str], list[CpeEntry]] = {}
+    token_of: dict[str, str] = {}  # each distinct vendor or product string, normalized once
     for entry in dictionary:
-        index.setdefault((normalize_token(entry.vendor), normalize_token(entry.product)),
-                         []).append(entry)
+        vendor, product = entry.vendor, entry.product
+        if vendor not in token_of:
+            token_of[vendor] = normalize_token(vendor)
+        if product not in token_of:
+            token_of[product] = normalize_token(product)
+        index.setdefault((token_of[vendor], token_of[product]), []).append(entry)
     return index
 
 

@@ -730,6 +730,20 @@ def test_reversed_date_override_exits_one(built, capsys, command):
         "build_summary.json", "coverage_ODU.csv", "graph.jsonl"]
 
 
+@pytest.mark.parametrize("override, message", [
+    (["--from", ""], "bad date override: Invalid isoformat string: ''"),
+    (["--to", ""], "bad date override: Invalid isoformat string: ''"),
+    (["--out", ""], "--out must name a directory, not ''"),
+], ids=["from", "to", "out"])
+def test_empty_override_is_a_usage_error(tmp_path, capsys, override, message):
+    # An empty value is not the same as no option: it is refused, not ignored.
+    case = tmp_path / "case"
+    shutil.copytree(CASE_STUDY, case, ignore=shutil.ignore_patterns("out"))
+    assert _run("--config", str(case / "config.json"), *override, "ingest") == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (case / "out").exists()
+
+
 def _reference_write_ranked_csv(path, ranked_lists):
     """The ranked CSV as ``csv.writer`` writes it, one ``writerow`` per item."""
     with path.open("w", encoding="utf-8", newline="") as fh:

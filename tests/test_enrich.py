@@ -36,6 +36,13 @@ def scan_terms(text, terms):
     return enrich._scan(enrich._compiled(tuple(terms)), text, text, terms)
 
 
+def word_scan_terms(text, terms):
+    # The same, as attribute_group's word-index path scans ASCII text: the
+    # text lower-cased, each span read back from the text.  That path runs
+    # only when every term starts with a word character.
+    return enrich._word_scan(enrich._word_index(terms), text.lower(), text, terms)
+
+
 @pytest.fixture(scope="module")
 def lexicon():
     return load_lexicon()
@@ -175,8 +182,14 @@ def _lexicon_and_text(draw):
 @settings(max_examples=400, deadline=None)
 def test_trie_scan_matches_longest_first_alternation(case):
     terms, text = case
+    expected = _flat_scan(text, terms)
     got = [(m.start, m.end, m.canonical) for m in scan_terms(text, terms)]
-    assert got == _flat_scan(text, terms)
+    assert got == expected
+    worded = {term: value for term, value in terms.items() if term[0] in enrich._WORD_CHARS}
+    if worded and text.isascii():
+        matches = word_scan_terms(text, worded)
+        assert [(m.start, m.end, m.canonical) for m in matches] == _flat_scan(text, worded)
+        assert [m.span_text for m in matches] == [text[m.start:m.end] for m in matches]
 
 
 def test_trie_scan_matches_alternation_on_packaged_lexicons(lexicon, case_config):
@@ -188,8 +201,12 @@ def test_trie_scan_matches_alternation_on_packaged_lexicons(lexicon, case_config
         "south korean, south korea; korea.", "the united states' banks"]
     for terms in (lexicon.country_terms, lexicon.sector_terms):
         for text in texts:
+            expected = _flat_scan(text, terms)
             got = [(m.start, m.end, m.canonical) for m in scan_terms(text, terms)]
-            assert got == _flat_scan(text, terms), text
+            assert got == expected, text
+            if text.isascii():
+                matches = word_scan_terms(text, terms)
+                assert [(m.start, m.end, m.canonical) for m in matches] == expected, text
 
 
 # _ACTIVITY_YEAR_RE as a flat alternation of its phrases, as it was
@@ -376,7 +393,7 @@ def test_fold_only_span_hides_the_term_inside_it(lexicon):
     assert result.targeted_countries == ()
     # The same through a non-ASCII lexicon term and an ASCII description.
     folding = Lexicon(country_terms={"ſ a": "C0", "a": "C1"}, sector_terms={})
-    assert folding.lower_patterns is None
+    assert folding.word_index is None
     assert attribute_group(_group("S a"), folding).origin_countries == ()
 
 
@@ -384,7 +401,7 @@ def test_attribution_matches_reference_on_fixture_groups(lexicon):
     groups = [group for fixture in ("case_study", "synthetic52")
               for group in parse_snapshot(FIXTURES / fixture / "snapshots" / "group.jsonl",
                                           SourceKind.GROUP).records]
-    assert groups and lexicon.lower_patterns is not None
+    assert groups and lexicon.word_index is not None
     for group in groups:
         assert attribute_group(group, lexicon) == _reference_attribute_group(group, lexicon)
 
@@ -396,7 +413,10 @@ def test_ascii_attribution_compiles_no_regex(lexicon):
     expected = _reference_attribute_group(group, lexicon)
     with mock.patch.object(compiler, "compile", wraps=compiler.compile) as compile_, \
             mock.patch.object(enrich, "_compiled", wraps=enrich._compiled) as compiled:
-        assert attribute_group(group, lexicon) == expected
+        # Neither building an all-ASCII lexicon nor scanning with it compiles.
+        rebuilt = Lexicon(dict(lexicon.country_terms), dict(lexicon.sector_terms))
+        assert rebuilt.word_index is not None and rebuilt == lexicon
+        assert attribute_group(group, rebuilt) == expected
         assert compile_.call_count == 0 and compiled.call_count == 0
         # A non-ASCII description takes the IGNORECASE path, which does.
         attribute_group(_group("A Ruſſian group."), lexicon)

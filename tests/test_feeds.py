@@ -27,7 +27,9 @@ from threatrank.feeds import (
     SkillLevel,
     SnapshotBundle,
     SourceKind,
+    Finding,
     TechnicalImpact,
+    ValidationReport,
     parse_epss_csv,
     parse_kev_csv,
     parse_snapshot,
@@ -530,6 +532,32 @@ def test_snapshot_file_round_trip(records, tmp_path_factory):
     assert result.skipped_count == 0
 
 
+# Values a JSON field can hold, unhashable ones included, and strings near
+# the members' values.
+_MEMBER_VALUES = [m.value for enum in (AttackVector, TechnicalImpact, SkillLevel) for m in enum]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(_MEMBER_VALUES).flatmap(lambda value: st.sampled_from(
+        [value, value.lower(), value.upper(), f" {value}", value[:-1]])),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+@given(enum=st.sampled_from([AttackVector, TechnicalImpact, SkillLevel]), value=_JSON_VALUES)
+@settings(max_examples=400)
+def test_member_reader_matches_calling_the_enum(enum, value):
+    read = feeds._member(enum)
+    try:
+        expected = enum(value)
+    except ValueError:
+        with pytest.raises(ValueError) as raised:
+            read(value)
+        assert str(raised.value) == f"is not a {enum.__name__}: {value!r}"
+    else:
+        assert read(value) is expected
+
+
 # ---------------------------------------------------------------------------
 # validate_snapshot
 # ---------------------------------------------------------------------------
@@ -604,6 +632,77 @@ def test_ingest_counts_each_bad_line_where_it_is_parsed(tmp_path):
     _, results = load_bundle(load_config(config_path))
     assert {kind: [line for line, _ in result.skipped] for kind, result in results.items()} \
         == {"cve": [2, 3], "cwe": [], "reference": [], "epss": [3], "kev": [1], "exploit": [1]}
+
+
+def _reference_validate_snapshot(bundle):
+    # validate_snapshot as it was before it built only the key sets it
+    # reads: every kind's key set and one closure call per reference list.
+    # The oracle for its findings and their order.
+    findings = []
+    keys = {kind: {getattr(item, source.key) for item in getattr(bundle, source.bundle_field)}
+            for kind, source in SOURCES.items()}
+
+    def dangling(subject, targets, present, what):
+        for target in targets:
+            if target not in present:
+                findings.append(Finding(subject, f"references absent {what} {target}"))
+
+    for cve in bundle.cves:
+        dangling(cve.cve_id, cve.cwe_ids, keys[SourceKind.CWE], "CWE")
+        dangling(cve.cve_id, cve.affected_cpes, keys[SourceKind.CPE], "CPE")
+        dangling(cve.cve_id, cve.reference_urls, keys[SourceKind.REFERENCE], "reference")
+    for cwe in bundle.cwes:
+        dangling(cwe.cwe_id, cwe.related_capecs, keys[SourceKind.CAPEC], "CAPEC")
+    for capec in bundle.capecs:
+        dangling(capec.capec_id, capec.related_techniques, keys[SourceKind.TECHNIQUE], "technique")
+    for technique in bundle.techniques:
+        dangling(technique.technique_id, technique.tactic_ids, keys[SourceKind.TACTIC], "tactic")
+    for group in bundle.groups:
+        dangling(group.group_id, group.technique_ids, keys[SourceKind.TECHNIQUE], "technique")
+    for score in bundle.epss:
+        dangling(score.cve_id, [score.cve_id], keys[SourceKind.CVE], "CVE")
+    for entry in bundle.kev:
+        dangling(entry.cve_id, [entry.cve_id], keys[SourceKind.CVE], "CVE")
+    for ref in bundle.exploits:
+        dangling(f"exploit {ref.exploitdb_id}", ref.cve_ids, keys[SourceKind.CVE], "CVE")
+    return ValidationReport(findings)
+
+
+_DAY = date(2020, 1, 1)
+
+
+@st.composite
+def _dangling_bundles(draw):
+    """Bundles over three ids per kind, each record holding some of them,
+    so every kind of reference both resolves and dangles."""
+    def ids(prefix):
+        return st.lists(st.sampled_from([f"{prefix}{i}" for i in range(3)]), max_size=3)
+
+    def records(prefix, make):
+        return [make(key) for key in draw(ids(prefix))]
+
+    refs = lambda prefix: tuple(draw(ids(prefix)))  # noqa: E731
+    return SnapshotBundle(
+        cves=records("CVE-2020-", lambda k: CveRecord(
+            k, "", _DAY, _DAY, 5.0, AttackVector.NETWORK, refs("CWE-"), refs("cpe:"),
+            refs("https://r/"))),
+        cpes=records("cpe:", lambda k: CpeEntry(k, "v", "p")),
+        cwes=records("CWE-", lambda k: CweEntry(k, "n", (), refs("CAPEC-"))),
+        capecs=records("CAPEC-", lambda k: CapecEntry(k, "n", SkillLevel.LOW, refs("T1"))),
+        techniques=records("T1", lambda k: AttackTechnique(k, "n", refs("TA"))),
+        tactics=records("TA", lambda k: AttackTactic(k, "n")),
+        groups=records("G", lambda k: AttackGroupRaw(k, "n", "", _DAY, refs("T1"))),
+        epss=records("CVE-2020-", lambda k: EpssScore(k, 0.5, 0.5)),
+        kev=records("CVE-2020-", lambda k: KevEntry(k, "v", "p", "n", _DAY, "", "", _DAY)),
+        exploits=[ExploitRef(i, refs("CVE-2020-")) for i in range(draw(st.integers(0, 3)))],
+        references=records("https://r/", ReferenceRecord),
+    )
+
+
+@given(_dangling_bundles())
+@settings(max_examples=300, deadline=None)
+def test_validate_snapshot_matches_reference(bundle):
+    assert validate_snapshot(bundle) == _reference_validate_snapshot(bundle)
 
 
 def test_validate_case_study_fixture_is_clean(case_config):

@@ -82,11 +82,12 @@ def test_lexicon_rejects_a_bad_term_however_built():
 
 def test_lexicon_derives_its_patterns_however_built():
     ascii_terms = Lexicon(country_terms={"china": "China"}, sector_terms={})
-    assert ascii_terms.lower_patterns is not None
-    # A copy derives the patterns from its own terms, not the original's.
-    assert ascii_terms._replace(country_terms={"ſ a": "China"}).lower_patterns is None
-    assert Lexicon._make(({"ſ a": "China"}, {}, ascii_terms.lower_patterns)) \
-        .lower_patterns is None
+    assert ascii_terms.word_index is not None
+    # A copy derives the index from its own terms, not the original's.
+    assert ascii_terms._replace(country_terms={"ſ a": "China"}).word_index is None
+    assert Lexicon._make(({"ſ a": "China"}, {}, ascii_terms.word_index)).word_index is None
+    for term in ("", " china", "-china"):  # the word index needs a word at each term's start
+        assert Lexicon._make(({"china": "China"}, {term: "Energy"}, None)).word_index is None
 
 
 def test_containers_share_no_list():
