@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Fuzz the case fixture's inputs against the CLI's exit-code contract.
+
+Usage, from the root of a checkout:
+
+    python3 scripts/fuzz_inputs.py SEED N
+
+Every input of ``fixtures/case_study`` is fuzzed: the config, the profile,
+the JSON-lines snapshots and the two CSV feeds.  Two kinds of case, each
+drawn from ``SEED``:
+
+* N one-byte edits: a byte of ``ALPHABET`` replaces, or is inserted
+  before, one position of one input;
+* N JSON-value swaps, without replacement from all of them: the value at
+  one key path is replaced by one of ``SWAP_VALUES``.  The paths are every
+  path of the config and the profile, every path of one record line of
+  each snapshot, and every cell of one row of each CSV (a swapped cell
+  holds the value's JSON text).  An N at least their count runs them all.
+
+Each case edits one file of a fresh copy of the fixture in a temporary
+directory and runs all five commands on it in-process, with the config's
+own output directory: ``ingest``, ``build``, ``rank``, ``evaluate`` and
+``case-study``.  A command that returns anything but 0, 1 or 2, raises,
+or prints a traceback breaks the contract; each such case is printed, and
+the exit code is 1 if there is any.  Nothing is written outside the
+temporary directory.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import csv
+import io
+import json
+import random
+import shutil
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from threatrank.cli import main as cli_main  # noqa: E402
+
+CASE_STUDY = ROOT / "fixtures" / "case_study"
+# Every input file of the case fixture, relative to it.
+INPUTS = tuple(sorted(path.relative_to(CASE_STUDY).as_posix()
+                      for pattern in ("*.json", "profiles/*.json", "snapshots/*.jsonl", "*.csv")
+                      for path in CASE_STUDY.glob(pattern)))
+# The bytes a one-byte edit writes.
+ALPHABET = b'\xff\x00{,\n"'
+# The values a swap puts at a key path.
+SWAP_VALUES = (None, True, 0, -1, 2**70, 1.5, "", "x", [], {}, ["China"], {"a": 1})
+ORG = "ODU"
+COMMANDS = (["ingest"], ["build"], ["rank", "--org", ORG, "--policy", "apt_threat"],
+            ["evaluate"], ["case-study", "--org", ORG])
+
+
+def byte_edit(data: bytes, at: int, byte: int, insert: bool) -> bytes:
+    """``data`` with ``byte`` inserted before position ``at``, or replacing it."""
+    return data[:at] + bytes([byte]) + data[at + (0 if insert else 1):]
+
+
+def key_paths(value) -> list[tuple]:
+    """The path of every value inside a JSON value, its own ``()`` first;
+    a path step is an object key or an array index."""
+    paths, stack = [], [((), value)]
+    while stack:
+        path, value = stack.pop()
+        paths.append(path)
+        if isinstance(value, (dict, list)):
+            steps = value.keys() if isinstance(value, dict) else range(len(value))
+            stack.extend((path + (step,), value[step]) for step in reversed(list(steps)))
+    return paths
+
+
+def swapped(value, path: tuple, new):
+    """A copy of the JSON value ``value`` with ``new`` at ``path``."""
+    if not path:
+        return copy.deepcopy(new)
+    value = copy.deepcopy(value)
+    parent = value
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = copy.deepcopy(new)
+    return value
+
+
+def value_swaps(name: str, data: bytes, rng: random.Random) -> list[tuple]:
+    """Each ``(path, value)`` swap of one input, for ``swap_bytes``.
+
+    A JSON file's paths are its own.  A JSON-lines or CSV file's paths
+    start with the index of one line, drawn from ``rng`` among its records
+    (a CSV's header and ``#`` lines are not records), and go on into that
+    record, or name one of the row's cells.
+    """
+    if name.endswith(".json"):
+        return [(path, new) for path in key_paths(json.loads(data)) for new in SWAP_VALUES]
+    lines = data.decode("utf-8").split("\n")
+    records = [at for at, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+    if name.endswith(".csv"):
+        records = records[1:]  # the header
+    at = rng.choice(records)
+    if name.endswith(".jsonl"):
+        paths = key_paths(json.loads(lines[at]))
+    else:
+        paths = [(column,) for column in range(len(next(csv.reader([lines[at]]))))]
+    return [((at, *path), new) for path in paths for new in SWAP_VALUES]
+
+
+def swap_bytes(name: str, data: bytes, path: tuple, new) -> bytes:
+    """The bytes of input ``name`` after one swap from ``value_swaps``."""
+    if name.endswith(".json"):
+        return (json.dumps(swapped(json.loads(data), path, new), indent=2) + "\n").encode()
+    lines = data.decode("utf-8").split("\n")
+    at, *rest = path
+    if name.endswith(".jsonl"):
+        lines[at] = json.dumps(swapped(json.loads(lines[at]), tuple(rest), new))
+    else:
+        row = next(csv.reader([lines[at]]))
+        row[rest[0]] = new if isinstance(new, str) else json.dumps(new)
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="").writerow(row)
+        lines[at] = buffer.getvalue()
+    return "\n".join(lines).encode("utf-8")
+
+
+def run_case(name: str, data: bytes) -> list[str]:
+    """Run every command on a temporary copy of the case fixture whose input
+    ``name`` holds ``data``; return how each command broke the contract."""
+    broken = []
+    with tempfile.TemporaryDirectory(prefix="fuzz_inputs_") as tmp:
+        project = Path(tmp) / "case"
+        shutil.copytree(CASE_STUDY, project, ignore=shutil.ignore_patterns("out"))
+        (project / name).write_bytes(data)
+        for command in COMMANDS:
+            stderr = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(stderr):
+                    code = cli_main(["--config", str(project / "config.json"), *command])
+            except Exception:
+                broken.append(f"{command[0]}: raised\n{traceback.format_exc()}")
+                continue
+            if code not in (0, 1, 2) or "Traceback" in stderr.getvalue():
+                broken.append(f"{command[0]}: exit {code!r}\n{stderr.getvalue()}")
+    return broken
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(arg.isdigit() for arg in argv):
+        print("usage: fuzz_inputs.py SEED N", file=sys.stderr)
+        return 2
+    seed, count = map(int, argv)
+    rng = random.Random(seed)
+    originals = {name: (CASE_STUDY / name).read_bytes() for name in INPUTS}
+    cases = []
+    for _ in range(count):
+        name = rng.choice(INPUTS)
+        data = originals[name]
+        insert = rng.random() < 0.5
+        at, byte = rng.randrange(len(data) + insert), rng.choice(ALPHABET)
+        cases.append((f"{name}: {'insert' if insert else 'replace'} {bytes([byte])!r} at {at}",
+                      name, byte_edit(data, at, byte, insert)))
+    swaps = [(name, path, new) for name in INPUTS
+             for path, new in value_swaps(name, originals[name], rng)]
+    for name, path, new in rng.sample(swaps, min(count, len(swaps))):
+        cases.append((f"{name}: {json.dumps(new)} at {list(path)}", name,
+                      swap_bytes(name, originals[name], path, new)))
+    failed = 0
+    for label, name, data in cases:
+        broken = run_case(name, data)
+        if broken:
+            failed += 1
+            print(f"{label}\n" + "".join(f"  {line}\n" for text in broken
+                                          for line in text.splitlines()))
+    print(f"{len(cases)} cases ({min(count, len(swaps))} of {len(swaps)} value swaps), "
+          f"{len(cases) * len(COMMANDS)} command runs, {failed} broke the exit-code contract")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -80,10 +80,10 @@ def _expect(value, kind: type | tuple[type, ...], what: str):
     return value
 
 
-# The names under "policies", and the keys each may set: every PolicyConfig
-# field but the family, which the name decides.
-_POLICY_NAMES = ("apt_threat", "general_threat")
-_POLICY_KEYS = frozenset(ranking.PolicyConfig._fields) - {"family"}
+# Each section under "policies", and the keys its family's bits read (k is
+# the t-test's cutoff, and apt_threat's k the case-study table depth).
+_POLICY_KEYS = {"apt_threat": ("origin_countries", "epss_threshold", "risk_appetite", "k"),
+                "general_threat": ("skill_level", "epss_threshold", "risk_appetite", "k")}
 
 
 # The top-level keys of a config file, and the keys of its "lexicons" and
@@ -104,7 +104,7 @@ def _reject_unknown(keys, known, what: str) -> None:
 def _policy_config(name: str, raw, family: ranking.Family) -> ranking.PolicyConfig:
     what = f"policy {name!r}"
     _expect(raw, dict, what)
-    _reject_unknown(raw, _POLICY_KEYS, f"{what}: unknown key")
+    _reject_unknown(raw, _POLICY_KEYS[name], f"{what}: unknown key")
     origins = raw.get("origin_countries", list(ranking.DEFAULT_ORIGIN_COUNTRIES))
     if not (isinstance(origins, list) and all(isinstance(c, str) for c in origins)):
         raise DataError(f"{what}: 'origin_countries' must be "
@@ -179,7 +179,7 @@ def load_config(path: str | Path) -> ProjectConfig:
     vocab = section("vocabularies", dict)
     _reject_unknown(vocab, _DATA_FILE_KEYS, f"{path}: unknown 'vocabularies' key")
     policies = section("policies", dict)
-    _reject_unknown(policies, _POLICY_NAMES, f"{path}: unknown policy")
+    _reject_unknown(policies, _POLICY_KEYS, f"{path}: unknown policy")
     return ProjectConfig(
         snapshots=snapshots,
         profile_paths=profile_paths,
@@ -408,12 +408,8 @@ def cmd_evaluate(config: ProjectConfig) -> int:
     return 0
 
 
-def cmd_case_study(config: ProjectConfig, org_id: str, k: int | None = None) -> int:
+def cmd_case_study(config: ProjectConfig, org_id: str) -> int:
     """Emit a side-by-side CVSS-vs-threat ranking table per weekly cohort."""
-    if k is None:
-        k = config.apt_config.k
-    elif k < 1:
-        raise UsageError(f"--k must be at least 1, not {k}")
     graph = _require_graph(config)
     org = _org_context(graph, org_id)
     cohorts = ranking.generate_candidates(org, graph, config.date_range)
@@ -431,7 +427,7 @@ def cmd_case_study(config: ProjectConfig, org_id: str, k: int | None = None) -> 
         rows = [
             (item.cve_id, table[item.cve_id].cvss_base or 0.0, int(item.score),
              cvss_rank[item.cve_id], item.rank)
-            for item in threat_ranked.items[:k]
+            for item in threat_ranked.items[:apt.k]
         ]
         year, week = cohort.iso_week
         out_path = config.output_dir / f"case_study_{org_id}_{year}W{week:02d}.csv"
@@ -482,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     case_parser = sub.add_parser("case-study",
                                  help="side-by-side CVSS vs threat ranking table")
     case_parser.add_argument("--org", required=True)
-    case_parser.add_argument("--k", type=int)
     return parser
 
 
@@ -538,7 +533,7 @@ def _run(argv: list[str] | None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(config)
         if args.command == "case-study":
-            return cmd_case_study(config, args.org, args.k)
+            return cmd_case_study(config, args.org)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

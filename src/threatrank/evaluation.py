@@ -204,10 +204,12 @@ def generate_report(
         for config in (apt_config, general_config):
             threat = FAMILIES[config.family][0]
             ideal = ranked(Policy.IDEAL, config)
-            depth = max(K_MAX, config.k)
             # (policy:family label, one nDCG curve per cohort), CVSS base first.
+            # A curve runs to K_MAX, or on to k but not past its cohort: every
+            # entry past the cohort would repeat its full-length value.
             labelled = [(f"{policy.value}:{config.family.value}",
-                         [ndcg_at_k(week, best, depth) for week, best in zip(lists, ideal)])
+                         [ndcg_at_k(week, best, max(K_MAX, min(config.k, len(week.items))))
+                          for week, best in zip(lists, ideal)])
                         for policy, lists in ((Policy.CVSS_BASE, cvss),
                                               (threat, ranked(threat, config)))]
             # nDCG@K curves, averaged per ISO year in cohort order.
@@ -220,9 +222,11 @@ def generate_report(
                         ndcg_rows.append((org.org_id, label, year, k,
                                           sum(values) / len(values), len(values)))
 
-            # Paired t-test on the weekly nDCG@k series over the whole range.
+            # Paired t-test on the weekly nDCG@k series over the whole range;
+            # a curve shorter than k ends at its cohort's full-length value.
             try:
-                result = paired_t_test(*[[curve[config.k - 1] for curve in curves]
+                result = paired_t_test(*[[curve[min(config.k, len(curve)) - 1]
+                                          for curve in curves]
                                          for _label, curves in labelled])
             except ValueError:
                 continue

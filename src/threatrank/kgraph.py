@@ -14,9 +14,10 @@ fields, not a dataclass, so each node ``load_graph`` reads costs five slot
 stores.
 
 The graph is built single-writer, then frozen; after ``freeze()`` it is
-immutable (node props become read-only mappings, their list values tuples;
-adjacency becomes read-only mappings of frozensets) and safe to read from
-any number of workers.
+immutable (node props become read-only mappings, their list values tuples
+and their dict values read-only dicts, nested ones included; adjacency
+becomes read-only mappings of frozensets) and safe to read from any number
+of workers.
 
 ``build_graph`` imports the modules of its inputs (feeds, enrich, profiles,
 vocab) when it runs, so a read command, which only loads a snapshot with
@@ -189,34 +190,51 @@ def _join(src: Node, edge_type: EdgeType, dst: Node) -> None:
     sources.add(src)
 
 
-def _as_tuple(values: list) -> tuple:
-    """A list prop, nested lists included, as read-only tuples.
+class _ReadOnlyDict(dict):
+    """A dict prop of a frozen graph: ``json`` still encodes it as a dict,
+    and every method that would change it raises TypeError."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a frozen graph's props are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
+_CONTAINERS = frozenset({list, dict})
+
+
+def _read_only(value: list | dict) -> tuple | _ReadOnlyDict:
+    """A list or dict prop, nested lists and dicts included, copied read-only:
+    each list as a tuple, each dict as a ``_ReadOnlyDict``.
 
     Copied with an explicit stack, not by recursion, so a prop nested as
-    deeply as the JSON decoder reads freezes too.  A list that contains
-    itself is a ValueError.
+    deeply as the JSON decoder reads freezes too.  A list or dict that
+    contains itself is a ValueError.
     """
-    if list not in map(type, values):
-        return tuple(values)
-    # One frame per list being copied: the list, its items left, its copy so far.
-    stack = [(values, iter(values), [])]
-    open_ids = {id(values)}
+    if type(value) is list and _CONTAINERS.isdisjoint(map(type, value)):
+        return tuple(value)
+    # One frame per list or dict being copied: it, its values left, their copies so far.
+    stack = [(value, iter(value.values() if type(value) is dict else value), [])]
+    open_ids = {id(value)}
     while True:
         source, items, copied = stack[-1]
-        for value in items:
-            if type(value) is list:
-                if id(value) in open_ids:
-                    raise ValueError("a list prop contains itself")
-                open_ids.add(id(value))
-                stack.append((value, iter(value), []))
+        for item in items:
+            if type(item) in _CONTAINERS:
+                if id(item) in open_ids:
+                    raise ValueError("a prop contains itself")
+                open_ids.add(id(item))
+                stack.append((item, iter(item.values() if type(item) is dict else item), []))
                 break
-            copied.append(value)
+            copied.append(item)
         else:
             stack.pop()
             open_ids.discard(id(source))
+            done = _ReadOnlyDict(zip(source, copied)) if type(source) is dict else tuple(copied)
             if not stack:
-                return tuple(copied)
-            stack[-1][2].append(tuple(copied))
+                return done
+            stack[-1][2].append(done)
 
 
 def _frozen_adjacency(adjacency: dict) -> Mapping:
@@ -280,8 +298,8 @@ class PropertyGraph:
             for node in self._nodes.values():
                 props = node.props
                 for key, value in props.items():
-                    if type(value) is list:
-                        props[key] = _as_tuple(value)
+                    if type(value) in _CONTAINERS:
+                        props[key] = _read_only(value)
                 _set_props(node, MappingProxyType(props) if props else _EMPTY)
                 _set_outgoing(node, _frozen_adjacency(node.outgoing))
                 _set_incoming(node, _frozen_adjacency(node.incoming))

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from threatrank.ranking import (
     RankedList,
 )
 from threatrank.vocab import read_data_file
+from scripts import fuzz_inputs
 from tests.conftest import CASE_STUDY, FIXTURES, REPO_ROOT, SYNTHETIC
 
 CONFIG = str(CASE_STUDY / "config.json")
@@ -115,19 +117,65 @@ def test_rank_has_no_k_option(built, capsys):
     assert "--k" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", ["0", "-3"])
-def test_case_study_rejects_k_below_one(built, capsys, k):
+@pytest.mark.parametrize("k", ["5", "0", "-3"])
+def test_case_study_has_no_k_option(built, capsys, k):
+    # The table depth is policies.apt_threat.k; no flag restates it.
     code = _run("--config", CONFIG, "--out", str(built), "case-study", "--org", "ODU", "--k", k)
     assert code == 1
     assert "--k" in capsys.readouterr().err
     assert not list(built.glob("case_study_*.csv"))
 
 
-def test_case_study_k_limits_rows(built):
-    code = _run("--config", CONFIG, "--out", str(built), "case-study", "--org", "ODU", "--k", "5")
+def _config_with_policies(fixture, tmp_path, **policies) -> str:
+    """A copy of ``fixture``'s config, its paths made absolute and each named
+    policies section updated with the given settings; returns its path."""
+    raw = json.loads((fixture / "config.json").read_text(encoding="utf-8"))
+    raw["snapshots"] = {kind: str(fixture / rel) for kind, rel in raw["snapshots"].items()}
+    raw["profiles"] = [str(fixture / rel) for rel in raw["profiles"]]
+    for name, settings in policies.items():
+        raw["policies"][name].update(settings)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
+
+
+def test_case_study_k_limits_rows(built, tmp_path):
+    config = _config_with_policies(CASE_STUDY, tmp_path, apt_threat={"k": 5})
+    code = _run("--config", config, "--out", str(built), "case-study", "--org", "ODU")
     assert code == 0
     lines = (built / "case_study_ODU_2021W47.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 6  # header + top 5
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_case_study_with_k_below_one_exits_two(built, tmp_path, capsys, k):
+    config = _config_with_policies(CASE_STUDY, tmp_path, apt_threat={"k": k})
+    code = _run("--config", config, "--out", str(built), "case-study", "--org", "ODU")
+    assert code == 2
+    assert "k must be positive" in capsys.readouterr().err
+    assert not list(built.glob("case_study_*.csv"))
+
+
+def test_evaluate_with_a_k_past_every_cohort(tmp_path, capsys):
+    # A k past the index range exits 0, and reads every cohort's full-length
+    # nDCG, as a k of the largest cohort's size does.
+    out = tmp_path / "out"
+    assert _run("--config", str(SYNTHETIC / "config.json"), "--out", str(out), "build") == 0
+    graph = kgraph.load_graph(out / "graph.jsonl")
+    org = ranking.OrgContext.from_graph(graph, "SYNTHU")
+    date_range = load_config(SYNTHETIC / "config.json").date_range
+    largest = max(len(c.cve_ids) for c in ranking.generate_candidates(org, graph, date_range))
+    reports = []
+    for k in (largest, 2**70):
+        (tmp_path / str(k)).mkdir()
+        config = _config_with_policies(SYNTHETIC, tmp_path / str(k),
+                                       apt_threat={"k": k}, general_threat={"k": k})
+        assert _run("--config", config, "--out", str(out), "evaluate") == 0
+        reports.append({name: (out / name).read_bytes()
+                        for name in ("ndcg_by_k.csv", "cost.csv", "ttest.csv")})
+    assert "Traceback" not in capsys.readouterr().err
+    assert len(reports[0]["ttest.csv"].splitlines()) == 3  # header + one row per family
+    assert reports[0] == reports[1]
 
 
 def test_rank_unknown_org_exits_one(built, capsys):
@@ -266,7 +314,7 @@ def _assert_read_commands_name_line(built, capsys, line_no):
     '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
     ' "policies": {"apt_threat": {"origin_countries": "China"}}}',
     '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
-    ' "policies": {"general_threat": {"origin_countries": ["China", 5]}}}',
+    ' "policies": {"apt_threat": {"origin_countries": ["China", 5]}}}',
     # policy numbers are checked, not coerced: a bool is no int, 2.9 no k
     '{"date_range": {"from": "2021-11-22", "to": "2021-11-28"},'
     ' "policies": {"apt_threat": {"risk_appetite": true}}}',
@@ -314,6 +362,9 @@ def test_misshapen_config_exits_two(tmp_path, capsys, text):
     ({"apt_threat": {"K": 5, "risk_apetite": 3}}, "'K'"),
     ({"general_threat": {"k": 4, "skill": "Low"}}, "'skill'"),
     ({"apt_threat": {"k": 4}, "apt": {"k": 4}}, "'apt'"),
+    # a setting no bit of the section's family reads
+    ({"apt_threat": {"k": 4, "skill_level": "Low"}}, "unknown key 'skill_level'"),
+    ({"general_threat": {"origin_countries": ["Iran"]}}, "unknown key 'origin_countries'"),
 ])
 def test_unknown_policy_setting_is_named(tmp_path, policies, named):
     path = tmp_path / "config.json"
@@ -348,23 +399,29 @@ def test_absent_sections_keep_their_defaults(tmp_path):
 
 
 def test_policy_config_holds_only_what_the_config_sets(tmp_path):
-    # Every PolicyConfig field but the family is a policies.<threat> key that
-    # load_config reads, so no derived field rides along in the config.
-    settings = {"origin_countries": ["Iran"], "skill_level": "Low", "epss_threshold": 0.5,
-                "risk_appetite": 50, "k": 7}
+    # Each section sets the keys its family reads, and every PolicyConfig
+    # field but the family is one of them, so no derived field rides along
+    # in the config; a field the section cannot set keeps its default.
+    settings = {
+        "apt_threat": {"origin_countries": ["Iran"], "epss_threshold": 0.5,
+                       "risk_appetite": 50, "k": 7},
+        "general_threat": {"skill_level": "Low", "epss_threshold": 0.5,
+                           "risk_appetite": 50, "k": 7},
+    }
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"date_range": {"from": "2021-11-22", "to": "2021-11-28"},
-                                "policies": {"apt_threat": settings,
-                                             "general_threat": settings}}), encoding="utf-8")
+                                "policies": settings}), encoding="utf-8")
     config = load_config(path)
-    for policy_config, family in ((config.apt_config, Family.APT),
-                                  (config.general_config, Family.GENERAL)):
+    fields = set(PolicyConfig._fields) - {"family"}
+    assert set().union(*settings.values()) == fields
+    for section, policy_config, family in (("apt_threat", config.apt_config, Family.APT),
+                                           ("general_threat", config.general_config,
+                                            Family.GENERAL)):
         assert policy_config.family is family
-        names = set(policy_config._fields) - {"family"}
-        assert names == settings.keys()
         default = PolicyConfig(family=family)
-        for name in names:
-            assert getattr(policy_config, name) != getattr(default, name), name
+        for name in fields:
+            changed = getattr(policy_config, name) != getattr(default, name)
+            assert changed == (name in settings[section]), (section, name)
 
 
 def test_non_utf8_feed_rows_are_skipped(tmp_path):
@@ -494,9 +551,7 @@ def test_deeply_nested_graph_prop_loads(built):
 
 
 # Snapshot and CSV inputs of the case fixture, as paths under its directory.
-_FEED_FILES = sorted(path.relative_to(CASE_STUDY).as_posix()
-                     for pattern in ("snapshots/*.jsonl", "*.csv")
-                     for path in CASE_STUDY.glob(pattern))
+_FEED_FILES = [name for name in fuzz_inputs.INPUTS if not name.endswith(".json")]
 
 
 @pytest.fixture(scope="module")
@@ -506,14 +561,14 @@ def case_copy(tmp_path_factory):
     return case
 
 
-@given(name=st.sampled_from(_FEED_FILES), byte=st.sampled_from(list(b'\xff\x00{,\n"')),
+@given(name=st.sampled_from(_FEED_FILES), byte=st.sampled_from(list(fuzz_inputs.ALPHABET)),
        insert=st.booleans(), data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_one_byte_feed_edit_keeps_the_exit_code_contract(case_copy, name, byte, insert, data):
     path = case_copy / name
     original = path.read_bytes()
     at = data.draw(st.integers(0, len(original) - (0 if insert else 1)))
-    path.write_bytes(original[:at] + bytes([byte]) + original[at + (0 if insert else 1):])
+    path.write_bytes(fuzz_inputs.byte_edit(original, at, byte, insert))
     base = ["--config", str(case_copy / "config.json"), "--out", str(case_copy / "out")]
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -546,6 +601,33 @@ def test_one_byte_graph_edit_keeps_the_exit_code_contract(built_copy, byte, inse
     finally:
         path.write_bytes(original)
     assert all(code in (0, 1, 2) for code in codes)
+
+
+# The case fixture's config, which every command reads, and its profile,
+# fuzzed with scripts/fuzz_inputs.py's edits through all five commands.
+_SETTINGS_FILES = ("config.json", "profiles/odu.json")
+_SWAPS = {name: fuzz_inputs.value_swaps(name, (CASE_STUDY / name).read_bytes(),
+                                        random.Random(0))
+          for name in _SETTINGS_FILES}
+
+
+@given(name=st.sampled_from(_SETTINGS_FILES), byte=st.sampled_from(list(fuzz_inputs.ALPHABET)),
+       insert=st.booleans(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_byte_settings_edit_keeps_the_exit_code_contract(name, byte, insert, data):
+    original = (CASE_STUDY / name).read_bytes()
+    at = data.draw(st.integers(0, len(original) - (0 if insert else 1)))
+    assert fuzz_inputs.run_case(name, fuzz_inputs.byte_edit(original, at, byte, insert)) == []
+
+
+@given(name=st.sampled_from(_SETTINGS_FILES), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_json_value_swap_keeps_the_exit_code_contract(name, data):
+    # Any value at any key path: null, a bool, numbers past an index, strings,
+    # arrays and objects where the other types belong.
+    path, value = data.draw(st.sampled_from(_SWAPS[name]))
+    edited = fuzz_inputs.swap_bytes(name, (CASE_STUDY / name).read_bytes(), path, value)
+    assert fuzz_inputs.run_case(name, edited) == []
 
 
 def test_bad_flags_exit_one(capsys):

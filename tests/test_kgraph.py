@@ -128,21 +128,48 @@ def test_freeze_copies_nested_list_props_without_recursion():
     deep = []
     for _ in range(5000):  # far past the recursion limit
         deep = [deep, "x"]
+    mixed = {}
+    for _ in range(5000):  # dicts and lists in turn
+        mixed = {"list": [mixed]}
     loop = ["a"]
     loop.append(loop)
+    dict_loop = {"a": 1}
+    dict_loop["self"] = [dict_loop]
     g = PropertyGraph()
-    node = g.upsert_node(NodeLabel.CWE, "CWE-1", {"deep": deep, "flat": ["a", "b"]})
+    node = g.upsert_node(NodeLabel.CWE, "CWE-1",
+                         {"deep": deep, "mixed": mixed, "flat": ["a", "b"]})
     g.freeze()
     value, depth = node.props["deep"], 0
     while value:
         assert type(value) is tuple and value[1] == "x"
         value, depth = value[0], depth + 1
     assert value == () and depth == 5000
+    value, depth = node.props["mixed"], 0
+    while value:
+        assert type(value["list"]) is tuple
+        with pytest.raises(TypeError):
+            value["list"] = []
+        value, depth = value["list"][0], depth + 1
+    assert value == {} and depth == 5000
     assert node.props["flat"] == ("a", "b")
-    g = PropertyGraph()
-    g.upsert_node(NodeLabel.CWE, "CWE-1", {"loop": loop})
-    with pytest.raises(ValueError, match="contains itself"):
-        g.freeze()
+    for looped in (loop, dict_loop):
+        g = PropertyGraph()
+        g.upsert_node(NodeLabel.CWE, "CWE-1", {"loop": looped})
+        with pytest.raises(ValueError, match="contains itself"):
+            g.freeze()
+
+
+def _assert_dict_props_read_only(props):
+    """A dict prop, one nested in a dict and one inside a list prop, refuse
+    every write and keep their values."""
+    for mapping in (props["meta"], props["meta"]["deep"], props["refs"][0]):
+        for write in (lambda: mapping.__setitem__("a", 99), lambda: mapping.__delitem__("a"),
+                      lambda: mapping.update(a=99), lambda: mapping.setdefault("z", 0),
+                      lambda: mapping.pop("a", None), mapping.popitem, mapping.clear,
+                      lambda: mapping.__ior__({"a": 99})):
+            with pytest.raises(TypeError):
+                write()
+    assert props["meta"] == {"a": 1, "deep": {"c": (3,)}} and props["refs"] == ({"b": 2},)
 
 
 def test_frozen_graph_props_are_read_only(tmp_path):
@@ -150,7 +177,8 @@ def test_frozen_graph_props_are_read_only(tmp_path):
     node = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000", {"cvss_base": 6.1})
     node.props["modified"] = "2021-11-23"  # writable while building
     cwe = g.upsert_node(NodeLabel.CWE, "CWE-416",
-                        {"technical_impacts": ["Modify Data"], "notes": [["nested"]]})
+                        {"technical_impacts": ["Modify Data"], "notes": [["nested"]],
+                         "meta": {"a": 1, "deep": {"c": [3]}}, "refs": [{"b": 2}]})
     assert g.link(EdgeType.WEAKENED_BY, node.key, cwe.key)
     signature = graph_signature(g)
     save_graph(g, tmp_path / "building.jsonl")
@@ -168,7 +196,9 @@ def test_frozen_graph_props_are_read_only(tmp_path):
         cwe_props["technical_impacts"].append("Read Data")
     with pytest.raises(AttributeError):
         cwe_props["notes"][0].append("more")
-    assert cwe_props == {"technical_impacts": ("Modify Data",), "notes": (("nested",),)}
+    _assert_dict_props_read_only(cwe_props)
+    assert cwe_props == {"technical_impacts": ("Modify Data",), "notes": (("nested",),),
+                         "meta": {"a": 1, "deep": {"c": (3,)}}, "refs": ({"b": 2},)}
     # adjacency: neither a node's edge sets nor its own fields can change the graph
     with pytest.raises(AttributeError):
         node.outgoing[EdgeType.WEAKENED_BY].add(node)
@@ -202,6 +232,7 @@ def test_frozen_graph_props_are_read_only(tmp_path):
         reloaded.find(NodeLabel.NVD_CVE, "CVE-2021-38000").props["cvss_base"] = 0.0
     with pytest.raises(AttributeError):
         reloaded.find(NodeLabel.CWE, "CWE-416").props["technical_impacts"].append("Read Data")
+    _assert_dict_props_read_only(reloaded.find(NodeLabel.CWE, "CWE-416").props)
     reloaded_cve = reloaded.find(NodeLabel.NVD_CVE, "CVE-2021-38000")
     with pytest.raises(AttributeError):
         reloaded_cve.outgoing[EdgeType.WEAKENED_BY].add(reloaded_cve)

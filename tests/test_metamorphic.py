@@ -3,7 +3,8 @@
 Each relation compares the outputs of two runs instead of checking one run
 against fixed bytes.  Every relation runs on both fixtures and on a small
 corpus from the benchmark's generator (``bench/corpus.py``, a many-org
-shape as small as the benchmark's own tests use).
+shape as small as the benchmark's own tests use), except that a policy
+setting need only move an output of one of the two fixtures.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from threatrank.cli import main
-from threatrank.ranking import DEFAULT_ORIGIN_COUNTRIES
+from threatrank.cli import load_config, main
+from threatrank.errors import DataError
+from threatrank.ranking import DEFAULT_ORIGIN_COUNTRIES, PolicyConfig
 from tests.conftest import CASE_STUDY, REPO_ROOT, SYNTHETIC
 
 sys.path.insert(0, str(REPO_ROOT / "bench"))
@@ -235,6 +237,73 @@ def test_policy_edits_need_no_rebuild(project, refreshed, tmp_path):
     edited.read(rebuilt)
     assert _digests(stale) == _digests(rebuilt)
     assert _digests(rebuilt) != _digests(refreshed)  # the edit moved some output
+
+
+# ---------------------------------------------------------------------------
+# Every policy setting is read
+# ---------------------------------------------------------------------------
+
+
+# One value for each key a policies section accepts, off the fixtures' values.
+SETTING_EDITS = {
+    "apt_threat": {"origin_countries": ["Iran", "North Korea", "United States"],
+                   "epss_threshold": 0.3, "risk_appetite": 5, "k": 7},
+    "general_threat": {"skill_level": "Low", "epss_threshold": 0.3, "risk_appetite": 5,
+                       "k": 3},
+}
+
+
+def test_setting_edits_cover_every_key_a_section_accepts(tmp_path):
+    values = {key: value for edits in SETTING_EDITS.values() for key, value in edits.items()}
+    assert values.keys() == set(PolicyConfig._fields) - {"family"}
+    path = tmp_path / "config.json"
+    for section, edits in SETTING_EDITS.items():
+        for key, value in values.items():
+            path.write_text(json.dumps({"date_range": {"from": "2021-11-22", "to": "2021-11-28"},
+                                        "policies": {section: {key: value}}}), encoding="utf-8")
+            try:
+                load_config(path)
+            except DataError:
+                assert key not in edits, (section, key)
+            else:
+                assert key in edits, (section, key)
+
+
+@pytest.fixture(scope="module")
+def fixture_reads(tmp_path_factory):
+    """Each fixture's project, its built graph, and the digests of what the
+    read commands write from that graph under the fixture's own config."""
+    reads = []
+    for root in (CASE_STUDY, SYNTHETIC):
+        project = Project(root, [])
+        built = tmp_path_factory.mktemp(root.name)
+        project.build(built / "build")
+        graph = built / "build" / "graph.jsonl"
+        (built / "read").mkdir()
+        shutil.copy(graph, built / "read")
+        project.read(built / "read")
+        reads.append((project, graph, _digests(built / "read")))
+    return reads
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, edits in
+                                          SETTING_EDITS.items() for key in edits])
+def test_every_policy_setting_moves_a_read_output(fixture_reads, tmp_path, section, key):
+    # Policies are read at rank time, so the graph built under the fixture's
+    # own config serves the edited one.
+    for project, graph, baseline in fixture_reads:
+        edited = project.copy(tmp_path / project.root.name)
+        policies = dict(edited.raw["policies"])
+        policies[section] = dict(policies.get(section, {}), **{key: SETTING_EDITS[section][key]})
+        edited.config.write_text(json.dumps(dict(edited.raw, policies=policies)),
+                                 encoding="utf-8")
+        out = tmp_path / project.root.name / "out"
+        out.mkdir()
+        shutil.copy(graph, out)
+        edited.read(out)
+        if _digests(out) != baseline:
+            return
+    pytest.fail(f"policies.{section}.{key} moved no output of either fixture")
 
 
 # ---------------------------------------------------------------------------
