@@ -6,11 +6,13 @@ Usage, from the root of a checkout:
     python3 scripts/fuzz_inputs.py SEED N
 
 Every input of ``fixtures/case_study`` is fuzzed: the config, the profile,
-the JSON-lines snapshots and the two CSV feeds.  Two kinds of case, each
-drawn from ``SEED``:
+the JSON-lines snapshots and the two CSV feeds, and copies of the four
+packaged data files (the country and sector vocabularies and lexicons),
+which each case's config names under ``lexicons`` and ``vocabularies``.
+Two kinds of case, each drawn from ``SEED``:
 
 * N one-byte edits: a byte of ``ALPHABET`` replaces, or is inserted
-  before, one position of one input;
+  before, one position of one input, data files included;
 * N JSON-value swaps, without replacement from all of them: the value at
   one key path is replaced by one of ``SWAP_VALUES``.  The paths are every
   path of the config and the profile, every path of one record line of
@@ -22,7 +24,8 @@ directory and runs all five commands on it in-process, with the config's
 own output directory: ``ingest``, ``build``, ``rank``, ``evaluate`` and
 ``case-study``.  A command that returns anything but 0, 1 or 2, raises,
 or prints a traceback breaks the contract; each such case is printed, and
-the exit code is 1 if there is any.  Nothing is written outside the
+the exit code is 1 if there is any.  The unedited copy runs first, and
+every command must exit 0 on it.  Nothing is written outside the
 temporary directory.
 """
 
@@ -44,12 +47,19 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from threatrank.cli import main as cli_main  # noqa: E402
+from threatrank.vocab import read_data_file  # noqa: E402
 
 CASE_STUDY = ROOT / "fixtures" / "case_study"
 # Every input file of the case fixture, relative to it.
 INPUTS = tuple(sorted(path.relative_to(CASE_STUDY).as_posix()
                       for pattern in ("*.json", "profiles/*.json", "snapshots/*.jsonl", "*.csv")
                       for path in CASE_STUDY.glob(pattern)))
+# Where each case copy holds a copy of a packaged data file, and the config
+# section and key that name it.
+DATA_FILES = {"data/countries.txt": ("vocabularies", "countries"),
+              "data/dhs_sectors.txt": ("vocabularies", "sectors"),
+              "data/country_terms.tsv": ("lexicons", "countries"),
+              "data/sector_terms.tsv": ("lexicons", "sectors")}
 # The bytes a one-byte edit writes.
 ALPHABET = b'\xff\x00{,\n"'
 # The values a swap puts at a key path.
@@ -57,6 +67,19 @@ SWAP_VALUES = (None, True, 0, -1, 2**70, 1.5, "", "x", [], {}, ["China"], {"a": 
 ORG = "ODU"
 COMMANDS = (["ingest"], ["build"], ["rank", "--org", ORG, "--policy", "apt_threat"],
             ["evaluate"], ["case-study", "--org", ORG])
+
+
+def project_files() -> dict[str, bytes]:
+    """The bytes of every input of an unedited case copy, by path under it:
+    the fixture's inputs, with a config that names the ``DATA_FILES``, and
+    those files, each a copy of the packaged one."""
+    files = {name: (CASE_STUDY / name).read_bytes() for name in INPUTS}
+    config = json.loads(files["config.json"])
+    for name, (section, key) in DATA_FILES.items():
+        config.setdefault(section, {})[key] = name
+        files[name] = read_data_file(None, Path(name).name).encode("utf-8")
+    files["config.json"] = (json.dumps(config, indent=2) + "\n").encode("utf-8")
+    return files
 
 
 def byte_edit(data: bytes, at: int, byte: int, insert: bool) -> bytes:
@@ -128,14 +151,17 @@ def swap_bytes(name: str, data: bytes, path: tuple, new) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def run_case(name: str, data: bytes) -> list[str]:
-    """Run every command on a temporary copy of the case fixture whose input
-    ``name`` holds ``data``; return how each command broke the contract."""
+def run_case(name: str, data: bytes, codes=(0, 1, 2)) -> list[str]:
+    """Run every command on a temporary case copy (``project_files``) whose
+    input ``name`` holds ``data``; return how each command broke the
+    contract, or exited outside ``codes``."""
     broken = []
     with tempfile.TemporaryDirectory(prefix="fuzz_inputs_") as tmp:
         project = Path(tmp) / "case"
         shutil.copytree(CASE_STUDY, project, ignore=shutil.ignore_patterns("out"))
-        (project / name).write_bytes(data)
+        for path, content in {**project_files(), name: data}.items():
+            (project / path).parent.mkdir(exist_ok=True)
+            (project / path).write_bytes(content)
         for command in COMMANDS:
             stderr = io.StringIO()
             try:
@@ -145,9 +171,13 @@ def run_case(name: str, data: bytes) -> list[str]:
             except Exception:
                 broken.append(f"{command[0]}: raised\n{traceback.format_exc()}")
                 continue
-            if code not in (0, 1, 2) or "Traceback" in stderr.getvalue():
+            if code not in codes or "Traceback" in stderr.getvalue():
                 broken.append(f"{command[0]}: exit {code!r}\n{stderr.getvalue()}")
     return broken
+
+
+def _report(label: str, broken: list[str]) -> str:
+    return f"{label}\n" + "".join(f"  {line}\n" for text in broken for line in text.splitlines())
 
 
 def main(argv: list[str]) -> int:
@@ -156,10 +186,14 @@ def main(argv: list[str]) -> int:
         return 2
     seed, count = map(int, argv)
     rng = random.Random(seed)
-    originals = {name: (CASE_STUDY / name).read_bytes() for name in INPUTS}
+    originals = project_files()
+    broken = run_case("config.json", originals["config.json"], codes=(0,))
+    if broken:
+        print(_report("the unedited case copy", broken))
+        return 1
     cases = []
     for _ in range(count):
-        name = rng.choice(INPUTS)
+        name = rng.choice(sorted(originals))
         data = originals[name]
         insert = rng.random() < 0.5
         at, byte = rng.randrange(len(data) + insert), rng.choice(ALPHABET)
@@ -175,8 +209,7 @@ def main(argv: list[str]) -> int:
         broken = run_case(name, data)
         if broken:
             failed += 1
-            print(f"{label}\n" + "".join(f"  {line}\n" for text in broken
-                                          for line in text.splitlines()))
+            print(_report(label, broken))
     print(f"{len(cases)} cases ({min(count, len(swaps))} of {len(swaps)} value swaps), "
           f"{len(cases) * len(COMMANDS)} command runs, {failed} broke the exit-code contract")
     return 1 if failed else 0

@@ -32,7 +32,7 @@ _MODULES = {
                 "RankedList", "WeeklyCohort", "feature_bits", "feature_table",
                 "generate_candidates", "rank"),
     "stats": ("TTestResult", "paired_t_test", "student_t_cdf"),
-    "vocab": ("Vocabulary", "default_vocabulary", "load_vocabulary"),
+    "vocab": ("Vocabulary", "load_vocabulary"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 

@@ -105,24 +105,20 @@ def _policy_config(name: str, raw, family: ranking.Family) -> ranking.PolicyConf
     what = f"policy {name!r}"
     _expect(raw, dict, what)
     _reject_unknown(raw, _POLICY_KEYS[name], f"{what}: unknown key")
-    origins = raw.get("origin_countries", list(ranking.DEFAULT_ORIGIN_COUNTRIES))
-    if not (isinstance(origins, list) and all(isinstance(c, str) for c in origins)):
-        raise DataError(f"{what}: 'origin_countries' must be "
-                        f"a JSON array of strings, not {origins!r}")
-
-    def number(key: str, default, kind: type | tuple[type, ...]):
-        return _expect(raw.get(key, default), kind, f"{what}: {key!r}")
-
+    settings = {}
+    if "origin_countries" in raw:
+        origins = raw["origin_countries"]
+        if not (isinstance(origins, list) and all(isinstance(c, str) for c in origins)):
+            raise DataError(f"{what}: 'origin_countries' must be "
+                            f"a JSON array of strings, not {origins!r}")
+        settings["origin_countries"] = frozenset(origins)
     try:
-        return ranking.PolicyConfig(
-            family=family,
-            origin_countries=frozenset(origins),
-            skill_level=SkillLevel(raw.get("skill_level", "High")),
-            epss_threshold=number("epss_threshold", ranking.DEFAULT_EPSS_THRESHOLD,
-                                  (int, float)),
-            risk_appetite=number("risk_appetite", 100, int),
-            k=number("k", 20, int),
-        )
+        if "skill_level" in raw:
+            settings["skill_level"] = SkillLevel(raw["skill_level"])
+        for key, kind in (("epss_threshold", (int, float)), ("risk_appetite", int), ("k", int)):
+            if key in raw:
+                settings[key] = _expect(raw[key], kind, f"{what}: {key!r}")
+        return ranking.PolicyConfig(family=family, **settings)
     except ValueError as exc:
         raise DataError(f"bad policy configuration: {exc}") from None
 
@@ -225,7 +221,7 @@ def build_pipeline(config: ProjectConfig) -> tuple[kgraph.PropertyGraph,
 
     vocab = load_vocabulary(config.vocab_countries, config.vocab_sectors)
     bundle, _ = load_bundle(config)
-    lexicon = enrich.load_lexicon(config.lexicon_countries, config.lexicon_sectors, vocab)
+    lexicon = enrich.load_lexicon(config.lexicon_countries, config.lexicon_sectors, vocab=vocab)
     attributions = enrich.filter_us_targeting(
         enrich.attribute_group(group, lexicon) for group in bundle.groups
     )
@@ -244,7 +240,7 @@ def build_pipeline(config: ProjectConfig) -> tuple[kgraph.PropertyGraph,
         resolved, report = profiles.resolve_cpes(profile, cpe_index)
         resolved_profiles.append(resolved)
         coverage[profile.org_id] = report
-    graph = kgraph.build_graph(bundle, attributions, resolved_profiles, vocab)
+    graph = kgraph.build_graph(bundle, attributions, resolved_profiles, vocab=vocab)
     return graph, coverage
 
 

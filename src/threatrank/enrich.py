@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .errors import DataError
 from .feeds import AttackGroupRaw
-from .vocab import UNITED_STATES, Vocabulary, default_vocabulary, read_data_file
+from .vocab import UNITED_STATES, Vocabulary, read_data_file
 
 # Window scanned for target subjects after `targets`/`targeted`/`targeting`;
 # clipped at the end of the sentence containing the trigger.
@@ -140,13 +140,13 @@ def _parse_lexicon_file(text: str, source: str) -> dict[str, str]:
 def load_lexicon(
     country_path: str | Path | None = None,
     sector_path: str | Path | None = None,
-    vocab: Vocabulary | None = None,
+    *,
+    vocab: Vocabulary,
 ) -> Lexicon:
     """Load term lexicons from files or the packaged defaults.
 
     Canonical values are validated against the controlled vocabularies.
     """
-    vocab = vocab or default_vocabulary()
     tables = []
     for path, packaged, kind, known in (
         (country_path, "country_terms.tsv", "country", vocab.is_country),
@@ -162,14 +162,29 @@ def load_lexicon(
     return Lexicon(country_terms=country_terms, sector_terms=sector_terms)
 
 
-def _trie_pattern(node: dict) -> str:
+def _trie_pattern(trie: dict) -> str:
     # A node maps each next character to its child; the "" key marks the
     # end of a term.  A term end's continuation is optional and greedy, so
-    # a longer term is tried before the shorter one it extends.
-    branches = [re.escape(ch) + _trie_pattern(child) for ch, child in node.items() if ch]
-    if "" in node:
-        return f"(?:{'|'.join(branches)})?" if branches else ""
-    return branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
+    # a longer term is tried before the shorter one it extends.  A term may
+    # be longer than the recursion limit, so each open node is a stack
+    # frame: the escaped character into it, its children left, whether a
+    # term ends there, and the patterns of its done children.
+    stack = [("", iter(trie.items()), "" in trie, [])]
+    while True:
+        into, children, ends, branches = stack[-1]
+        for ch, child in children:
+            if ch:
+                stack.append((re.escape(ch), iter(child.items()), "" in child, []))
+                break
+        else:
+            stack.pop()
+            if ends:
+                pattern = f"(?:{'|'.join(branches)})?" if branches else ""
+            else:
+                pattern = branches[0] if len(branches) == 1 else f"(?:{'|'.join(branches)})"
+            if not stack:
+                return pattern
+            stack[-1][3].append(into + pattern)
 
 
 def _trie_regex(terms) -> str:
@@ -200,8 +215,8 @@ _LOWER_ACTIVITY_YEAR_RE = re.compile(_ACTIVITY_YEAR)
 
 
 @lru_cache(maxsize=32)
-def _compiled(terms: tuple[str, ...]) -> re.Pattern:
-    """One IGNORECASE regex for the lexicon: its terms as a prefix trie.
+def _compiled(terms: tuple[str, ...], kind: str) -> re.Pattern:
+    """One IGNORECASE regex for the ``kind`` lexicon: its terms as a prefix trie.
 
     It finds what a longest-first alternation of the terms finds, but
     ``sre`` follows one trie branch per text character instead of trying
@@ -212,8 +227,14 @@ def _compiled(terms: tuple[str, ...]) -> re.Pattern:
     ASCII characters do, but ``sre`` folds a few non-ASCII letters onto
     ASCII ones (``ſ`` onto ``s``, the Kelvin sign onto ``k``), so the
     property test that checks the equivalence draws ASCII lexicons.
+
+    Terms nested too deeply for ``sre`` to compile (hundreds of terms, each
+    a prefix of the next) are a DataError naming the lexicon.
     """
-    return re.compile(_term_regex(terms), re.IGNORECASE)
+    try:
+        return re.compile(_term_regex(terms), re.IGNORECASE)
+    except RecursionError:
+        raise DataError(f"the {kind} lexicon's terms nest too deeply to compile") from None
 
 
 def _scan(pattern: re.Pattern, text: str, source: str, terms: dict[str, str]) -> list[TermMatch]:
@@ -284,7 +305,8 @@ def attribute_group(group: AttackGroupRaw, lexicon: Lexicon) -> GroupAttribution
     else:
         text = description
         scan = _scan
-        countries, sectors = _compiled(tuple(country_terms)), _compiled(tuple(sector_terms))
+        countries = _compiled(tuple(country_terms), "country")
+        sectors = _compiled(tuple(sector_terms), "sector")
         trigger_re = re.compile(_TRIGGER, re.IGNORECASE)
         year_re = re.compile(_ACTIVITY_YEAR, re.IGNORECASE)
     evidence: list[tuple[str, str]] = []

@@ -14,14 +14,13 @@ fields, not a dataclass, so each node ``load_graph`` reads costs five slot
 stores.
 
 The graph is built single-writer, then frozen; after ``freeze()`` it is
-immutable (node props become read-only mappings, their list values tuples
-and their dict values read-only dicts, nested ones included; adjacency
-becomes read-only mappings of frozensets) and safe to read from any number
-of workers.
+immutable (node props become read-only mappings of JSON scalars and tuples
+of them, adjacency read-only mappings of frozensets) and safe to read from
+any number of workers.  ``build_graph`` writes no other prop.
 
-``build_graph`` imports the modules of its inputs (feeds, enrich, profiles,
-vocab) when it runs, so a read command, which only loads a snapshot with
-``load_graph``, never imports them.
+``build_graph`` imports ``profiles`` when it runs, and its other inputs'
+modules only for type checkers, so a read command, which only loads a
+snapshot with ``load_graph``, never imports them through this module.
 """
 
 from __future__ import annotations
@@ -190,51 +189,8 @@ def _join(src: Node, edge_type: EdgeType, dst: Node) -> None:
     sources.add(src)
 
 
-class _ReadOnlyDict(dict):
-    """A dict prop of a frozen graph: ``json`` still encodes it as a dict,
-    and every method that would change it raises TypeError."""
-
-    __slots__ = ()
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a frozen graph's props are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-
-_CONTAINERS = frozenset({list, dict})
-
-
-def _read_only(value: list | dict) -> tuple | _ReadOnlyDict:
-    """A list or dict prop, nested lists and dicts included, copied read-only:
-    each list as a tuple, each dict as a ``_ReadOnlyDict``.
-
-    Copied with an explicit stack, not by recursion, so a prop nested as
-    deeply as the JSON decoder reads freezes too.  A list or dict that
-    contains itself is a ValueError.
-    """
-    if type(value) is list and _CONTAINERS.isdisjoint(map(type, value)):
-        return tuple(value)
-    # One frame per list or dict being copied: it, its values left, their copies so far.
-    stack = [(value, iter(value.values() if type(value) is dict else value), [])]
-    open_ids = {id(value)}
-    while True:
-        source, items, copied = stack[-1]
-        for item in items:
-            if type(item) in _CONTAINERS:
-                if id(item) in open_ids:
-                    raise ValueError("a prop contains itself")
-                open_ids.add(id(item))
-                stack.append((item, iter(item.values() if type(item) is dict else item), []))
-                break
-            copied.append(item)
-        else:
-            stack.pop()
-            open_ids.discard(id(source))
-            done = _ReadOnlyDict(zip(source, copied)) if type(source) is dict else tuple(copied)
-            if not stack:
-                return done
-            stack[-1][2].append(done)
+# The types of a JSON scalar: a frozen graph's prop is one, or a tuple of them.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _frozen_adjacency(adjacency: dict) -> Mapping:
@@ -294,12 +250,23 @@ class PropertyGraph:
         return True
 
     def freeze(self) -> "PropertyGraph":
+        """Make the graph immutable (once), each list or tuple prop a tuple.
+
+        A prop that is not a JSON scalar or a flat list of them is a
+        ValueError naming its node, and leaves the graph unfrozen and writable.
+        """
         if not self._frozen:
             for node in self._nodes.values():
                 props = node.props
                 for key, value in props.items():
-                    if type(value) in _CONTAINERS:
-                        props[key] = _read_only(value)
+                    if type(value) not in _SCALARS:
+                        if type(value) not in (list, tuple) or \
+                                not _SCALARS.issuperset(map(type, value)):
+                            raise ValueError(f"{node.label.value} {node.key!r}: prop {key!r} "
+                                             f"must be a JSON scalar or a flat list of them")
+                        props[key] = tuple(value)
+            for node in self._nodes.values():
+                props = node.props
                 _set_props(node, MappingProxyType(props) if props else _EMPTY)
                 _set_outgoing(node, _frozen_adjacency(node.outgoing))
                 _set_incoming(node, _frozen_adjacency(node.incoming))
@@ -340,7 +307,8 @@ def build_graph(
     records: SnapshotBundle,
     attributions: Iterable[GroupAttribution] = (),
     profiles: Iterable[OrganizationProfile] = (),
-    vocab: Vocabulary | None = None,
+    *,
+    vocab: Vocabulary,
 ) -> PropertyGraph:
     """Assemble canonical records into a schema-conformant property graph.
 
@@ -351,9 +319,7 @@ def build_graph(
     not frozen; callers freeze it before sharing.
     """
     from .profiles import software_key
-    from .vocab import default_vocabulary
 
-    vocab = vocab or default_vocabulary()
     g = PropertyGraph()
 
     for country in vocab.countries:
@@ -607,7 +573,8 @@ def load_graph(path: str | Path) -> PropertyGraph:
     JSON nested deeper than the decoder reads, trailing data, an unknown
     label or edge type, an edge to a node not read yet, a non-UTF-8 byte),
     or a node whose props the read commands cannot use, is a DataError
-    naming ``path:line``.
+    naming ``path:line``; a prop ``freeze`` refuses, one naming ``path``,
+    the node and the prop.
     """
     g = PropertyGraph()
     nodes = g._nodes
@@ -652,4 +619,7 @@ def load_graph(path: str | Path) -> PropertyGraph:
                     raise ValueError(f"unknown record kind {kind!r}")
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise DataError(f"{path}:{line_no}: {type(exc).__name__}: {exc}") from None
-    return g.freeze()
+    try:
+        return g.freeze()
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataError
 from .feeds import CpeEntry
-from .vocab import Vocabulary, default_vocabulary
+from .vocab import Vocabulary
 
 _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
 
@@ -63,7 +63,7 @@ def software_key(vendor: str, product: str) -> str:
     return f"{normalize_token(vendor)}:{normalize_token(product)}"
 
 
-def load_profile(path: str | Path, vocab: Vocabulary | None = None) -> OrganizationProfile:
+def load_profile(path: str | Path, vocab: Vocabulary) -> OrganizationProfile:
     """Load and validate one organization profile (JSON).
 
     Unknown sector or country names are fatal: downstream attribution
@@ -71,7 +71,6 @@ def load_profile(path: str | Path, vocab: Vocabulary | None = None) -> Organizat
     Vendor and product are JSON strings; a version is a string pin, or
     absent or null for none.
     """
-    vocab = vocab or default_vocabulary()
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))

@@ -298,7 +298,7 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
         techniques: set[Node] = set()
         for capec in cwe.outgoing.get(EdgeType.KNOWN_ATTACK, ()):
             level = capec.props.get("skill_level")
-            if isinstance(level, str):  # only a string matches a level; an object would not hash
+            if isinstance(level, str):  # only a string matches a configured level
                 skill_levels.add(level)
             techniques.update(capec.outgoing.get(EdgeType.EMPLOYS, ()))
         groups: set[Node] = set()

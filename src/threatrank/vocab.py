@@ -62,14 +62,3 @@ def load_vocabulary(
     if not countries or not sectors:
         raise DataError("vocabulary files must contain at least one entry")
     return Vocabulary(countries=countries, sectors=sectors)
-
-
-_DEFAULT: Vocabulary | None = None
-
-
-def default_vocabulary() -> Vocabulary:
-    """Packaged vocabulary, loaded once per process."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_vocabulary()
-    return _DEFAULT

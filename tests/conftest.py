@@ -7,11 +7,15 @@ import pytest
 from threatrank.cli import build_pipeline, load_config
 from threatrank.kgraph import EDGE_ENDPOINTS, PropertyGraph
 from threatrank.ranking import OrgContext, Policy, RankedItem, RankedList, order_scored
+from threatrank.vocab import load_vocabulary
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
 CASE_STUDY = FIXTURES / "case_study"
 SYNTHETIC = FIXTURES / "synthetic52"
+
+# The packaged country and sector vocabularies.
+VOCAB = load_vocabulary()
 
 # The pinned case-study outcomes: threat-policy ranks of the 20 listed
 # CVEs, and the CVSS-policy ranks they land on inside the 39-CVE cohort.

@@ -23,7 +23,8 @@ from threatrank.feeds import (
     SnapshotBundle,
     TechnicalImpact,
 )
-from threatrank.vocab import default_vocabulary
+from threatrank.profiles import OrganizationProfile, SoftwareItem
+from tests.conftest import VOCAB
 
 EPOCH = date(2019, 1, 1)
 
@@ -111,15 +112,34 @@ def random_bundle(seed: int, scale: int = 1) -> SnapshotBundle:
 
 def random_attributions(seed: int, bundle: SnapshotBundle) -> list[GroupAttribution]:
     rng = random.Random(seed)
-    vocab = default_vocabulary()
     attributions = []
     for group in bundle.groups:
         attributions.append(GroupAttribution(
             group_id=group.group_id,
-            origin_countries=tuple(rng.sample(vocab.countries, k=rng.randint(0, 2))),
+            origin_countries=tuple(rng.sample(VOCAB.countries, k=rng.randint(0, 2))),
             origin_year=rng.randint(1990, group.created.year),
-            targeted_countries=tuple(rng.sample(vocab.countries, k=rng.randint(0, 3))),
-            targeted_sectors=tuple(rng.sample(vocab.sectors, k=rng.randint(0, 3))),
+            targeted_countries=tuple(rng.sample(VOCAB.countries, k=rng.randint(0, 3))),
+            targeted_sectors=tuple(rng.sample(VOCAB.sectors, k=rng.randint(0, 3))),
             evidence=(),
         ))
     return attributions
+
+
+def random_profiles(seed: int, bundle: SnapshotBundle) -> list[OrganizationProfile]:
+    """One to four organizations whose inventories resolve to the bundle's
+    CPEs, with a few unresolved items and CPE ids the bundle lacks."""
+    rng = random.Random(seed)
+    profiles = []
+    for i in range(rng.randint(1, 4)):
+        software = []
+        for entry in rng.sample(bundle.cpes, k=min(len(bundle.cpes), rng.randint(0, 20))):
+            resolved = () if rng.random() < 0.1 else (entry.cpe_id,)
+            if rng.random() < 0.02:
+                resolved += ("cpe:2.3:a:nobody:nothing:-:*:*:*:*:*:*:*",)
+            software.append(SoftwareItem(vendor=entry.vendor, product=entry.product,
+                                         version=rng.choice([None, "1.0"]),
+                                         resolved_cpes=resolved))
+        profiles.append(OrganizationProfile(
+            org_id=f"ORG{i}", name=f"Organization {i}", sector=rng.choice(VOCAB.sectors),
+            country=rng.choice(VOCAB.countries), software=tuple(software)))
+    return profiles

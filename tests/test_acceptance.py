@@ -51,7 +51,6 @@ from threatrank.ranking import (
     score_from_bits,
 )
 from threatrank.stats import paired_t_test, student_t_cdf
-from threatrank.vocab import default_vocabulary
 from threatrank.feeds import AttackGroupRaw, SkillLevel
 from tests.conftest import (
     CASE_STUDY,
@@ -59,6 +58,7 @@ from tests.conftest import (
     EXPECTED_RELEVANCE,
     EXPECTED_THREAT_RANKS,
     SYNTHETIC,
+    VOCAB,
     audit_edge_conformance,
     gain_rankings,
 )
@@ -164,8 +164,7 @@ def test_c3_relevance_range_and_monotonicity():
     with criterion("criterion 3: relevance range + single-bit monotonicity"):
         started = time.perf_counter()
         bundle = random_bundle(seed=424242)
-        graph = build_graph(bundle, random_attributions(17, bundle)).freeze()
-        vocab = default_vocabulary()
+        graph = build_graph(bundle, random_attributions(17, bundle), vocab=VOCAB).freeze()
         cve_ids = [c.cve_id for c in bundle.cves]
         cpe_ids = [c.cpe_id for c in bundle.cpes]
         rng = random.Random(99)
@@ -174,13 +173,13 @@ def test_c3_relevance_range_and_monotonicity():
             cve_id = rng.choice(cve_ids)
             org = OrgContext(
                 org_id="fuzz",
-                sector=rng.choice(vocab.sectors),
-                country=rng.choice(vocab.countries),
+                sector=rng.choice(VOCAB.sectors),
+                country=rng.choice(VOCAB.countries),
                 cpe_ids=frozenset(rng.sample(cpe_ids, k=rng.randint(0, 8))),
             )
             config = PolicyConfig(
                 family=Family.APT,
-                origin_countries=frozenset(rng.sample(vocab.countries,
+                origin_countries=frozenset(rng.sample(VOCAB.countries,
                                                       k=rng.randint(0, 3))),
                 skill_level=rng.choice([SkillLevel.LOW, SkillLevel.HIGH]),
                 epss_threshold=round(rng.random(), 3),
@@ -317,7 +316,7 @@ def test_c7_graph_schema_conformance():
         for seed in (1, 31337):
             bundle = random_bundle(seed=seed)
             assert sum(len(getattr(bundle, name)) for name in bundle.__slots__) == 10_000
-            graph = build_graph(bundle, random_attributions(seed + 1, bundle))
+            graph = build_graph(bundle, random_attributions(seed + 1, bundle), vocab=VOCAB)
             assert audit_edge_conformance(graph) == []
 
 
@@ -330,7 +329,7 @@ def test_c8_enrichment_extraction():
     with criterion("criterion 8: enrichment snippets + filter idempotence"):
         from datetime import date
 
-        lexicon = load_lexicon()
+        lexicon = load_lexicon(vocab=VOCAB)
 
         def attributed(description):
             group = AttackGroupRaw(group_id="G0001", name="g", description=description,

@@ -480,6 +480,40 @@ def test_non_utf8_vocabulary_or_lexicon_exits_two(tmp_path, capsys, section, kin
     assert "Traceback" not in err
 
 
+def _build_with_country_terms(tmp_path, extra: str) -> int:
+    """``build`` on the case fixture with its country lexicon set to the
+    packaged terms and the ``term<TAB>value`` lines ``extra``."""
+    terms = tmp_path / "country_terms.tsv"
+    terms.write_text(read_data_file(None, "country_terms.tsv") + extra, encoding="utf-8")
+    config = json.loads((CASE_STUDY / "config.json").read_text(encoding="utf-8"))
+    config["lexicons"] = {"countries": str(terms)}
+    config["snapshots"] = {k: str(CASE_STUDY / v) for k, v in config["snapshots"].items()}
+    config["profiles"] = [str(CASE_STUDY / v) for v in config["profiles"]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        return _run("--config", str(path), "--out", str(tmp_path / "out"), "build")
+
+
+# "(prc)" starts with a non-word character, so the lexicon has no word index
+# and every description, ASCII ones included, is scanned with the term tries.
+_TRIE_PATH_TERM = "(prc)\tChina\n"
+
+
+def test_a_lexicon_term_longer_than_the_recursion_limit_builds(tmp_path, capsys):
+    assert _build_with_country_terms(tmp_path, _TRIE_PATH_TERM + "x" * 600 + "\tChina\n") == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_lexicon_terms_nested_too_deeply_to_compile_exit_two(tmp_path, capsys):
+    # 500 terms, each a prefix of the next, nest 500 groups in the pattern
+    nested = "".join("a" * n + "\tChina\n" for n in range(1, 501))
+    assert _build_with_country_terms(tmp_path, _TRIE_PATH_TERM + nested) in (0, 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert not err or "country lexicon" in err
+
+
 # 1,000 nested arrays: a 2 KB JSON value too deep for the decoder, which
 # raises RecursionError, not a ValueError.
 _DEEP_JSON = "[" * 1000 + "]" * 1000
@@ -527,27 +561,30 @@ def test_deeply_nested_graph_line_exits_two_naming_the_line(built, capsys):
     _assert_read_commands_name_line(built, capsys, line_no)
 
 
-def test_deeply_nested_graph_prop_loads(built):
-    # 500 levels decode; freezing the prop must not recurse once per level
+def test_deeply_nested_graph_prop_exits_two(built, capsys):
+    # 500 levels decode; freezing refuses the prop without recursing once per
+    # level, and a flat list prop in its place loads like any other
     ranked = built / "ranked_ODU_apt_threat.csv"
     base = ["--config", CONFIG, "--out", str(built)]
     assert _run(*base, "rank", "--org", "ODU", "--policy", "apt_threat") == 0
     expected = ranked.read_bytes()
+    capsys.readouterr()
     path = built / "graph.jsonl"
     data = path.read_bytes()
-    old = b'{"kind": "node", "label": "Cpe", "key": '
-    assert old in data
-    at = data.index(b'"props": {', data.index(old)) + len(b'"props": {')
+    start = data.index(b'{"kind": "node", "label": "Cpe", "key": ')
+    key = json.loads(data[start:data.index(b"\n", start)])["key"]
+    at = data.index(b'"props": {', start) + len(b'"props": {')
     path.write_bytes(data[:at] + b'"deep": ' + b"[" * 500 + b"]" * 500 + b", " + data[at:])
+    for command in (["rank", "--org", "ODU", "--policy", "apt_threat"], ["evaluate"],
+                    ["case-study", "--org", "ODU"]):
+        assert _run(*base, *command) == 2, command
+        err = capsys.readouterr().err
+        assert f"{path}: Cpe {key!r}: prop 'deep'" in err
+        assert "Traceback" not in err and "RecursionError" not in err
+    path.write_bytes(data[:at] + b'"flat": ["a", 1, null], ' + data[at:])
     with contextlib.redirect_stdout(io.StringIO()):
         assert _run(*base, "rank", "--org", "ODU", "--policy", "apt_threat") == 0
     assert ranked.read_bytes() == expected
-    node = next(n for n in kgraph.load_graph(path).nodes() if "deep" in n.props)
-    value, depth = node.props["deep"], 1
-    while value:
-        assert type(value) is tuple and len(value) == 1
-        value, depth = value[0], depth + 1
-    assert value == () and depth == 500
 
 
 # Snapshot and CSV inputs of the case fixture, as paths under its directory.
@@ -628,6 +665,24 @@ def test_json_value_swap_keeps_the_exit_code_contract(name, data):
     path, value = data.draw(st.sampled_from(_SWAPS[name]))
     edited = fuzz_inputs.swap_bytes(name, (CASE_STUDY / name).read_bytes(), path, value)
     assert fuzz_inputs.run_case(name, edited) == []
+
+
+def test_the_unedited_fuzz_case_exits_zero():
+    # The case copy that scripts/fuzz_inputs.py edits names copies of the
+    # packaged data files; unedited, every command succeeds on it
+    files = fuzz_inputs.project_files()
+    assert set(fuzz_inputs.DATA_FILES) < set(files)
+    assert fuzz_inputs.run_case("config.json", files["config.json"], codes=(0,)) == []
+
+
+@given(name=st.sampled_from(sorted(fuzz_inputs.DATA_FILES)),
+       byte=st.sampled_from(list(fuzz_inputs.ALPHABET)), insert=st.booleans(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_byte_data_file_edit_keeps_the_exit_code_contract(name, byte, insert, data):
+    # A configured vocabulary or lexicon file, edited
+    original = fuzz_inputs.project_files()[name]
+    at = data.draw(st.integers(0, len(original) - (0 if insert else 1)))
+    assert fuzz_inputs.run_case(name, fuzz_inputs.byte_edit(original, at, byte, insert)) == []
 
 
 def test_bad_flags_exit_one(capsys):

@@ -24,7 +24,7 @@ from threatrank.enrich import (
 )
 from threatrank.errors import DataError
 from threatrank.feeds import AttackGroupRaw, SourceKind, parse_snapshot
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, VOCAB
 
 # The activity-year pattern as attribute_group's IGNORECASE path compiles it.
 _ACTIVITY_YEAR_RE = re.compile(_ACTIVITY_YEAR, re.IGNORECASE)
@@ -33,7 +33,7 @@ _ACTIVITY_YEAR_RE = re.compile(_ACTIVITY_YEAR, re.IGNORECASE)
 def scan_terms(text, terms):
     # Every lexicon phrase match in the text, in order, as attribute_group's
     # IGNORECASE path scans it.
-    return enrich._scan(enrich._compiled(tuple(terms)), text, text, terms)
+    return enrich._scan(enrich._compiled(tuple(terms), "country"), text, text, terms)
 
 
 def word_scan_terms(text, terms):
@@ -45,7 +45,7 @@ def word_scan_terms(text, terms):
 
 @pytest.fixture(scope="module")
 def lexicon():
-    return load_lexicon()
+    return load_lexicon(vocab=VOCAB)
 
 
 def _group(description, created=date(2019, 1, 1), group_id="G0001"):
@@ -456,11 +456,11 @@ def test_lexicon_rejects_unknown_canonical_value(tmp_path):
     bad = tmp_path / "countries.tsv"
     bad.write_text("atlantis\tAtlantis\n", encoding="utf-8")
     with pytest.raises(DataError):
-        load_lexicon(country_path=bad)
+        load_lexicon(country_path=bad, vocab=VOCAB)
 
 
 def test_lexicon_rejects_malformed_line(tmp_path):
     bad = tmp_path / "countries.tsv"
     bad.write_text("just-one-column\n", encoding="utf-8")
     with pytest.raises(DataError):
-        load_lexicon(country_path=bad)
+        load_lexicon(country_path=bad, vocab=VOCAB)

@@ -36,7 +36,7 @@ PUBLIC_NAMES = {
                 "RankedList", "WeeklyCohort", "feature_bits", "feature_table",
                 "generate_candidates", "rank"],
     "stats": ["TTestResult", "paired_t_test", "student_t_cdf"],
-    "vocab": ["Vocabulary", "default_vocabulary", "load_vocabulary"],
+    "vocab": ["Vocabulary", "load_vocabulary"],
 }
 ALL_NAMES = sorted(name for names in PUBLIC_NAMES.values() for name in names)
 
@@ -114,7 +114,7 @@ def test_public_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_names_are_listed():
-    assert len(ALL_NAMES) == 67
+    assert len(ALL_NAMES) == 66
     assert sorted(threatrank.__all__) == ALL_NAMES
     assert set(ALL_NAMES) <= set(dir(threatrank))
 

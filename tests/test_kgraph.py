@@ -44,8 +44,8 @@ from threatrank.ranking import (
     generate_candidates,
 )
 from threatrank.vocab import Vocabulary
-from tests.conftest import audit_edge_conformance
-from tests.randdata import random_attributions, random_bundle
+from tests.conftest import VOCAB, audit_edge_conformance
+from tests.randdata import random_attributions, random_bundle, random_profiles
 
 
 def graph_signature(graph: PropertyGraph):
@@ -124,7 +124,7 @@ def test_frozen_graph_rejects_writes():
         g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000")
 
 
-def test_freeze_copies_nested_list_props_without_recursion():
+def test_freeze_refuses_nested_props_without_recursion():
     deep = []
     for _ in range(5000):  # far past the recursion limit
         deep = [deep, "x"]
@@ -135,41 +135,24 @@ def test_freeze_copies_nested_list_props_without_recursion():
     loop.append(loop)
     dict_loop = {"a": 1}
     dict_loop["self"] = [dict_loop]
-    g = PropertyGraph()
-    node = g.upsert_node(NodeLabel.CWE, "CWE-1",
-                         {"deep": deep, "mixed": mixed, "flat": ["a", "b"]})
-    g.freeze()
-    value, depth = node.props["deep"], 0
-    while value:
-        assert type(value) is tuple and value[1] == "x"
-        value, depth = value[0], depth + 1
-    assert value == () and depth == 5000
-    value, depth = node.props["mixed"], 0
-    while value:
-        assert type(value["list"]) is tuple
-        with pytest.raises(TypeError):
-            value["list"] = []
-        value, depth = value["list"][0], depth + 1
-    assert value == {} and depth == 5000
-    assert node.props["flat"] == ("a", "b")
-    for looped in (loop, dict_loop):
+    for nested in (deep, mixed, [mixed], loop, dict_loop, [dict_loop]):
         g = PropertyGraph()
-        g.upsert_node(NodeLabel.CWE, "CWE-1", {"loop": looped})
-        with pytest.raises(ValueError, match="contains itself"):
+        node = g.upsert_node(NodeLabel.CWE, "CWE-1", {"flat": ["a", "b"], "nested": nested})
+        with pytest.raises(ValueError, match="Cwe 'CWE-1': prop 'nested'"):
             g.freeze()
+        # The graph is not frozen, and every part of it can still be written
+        assert node.props["nested"] is nested
+        node.props["more"] = 1
+        g.upsert_node(NodeLabel.CAPEC, "CAPEC-1")
+        assert g.link(EdgeType.KNOWN_ATTACK, "CWE-1", "CAPEC-1")
+        del node.props["nested"]
+        g.freeze()
+        assert node.props == {"flat": ("a", "b"), "more": 1}
 
 
-def _assert_dict_props_read_only(props):
-    """A dict prop, one nested in a dict and one inside a list prop, refuse
-    every write and keep their values."""
-    for mapping in (props["meta"], props["meta"]["deep"], props["refs"][0]):
-        for write in (lambda: mapping.__setitem__("a", 99), lambda: mapping.__delitem__("a"),
-                      lambda: mapping.update(a=99), lambda: mapping.setdefault("z", 0),
-                      lambda: mapping.pop("a", None), mapping.popitem, mapping.clear,
-                      lambda: mapping.__ior__({"a": 99})):
-            with pytest.raises(TypeError):
-                write()
-    assert props["meta"] == {"a": 1, "deep": {"c": (3,)}} and props["refs"] == ({"b": 2},)
+# A dict prop, one nested in a dict, one inside a list and a list inside a list.
+_REFUSED_PROPS = [("meta", {"a": 1}), ("deep", {"a": {"c": [3]}}), ("refs", [{"b": 2}]),
+                  ("notes", [["nested"]])]
 
 
 def test_frozen_graph_props_are_read_only(tmp_path):
@@ -177,9 +160,18 @@ def test_frozen_graph_props_are_read_only(tmp_path):
     node = g.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-38000", {"cvss_base": 6.1})
     node.props["modified"] = "2021-11-23"  # writable while building
     cwe = g.upsert_node(NodeLabel.CWE, "CWE-416",
-                        {"technical_impacts": ["Modify Data"], "notes": [["nested"]],
-                         "meta": {"a": 1, "deep": {"c": [3]}}, "refs": [{"b": 2}]})
+                        {"technical_impacts": ["Modify Data"], "notes": ["a", 1, None]})
     assert g.link(EdgeType.WEAKENED_BY, node.key, cwe.key)
+    # Each prop freeze refuses leaves the graph writable
+    for name, nested in _REFUSED_PROPS:
+        kept = cwe.props.get(name)
+        cwe.props[name] = nested
+        with pytest.raises(ValueError, match=f"Cwe 'CWE-416': prop {name!r}"):
+            g.freeze()
+        if kept is None:
+            del cwe.props[name]
+        else:
+            cwe.props[name] = kept
     signature = graph_signature(g)
     save_graph(g, tmp_path / "building.jsonl")
     g.freeze()
@@ -195,10 +187,8 @@ def test_frozen_graph_props_are_read_only(tmp_path):
     with pytest.raises(AttributeError):
         cwe_props["technical_impacts"].append("Read Data")
     with pytest.raises(AttributeError):
-        cwe_props["notes"][0].append("more")
-    _assert_dict_props_read_only(cwe_props)
-    assert cwe_props == {"technical_impacts": ("Modify Data",), "notes": (("nested",),),
-                         "meta": {"a": 1, "deep": {"c": (3,)}}, "refs": ({"b": 2},)}
+        cwe_props["notes"].append("more")
+    assert cwe_props == {"technical_impacts": ("Modify Data",), "notes": ("a", 1, None)}
     # adjacency: neither a node's edge sets nor its own fields can change the graph
     with pytest.raises(AttributeError):
         node.outgoing[EdgeType.WEAKENED_BY].add(node)
@@ -232,17 +222,27 @@ def test_frozen_graph_props_are_read_only(tmp_path):
         reloaded.find(NodeLabel.NVD_CVE, "CVE-2021-38000").props["cvss_base"] = 0.0
     with pytest.raises(AttributeError):
         reloaded.find(NodeLabel.CWE, "CWE-416").props["technical_impacts"].append("Read Data")
-    _assert_dict_props_read_only(reloaded.find(NodeLabel.CWE, "CWE-416").props)
+    with pytest.raises(AttributeError):
+        reloaded.find(NodeLabel.CWE, "CWE-416").props["notes"].append("more")
     reloaded_cve = reloaded.find(NodeLabel.NVD_CVE, "CVE-2021-38000")
     with pytest.raises(AttributeError):
         reloaded_cve.outgoing[EdgeType.WEAKENED_BY].add(reloaded_cve)
     with pytest.raises(TypeError):
         reloaded_cve.outgoing[EdgeType.AFFECTS] = set()
     assert graph_signature(reloaded) == signature
+    # A node line holding such a prop is a DataError naming the file, the node and the prop
+    lines = (tmp_path / "graph.jsonl").read_text(encoding="utf-8")
+    bad = tmp_path / "nested.jsonl"
+    for name, nested in _REFUSED_PROPS:
+        line = json.dumps({"kind": "node", "label": "Cwe", "key": "CWE-416",
+                           "props": {name: nested}})
+        bad.write_text(lines + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{bad}: Cwe 'CWE-416': prop {name!r}")):
+            load_graph(bad)
 
 
 def test_in_out_adjacency_consistency():
-    graph = build_graph(random_bundle(seed=7, scale=1) , vocab=None)
+    graph = build_graph(random_bundle(seed=7, scale=1), vocab=VOCAB)
     for src, edge_type, dst in graph.edges():
         assert dst in src.outgoing[edge_type]
         assert src in dst.incoming[edge_type]
@@ -251,14 +251,14 @@ def test_in_out_adjacency_consistency():
 def test_rebuild_is_isomorphic():
     bundle = random_bundle(seed=11)
     attributions = random_attributions(5, bundle)
-    first = build_graph(bundle, attributions)
-    second = build_graph(bundle, attributions)
+    first = build_graph(bundle, attributions, vocab=VOCAB)
+    second = build_graph(bundle, attributions, vocab=VOCAB)
     assert graph_signature(first) == graph_signature(second)
 
 
 def test_snapshot_round_trip(tmp_path):
     bundle = random_bundle(seed=13)
-    graph = build_graph(bundle, random_attributions(3, bundle))
+    graph = build_graph(bundle, random_attributions(3, bundle), vocab=VOCAB)
     path = tmp_path / "graph.jsonl"
     save_graph(graph, path)
     reloaded = load_graph(path)
@@ -269,6 +269,18 @@ def test_snapshot_round_trip(tmp_path):
     again = tmp_path / "graph2.jsonl"
     save_graph(reloaded, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=5, deadline=None)
+def test_built_graph_always_freezes(seed):
+    # build writes only props that freeze, and so load_graph, accepts
+    bundle = random_bundle(seed)
+    graph = build_graph(bundle, random_attributions(seed, bundle),
+                        random_profiles(seed, bundle), vocab=VOCAB)
+    assert graph.stats.dangling_dropped  # the bundle's dangling references were drawn too
+    graph.freeze()
+    assert graph.find(NodeLabel.ORGANIZATION, "ORG0") is not None
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +563,16 @@ _SCALARS = (st.none() | st.booleans()
             | st.floats() | st.sampled_from([1e-07, -0.0, 0.1, 1e16, 5e-324])
             | _TEXT)
 # Lists, tuples (lists become tuples on freeze) and dicts, nested, with
-# inner keys in the order drawn.
+# inner keys in the order drawn; only scalars and flat lists and tuples of
+# them freeze.
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: (st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(_TEXT, inner, max_size=3)),
     max_leaves=8)
 _PROPS = st.dictionaries(_TEXT, _VALUES, max_size=4)  # empty props included
+# The types _SCALARS draws, and the only ones a frozen prop holds, alone or in a tuple.
+_SCALAR_TYPES = (type(None), bool, int, float, str)
 
 
 @given(nodes=st.lists(st.tuples(st.sampled_from(list(NodeLabel)), _KEYS, _PROPS), max_size=10),
@@ -575,7 +590,17 @@ def test_save_graph_writes_what_the_reference_writer_writes(
         g.upsert_node(dst_label, dst_key)
         assert g.link(edge_type, src_key, dst_key)
     if freeze:
-        g.freeze()
+        nested = any(type(value) is dict or type(value) in (list, tuple) and any(
+            type(item) in (list, tuple, dict) for item in value)
+            for node in g.nodes() for value in node.props.values())
+        if nested:
+            with pytest.raises(ValueError):
+                g.freeze()
+        else:
+            g.freeze()
+            assert all(type(value) in _SCALAR_TYPES or type(value) is tuple
+                       and all(type(item) in _SCALAR_TYPES for item in value)
+                       for node in g.nodes() for value in node.props.values())
     out = tmp_path_factory.mktemp("saved")
     save_graph(g, out / "graph.jsonl")
     _reference_save_graph(g, out / "reference.jsonl")

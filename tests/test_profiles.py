@@ -16,7 +16,7 @@ from threatrank.profiles import (
     normalize_token,
     resolve_cpes,
 )
-from tests.conftest import CASE_STUDY
+from tests.conftest import CASE_STUDY, VOCAB
 
 
 def _unresolved(report):
@@ -35,7 +35,7 @@ def _entry(vendor, product, version="-"):
 
 
 def test_load_case_study_profile():
-    profile = load_profile(CASE_STUDY / "profiles" / "odu.json")
+    profile = load_profile(CASE_STUDY / "profiles" / "odu.json", VOCAB)
     assert profile.org_id == "ODU"
     assert profile.sector == "Education"
     assert profile.country == "United States"
@@ -49,7 +49,7 @@ def test_load_profile_rejects_unknown_sector(tmp_path):
         "country": "United States", "software": [],
     }), encoding="utf-8")
     with pytest.raises(DataError, match="Retail"):
-        load_profile(path)
+        load_profile(path, VOCAB)
 
 
 def test_load_profile_rejects_unknown_country(tmp_path):
@@ -59,7 +59,7 @@ def test_load_profile_rejects_unknown_country(tmp_path):
         "country": "Atlantis", "software": [],
     }), encoding="utf-8")
     with pytest.raises(DataError, match="Atlantis"):
-        load_profile(path)
+        load_profile(path, VOCAB)
 
 
 def test_load_profile_empty_software_is_valid(tmp_path):
@@ -68,7 +68,7 @@ def test_load_profile_empty_software_is_valid(tmp_path):
         "org_id": "X", "name": "X", "sector": "Education",
         "country": "United States", "software": [],
     }), encoding="utf-8")
-    assert load_profile(path).software == ()
+    assert load_profile(path, VOCAB).software == ()
 
 
 def test_load_profile_version_is_a_string_pin_or_null(tmp_path):
@@ -79,7 +79,7 @@ def test_load_profile_version_is_a_string_pin_or_null(tmp_path):
                      {"vendor": "v", "product": "q", "version": "1.10"},
                      {"vendor": "v", "product": "r"}],
     }), encoding="utf-8")
-    assert [item.version for item in load_profile(path).software] == [None, "1.10", None]
+    assert [item.version for item in load_profile(path, VOCAB).software] == [None, "1.10", None]
 
 
 _HEAD = b'{"org_id": "X", "name": "X", "sector": "Education", "country": "United States"'
@@ -100,7 +100,7 @@ def test_load_profile_rejects_misshapen_file(tmp_path, data):
     path = tmp_path / "p.json"
     path.write_bytes(data)
     with pytest.raises(DataError):
-        load_profile(path)
+        load_profile(path, VOCAB)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_resolution_counts_unmatched_items():
 def test_case_study_inventory_coverage(case_config):
     from threatrank.cli import load_bundle
 
-    profile = load_profile(CASE_STUDY / "profiles" / "odu.json")
+    profile = load_profile(CASE_STUDY / "profiles" / "odu.json", VOCAB)
     bundle, _ = load_bundle(case_config)
     resolved, report = resolve_cpes(profile, cpe_index(bundle.cpes))
     assert report.resolved == 47

@@ -483,17 +483,23 @@ def test_feature_record_population(case_graph, case_org, case_config):
 
 
 def test_feature_row_ignores_a_skill_level_that_is_not_a_string():
-    # graph.jsonl is outside input: a Capec whose skill_level is an object
-    # matches no configured level and must not end a read in a traceback
-    graph = build_graph(SnapshotBundle(), vocab=TINY_VOCAB)
-    graph.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-10000", {})
-    graph.upsert_node(NodeLabel.CWE, "CWE-79")
-    graph.upsert_node(NodeLabel.CAPEC, "CAPEC-63", {"skill_level": {"level": "High"}})
-    assert graph.link(EdgeType.WEAKENED_BY, "CVE-2021-10000", "CWE-79")
-    assert graph.link(EdgeType.KNOWN_ATTACK, "CWE-79", "CAPEC-63")
-    row = _row(graph.freeze(), "CVE-2021-10000", MINI_ORG)
-    assert row.skill_levels == frozenset()
-    assert feature_bits(row, GENERAL)["skill_match"] == 0
+    # graph.jsonl is outside input: a Capec whose skill_level is a list or a
+    # number matches no configured level and must not end a read in a
+    # traceback; one whose skill_level is an object does not freeze
+    for level in (["High"], 3, {"level": "High"}):
+        graph = build_graph(SnapshotBundle(), vocab=TINY_VOCAB)
+        graph.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-10000", {})
+        graph.upsert_node(NodeLabel.CWE, "CWE-79")
+        graph.upsert_node(NodeLabel.CAPEC, "CAPEC-63", {"skill_level": level})
+        assert graph.link(EdgeType.WEAKENED_BY, "CVE-2021-10000", "CWE-79")
+        assert graph.link(EdgeType.KNOWN_ATTACK, "CWE-79", "CAPEC-63")
+        if type(level) is dict:
+            with pytest.raises(ValueError, match="Capec 'CAPEC-63': prop 'skill_level'"):
+                graph.freeze()
+            continue
+        row = _row(graph.freeze(), "CVE-2021-10000", MINI_ORG)
+        assert row.skill_levels == frozenset()
+        assert feature_bits(row, GENERAL)["skill_match"] == 0
 
 
 def test_feature_record_marks_absent_fields():
@@ -670,7 +676,8 @@ def _reference_feature_row(graph, cve_id, org):
 _SECTORS = ("Education", "Energy", "Healthcare")
 _COUNTRIES = ("United States", "China", "Iran")
 # CAPEC skill levels as graph.jsonl may hold them: strings, null and values
-# that are not strings (a list prop is frozen into a tuple).
+# that are not strings (a list prop is frozen into a tuple, and an object
+# does not freeze).
 _SKILLS = st.sampled_from(["Low", "Medium", "High", None, {"level": "High"}, ["High"], 3])
 
 
@@ -680,7 +687,8 @@ def _meshes(draw):
 
     Small pools make shared CAPECs, techniques and groups, and so diamond
     paths, the common case.  The CVEs are modified in one of three ISO
-    weeks, so the org's candidates fall into up to three cohorts.
+    weeks, so the org's candidates fall into up to three cohorts.  The
+    graph is not frozen yet.
     """
     def subset(pool, max_size=None):
         return draw(st.lists(st.sampled_from(pool), unique=True,
@@ -742,13 +750,19 @@ def _meshes(draw):
     org = OrgContext(org_id="X", sector=draw(st.sampled_from(_SECTORS)),
                      country=draw(st.sampled_from(_COUNTRIES)),
                      cpe_ids=frozenset(subset(cpes)))
-    return graph.freeze(), org, tuple(cve_ids)
+    return graph, org, tuple(cve_ids)
 
 
 @given(_meshes())
 @settings(max_examples=300, deadline=None)
 def test_feature_table_and_row_equal_a_walk_per_candidate(mesh):
     graph, org, cve_ids = mesh
+    if any(type(capec.props.get("skill_level")) is dict
+           for capec in graph.nodes_with_label(NodeLabel.CAPEC)):
+        with pytest.raises(ValueError, match="prop 'skill_level'"):
+            graph.freeze()
+        return
+    graph.freeze()
     expected = {cve_id: _reference_feature_row(graph, cve_id, org) for cve_id in cve_ids}
     # One table over every cohort's candidates, as the read commands build it
     cohorts = generate_candidates(org, graph, (date.min, date.max))
