@@ -62,8 +62,12 @@ DATA_FILES = {"data/countries.txt": ("vocabularies", "countries"),
               "data/sector_terms.tsv": ("lexicons", "sectors")}
 # The bytes a one-byte edit writes.
 ALPHABET = b'\xff\x00{,\n"'
-# The values a swap puts at a key path.
-SWAP_VALUES = (None, True, 0, -1, 2**70, 1.5, "", "x", [], {}, ["China"], {"a": 1})
+# The values a swap puts at a key path.  The non-ASCII string holds the
+# letters that sre's case folding maps onto ASCII ones (ſ, İ, ı and the
+# Kelvin sign) and a dash, so that a swapped group description reaches
+# attribution's non-ASCII text.
+SWAP_VALUES = (None, True, 0, -1, 2**70, 1.5, "", "x", [], {}, ["China"], {"a": 1},
+               "A Ruſſian group \u2014 targets İran and \u212aorea, actıve since 2009.")
 ORG = "ODU"
 COMMANDS = (["ingest"], ["build"], ["rank", "--org", ORG, "--policy", "apt_threat"],
             ["evaluate"], ["case-study", "--org", ORG])

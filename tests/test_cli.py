@@ -495,23 +495,36 @@ def _build_with_country_terms(tmp_path, extra: str) -> int:
         return _run("--config", str(path), "--out", str(tmp_path / "out"), "build")
 
 
-# "(prc)" starts with a non-word character, so the lexicon has no word index
-# and every description, ASCII ones included, is scanned with the term tries.
-_TRIE_PATH_TERM = "(prc)\tChina\n"
+# A term that starts with a non-word character: indexed under "prc".
+_PRC_TERM = "(prc)\tChina\n"
 
 
 def test_a_lexicon_term_longer_than_the_recursion_limit_builds(tmp_path, capsys):
-    assert _build_with_country_terms(tmp_path, _TRIE_PATH_TERM + "x" * 600 + "\tChina\n") == 0
+    assert _build_with_country_terms(tmp_path, _PRC_TERM + "x" * 600 + "\tChina\n") == 0
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_lexicon_terms_nested_too_deeply_to_compile_exit_two(tmp_path, capsys):
-    # 500 terms, each a prefix of the next, nest 500 groups in the pattern
+def test_lexicon_terms_each_a_prefix_of_the_next_build(tmp_path, capsys):
     nested = "".join("a" * n + "\tChina\n" for n in range(1, 501))
-    assert _build_with_country_terms(tmp_path, _TRIE_PATH_TERM + nested) in (0, 2)
+    assert _build_with_country_terms(tmp_path, _PRC_TERM + nested) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_term_led_by_a_non_word_character_leaves_the_graph_unchanged(tmp_path):
+    # No case fixture description holds "(prc)", so the graph is the same.
+    graphs = []
+    for side, extra in (("packaged", ""), ("prc", _PRC_TERM)):
+        (tmp_path / side).mkdir()
+        assert _build_with_country_terms(tmp_path / side, extra) == 0
+        graphs.append((tmp_path / side / "out" / "graph.jsonl").read_bytes())
+    assert graphs[0] == graphs[1]
+
+
+def test_a_lexicon_term_with_no_word_character_exits_two(tmp_path, capsys):
+    assert _build_with_country_terms(tmp_path, "--\tChina\n") == 2
     err = capsys.readouterr().err
+    assert "country lexicon term '--' has no letter, digit or '_'" in err
     assert "Traceback" not in err
-    assert not err or "country lexicon" in err
 
 
 # 1,000 nested arrays: a 2 KB JSON value too deep for the decoder, which
@@ -673,6 +686,16 @@ def test_the_unedited_fuzz_case_exits_zero():
     files = fuzz_inputs.project_files()
     assert set(fuzz_inputs.DATA_FILES) < set(files)
     assert fuzz_inputs.run_case("config.json", files["config.json"], codes=(0,)) == []
+
+
+def test_the_non_ascii_swap_into_a_group_description_exits_zero():
+    # The fuzzer's non-ASCII string, as the first group's description
+    name = "snapshots/group.jsonl"
+    text = fuzz_inputs.SWAP_VALUES[-1]
+    assert not text.isascii()
+    edited = fuzz_inputs.swap_bytes(name, (CASE_STUDY / name).read_bytes(), (0, "description"),
+                                    text)
+    assert fuzz_inputs.run_case(name, edited, codes=(0,)) == []
 
 
 @given(name=st.sampled_from(sorted(fuzz_inputs.DATA_FILES)),

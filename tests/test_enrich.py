@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 from threatrank import enrich
 from threatrank.enrich import (
     _ACTIVITY_PHRASES,
-    _ACTIVITY_YEAR,
+    _ACTIVITY_YEAR_RE,
     GroupAttribution,
     Lexicon,
     TARGET_WINDOW_CHARS,
-    _trie_regex,
     attribute_group,
     filter_us_targeting,
     load_lexicon,
@@ -26,21 +25,25 @@ from threatrank.errors import DataError
 from threatrank.feeds import AttackGroupRaw, SourceKind, parse_snapshot
 from tests.conftest import FIXTURES, VOCAB
 
-# The activity-year pattern as attribute_group's IGNORECASE path compiles it.
-_ACTIVITY_YEAR_RE = re.compile(_ACTIVITY_YEAR, re.IGNORECASE)
-
 
 def scan_terms(text, terms):
-    # Every lexicon phrase match in the text, in order, as attribute_group's
-    # IGNORECASE path scans it.
-    return enrich._scan(enrich._compiled(tuple(terms), "country"), text, text, terms)
+    # Every lexicon phrase match in the text, in order, as attribute_group
+    # scans it: the text lower-cased, each span read back from the text.
+    return enrich._word_scan(enrich._word_index(terms, "country"), enrich._lower(text),
+                             text, terms)
 
 
-def word_scan_terms(text, terms):
-    # The same, as attribute_group's word-index path scans ASCII text: the
-    # text lower-cased, each span read back from the text.  That path runs
-    # only when every term starts with a word character.
-    return enrich._word_scan(enrich._word_index(terms), text.lower(), text, terms)
+def _lowered(text):
+    # The text lower-cased with every offset kept, as the case rule reads
+    # it: str.lower() unless that changes the length, else each character
+    # on its own, one whose lower case is longer left as it is.
+    if len(text.lower()) == len(text):
+        return text.lower()
+    return "".join(ch.lower() if len(ch.lower()) == 1 else ch for ch in text)
+
+
+def _has_word(term):
+    return re.search(r"\w", term) is not None
 
 
 @pytest.fixture(scope="module")
@@ -149,17 +152,19 @@ def test_unicode_fold_only_span_is_no_match(lexicon):
     assert result.origin_countries == () and result.targeted_countries == ()
 
 
-def _flat_scan(text, terms):
-    # The longest-first alternation scan_terms compiled before the prefix
-    # trie; the oracle for the trie's matches.
+def _flat_scan(text, terms, flags=re.IGNORECASE):
+    # The terms as one longest-first alternation; the oracle for the word
+    # scan's matches.  IGNORECASE by default, which on ASCII text is the
+    # case rule; without it, the scan of lower-cased text.
     ordered = sorted(terms, key=len, reverse=True)
     pattern = "|".join(re.escape(t) for t in ordered)
-    regex = re.compile(rf"(?<!\w)(?:{pattern})(?!\w)", re.IGNORECASE)
+    regex = re.compile(rf"(?<!\w)(?:{pattern})(?!\w)", flags)
     return [(m.start(), m.end(), terms[m.group(0).lower()]) for m in regex.finditer(text)]
 
 
 # Terms grow from a few short stems, so many share a prefix and many are
-# prefixes of one another.  ASCII only: see enrich._compiled.
+# prefixes of one another.  Some start with a non-word character, and some
+# hold no word character, which the lexicon refuses.
 _term_chars = st.sampled_from("abcz09 .-'")
 _stems = st.lists(st.text(_term_chars, min_size=1, max_size=3), min_size=1, max_size=4)
 
@@ -171,7 +176,8 @@ def _lexicon_and_text(draw):
     for _ in range(draw(st.integers(1, 12))):
         term = draw(st.sampled_from(stems)) + draw(st.text(_term_chars, max_size=4))
         terms[term] = f"C{len(terms)}"
-    glue = st.sampled_from(["", " ", ".", "-", "'", ",", "a", "Z", "0", "_", "é", "zz "])
+    glue = st.sampled_from(["", " ", ".", "-", "'", ",", "a", "Z", "0", "_", "é", "zz ",
+                            "\u2014", "\u00a0"])
     mixed_case = st.sampled_from(sorted(terms)).flatmap(lambda t: st.tuples(
         *(st.sampled_from([c.lower(), c.upper()]) for c in t)).map("".join))
     pieces = draw(st.lists(st.one_of(mixed_case, glue), max_size=12))
@@ -179,20 +185,22 @@ def _lexicon_and_text(draw):
 
 
 @given(_lexicon_and_text())
-@settings(max_examples=400, deadline=None)
-def test_trie_scan_matches_longest_first_alternation(case):
+@settings(max_examples=500, deadline=None)
+def test_word_scan_matches_longest_first_alternation(case):
     terms, text = case
-    expected = _flat_scan(text, terms)
-    got = [(m.start, m.end, m.canonical) for m in scan_terms(text, terms)]
-    assert got == expected
-    worded = {term: value for term, value in terms.items() if term[0] in enrich._WORD_CHARS}
-    if worded and text.isascii():
-        matches = word_scan_terms(text, worded)
-        assert [(m.start, m.end, m.canonical) for m in matches] == _flat_scan(text, worded)
-        assert [m.span_text for m in matches] == [text[m.start:m.end] for m in matches]
+    if not all(map(_has_word, terms)):
+        with pytest.raises(DataError, match="has no letter, digit or '_'"):
+            scan_terms(text, terms)
+        return
+    matches = scan_terms(text, terms)
+    got = [(m.start, m.end, m.canonical) for m in matches]
+    assert got == _flat_scan(_lowered(text), terms, 0)
+    if text.isascii():
+        assert got == _flat_scan(text, terms)
+    assert [m.span_text for m in matches] == [text[m.start:m.end] for m in matches]
 
 
-def test_trie_scan_matches_alternation_on_packaged_lexicons(lexicon, case_config):
+def test_word_scan_matches_alternation_on_packaged_lexicons(lexicon, case_config):
     from threatrank.cli import load_bundle
 
     bundle, _ = load_bundle(case_config)
@@ -201,17 +209,13 @@ def test_trie_scan_matches_alternation_on_packaged_lexicons(lexicon, case_config
         "south korean, south korea; korea.", "the united states' banks"]
     for terms in (lexicon.country_terms, lexicon.sector_terms):
         for text in texts:
-            expected = _flat_scan(text, terms)
+            assert text.isascii()
             got = [(m.start, m.end, m.canonical) for m in scan_terms(text, terms)]
-            assert got == expected, text
-            if text.isascii():
-                matches = word_scan_terms(text, terms)
-                assert [(m.start, m.end, m.canonical) for m in matches] == expected, text
+            assert got == _flat_scan(text, terms), text
 
 
-# _ACTIVITY_YEAR_RE as a flat alternation of its phrases, as it was
-# compiled before they were rendered as a prefix trie; the oracle for the
-# trie's matches.
+# The activity-year pattern as a flat IGNORECASE alternation of its
+# phrases; the oracle for attribute_group's scan of lower-cased text.
 _OLD_PHRASES = ("since|active|as early as|beginning in|established in|formed in|"
                 "founded in|created in|observed in|operating since|operated since|"
                 "emerged in")
@@ -223,8 +227,8 @@ def _year_matches(regex, text):
     return [(m.span(), m.group(1)) for m in regex.finditer(text)]
 
 
-# Whole phrases, phrase prefixes that share the trie's branches, years in
-# and out of range, and the fillers the window between them may hold.
+# Whole phrases, phrase prefixes, years in and out of range, and the
+# fillers the window between them may hold.
 _year_pieces = st.sampled_from([
     *_OLD_PHRASES.split("|"), "operat", "as early", "e", "fo", "found", "activ", "sinc",
     "1969", "1970", "1999", "2009", "2024", "20", "12009", "20091",
@@ -239,7 +243,8 @@ _activity_text = st.lists(_year_pieces.flatmap(lambda piece: st.tuples(
 @given(_activity_text)
 @settings(max_examples=400, deadline=None)
 def test_activity_year_trie_matches_flat_alternation(text):
-    assert _year_matches(_ACTIVITY_YEAR_RE, text) == _year_matches(_FLAT_ACTIVITY_YEAR_RE, text)
+    assert (_year_matches(_ACTIVITY_YEAR_RE, enrich._lower(text))
+            == _year_matches(_FLAT_ACTIVITY_YEAR_RE, text))
 
 
 def test_activity_year_trie_matches_flat_alternation_on_fixture_groups():
@@ -250,7 +255,7 @@ def test_activity_year_trie_matches_flat_alternation_on_fixture_groups():
     assert descriptions
     found = 0
     for text in descriptions:
-        matches = _year_matches(_ACTIVITY_YEAR_RE, text)
+        matches = _year_matches(_ACTIVITY_YEAR_RE, enrich._lower(text))
         assert matches == _year_matches(_FLAT_ACTIVITY_YEAR_RE, text), text
         found += len(matches)
     assert found
@@ -283,61 +288,58 @@ def test_attribution_evidence_is_verbatim(lexicon, case_config):
             assert span in group.description, (kind, span)
 
 
-# attribute_group as it was before the lower-cased ASCII scan: every scan
-# runs over the description itself with IGNORECASE patterns.  The oracle
-# for both of its paths.
-_REFERENCE_TRIGGER_RE = re.compile(r"(?<!\w)(?:targets|targeted|targeting)(?!\w)",
-                                   re.IGNORECASE)
+# attribute_group with flat patterns and no word index: every scan runs
+# over the description lower-cased (_lowered) with patterns that ignore no
+# case, and each span is read back from the description.  The oracle for
+# attribute_group.
+_REFERENCE_TRIGGER_RE = re.compile(r"(?<!\w)(?:targets|targeted|targeting)(?!\w)")
 _REFERENCE_SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
+_REFERENCE_ACTIVITY_YEAR_RE = re.compile(
+    rf"(?:{_OLD_PHRASES})[^.\d]{{0,30}}?(19[7-9]\d|20\d\d)(?!\d)")
 
 
-def _reference_scan(text, terms, source=None):
-    """(canonical, span) of each term match in ``text``, the span read from
-    ``source`` (``text`` by default) at the match's offsets."""
-    if not terms or not text:
+def _reference_scan(text, terms, source):
+    """(canonical, span) of each term match in lower-cased ``text``, the
+    span read from ``source`` at the match's offsets."""
+    if not terms:
         return []
-    source = text if source is None else source
-    regex = re.compile(rf"(?<!\w){_trie_regex(terms)}(?!\w)", re.IGNORECASE)
-    matches = []
-    for m in regex.finditer(text):
-        if m.group(0).lower() in terms:
-            matches.append((terms[m.group(0).lower()], source[m.start():m.end()]))
-    return matches
+    return [(value, source[start:end]) for start, end, value in _flat_scan(text, terms, 0)]
 
 
 def _reference_attribute_group(group, lexicon):
     description = group.description
+    text = _lowered(description)
     evidence = []
     windows = []
-    for trigger in _REFERENCE_TRIGGER_RE.finditer(description):
-        window = description[trigger.end():trigger.end() + TARGET_WINDOW_CHARS]
+    for trigger in _REFERENCE_TRIGGER_RE.finditer(text):
+        window = text[trigger.end():trigger.end() + TARGET_WINDOW_CHARS]
         sentence_end = _REFERENCE_SENTENCE_END_RE.search(window)
         if sentence_end is not None:
             window = window[:sentence_end.start()]
-        windows.append((trigger.end(), window))
+        windows.append((trigger.end(), trigger.end() + len(window)))
     # Origins: the country matches once every target window is blanked out
-    untargeted = list(description)
-    for start, window in windows:
-        untargeted[start:start + len(window)] = " " * len(window)
+    untargeted = list(text)
+    for start, end in windows:
+        untargeted[start:end] = " " * (end - start)
     origin_matches = _reference_scan("".join(untargeted), lexicon.country_terms, description)
     origin_countries = list(dict.fromkeys(country for country, _ in origin_matches))
     for country in origin_countries:
         span = next(span for found, span in origin_matches if found == country)
         evidence.append((f"origin_country:{country}", span))
-    year_matches = [m for m in _FLAT_ACTIVITY_YEAR_RE.finditer(description)
+    year_matches = [m for m in _REFERENCE_ACTIVITY_YEAR_RE.finditer(text)
                     if 1970 <= int(m.group(1)) <= group.created.year]
     if year_matches:
         best = min(year_matches, key=lambda m: int(m.group(1)))
         origin_year = int(best.group(1))
-        evidence.append(("origin_year", best.group(0)))
+        evidence.append(("origin_year", description[best.start():best.end()]))
     else:
         origin_year = group.created.year
         evidence.append(("origin_year_default", group.created.isoformat()))
     targeted_countries, targeted_sectors = [], []
-    for _start, window in windows:
+    for start, end in windows:
         for terms, found, kind in ((lexicon.country_terms, targeted_countries, "country"),
                                    (lexicon.sector_terms, targeted_sectors, "sector")):
-            for value, span in _reference_scan(window, terms):
+            for value, span in _reference_scan(text[start:end], terms, description[start:end]):
                 if value not in found:
                     found.append(value)
                     evidence.append((f"targeted_{kind}:{value}", span))
@@ -346,13 +348,14 @@ def _reference_attribute_group(group, lexicon):
 
 
 # Lexicon terms from letters that sre folds non-ASCII letters onto (i, k,
-# s), so the glue below can form fold-only spans.  Some lexicons also hold
-# one non-ASCII term, which sends every description to the IGNORECASE path.
+# s), so the glue below can form fold-only spans, which match nothing.
+# Some lexicons also hold one non-ASCII term, some terms start with a
+# non-word character, and a term with no word character is refused.
 _attribution_terms = st.text(st.sampled_from("aiksz .-'"), min_size=1, max_size=6)
 _non_ascii_term = st.tuples(_attribution_terms, st.sampled_from(["ſ", "ı", "é", "ß", "\u0307"]),
                             st.integers(0, 6)).map(lambda t: t[0][:t[2]] + t[1] + t[0][t[2]:])
 _ASCII_GLUE = [" ", ",", "a", "_", "9", "-", "x "]
-_NON_ASCII_GLUE = ["ſ", "\u212a", "İ", "ı", "é", "ß"]
+_NON_ASCII_GLUE = ["ſ", "\u212a", "İ", "ı", "é", "ß", "\u2014", "\u00a0"]
 _ATTRIBUTION_WORDS = [
     *_ACTIVITY_PHRASES, "at least ", "1969", "1970", "2009", "2024", "2031", "12009",
     "targets", "targeted", "targeting", "target", "targetſ", "retargeted", "targetings",
@@ -370,40 +373,70 @@ def _attribution_case(draw):
     sectors = draw(st.lists(_attribution_terms, min_size=1, max_size=4))
     if draw(st.booleans()):
         draw(st.sampled_from([countries, sectors])).append(draw(_non_ascii_term))
-    lexicon = Lexicon(country_terms={t: f"C{i}" for i, t in enumerate(countries)},
-                      sector_terms={t: f"S{i}" for i, t in enumerate(sectors)})
     glue = _ASCII_GLUE if draw(st.booleans()) else _ASCII_GLUE + _NON_ASCII_GLUE
     piece = st.one_of(_mixed_case(countries + sectors), _mixed_case(_ATTRIBUTION_WORDS),
                       st.sampled_from(glue))
     text = "".join(draw(st.lists(piece, max_size=30)))
-    return _group(text, created=date(draw(st.integers(1990, 2030)), 1, 1)), lexicon
+    group = _group(text, created=date(draw(st.integers(1990, 2030)), 1, 1))
+    return (group, {t: f"C{i}" for i, t in enumerate(countries)},
+            {t: f"S{i}" for i, t in enumerate(sectors)})
 
 
 @given(_attribution_case())
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=1000, deadline=None)
 def test_attribution_matches_reference(case):
-    group, lexicon = case
+    group, country_terms, sector_terms = case
+    if not all(map(_has_word, [*country_terms, *sector_terms])):
+        with pytest.raises(DataError, match="has no letter, digit or '_'"):
+            Lexicon(country_terms=country_terms, sector_terms=sector_terms)
+        return
+    lexicon = Lexicon(country_terms=country_terms, sector_terms=sector_terms)
     assert attribute_group(group, lexicon) == _reference_attribute_group(group, lexicon)
 
 
-def test_fold_only_span_hides_the_term_inside_it(lexicon):
-    # "ſouth korea" folds onto "south korea" and is dropped, but its span
-    # still covers "korea": a lower-cased scan would find it.
-    result = attribute_group(_group("A group that targets ſouth Korea."), lexicon)
-    assert result.targeted_countries == ()
+def test_fold_only_span_does_not_hide_the_term_inside_it(lexicon):
+    # "ſouth sudan" lower-cases to no term, so it matches nothing and the
+    # scan goes on to find "sudan" inside its span.
+    result = attribute_group(_group("A group that targets ſouth Sudan."), lexicon)
+    assert result.targeted_countries == ("Sudan",)
+    assert ("targeted_country:Sudan", "Sudan") in result.evidence
     # The same through a non-ASCII lexicon term and an ASCII description.
     folding = Lexicon(country_terms={"ſ a": "C0", "a": "C1"}, sector_terms={})
-    assert folding.word_index is None
-    assert attribute_group(_group("S a"), folding).origin_countries == ()
+    assert attribute_group(_group("S a"), folding).origin_countries == ("C1",)
+    assert attribute_group(_group("ſ A"), folding).origin_countries == ("C0",)
+
+
+def test_fold_only_trigger_and_phrase_count_for_nothing(lexicon):
+    result = attribute_group(_group("A group that targetſ banks, actıve 2009.",
+                                    created=date(2015, 1, 1)), lexicon)
+    assert result.targeted_sectors == () and result.origin_year == 2015
+    result = attribute_group(_group("A group that TARGETS BAN\u212aS, ACTIVE 2009."), lexicon)
+    assert result.targeted_sectors == ("Financial Services",) and result.origin_year == 2009
+
+
+def test_lowering_keeps_every_offset():
+    for text in ("İran", "ΟΔΟΣ İ", "ſ\u212aΣ", "plain ascii", ""):
+        lowered = enrich._lower(text)
+        assert lowered == _lowered(text) and len(lowered) == len(text)
+    assert enrich._lower("İRAN") == "İran"
 
 
 def test_attribution_matches_reference_on_fixture_groups(lexicon):
     groups = [group for fixture in ("case_study", "synthetic52")
               for group in parse_snapshot(FIXTURES / fixture / "snapshots" / "group.jsonl",
                                           SourceKind.GROUP).records]
-    assert groups and lexicon.word_index is not None
+    assert groups
     for group in groups:
         assert attribute_group(group, lexicon) == _reference_attribute_group(group, lexicon)
+
+
+@pytest.mark.parametrize("description, targeted", [
+    ("A group that targets the (PRC) government.", ("China",)),
+    ("A group that targets the x(prc) government.", ()),
+], ids=["after_a_space", "after_a_letter"])
+def test_a_term_led_by_a_non_word_character_matches_at_a_word_boundary(description, targeted):
+    prc = Lexicon(country_terms={"(prc)": "China"}, sector_terms={})
+    assert attribute_group(_group(description), prc).targeted_countries == targeted
 
 
 def test_ascii_attribution_compiles_no_regex(lexicon):
@@ -411,17 +444,22 @@ def test_ascii_attribution_compiles_no_regex(lexicon):
     group = _group("A Chinese group, active since 2010, that targets banks in Germany. "
                    "It also TARGETED hospitals in North Korea.")
     expected = _reference_attribute_group(group, lexicon)
-    with mock.patch.object(compiler, "compile", wraps=compiler.compile) as compile_, \
-            mock.patch.object(enrich, "_compiled", wraps=enrich._compiled) as compiled:
-        # Neither building an all-ASCII lexicon nor scanning with it compiles.
+    non_ascii = _group("A Ruſſian group that targets banks in İran — and Germany.")
+    expected_non_ascii = _reference_attribute_group(non_ascii, lexicon)
+    with mock.patch.object(compiler, "compile", wraps=compiler.compile) as compile_:
+        # Neither building a lexicon nor scanning with it compiles, whatever
+        # its terms and the description hold.
         rebuilt = Lexicon(dict(lexicon.country_terms), dict(lexicon.sector_terms))
-        assert rebuilt.word_index is not None and rebuilt == lexicon
+        assert rebuilt == lexicon
         assert attribute_group(group, rebuilt) == expected
-        assert compile_.call_count == 0 and compiled.call_count == 0
-        # A non-ASCII description takes the IGNORECASE path, which does.
-        attribute_group(_group("A Ruſſian group."), lexicon)
-        assert compiled.call_count == 2
+        assert attribute_group(non_ascii, rebuilt) == expected_non_ascii
+        prc = rebuilt._replace(country_terms={**lexicon.country_terms, "(prc)": "China"})
+        assert attribute_group(group, prc) == expected
+        assert attribute_group(_group("It targets the (PRC)."), prc).targeted_countries == (
+            "China",)
+        assert compile_.call_count == 0
     assert expected.targeted_countries == ("Germany", "North Korea")
+    assert expected_non_ascii.targeted_countries == ("Germany",)
 
 
 def test_attribution_deterministic(lexicon):

@@ -5,6 +5,8 @@ a container filled in place never shares a list with another."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from threatrank import cli, enrich, evaluation, feeds, kgraph, profiles, ranking, stats, vocab
@@ -70,24 +72,35 @@ def test_policy_config_rejects_a_bad_value_however_built(bad):
 
 def test_lexicon_rejects_a_bad_term_however_built():
     good = Lexicon(country_terms={"china": "China"}, sector_terms={})
-    bad = {"China": "China"}
-    with pytest.raises(DataError, match="not lowercase"):
-        Lexicon(country_terms=bad, sector_terms={})
-    with pytest.raises(DataError, match="not lowercase"):
-        good._replace(country_terms=bad)
-    with pytest.raises(DataError, match="not lowercase"):
-        Lexicon._make((bad, {}, None))
+    for bad, message in (
+            ({"China": "China"}, "country lexicon term 'China' is not lowercase"),
+            ({"china": "China", "--": "China"},
+             "country lexicon term '--' has no letter, digit or '_'"),
+            ({"": "China"}, "country lexicon term '' has no letter, digit or '_'")):
+        with pytest.raises(DataError, match=re.escape(message)):
+            Lexicon(country_terms=bad, sector_terms={})
+        with pytest.raises(DataError, match=re.escape(message)):
+            good._replace(country_terms=bad)
+        with pytest.raises(DataError, match=re.escape(message)):
+            Lexicon._make((bad, {}, good.word_index))
+        with pytest.raises(DataError, match=re.escape(message.replace("country", "sector"))):
+            good._replace(sector_terms=bad)
     assert repr(good) == "Lexicon(country_terms={'china': 'China'}, sector_terms={})"
 
 
 def test_lexicon_derives_its_patterns_however_built():
     ascii_terms = Lexicon(country_terms={"china": "China"}, sector_terms={})
-    assert ascii_terms.word_index is not None
+    assert ascii_terms.word_index == ({"china": ((0, "china"),)}, {})
     # A copy derives the index from its own terms, not the original's.
-    assert ascii_terms._replace(country_terms={"ſ a": "China"}).word_index is None
-    assert Lexicon._make(({"ſ a": "China"}, {}, ascii_terms.word_index)).word_index is None
-    for term in ("", " china", "-china"):  # the word index needs a word at each term's start
-        assert Lexicon._make(({"china": "China"}, {term: "Energy"}, None)).word_index is None
+    assert ascii_terms._replace(country_terms={"ſ a": "China"}).word_index == (
+        {"ſ": ((0, "ſ a"),)}, {})
+    assert Lexicon._make(({"(prc)": "China"}, {}, ascii_terms.word_index)).word_index == (
+        {"prc": ((1, "(prc)"),)}, {})
+    # Each term sits under its first word at that word's offset, earliest
+    # start first, then longest.
+    terms = {"china": "China", " china": "Energy", "-china": "Energy", "china sea": "Energy"}
+    assert Lexicon._make(({}, terms, None)).word_index == ({}, {"china": (
+        (1, " china"), (1, "-china"), (0, "china sea"), (0, "china"))})
 
 
 def test_containers_share_no_list():
