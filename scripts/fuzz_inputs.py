@@ -17,7 +17,9 @@ Two kinds of case, each drawn from ``SEED``:
   one key path is replaced by one of ``SWAP_VALUES``.  The paths are every
   path of the config and the profile, every path of one record line of
   each snapshot, and every cell of one row of each CSV (a swapped cell
-  holds the value's JSON text).  An N at least their count runs them all.
+  holds the value's JSON text).  The record lines are drawn from ``SEED``
+  alone, so every N draws the same swaps, and an N at least their count
+  runs them all.
 
 Each case edits one file of a fresh copy of the fixture in a temporary
 directory and runs all five commands on it in-process, with the config's
@@ -27,6 +29,12 @@ or prints a traceback breaks the contract; each such case is printed, and
 the exit code is 1 if there is any.  The unedited copy runs first, and
 every command must exit 0 on it.  Nothing is written outside the
 temporary directory.
+
+The summary line also counts the exit-2 cases in which a command that
+exits 2 does not name the edited file (its base name) on stderr.  That is
+a count, not a failure: some data errors name only the file that
+refers to the faulty one, such as a lexicon line whose value the edited
+vocabulary no longer holds.
 """
 
 from __future__ import annotations
@@ -155,11 +163,11 @@ def swap_bytes(name: str, data: bytes, path: tuple, new) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def run_case(name: str, data: bytes, codes=(0, 1, 2)) -> list[str]:
+def run_commands(name: str, data: bytes) -> list[tuple[str, int | None, str]]:
     """Run every command on a temporary case copy (``project_files``) whose
-    input ``name`` holds ``data``; return how each command broke the
-    contract, or exited outside ``codes``."""
-    broken = []
+    input ``name`` holds ``data``; return each command's name, exit code
+    and stderr, or None and the traceback for a command that raised."""
+    runs = []
     with tempfile.TemporaryDirectory(prefix="fuzz_inputs_") as tmp:
         project = Path(tmp) / "case"
         shutil.copytree(CASE_STUDY, project, ignore=shutil.ignore_patterns("out"))
@@ -173,11 +181,23 @@ def run_case(name: str, data: bytes, codes=(0, 1, 2)) -> list[str]:
                         contextlib.redirect_stderr(stderr):
                     code = cli_main(["--config", str(project / "config.json"), *command])
             except Exception:
-                broken.append(f"{command[0]}: raised\n{traceback.format_exc()}")
+                runs.append((command[0], None, traceback.format_exc()))
                 continue
-            if code not in codes or "Traceback" in stderr.getvalue():
-                broken.append(f"{command[0]}: exit {code!r}\n{stderr.getvalue()}")
-    return broken
+            runs.append((command[0], code, stderr.getvalue()))
+    return runs
+
+
+def broken_runs(runs: list[tuple[str, int | None, str]], codes=(0, 1, 2)) -> list[str]:
+    """How each of ``run_commands``' runs broke the contract, or exited
+    outside ``codes``."""
+    return [f"{command}: raised\n{err}" if code is None else f"{command}: exit {code!r}\n{err}"
+            for command, code, err in runs if code not in codes or "Traceback" in err]
+
+
+def run_case(name: str, data: bytes, codes=(0, 1, 2)) -> list[str]:
+    """``broken_runs`` of every command on a case copy whose input ``name``
+    holds ``data``."""
+    return broken_runs(run_commands(name, data), codes)
 
 
 def _report(label: str, broken: list[str]) -> str:
@@ -203,19 +223,25 @@ def main(argv: list[str]) -> int:
         at, byte = rng.randrange(len(data) + insert), rng.choice(ALPHABET)
         cases.append((f"{name}: {'insert' if insert else 'replace'} {bytes([byte])!r} at {at}",
                       name, byte_edit(data, at, byte, insert)))
+    lines = random.Random(seed)  # the swapped lines depend on SEED alone, not on N
     swaps = [(name, path, new) for name in INPUTS
-             for path, new in value_swaps(name, originals[name], rng)]
+             for path, new in value_swaps(name, originals[name], lines)]
     for name, path, new in rng.sample(swaps, min(count, len(swaps))):
         cases.append((f"{name}: {json.dumps(new)} at {list(path)}", name,
                       swap_bytes(name, originals[name], path, new)))
-    failed = 0
+    failed = data_errors = unnamed = 0
     for label, name, data in cases:
-        broken = run_case(name, data)
+        runs = run_commands(name, data)
+        broken = broken_runs(runs)
         if broken:
             failed += 1
             print(_report(label, broken))
+        exit_two = [err for _command, code, err in runs if code == 2]
+        data_errors += bool(exit_two)
+        unnamed += any(Path(name).name not in err for err in exit_two)
     print(f"{len(cases)} cases ({min(count, len(swaps))} of {len(swaps)} value swaps), "
-          f"{len(cases) * len(COMMANDS)} command runs, {failed} broke the exit-code contract")
+          f"{len(cases) * len(COMMANDS)} command runs, {failed} broke the exit-code contract, "
+          f"{unnamed} of {data_errors} exit-2 cases do not name the edited file")
     return 1 if failed else 0
 
 

@@ -29,8 +29,7 @@ _MODULES = {
     "profiles": ("OrganizationProfile", "SoftwareItem", "cpe_index", "load_profile",
                  "resolve_cpes"),
     "ranking": ("Family", "FeatureRow", "OrgContext", "Policy", "PolicyConfig", "RankedItem",
-                "RankedList", "WeeklyCohort", "feature_bits", "feature_table",
-                "generate_candidates", "rank"),
+                "RankedList", "WeeklyCohort", "feature_table", "generate_candidates", "rank"),
     "stats": ("TTestResult", "paired_t_test", "student_t_cdf"),
     "vocab": ("Vocabulary", "load_vocabulary"),
 }

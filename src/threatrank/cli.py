@@ -5,6 +5,12 @@ testable and cacheable: ``build`` persists the graph snapshot that
 ``rank``, ``evaluate``, and ``case-study`` consume.  Every command is
 deterministic and idempotent; nothing in the pipeline needs a seed.
 
+The read commands read the graph through one function, ``_org_rows``: an
+organization's weekly cohorts and one feature table over all of them.
+``rank`` and ``case-study`` rank one org from those rows, and ``evaluate``
+hands each org's rows to ``evaluation.generate_report``, which reads no
+graph.
+
 Exit codes: 0 success, 1 usage error (bad flags, missing paths, unknown
 ids), 2 data error (unreadable or invalid content).
 
@@ -101,15 +107,17 @@ def _reject_unknown(keys, known, what: str) -> None:
         raise DataError(f"{what} {unknown[0]!r} (known: {', '.join(sorted(known))})")
 
 
-def _policy_config(name: str, raw, family: ranking.Family) -> ranking.PolicyConfig:
-    what = f"policy {name!r}"
+def _policy_config(path: Path, name: str, raw, family: ranking.Family) -> ranking.PolicyConfig:
+    """The ``policies.<name>`` section of config file ``path``; every
+    DataError names the file and the section."""
+    what = f"{path}: policies.{name}"
     _expect(raw, dict, what)
     _reject_unknown(raw, _POLICY_KEYS[name], f"{what}: unknown key")
     settings = {}
     if "origin_countries" in raw:
         origins = raw["origin_countries"]
         if not (isinstance(origins, list) and all(isinstance(c, str) for c in origins)):
-            raise DataError(f"{what}: 'origin_countries' must be "
+            raise DataError(f"{what}.origin_countries must be "
                             f"a JSON array of strings, not {origins!r}")
         settings["origin_countries"] = frozenset(origins)
     try:
@@ -117,10 +125,10 @@ def _policy_config(name: str, raw, family: ranking.Family) -> ranking.PolicyConf
             settings["skill_level"] = SkillLevel(raw["skill_level"])
         for key, kind in (("epss_threshold", (int, float)), ("risk_appetite", int), ("k", int)):
             if key in raw:
-                settings[key] = _expect(raw[key], kind, f"{what}: {key!r}")
+                settings[key] = _expect(raw[key], kind, f"{what}.{key}")
         return ranking.PolicyConfig(family=family, **settings)
     except ValueError as exc:
-        raise DataError(f"bad policy configuration: {exc}") from None
+        raise DataError(f"{what}: {exc}") from None
 
 
 def load_config(path: str | Path) -> ProjectConfig:
@@ -141,11 +149,15 @@ def load_config(path: str | Path) -> ProjectConfig:
         # Absent is empty; present, null included, must have the JSON type.
         return _expect(raw[key], kind, f"{path}: {key!r}") if key in raw else kind()
 
-    def resolve(rel: str) -> Path:
-        _expect(rel, str, f"{path}: a configured path")
+    def resolve(rel: str, key: str) -> Path:
+        # A missing file is a usage error; "" (the config's own directory)
+        # or any other path that is not a file is a data error naming the key.
+        _expect(rel, str, f"{path}: {key}")
         candidate = (base / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
         if not candidate.exists():
             raise UsageError(f"configured path does not exist: {candidate}")
+        if not candidate.is_file():
+            raise DataError(f"{path}: {key} must name a file, not {candidate}")
         return candidate
 
     snapshots: dict[SourceKind, Path] = {}
@@ -154,9 +166,10 @@ def load_config(path: str | Path) -> ProjectConfig:
             kind = SourceKind(kind_name)
         except ValueError:
             raise DataError(f"{path}: unknown snapshot kind {kind_name!r}")
-        snapshots[kind] = resolve(rel)
+        snapshots[kind] = resolve(rel, f"snapshots.{kind_name}")
 
-    profile_paths = [resolve(rel) for rel in section("profiles", list)]
+    profile_paths = [resolve(rel, f"profiles[{i}]")
+                     for i, rel in enumerate(section("profiles", list))]
 
     date_raw = section("date_range", dict)
     try:
@@ -170,10 +183,12 @@ def load_config(path: str | Path) -> ProjectConfig:
     out_rel = _expect(raw.get("output_dir", "out"), str, f"{path}: 'output_dir'")
     output_dir = (base / out_rel) if not Path(out_rel).is_absolute() else Path(out_rel)
 
-    lexicons = section("lexicons", dict)
-    _reject_unknown(lexicons, _DATA_FILE_KEYS, f"{path}: unknown 'lexicons' key")
-    vocab = section("vocabularies", dict)
-    _reject_unknown(vocab, _DATA_FILE_KEYS, f"{path}: unknown 'vocabularies' key")
+    data_files = {}  # each configured lexicon or vocabulary file, by "<section>.<key>"
+    for name in ("lexicons", "vocabularies"):
+        table = section(name, dict)
+        _reject_unknown(table, _DATA_FILE_KEYS, f"{path}: unknown {name!r} key")
+        data_files.update((f"{name}.{key}", resolve(rel, f"{name}.{key}"))
+                          for key, rel in table.items())
     policies = section("policies", dict)
     _reject_unknown(policies, _POLICY_KEYS, f"{path}: unknown policy")
     return ProjectConfig(
@@ -181,13 +196,13 @@ def load_config(path: str | Path) -> ProjectConfig:
         profile_paths=profile_paths,
         date_range=(start, end),
         output_dir=output_dir,
-        lexicon_countries=resolve(lexicons["countries"]) if "countries" in lexicons else None,
-        lexicon_sectors=resolve(lexicons["sectors"]) if "sectors" in lexicons else None,
-        vocab_countries=resolve(vocab["countries"]) if "countries" in vocab else None,
-        vocab_sectors=resolve(vocab["sectors"]) if "sectors" in vocab else None,
-        apt_config=_policy_config("apt_threat", policies.get("apt_threat", {}),
+        lexicon_countries=data_files.get("lexicons.countries"),
+        lexicon_sectors=data_files.get("lexicons.sectors"),
+        vocab_countries=data_files.get("vocabularies.countries"),
+        vocab_sectors=data_files.get("vocabularies.sectors"),
+        apt_config=_policy_config(path, "apt_threat", policies.get("apt_threat", {}),
                                   ranking.Family.APT),
-        general_config=_policy_config("general_threat", policies.get("general_threat", {}),
+        general_config=_policy_config(path, "general_threat", policies.get("general_threat", {}),
                                       ranking.Family.GENERAL),
     )
 
@@ -251,11 +266,16 @@ def _require_graph(config: ProjectConfig) -> kgraph.PropertyGraph:
     return kgraph.load_graph(graph_path)
 
 
-def _org_context(graph: kgraph.PropertyGraph, org_id: str) -> ranking.OrgContext:
+def _org_rows(graph: kgraph.PropertyGraph, org_id: str, date_range: tuple[date, date]
+              ) -> tuple[list[ranking.WeeklyCohort], dict[str, ranking.FeatureRow]]:
+    """An organization's weekly cohorts in the date range, and one feature
+    table over all of them: everything a read command ranks the org from."""
     try:
-        return ranking.OrgContext.from_graph(graph, org_id)
+        org = ranking.OrgContext.from_graph(graph, org_id)
     except KeyError:
         raise UsageError(f"unknown organization id: {org_id}")
+    cohorts = ranking.generate_candidates(org, graph, date_range)
+    return cohorts, ranking.feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
 
 
 def _all_org_ids(graph: kgraph.PropertyGraph) -> list[str]:
@@ -375,10 +395,7 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
                          f"(choose from {[p.value for p in ranking.Policy]})")
     family_config = (config.general_config if policy is ranking.Policy.GENERAL_THREAT
                      else config.apt_config)
-    graph = _require_graph(config)
-    org = _org_context(graph, org_id)
-    cohorts = ranking.generate_candidates(org, graph, config.date_range)
-    table = ranking.feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
+    cohorts, table = _org_rows(_require_graph(config), org_id, config.date_range)
     ranked_lists = [ranking.rank(c, policy, family_config, table) for c in cohorts]
     config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / f"ranked_{org_id}_{policy.value}.csv"
@@ -393,10 +410,10 @@ def cmd_evaluate(config: ProjectConfig) -> int:
     from . import evaluation
 
     graph = _require_graph(config)
-    orgs = [_org_context(graph, org_id) for org_id in _all_org_ids(graph)]
-    report = evaluation.generate_report(
-        graph, orgs, config.date_range, config.apt_config, config.general_config,
-    )
+    # A generator: each org's rows are read when the report reaches it.
+    orgs = ((org_id, *_org_rows(graph, org_id, config.date_range))
+            for org_id in _all_org_ids(graph))
+    report = evaluation.generate_report(orgs, config.apt_config, config.general_config)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     paths = report.write_csvs(config.output_dir)
     for name, out_path in sorted(paths.items()):
@@ -406,9 +423,7 @@ def cmd_evaluate(config: ProjectConfig) -> int:
 
 def cmd_case_study(config: ProjectConfig, org_id: str) -> int:
     """Emit a side-by-side CVSS-vs-threat ranking table per weekly cohort."""
-    graph = _require_graph(config)
-    org = _org_context(graph, org_id)
-    cohorts = ranking.generate_candidates(org, graph, config.date_range)
+    cohorts, table = _org_rows(_require_graph(config), org_id, config.date_range)
     if not cohorts:
         print(f"{org_id}: no candidate cohorts in "
               f"{config.date_range[0]}..{config.date_range[1]}")
@@ -416,7 +431,6 @@ def cmd_case_study(config: ProjectConfig, org_id: str) -> int:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     apt = config.apt_config
     printed = False
-    table = ranking.feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
     for cohort in cohorts:
         cvss_rank = ranking.rank(cohort, ranking.Policy.CVSS_BASE, apt, table).rank_of()
         threat_ranked = ranking.rank(cohort, ranking.Policy.APT_THREAT, apt, table)

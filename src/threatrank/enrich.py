@@ -159,6 +159,8 @@ def _parse_lexicon_file(text: str, source: str) -> dict[str, str]:
         term, value = parts[0].strip().lower(), parts[1].strip()
         if not term or not value:
             raise DataError(f"{source}:{line_no}: empty term or value")
+        if not term.translate(_WORD_TABLE).split():
+            raise DataError(f"{source}:{line_no}: term {term!r} has no letter, digit or '_'")
         terms[term] = value
     return terms
 

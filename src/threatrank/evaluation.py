@@ -8,33 +8,22 @@ ranking therefore always evaluates to 1.0.
 Patch effort uses the established non-monetary units per severity band
 (Low 0.25, Medium 1, High 1.5, Critical 3) summed over the top-k items.
 
-All computations are pure; report emission iterates in a fixed order so
-regenerated CSVs are byte-identical.
+The report is computed from each organization's weekly cohorts and
+feature table, which the caller reads from the graph; this module reads no
+graph.  All computations are pure; report emission iterates in a fixed
+order so regenerated CSVs are byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from datetime import date
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .ranking import (
-    FAMILIES,
-    OrgContext,
-    Policy,
-    PolicyConfig,
-    RankedList,
-    feature_table,
-    generate_candidates,
-    rank,
-)
+from .ranking import FAMILIES, FeatureRow, Policy, PolicyConfig, RankedList, WeeklyCohort, rank
 from .stats import TTestResult, paired_t_test
-
-if TYPE_CHECKING:
-    from .kgraph import PropertyGraph
 
 
 class Severity(Enum):
@@ -162,13 +151,15 @@ class EvaluationReport(NamedTuple):
 
 
 def generate_report(
-    graph: PropertyGraph,
-    orgs: Iterable[OrgContext],
-    date_range: tuple[date, date],
+    orgs: Iterable[tuple[str, Sequence[WeeklyCohort], Mapping[str, FeatureRow]]],
     apt_config: PolicyConfig,
     general_config: PolicyConfig,
 ) -> EvaluationReport:
-    """Evaluate every organization over the date range.
+    """Evaluate every organization from its ``(org_id, cohorts, table)`` rows.
+
+    ``cohorts`` are the org's weekly cohorts in week order, and ``table``
+    holds a feature row for each of their candidates, as the org's
+    ``feature_table`` does; no graph is read.
 
     Emits per-policy nDCG@K curves for K in 1..K_MAX (cohorts shorter than
     K contribute their truncated nDCG), annualized top-``COST_K`` patch
@@ -183,12 +174,10 @@ def generate_report(
     and costed once per cohort, gets one curve per family.
     """
     ndcg_rows, cost_rows, ttest_rows = [], [], []
-    for org in orgs:
-        cohorts = generate_candidates(org, graph, date_range)
+    for org_id, cohorts, table in orgs:
         if not cohorts:
             continue
         years = sorted({cohort.iso_week[0] for cohort in cohorts})
-        table = feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
         cvss_of = {cve: row.cvss_base or 0.0 for cve, row in table.items()}
 
         def ranked(policy: Policy, config: PolicyConfig) -> list[RankedList]:
@@ -196,7 +185,7 @@ def generate_report(
             lists = [rank(cohort, policy, config, table) for cohort in cohorts]
             if policy is not Policy.IDEAL:
                 weekly = {week.iso_week: patch_cost(week, COST_K, cvss_of) for week in lists}
-                cost_rows.extend((org.org_id, policy.value, year, annualized_cost(weekly, year))
+                cost_rows.extend((org_id, policy.value, year, annualized_cost(weekly, year))
                                  for year in years)
             return lists
 
@@ -219,7 +208,7 @@ def generate_report(
                                    if cohort.iso_week[0] == year]
                     for k in range(1, K_MAX + 1):
                         values = [curve[k - 1] for curve in year_curves]
-                        ndcg_rows.append((org.org_id, label, year, k,
+                        ndcg_rows.append((org_id, label, year, k,
                                           sum(values) / len(values), len(values)))
 
             # Paired t-test on the weekly nDCG@k series over the whole range;
@@ -230,5 +219,5 @@ def generate_report(
                                          for _label, curves in labelled])
             except ValueError:
                 continue
-            ttest_rows.append((org.org_id, labelled[0][0], labelled[1][0], result))
+            ttest_rows.append((org_id, labelled[0][0], labelled[1][0], result))
     return EvaluationReport(ndcg_rows, cost_rows, ttest_rows)

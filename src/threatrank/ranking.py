@@ -13,10 +13,10 @@ weakness->attack-pattern->technique->group paths, so an organization's
 CWE) pair once and combines the walks per row; the organization's
 sector-focused groups are read off its sector node, and those targeting
 its country off its country node.
-``feature_bits`` derives all ten binary features from a row and one
-family's config, and ``rank`` the same bits as one integer mask.  A threat
-policy is a tuple of six of those names; its score is their sum floored
-at 1, so every applicable CVE stays a candidate:
+``rank`` derives all ten binary features from a row and one family's
+config as one integer mask.  A threat policy is a tuple of six of those
+names; its score is their sum floored at 1, so every applicable CVE stays
+a candidate:
 
 * APT threat: network attack vector; a weakness->attack-pattern->technique
   path reaching a group focused on the organization's sector; such a group
@@ -254,7 +254,7 @@ class FeatureRow(NamedTuple):
     holds the seven bits no setting changes, bit i being ``FIXED_BITS[i]``;
     the skill levels of the CAPECs reached, the origin countries of the
     sector-focused groups reached and the EPSS (probability, percentile)
-    pair, or None, are what ``feature_bits`` weighs against a config.
+    pair, or None, are what ``rank`` weighs against a config.
     """
 
     cvss_base: float | None
@@ -375,12 +375,6 @@ def _row_masks(config: PolicyConfig):
         return mask
 
     return mask_of
-
-
-def feature_bits(row: FeatureRow, config: PolicyConfig) -> dict[str, int]:
-    """All ten feature bits of a row under one family's settings, in ``BIT_NAMES`` order."""
-    mask = _row_masks(config)(row)
-    return {name: mask >> i & 1 for i, name in enumerate(BIT_NAMES)}
 
 
 def score_from_bits(bits: Mapping[str, int]) -> int:

@@ -4,9 +4,19 @@ from pathlib import Path
 
 import pytest
 
+from threatrank import ranking
 from threatrank.cli import build_pipeline, load_config
 from threatrank.kgraph import EDGE_ENDPOINTS, PropertyGraph
-from threatrank.ranking import OrgContext, Policy, RankedItem, RankedList, order_scored
+from threatrank.ranking import (
+    BIT_NAMES,
+    OrgContext,
+    Policy,
+    RankedItem,
+    RankedList,
+    feature_table,
+    generate_candidates,
+    order_scored,
+)
 from threatrank.vocab import load_vocabulary
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -54,6 +64,21 @@ def gain_rankings(gains) -> tuple[RankedList, RankedList]:
                   for cve, score, position in order_scored(zip(cves, map(float, gains))))
     return (RankedList(org_id="X", policy=Policy.CVSS_BASE, iso_week=(2021, 1), items=policy),
             RankedList(org_id="X", policy=Policy.IDEAL, iso_week=(2021, 1), items=ideal))
+
+
+def feature_bits(row, config) -> dict[str, int]:
+    """All ten feature bits of a row under one family's settings, in
+    ``BIT_NAMES`` order: the mask ``rank`` derives, one name per bit."""
+    mask = ranking._row_masks(config)(row)
+    return {name: mask >> i & 1 for i, name in enumerate(BIT_NAMES)}
+
+
+def org_rows(graph, org, date_range):
+    """``(org id, weekly cohorts, feature table)`` of one organization, the
+    rows ``generate_report`` evaluates, read with the public calls."""
+    cohorts = generate_candidates(org, graph, date_range)
+    table = feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
+    return org.org_id, cohorts, table
 
 
 def audit_edge_conformance(graph: PropertyGraph) -> list[tuple[str, str, str]]:

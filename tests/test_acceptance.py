@@ -61,6 +61,7 @@ from tests.conftest import (
     VOCAB,
     audit_edge_conformance,
     gain_rankings,
+    org_rows,
 )
 from tests.randdata import random_attributions, random_bundle
 
@@ -379,7 +380,7 @@ def test_c9_corpus_scale_targets():
         assert abs(len(focused) - 50) <= 5
 
         org = OrgContext.from_graph(graph, "ODU")
-        report = generate_report(graph, [org], config.date_range,
+        report = generate_report([org_rows(graph, org, config.date_range)],
                                  config.apt_config, config.general_config)
         ndcg = {(row[1], row[2], row[3]): row[4] for row in report.ndcg_rows}
         assert ndcg[("cvss_base:apt", 2020, 20)] == pytest.approx(0.557, abs=0.02)

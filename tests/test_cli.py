@@ -354,7 +354,29 @@ def test_misshapen_config_exits_two(tmp_path, capsys, text):
     bad.write_text(text, encoding="utf-8")
     assert _run("--config", str(bad), "ingest") == 2
     err = capsys.readouterr().err
-    assert "data error" in err
+    assert "data error" in err and str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["snapshots.cwe", "profiles[0]", "lexicons.countries",
+                                 "vocabularies.sectors"])
+@pytest.mark.parametrize("value", ["", "dir"])
+def test_a_configured_path_that_is_not_a_file_is_named(tmp_path, capsys, key, value):
+    # "" resolves to the config's own directory; both name no file.
+    (tmp_path / "dir").mkdir()
+    config = json.loads((CASE_STUDY / "config.json").read_text(encoding="utf-8"))
+    config["snapshots"] = {k: str(CASE_STUDY / v) for k, v in config["snapshots"].items()}
+    config["profiles"] = [str(CASE_STUDY / v) for v in config["profiles"]]
+    section, _, name = key.partition(".")
+    if section == "profiles[0]":
+        config["profiles"][0] = value
+    else:
+        config.setdefault(section, {})[name] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert _run("--config", str(path), "ingest") == 2
+    err = capsys.readouterr().err
+    assert f"data error: {path}: {key} must name a file" in err
     assert "Traceback" not in err
 
 
@@ -523,7 +545,10 @@ def test_a_term_led_by_a_non_word_character_leaves_the_graph_unchanged(tmp_path)
 def test_a_lexicon_term_with_no_word_character_exits_two(tmp_path, capsys):
     assert _build_with_country_terms(tmp_path, "--\tChina\n") == 2
     err = capsys.readouterr().err
-    assert "country lexicon term '--' has no letter, digit or '_'" in err
+    # the appended line follows the packaged terms
+    line_no = len(read_data_file(None, "country_terms.tsv").splitlines()) + 1
+    assert f"{tmp_path / 'country_terms.tsv'}:{line_no}: term '--' has no letter, digit or '_'" \
+        in err
     assert "Traceback" not in err
 
 

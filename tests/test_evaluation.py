@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import gain_rankings
+from tests.conftest import gain_rankings, org_rows
 from threatrank.evaluation import (
     PATCH_UNITS,
     Severity,
@@ -208,8 +208,51 @@ def test_annualized_cost():
 # ---------------------------------------------------------------------------
 
 
+def test_report_from_hand_built_rows():
+    # No graph: three cohorts over two ISO years.  A row's EPSS gate is set
+    # exactly when an exploit is known, so each threat policy orders its
+    # cohorts as its family's ideal does, while CVSS base puts the
+    # low-relevance 9.8 first.
+    from threatrank.evaluation import K_MAX
+    from threatrank.ranking import FIXED_BITS, Family, FeatureRow, PolicyConfig, WeeklyCohort
+
+    bit = {name: 1 << i for i, name in enumerate(FIXED_BITS)}
+    exploited = (bit["av_network"] | bit["sector_focus"] | bit["targets_country"]
+                 | bit["technique_link"] | bit["failure_impact"] | bit["exploit_known"]
+                 | bit["affects_software"])
+
+    def row(cvss, mask, known):
+        return FeatureRow(cvss, mask, frozenset({"High"}), frozenset({"China"}),
+                          (0.99, 0.99) if known else None)
+
+    table = {"CVE-2020-1": row(9.8, bit["av_network"], False),
+             "CVE-2020-2": row(7.5, exploited, True),
+             "CVE-2020-3": row(5.0, bit["affects_software"], False),
+             "CVE-2021-1": row(3.9, exploited, True),
+             "CVE-2021-2": row(10.0, 0, False),
+             "CVE-2021-3": row(6.1, bit["technique_link"], False)}
+    cohorts = [WeeklyCohort("X", (2020, 53), ("CVE-2020-1", "CVE-2020-2", "CVE-2020-3")),
+               WeeklyCohort("X", (2021, 1), ("CVE-2021-1", "CVE-2021-2")),
+               WeeklyCohort("X", (2021, 2), ("CVE-2021-3",))]
+    report = generate_report([("X", cohorts, table)], PolicyConfig(family=Family.APT),
+                             PolicyConfig(family=Family.GENERAL))
+
+    for label in ("apt_threat:apt", "general_threat:general"):
+        rows = [row for row in report.ndcg_rows if row[1] == label]
+        assert [(row[2], row[3]) for row in rows] == \
+            [(year, k) for year in (2020, 2021) for k in range(1, K_MAX + 1)]
+        assert all(row[4] == 1.0 for row in rows), label
+    assert any(row[4] < 1.0 for row in report.ndcg_rows if row[1].startswith("cvss_base"))
+    # Every cohort is shorter than COST_K, so each costed policy pays for all
+    # of a year's CVEs: 2020 is Critical + High + Medium = 3 + 1.5 + 1, and
+    # 2021 Low + Critical + Medium = 0.25 + 3 + 1.
+    assert report.cost_rows == [("X", policy, year, cost)
+                                for policy in ("cvss_base", "apt_threat", "general_threat")
+                                for year, cost in ((2020, 5.5), (2021, 4.25))]
+
+
 def test_report_row_counts_on_case_fixture(case_graph, case_org, case_config):
-    report = generate_report(case_graph, [case_org], case_config.date_range,
+    report = generate_report([org_rows(case_graph, case_org, case_config.date_range)],
                              case_config.apt_config, case_config.general_config)
     # four evaluated (policy, ideal-mode) pairs x one year x K in 1..100
     assert len(report.ndcg_rows) == 4 * 100
@@ -224,7 +267,7 @@ def test_report_row_counts_on_case_fixture(case_graph, case_org, case_config):
 def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
     from threatrank.ranking import feature_table, generate_candidates, rank
 
-    report = generate_report(case_graph, [case_org], case_config.date_range,
+    report = generate_report([org_rows(case_graph, case_org, case_config.date_range)],
                              case_config.apt_config, case_config.general_config)
     by_key = {(row[1], row[3]): row[4] for row in report.ndcg_rows}
 
@@ -244,13 +287,14 @@ def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
 def test_report_empty_when_no_cohorts(case_graph, case_org, case_config):
     from datetime import date
 
-    report = generate_report(case_graph, [case_org], (date(1999, 1, 1), date(1999, 12, 31)),
+    report = generate_report([org_rows(case_graph, case_org,
+                                       (date(1999, 1, 1), date(1999, 12, 31)))],
                              case_config.apt_config, case_config.general_config)
     assert report.ndcg_rows == [] and report.cost_rows == [] and report.ttest_rows == []
 
 
 def test_report_csvs_are_deterministic(tmp_path, case_graph, case_org, case_config):
-    report = generate_report(case_graph, [case_org], case_config.date_range,
+    report = generate_report([org_rows(case_graph, case_org, case_config.date_range)],
                              case_config.apt_config, case_config.general_config)
     first = tmp_path / "a"
     second = tmp_path / "b"
@@ -270,7 +314,7 @@ def test_report_cost_rows_match_direct_computation(case_graph, case_org, case_co
     from threatrank.kgraph import NodeLabel
     from threatrank.ranking import feature_table, generate_candidates, rank
 
-    report = generate_report(case_graph, [case_org], case_config.date_range,
+    report = generate_report([org_rows(case_graph, case_org, case_config.date_range)],
                              case_config.apt_config, case_config.general_config)
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     ranked = rank(cohort, Policy.CVSS_BASE, case_config.apt_config,
@@ -301,7 +345,7 @@ def test_report_ranks_and_costs_cvss_base_once_per_cohort(case_graph, case_org, 
 
     monkeypatch.setattr(evaluation, "rank", counted_rank)
     monkeypatch.setattr(evaluation, "patch_cost", counted_patch_cost)
-    generate_report(case_graph, [case_org], case_config.date_range,
+    generate_report([org_rows(case_graph, case_org, case_config.date_range)],
                     case_config.apt_config, case_config.general_config)
     cohorts = len(generate_candidates(case_org, case_graph, case_config.date_range))
     assert ranks == {(Policy.CVSS_BASE, Family.APT): cohorts,
@@ -319,7 +363,7 @@ def test_report_ttests_on_synthetic_corpus(synth_graph, synth_config, monkeypatc
 
     monkeypatch.setattr(evaluation, "K_MAX", 20)
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
-    report = generate_report(synth_graph, [org], synth_config.date_range,
+    report = generate_report([org_rows(synth_graph, org, synth_config.date_range)],
                              synth_config.apt_config, synth_config.general_config)
     assert len(report.ttest_rows) == 2
     for _org, policy_a, policy_b, result in report.ttest_rows:
@@ -334,7 +378,7 @@ def test_ttests_do_not_depend_on_k_max(synth_graph, synth_config, monkeypatch):
     from threatrank.ranking import OrgContext
 
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
-    args = (synth_graph, [org], synth_config.date_range,
+    args = ([org_rows(synth_graph, org, synth_config.date_range)],
             synth_config.apt_config, synth_config.general_config)
     full = generate_report(*args)
     monkeypatch.setattr(evaluation, "K_MAX", 5)
@@ -352,7 +396,7 @@ def test_weekly_average(synth_graph, synth_config, monkeypatch):
 
     monkeypatch.setattr(evaluation, "K_MAX", 20)
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
-    report = generate_report(synth_graph, [org], synth_config.date_range,
+    report = generate_report([org_rows(synth_graph, org, synth_config.date_range)],
                              synth_config.apt_config, synth_config.general_config)
     rows = {(row[1], row[2], row[3]): (row[4], row[5]) for row in report.ndcg_rows}
     apt = synth_config.apt_config

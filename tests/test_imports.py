@@ -33,8 +33,7 @@ PUBLIC_NAMES = {
     "profiles": ["OrganizationProfile", "SoftwareItem", "cpe_index", "load_profile",
                  "resolve_cpes"],
     "ranking": ["Family", "FeatureRow", "OrgContext", "Policy", "PolicyConfig", "RankedItem",
-                "RankedList", "WeeklyCohort", "feature_bits", "feature_table",
-                "generate_candidates", "rank"],
+                "RankedList", "WeeklyCohort", "feature_table", "generate_candidates", "rank"],
     "stats": ["TTestResult", "paired_t_test", "student_t_cdf"],
     "vocab": ["Vocabulary", "load_vocabulary"],
 }
@@ -114,7 +113,7 @@ def test_public_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_names_are_listed():
-    assert len(ALL_NAMES) == 66
+    assert len(ALL_NAMES) == 65
     assert sorted(threatrank.__all__) == ALL_NAMES
     assert set(ALL_NAMES) <= set(dir(threatrank))
 

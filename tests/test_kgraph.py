@@ -39,12 +39,11 @@ from threatrank.ranking import (
     Family,
     OrgContext,
     PolicyConfig,
-    feature_bits,
     feature_table,
     generate_candidates,
 )
 from threatrank.vocab import Vocabulary
-from tests.conftest import VOCAB, audit_edge_conformance
+from tests.conftest import VOCAB, audit_edge_conformance, feature_bits
 from tests.randdata import random_attributions, random_bundle, random_profiles
 
 

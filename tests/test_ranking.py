@@ -39,7 +39,6 @@ from threatrank.ranking import (
     PolicyConfig,
     RankedItem,
     WeeklyCohort,
-    feature_bits,
     feature_table,
     generate_candidates,
     order_scored,
@@ -52,6 +51,7 @@ from tests.conftest import (
     EXPECTED_CVSS_RANKS,
     EXPECTED_RELEVANCE,
     EXPECTED_THREAT_RANKS,
+    feature_bits,
 )
 
 APT = PolicyConfig(family=Family.APT)

@@ -1,8 +1,9 @@
 """Every function, class, method and property that ``src/threatrank``
 defines is used by the program: referenced from ``src/threatrank``,
-``bench/*.py`` or ``scripts/*.py`` outside its own definition, or exported
-in ``threatrank.__all__``.  A helper only the tests call belongs in the
-tests.
+``bench/*.py`` or ``scripts/*.py`` outside its own definition.  A helper
+only the tests call belongs in the tests, and exporting a name is not a
+use: the strings of the package's ``_MODULES`` table, from which
+``threatrank.__all__`` is built, are no reference.
 
 Dunders are exempt, and so is a method that overrides a method of a
 standard-library base class (``argparse.ArgumentParser.error``), which the
@@ -24,7 +25,6 @@ import typing
 from collections import Counter, namedtuple
 from pathlib import Path
 
-import threatrank
 from tests.conftest import REPO_ROOT
 from tests.test_stdlib_only import SOURCES
 
@@ -35,7 +35,11 @@ READERS = [*SOURCES, *sorted((REPO_ROOT / "bench").glob("*.py")),
 def _references(tree: ast.AST) -> Counter:
     names: Counter = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "_MODULES"
+                for target in node.targets):
+            names.subtract(_references(node.value))  # exports, which the walk adds back
+        elif isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
             names[node.attr] += 1
@@ -103,8 +107,7 @@ def _definitions(tree: ast.Module):
     yield from visit(tree.body, "", [])
 
 
-def unused(sources: dict[str, ast.Module], readers: list[ast.AST],
-           exported: set[str]) -> list[str]:
+def unused(sources: dict[str, ast.Module], readers: list[ast.AST]) -> list[str]:
     """``module.qualname`` of each definition in ``sources`` that no reader
     references outside the definition itself."""
     total = Counter()
@@ -114,8 +117,7 @@ def unused(sources: dict[str, ast.Module], readers: list[ast.AST],
     for module, tree in sources.items():
         for qualname, node, overrides in _definitions(tree):
             name = node.name
-            if (name.startswith("__") and name.endswith("__")) or overrides \
-                    or name in exported:
+            if (name.startswith("__") and name.endswith("__")) or overrides:
                 continue
             if total[name] - _references(node)[name] <= 0:
                 found.append(f"{module}.{qualname}")
@@ -130,7 +132,7 @@ def test_every_src_name_is_used_outside_the_tests():
     assert SOURCES and len(READERS) > len(SOURCES)
     sources = {path.stem: _parse(path) for path in SOURCES}
     readers = [_parse(path) for path in READERS]
-    assert unused(sources, readers, set(threatrank.__all__)) == []
+    assert unused(sources, readers) == []
 
 
 def test_unused_names_are_detected():
@@ -160,5 +162,7 @@ def test_unused_names_are_detected():
         "    def _extra(self): pass\n"
     )
     reader = ast.parse("used(); Parser(); Colour; rebind('guarded'); Checked\n")
-    assert unused({"m": source}, [source, reader], {"exported"}) == [
-        "m.Checked._extra", "m.Colour.shade", "m.Parser.extra", "m.only_recursive"]
+    exports = ast.parse("_MODULES = {'m': ('exported', 'used')}\n")
+    assert unused({"m": source}, [source, reader, exports]) == [
+        "m.Checked._extra", "m.Colour.shade", "m.Parser.extra", "m.exported",
+        "m.only_recursive"]
