@@ -25,16 +25,13 @@ Each case edits one file of a fresh copy of the fixture in a temporary
 directory and runs all five commands on it in-process, with the config's
 own output directory: ``ingest``, ``build``, ``rank``, ``evaluate`` and
 ``case-study``.  A command that returns anything but 0, 1 or 2, raises,
-or prints a traceback breaks the contract; each such case is printed, and
-the exit code is 1 if there is any.  The unedited copy runs first, and
-every command must exit 0 on it.  Nothing is written outside the
-temporary directory.
-
-The summary line also counts the exit-2 cases in which a command that
-exits 2 does not name the edited file (its base name) on stderr.  That is
-a count, not a failure: some data errors name only the file that
-refers to the faulty one, such as a lexicon line whose value the edited
-vocabulary no longer holds.
+or prints a traceback breaks the contract.  A command that exits 2 must
+name the edited file (its base name) on stderr, so that a data error
+points at the file that holds the fault.  Each case that fails either
+rule is printed, the summary line counts each rule's failures, and the
+exit code is 1 if there is any.  The unedited copy runs first, and every
+command must exit 0 on it.  Nothing is written outside the temporary
+directory.
 """
 
 from __future__ import annotations
@@ -194,10 +191,19 @@ def broken_runs(runs: list[tuple[str, int | None, str]], codes=(0, 1, 2)) -> lis
             for command, code, err in runs if code not in codes or "Traceback" in err]
 
 
+def unnamed_runs(name: str, runs: list[tuple[str, int | None, str]]) -> list[str]:
+    """Each of ``run_commands``' runs that exited 2 without naming the
+    edited input ``name`` (its base name) on stderr."""
+    base = Path(name).name
+    return [f"{command}: exit 2 without naming {base}\n{err}"
+            for command, code, err in runs if code == 2 and base not in err]
+
+
 def run_case(name: str, data: bytes, codes=(0, 1, 2)) -> list[str]:
-    """``broken_runs`` of every command on a case copy whose input ``name``
-    holds ``data``."""
-    return broken_runs(run_commands(name, data), codes)
+    """``broken_runs`` and ``unnamed_runs`` of every command on a case copy
+    whose input ``name`` holds ``data``."""
+    runs = run_commands(name, data)
+    return broken_runs(runs, codes) + unnamed_runs(name, runs)
 
 
 def _report(label: str, broken: list[str]) -> str:
@@ -232,17 +238,16 @@ def main(argv: list[str]) -> int:
     failed = data_errors = unnamed = 0
     for label, name, data in cases:
         runs = run_commands(name, data)
-        broken = broken_runs(runs)
-        if broken:
-            failed += 1
-            print(_report(label, broken))
-        exit_two = [err for _command, code, err in runs if code == 2]
-        data_errors += bool(exit_two)
-        unnamed += any(Path(name).name not in err for err in exit_two)
+        broken, silent = broken_runs(runs), unnamed_runs(name, runs)
+        if broken or silent:
+            print(_report(label, broken + silent))
+        failed += bool(broken)
+        unnamed += bool(silent)
+        data_errors += any(code == 2 for _command, code, _err in runs)
     print(f"{len(cases)} cases ({min(count, len(swaps))} of {len(swaps)} value swaps), "
           f"{len(cases) * len(COMMANDS)} command runs, {failed} broke the exit-code contract, "
           f"{unnamed} of {data_errors} exit-2 cases do not name the edited file")
-    return 1 if failed else 0
+    return 1 if failed or unnamed else 0
 
 
 if __name__ == "__main__":

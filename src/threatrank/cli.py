@@ -181,6 +181,8 @@ def load_config(path: str | Path) -> ProjectConfig:
         raise DataError(f"{path}: date_range is empty ({start} > {end})")
 
     out_rel = _expect(raw.get("output_dir", "out"), str, f"{path}: 'output_dir'")
+    if not out_rel:  # "" would be the config's own directory
+        raise DataError(f"{path}: 'output_dir' must name a directory, not ''")
     output_dir = (base / out_rel) if not Path(out_rel).is_absolute() else Path(out_rel)
 
     data_files = {}  # each configured lexicon or vocabulary file, by "<section>.<key>"

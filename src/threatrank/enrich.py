@@ -176,15 +176,16 @@ def load_lexicon(
     Canonical values are validated against the controlled vocabularies.
     """
     tables = []
-    for path, packaged, kind, known in (
-        (country_path, "country_terms.tsv", "country", vocab.is_country),
-        (sector_path, "sector_terms.tsv", "sector", vocab.is_sector),
+    for path, packaged, kind, known, vocab_file in (
+        (country_path, "country_terms.tsv", "country", vocab.is_country, vocab.countries_file),
+        (sector_path, "sector_terms.tsv", "sector", vocab.is_sector, vocab.sectors_file),
     ):
         source = packaged if path is None else str(path)
         terms = _parse_lexicon_file(read_data_file(path, packaged), source)
         for term, value in terms.items():
             if not known(value):
-                raise DataError(f"{source}: {term!r} maps to unknown {kind} {value!r}")
+                raise DataError(f"{source}: {term!r} maps to unknown {kind} {value!r} "
+                                f"(not in {vocab_file})")
         tables.append(terms)
     country_terms, sector_terms = tables
     return Lexicon(country_terms=country_terms, sector_terms=sector_terms)

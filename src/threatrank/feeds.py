@@ -14,8 +14,11 @@ value, and at most one rule over the whole record.  One loop,
 or ``null`` text field takes its default; a ``null`` list, a boolean where
 a number belongs, or any value its reader refuses makes the line dirty.
 
-Every record type is an immutable ``typing.NamedTuple``: building one
-costs a tuple, and defining one costs far less at import than a
+Every record type is an immutable ``collections.namedtuple`` made from its
+``SOURCES`` row, so its fields are stated once, and a record built in code
+takes the defaults a parsed line takes: each trailing field whose reader
+accepts an absent value defaults to what that reader returns.  Building a
+record costs a tuple, and making its type costs far less at import than a
 dataclass, which every command that parses feeds would pay.  Copy a
 record with ``_replace``; its field names are in ``_fields``.  A record
 is a tuple, so it equals any tuple with the same values, and ``json``
@@ -34,6 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import re
+from collections import namedtuple
 from datetime import date
 from enum import Enum
 from pathlib import Path
@@ -55,85 +59,6 @@ KEV_CSV_HEADER = [
     "cveID", "vendorProject", "product", "vulnerabilityName",
     "dateAdded", "shortDescription", "requiredAction", "dueDate",
 ]
-
-
-class CveRecord(NamedTuple):
-    cve_id: str
-    description: str
-    published: date
-    modified: date
-    cvss_base: float
-    attack_vector: AttackVector
-    cwe_ids: tuple[str, ...] = ()
-    affected_cpes: tuple[str, ...] = ()
-    reference_urls: tuple[str, ...] = ()
-
-
-class CpeEntry(NamedTuple):
-    cpe_id: str
-    vendor: str
-    product: str
-    deprecated: bool = False
-    language_tag: str = "en-US"
-
-
-class CweEntry(NamedTuple):
-    cwe_id: str
-    name: str
-    technical_impacts: tuple[TechnicalImpact, ...] = ()
-    related_capecs: tuple[str, ...] = ()
-
-
-class CapecEntry(NamedTuple):
-    capec_id: str
-    name: str
-    skill_level: SkillLevel = SkillLevel.UNKNOWN
-    related_techniques: tuple[str, ...] = ()
-
-
-class AttackTechnique(NamedTuple):
-    technique_id: str
-    name: str
-    tactic_ids: tuple[str, ...] = ()
-
-
-class AttackTactic(NamedTuple):
-    tactic_id: str
-    name: str
-
-
-class AttackGroupRaw(NamedTuple):
-    group_id: str
-    name: str
-    description: str
-    created: date
-    technique_ids: tuple[str, ...] = ()
-
-
-class EpssScore(NamedTuple):
-    cve_id: str
-    probability: float
-    percentile: float
-
-
-class KevEntry(NamedTuple):
-    cve_id: str
-    vendor_project: str
-    product: str
-    vulnerability_name: str
-    date_added: date
-    short_description: str
-    required_action: str
-    due_date: date
-
-
-class ExploitRef(NamedTuple):
-    exploitdb_id: int
-    cve_ids: tuple[str, ...]
-
-
-class ReferenceRecord(NamedTuple):
-    url: str
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +186,6 @@ class Source(NamedTuple):
     check: Callable[[object], None] | None = None  # a rule over the whole record
     aliases: Mapping[str, str] = MappingProxyType({})  # key read for an absent field
 
-    @property
-    def key(self) -> str:
-        return next(iter(self.fields))
-
     def from_obj(self, obj: dict):
         """The record ``obj`` holds; a ValueError names the field at fault."""
         values = []
@@ -283,53 +204,79 @@ class Source(NamedTuple):
         return record
 
 
+def _source(name: str, bundle_field: str, fields: dict[str, Reader], **rules) -> Source:
+    """The Source of record type ``name``, a named tuple of ``fields`` in order.
+    Each trailing field defaults to what its reader reads for an absent
+    value, back to the first reader that refuses one."""
+    defaults = []
+    for read in reversed(fields.values()):
+        try:
+            defaults.insert(0, read(_ABSENT))
+        except ValueError:
+            break
+    return Source(namedtuple(name, fields, defaults=defaults, module=__name__),
+                  bundle_field, fields, **rules)
+
+
 _OPTIONAL, _REQUIRED, _STRINGS = _text(), _text(None), _strings()
 _CVE_ID = _text(None, CVE_ID_RE)
 _TECHNIQUE_IDS = _strings(TECHNIQUE_ID_RE)
 _UNIT = _number(float, 1.0)
 
 SOURCES: dict[SourceKind, Source] = {
-    SourceKind.CVE: Source(CveRecord, "cves", {
+    SourceKind.CVE: _source("CveRecord", "cves", {
         "cve_id": _CVE_ID, "description": _OPTIONAL, "published": _date, "modified": _date,
         "cvss_base": _number(float, 10.0), "attack_vector": _member(AttackVector),
         "cwe_ids": _strings(CWE_ID_RE), "affected_cpes": _STRINGS, "reference_urls": _STRINGS,
     }, check=_not_before("modified", "published")),
-    SourceKind.CPE: Source(CpeEntry, "cpes", {
+    SourceKind.CPE: _source("CpeEntry", "cpes", {
         "cpe_id": _REQUIRED, "vendor": _REQUIRED, "product": _REQUIRED, "deprecated": _flag,
         "language_tag": _text("en-US"),
     }, check=_current_english),
-    SourceKind.CWE: Source(CweEntry, "cwes", {
+    SourceKind.CWE: _source("CweEntry", "cwes", {
         "cwe_id": _text(None, CWE_ID_RE), "name": _OPTIONAL,
         "technical_impacts": _members(TechnicalImpact), "related_capecs": _strings(CAPEC_ID_RE),
     }),
-    SourceKind.CAPEC: Source(CapecEntry, "capecs", {
+    SourceKind.CAPEC: _source("CapecEntry", "capecs", {
         "capec_id": _text(None, CAPEC_ID_RE), "name": _OPTIONAL,
         "skill_level": _member(SkillLevel, SkillLevel.UNKNOWN),
         "related_techniques": _TECHNIQUE_IDS,
     }),
-    SourceKind.TECHNIQUE: Source(AttackTechnique, "techniques", {
+    SourceKind.TECHNIQUE: _source("AttackTechnique", "techniques", {
         "technique_id": _text(None, TECHNIQUE_ID_RE), "name": _OPTIONAL,
         "tactic_ids": _strings(TACTIC_ID_RE, non_empty=True),
     }),
-    SourceKind.TACTIC: Source(AttackTactic, "tactics",
-                              {"tactic_id": _text(None, TACTIC_ID_RE), "name": _OPTIONAL}),
-    SourceKind.GROUP: Source(AttackGroupRaw, "groups", {
+    SourceKind.TACTIC: _source("AttackTactic", "tactics",
+                               {"tactic_id": _text(None, TACTIC_ID_RE), "name": _OPTIONAL}),
+    SourceKind.GROUP: _source("AttackGroupRaw", "groups", {
         "group_id": _text(None, GROUP_ID_RE), "name": _OPTIONAL, "description": _OPTIONAL,
         "created": _date, "technique_ids": _TECHNIQUE_IDS,
     }),
     # Upstream EPSS exports name the CVE column "cve".
-    SourceKind.EPSS: Source(EpssScore, "epss", {
+    SourceKind.EPSS: _source("EpssScore", "epss", {
         "cve_id": _CVE_ID, "probability": _UNIT, "percentile": _UNIT,
     }, aliases={"cve_id": "cve"}),
-    SourceKind.KEV: Source(KevEntry, "kev", {
+    SourceKind.KEV: _source("KevEntry", "kev", {
         "cve_id": _CVE_ID, "vendor_project": _OPTIONAL, "product": _OPTIONAL,
         "vulnerability_name": _OPTIONAL, "date_added": _date, "short_description": _OPTIONAL,
         "required_action": _OPTIONAL, "due_date": _date,
     }, check=_not_before("due_date", "date_added")),
-    SourceKind.EXPLOIT: Source(ExploitRef, "exploits", {
+    SourceKind.EXPLOIT: _source("ExploitRef", "exploits", {
         "exploitdb_id": _number(int), "cve_ids": _strings(CVE_ID_RE, non_empty=True)}),
-    SourceKind.REFERENCE: Source(ReferenceRecord, "references", {"url": _REQUIRED}),
+    SourceKind.REFERENCE: _source("ReferenceRecord", "references", {"url": _REQUIRED}),
 }
+
+CveRecord = SOURCES[SourceKind.CVE].record_type
+CpeEntry = SOURCES[SourceKind.CPE].record_type
+CweEntry = SOURCES[SourceKind.CWE].record_type
+CapecEntry = SOURCES[SourceKind.CAPEC].record_type
+AttackTechnique = SOURCES[SourceKind.TECHNIQUE].record_type
+AttackTactic = SOURCES[SourceKind.TACTIC].record_type
+AttackGroupRaw = SOURCES[SourceKind.GROUP].record_type
+EpssScore = SOURCES[SourceKind.EPSS].record_type
+KevEntry = SOURCES[SourceKind.KEV].record_type
+ExploitRef = SOURCES[SourceKind.EXPLOIT].record_type
+ReferenceRecord = SOURCES[SourceKind.REFERENCE].record_type
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +314,15 @@ def _utf8(text: str) -> str:
 
 
 def _collect(path: str | Path, rows: Iterable[tuple[int, object]],
-             to_record: Callable, kind: SourceKind) -> ParseResult:
+             to_record: Callable) -> ParseResult:
     """Convert ``(line_no, payload)`` rows; a ValueError skips the row, as
     does a RecursionError (a JSON line nested too deeply to decode).
 
-    A repeated primary key keeps the later record, in the first one's place.
+    A repeated primary key, a record's first field, keeps the later record,
+    in the first one's place.
     """
     result = ParseResult()
     by_key: dict = {}
-    key_field = SOURCES[kind].key
     for line_no, payload in rows:
         try:
             record = to_record(payload)
@@ -383,7 +330,7 @@ def _collect(path: str | Path, rows: Iterable[tuple[int, object]],
             result.skipped.append((line_no, str(exc)))
             continue
         result.accepted += 1
-        key = getattr(record, key_field)
+        key = record[0]
         if key in by_key:
             result.replaced += 1
             # Imported only here: clean feeds never load logging.
@@ -433,7 +380,7 @@ def parse_snapshot(path: str | Path, kind: SourceKind | str) -> ParseResult:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         rows = ((line_no, line.strip()) for line_no, line in enumerate(fh, start=1)
                 if not line.isspace())
-        return _collect(path, rows, to_record, kind)
+        return _collect(path, rows, to_record)
 
 
 def _csv_rows(path: str | Path, header: list[str], source: str) -> Iterator[tuple[int, list[str]]]:
@@ -455,24 +402,22 @@ def _csv_rows(path: str | Path, header: list[str], source: str) -> Iterator[tupl
                 )
 
 
-def _check_row(row: list[str], width: int) -> None:
-    if len(row) != width:
-        raise ValueError(f"expected {width} columns, found {len(row)}")
-    _utf8(",".join(row))
+def _parse_csv(path: str | Path, kind: SourceKind, header: list[str],
+               stripped: tuple[str, ...]) -> ParseResult:
+    """Parse a CSV export whose columns are ``kind``'s fields, in order;
+    the ``stripped`` fields are read with surrounding blanks removed."""
+    source = SOURCES[kind]
 
+    def to_record(row: list[str]):
+        if len(row) != len(header):
+            raise ValueError(f"expected {len(header)} columns, found {len(row)}")
+        _utf8(",".join(row))
+        obj = dict(zip(source.fields, row))
+        for name in stripped:
+            obj[name] = obj[name].strip()
+        return source.from_obj(obj)
 
-def _epss_from_row(row: list[str]) -> EpssScore:
-    _check_row(row, 3)
-    return SOURCES[SourceKind.EPSS].from_obj(
-        {"cve_id": row[0].strip(), "probability": row[1], "percentile": row[2]})
-
-
-def _kev_from_row(row: list[str]) -> KevEntry:
-    _check_row(row, 8)
-    obj = dict(zip(SOURCES[SourceKind.KEV].fields, row))  # the CISA columns, in order
-    for name in ("cve_id", "date_added", "due_date"):
-        obj[name] = obj[name].strip()
-    return SOURCES[SourceKind.KEV].from_obj(obj)
+    return _collect(path, _csv_rows(path, header, kind.value.upper()), to_record)
 
 
 def parse_epss_csv(path: str | Path) -> ParseResult:
@@ -481,13 +426,12 @@ def parse_epss_csv(path: str | Path) -> ParseResult:
     Comment lines starting with ``#`` are allowed; rows with a probability
     or percentile outside [0,1] are rejected with a diagnostic.
     """
-    return _collect(path, _csv_rows(path, EPSS_CSV_HEADER, "EPSS"), _epss_from_row,
-                    SourceKind.EPSS)
+    return _parse_csv(path, SourceKind.EPSS, EPSS_CSV_HEADER, ("cve_id",))
 
 
 def parse_kev_csv(path: str | Path) -> ParseResult:
     """Parse a KEV catalog CSV (the eight-column CISA export header)."""
-    return _collect(path, _csv_rows(path, KEV_CSV_HEADER, "KEV"), _kev_from_row, SourceKind.KEV)
+    return _parse_csv(path, SourceKind.KEV, KEV_CSV_HEADER, ("cve_id", "date_added", "due_date"))
 
 
 # ---------------------------------------------------------------------------

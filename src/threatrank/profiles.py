@@ -83,9 +83,11 @@ def load_profile(path: str | Path, vocab: Vocabulary) -> OrganizationProfile:
         if not isinstance(obj.get(key), str) or not obj[key]:
             raise DataError(f"{path}: missing or empty field {key!r}")
     if not vocab.is_sector(obj["sector"]):
-        raise DataError(f"{path}: {obj['sector']!r} is not a DHS sector")
+        raise DataError(f"{path}: {obj['sector']!r} is not a DHS sector "
+                        f"(not in {vocab.sectors_file})")
     if not vocab.is_country(obj["country"]):
-        raise DataError(f"{path}: {obj['country']!r} is not a known country")
+        raise DataError(f"{path}: {obj['country']!r} is not a known country "
+                        f"(not in {vocab.countries_file})")
     software = []
     for i, raw in enumerate(obj.get("software", [])):
         if not isinstance(raw, dict) or not all(

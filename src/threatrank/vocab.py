@@ -17,15 +17,6 @@ from .errors import DataError
 UNITED_STATES = "United States"
 
 
-def _read_list(text: str) -> tuple[str, ...]:
-    names = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.append(line)
-    return tuple(names)
-
-
 def read_data_file(path: str | Path | None, packaged: str) -> str:
     """Text of a configured data file, or of the packaged file ``packaged``.
 
@@ -40,10 +31,14 @@ def read_data_file(path: str | Path | None, packaged: str) -> str:
 
 
 class Vocabulary(NamedTuple):
-    """Canonical country and sector names, preserving file order."""
+    """Canonical country and sector names, preserving file order, and the
+    file each list was read from: its configured path, or the packaged
+    file's name."""
 
     countries: tuple[str, ...]
     sectors: tuple[str, ...]
+    countries_file: str = "countries.txt"
+    sectors_file: str = "dhs_sectors.txt"
 
     def is_country(self, name: str) -> bool:
         return name in self.countries
@@ -56,9 +51,15 @@ def load_vocabulary(
     countries_path: str | Path | None = None,
     sectors_path: str | Path | None = None,
 ) -> Vocabulary:
-    """Load vocabularies from the given files, or the packaged defaults."""
-    countries = _read_list(read_data_file(countries_path, "countries.txt"))
-    sectors = _read_list(read_data_file(sectors_path, "dhs_sectors.txt"))
-    if not countries or not sectors:
-        raise DataError("vocabulary files must contain at least one entry")
-    return Vocabulary(countries=countries, sectors=sectors)
+    """Load vocabularies from the given files, or the packaged defaults: one
+    name a line, blank lines and ``#`` comments aside."""
+    lists = []
+    for path, packaged in ((countries_path, "countries.txt"), (sectors_path, "dhs_sectors.txt")):
+        source = packaged if path is None else str(path)
+        names = tuple(line for line in map(str.strip, read_data_file(path, packaged).splitlines())
+                      if line and not line.startswith("#"))
+        if not names:
+            raise DataError(f"{source}: a vocabulary file must contain at least one entry")
+        lists.append((names, source))
+    (countries, countries_file), (sectors, sectors_file) = lists
+    return Vocabulary(countries, sectors, countries_file, sectors_file)

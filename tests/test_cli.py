@@ -380,6 +380,19 @@ def test_a_configured_path_that_is_not_a_file_is_named(tmp_path, capsys, key, va
     assert "Traceback" not in err
 
 
+def test_an_empty_output_dir_is_named(tmp_path, capsys):
+    # "" would be the config's own directory, as --out '' would be
+    case = tmp_path / "case"
+    shutil.copytree(CASE_STUDY, case, ignore=shutil.ignore_patterns("out"))
+    path = case / "config.json"
+    config = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**config, "output_dir": ""}), encoding="utf-8")
+    assert _run("--config", str(path), "ingest") == 2
+    err = capsys.readouterr().err
+    assert f"data error: {path}: 'output_dir' must name a directory, not ''" in err
+    assert not (case / "ingest_summary.json").exists()
+
+
 @pytest.mark.parametrize("policies, named", [
     ({"apt_threat": {"K": 5, "risk_apetite": 3}}, "'K'"),
     ({"general_threat": {"k": 4, "skill": "Low"}}, "'skill'"),

@@ -23,6 +23,7 @@ from threatrank.enrich import (
 )
 from threatrank.errors import DataError
 from threatrank.feeds import AttackGroupRaw, SourceKind, parse_snapshot
+from threatrank.vocab import load_vocabulary
 from tests.conftest import FIXTURES, VOCAB
 
 
@@ -493,8 +494,27 @@ def test_filter_us_targeting_is_idempotent_subset(target_lists):
 def test_lexicon_rejects_unknown_canonical_value(tmp_path):
     bad = tmp_path / "countries.tsv"
     bad.write_text("atlantis\tAtlantis\n", encoding="utf-8")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=re.escape(
+            f"{bad}: 'atlantis' maps to unknown country 'Atlantis' (not in countries.txt)")):
         load_lexicon(country_path=bad, vocab=VOCAB)
+
+
+def test_vocabulary_errors_name_the_vocabulary_file(tmp_path):
+    # A lexicon value outside a configured vocabulary names both files
+    sectors = tmp_path / "sectors.txt"
+    sectors.write_text("# only one sector\nEducation\n", encoding="utf-8")
+    vocab = load_vocabulary(sectors_path=sectors)
+    assert (vocab.countries_file, vocab.sectors_file) == ("countries.txt", str(sectors))
+    with pytest.raises(DataError, match=re.escape(
+            f"sector_terms.tsv: 'aerospace' maps to unknown sector 'Defense Industrial Base' "
+            f"(not in {sectors})")):
+        load_lexicon(vocab=vocab)
+    # A vocabulary file with no entry names itself
+    countries = tmp_path / "countries.txt"
+    countries.write_text("# no country\n\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(
+            f"{countries}: a vocabulary file must contain at least one entry")):
+        load_vocabulary(countries_path=countries)
 
 
 def test_lexicon_rejects_malformed_line(tmp_path):

@@ -639,7 +639,7 @@ def _reference_validate_snapshot(bundle):
     # reads: every kind's key set and one closure call per reference list.
     # The oracle for its findings and their order.
     findings = []
-    keys = {kind: {getattr(item, source.key) for item in getattr(bundle, source.bundle_field)}
+    keys = {kind: {item[0] for item in getattr(bundle, source.bundle_field)}  # primary keys
             for kind, source in SOURCES.items()}
 
     def dangling(subject, targets, present, what):
@@ -721,4 +721,34 @@ def test_sources_describe_every_kind_in_order():
         assert source.bundle_field in bundle_fields
         # from_obj builds the record positionally, so the table keeps field order
         assert list(source.fields) == list(source.record_type._fields)
-        assert source.key == source.record_type._fields[0]
+
+
+# Per kind, an object holding only the fields its record type has no default for.
+_REQUIRED_ONLY = {
+    SourceKind.CVE: {**_CVE, "description": "d"},
+    SourceKind.CPE: _CPE,
+    SourceKind.CWE: {"cwe_id": "CWE-79"},
+    SourceKind.CAPEC: {"capec_id": "CAPEC-63"},
+    SourceKind.TECHNIQUE: {"technique_id": "T1059", "name": "t", "tactic_ids": ["TA0002"]},
+    SourceKind.TACTIC: {"tactic_id": "TA0002"},
+    SourceKind.GROUP: {"group_id": "G0001", "name": "g", "description": "d",
+                       "created": "2020-01-01"},
+    SourceKind.EPSS: {"cve_id": "CVE-2020-10000", "probability": 0.5, "percentile": 0.25},
+    SourceKind.KEV: {"cve_id": "CVE-2021-38000", "vendor_project": "v", "product": "p",
+                     "vulnerability_name": "n", "date_added": "2021-11-03",
+                     "short_description": "s", "required_action": "a",
+                     "due_date": "2021-11-17"},
+    SourceKind.EXPLOIT: _EXPLOIT,
+    SourceKind.REFERENCE: {"url": "https://example.org/a"},
+}
+
+
+@pytest.mark.parametrize("kind", list(SourceKind), ids=lambda kind: kind.value)
+def test_code_and_parser_agree_on_defaults(kind):
+    # A record built in code from only its required fields is the record a
+    # line holding only those fields reads as.
+    source, obj = SOURCES[kind], _REQUIRED_ONLY[kind]
+    record_type = source.record_type
+    assert set(obj) == set(record_type._fields) - set(record_type._field_defaults)
+    built = record_type(**{name: source.fields[name](value) for name, value in obj.items()})
+    assert built == source.from_obj(obj)

@@ -48,7 +48,8 @@ def test_load_profile_rejects_unknown_sector(tmp_path):
         "org_id": "X", "name": "X", "sector": "Retail",
         "country": "United States", "software": [],
     }), encoding="utf-8")
-    with pytest.raises(DataError, match="Retail"):
+    with pytest.raises(DataError,
+                       match=r"'Retail' is not a DHS sector \(not in dhs_sectors\.txt\)"):
         load_profile(path, VOCAB)
 
 
@@ -58,7 +59,8 @@ def test_load_profile_rejects_unknown_country(tmp_path):
         "org_id": "X", "name": "X", "sector": "Education",
         "country": "Atlantis", "software": [],
     }), encoding="utf-8")
-    with pytest.raises(DataError, match="Atlantis"):
+    with pytest.raises(DataError,
+                       match=r"'Atlantis' is not a known country \(not in countries\.txt\)"):
         load_profile(path, VOCAB)
 
 

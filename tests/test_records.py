@@ -28,6 +28,9 @@ RECORD_TYPES = sorted(
 
 def test_record_types_are_found():
     names = {cls.__name__ for cls in RECORD_TYPES}
+    assert {"CveRecord", "CpeEntry", "CweEntry", "CapecEntry", "AttackTechnique", "AttackTactic",
+            "AttackGroupRaw", "EpssScore", "KevEntry", "ExploitRef", "ReferenceRecord"} \
+        <= {cls.__name__ for cls in RECORD_TYPES if cls.__module__ == "threatrank.feeds"}
     assert {"CveRecord", "Source", "PolicyConfig", "Lexicon", "ProjectConfig",
             "EvaluationReport", "CoverageReport", "ValidationReport", "TTestResult",
             "Vocabulary", "RankedList"} <= names
