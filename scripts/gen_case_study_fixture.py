@@ -13,7 +13,6 @@ Everything is hand-specified; re-running the script is byte-stable.
 
 from __future__ import annotations
 
-import json
 import sys
 from datetime import date, timedelta
 from pathlib import Path
@@ -35,7 +34,12 @@ from threatrank.feeds import (  # noqa: E402
     SkillLevel,
     TechnicalImpact,
 )
-from scripts.snapshot_writer import dump_snapshot  # noqa: E402
+from scripts.snapshot_writer import (  # noqa: E402
+    SNAPSHOT_PATHS,
+    write_csv,
+    write_json,
+    write_snapshots,
+)
 
 OUT_DIR = ROOT / "fixtures" / "case_study"
 
@@ -309,96 +313,63 @@ def build_groups() -> list[AttackGroupRaw]:
     ]
 
 
-def write_epss_csv(path: Path) -> None:
-    lines = ["# EPSS snapshot frozen for the case-study week", "cve,epss,percentile"]
+def epss_rows() -> list[tuple[str, float, float]]:
     rows = {}
     for table in (LISTED, FILLERS, OUT_OF_INVENTORY):
         for cve_id, (_c, _v, _w, _cpe, prob, pct, _pub, _off) in table.items():
             rows[cve_id] = (prob, pct)
-    for cve_id in sorted(rows):
-        prob, pct = rows[cve_id]
-        lines.append(f"{cve_id},{prob},{pct}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return [(cve_id, *rows[cve_id]) for cve_id in sorted(rows)]
 
 
-def write_kev_csv(path: Path) -> None:
-    import csv
-
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cveID", "vendorProject", "product", "vulnerabilityName",
-                         "dateAdded", "shortDescription", "requiredAction", "dueDate"])
-        writer.writerows(KEV_ROWS)
-
-
-def write_profile(path: Path) -> None:
+def profile() -> dict:
     software = [{"vendor": vendor, "product": product}
                 for vendor, product, _vt, _pt in RESOLVABLE]
     software += [{"vendor": vendor, "product": product} for vendor, product in UNRESOLVED]
-    profile = {
+    return {
         "org_id": "ODU",
         "name": "Old Dominion University",
         "sector": "Education",
         "country": "United States",
         "software": software,
     }
-    path.write_text(json.dumps(profile, indent=2) + "\n", encoding="utf-8")
 
 
-def write_config(path: Path) -> None:
-    config = {
-        "snapshots": {
-            "cve": "snapshots/cve.jsonl",
-            "cpe": "snapshots/cpe.jsonl",
-            "cwe": "snapshots/cwe.jsonl",
-            "capec": "snapshots/capec.jsonl",
-            "technique": "snapshots/technique.jsonl",
-            "tactic": "snapshots/tactic.jsonl",
-            "group": "snapshots/group.jsonl",
-            "exploit": "snapshots/exploit.jsonl",
-            "reference": "snapshots/reference.jsonl",
-            "epss": "epss.csv",
-            "kev": "kev.csv",
+CONFIG = {
+    "snapshots": SNAPSHOT_PATHS,
+    "profiles": ["profiles/odu.json"],
+    "policies": {
+        "apt_threat": {
+            "origin_countries": ["China", "Russia", "Iran"],
+            "epss_threshold": 0.876,
+            "risk_appetite": 100,
+            "k": 20,
         },
-        "profiles": ["profiles/odu.json"],
-        "policies": {
-            "apt_threat": {
-                "origin_countries": ["China", "Russia", "Iran"],
-                "epss_threshold": 0.876,
-                "risk_appetite": 100,
-                "k": 20,
-            },
-            "general_threat": {"skill_level": "High", "k": 20},
-        },
-        "date_range": {"from": "2021-11-22", "to": "2021-11-28"},
-        "output_dir": "out",
-    }
-    path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
+        "general_threat": {"skill_level": "High", "k": 20},
+    },
+    "date_range": {"from": "2021-11-22", "to": "2021-11-28"},
+    "output_dir": "out",
+}
 
 
 def main() -> None:
-    snapshots = OUT_DIR / "snapshots"
-    profiles_dir = OUT_DIR / "profiles"
-    snapshots.mkdir(parents=True, exist_ok=True)
-    profiles_dir.mkdir(parents=True, exist_ok=True)
-
     cves = build_cves()
     cwes, capecs, techniques, tactics = build_weakness_chain()
-    dump_snapshot(cves, snapshots / "cve.jsonl")
-    dump_snapshot(build_cpes(), snapshots / "cpe.jsonl")
-    dump_snapshot(cwes, snapshots / "cwe.jsonl")
-    dump_snapshot(capecs, snapshots / "capec.jsonl")
-    dump_snapshot(techniques, snapshots / "technique.jsonl")
-    dump_snapshot(tactics, snapshots / "tactic.jsonl")
-    dump_snapshot(build_groups(), snapshots / "group.jsonl")
-    dump_snapshot([ExploitRef(exploitdb_id=50432, cve_ids=("CVE-2021-38000",))],
-                  snapshots / "exploit.jsonl")
-    dump_snapshot([ReferenceRecord(url=f"https://advisories.example.org/{c.cve_id}")
-                   for c in cves], snapshots / "reference.jsonl")
-    write_epss_csv(OUT_DIR / "epss.csv")
-    write_kev_csv(OUT_DIR / "kev.csv")
-    write_profile(profiles_dir / "odu.json")
-    write_config(OUT_DIR / "config.json")
+    write_snapshots(OUT_DIR, {
+        "cve": cves,
+        "cpe": build_cpes(),
+        "cwe": cwes,
+        "capec": capecs,
+        "technique": techniques,
+        "tactic": tactics,
+        "group": build_groups(),
+        "exploit": [ExploitRef(exploitdb_id=50432, cve_ids=("CVE-2021-38000",))],
+        "reference": [ReferenceRecord(url=f"https://advisories.example.org/{c.cve_id}")
+                      for c in cves],
+    })
+    write_csv(OUT_DIR, "epss", epss_rows(), comment="EPSS snapshot frozen for the case-study week")
+    write_csv(OUT_DIR, "kev", KEV_ROWS)
+    write_json(OUT_DIR / "profiles" / "odu.json", profile())
+    write_json(OUT_DIR / "config.json", CONFIG)
     print(f"case-study fixture written to {OUT_DIR}")
     print(f"  {len(cves)} CVEs, {len(RESOLVABLE) + len(UNRESOLVED)} software items")
 

@@ -13,8 +13,6 @@ Generation uses a fixed RNG seed and is byte-stable across runs.
 
 from __future__ import annotations
 
-import csv
-import json
 import random
 import sys
 from datetime import date, timedelta
@@ -37,7 +35,12 @@ from threatrank.feeds import (  # noqa: E402
     SkillLevel,
     TechnicalImpact,
 )
-from scripts.snapshot_writer import dump_snapshot  # noqa: E402
+from scripts.snapshot_writer import (  # noqa: E402
+    SNAPSHOT_PATHS,
+    write_csv,
+    write_json,
+    write_snapshots,
+)
 
 OUT_DIR = ROOT / "fixtures" / "synthetic52"
 
@@ -78,10 +81,6 @@ def cpe_id(vendor: str, product: str) -> str:
 
 def main() -> None:
     rng = random.Random(SEED)
-    snapshots = OUT_DIR / "snapshots"
-    profiles_dir = OUT_DIR / "profiles"
-    snapshots.mkdir(parents=True, exist_ok=True)
-    profiles_dir.mkdir(parents=True, exist_ok=True)
 
     cves: list[CveRecord] = []
     epss_rows: list[tuple[str, float, float]] = []
@@ -145,44 +144,36 @@ def main() -> None:
             ))
             epss_rows.append((cve, probability, percentile))
 
-    dump_snapshot(cves, snapshots / "cve.jsonl")
-    dump_snapshot([CpeEntry(cpe_id=cpe_id(v, p), vendor=v, product=p)
-                   for v, p in PRODUCTS], snapshots / "cpe.jsonl")
-    dump_snapshot([
-        CweEntry("CWE-79", "Improper Neutralization of Input During Web Page Generation",
-                 (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,), ("CAPEC-63",)),
-        CweEntry("CWE-787", "Out-of-bounds Write",
-                 (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,), ()),
-    ], snapshots / "cwe.jsonl")
-    dump_snapshot([CapecEntry("CAPEC-63", "Cross-Site Scripting",
-                              SkillLevel.HIGH, ("T1059",))], snapshots / "capec.jsonl")
-    dump_snapshot([AttackTechnique("T1059", "Command and Scripting Interpreter",
-                                   ("TA0002",))], snapshots / "technique.jsonl")
-    dump_snapshot([AttackTactic("TA0002", "Execution")], snapshots / "tactic.jsonl")
-    dump_snapshot([AttackGroupRaw(
-        group_id="G0910",
-        name="Molten Crane",
-        description=(
-            "Molten Crane is a Chinese state-sponsored threat group that has "
-            "been active since at least 2011. The group has targeted "
-            "universities and government agencies in the United States."
-        ),
-        created=date(2016, 1, 14),
-        technique_ids=("T1059",),
-    )], snapshots / "group.jsonl")
-    dump_snapshot(exploit_refs, snapshots / "exploit.jsonl")
-    dump_snapshot([ReferenceRecord(url=f"https://advisories.example.org/{c.cve_id}")
-                   for c in cves], snapshots / "reference.jsonl")
-
-    with (OUT_DIR / "epss.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cve", "epss", "percentile"])
-        writer.writerows(epss_rows)
-    with (OUT_DIR / "kev.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cveID", "vendorProject", "product", "vulnerabilityName",
-                         "dateAdded", "shortDescription", "requiredAction", "dueDate"])
-        writer.writerows(kev_rows)
+    write_snapshots(OUT_DIR, {
+        "cve": cves,
+        "cpe": [CpeEntry(cpe_id=cpe_id(v, p), vendor=v, product=p) for v, p in PRODUCTS],
+        "cwe": [
+            CweEntry("CWE-79", "Improper Neutralization of Input During Web Page Generation",
+                     (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,), ("CAPEC-63",)),
+            CweEntry("CWE-787", "Out-of-bounds Write",
+                     (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,), ()),
+        ],
+        "capec": [CapecEntry("CAPEC-63", "Cross-Site Scripting", SkillLevel.HIGH, ("T1059",))],
+        "technique": [AttackTechnique("T1059", "Command and Scripting Interpreter",
+                                      ("TA0002",))],
+        "tactic": [AttackTactic("TA0002", "Execution")],
+        "group": [AttackGroupRaw(
+            group_id="G0910",
+            name="Molten Crane",
+            description=(
+                "Molten Crane is a Chinese state-sponsored threat group that has "
+                "been active since at least 2011. The group has targeted "
+                "universities and government agencies in the United States."
+            ),
+            created=date(2016, 1, 14),
+            technique_ids=("T1059",),
+        )],
+        "exploit": exploit_refs,
+        "reference": [ReferenceRecord(url=f"https://advisories.example.org/{c.cve_id}")
+                      for c in cves],
+    })
+    write_csv(OUT_DIR, "epss", epss_rows)
+    write_csv(OUT_DIR, "kev", kev_rows)
 
     profile = {
         "org_id": "SYNTHU",
@@ -194,25 +185,12 @@ def main() -> None:
             for v, p in PRODUCTS
         ],
     }
-    (profiles_dir / "synthu.json").write_text(json.dumps(profile, indent=2) + "\n",
-                                              encoding="utf-8")
+    write_json(OUT_DIR / "profiles" / "synthu.json", profile)
 
     start = date.fromisocalendar(YEAR, 1, 1)
     end = date.fromisocalendar(YEAR, WEEKS, 7)
     config = {
-        "snapshots": {
-            "cve": "snapshots/cve.jsonl",
-            "cpe": "snapshots/cpe.jsonl",
-            "cwe": "snapshots/cwe.jsonl",
-            "capec": "snapshots/capec.jsonl",
-            "technique": "snapshots/technique.jsonl",
-            "tactic": "snapshots/tactic.jsonl",
-            "group": "snapshots/group.jsonl",
-            "exploit": "snapshots/exploit.jsonl",
-            "reference": "snapshots/reference.jsonl",
-            "epss": "epss.csv",
-            "kev": "kev.csv",
-        },
+        "snapshots": SNAPSHOT_PATHS,
         "profiles": ["profiles/synthu.json"],
         "policies": {
             "apt_threat": {"k": 20},
@@ -221,8 +199,7 @@ def main() -> None:
         "date_range": {"from": start.isoformat(), "to": end.isoformat()},
         "output_dir": "out",
     }
-    (OUT_DIR / "config.json").write_text(json.dumps(config, indent=2) + "\n",
-                                         encoding="utf-8")
+    write_json(OUT_DIR / "config.json", config)
     print(f"synthetic corpus written to {OUT_DIR}")
     print(f"  {len(cves)} CVEs over {WEEKS} weeks, {len(kev_rows)} KEV entries, "
           f"{len(exploit_refs)} exploit refs")

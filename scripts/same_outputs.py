@@ -14,7 +14,8 @@ the benchmark runs, and at the held-out seed 2: ``ingest``,
 file whose sha256 differs between the trees, or that only one tree
 wrote, is printed, and the exit code is 1 if there is any (or if a
 command fails); 0 means every output matched.  The last line also gives
-each tree's ``threatrank`` package size in source lines.  Nothing is
+the source lines of each tree's ``threatrank`` package and of the
+``scripts/*.py`` beside its ``src`` directory.  Nothing is
 written outside a temporary directory.
 """
 
@@ -73,8 +74,8 @@ def _refresh(config: Path, read_args: list[str], out: Path) -> list[list[str]]:
             *[read + ["case-study", "--org", org] for org in orgs]]
 
 
-def _source_lines(src: Path) -> int:
-    return sum(path.read_bytes().count(b"\n") for path in (src / "threatrank").rglob("*.py"))
+def _source_lines(paths) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in paths)
 
 
 def _digests(out: Path) -> dict[str, str]:
@@ -116,9 +117,12 @@ def main(argv: list[str]) -> int:
                     differing += 1
             compared += len(parent.keys() | change.keys())
             print(f"{name}: {len(change)} output files", file=sys.stderr)
-    sizes = ", ".join(f"{tree} {_source_lines(src)}" for tree, src in trees.items())
+    package = ", ".join(f"{tree} {_source_lines((src / 'threatrank').rglob('*.py'))}"
+                        for tree, src in trees.items())
+    scripts = ", ".join(f"{tree} {_source_lines((src.parent / 'scripts').glob('*.py'))}"
+                        for tree, src in trees.items())
     print(f"{differing} of {compared} output files differ, {failed} refreshes failed; "
-          f"src/threatrank lines: {sizes}")
+          f"src/threatrank lines: {package}; scripts lines: {scripts}")
     return int(bool(differing or failed))
 
 

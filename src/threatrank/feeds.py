@@ -22,7 +22,8 @@ record costs a tuple, and making its type costs far less at import than a
 dataclass, which every command that parses feeds would pay.  Copy a
 record with ``_replace``; its field names are in ``_fields``.  A record
 is a tuple, so it equals any tuple with the same values, and ``json``
-would write it as an array: no record is ever JSON-encoded.
+would write it as an array: no record is ever JSON-encoded, but each of
+its fields is, through ``json_field``.
 ``ParseResult`` and ``SnapshotBundle`` are filled in place, and each
 instance starts with lists of its own.
 
@@ -356,6 +357,18 @@ def _json_value(line: str):
         # json.loads points past the whitespace that follows the value.
         end = len(line) - len(line[end:].lstrip(" \t\n\r"))
         raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
+
+def json_field(value):
+    """The JSON form of a record field: a date as its ISO string, an enum
+    member as its value, a tuple as a list of those, anything else as is."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, tuple):
+        return [json_field(v) for v in value]
     return value
 
 

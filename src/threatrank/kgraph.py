@@ -18,9 +18,13 @@ immutable (node props become read-only mappings of JSON scalars and tuples
 of them, adjacency read-only mappings of frozensets) and safe to read from
 any number of workers.  ``build_graph`` writes no other prop.
 
-``build_graph`` imports ``profiles`` when it runs, and its other inputs'
-modules only for type checkers, so a read command, which only loads a
-snapshot with ``load_graph``, never imports them through this module.
+``build_graph`` reads each feed list through two tables: ``_FEED_NODES``
+(a list's node label and the record fields its props hold, each as
+``feeds.json_field`` gives it) and ``_FEED_EDGES`` (each reference field's
+edge type).  It imports ``feeds`` and ``profiles`` when it runs, and its
+other inputs' modules only for type checkers, so a read command, which
+only loads a snapshot with ``load_graph``, imports none of them through
+this module.
 """
 
 from __future__ import annotations
@@ -303,6 +307,39 @@ class PropertyGraph:
 # ---------------------------------------------------------------------------
 
 
+# Per SnapshotBundle list, the label of its records' nodes and the record
+# fields their props hold; a node's key is str(record[0]).  EPSS rows are
+# no node: they ride on their CVE's.  Listed in the order nodes are made.
+_FEED_NODES: dict[str, tuple[NodeLabel, tuple[str, ...]]] = {
+    "cwes": (NodeLabel.CWE, ("name", "technical_impacts")),
+    "capecs": (NodeLabel.CAPEC, ("name", "skill_level")),
+    "techniques": (NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, ("name",)),
+    "tactics": (NodeLabel.ATTACK_ENTERPRISE_TACTIC, ("name",)),
+    "groups": (NodeLabel.ATTACK_GROUP, ("name", "created")),
+    "cpes": (NodeLabel.CPE, ("vendor", "product")),
+    "cves": (NodeLabel.NVD_CVE, ("published", "modified", "cvss_base", "attack_vector")),
+    "references": (NodeLabel.NVD_REFERENCE, ()),
+    "exploits": (NodeLabel.EXPLOIT_DB, ()),
+    "kev": (NodeLabel.CISA_EXPLOIT_CATALOG,
+            ("vendor_project", "product", "vulnerability_name", "date_added", "due_date")),
+}
+
+# Each reference field of a SnapshotBundle list, an id or a tuple of ids,
+# and the edge type it makes.  The record is the edge's source unless
+# EDGE_ENDPOINTS puts its label at the target.
+_FEED_EDGES: tuple[tuple[str, str, EdgeType], ...] = (
+    ("cves", "cwe_ids", EdgeType.WEAKENED_BY),
+    ("cves", "affected_cpes", EdgeType.AFFECTS),
+    ("cves", "reference_urls", EdgeType.INFORMS),
+    ("cwes", "related_capecs", EdgeType.KNOWN_ATTACK),
+    ("capecs", "related_techniques", EdgeType.EMPLOYS),
+    ("techniques", "tactic_ids", EdgeType.ACHIEVED_THROUGH),
+    ("groups", "technique_ids", EdgeType.ACHIEVES_GOAL),
+    ("exploits", "cve_ids", EdgeType.REFERENCE_EXPLOIT),
+    ("kev", "cve_id", EdgeType.EXPLOITS_KNOWN),
+)
+
+
 def build_graph(
     records: SnapshotBundle,
     attributions: Iterable[GroupAttribution] = (),
@@ -318,6 +355,7 @@ def build_graph(
     materialized from the controlled vocabularies.  The returned graph is
     not frozen; callers freeze it before sharing.
     """
+    from .feeds import json_field
     from .profiles import software_key
 
     g = PropertyGraph()
@@ -327,51 +365,14 @@ def build_graph(
     for sector in vocab.sectors:
         g.upsert_node(NodeLabel.DHS_SECTOR, sector)
 
-    for cwe in records.cwes:
-        g.upsert_node(NodeLabel.CWE, cwe.cwe_id, {
-            "name": cwe.name,
-            "technical_impacts": [i.value for i in cwe.technical_impacts],
-        })
-    for capec in records.capecs:
-        g.upsert_node(NodeLabel.CAPEC, capec.capec_id, {
-            "name": capec.name,
-            "skill_level": capec.skill_level.value,
-        })
-    for technique in records.techniques:
-        g.upsert_node(NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, technique.technique_id,
-                      {"name": technique.name})
-    for tactic in records.tactics:
-        g.upsert_node(NodeLabel.ATTACK_ENTERPRISE_TACTIC, tactic.tactic_id,
-                      {"name": tactic.name})
-    for group in records.groups:
-        g.upsert_node(NodeLabel.ATTACK_GROUP, group.group_id, {
-            "name": group.name,
-            "created": group.created.isoformat(),
-        })
-    for cpe in records.cpes:
-        g.upsert_node(NodeLabel.CPE, cpe.cpe_id, {
-            "vendor": cpe.vendor,
-            "product": cpe.product,
-        })
-    for cve in records.cves:
-        g.upsert_node(NodeLabel.NVD_CVE, cve.cve_id, {
-            "published": cve.published.isoformat(),
-            "modified": cve.modified.isoformat(),
-            "cvss_base": cve.cvss_base,
-            "attack_vector": cve.attack_vector.value,
-        })
-    for ref in records.references:
-        g.upsert_node(NodeLabel.NVD_REFERENCE, ref.url)
-    for exploit in records.exploits:
-        g.upsert_node(NodeLabel.EXPLOIT_DB, str(exploit.exploitdb_id))
-    for entry in records.kev:
-        g.upsert_node(NodeLabel.CISA_EXPLOIT_CATALOG, entry.cve_id, {
-            "vendor_project": entry.vendor_project,
-            "product": entry.product,
-            "vulnerability_name": entry.vulnerability_name,
-            "date_added": entry.date_added.isoformat(),
-            "due_date": entry.due_date.isoformat(),
-        })
+    for bundle_field, (label, fields) in _FEED_NODES.items():
+        for record in getattr(records, bundle_field):
+            props = {}
+            for name in fields:
+                value = getattr(record, name)
+                # json_field returns a JSON scalar as it is: skip the call.
+                props[name] = value if type(value) in _SCALARS else json_field(value)
+            g.upsert_node(label, str(record[0]), props)
 
     # EPSS scores ride on the CVE node: exploit probability is an attribute.
     for score in records.epss:
@@ -382,30 +383,15 @@ def build_graph(
         node.props["epss_probability"] = score.probability
         node.props["epss_percentile"] = score.percentile
 
-    for cve in records.cves:
-        for cwe_id in cve.cwe_ids:
-            g.link(EdgeType.WEAKENED_BY, cve.cve_id, cwe_id)
-        for cpe_id in cve.affected_cpes:
-            g.link(EdgeType.AFFECTS, cve.cve_id, cpe_id)
-        for url in cve.reference_urls:
-            g.link(EdgeType.INFORMS, cve.cve_id, url)
-    for cwe in records.cwes:
-        for capec_id in cwe.related_capecs:
-            g.link(EdgeType.KNOWN_ATTACK, cwe.cwe_id, capec_id)
-    for capec in records.capecs:
-        for technique_id in capec.related_techniques:
-            g.link(EdgeType.EMPLOYS, capec.capec_id, technique_id)
-    for technique in records.techniques:
-        for tactic_id in technique.tactic_ids:
-            g.link(EdgeType.ACHIEVED_THROUGH, tactic_id, technique.technique_id)
-    for group in records.groups:
-        for technique_id in group.technique_ids:
-            g.link(EdgeType.ACHIEVES_GOAL, group.group_id, technique_id)
-    for exploit in records.exploits:
-        for cve_id in exploit.cve_ids:
-            g.link(EdgeType.REFERENCE_EXPLOIT, cve_id, str(exploit.exploitdb_id))
-    for entry in records.kev:
-        g.link(EdgeType.EXPLOITS_KNOWN, entry.cve_id, entry.cve_id)
+    for bundle_field, field, edge_type in _FEED_EDGES:
+        forward = EDGE_ENDPOINTS[edge_type][0] is _FEED_NODES[bundle_field][0]
+        for record in getattr(records, bundle_field):
+            key, ids = str(record[0]), getattr(record, field)
+            for other in (ids,) if type(ids) is str else ids:
+                if forward:
+                    g.link(edge_type, key, other)
+                else:
+                    g.link(edge_type, other, key)
 
     for attribution in attributions:
         node = g.find(NodeLabel.ATTACK_GROUP, attribution.group_id)

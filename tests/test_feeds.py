@@ -532,6 +532,20 @@ def test_snapshot_file_round_trip(records, tmp_path_factory):
     assert result.skipped_count == 0
 
 
+def test_json_field_gives_dates_members_and_tuples_their_json_form():
+    assert feeds.json_field(date(2021, 11, 22)) == "2021-11-22"
+    member = feeds.json_field(SkillLevel.HIGH)
+    assert member == "High" and type(member) is str
+    assert feeds.json_field((TechnicalImpact.READ_DATA, "x")) == ["ReadData", "x"]
+    assert feeds.json_field(()) == []
+
+
+@given(value=st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4))
+def test_json_field_returns_a_json_scalar_as_it_is(value):
+    # build_graph skips the call for a JSON scalar on this promise.
+    assert feeds.json_field(value) is value
+
+
 # Values a JSON field can hold, unhashable ones included, and strings near
 # the members' values.
 _MEMBER_VALUES = [m.value for enum in (AttackVector, TechnicalImpact, SkillLevel) for m in enum]

@@ -6,7 +6,7 @@ from datetime import date
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from threatrank import kgraph
@@ -21,8 +21,15 @@ from threatrank.feeds import (
     CpeEntry,
     CveRecord,
     CweEntry,
+    EpssScore,
+    ExploitRef,
+    KevEntry,
+    ReferenceRecord,
     SkillLevel,
     SnapshotBundle,
+    SOURCES,
+    SourceKind,
+    TechnicalImpact,
 )
 from threatrank.kgraph import (
     EDGE_ENDPOINTS,
@@ -421,6 +428,210 @@ def test_group_achieves_goal_edges():
     assert graph.stats.dangling_dropped[EdgeType.ACHIEVES_GOAL] == 1
     tactics = [e for e in graph.edges() if e[1] is EdgeType.ACHIEVED_THROUGH]
     assert len(tactics) == 1
+
+
+# ---------------------------------------------------------------------------
+# The node and edge tables against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_build_graph(records, attributions=(), profiles=(), *, vocab):
+    """``build_graph`` as written before ``_FEED_NODES`` and ``_FEED_EDGES``:
+    one loop per feed list for its nodes and one per reference field."""
+    from threatrank.profiles import software_key
+
+    g = PropertyGraph()
+
+    for country in vocab.countries:
+        g.upsert_node(NodeLabel.COUNTRY, country)
+    for sector in vocab.sectors:
+        g.upsert_node(NodeLabel.DHS_SECTOR, sector)
+
+    for cwe in records.cwes:
+        g.upsert_node(NodeLabel.CWE, cwe.cwe_id, {
+            "name": cwe.name,
+            "technical_impacts": [i.value for i in cwe.technical_impacts],
+        })
+    for capec in records.capecs:
+        g.upsert_node(NodeLabel.CAPEC, capec.capec_id, {
+            "name": capec.name,
+            "skill_level": capec.skill_level.value,
+        })
+    for technique in records.techniques:
+        g.upsert_node(NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, technique.technique_id,
+                      {"name": technique.name})
+    for tactic in records.tactics:
+        g.upsert_node(NodeLabel.ATTACK_ENTERPRISE_TACTIC, tactic.tactic_id,
+                      {"name": tactic.name})
+    for group in records.groups:
+        g.upsert_node(NodeLabel.ATTACK_GROUP, group.group_id, {
+            "name": group.name,
+            "created": group.created.isoformat(),
+        })
+    for cpe in records.cpes:
+        g.upsert_node(NodeLabel.CPE, cpe.cpe_id, {
+            "vendor": cpe.vendor,
+            "product": cpe.product,
+        })
+    for cve in records.cves:
+        g.upsert_node(NodeLabel.NVD_CVE, cve.cve_id, {
+            "published": cve.published.isoformat(),
+            "modified": cve.modified.isoformat(),
+            "cvss_base": cve.cvss_base,
+            "attack_vector": cve.attack_vector.value,
+        })
+    for ref in records.references:
+        g.upsert_node(NodeLabel.NVD_REFERENCE, ref.url)
+    for exploit in records.exploits:
+        g.upsert_node(NodeLabel.EXPLOIT_DB, str(exploit.exploitdb_id))
+    for entry in records.kev:
+        g.upsert_node(NodeLabel.CISA_EXPLOIT_CATALOG, entry.cve_id, {
+            "vendor_project": entry.vendor_project,
+            "product": entry.product,
+            "vulnerability_name": entry.vulnerability_name,
+            "date_added": entry.date_added.isoformat(),
+            "due_date": entry.due_date.isoformat(),
+        })
+
+    for score in records.epss:
+        node = g.find(NodeLabel.NVD_CVE, score.cve_id)
+        if node is None:
+            g.stats.dangling_dropped["epss"] += 1
+            continue
+        node.props["epss_probability"] = score.probability
+        node.props["epss_percentile"] = score.percentile
+
+    for cve in records.cves:
+        for cwe_id in cve.cwe_ids:
+            g.link(EdgeType.WEAKENED_BY, cve.cve_id, cwe_id)
+        for cpe_id in cve.affected_cpes:
+            g.link(EdgeType.AFFECTS, cve.cve_id, cpe_id)
+        for url in cve.reference_urls:
+            g.link(EdgeType.INFORMS, cve.cve_id, url)
+    for cwe in records.cwes:
+        for capec_id in cwe.related_capecs:
+            g.link(EdgeType.KNOWN_ATTACK, cwe.cwe_id, capec_id)
+    for capec in records.capecs:
+        for technique_id in capec.related_techniques:
+            g.link(EdgeType.EMPLOYS, capec.capec_id, technique_id)
+    for technique in records.techniques:
+        for tactic_id in technique.tactic_ids:
+            g.link(EdgeType.ACHIEVED_THROUGH, tactic_id, technique.technique_id)
+    for group in records.groups:
+        for technique_id in group.technique_ids:
+            g.link(EdgeType.ACHIEVES_GOAL, group.group_id, technique_id)
+    for exploit in records.exploits:
+        for cve_id in exploit.cve_ids:
+            g.link(EdgeType.REFERENCE_EXPLOIT, cve_id, str(exploit.exploitdb_id))
+    for entry in records.kev:
+        g.link(EdgeType.EXPLOITS_KNOWN, entry.cve_id, entry.cve_id)
+
+    for attribution in attributions:
+        node = g.find(NodeLabel.ATTACK_GROUP, attribution.group_id)
+        if node is None:
+            g.stats.dangling_dropped["attribution"] += 1
+            continue
+        node.props["origin_year"] = attribution.origin_year
+        for country in attribution.origin_countries:
+            g.link(EdgeType.ORIGINATES, attribution.group_id, country)
+        for country in attribution.targeted_countries:
+            g.link(EdgeType.TARGETS, attribution.group_id, country)
+        for sector in attribution.targeted_sectors:
+            g.link(EdgeType.FOCUS_ON, attribution.group_id, sector)
+
+    for profile in profiles:
+        g.upsert_node(NodeLabel.ORGANIZATION, profile.org_id, {
+            "name": profile.name,
+            "sector": profile.sector,
+            "country": profile.country,
+        })
+        g.link(EdgeType.AFFILIATED_WITH, profile.sector, profile.org_id)
+        g.link(EdgeType.OPERATES_IN, profile.org_id, profile.country)
+        for item in profile.software:
+            software = software_key(item.vendor, item.product)
+            g.upsert_node(NodeLabel.SOFTWARE, software, {
+                "vendor": item.vendor,
+                "product": item.product,
+            })
+            g.link(EdgeType.INSTALLS, profile.org_id, software)
+            for cpe_id in item.resolved_cpes:
+                g.link(EdgeType.HAS_VERSION, software, cpe_id)
+    return g
+
+
+# Three ids per kind.  A bundle holds records for some of them, so every
+# reference field can name an id with no record; record keys and the ids
+# in a reference list may repeat, and a list may be empty.
+_POOLS = {
+    "cve": ["CVE-2021-0001", "CVE-2021-0002", "CVE-2021-0003"],
+    "cpe": [f"cpe:2.3:a:v{i}:p{i}:-:*:*:*:*:*:*:*" for i in range(3)],
+    "cwe": ["CWE-1", "CWE-2", "CWE-3"],
+    "capec": ["CAPEC-1", "CAPEC-2", "CAPEC-3"],
+    "technique": ["T1001", "T1002", "T1003"],
+    "tactic": ["TA0001", "TA0002", "TA0003"],
+    "group": ["G0001", "G0002", "G0003"],
+    "url": ["https://a.example/1", "https://a.example/2", "https://a.example/3"],
+}
+_WORDS = st.sampled_from(["", "name", "é"])
+_DAYS = st.dates(date(2015, 1, 1), date(2025, 12, 31))
+
+
+@st.composite
+def _feed_bundles(draw):
+    def ids(kind):
+        return tuple(draw(st.lists(st.sampled_from(_POOLS[kind]), max_size=3)))
+
+    def records(kind, make):
+        return [make(key) for key in ids(kind)]
+
+    return SnapshotBundle(
+        cves=records("cve", lambda key: CveRecord(
+            key, "d", draw(_DAYS), draw(_DAYS),
+            draw(st.none() | st.floats(0, 10, allow_nan=False)),
+            draw(st.sampled_from(list(AttackVector))),
+            ids("cwe"), ids("cpe"), ids("url"))),
+        cpes=records("cpe", lambda key: CpeEntry(key, draw(_WORDS), draw(_WORDS))),
+        cwes=records("cwe", lambda key: CweEntry(
+            key, draw(_WORDS), tuple(draw(st.lists(st.sampled_from(list(TechnicalImpact)),
+                                                   max_size=3))),
+            ids("capec"))),
+        capecs=records("capec", lambda key: CapecEntry(
+            key, draw(_WORDS), draw(st.sampled_from(list(SkillLevel))), ids("technique"))),
+        techniques=records("technique",
+                           lambda key: AttackTechnique(key, draw(_WORDS), ids("tactic"))),
+        tactics=records("tactic", lambda key: AttackTactic(key, draw(_WORDS))),
+        groups=records("group", lambda key: AttackGroupRaw(
+            key, draw(_WORDS), "d", draw(_DAYS), ids("technique"))),
+        epss=records("cve", lambda key: EpssScore(key, draw(st.floats(0, 1)),
+                                                  draw(st.floats(0, 1)))),
+        kev=records("cve", lambda key: KevEntry(
+            key, draw(_WORDS), draw(_WORDS), draw(_WORDS), draw(_DAYS), "s", "r",
+            draw(_DAYS))),
+        exploits=[ExploitRef(exploit_id, ids("cve"))
+                  for exploit_id in draw(st.lists(st.integers(0, 3), max_size=3))],
+        references=records("url", ReferenceRecord),
+    )
+
+
+@given(bundle=_feed_bundles())
+@settings(max_examples=300, deadline=None)
+def test_feed_tables_build_what_the_per_kind_loops_built(bundle):
+    note({name: getattr(bundle, name) for name in bundle.__slots__ if getattr(bundle, name)})
+    graph = build_graph(bundle, vocab=TINY_VOCAB)
+    reference = _reference_build_graph(bundle, vocab=TINY_VOCAB)
+    assert graph_signature(graph) == graph_signature(reference)
+    assert graph.stats.dangling_dropped == reference.stats.dangling_dropped
+
+
+def test_feed_tables_name_the_bundle_lists_and_their_fields():
+    record_types = {source.bundle_field: source.record_type for source in SOURCES.values()}
+    assert set(kgraph._FEED_NODES) == {source.bundle_field for kind, source in SOURCES.items()
+                                       if kind is not SourceKind.EPSS}
+    for bundle_field, (_label, fields) in kgraph._FEED_NODES.items():
+        assert set(fields) <= set(record_types[bundle_field]._fields), bundle_field
+    for bundle_field, field, edge_type in kgraph._FEED_EDGES:
+        assert field in record_types[bundle_field]._fields, (bundle_field, field)
+        assert kgraph._FEED_NODES[bundle_field][0] in EDGE_ENDPOINTS[edge_type], edge_type
 
 
 # ---------------------------------------------------------------------------
