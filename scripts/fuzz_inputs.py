@@ -21,17 +21,21 @@ Two kinds of case, each drawn from ``SEED``:
   alone, so every N draws the same swaps, and an N at least their count
   runs them all.
 
+And one key rename per object key of the config and the profile, whatever
+N is: the key loses its last character (``software`` becomes
+``softwar``), so a misspelt key must not be read as an absent one.
+
 Each case edits one file of a fresh copy of the fixture in a temporary
 directory and runs all five commands on it in-process, with the config's
 own output directory: ``ingest``, ``build``, ``rank``, ``evaluate`` and
 ``case-study``.  A command that returns anything but 0, 1 or 2, raises,
 or prints a traceback breaks the contract.  A command that exits 2 must
 name the edited file (its base name) on stderr, so that a data error
-points at the file that holds the fault.  Each case that fails either
-rule is printed, the summary line counts each rule's failures, and the
-exit code is 1 if there is any.  The unedited copy runs first, and every
-command must exit 0 on it.  Nothing is written outside the temporary
-directory.
+points at the file that holds the fault.  On a key rename, ``build``
+must exit 2.  Each case that fails a rule is printed, the summary line
+counts each rule's failures, and the exit code is 1 if there is any.
+The unedited copy runs first, and every command must exit 0 on it.
+Nothing is written outside the temporary directory.
 """
 
 from __future__ import annotations
@@ -121,6 +125,23 @@ def swapped(value, path: tuple, new):
     return value
 
 
+# The inputs whose object keys are renamed, one case per key.
+RENAMED = ("config.json", "profiles/odu.json")
+
+
+def renamed_key(value, path: tuple):
+    """A copy of the JSON value ``value`` whose object key at ``path``, kept
+    in its place, has lost its last character."""
+    value = copy.deepcopy(value)
+    parent = value
+    for step in path[:-1]:
+        parent = parent[step]
+    items = list(parent.items())
+    parent.clear()
+    parent.update((key[:-1] if key == path[-1] else key, item) for key, item in items)
+    return value
+
+
 def value_swaps(name: str, data: bytes, rng: random.Random) -> list[tuple]:
     """Each ``(path, value)`` swap of one input, for ``swap_bytes``.
 
@@ -184,6 +205,12 @@ def run_commands(name: str, data: bytes) -> list[tuple[str, int | None, str]]:
     return runs
 
 
+def failed_rename(runs: list[tuple[str, int | None, str]]) -> list[str]:
+    """``build``'s run, if it did not exit 2 on a case with a renamed key."""
+    return [f"{command}: exit {code!r} on a renamed key, not 2\n{err}"
+            for command, code, err in runs if command == "build" and code != 2]
+
+
 def broken_runs(runs: list[tuple[str, int | None, str]], codes=(0, 1, 2)) -> list[str]:
     """How each of ``run_commands``' runs broke the contract, or exited
     outside ``codes``."""
@@ -221,33 +248,45 @@ def main(argv: list[str]) -> int:
     if broken:
         print(_report("the unedited case copy", broken))
         return 1
-    cases = []
+    cases = []  # (label, input name, its edited bytes, whether a key was renamed)
     for _ in range(count):
         name = rng.choice(sorted(originals))
         data = originals[name]
         insert = rng.random() < 0.5
         at, byte = rng.randrange(len(data) + insert), rng.choice(ALPHABET)
         cases.append((f"{name}: {'insert' if insert else 'replace'} {bytes([byte])!r} at {at}",
-                      name, byte_edit(data, at, byte, insert)))
+                      name, byte_edit(data, at, byte, insert), False))
     lines = random.Random(seed)  # the swapped lines depend on SEED alone, not on N
     swaps = [(name, path, new) for name in INPUTS
              for path, new in value_swaps(name, originals[name], lines)]
     for name, path, new in rng.sample(swaps, min(count, len(swaps))):
         cases.append((f"{name}: {json.dumps(new)} at {list(path)}", name,
-                      swap_bytes(name, originals[name], path, new)))
-    failed = data_errors = unnamed = 0
-    for label, name, data in cases:
+                      swap_bytes(name, originals[name], path, new), False))
+    renames = 0
+    for name in RENAMED:
+        value = json.loads(originals[name])
+        for path in key_paths(value):
+            if path and isinstance(path[-1], str):
+                data = (json.dumps(renamed_key(value, path), indent=2) + "\n").encode()
+                cases.append((f"{name}: key {list(path)} renamed", name, data, True))
+                renames += 1
+    failed = data_errors = unnamed = misread = 0
+    for label, name, data, rename in cases:
         runs = run_commands(name, data)
         broken, silent = broken_runs(runs), unnamed_runs(name, runs)
-        if broken or silent:
-            print(_report(label, broken + silent))
+        accepted = failed_rename(runs) if rename else []
+        if broken or silent or accepted:
+            print(_report(label, broken + silent + accepted))
         failed += bool(broken)
         unnamed += bool(silent)
+        misread += bool(accepted)
         data_errors += any(code == 2 for _command, code, _err in runs)
-    print(f"{len(cases)} cases ({min(count, len(swaps))} of {len(swaps)} value swaps), "
-          f"{len(cases) * len(COMMANDS)} command runs, {failed} broke the exit-code contract, "
-          f"{unnamed} of {data_errors} exit-2 cases do not name the edited file")
-    return 1 if failed or unnamed else 0
+    print(f"{len(cases)} cases ({min(count, len(swaps))} of {len(swaps)} value swaps, "
+          f"{renames} key renames), {len(cases) * len(COMMANDS)} command runs, "
+          f"{failed} broke the exit-code contract, "
+          f"{unnamed} of {data_errors} exit-2 cases do not name the edited file, "
+          f"{misread} of {renames} key renames do not make build exit 2")
+    return 1 if failed or unnamed or misread else 0
 
 
 if __name__ == "__main__":

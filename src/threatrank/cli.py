@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kgraph, ranking
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, reject_unknown
 from .kinds import SkillLevel, SourceKind
 from .vocab import load_vocabulary
 
@@ -99,20 +99,12 @@ _CONFIG_KEYS = ("snapshots", "profiles", "date_range", "output_dir", "lexicons",
 _DATA_FILE_KEYS = ("countries", "sectors")
 
 
-def _reject_unknown(keys, known, what: str) -> None:
-    """A DataError naming the first key outside ``known``, so a misspelt
-    setting is not silently replaced by its default."""
-    unknown = sorted(set(keys) - set(known))
-    if unknown:
-        raise DataError(f"{what} {unknown[0]!r} (known: {', '.join(sorted(known))})")
-
-
 def _policy_config(path: Path, name: str, raw, family: ranking.Family) -> ranking.PolicyConfig:
     """The ``policies.<name>`` section of config file ``path``; every
     DataError names the file and the section."""
     what = f"{path}: policies.{name}"
     _expect(raw, dict, what)
-    _reject_unknown(raw, _POLICY_KEYS[name], f"{what}: unknown key")
+    reject_unknown(raw, _POLICY_KEYS[name], f"{what}: unknown key")
     settings = {}
     if "origin_countries" in raw:
         origins = raw["origin_countries"]
@@ -142,7 +134,7 @@ def load_config(path: str | Path) -> ProjectConfig:
     except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: not valid JSON ({exc})")
     _expect(raw, dict, f"{path}: the config")
-    _reject_unknown(raw, _CONFIG_KEYS, f"{path}: unknown config key")
+    reject_unknown(raw, _CONFIG_KEYS, f"{path}: unknown config key")
     base = path.parent
 
     def section(key: str, kind: type):
@@ -188,11 +180,11 @@ def load_config(path: str | Path) -> ProjectConfig:
     data_files = {}  # each configured lexicon or vocabulary file, by "<section>.<key>"
     for name in ("lexicons", "vocabularies"):
         table = section(name, dict)
-        _reject_unknown(table, _DATA_FILE_KEYS, f"{path}: unknown {name!r} key")
+        reject_unknown(table, _DATA_FILE_KEYS, f"{path}: unknown {name!r} key")
         data_files.update((f"{name}.{key}", resolve(rel, f"{name}.{key}"))
                           for key, rel in table.items())
     policies = section("policies", dict)
-    _reject_unknown(policies, _POLICY_KEYS, f"{path}: unknown policy")
+    reject_unknown(policies, _POLICY_KEYS, f"{path}: unknown policy")
     return ProjectConfig(
         snapshots=snapshots,
         profile_paths=profile_paths,

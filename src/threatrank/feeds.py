@@ -9,7 +9,9 @@ Two input shapes are supported:
 
 Each kind is one row of ``SOURCES``: a field table that pairs every field
 of the record type, in order and primary key first, with the reader of its
-value, and at most one rule over the whole record.  One loop,
+value, at most one rule over the whole record, and ``refs``: each field
+naming other records, and their kind.  ``validate_snapshot`` and
+``kgraph.build_graph`` read the references from ``refs`` alone.  One loop,
 ``Source.from_obj``, reads snapshot objects and CSV rows alike.  An absent
 or ``null`` text field takes its default; a ``null`` list, a boolean where
 a number belongs, or any value its reader refuses makes the line dirty.
@@ -186,6 +188,8 @@ class Source(NamedTuple):
     fields: dict[str, Reader]  # each field of record_type, in order: primary key first
     check: Callable[[object], None] | None = None  # a rule over the whole record
     aliases: Mapping[str, str] = MappingProxyType({})  # key read for an absent field
+    # Each reference field, an id or a tuple of ids, and the kind whose keys it names.
+    refs: Mapping[str, SourceKind] = MappingProxyType({})
 
     def from_obj(self, obj: dict):
         """The record ``obj`` holds; a ValueError names the field at fault."""
@@ -229,7 +233,8 @@ SOURCES: dict[SourceKind, Source] = {
         "cve_id": _CVE_ID, "description": _OPTIONAL, "published": _date, "modified": _date,
         "cvss_base": _number(float, 10.0), "attack_vector": _member(AttackVector),
         "cwe_ids": _strings(CWE_ID_RE), "affected_cpes": _STRINGS, "reference_urls": _STRINGS,
-    }, check=_not_before("modified", "published")),
+    }, check=_not_before("modified", "published"), refs={"cwe_ids": SourceKind.CWE,
+        "affected_cpes": SourceKind.CPE, "reference_urls": SourceKind.REFERENCE}),
     SourceKind.CPE: _source("CpeEntry", "cpes", {
         "cpe_id": _REQUIRED, "vendor": _REQUIRED, "product": _REQUIRED, "deprecated": _flag,
         "language_tag": _text("en-US"),
@@ -237,33 +242,34 @@ SOURCES: dict[SourceKind, Source] = {
     SourceKind.CWE: _source("CweEntry", "cwes", {
         "cwe_id": _text(None, CWE_ID_RE), "name": _OPTIONAL,
         "technical_impacts": _members(TechnicalImpact), "related_capecs": _strings(CAPEC_ID_RE),
-    }),
+    }, refs={"related_capecs": SourceKind.CAPEC}),
     SourceKind.CAPEC: _source("CapecEntry", "capecs", {
         "capec_id": _text(None, CAPEC_ID_RE), "name": _OPTIONAL,
         "skill_level": _member(SkillLevel, SkillLevel.UNKNOWN),
         "related_techniques": _TECHNIQUE_IDS,
-    }),
+    }, refs={"related_techniques": SourceKind.TECHNIQUE}),
     SourceKind.TECHNIQUE: _source("AttackTechnique", "techniques", {
         "technique_id": _text(None, TECHNIQUE_ID_RE), "name": _OPTIONAL,
         "tactic_ids": _strings(TACTIC_ID_RE, non_empty=True),
-    }),
+    }, refs={"tactic_ids": SourceKind.TACTIC}),
     SourceKind.TACTIC: _source("AttackTactic", "tactics",
                                {"tactic_id": _text(None, TACTIC_ID_RE), "name": _OPTIONAL}),
     SourceKind.GROUP: _source("AttackGroupRaw", "groups", {
         "group_id": _text(None, GROUP_ID_RE), "name": _OPTIONAL, "description": _OPTIONAL,
         "created": _date, "technique_ids": _TECHNIQUE_IDS,
-    }),
+    }, refs={"technique_ids": SourceKind.TECHNIQUE}),
     # Upstream EPSS exports name the CVE column "cve".
     SourceKind.EPSS: _source("EpssScore", "epss", {
         "cve_id": _CVE_ID, "probability": _UNIT, "percentile": _UNIT,
-    }, aliases={"cve_id": "cve"}),
+    }, aliases={"cve_id": "cve"}, refs={"cve_id": SourceKind.CVE}),
     SourceKind.KEV: _source("KevEntry", "kev", {
         "cve_id": _CVE_ID, "vendor_project": _OPTIONAL, "product": _OPTIONAL,
         "vulnerability_name": _OPTIONAL, "date_added": _date, "short_description": _OPTIONAL,
         "required_action": _OPTIONAL, "due_date": _date,
-    }, check=_not_before("due_date", "date_added")),
+    }, check=_not_before("due_date", "date_added"), refs={"cve_id": SourceKind.CVE}),
     SourceKind.EXPLOIT: _source("ExploitRef", "exploits", {
-        "exploitdb_id": _number(int), "cve_ids": _strings(CVE_ID_RE, non_empty=True)}),
+        "exploitdb_id": _number(int), "cve_ids": _strings(CVE_ID_RE, non_empty=True),
+    }, refs={"cve_ids": SourceKind.CVE}),
     SourceKind.REFERENCE: _source("ReferenceRecord", "references", {"url": _REQUIRED}),
 }
 
@@ -481,45 +487,35 @@ class ValidationReport(NamedTuple):
     findings: list[Finding]
 
 
-def _dangling(findings: list[Finding], subject: str, ids, present: set, what: str) -> None:
-    findings += [Finding(subject, f"references absent {what} {target}")
-                 for target in ids if target not in present]
+# The kinds a finding names in capitals; it names the others by their value.
+_ACRONYMS = frozenset({SourceKind.CVE, SourceKind.CPE, SourceKind.CWE, SourceKind.CAPEC})
 
 
 def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
-    """The dangling references of a snapshot: each id that a record names and
-    no record of the named kind holds.  No findings when every reference resolves.
+    """The dangling references of a snapshot: each id that a record names in
+    one of its kind's ``refs`` and no record of the named kind holds.  No
+    findings when every reference resolves.
 
-    Findings come record by record, in bundle order: CVEs (their CWEs, CPEs
-    and references), CWEs, CAPECs, techniques, groups, EPSS scores, KEV
-    entries, then exploits.
+    Findings come record by record, in ``SOURCES`` order, and within a
+    record in the order of its ``refs``.  A finding's subject is the
+    record's primary key, prefixed with its kind when the key is not a
+    string (``exploit 7``).
     """
-    cves = {cve.cve_id for cve in bundle.cves}
-    cpes = {cpe.cpe_id for cpe in bundle.cpes}
-    cwes = {cwe.cwe_id for cwe in bundle.cwes}
-    capecs = {capec.capec_id for capec in bundle.capecs}
-    techniques = {technique.technique_id for technique in bundle.techniques}
-    tactics = {tactic.tactic_id for tactic in bundle.tactics}
-    references = {ref.url for ref in bundle.references}
+    keys = {target: {record[0] for record in getattr(bundle, SOURCES[target].bundle_field)}
+            for source in SOURCES.values() for target in source.refs.values()}
     findings: list[Finding] = []
-    for cve in bundle.cves:
-        for ids, present, what in ((cve.cwe_ids, cwes, "CWE"), (cve.affected_cpes, cpes, "CPE"),
-                                   (cve.reference_urls, references, "reference")):
-            if not present.issuperset(ids):
-                _dangling(findings, cve.cve_id, ids, present, what)
-    for named, present, what in (
-            (((cwe.cwe_id, cwe.related_capecs) for cwe in bundle.cwes), capecs, "CAPEC"),
-            (((capec.capec_id, capec.related_techniques) for capec in bundle.capecs),
-             techniques, "technique"),
-            (((technique.technique_id, technique.tactic_ids) for technique in bundle.techniques),
-             tactics, "tactic"),
-            (((group.group_id, group.technique_ids) for group in bundle.groups),
-             techniques, "technique"),
-            (((score.cve_id, (score.cve_id,)) for score in bundle.epss), cves, "CVE"),
-            (((entry.cve_id, (entry.cve_id,)) for entry in bundle.kev), cves, "CVE"),
-            (((f"exploit {ref.exploitdb_id}", ref.cve_ids) for ref in bundle.exploits),
-             cves, "CVE")):
-        for subject, ids in named:
-            if not present.issuperset(ids):
-                _dangling(findings, subject, ids, present, what)
+    for kind, source in SOURCES.items():
+        refs = [(field, keys[target], target.value.upper() if target in _ACRONYMS
+                 else target.value) for field, target in source.refs.items()]
+        if not refs:
+            continue
+        for record in getattr(bundle, source.bundle_field):
+            for field, present, noun in refs:
+                ids = getattr(record, field)
+                if type(ids) is str:
+                    ids = (ids,)
+                if not present.issuperset(ids):
+                    subject = record[0] if type(record[0]) is str else f"{kind.value} {record[0]}"
+                    findings += [Finding(subject, f"references absent {noun} {target}")
+                                 for target in ids if target not in present]
     return ValidationReport(findings)

@@ -18,13 +18,13 @@ immutable (node props become read-only mappings of JSON scalars and tuples
 of them, adjacency read-only mappings of frozensets) and safe to read from
 any number of workers.  ``build_graph`` writes no other prop.
 
-``build_graph`` reads each feed list through two tables: ``_FEED_NODES``
-(a list's node label and the record fields its props hold, each as
-``feeds.json_field`` gives it) and ``_FEED_EDGES`` (each reference field's
-edge type).  It imports ``feeds`` and ``profiles`` when it runs, and its
-other inputs' modules only for type checkers, so a read command, which
-only loads a snapshot with ``load_graph``, imports none of them through
-this module.
+``build_graph`` reads each feed list through ``_FEED_NODES`` (a kind's
+node label and the record fields its props hold, each as
+``feeds.json_field`` gives it), and links the ``refs`` of ``feeds.SOURCES``
+by the one edge type that joins the two kinds' labels.  It imports
+``feeds`` and ``profiles`` when it runs, and its other inputs' modules only
+for type checkers, so a read command, which only loads a snapshot with
+``load_graph``, imports none of them through this module.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import DataError
+from .kinds import SourceKind
 
 if TYPE_CHECKING:  # build_graph's inputs; a read command never imports them
     from .enrich import GroupAttribution
@@ -307,37 +308,23 @@ class PropertyGraph:
 # ---------------------------------------------------------------------------
 
 
-# Per SnapshotBundle list, the label of its records' nodes and the record
-# fields their props hold; a node's key is str(record[0]).  EPSS rows are
-# no node: they ride on their CVE's.  Listed in the order nodes are made.
-_FEED_NODES: dict[str, tuple[NodeLabel, tuple[str, ...]]] = {
-    "cwes": (NodeLabel.CWE, ("name", "technical_impacts")),
-    "capecs": (NodeLabel.CAPEC, ("name", "skill_level")),
-    "techniques": (NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, ("name",)),
-    "tactics": (NodeLabel.ATTACK_ENTERPRISE_TACTIC, ("name",)),
-    "groups": (NodeLabel.ATTACK_GROUP, ("name", "created")),
-    "cpes": (NodeLabel.CPE, ("vendor", "product")),
-    "cves": (NodeLabel.NVD_CVE, ("published", "modified", "cvss_base", "attack_vector")),
-    "references": (NodeLabel.NVD_REFERENCE, ()),
-    "exploits": (NodeLabel.EXPLOIT_DB, ()),
-    "kev": (NodeLabel.CISA_EXPLOIT_CATALOG,
-            ("vendor_project", "product", "vulnerability_name", "date_added", "due_date")),
+# Per feed kind, the label of its records' nodes and the record fields
+# their props hold; a node's key is str(record[0]).  EPSS rows are no
+# node: they ride on their CVE's.  Listed in the order nodes are made.
+_FEED_NODES: dict[SourceKind, tuple[NodeLabel, tuple[str, ...]]] = {
+    SourceKind.CWE: (NodeLabel.CWE, ("name", "technical_impacts")),
+    SourceKind.CAPEC: (NodeLabel.CAPEC, ("name", "skill_level")),
+    SourceKind.TECHNIQUE: (NodeLabel.ATTACK_ENTERPRISE_TECHNIQUE, ("name",)),
+    SourceKind.TACTIC: (NodeLabel.ATTACK_ENTERPRISE_TACTIC, ("name",)),
+    SourceKind.GROUP: (NodeLabel.ATTACK_GROUP, ("name", "created")),
+    SourceKind.CPE: (NodeLabel.CPE, ("vendor", "product")),
+    SourceKind.CVE: (NodeLabel.NVD_CVE, ("published", "modified", "cvss_base", "attack_vector")),
+    SourceKind.REFERENCE: (NodeLabel.NVD_REFERENCE, ()),
+    SourceKind.EXPLOIT: (NodeLabel.EXPLOIT_DB, ()),
+    SourceKind.KEV: (NodeLabel.CISA_EXPLOIT_CATALOG,
+                     ("vendor_project", "product", "vulnerability_name", "date_added",
+                      "due_date")),
 }
-
-# Each reference field of a SnapshotBundle list, an id or a tuple of ids,
-# and the edge type it makes.  The record is the edge's source unless
-# EDGE_ENDPOINTS puts its label at the target.
-_FEED_EDGES: tuple[tuple[str, str, EdgeType], ...] = (
-    ("cves", "cwe_ids", EdgeType.WEAKENED_BY),
-    ("cves", "affected_cpes", EdgeType.AFFECTS),
-    ("cves", "reference_urls", EdgeType.INFORMS),
-    ("cwes", "related_capecs", EdgeType.KNOWN_ATTACK),
-    ("capecs", "related_techniques", EdgeType.EMPLOYS),
-    ("techniques", "tactic_ids", EdgeType.ACHIEVED_THROUGH),
-    ("groups", "technique_ids", EdgeType.ACHIEVES_GOAL),
-    ("exploits", "cve_ids", EdgeType.REFERENCE_EXPLOIT),
-    ("kev", "cve_id", EdgeType.EXPLOITS_KNOWN),
-)
 
 
 def build_graph(
@@ -355,7 +342,7 @@ def build_graph(
     materialized from the controlled vocabularies.  The returned graph is
     not frozen; callers freeze it before sharing.
     """
-    from .feeds import json_field
+    from .feeds import SOURCES, json_field
     from .profiles import software_key
 
     g = PropertyGraph()
@@ -365,8 +352,8 @@ def build_graph(
     for sector in vocab.sectors:
         g.upsert_node(NodeLabel.DHS_SECTOR, sector)
 
-    for bundle_field, (label, fields) in _FEED_NODES.items():
-        for record in getattr(records, bundle_field):
+    for kind, (label, fields) in _FEED_NODES.items():
+        for record in getattr(records, SOURCES[kind].bundle_field):
             props = {}
             for name in fields:
                 value = getattr(record, name)
@@ -383,15 +370,22 @@ def build_graph(
         node.props["epss_probability"] = score.probability
         node.props["epss_percentile"] = score.percentile
 
-    for bundle_field, field, edge_type in _FEED_EDGES:
-        forward = EDGE_ENDPOINTS[edge_type][0] is _FEED_NODES[bundle_field][0]
-        for record in getattr(records, bundle_field):
-            key, ids = str(record[0]), getattr(record, field)
-            for other in (ids,) if type(ids) is str else ids:
-                if forward:
-                    g.link(edge_type, key, other)
-                else:
-                    g.link(edge_type, other, key)
+    # Each reference is an edge of the one type joining the two kinds' labels,
+    # from the record unless EDGE_ENDPOINTS puts the record's label at the target.
+    for kind, (label, _fields) in _FEED_NODES.items():
+        source = SOURCES[kind]
+        for field, target in source.refs.items():
+            ends = (label, _FEED_NODES[target][0])
+            (edge_type,) = [each for each, pair in EDGE_ENDPOINTS.items()
+                            if pair in (ends, ends[::-1])]
+            forward = EDGE_ENDPOINTS[edge_type] == ends
+            for record in getattr(records, source.bundle_field):
+                key, ids = str(record[0]), getattr(record, field)
+                for other in (ids,) if type(ids) is str else ids:
+                    if forward:
+                        g.link(edge_type, key, other)
+                    else:
+                        g.link(edge_type, other, key)
 
     for attribution in attributions:
         node = g.find(NodeLabel.ATTACK_GROUP, attribution.group_id)

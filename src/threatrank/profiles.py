@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DataError
+from .errors import DataError, reject_unknown
 from .feeds import CpeEntry
 from .vocab import Vocabulary
 
@@ -63,13 +63,19 @@ def software_key(vendor: str, product: str) -> str:
     return f"{normalize_token(vendor)}:{normalize_token(product)}"
 
 
+# The keys of a profile and of each item of its "software" array.
+_PROFILE_KEYS = ("org_id", "name", "sector", "country", "software")
+_SOFTWARE_KEYS = ("vendor", "product", "version")
+
+
 def load_profile(path: str | Path, vocab: Vocabulary) -> OrganizationProfile:
     """Load and validate one organization profile (JSON).
 
     Unknown sector or country names are fatal: downstream attribution
     queries silently return nothing for values outside the vocabularies.
     Vendor and product are JSON strings; a version is a string pin, or
-    absent or null for none.
+    absent or null for none.  An unknown key is fatal, so a misspelt
+    ``software`` is no empty inventory.
     """
     path = Path(path)
     try:
@@ -79,6 +85,7 @@ def load_profile(path: str | Path, vocab: Vocabulary) -> OrganizationProfile:
         raise DataError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("software", []), list):
         raise DataError(f"{path}: a profile is an object with a 'software' array")
+    reject_unknown(obj, _PROFILE_KEYS, f"{path}: unknown profile key")
     for key in ("org_id", "name", "sector", "country"):
         if not isinstance(obj.get(key), str) or not obj[key]:
             raise DataError(f"{path}: missing or empty field {key!r}")
@@ -93,6 +100,7 @@ def load_profile(path: str | Path, vocab: Vocabulary) -> OrganizationProfile:
         if not isinstance(raw, dict) or not all(
                 isinstance(raw.get(key), str) and raw[key] for key in ("vendor", "product")):
             raise DataError(f"{path}: software[{i}] needs vendor and product strings")
+        reject_unknown(raw, _SOFTWARE_KEYS, f"{path}: unknown software[{i}] key")
         version = raw.get("version")
         if version is not None and not isinstance(version, str):
             raise DataError(f"{path}: software[{i}] version must be a string or null")

@@ -35,8 +35,9 @@ from threatrank.feeds import (
     parse_snapshot,
     validate_snapshot,
 )
+from threatrank.kgraph import build_graph
 from scripts.snapshot_writer import dump_snapshot, record_to_obj
-from tests.conftest import CASE_STUDY
+from tests.conftest import CASE_STUDY, VOCAB
 
 # ---------------------------------------------------------------------------
 # EPSS CSV
@@ -717,6 +718,13 @@ def _dangling_bundles(draw):
 @settings(max_examples=300, deadline=None)
 def test_validate_snapshot_matches_reference(bundle):
     assert validate_snapshot(bundle) == _reference_validate_snapshot(bundle)
+
+
+@given(_dangling_bundles())
+@settings(max_examples=300, deadline=None)
+def test_build_drops_each_reference_validation_finds_dangling(bundle):
+    dropped = build_graph(bundle, vocab=VOCAB).stats.dangling_dropped
+    assert len(validate_snapshot(bundle).findings) == sum(dropped.values())
 
 
 def test_validate_case_study_fixture_is_clean(case_config):

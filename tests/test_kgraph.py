@@ -624,14 +624,21 @@ def test_feed_tables_build_what_the_per_kind_loops_built(bundle):
 
 
 def test_feed_tables_name_the_bundle_lists_and_their_fields():
-    record_types = {source.bundle_field: source.record_type for source in SOURCES.values()}
-    assert set(kgraph._FEED_NODES) == {source.bundle_field for kind, source in SOURCES.items()
-                                       if kind is not SourceKind.EPSS}
-    for bundle_field, (_label, fields) in kgraph._FEED_NODES.items():
-        assert set(fields) <= set(record_types[bundle_field]._fields), bundle_field
-    for bundle_field, field, edge_type in kgraph._FEED_EDGES:
-        assert field in record_types[bundle_field]._fields, (bundle_field, field)
-        assert kgraph._FEED_NODES[bundle_field][0] in EDGE_ENDPOINTS[edge_type], edge_type
+    nodes = kgraph._FEED_NODES
+    assert set(nodes) == set(SourceKind) - {SourceKind.EPSS}
+    for kind, (_label, fields) in nodes.items():
+        assert set(fields) <= set(SOURCES[kind].record_type._fields), kind
+    # EPSS is the one kind whose references make no edge: its rows are no node.
+    assert {kind for kind, source in SOURCES.items()
+            if source.refs and kind not in nodes} == {SourceKind.EPSS}
+    for kind, source in SOURCES.items():
+        for field, target in source.refs.items():
+            assert field in source.record_type._fields, (kind, field)
+            if kind in nodes:
+                ends = {nodes[kind][0], nodes[target][0]}
+                joining = [edge_type for edge_type, pair in EDGE_ENDPOINTS.items()
+                           if set(pair) == ends]
+                assert len(joining) == 1, (kind, field, joining)
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,8 @@ def test_feed_line_order_leaves_every_output_unchanged(project, refreshed, tmp_p
 
 
 def test_ingest_and_build_count_the_same_dangling_references(refreshed):
-    # validate_snapshot and build_graph each resolve the feed references
-    # on their own; every reference ingest reports, build drops.
+    # validate_snapshot and build_graph read the same references, each
+    # feed kind's refs in feeds.SOURCES; every one ingest reports, build drops.
     ingest = json.loads((refreshed / "ingest_summary.json").read_text(encoding="utf-8"))
     build = json.loads((refreshed / "build_summary.json").read_text(encoding="utf-8"))
     assert (ingest["validation"]["dangling_references"]

@@ -105,6 +105,22 @@ def test_load_profile_rejects_misshapen_file(tmp_path, data):
         load_profile(path, VOCAB)
 
 
+@pytest.mark.parametrize("data, key", [
+    # misspelt "software": not an empty inventory
+    (_HEAD + b', "softwares": [{"vendor": "v", "product": "p"}]}',
+     "unknown profile key 'softwares'"),
+    # misspelt "version": not an unpinned item
+    (_HEAD + b', "software": [{"vendor": "v", "product": "p", "versoin": "1.0"}]}',
+     "unknown software[0] key 'versoin'"),
+], ids=["profile_key", "software_key"])
+def test_load_profile_rejects_unknown_keys(tmp_path, data, key):
+    path = tmp_path / "p.json"
+    path.write_bytes(data)
+    with pytest.raises(DataError) as raised:
+        load_profile(path, VOCAB)
+    assert str(raised.value).startswith(f"{path}: {key} (known: ")
+
+
 # ---------------------------------------------------------------------------
 # CPE resolution
 # ---------------------------------------------------------------------------
