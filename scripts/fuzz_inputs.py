@@ -32,8 +32,11 @@ own output directory: ``ingest``, ``build``, ``rank``, ``evaluate`` and
 or prints a traceback breaks the contract.  A command that exits 2 must
 name the edited file (its base name) on stderr, so that a data error
 points at the file that holds the fault.  On a key rename, ``build``
-must exit 2.  Each case that fails a rule is printed, the summary line
-counts each rule's failures, and the exit code is 1 if there is any.
+must exit 2.  After the five commands, every file in the case copy that
+is not an input must have a name that a command writes (``OUTPUT_NAME``),
+so that no temporary file is left beside an output.  Each case that fails
+a rule is printed, the summary line counts each rule's failures, and the
+exit code is 1 if there is any.
 The unedited copy runs first, and every command must exit 0 on it.
 Nothing is written outside the temporary directory.
 """
@@ -46,6 +49,7 @@ import csv
 import io
 import json
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -78,6 +82,10 @@ ALPHABET = b'\xff\x00{,\n"'
 SWAP_VALUES = (None, True, 0, -1, 2**70, 1.5, "", "x", [], {}, ["China"], {"a": 1},
                "A Ruſſian group \u2014 targets İran and \u212aorea, actıve since 2009.")
 ORG = "ODU"
+# The name of each file the five commands write; a temporary file left
+# beside one (its name led by a dot) is none of them.
+OUTPUT_NAME = re.compile(r"(ingest|build)_summary\.json|graph\.jsonl|(ndcg_by_k|cost|ttest)\.csv"
+                         r"|(coverage|ranked|case_study)_.*\.csv", re.DOTALL).fullmatch
 COMMANDS = (["ingest"], ["build"], ["rank", "--org", ORG, "--policy", "apt_threat"],
             ["evaluate"], ["case-study", "--org", ORG])
 
@@ -181,10 +189,12 @@ def swap_bytes(name: str, data: bytes, path: tuple, new) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
-def run_commands(name: str, data: bytes) -> list[tuple[str, int | None, str]]:
+def run_commands(name: str, data: bytes) -> tuple[list[tuple[str, int | None, str]], list[str]]:
     """Run every command on a temporary case copy (``project_files``) whose
     input ``name`` holds ``data``; return each command's name, exit code
-    and stderr, or None and the traceback for a command that raised."""
+    and stderr, or None and the traceback for a command that raised; and
+    the path of each file then in the copy that is neither an input nor
+    named as an output (``OUTPUT_NAME``)."""
     runs = []
     with tempfile.TemporaryDirectory(prefix="fuzz_inputs_") as tmp:
         project = Path(tmp) / "case"
@@ -192,6 +202,7 @@ def run_commands(name: str, data: bytes) -> list[tuple[str, int | None, str]]:
         for path, content in {**project_files(), name: data}.items():
             (project / path).parent.mkdir(exist_ok=True)
             (project / path).write_bytes(content)
+        inputs = set(project.rglob("*"))
         for command in COMMANDS:
             stderr = io.StringIO()
             try:
@@ -202,7 +213,9 @@ def run_commands(name: str, data: bytes) -> list[tuple[str, int | None, str]]:
                 runs.append((command[0], None, traceback.format_exc()))
                 continue
             runs.append((command[0], code, stderr.getvalue()))
-    return runs
+        strays = sorted(path.relative_to(project).as_posix() for path in project.rglob("*")
+                        if path not in inputs and path.is_file() and not OUTPUT_NAME(path.name))
+    return runs, strays
 
 
 def failed_rename(runs: list[tuple[str, int | None, str]]) -> list[str]:
@@ -226,11 +239,16 @@ def unnamed_runs(name: str, runs: list[tuple[str, int | None, str]]) -> list[str
             for command, code, err in runs if code == 2 and base not in err]
 
 
+def stray_files(strays: list[str]) -> list[str]:
+    """A line for each file ``run_commands`` found that no command writes."""
+    return [f"left {path}, which no command writes" for path in strays]
+
+
 def run_case(name: str, data: bytes, codes=(0, 1, 2)) -> list[str]:
-    """``broken_runs`` and ``unnamed_runs`` of every command on a case copy
-    whose input ``name`` holds ``data``."""
-    runs = run_commands(name, data)
-    return broken_runs(runs, codes) + unnamed_runs(name, runs)
+    """``broken_runs``, ``unnamed_runs`` and ``stray_files`` of every command
+    on a case copy whose input ``name`` holds ``data``."""
+    runs, strays = run_commands(name, data)
+    return broken_runs(runs, codes) + unnamed_runs(name, runs) + stray_files(strays)
 
 
 def _report(label: str, broken: list[str]) -> str:
@@ -270,23 +288,26 @@ def main(argv: list[str]) -> int:
                 data = (json.dumps(renamed_key(value, path), indent=2) + "\n").encode()
                 cases.append((f"{name}: key {list(path)} renamed", name, data, True))
                 renames += 1
-    failed = data_errors = unnamed = misread = 0
+    failed = data_errors = unnamed = misread = stray = 0
     for label, name, data, rename in cases:
-        runs = run_commands(name, data)
+        runs, strays = run_commands(name, data)
         broken, silent = broken_runs(runs), unnamed_runs(name, runs)
         accepted = failed_rename(runs) if rename else []
-        if broken or silent or accepted:
-            print(_report(label, broken + silent + accepted))
+        left = stray_files(strays)
+        if broken or silent or accepted or left:
+            print(_report(label, broken + silent + accepted + left))
         failed += bool(broken)
         unnamed += bool(silent)
         misread += bool(accepted)
+        stray += bool(left)
         data_errors += any(code == 2 for _command, code, _err in runs)
     print(f"{len(cases)} cases ({min(count, len(swaps))} of {len(swaps)} value swaps, "
           f"{renames} key renames), {len(cases) * len(COMMANDS)} command runs, "
           f"{failed} broke the exit-code contract, "
           f"{unnamed} of {data_errors} exit-2 cases do not name the edited file, "
-          f"{misread} of {renames} key renames do not make build exit 2")
-    return 1 if failed or unnamed or misread else 0
+          f"{misread} of {renames} key renames do not make build exit 2, "
+          f"{stray} cases leave a file that no command writes")
+    return 1 if failed or unnamed or misread or stray else 0
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import kgraph, ranking
-from .errors import DataError, UsageError, reject_unknown
+from .errors import DataError, UsageError, output_file, reject_unknown, write_csv
 from .kinds import SkillLevel, SourceKind
 from .vocab import load_vocabulary
 
@@ -306,9 +306,9 @@ def cmd_ingest(config: ProjectConfig) -> int:
             "out_of_range": 0,
         },
     }
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / "ingest_summary.json"
-    out_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with output_file(out_path) as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     for kind, info in summary["sources"].items():
         print(f"{kind}: {info['records']} records, {info['skipped']} skipped, "
               f"{info['replaced_duplicates']} duplicates replaced")
@@ -320,7 +320,6 @@ def cmd_ingest(config: ProjectConfig) -> int:
 def cmd_build(config: ProjectConfig) -> int:
     """Build the knowledge graph; persist its snapshot and coverage CSVs."""
     graph, coverage = build_pipeline(config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     for org_id, report in sorted(coverage.items()):
         report.write_csv(config.output_dir / f"coverage_{org_id}.csv")
     graph_path = config.output_dir / GRAPH_FILENAME
@@ -338,8 +337,8 @@ def cmd_build(config: ProjectConfig) -> int:
         # both endpoints by the labels the edge type joins.
         "schema_rejected": 0,
     }
-    (config.output_dir / "build_summary.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with output_file(config.output_dir / "build_summary.json") as fh:
+        fh.write(json.dumps(stats, indent=2, sort_keys=True) + "\n")
     print(f"graph: {graph.node_count} nodes, {edges} edges -> {graph_path}")
     return 0
 
@@ -366,7 +365,7 @@ def _write_ranked_csv(path: Path, ranked_lists: list[ranking.RankedList]) -> Non
     ``feature_bits`` mapping is rendered once.
     """
     rendered: dict[int, str] = {}  # by id(): every mapping stays alive in ranked_lists
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with output_file(path) as fh:
         write = fh.write
         write("org,policy,iso_week,rank,cve,score,feature_bits\n")
         for ranked in ranked_lists:
@@ -391,7 +390,6 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
                      else config.apt_config)
     cohorts, table = _org_rows(_require_graph(config), org_id, config.date_range)
     ranked_lists = [ranking.rank(c, policy, family_config, table) for c in cohorts]
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = config.output_dir / f"ranked_{org_id}_{policy.value}.csv"
     _write_ranked_csv(out_path, ranked_lists)
     print(f"{org_id}/{policy.value}: {len(cohorts)} weekly cohorts, "
@@ -408,7 +406,6 @@ def cmd_evaluate(config: ProjectConfig) -> int:
     orgs = ((org_id, *_org_rows(graph, org_id, config.date_range))
             for org_id in _all_org_ids(graph))
     report = evaluation.generate_report(orgs, config.apt_config, config.general_config)
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     paths = report.write_csvs(config.output_dir)
     for name, out_path in sorted(paths.items()):
         print(f"wrote {out_path}")
@@ -422,7 +419,6 @@ def cmd_case_study(config: ProjectConfig, org_id: str) -> int:
         print(f"{org_id}: no candidate cohorts in "
               f"{config.date_range[0]}..{config.date_range[1]}")
         return 0
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     apt = config.apt_config
     printed = False
     for cohort in cohorts:
@@ -435,11 +431,8 @@ def cmd_case_study(config: ProjectConfig, org_id: str) -> int:
         ]
         year, week = cohort.iso_week
         out_path = config.output_dir / f"case_study_{org_id}_{year}W{week:02d}.csv"
-        with out_path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["cve", "cvss_base", "relevance",
-                             "cvss_base_rank", "apt_threat_rank"])
-            writer.writerows(rows)
+        write_csv(out_path, ["cve", "cvss_base", "relevance", "cvss_base_rank",
+                             "apt_threat_rank"], rows)
         if not printed:
             print(f"{org_id} {year}-W{week:02d}: top {len(rows)} of "
                   f"{len(cohort.cve_ids)} candidates (threat policy order)")

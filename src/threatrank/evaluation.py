@@ -16,12 +16,12 @@ order so regenerated CSVs are byte-identical.
 
 from __future__ import annotations
 
-import csv
 import math
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .errors import write_csv
 from .ranking import FAMILIES, FeatureRow, Policy, PolicyConfig, RankedList, WeeklyCohort, rank
 from .stats import TTestResult, paired_t_test
 
@@ -127,8 +127,6 @@ class EvaluationReport(NamedTuple):
     ttest_rows: list[tuple[str, str, str, TTestResult]]
 
     def write_csvs(self, out_dir: str | Path) -> dict[str, Path]:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         tables = (
             ("ndcg_by_k", ["org", "policy", "year", "k", "mean_ndcg", "n_observations"],
              ([org, policy, year, k, f"{mean_ndcg:.6f}", n]
@@ -142,11 +140,8 @@ class EvaluationReport(NamedTuple):
         )
         paths = {}
         for name, header, rows in tables:
-            paths[name] = out_dir / f"{name}.csv"
-            with paths[name].open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(rows)
+            paths[name] = Path(out_dir, f"{name}.csv")
+            write_csv(paths[name], header, rows)
         return paths
 
 

@@ -37,7 +37,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .errors import DataError
+from .errors import DataError, output_file
 from .kinds import SourceKind
 
 if TYPE_CHECKING:  # build_graph's inputs; a read command never imports them
@@ -465,7 +465,8 @@ def _props_encoder():
 
 
 def save_graph(graph: PropertyGraph, path: str | Path) -> None:
-    """Write the graph as newline-delimited records, nodes then edges.
+    """Write the graph as newline-delimited records, nodes then edges,
+    through ``errors.output_file``: ``path`` is replaced only when whole.
 
     Nodes are ordered by (label, key) and edges by (source key, type,
     target key) so snapshots of isomorphic graphs are byte-identical.
@@ -473,9 +474,8 @@ def save_graph(graph: PropertyGraph, path: str | Path) -> None:
     Each line is byte-for-byte ``json.dumps`` of its record: ``{kind,
     label, key, props}`` with the top-level props sorted by name (nested
     values keep their order), or ``{kind, type, src, dst}``.  It is rendered
-    from a fixed template, where label and edge-type values, fixed ASCII
-    names, go in verbatim and only keys and props are encoded, and written
-    at once, so the file is never held whole.
+    from a fixed template (label and edge-type values, fixed ASCII names,
+    go in verbatim; only keys and props are encoded), and written line by line.
     """
     # Enum.value is a Python-level descriptor: read it once per member.
     label_names = {label: label.value for label in NodeLabel}
@@ -484,7 +484,7 @@ def save_graph(graph: PropertyGraph, path: str | Path) -> None:
     edge_rows = sorted((src.key, type_names[edge_type], dst.key)
                        for src, edge_type, dst in graph.edges())
     encode = _props_encoder()
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+    with output_file(path) as fh:
         write = fh.write
         for node in nodes:
             props = node.props

@@ -9,13 +9,12 @@ preferred over product-level matches.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DataError, reject_unknown
+from .errors import DataError, reject_unknown, write_csv
 from .feeds import CpeEntry
 from .vocab import Vocabulary
 
@@ -47,10 +46,7 @@ class CoverageReport(NamedTuple):
         return sum(1 for _, _, n in self.rows if n > 0)
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["vendor", "product", "matched_cpe_count"])
-            writer.writerows(self.rows)
+        write_csv(path, ["vendor", "product", "matched_cpe_count"], self.rows)
 
 
 def normalize_token(value: str) -> str:

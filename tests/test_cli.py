@@ -8,7 +8,9 @@ import io
 import json
 import os
 import random
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import warnings
@@ -852,6 +854,87 @@ def test_no_command_leaves_a_file_open(tmp_path, monkeypatch):
             gc.collect()
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert unraisable == []
+
+
+def _cut_child(limit, *args):
+    """The CLI run in a child process whose files may not grow past
+    ``limit`` bytes; a write past it fails with EFBIG, as on a full disk.
+    The limit is set in the child only, never on this process."""
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "threatrank.cli", "--config", CONFIG, *args],
+                          env=env, capture_output=True, text=True, preexec_fn=limit_file_size)
+
+
+def _line_boundary(path, line_no):
+    """The byte offset at which line ``line_no`` (from 1) of ``path`` starts."""
+    return sum(len(line) for line in path.read_bytes().splitlines(keepends=True)[:line_no - 1])
+
+
+def _ranked_bytes(out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert _run("--config", CONFIG, "--out", str(out),
+                    "rank", "--org", "ODU", "--policy", "apt_threat") == 0
+    return (out / "ranked_ODU_apt_threat.csv").read_bytes()
+
+
+def _file_bytes(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("line_no", [349, 664])
+def test_a_build_cut_at_a_graph_line_leaves_the_earlier_graph(built, tmp_path, line_no):
+    graph = built / "graph.jsonl"
+    limit = _line_boundary(graph, line_no)
+    ranked = _ranked_bytes(built)
+    before = _file_bytes(built)
+    child = _cut_child(limit, "--out", str(built), "build")
+    assert child.returncode == 2, child.stderr
+    assert f"data error: {graph}: cannot write: File too large" in child.stderr
+    assert _file_bytes(built) == before  # the same names, and each file whole
+    assert _ranked_bytes(built) == ranked
+    # With no earlier graph, the cut leaves none; coverage, written first, is whole.
+    fresh = tmp_path / "fresh"
+    assert _cut_child(limit, "--out", str(fresh), "build").returncode == 2
+    assert _file_bytes(fresh) == {"coverage_ODU.csv": before["coverage_ODU.csv"]}
+
+
+def test_an_evaluate_cut_at_a_report_line_leaves_the_earlier_report(built, capsys):
+    base = ["--config", CONFIG, "--out", str(built)]
+    assert _run(*base, "evaluate") == 0
+    capsys.readouterr()
+    ndcg = built / "ndcg_by_k.csv"
+    limit = _line_boundary(ndcg, 200)
+    ranked = _ranked_bytes(built)
+    before = _file_bytes(built)
+    child = _cut_child(limit, "--out", str(built), "evaluate")
+    assert child.returncode == 2, child.stderr
+    assert f"data error: {ndcg}: cannot write: File too large" in child.stderr
+    assert _file_bytes(built) == before
+    assert _ranked_bytes(built) == ranked
+    for name in ("ndcg_by_k.csv", "cost.csv", "ttest.csv"):
+        (built / name).unlink()
+        del before[name]
+    assert _cut_child(limit, "--out", str(built), "evaluate").returncode == 2
+    assert _file_bytes(built) == before  # no report file, and no temporary one
+
+
+@pytest.mark.parametrize("command, code", [
+    (["ingest"], 2), (["build"], 2), (["rank", "--org", "ODU", "--policy", "apt_threat"], 1),
+    (["evaluate"], 1), (["case-study", "--org", "ODU"], 1)])
+def test_an_out_that_names_a_file_is_named(tmp_path, capsys, command, code):
+    # A read command finds no graph.jsonl under it and writes nothing.
+    out = tmp_path / "out"
+    out.write_bytes(b"not a directory\n")
+    assert _run("--config", CONFIG, "--out", str(out), *command) == code
+    err = capsys.readouterr().err
+    assert f"{out}{os.sep}" in err and "Traceback" not in err
+    assert out.read_bytes() == b"not a directory\n"
+    assert os.listdir(tmp_path) == ["out"]
 
 
 def test_evaluate_is_deterministic(tmp_path):
