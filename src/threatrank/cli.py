@@ -23,15 +23,15 @@ rebound on its module is the one that runs.
 
 ``main`` runs a command with the cyclic garbage collector paused, so no
 collection pass re-walks the growing heap while the command builds it.
-Everything the command allocated is then still in the youngest
-generation, and the graph's adjacency cycles are garbage once the command
-returns: the first young-generation pass after the collector is restored
-walks all of it and frees those cycles.  When ``main`` runs the process's
+The graph holds no reference cycle, so refcounting frees it once the
+command returns; but everything else the command allocated is still in
+the youngest generation, and the first young-generation pass after the
+collector is restored walks all of it.  When ``main`` runs the process's
 own command line, the process exits next, so ``main`` freezes the heap
-instead (``gc.freeze``) and leaves it to the OS; a frozen cycle is never
-finalised, so every file a command writes is closed before it returns.
-Called in-process with any other argument list, ``main`` freezes nothing
-and the caller's collector frees the command's garbage as usual.
+instead (``gc.freeze``), sparing that pass, and leaves the heap to the
+OS; a frozen cycle is never finalised, so every file a command writes is
+closed before it returns.  Called in-process with any other argument
+list, ``main`` freezes nothing and the caller's collector runs as usual.
 """
 
 from __future__ import annotations
@@ -485,9 +485,8 @@ def main(argv: list[str] | None = None) -> int:
     however it ends.  If it was on and ``argv`` is the process's own command
     line (None or ``sys.argv[1:]``), everything the command allocated is
     frozen first, so neither the next young-generation pass nor the exit
-    walks and frees a heap the OS is about to take back.  Any other
-    ``argv`` is an in-process call: nothing is frozen, and the command's
-    garbage is collected as usual.
+    walks a heap the OS is about to take back.  Any other ``argv`` is an
+    in-process call: nothing is frozen, and the collector runs as usual.
     """
     gc_was_enabled = gc.isenabled()
     exits_next = gc_was_enabled and (argv is None or argv == sys.argv[1:])

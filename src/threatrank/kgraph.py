@@ -8,10 +8,11 @@ record) are dropped and counted rather than turned into stub nodes, so
 query results never contain phantom entities.
 
 A node is identified by its (label, key) alone and carries its own typed
-adjacency, out and in, so a path query hops from node to node with no id
-table in between.  ``Node`` is a small ``__slots__`` class with read-only
-fields, not a dataclass, so each node ``load_graph`` reads costs five slot
-stores.
+outgoing adjacency, so a path query hops from node to node with no id table
+in between.  Each edge is stored once, on its source node: the graph holds
+no reference cycle, and refcounting frees it once its last reference goes.
+``Node`` is a small ``__slots__`` class with read-only fields, not a
+dataclass, so each node ``load_graph`` reads costs four slot stores.
 
 The graph is built single-writer, then frozen; after ``freeze()`` it is
 immutable (node props become read-only mappings of JSON scalars and tuples
@@ -33,6 +34,7 @@ import json
 from collections import Counter
 from datetime import date
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -49,7 +51,7 @@ if TYPE_CHECKING:  # build_graph's inputs; a read command never imports them
 
 class NodeLabel(Enum):
     # Members are singletons that compare by identity.  Hashing them by
-    # identity too keeps the graph's (label, key) and edge-type dict lookups
+    # identity too keeps the graph's label-table and edge-type dict lookups
     # off Enum's Python-level __hash__, the most-called function in a
     # load_graph profile.
     __hash__ = object.__hash__
@@ -123,30 +125,26 @@ _EMPTY = MappingProxyType({})  # the props or adjacency of every frozen node tha
 
 
 class Node:
-    """One entity and its typed edges; adjacency sets are unordered.
+    """One entity and its typed outgoing edges; adjacency sets are unordered.
 
-    Nodes hash and compare by identity.  The five fields are read-only once
+    Nodes hash and compare by identity.  The four fields are read-only once
     ``__init__`` ends: assigning or deleting one is an AttributeError, and
     only ``PropertyGraph.freeze`` swaps them, through the slot setters.
     """
 
-    __slots__ = ("label", "key", "props", "outgoing", "incoming")
+    __slots__ = ("label", "key", "props", "outgoing")
 
     label: NodeLabel
     key: str
     props: Mapping  # a dict while building, read-only once the graph is frozen
-    # Edge type -> target nodes (sets while building, then frozensets) and
-    # edge type -> source nodes.
+    # Edge type -> target nodes (sets while building, then frozensets).
     outgoing: Mapping
-    incoming: Mapping
 
-    def __init__(self, label: NodeLabel, key: str, props: Mapping, outgoing: Mapping,
-                 incoming: Mapping):
+    def __init__(self, label: NodeLabel, key: str, props: Mapping, outgoing: Mapping):
         _set_label(self, label)
         _set_key(self, key)
         _set_props(self, props)
         _set_outgoing(self, outgoing)
-        _set_incoming(self, incoming)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to Node field {name!r}")
@@ -161,7 +159,7 @@ class Node:
 
 # The slot descriptors' setters, which skip Node.__setattr__: calling them
 # is also faster than object.__setattr__ on a slot.
-_set_label, _set_key, _set_props, _set_outgoing, _set_incoming = (
+_set_label, _set_key, _set_props, _set_outgoing = (
     getattr(Node, name).__set__ for name in Node.__slots__)
 
 
@@ -179,7 +177,7 @@ class BuildStats:
 
 
 def _join(src: Node, edge_type: EdgeType, dst: Node) -> None:
-    """Record one edge in both endpoints' adjacency.
+    """Record one edge in its source node's adjacency.
 
     A set is made only for an edge type new to the node; ``setdefault``
     would build and drop one per call.
@@ -188,10 +186,6 @@ def _join(src: Node, edge_type: EdgeType, dst: Node) -> None:
     if targets is None:
         targets = src.outgoing[edge_type] = set()
     targets.add(dst)
-    sources = dst.incoming.get(edge_type)
-    if sources is None:
-        sources = dst.incoming[edge_type] = set()
-    sources.add(src)
 
 
 # The types of a JSON scalar: a frozen graph's prop is one, or a tuple of them.
@@ -208,31 +202,33 @@ def _frozen_adjacency(adjacency: dict) -> Mapping:
 
 
 class PropertyGraph:
-    """Nodes keyed by (label, key); each node holds its own typed adjacency.
+    """One ``{key: node}`` table per label; each node holds its outgoing edges.
 
-    Callers walk a node's ``outgoing``/``incoming`` sets directly, and
-    ``edges`` walks them all; their order is not defined, so callers that
-    emit results order them by node key.
+    Callers walk a node's ``outgoing`` sets directly, and ``edges`` walks
+    them all; their order is not defined, so callers that emit results
+    order them by node key.  ``nodes`` yields label by label, each label's
+    nodes in the order they were made.
     """
 
     def __init__(self):
-        self._nodes: dict[tuple[NodeLabel, str], Node] = {}
+        self._nodes: dict[NodeLabel, dict[str, Node]] = {label: {} for label in NodeLabel}
         self._frozen = False
         self.stats = BuildStats()
 
     # -- construction -------------------------------------------------------
 
     def upsert_node(self, label: NodeLabel, key: str, props: dict | None = None) -> Node:
-        """Insert or update a node; idempotent on (label, key).
+        """Insert or update a node in its label's table; idempotent on (label, key).
 
         Later property values win on key collision; existing properties not
         mentioned are preserved.
         """
         if self._frozen:
             raise GraphFrozenError("graph is frozen")
-        node = self._nodes.get((label, key))
+        table = self._nodes[label]
+        node = table.get(key)
         if node is None:
-            node = self._nodes[(label, key)] = Node(label, key, dict(props or {}), {}, {})
+            node = table[key] = Node(label, key, dict(props or {}), {})
         elif props:
             node.props.update(props)
         return node
@@ -244,8 +240,8 @@ class PropertyGraph:
         the edge conforms to the schema.
         """
         src_label, dst_label = EDGE_ENDPOINTS[edge_type]
-        src = self._nodes.get((src_label, src_key))
-        dst = self._nodes.get((dst_label, dst_key))
+        src = self._nodes[src_label].get(src_key)
+        dst = self._nodes[dst_label].get(dst_key)
         if self._frozen:
             raise GraphFrozenError("graph is frozen")
         if src is None or dst is None:
@@ -261,7 +257,7 @@ class PropertyGraph:
         ValueError naming its node, and leaves the graph unfrozen and writable.
         """
         if not self._frozen:
-            for node in self._nodes.values():
+            for node in self.nodes():
                 props = node.props
                 for key, value in props.items():
                     if type(value) not in _SCALARS:
@@ -270,37 +266,35 @@ class PropertyGraph:
                             raise ValueError(f"{node.label.value} {node.key!r}: prop {key!r} "
                                              f"must be a JSON scalar or a flat list of them")
                         props[key] = tuple(value)
-            for node in self._nodes.values():
+            for node in self.nodes():
                 props = node.props
                 _set_props(node, MappingProxyType(props) if props else _EMPTY)
                 _set_outgoing(node, _frozen_adjacency(node.outgoing))
-                _set_incoming(node, _frozen_adjacency(node.incoming))
             self._frozen = True
         return self
 
     # -- lookups ------------------------------------------------------------
 
     def find(self, label: NodeLabel, key: str) -> Node | None:
-        return self._nodes.get((label, key))
+        return self._nodes[label].get(key)
 
     def nodes(self) -> Iterator[Node]:
-        return iter(self._nodes.values())
+        return chain.from_iterable(table.values() for table in self._nodes.values())
 
     def nodes_with_label(self, label: NodeLabel) -> Iterator[Node]:
-        return (n for n in self._nodes.values() if n.label == label)
+        return iter(self._nodes[label].values())
 
     def edges(self) -> Iterator[tuple[Node, EdgeType, Node]]:
-        return ((src, edge_type, dst) for src in self._nodes.values()
+        return ((src, edge_type, dst) for src in self.nodes()
                 for edge_type, targets in src.outgoing.items() for dst in targets)
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return sum(map(len, self._nodes.values()))
 
     @property
     def edge_count(self) -> int:
-        return sum(len(targets) for node in self._nodes.values()
-                   for targets in node.outgoing.values())
+        return sum(len(targets) for node in self.nodes() for targets in node.outgoing.values())
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +538,7 @@ def load_graph(path: str | Path) -> PropertyGraph:
 
     One pass over the lines, streamed: each line is checked to be UTF-8,
     decoded as exactly one JSON value, and inserted straight into the
-    graph's node table and adjacency, without ``upsert_node``/``link``'s
+    graph's label tables and adjacency, without ``upsert_node``/``link``'s
     per-call checks (the loader owns the graph until it freezes it).  A
     node line seen again for the same (label, key) updates its props, later
     values winning, as ``upsert_node`` does.
@@ -557,7 +551,7 @@ def load_graph(path: str | Path) -> PropertyGraph:
     the node and the prop.
     """
     g = PropertyGraph()
-    nodes = g._nodes
+    tables = g._nodes
     decode = json.JSONDecoder().raw_decode
     with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -580,9 +574,10 @@ def load_graph(path: str | Path) -> PropertyGraph:
                     check = _PROP_CHECKS.get(label)
                     if check is not None:
                         check(props)
-                    node = nodes.get((label, key))
+                    table = tables[label]
+                    node = table.get(key)
                     if node is None:
-                        nodes[(label, key)] = Node(label, key, props, {}, {})
+                        table[key] = Node(label, key, props, {})
                     else:
                         node.props.update(props)
                 elif kind == "edge":
@@ -590,8 +585,8 @@ def load_graph(path: str | Path) -> PropertyGraph:
                     if edge_type is None:
                         raise ValueError(f"{obj['type']!r} is not a valid EdgeType")
                     src_label, dst_label = EDGE_ENDPOINTS[edge_type]
-                    src = nodes.get((src_label, obj["src"]))
-                    dst = nodes.get((dst_label, obj["dst"]))
+                    src = tables[src_label].get(obj["src"])
+                    dst = tables[dst_label].get(obj["dst"])
                     if src is None or dst is None:
                         raise ValueError("edge references unknown node")
                     _join(src, edge_type, dst)

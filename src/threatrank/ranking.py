@@ -11,8 +11,8 @@ settings weigh.  The path facts of a row are ORs and unions over its CWEs'
 weakness->attack-pattern->technique->group paths, so an organization's
 ``feature_table``, one over all of its cohorts, walks each (organization,
 CWE) pair once and combines the walks per row; the organization's
-sector-focused groups are read off its sector node, and those targeting
-its country off its country node.
+sector-focused groups, and those targeting its country, are read off the
+groups' own ``FocusOn`` and ``Targets`` edges.
 ``rank`` derives all ten binary features from a row and one family's
 config as one integer mask.  A threat policy is a tuple of six of those
 names; its score is their sum floored at 1, so every applicable CVE stays
@@ -186,11 +186,9 @@ def generate_candidates(
     start, end = date_range
     if start > end:
         raise ValueError(f"empty date range: {start} > {end}")
-    candidates: set[Node] = set()
-    for cpe_id in org.cpe_ids:
-        cpe = graph.find(NodeLabel.CPE, cpe_id)
-        if cpe is not None:
-            candidates.update(cpe.incoming.get(EdgeType.AFFECTS, ()))
+    cpes = {graph.find(NodeLabel.CPE, cpe_id) for cpe_id in org.cpe_ids} - {None}
+    candidates = [cve for cve in graph.nodes_with_label(NodeLabel.NVD_CVE)
+                  if not cpes.isdisjoint(cve.outgoing.get(EdgeType.AFFECTS, ()))]
     week_of: dict[str, tuple[int, int] | None] = {}  # None: outside the range
     weeks: dict[tuple[int, int], list[str]] = {}
     for cve in candidates:
@@ -279,16 +277,23 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
     The reader walks each weakness's CWE->CAPEC->technique->group paths the
     first time a CVE reaches it and keeps their facts, and combines each
     distinct set of CWEs once; it lives for one ``feature_table`` call.
-    The sector-focused groups are the sources of the org's sector node's
-    incoming FOCUS_ON edges, and the groups that target the org's country
-    those of its country node's incoming TARGETS edges; a sector or country
-    with no node has none.  Software is affected when an AFFECTS edge ends
-    at one of the org's CPE nodes.
+    The sector-focused groups are those whose own FOCUS_ON edges hold the
+    org's sector node, and the reader maps each technique to the focused
+    groups that achieve it; of those, the groups whose TARGETS edges hold
+    the org's country node target it.  A sector or country with no node
+    (None) is in no edge set.  Software is affected when an AFFECTS edge
+    ends at one of the org's CPE nodes.
     """
     sector = graph.find(NodeLabel.DHS_SECTOR, org.sector)
     country = graph.find(NodeLabel.COUNTRY, org.country)
-    focused = sector.incoming.get(EdgeType.FOCUS_ON, frozenset()) if sector else frozenset()
-    targeting = country.incoming.get(EdgeType.TARGETS, frozenset()) if country else frozenset()
+    achievers: dict[Node, list[Node]] = {}  # technique -> the focused groups achieving it
+    targeting: set[Node] = set()
+    for group in graph.nodes_with_label(NodeLabel.ATTACK_GROUP):
+        if sector in group.outgoing.get(EdgeType.FOCUS_ON, ()):
+            if country in group.outgoing.get(EdgeType.TARGETS, ()):
+                targeting.add(group)
+            for technique in group.outgoing.get(EdgeType.ACHIEVES_GOAL, ()):
+                achievers.setdefault(technique, []).append(group)
     cpes = {graph.find(NodeLabel.CPE, cpe_id) for cpe_id in org.cpe_ids} - {None}
     by_cwe: dict[Node, _PathFacts] = {}
     by_cwes: dict[frozenset, _PathFacts] = {frozenset(): _NO_PATHS}
@@ -301,10 +306,9 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
             if isinstance(level, str):  # only a string matches a configured level
                 skill_levels.add(level)
             techniques.update(capec.outgoing.get(EdgeType.EMPLOYS, ()))
-        groups: set[Node] = set()
+        reached: set[Node] = set()
         for technique in techniques:
-            groups.update(technique.incoming.get(EdgeType.ACHIEVES_GOAL, ()))
-        reached = focused.intersection(groups)
+            reached.update(achievers.get(technique, ()))
         mask = 0
         if not FAILURE_IMPACTS.isdisjoint(cwe.props.get("technical_impacts", ())):
             mask |= _BIT["failure_impact"]

@@ -376,7 +376,8 @@ def test_c9_corpus_scale_targets():
 
         sector_node = graph.find(NodeLabel.DHS_SECTOR, "Government Facilities")
         assert sector_node is not None
-        focused = sector_node.incoming.get(EdgeType.FOCUS_ON, ())
+        focused = [group for group in graph.nodes_with_label(NodeLabel.ATTACK_GROUP)
+                   if sector_node in group.outgoing.get(EdgeType.FOCUS_ON, ())]
         assert abs(len(focused) - 50) <= 5
 
         org = OrgContext.from_graph(graph, "ODU")

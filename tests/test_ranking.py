@@ -518,14 +518,29 @@ def test_feature_record_marks_absent_fields():
 # ---------------------------------------------------------------------------
 
 
-def _reference_feature_bits(graph, cve_id, org, config):
+def _reverse_index(graph):
+    """(target node, edge type) -> its source nodes, read off ``graph.edges()``.
+
+    The oracles below walk edges backwards through this index, so they do
+    not depend on how the graph answers a reverse read.
+    """
+    index = {}
+    for src, edge_type, dst in graph.edges():
+        index.setdefault((dst, edge_type), set()).add(src)
+    return index
+
+
+def _reference_feature_bits(graph, cve_id, org, config, incoming):
     """The ten bits from one walk that weighs the config as it goes.
 
     This is how the bits were extracted before the walk and the config were
-    split; it reads the same adjacency.
+    split; it reads the same adjacency, and ``incoming`` (``_reverse_index``)
+    for the edges it walks backwards.
     """
     def adjacent(node, edge_type, direction="out"):
-        return (node.outgoing if direction == "out" else node.incoming).get(edge_type, frozenset())
+        if direction == "in":
+            return incoming.get((node, edge_type), frozenset())
+        return node.outgoing.get(edge_type, frozenset())
 
     def adjacent_keys(node, edge_type):
         return {other.key for other in adjacent(node, edge_type)}
@@ -606,9 +621,10 @@ def test_feature_bits_of_a_row_equal_the_config_walk(fixture_candidates, data):
         epss_threshold=data.draw(st.floats(0.0, 1.0) | st.sampled_from(probabilities)),
         risk_appetite=data.draw(st.integers(0, 100)),
     )
+    incoming = {graph: _reverse_index(graph) for graph in {each[0] for each in candidates}}
     for graph, org, cve_id, row in candidates:
-        assert feature_bits(row, config) == _reference_feature_bits(graph, cve_id, org, config), \
-            cve_id
+        assert feature_bits(row, config) == \
+            _reference_feature_bits(graph, cve_id, org, config, incoming[graph]), cve_id
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +632,11 @@ def test_feature_bits_of_a_row_equal_the_config_walk(fixture_candidates, data):
 # ---------------------------------------------------------------------------
 
 
-def _reference_feature_row(graph, cve_id, org):
+def _reference_feature_row(graph, cve_id, org, incoming):
     """One candidate's row from its own walk of every path.
 
     This is how ``feature_row`` read a row before the walk of each CWE was
-    shared across a call's candidates.
+    shared across a call's candidates; ``incoming`` is ``_reverse_index``.
     """
     node = graph.find(NodeLabel.NVD_CVE, cve_id)
     failure_impact = technique_link = False
@@ -638,7 +654,7 @@ def _reference_feature_row(graph, cve_id, org):
             techniques.update(employed)
     groups = set()
     for technique in techniques:
-        groups.update(technique.incoming.get(EdgeType.ACHIEVES_GOAL, ()))
+        groups.update(incoming.get((technique, EdgeType.ACHIEVES_GOAL), ()))
     sector_focus = targets_country = False
     origin_countries = set()
     for group in groups:
@@ -763,7 +779,9 @@ def test_feature_table_and_row_equal_a_walk_per_candidate(mesh):
             graph.freeze()
         return
     graph.freeze()
-    expected = {cve_id: _reference_feature_row(graph, cve_id, org) for cve_id in cve_ids}
+    incoming = _reverse_index(graph)
+    expected = {cve_id: _reference_feature_row(graph, cve_id, org, incoming)
+                for cve_id in cve_ids}
     # One table over every cohort's candidates, as the read commands build it
     cohorts = generate_candidates(org, graph, (date.min, date.max))
     candidates = [cve_id for cohort in cohorts for cve_id in cohort.cve_ids]

@@ -49,8 +49,8 @@ def test_record_rejects_assignment(cls):
 
 def test_node_compares_by_identity():
     # tests/test_kgraph.py checks that assigning or deleting a field fails.
-    a = Node(NodeLabel.CWE, "CWE-79", {"name": "xss"}, {}, {})
-    b = Node(NodeLabel.CWE, "CWE-79", {"name": "xss"}, {}, {})
+    a = Node(NodeLabel.CWE, "CWE-79", {"name": "xss"}, {})
+    b = Node(NodeLabel.CWE, "CWE-79", {"name": "xss"}, {})
     assert a == a and a != b
     assert len({a, b}) == 2
     assert repr(a) == "Node(label=<NodeLabel.CWE: 'Cwe'>, key='CWE-79', props={'name': 'xss'})"
