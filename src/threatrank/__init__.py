@@ -21,8 +21,8 @@ _MODULES = {
                    "ndcg_at_k", "patch_cost", "severity_band"),
     "feeds": ("AttackGroupRaw", "AttackTactic", "AttackTechnique", "CapecEntry", "CpeEntry",
               "CveRecord", "CweEntry", "EpssScore", "ExploitRef", "KevEntry", "ParseResult",
-              "ReferenceRecord", "SnapshotBundle", "ValidationReport", "parse_epss_csv",
-              "parse_kev_csv", "parse_snapshot", "validate_snapshot"),
+              "ReferenceRecord", "ValidationReport", "parse_epss_csv", "parse_kev_csv",
+              "parse_snapshot", "validate_snapshot"),
     "kgraph": ("EdgeType", "NodeLabel", "PropertyGraph", "build_graph", "load_graph",
                "save_graph", "techniques_for_cve"),
     "kinds": ("AttackVector", "SkillLevel", "SourceKind", "TechnicalImpact"),

@@ -201,11 +201,11 @@ def load_config(path: str | Path) -> ProjectConfig:
     )
 
 
-def load_bundle(config: ProjectConfig) -> tuple[feeds.SnapshotBundle, dict[str, feeds.ParseResult]]:
-    """Parse every configured snapshot into one bundle, keeping parse stats."""
+def load_bundle(config: ProjectConfig) -> tuple[dict[SourceKind, list], dict[str, feeds.ParseResult]]:
+    """Parse every configured snapshot into a dict of each kind's records, keeping parse stats."""
     from . import feeds
 
-    bundle = feeds.SnapshotBundle()
+    bundle: dict[SourceKind, list] = {}
     results: dict[str, feeds.ParseResult] = {}
     for kind, snapshot_path in sorted(config.snapshots.items(), key=lambda kv: kv[0].value):
         try:
@@ -218,7 +218,7 @@ def load_bundle(config: ProjectConfig) -> tuple[feeds.SnapshotBundle, dict[str, 
         except OSError as exc:  # its message would repeat the path
             raise DataError(f"cannot parse {snapshot_path}: {exc.strerror or exc}")
         results[kind.value] = result
-        getattr(bundle, feeds.SOURCES[kind].bundle_field).extend(result.records)
+        bundle[kind] = result.records
     return bundle, results
 
 
@@ -232,9 +232,9 @@ def build_pipeline(config: ProjectConfig) -> tuple[kgraph.PropertyGraph,
     bundle, _ = load_bundle(config)
     lexicon = enrich.load_lexicon(config.lexicon_countries, config.lexicon_sectors, vocab=vocab)
     attributions = enrich.filter_us_targeting(
-        enrich.attribute_group(group, lexicon) for group in bundle.groups
+        enrich.attribute_group(group, lexicon) for group in bundle.get(SourceKind.GROUP, ())
     )
-    cpe_index = profiles.cpe_index(bundle.cpes)
+    cpe_index = profiles.cpe_index(bundle.get(SourceKind.CPE, ()))
     resolved_profiles = []
     coverage: dict[str, profiles.CoverageReport] = {}
     path_of: dict[str, Path] = {}
@@ -318,12 +318,12 @@ def cmd_ingest(config: ProjectConfig) -> int:
 
 
 def cmd_build(config: ProjectConfig) -> int:
-    """Build the knowledge graph; persist its snapshot and coverage CSVs."""
+    """Build the knowledge graph; persist its snapshot, then the coverage CSVs."""
     graph, coverage = build_pipeline(config)
-    for org_id, report in sorted(coverage.items()):
-        report.write_csv(config.output_dir / f"coverage_{org_id}.csv")
     graph_path = config.output_dir / GRAPH_FILENAME
     kgraph.save_graph(graph, graph_path)
+    for org_id, report in sorted(coverage.items()):
+        report.write_csv(config.output_dir / f"coverage_{org_id}.csv")
     dropped = {
         (key.value if isinstance(key, kgraph.EdgeType) else str(key)): count
         for key, count in graph.stats.dangling_dropped.items()

@@ -26,8 +26,9 @@ record with ``_replace``; its field names are in ``_fields``.  A record
 is a tuple, so it equals any tuple with the same values, and ``json``
 would write it as an array: no record is ever JSON-encoded, but each of
 its fields is, through ``json_field``.
-``ParseResult`` and ``SnapshotBundle`` are filled in place, and each
-instance starts with lists of its own.
+``ParseResult`` is filled in place, and each instance starts with lists
+of its own.  A snapshot bundle is a plain dict from each ``SourceKind`` to
+its records; a kind the dict lacks holds none.
 
 Parsers are pure and reentrant.  Malformed lines are skipped and counted
 rather than aborting: CTI feeds are routinely dirty.  Duplicate primary
@@ -184,7 +185,6 @@ class Source(NamedTuple):
     """Everything that tells one source kind's records apart."""
 
     record_type: type
-    bundle_field: str  # the SnapshotBundle list holding these records
     fields: dict[str, Reader]  # each field of record_type, in order: primary key first
     check: Callable[[object], None] | None = None  # a rule over the whole record
     aliases: Mapping[str, str] = MappingProxyType({})  # key read for an absent field
@@ -209,7 +209,7 @@ class Source(NamedTuple):
         return record
 
 
-def _source(name: str, bundle_field: str, fields: dict[str, Reader], **rules) -> Source:
+def _source(name: str, fields: dict[str, Reader], **rules) -> Source:
     """The Source of record type ``name``, a named tuple of ``fields`` in order.
     Each trailing field defaults to what its reader reads for an absent
     value, back to the first reader that refuses one."""
@@ -219,8 +219,7 @@ def _source(name: str, bundle_field: str, fields: dict[str, Reader], **rules) ->
             defaults.insert(0, read(_ABSENT))
         except ValueError:
             break
-    return Source(namedtuple(name, fields, defaults=defaults, module=__name__),
-                  bundle_field, fields, **rules)
+    return Source(namedtuple(name, fields, defaults=defaults, module=__name__), fields, **rules)
 
 
 _OPTIONAL, _REQUIRED, _STRINGS = _text(), _text(None), _strings()
@@ -229,48 +228,48 @@ _TECHNIQUE_IDS = _strings(TECHNIQUE_ID_RE)
 _UNIT = _number(float, 1.0)
 
 SOURCES: dict[SourceKind, Source] = {
-    SourceKind.CVE: _source("CveRecord", "cves", {
+    SourceKind.CVE: _source("CveRecord", {
         "cve_id": _CVE_ID, "description": _OPTIONAL, "published": _date, "modified": _date,
         "cvss_base": _number(float, 10.0), "attack_vector": _member(AttackVector),
         "cwe_ids": _strings(CWE_ID_RE), "affected_cpes": _STRINGS, "reference_urls": _STRINGS,
     }, check=_not_before("modified", "published"), refs={"cwe_ids": SourceKind.CWE,
         "affected_cpes": SourceKind.CPE, "reference_urls": SourceKind.REFERENCE}),
-    SourceKind.CPE: _source("CpeEntry", "cpes", {
+    SourceKind.CPE: _source("CpeEntry", {
         "cpe_id": _REQUIRED, "vendor": _REQUIRED, "product": _REQUIRED, "deprecated": _flag,
         "language_tag": _text("en-US"),
     }, check=_current_english),
-    SourceKind.CWE: _source("CweEntry", "cwes", {
+    SourceKind.CWE: _source("CweEntry", {
         "cwe_id": _text(None, CWE_ID_RE), "name": _OPTIONAL,
         "technical_impacts": _members(TechnicalImpact), "related_capecs": _strings(CAPEC_ID_RE),
     }, refs={"related_capecs": SourceKind.CAPEC}),
-    SourceKind.CAPEC: _source("CapecEntry", "capecs", {
+    SourceKind.CAPEC: _source("CapecEntry", {
         "capec_id": _text(None, CAPEC_ID_RE), "name": _OPTIONAL,
         "skill_level": _member(SkillLevel, SkillLevel.UNKNOWN),
         "related_techniques": _TECHNIQUE_IDS,
     }, refs={"related_techniques": SourceKind.TECHNIQUE}),
-    SourceKind.TECHNIQUE: _source("AttackTechnique", "techniques", {
+    SourceKind.TECHNIQUE: _source("AttackTechnique", {
         "technique_id": _text(None, TECHNIQUE_ID_RE), "name": _OPTIONAL,
         "tactic_ids": _strings(TACTIC_ID_RE, non_empty=True),
     }, refs={"tactic_ids": SourceKind.TACTIC}),
-    SourceKind.TACTIC: _source("AttackTactic", "tactics",
+    SourceKind.TACTIC: _source("AttackTactic",
                                {"tactic_id": _text(None, TACTIC_ID_RE), "name": _OPTIONAL}),
-    SourceKind.GROUP: _source("AttackGroupRaw", "groups", {
+    SourceKind.GROUP: _source("AttackGroupRaw", {
         "group_id": _text(None, GROUP_ID_RE), "name": _OPTIONAL, "description": _OPTIONAL,
         "created": _date, "technique_ids": _TECHNIQUE_IDS,
     }, refs={"technique_ids": SourceKind.TECHNIQUE}),
     # Upstream EPSS exports name the CVE column "cve".
-    SourceKind.EPSS: _source("EpssScore", "epss", {
+    SourceKind.EPSS: _source("EpssScore", {
         "cve_id": _CVE_ID, "probability": _UNIT, "percentile": _UNIT,
     }, aliases={"cve_id": "cve"}, refs={"cve_id": SourceKind.CVE}),
-    SourceKind.KEV: _source("KevEntry", "kev", {
+    SourceKind.KEV: _source("KevEntry", {
         "cve_id": _CVE_ID, "vendor_project": _OPTIONAL, "product": _OPTIONAL,
         "vulnerability_name": _OPTIONAL, "date_added": _date, "short_description": _OPTIONAL,
         "required_action": _OPTIONAL, "due_date": _date,
     }, check=_not_before("due_date", "date_added"), refs={"cve_id": SourceKind.CVE}),
-    SourceKind.EXPLOIT: _source("ExploitRef", "exploits", {
+    SourceKind.EXPLOIT: _source("ExploitRef", {
         "exploitdb_id": _number(int), "cve_ids": _strings(CVE_ID_RE, non_empty=True),
     }, refs={"cve_ids": SourceKind.CVE}),
-    SourceKind.REFERENCE: _source("ReferenceRecord", "references", {"url": _REQUIRED}),
+    SourceKind.REFERENCE: _source("ReferenceRecord", {"url": _REQUIRED}),
 }
 
 CveRecord = SOURCES[SourceKind.CVE].record_type
@@ -458,22 +457,11 @@ def parse_kev_csv(path: str | Path) -> ParseResult:
 # ---------------------------------------------------------------------------
 
 
-class SnapshotBundle:
-    """All canonical records of one snapshot, grouped by source kind.
-
-    One list per ``SOURCES`` row, named by its ``bundle_field``.  Each list
-    is filled in place; a list not passed in is a new one.
-    """
-
-    __slots__ = tuple(source.bundle_field for source in SOURCES.values())
-
-    def __init__(self, **lists: list):
-        for name in self.__slots__:
-            value = lists.pop(name, None)
-            setattr(self, name, [] if value is None else value)
-        if lists:
-            raise TypeError(f"SnapshotBundle() got an unexpected keyword argument "
-                            f"{next(iter(lists))!r}")
+def check_bundle(bundle: Mapping[SourceKind, Iterable]) -> None:
+    """A TypeError naming the first key of ``bundle`` that is no SourceKind value."""
+    for key in bundle:
+        if key not in SOURCES:
+            raise TypeError(f"snapshot bundle key {key!r} is not a SourceKind value")
 
 
 class Finding(NamedTuple):
@@ -491,7 +479,7 @@ class ValidationReport(NamedTuple):
 _ACRONYMS = frozenset({SourceKind.CVE, SourceKind.CPE, SourceKind.CWE, SourceKind.CAPEC})
 
 
-def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
+def validate_snapshot(bundle: Mapping[SourceKind, Iterable]) -> ValidationReport:
     """The dangling references of a snapshot: each id that a record names in
     one of its kind's ``refs`` and no record of the named kind holds.  No
     findings when every reference resolves.
@@ -499,9 +487,10 @@ def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
     Findings come record by record, in ``SOURCES`` order, and within a
     record in the order of its ``refs``.  A finding's subject is the
     record's primary key, prefixed with its kind when the key is not a
-    string (``exploit 7``).
+    string (``exploit 7``).  ``bundle`` maps each kind to its records.
     """
-    keys = {target: {record[0] for record in getattr(bundle, SOURCES[target].bundle_field)}
+    check_bundle(bundle)
+    keys = {target: {record[0] for record in bundle.get(target, ())}
             for source in SOURCES.values() for target in source.refs.values()}
     findings: list[Finding] = []
     for kind, source in SOURCES.items():
@@ -509,7 +498,7 @@ def validate_snapshot(bundle: SnapshotBundle) -> ValidationReport:
                  else target.value) for field, target in source.refs.items()]
         if not refs:
             continue
-        for record in getattr(bundle, source.bundle_field):
+        for record in bundle.get(kind, ()):
             for field, present, noun in refs:
                 ids = getattr(record, field)
                 if type(ids) is str:

@@ -19,13 +19,13 @@ immutable (node props become read-only mappings of JSON scalars and tuples
 of them, adjacency read-only mappings of frozensets) and safe to read from
 any number of workers.  ``build_graph`` writes no other prop.
 
-``build_graph`` reads each feed list through ``_FEED_NODES`` (a kind's
-node label and the record fields its props hold, each as
-``feeds.json_field`` gives it), and links the ``refs`` of ``feeds.SOURCES``
-by the one edge type that joins the two kinds' labels.  It imports
-``feeds`` and ``profiles`` when it runs, and its other inputs' modules only
-for type checkers, so a read command, which only loads a snapshot with
-``load_graph``, imports none of them through this module.
+``build_graph`` reads a dict of each feed kind's records through
+``_FEED_NODES`` (a kind's node label and the record fields its props hold,
+each as ``feeds.json_field`` gives it), and links the ``refs`` of
+``feeds.SOURCES`` by the one edge type that joins the two kinds' labels.
+It imports ``feeds`` and ``profiles`` when it runs, and its other inputs'
+modules only for type checkers, so a read command, which only loads a
+snapshot with ``load_graph``, imports none of them through this module.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .kinds import SourceKind
 
 if TYPE_CHECKING:  # build_graph's inputs; a read command never imports them
     from .enrich import GroupAttribution
-    from .feeds import SnapshotBundle
     from .profiles import OrganizationProfile
     from .vocab import Vocabulary
 
@@ -322,7 +321,7 @@ _FEED_NODES: dict[SourceKind, tuple[NodeLabel, tuple[str, ...]]] = {
 
 
 def build_graph(
-    records: SnapshotBundle,
+    records: Mapping[SourceKind, Iterable],
     attributions: Iterable[GroupAttribution] = (),
     profiles: Iterable[OrganizationProfile] = (),
     *,
@@ -330,15 +329,18 @@ def build_graph(
 ) -> PropertyGraph:
     """Assemble canonical records into a schema-conformant property graph.
 
+    ``records`` maps each feed kind to its records; a kind it lacks holds
+    none, and a key that is no ``SourceKind`` value is a TypeError.
     Every record becomes a node (EPSS rows become properties on their CVE
     node since exploit probability is an attribute, not an entity) and every
     cross-reference becomes a typed edge.  Country and sector nodes are
     materialized from the controlled vocabularies.  The returned graph is
     not frozen; callers freeze it before sharing.
     """
-    from .feeds import SOURCES, json_field
+    from .feeds import SOURCES, check_bundle, json_field
     from .profiles import software_key
 
+    check_bundle(records)
     g = PropertyGraph()
 
     for country in vocab.countries:
@@ -347,7 +349,7 @@ def build_graph(
         g.upsert_node(NodeLabel.DHS_SECTOR, sector)
 
     for kind, (label, fields) in _FEED_NODES.items():
-        for record in getattr(records, SOURCES[kind].bundle_field):
+        for record in records.get(kind, ()):
             props = {}
             for name in fields:
                 value = getattr(record, name)
@@ -356,7 +358,7 @@ def build_graph(
             g.upsert_node(label, str(record[0]), props)
 
     # EPSS scores ride on the CVE node: exploit probability is an attribute.
-    for score in records.epss:
+    for score in records.get(SourceKind.EPSS, ()):
         node = g.find(NodeLabel.NVD_CVE, score.cve_id)
         if node is None:
             g.stats.dangling_dropped["epss"] += 1
@@ -373,7 +375,7 @@ def build_graph(
             (edge_type,) = [each for each, pair in EDGE_ENDPOINTS.items()
                             if pair in (ends, ends[::-1])]
             forward = EDGE_ENDPOINTS[edge_type] == ends
-            for record in getattr(records, source.bundle_field):
+            for record in records.get(kind, ()):
                 key, ids = str(record[0]), getattr(record, field)
                 for other in (ids,) if type(ids) is str else ids:
                     if forward:
@@ -444,7 +446,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _props_encoder():
-    """``json.dumps`` with its default settings, for one ``save_graph`` call.
+    """``json.dumps(value, sort_keys=True)``, for one ``save_graph`` call.
 
     ``JSONEncoder.encode`` makes a new C encoder for every value; this makes
     one.  Its circular-reference markers are its own, so a call that fails
@@ -453,8 +455,8 @@ def _props_encoder():
     """
     make = json.encoder.c_make_encoder
     if make is None:
-        return json.JSONEncoder().encode
-    encode = make({}, None, _encode_str, None, ": ", ", ", False, False, True)
+        return json.JSONEncoder(sort_keys=True).encode
+    encode = make({}, None, _encode_str, None, ": ", ", ", True, False, True)
     return lambda value: "".join(encode(value, 0))
 
 
@@ -462,29 +464,30 @@ def save_graph(graph: PropertyGraph, path: str | Path) -> None:
     """Write the graph as newline-delimited records, nodes then edges,
     through ``errors.output_file``: ``path`` is replaced only when whole.
 
-    Nodes are ordered by (label, key) and edges by (source key, type,
-    target key) so snapshots of isomorphic graphs are byte-identical.
+    Nodes are ordered by (label, key), one label table after another, and
+    edges by (source key, type, target key), so snapshots of isomorphic
+    graphs are byte-identical.
 
     Each line is byte-for-byte ``json.dumps`` of its record: ``{kind,
-    label, key, props}`` with the top-level props sorted by name (nested
-    values keep their order), or ``{kind, type, src, dst}``.  It is rendered
-    from a fixed template (label and edge-type values, fixed ASCII names,
-    go in verbatim; only keys and props are encoded), and written line by line.
+    label, key, props}`` with the props sorted by name, as ``sort_keys``
+    sorts them, or ``{kind, type, src, dst}``.  It is rendered from a fixed
+    template (label and edge-type values, fixed ASCII names, go in
+    verbatim; only keys and props are encoded), and written line by line.
     """
     # Enum.value is a Python-level descriptor: read it once per member.
     label_names = {label: label.value for label in NodeLabel}
     type_names = {edge_type: edge_type.value for edge_type in EdgeType}
-    nodes = sorted(graph.nodes(), key=lambda n: (label_names[n.label], n.key))
     edge_rows = sorted((src.key, type_names[edge_type], dst.key)
                        for src, edge_type, dst in graph.edges())
     encode = _props_encoder()
     with output_file(path) as fh:
         write = fh.write
-        for node in nodes:
-            props = node.props
-            write(f'{{"kind": "node", "label": "{label_names[node.label]}", '
-                  f'"key": {_encode_str(node.key)}, '
-                  f'"props": {encode({k: props[k] for k in sorted(props)})}}}\n')
+        for label, name in sorted(label_names.items(), key=lambda item: item[1]):
+            table = graph._nodes[label]
+            for key in sorted(table):
+                props = table[key].props  # a dict, or a frozen graph's read-only view
+                write(f'{{"kind": "node", "label": "{name}", "key": {_encode_str(key)}, '
+                      f'"props": {encode(props if type(props) is dict else dict(props))}}}\n')
         for src_key, type_name, dst_key in edge_rows:
             write(f'{{"kind": "edge", "type": "{type_name}", '
                   f'"src": {_encode_str(src_key)}, "dst": {_encode_str(dst_key)}}}\n')

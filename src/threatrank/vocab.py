@@ -20,14 +20,18 @@ UNITED_STATES = "United States"
 def read_data_file(path: str | Path | None, packaged: str) -> str:
     """Text of a configured data file, or of the packaged file ``packaged``.
 
-    A configured file that is not UTF-8 is a DataError naming its path.
+    A configured file that is not UTF-8, or that starts with a byte order
+    mark (which would join its first entry), is a DataError naming its path.
     """
     if path is None:
         return resources.files("threatrank.data").joinpath(packaged).read_text(encoding="utf-8")
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    if text.startswith("\ufeff"):
+        raise DataError(f"{path}: unexpected UTF-8 byte order mark (BOM) at the start")
+    return text
 
 
 class Vocabulary(NamedTuple):

@@ -20,7 +20,7 @@ from threatrank.feeds import (
     KevEntry,
     ReferenceRecord,
     SkillLevel,
-    SnapshotBundle,
+    SourceKind,
     TechnicalImpact,
 )
 from threatrank.profiles import OrganizationProfile, SoftwareItem
@@ -37,7 +37,7 @@ def _some(rng: random.Random, pool: list[str], lo: int, hi: int,
     return tuple(picked)
 
 
-def random_bundle(seed: int, scale: int = 1) -> SnapshotBundle:
+def random_bundle(seed: int, scale: int = 1) -> dict[SourceKind, list]:
     """A random but well-formed snapshot with ~10,000*scale records.
 
     Cross-references are mostly valid with a small dangling fraction, so
@@ -54,30 +54,31 @@ def random_bundle(seed: int, scale: int = 1) -> SnapshotBundle:
     cve_ids = [f"CVE-2020-{10000 + i}" for i in range(n(5000))]
     group_ids = [f"G{i:04d}" for i in range(1, n(120) + 1)]
 
-    bundle = SnapshotBundle()
-    bundle.tactics = [AttackTactic(t, f"Tactic {t}") for t in tactic_ids]
-    bundle.techniques = [
+    bundle: dict[SourceKind, list] = {}
+    bundle[SourceKind.TACTIC] = [AttackTactic(t, f"Tactic {t}") for t in tactic_ids]
+    bundle[SourceKind.TECHNIQUE] = [
         AttackTechnique(t, f"Technique {t}", _some(rng, tactic_ids, 1, 2, "TA9999"))
         for t in technique_ids
     ]
-    bundle.capecs = [
+    bundle[SourceKind.CAPEC] = [
         CapecEntry(c, f"Pattern {c}", rng.choice(list(SkillLevel)),
                    _some(rng, technique_ids, 0, 3, "T9999"))
         for c in capec_ids
     ]
-    bundle.cwes = [
+    bundle[SourceKind.CWE] = [
         CweEntry(w, f"Weakness {w}",
                  tuple(rng.sample(list(TechnicalImpact), k=rng.randint(0, 3))),
                  _some(rng, capec_ids, 0, 3, "CAPEC-99999"))
         for w in cwe_ids
     ]
-    bundle.cpes = [
+    bundle[SourceKind.CPE] = [
         CpeEntry(cpe_id=c, vendor=c.split(":")[3], product=c.split(":")[4])
         for c in cpe_ids
     ]
+    cves = bundle[SourceKind.CVE] = []
     for i, cve_id in enumerate(cve_ids):
         published = EPOCH + timedelta(days=rng.randint(0, 700))
-        bundle.cves.append(CveRecord(
+        cves.append(CveRecord(
             cve_id=cve_id,
             description=f"record {i}",
             published=published,
@@ -89,31 +90,34 @@ def random_bundle(seed: int, scale: int = 1) -> SnapshotBundle:
             reference_urls=(f"https://advisories.example.org/{cve_id}",)
             if rng.random() < 0.3 else (),
         ))
-    bundle.groups = [
+    bundle[SourceKind.GROUP] = [
         AttackGroupRaw(g, f"Group {g}", f"Synthetic description for {g}.",
                        EPOCH + timedelta(days=rng.randint(0, 600)),
                        _some(rng, technique_ids, 0, 6))
         for g in group_ids
     ]
-    for cve_id in rng.sample(cve_ids, k=min(len(cve_ids), n(1000))):
-        bundle.epss.append(EpssScore(cve_id, round(rng.random(), 3), round(rng.random(), 3)))
+    bundle[SourceKind.EPSS] = [
+        EpssScore(cve_id, round(rng.random(), 3), round(rng.random(), 3))
+        for cve_id in rng.sample(cve_ids, k=min(len(cve_ids), n(1000)))
+    ]
+    kev = bundle[SourceKind.KEV] = []
     for cve_id in rng.sample(cve_ids, k=min(len(cve_ids), n(200))):
         added = EPOCH + timedelta(days=rng.randint(0, 700))
-        bundle.kev.append(KevEntry(cve_id, "vendor", "product", "name", added,
-                                   "short", "patch", added + timedelta(days=14)))
-    for i in range(n(150)):
-        bundle.exploits.append(ExploitRef(40000 + i, _some(rng, cve_ids, 1, 3)))
-    bundle.references = [
+        kev.append(KevEntry(cve_id, "vendor", "product", "name", added,
+                            "short", "patch", added + timedelta(days=14)))
+    bundle[SourceKind.EXPLOIT] = [ExploitRef(40000 + i, _some(rng, cve_ids, 1, 3))
+                                  for i in range(n(150))]
+    bundle[SourceKind.REFERENCE] = [
         ReferenceRecord(url=f"https://advisories.example.org/{c}")
         for c in rng.sample(cve_ids, k=min(len(cve_ids), n(300)))
     ]
     return bundle
 
 
-def random_attributions(seed: int, bundle: SnapshotBundle) -> list[GroupAttribution]:
+def random_attributions(seed: int, bundle: dict[SourceKind, list]) -> list[GroupAttribution]:
     rng = random.Random(seed)
     attributions = []
-    for group in bundle.groups:
+    for group in bundle[SourceKind.GROUP]:
         attributions.append(GroupAttribution(
             group_id=group.group_id,
             origin_countries=tuple(rng.sample(VOCAB.countries, k=rng.randint(0, 2))),
@@ -125,14 +129,15 @@ def random_attributions(seed: int, bundle: SnapshotBundle) -> list[GroupAttribut
     return attributions
 
 
-def random_profiles(seed: int, bundle: SnapshotBundle) -> list[OrganizationProfile]:
+def random_profiles(seed: int, bundle: dict[SourceKind, list]) -> list[OrganizationProfile]:
     """One to four organizations whose inventories resolve to the bundle's
     CPEs, with a few unresolved items and CPE ids the bundle lacks."""
     rng = random.Random(seed)
+    cpes = bundle[SourceKind.CPE]
     profiles = []
     for i in range(rng.randint(1, 4)):
         software = []
-        for entry in rng.sample(bundle.cpes, k=min(len(bundle.cpes), rng.randint(0, 20))):
+        for entry in rng.sample(cpes, k=min(len(cpes), rng.randint(0, 20))):
             resolved = () if rng.random() < 0.1 else (entry.cpe_id,)
             if rng.random() < 0.02:
                 resolved += ("cpe:2.3:a:nobody:nothing:-:*:*:*:*:*:*:*",)

@@ -78,3 +78,51 @@ def test_trees_of_which_one_holds_a_bytecode_cache_are_refused(tmp_path, capsys)
                           "--workload", "weekly_refresh", "--pairs", "1"])
     assert exit_info.value.code == 2
     assert "bytecode cache" in capsys.readouterr().err
+
+
+# A stand-in for a tree's bench/run.py: it prints the tree it lives in, then
+# one result line saying where it ran and with what arguments.
+_STUB_RUN = '''\
+import json, os, sys
+from pathlib import Path
+
+tree = Path(__file__).resolve().parents[1]
+print(tree)
+rank_s = {"parent": 1.0, "change": 0.9}[tree.name]
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "cwd": os.getcwd(),
+                  "tree": str(tree), "argv": sys.argv[1:],
+                  "metrics": {"rank_s": {"value": rank_s, "unit": "s"}}}))
+'''
+
+
+def test_main_runs_each_tree_in_its_own_directory_and_writes_every_series(tmp_path):
+    trees = {}
+    for side in ("parent", "change"):
+        trees[side] = tmp_path / side
+        (trees[side] / "bench").mkdir(parents=True)
+        (trees[side] / "bench" / "run.py").write_text(_STUB_RUN, encoding="utf-8")
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([
+        str(trees["parent"]), str(trees["change"]), "--workload", "weekly_refresh",
+        "--pairs", "2", "--seconds", "5", "--also", "year_deep=1", "--held-out-seed", "2",
+        "--held-out-pairs", "1", "--traced-pairs", "1", "--change", "a stub change",
+        "--parent-commit", "0123abc", "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert list(report) == ["change", "parent_commit", "machine", "command", "order", "runs",
+                            "summary", "held_out_seed", "traced", "also"]
+    assert (report["change"], report["parent_commit"]) == ("a stub change", "0123abc")
+    assert report["order"] == ["parent", "change", "change", "parent"]
+    assert report["summary"]["rank_s"]["change_wins"] == "2/2"
+    series = {("weekly_refresh", "1", "0"): report,
+              ("year_deep", "1", "0"): report["also"]["year_deep"],
+              ("weekly_refresh", "2", "0"): report["held_out_seed"],
+              ("weekly_refresh", "1", "1"): report["traced"]}
+    assert list(report["also"]) == ["year_deep"]
+    for (workload, seed, trace), run_series in series.items():
+        assert run_series["command"] == (f"python3 bench/run.py --workload {workload} "
+                                         f"--seed {seed} --seconds 5 --trace {trace}")
+        assert [run["side"] for run in run_series["runs"]] == run_series["order"]
+        for run in run_series["runs"]:
+            result, tree = run["result"], str(trees[run["side"]])
+            assert (result["cwd"], result["tree"]) == (tree, tree)
+            assert result["argv"] == run_series["command"].split()[2:]

@@ -517,6 +517,49 @@ def test_non_utf8_vocabulary_or_lexicon_exits_two(tmp_path, capsys, section, kin
     assert "Traceback" not in err
 
 
+# Each kind of input file, as it sits in a copy of the case fixture that
+# also configures a country vocabulary and lexicon of its own.
+_INPUT_FILES = {
+    "config": "config.json", "profile": "profiles/odu.json", "epss_csv": "epss.csv",
+    "kev_csv": "kev.csv", "vocabulary": "countries.txt", "lexicon": "country_terms.tsv",
+    "snapshot": "snapshots/cwe.jsonl",
+}
+
+
+@pytest.mark.parametrize("kind", list(_INPUT_FILES))
+def test_a_utf8_bom_is_refused_naming_the_file_or_skips_a_snapshot_line(tmp_path, capsys,
+                                                                         kind):
+    case = tmp_path / "case"
+    shutil.copytree(CASE_STUDY, case, ignore=shutil.ignore_patterns("out"))
+    config = json.loads((case / "config.json").read_text(encoding="utf-8"))
+    config["vocabularies"] = {"countries": "countries.txt"}
+    config["lexicons"] = {"countries": "country_terms.tsv"}
+    (case / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    for name in ("countries.txt", "country_terms.tsv"):  # each starting with an entry
+        lines = read_data_file(None, name).splitlines(keepends=True)
+        (case / name).write_text("".join(line for line in lines if not line.startswith("#")),
+                                 encoding="utf-8")
+    path = case / _INPUT_FILES[kind]
+    path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
+    out = tmp_path / "out"
+    command = "ingest" if kind == "snapshot" else "build"
+    code = _run("--config", str(case / "config.json"), "--out", str(out), command)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if kind == "snapshot":
+        # A feed line is skipped and counted, never fatal: here the first one.
+        assert code == 0, err
+        summary = json.loads((out / "ingest_summary.json").read_text(encoding="utf-8"))
+        assert (summary["sources"]["cwe"]["records"], summary["sources"]["cwe"]["skipped"]) \
+            == (6, 1)  # of 7 lines
+    else:
+        assert code == 2
+        # named as a BOM by the JSON decoder and the data-file reader, as a
+        # header that is not the CSV's by the CSV reader
+        assert str(path.resolve()) in err and ("BOM" in err or r"found '\ufeff" in err), err
+        assert not out.exists()
+
+
 def _build_with_country_terms(tmp_path, extra: str) -> int:
     """``build`` on the case fixture with its country lexicon set to the
     packaged terms and the ``term<TAB>value`` lines ``extra``."""
@@ -898,10 +941,10 @@ def test_a_build_cut_at_a_graph_line_leaves_the_earlier_graph(built, tmp_path, l
     assert f"data error: {graph}: cannot write: File too large" in child.stderr
     assert _file_bytes(built) == before  # the same names, and each file whole
     assert _ranked_bytes(built) == ranked
-    # With no earlier graph, the cut leaves none; coverage, written first, is whole.
+    # With no earlier graph, the cut leaves no file: the graph is written first.
     fresh = tmp_path / "fresh"
     assert _cut_child(limit, "--out", str(fresh), "build").returncode == 2
-    assert _file_bytes(fresh) == {"coverage_ODU.csv": before["coverage_ODU.csv"]}
+    assert _file_bytes(fresh) == {}
 
 
 def test_an_evaluate_cut_at_a_report_line_leaves_the_earlier_report(built, capsys):

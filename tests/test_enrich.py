@@ -205,7 +205,7 @@ def test_word_scan_matches_alternation_on_packaged_lexicons(lexicon, case_config
     from threatrank.cli import load_bundle
 
     bundle, _ = load_bundle(case_config)
-    texts = [g.description for g in bundle.groups] + [
+    texts = [g.description for g in bundle[SourceKind.GROUP]] + [
         "North Koreans and north korea-based actors", "TARGETED THE U.S. AND U.K.",
         "south korean, south korea; korea.", "the united states' banks"]
     for terms in (lexicon.country_terms, lexicon.sector_terms):
@@ -281,7 +281,7 @@ def test_attribution_evidence_is_verbatim(lexicon, case_config):
     from threatrank.cli import load_bundle
 
     bundle, _ = load_bundle(case_config)
-    for group in bundle.groups:
+    for group in bundle[SourceKind.GROUP]:
         attribution = attribute_group(group, lexicon)
         for kind, span in attribution.evidence:
             if kind == "origin_year_default":

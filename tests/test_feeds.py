@@ -25,7 +25,6 @@ from threatrank.feeds import (
     KevEntry,
     ReferenceRecord,
     SkillLevel,
-    SnapshotBundle,
     SourceKind,
     Finding,
     TechnicalImpact,
@@ -589,7 +588,7 @@ def _cve(cve_id="CVE-2020-10000", cwe_ids=(), cpes=(), urls=()):
 
 
 def test_validate_dangling_cwe_reference():
-    report = validate_snapshot(SnapshotBundle(cves=[_cve(cwe_ids=["CWE-9999"])]))
+    report = validate_snapshot({SourceKind.CVE: [_cve(cwe_ids=["CWE-9999"])]})
     dangling = report.findings
     # independent set-difference oracle
     present = set()
@@ -599,11 +598,28 @@ def test_validate_dangling_cwe_reference():
 
 
 def test_validate_clean_fixture_is_empty():
-    bundle = SnapshotBundle(
-        cves=[_cve(cwe_ids=["CWE-79"])],
-        cwes=[CweEntry("CWE-79", "xss", (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,), ())],
-    )
+    bundle = {
+        SourceKind.CVE: [_cve(cwe_ids=["CWE-79"])],
+        SourceKind.CWE: [CweEntry("CWE-79", "xss", (TechnicalImpact.EXECUTE_UNAUTHORIZED_CODE,),
+                                  ())],
+    }
     assert validate_snapshot(bundle).findings == []
+
+
+@pytest.mark.parametrize("key", ["cves", SourceKind.CVE.name, 0, None])
+def test_a_bundle_key_that_is_no_source_kind_is_a_type_error(key):
+    # a misspelt kind would otherwise hold records nothing reads
+    bundle = {SourceKind.CWE: [], key: [_cve(cwe_ids=["CWE-9999"])]}
+    for read in (validate_snapshot, lambda b: build_graph(b, vocab=VOCAB)):
+        with pytest.raises(TypeError, match=f"snapshot bundle key {key!r} is not a SourceKind"):
+            read(bundle)
+
+
+def test_a_kind_value_string_keys_its_records():
+    # SourceKind is a str enum: its value is the same dict key as the member
+    bundle = {"cve": [_cve(cwe_ids=["CWE-9999"])]}
+    assert [f.subject for f in validate_snapshot(bundle).findings] == ["CVE-2020-10000"]
+    assert build_graph(bundle, vocab=VOCAB).stats.dangling_dropped.total() == 1
 
 
 def test_ingest_counts_each_bad_line_where_it_is_parsed(tmp_path):
@@ -654,31 +670,31 @@ def _reference_validate_snapshot(bundle):
     # reads: every kind's key set and one closure call per reference list.
     # The oracle for its findings and their order.
     findings = []
-    keys = {kind: {item[0] for item in getattr(bundle, source.bundle_field)}  # primary keys
-            for kind, source in SOURCES.items()}
+    keys = {kind: {item[0] for item in bundle.get(kind, ())}  # primary keys
+            for kind in SOURCES}
 
     def dangling(subject, targets, present, what):
         for target in targets:
             if target not in present:
                 findings.append(Finding(subject, f"references absent {what} {target}"))
 
-    for cve in bundle.cves:
+    for cve in bundle.get(SourceKind.CVE, ()):
         dangling(cve.cve_id, cve.cwe_ids, keys[SourceKind.CWE], "CWE")
         dangling(cve.cve_id, cve.affected_cpes, keys[SourceKind.CPE], "CPE")
         dangling(cve.cve_id, cve.reference_urls, keys[SourceKind.REFERENCE], "reference")
-    for cwe in bundle.cwes:
+    for cwe in bundle.get(SourceKind.CWE, ()):
         dangling(cwe.cwe_id, cwe.related_capecs, keys[SourceKind.CAPEC], "CAPEC")
-    for capec in bundle.capecs:
+    for capec in bundle.get(SourceKind.CAPEC, ()):
         dangling(capec.capec_id, capec.related_techniques, keys[SourceKind.TECHNIQUE], "technique")
-    for technique in bundle.techniques:
+    for technique in bundle.get(SourceKind.TECHNIQUE, ()):
         dangling(technique.technique_id, technique.tactic_ids, keys[SourceKind.TACTIC], "tactic")
-    for group in bundle.groups:
+    for group in bundle.get(SourceKind.GROUP, ()):
         dangling(group.group_id, group.technique_ids, keys[SourceKind.TECHNIQUE], "technique")
-    for score in bundle.epss:
+    for score in bundle.get(SourceKind.EPSS, ()):
         dangling(score.cve_id, [score.cve_id], keys[SourceKind.CVE], "CVE")
-    for entry in bundle.kev:
+    for entry in bundle.get(SourceKind.KEV, ()):
         dangling(entry.cve_id, [entry.cve_id], keys[SourceKind.CVE], "CVE")
-    for ref in bundle.exploits:
+    for ref in bundle.get(SourceKind.EXPLOIT, ()):
         dangling(f"exploit {ref.exploitdb_id}", ref.cve_ids, keys[SourceKind.CVE], "CVE")
     return ValidationReport(findings)
 
@@ -689,7 +705,9 @@ _DAY = date(2020, 1, 1)
 @st.composite
 def _dangling_bundles(draw):
     """Bundles over three ids per kind, each record holding some of them,
-    so every kind of reference both resolves and dangles."""
+    so every kind of reference both resolves and dangles.  A kind with no
+    records is left out of the bundle, as ``cli.load_bundle`` leaves out an
+    unconfigured one."""
     def ids(prefix):
         return st.lists(st.sampled_from([f"{prefix}{i}" for i in range(3)]), max_size=3)
 
@@ -697,21 +715,25 @@ def _dangling_bundles(draw):
         return [make(key) for key in draw(ids(prefix))]
 
     refs = lambda prefix: tuple(draw(ids(prefix)))  # noqa: E731
-    return SnapshotBundle(
-        cves=records("CVE-2020-", lambda k: CveRecord(
+    bundle = {
+        SourceKind.CVE: records("CVE-2020-", lambda k: CveRecord(
             k, "", _DAY, _DAY, 5.0, AttackVector.NETWORK, refs("CWE-"), refs("cpe:"),
             refs("https://r/"))),
-        cpes=records("cpe:", lambda k: CpeEntry(k, "v", "p")),
-        cwes=records("CWE-", lambda k: CweEntry(k, "n", (), refs("CAPEC-"))),
-        capecs=records("CAPEC-", lambda k: CapecEntry(k, "n", SkillLevel.LOW, refs("T1"))),
-        techniques=records("T1", lambda k: AttackTechnique(k, "n", refs("TA"))),
-        tactics=records("TA", lambda k: AttackTactic(k, "n")),
-        groups=records("G", lambda k: AttackGroupRaw(k, "n", "", _DAY, refs("T1"))),
-        epss=records("CVE-2020-", lambda k: EpssScore(k, 0.5, 0.5)),
-        kev=records("CVE-2020-", lambda k: KevEntry(k, "v", "p", "n", _DAY, "", "", _DAY)),
-        exploits=[ExploitRef(i, refs("CVE-2020-")) for i in range(draw(st.integers(0, 3)))],
-        references=records("https://r/", ReferenceRecord),
-    )
+        SourceKind.CPE: records("cpe:", lambda k: CpeEntry(k, "v", "p")),
+        SourceKind.CWE: records("CWE-", lambda k: CweEntry(k, "n", (), refs("CAPEC-"))),
+        SourceKind.CAPEC: records("CAPEC-",
+                                  lambda k: CapecEntry(k, "n", SkillLevel.LOW, refs("T1"))),
+        SourceKind.TECHNIQUE: records("T1", lambda k: AttackTechnique(k, "n", refs("TA"))),
+        SourceKind.TACTIC: records("TA", lambda k: AttackTactic(k, "n")),
+        SourceKind.GROUP: records("G", lambda k: AttackGroupRaw(k, "n", "", _DAY, refs("T1"))),
+        SourceKind.EPSS: records("CVE-2020-", lambda k: EpssScore(k, 0.5, 0.5)),
+        SourceKind.KEV: records("CVE-2020-",
+                                lambda k: KevEntry(k, "v", "p", "n", _DAY, "", "", _DAY)),
+        SourceKind.EXPLOIT: [ExploitRef(i, refs("CVE-2020-"))
+                             for i in range(draw(st.integers(0, 3)))],
+        SourceKind.REFERENCE: records("https://r/", ReferenceRecord),
+    }
+    return {kind: records for kind, records in bundle.items() if records}
 
 
 @given(_dangling_bundles())
@@ -738,9 +760,7 @@ def test_validate_case_study_fixture_is_clean(case_config):
 
 def test_sources_describe_every_kind_in_order():
     assert list(SOURCES) == list(SourceKind)
-    bundle_fields = set(SnapshotBundle.__slots__)
     for source in SOURCES.values():
-        assert source.bundle_field in bundle_fields
         # from_obj builds the record positionally, so the table keeps field order
         assert list(source.fields) == list(source.record_type._fields)
 

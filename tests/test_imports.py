@@ -25,8 +25,8 @@ PUBLIC_NAMES = {
                    "ndcg_at_k", "patch_cost", "severity_band"],
     "feeds": ["AttackGroupRaw", "AttackTactic", "AttackTechnique", "CapecEntry", "CpeEntry",
               "CveRecord", "CweEntry", "EpssScore", "ExploitRef", "KevEntry", "ParseResult",
-              "ReferenceRecord", "SnapshotBundle", "ValidationReport", "parse_epss_csv",
-              "parse_kev_csv", "parse_snapshot", "validate_snapshot"],
+              "ReferenceRecord", "ValidationReport", "parse_epss_csv", "parse_kev_csv",
+              "parse_snapshot", "validate_snapshot"],
     "kgraph": ["EdgeType", "NodeLabel", "PropertyGraph", "build_graph", "load_graph",
                "save_graph", "techniques_for_cve"],
     "kinds": ["AttackVector", "SkillLevel", "SourceKind", "TechnicalImpact"],
@@ -113,7 +113,7 @@ def test_public_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_names_are_listed():
-    assert len(ALL_NAMES) == 65
+    assert len(ALL_NAMES) == 64
     assert sorted(threatrank.__all__) == ALL_NAMES
     assert set(ALL_NAMES) <= set(dir(threatrank))
 

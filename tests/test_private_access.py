@@ -61,17 +61,17 @@ def test_no_cross_module_private_access():
 def test_private_reads_are_detected():
     tree = ast.parse(
         "from . import feeds\n"
-        "from .feeds import SnapshotBundle, _KIND_BY_TYPE\n"
+        "from .feeds import ParseResult, _KIND_BY_TYPE\n"
         "import threatrank.kgraph\n"
-        "a = feeds.SnapshotBundle._FIELD_BY_KIND\n"
-        "b = SnapshotBundle._private()\n"
+        "a = feeds.ParseResult._FIELD_BY_KIND\n"
+        "b = ParseResult._private()\n"
         "c = threatrank.kgraph._x\n"
         "d = feeds.SOURCES, self._own, feeds.__name__\n"
-        "e = feeds.CveRecord._fields, SnapshotBundle._replace\n"
+        "e = feeds.CveRecord._fields, ParseResult._replace\n"
     )
     assert sorted(private_reads(tree)) == [
         ".feeds._KIND_BY_TYPE",
-        "SnapshotBundle._private",
-        "feeds.SnapshotBundle._FIELD_BY_KIND",
+        "ParseResult._private",
+        "feeds.ParseResult._FIELD_BY_KIND",
         "threatrank.kgraph._x",
     ]

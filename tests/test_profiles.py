@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatrank.errors import DataError
-from threatrank.feeds import CpeEntry
+from threatrank.feeds import CpeEntry, SourceKind
 from threatrank.profiles import (
     OrganizationProfile,
     SoftwareItem,
@@ -153,7 +153,7 @@ def test_case_study_inventory_coverage(case_config):
 
     profile = load_profile(CASE_STUDY / "profiles" / "odu.json", VOCAB)
     bundle, _ = load_bundle(case_config)
-    resolved, report = resolve_cpes(profile, cpe_index(bundle.cpes))
+    resolved, report = resolve_cpes(profile, cpe_index(bundle[SourceKind.CPE]))
     assert report.resolved == 47
     assert _unresolved(report) == 22
     assert report.resolved + _unresolved(report) == len(profile.software)

@@ -19,7 +19,6 @@ from threatrank.feeds import (
     ExploitRef,
     KevEntry,
     SkillLevel,
-    SnapshotBundle,
     SourceKind,
     TechnicalImpact,
     parse_snapshot,
@@ -70,7 +69,7 @@ def _mini_bundle(
     in_kev=False,
     in_exploitdb=False,
     technique=True,
-) -> SnapshotBundle:
+) -> dict[SourceKind, list]:
     """One CVE with every threat-path ingredient toggleable."""
     cve = CveRecord(
         cve_id="CVE-2021-10000", description="d", published=date(2021, 1, 1),
@@ -78,24 +77,24 @@ def _mini_bundle(
         cwe_ids=("CWE-79",) if cwe_chain else (),
         affected_cpes=(CPE_A,),
     )
-    bundle = SnapshotBundle(
-        cves=[cve],
-        cpes=[CpeEntry(cpe_id=CPE_A, vendor="v", product="a")],
-        techniques=[AttackTechnique("T1059", "t", ("TA0002",))],
-        tactics=[AttackTactic("TA0002", "execution")],
-        groups=[AttackGroupRaw("G0001", "g", "d", date(2018, 1, 1), ("T1059",))],
-    )
+    bundle = {
+        SourceKind.CVE: [cve],
+        SourceKind.CPE: [CpeEntry(cpe_id=CPE_A, vendor="v", product="a")],
+        SourceKind.TECHNIQUE: [AttackTechnique("T1059", "t", ("TA0002",))],
+        SourceKind.TACTIC: [AttackTactic("TA0002", "execution")],
+        SourceKind.GROUP: [AttackGroupRaw("G0001", "g", "d", date(2018, 1, 1), ("T1059",))],
+    }
     if cwe_chain:
-        bundle.cwes = [CweEntry("CWE-79", "w", tuple(impacts), ("CAPEC-63",))]
-        bundle.capecs = [CapecEntry("CAPEC-63", "c", skill,
-                                    ("T1059",) if technique else ())]
+        bundle[SourceKind.CWE] = [CweEntry("CWE-79", "w", tuple(impacts), ("CAPEC-63",))]
+        bundle[SourceKind.CAPEC] = [CapecEntry("CAPEC-63", "c", skill,
+                                               ("T1059",) if technique else ())]
     if epss is not None:
-        bundle.epss = [EpssScore("CVE-2021-10000", epss, 0.95)]
+        bundle[SourceKind.EPSS] = [EpssScore("CVE-2021-10000", epss, 0.95)]
     if in_kev:
-        bundle.kev = [KevEntry("CVE-2021-10000", "v", "p", "n", date(2021, 1, 5),
-                               "s", "a", date(2021, 1, 19))]
+        bundle[SourceKind.KEV] = [KevEntry("CVE-2021-10000", "v", "p", "n", date(2021, 1, 5),
+                                           "s", "a", date(2021, 1, 19))]
     if in_exploitdb:
-        bundle.exploits = [ExploitRef(50000, ("CVE-2021-10000",))]
+        bundle[SourceKind.EXPLOIT] = [ExploitRef(50000, ("CVE-2021-10000",))]
     return bundle
 
 
@@ -159,8 +158,8 @@ def test_remodified_cve_lands_in_latest_week_only(tmp_path):
     path = tmp_path / "cve.jsonl"
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
     records = parse_snapshot(path, SourceKind.CVE).records
-    bundle = SnapshotBundle(cves=records,
-                            cpes=[CpeEntry(cpe_id=CPE_A, vendor="v", product="a")])
+    bundle = {SourceKind.CVE: records,
+              SourceKind.CPE: [CpeEntry(cpe_id=CPE_A, vendor="v", product="a")]}
     graph = build_graph(bundle, vocab=TINY_VOCAB).freeze()
     cohorts = generate_candidates(MINI_ORG, graph, (date(2021, 11, 1), date(2021, 11, 30)))
     assert [c.iso_week for c in cohorts] == [(2021, 47)]
@@ -172,8 +171,8 @@ def test_week_straddling_year_boundary():
                     published=date(2020, 12, 1), modified=date(2021, 1, 1),
                     cvss_base=5.0, attack_vector=AttackVector.NETWORK,
                     affected_cpes=(CPE_A,))
-    bundle = SnapshotBundle(cves=[cve],
-                            cpes=[CpeEntry(cpe_id=CPE_A, vendor="v", product="a")])
+    bundle = {SourceKind.CVE: [cve],
+              SourceKind.CPE: [CpeEntry(cpe_id=CPE_A, vendor="v", product="a")]}
     graph = build_graph(bundle, vocab=TINY_VOCAB).freeze()
     cohorts = generate_candidates(MINI_ORG, graph, (date(2020, 12, 28), date(2021, 1, 3)))
     assert [c.iso_week for c in cohorts] == [(2020, 53)]
@@ -196,7 +195,7 @@ def test_cvss_base_scores(case_graph, case_org):
 
 
 def test_cvss_base_missing_score_warns(caplog):
-    graph = build_graph(SnapshotBundle(), vocab=TINY_VOCAB)
+    graph = build_graph({}, vocab=TINY_VOCAB)
     graph.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-10000", {})
     with caplog.at_level("WARNING"):
         assert _item(graph.freeze(), "CVE-2021-10000", MINI_ORG, APT,
@@ -487,7 +486,7 @@ def test_feature_row_ignores_a_skill_level_that_is_not_a_string():
     # number matches no configured level and must not end a read in a
     # traceback; one whose skill_level is an object does not freeze
     for level in (["High"], 3, {"level": "High"}):
-        graph = build_graph(SnapshotBundle(), vocab=TINY_VOCAB)
+        graph = build_graph({}, vocab=TINY_VOCAB)
         graph.upsert_node(NodeLabel.NVD_CVE, "CVE-2021-10000", {})
         graph.upsert_node(NodeLabel.CWE, "CWE-79")
         graph.upsert_node(NodeLabel.CAPEC, "CAPEC-63", {"skill_level": level})

@@ -12,7 +12,7 @@ import pytest
 from threatrank import cli, enrich, evaluation, feeds, kgraph, profiles, ranking, stats, vocab
 from threatrank.enrich import Lexicon
 from threatrank.errors import DataError
-from threatrank.feeds import ParseResult, SnapshotBundle
+from threatrank.feeds import ParseResult
 from threatrank.kgraph import BuildStats, Node, NodeLabel
 from threatrank.kinds import SkillLevel
 from threatrank.ranking import Family, PolicyConfig, RankedItem
@@ -34,7 +34,7 @@ def test_record_types_are_found():
     assert {"CveRecord", "Source", "PolicyConfig", "Lexicon", "ProjectConfig",
             "EvaluationReport", "CoverageReport", "ValidationReport", "TTestResult",
             "Vocabulary", "RankedList"} <= names
-    assert not names & {"Node", "ParseResult", "SnapshotBundle", "BuildStats"}
+    assert not names & {"Node", "ParseResult", "BuildStats"}
 
 
 @pytest.mark.parametrize("cls", RECORD_TYPES, ids=lambda cls: cls.__qualname__)
@@ -107,22 +107,9 @@ def test_lexicon_derives_its_patterns_however_built():
 
 
 def test_containers_share_no_list():
-    first, second = SnapshotBundle(), SnapshotBundle()
-    for name in SnapshotBundle.__slots__:
-        assert getattr(first, name) == [] and getattr(first, name) is not getattr(second, name)
     first, second = ParseResult(), ParseResult()
     assert first.records is not second.records and first.skipped is not second.skipped
     assert BuildStats().dangling_dropped is not BuildStats().dangling_dropped
-
-
-def test_snapshot_bundle_holds_one_list_per_source():
-    assert SnapshotBundle.__slots__ == tuple(
-        source.bundle_field for source in feeds.SOURCES.values())
-    cves = []
-    bundle = SnapshotBundle(cves=cves, kev=None)
-    assert bundle.cves is cves and bundle.kev == [] and bundle.epss == []
-    with pytest.raises(TypeError, match="'cvez'"):
-        SnapshotBundle(cvez=[])
 
 
 def test_record_defaults_are_read_only():
