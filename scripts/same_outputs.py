@@ -12,8 +12,10 @@ the benchmark runs, and at the held-out seed 2: ``ingest``,
 ``build``, ``rank`` under every policy for every organization,
 ``evaluate``, and ``case-study`` for every organization.  Every output
 file whose sha256 differs between the trees, or that only one tree
-wrote, is printed, and the exit code is 1 if there is any (or if a
-command fails); 0 means every output matched.  The last line also gives
+wrote, is printed, and so is every line that a command prints
+differently (its output directory read as ``<out>``), or that only one
+tree prints.  The exit code is 1 if there is any (or if a command
+fails); 0 means every output matched.  The last line also gives
 the source lines of each tree's ``threatrank`` package and of the
 ``scripts/*.py`` beside its ``src`` directory.  Nothing is
 written outside a temporary directory.
@@ -22,6 +24,7 @@ written outside a temporary directory.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -38,17 +41,21 @@ FIXTURES = ("case_study", "synthetic52")
 # The benchmark's seed, and a held-out one.
 SEEDS = (1, 2)
 POLICIES = ("cvss_base", "apt_threat", "general_threat", "ideal")
-# Runs each command of a JSON list in one interpreter; prints the first
-# failing command and exits with its code.
+# Runs each command of a JSON list in one interpreter and writes the JSON
+# list of what each one printed, its output directory replaced by "<out>";
+# prints the first failing command and exits with its code.
 _CHILD = """
 import contextlib, io, json, sys
 from threatrank.cli import main
+printed = []
 for argv in json.load(sys.stdin):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = main(argv)
     if code:
         print(" ".join(argv), "->", code, file=sys.stderr)
         sys.exit(code)
+    printed.append(stdout.getvalue().replace(argv[argv.index("--out") + 1], "<out>"))
+json.dump(printed, sys.stdout)
 """
 
 
@@ -88,7 +95,7 @@ def main(argv: list[str]) -> int:
         print("usage: python3 scripts/same_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 1
     trees = {"parent": _src_dir(argv[0]), "change": _src_dir(argv[1])}
-    differing = failed = compared = 0
+    differing = failed = compared = differing_lines = compared_lines = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         work = Path(tmp)
         projects = [(name, ROOT / "fixtures" / name / "config.json", []) for name in FIXTURES]
@@ -98,7 +105,7 @@ def main(argv: list[str]) -> int:
                 corpus = generate(workload, seed, work / "corpora" / name)
                 projects.append((name, corpus.config, corpus.read_args))
         for name, config, read_args in projects:
-            digests = {}
+            digests, printed = {}, {}
             for tree, src in trees.items():
                 out = work / tree / name
                 env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -109,6 +116,19 @@ def main(argv: list[str]) -> int:
                     print(f"{name}: {tree} failed: {proc.stderr.strip()}")
                     failed += 1
                 digests[tree] = _digests(out)
+                # Each command's printed lines, by the command after its --out.
+                printed[tree] = {} if proc.returncode else {
+                    " ".join(argv[4:]): text.splitlines()
+                    for argv, text in zip(commands, json.loads(proc.stdout))}
+            for command in sorted(printed["parent"].keys() | printed["change"].keys()):
+                pairs = itertools.zip_longest(printed["parent"].get(command, []),
+                                              printed["change"].get(command, []))
+                for line_no, (before, after) in enumerate(pairs, start=1):
+                    if before != after:
+                        print(f"{name}: {command}: line {line_no}: "
+                              f"parent {before!r} change {after!r}")
+                        differing_lines += 1
+                    compared_lines += 1
             parent, change = digests["parent"], digests["change"]
             for path in sorted(parent.keys() | change.keys()):
                 if parent.get(path) != change.get(path):
@@ -121,9 +141,10 @@ def main(argv: list[str]) -> int:
                         for tree, src in trees.items())
     scripts = ", ".join(f"{tree} {_source_lines((src.parent / 'scripts').glob('*.py'))}"
                         for tree, src in trees.items())
-    print(f"{differing} of {compared} output files differ, {failed} refreshes failed; "
+    print(f"{differing} of {compared} output files differ, {differing_lines} of "
+          f"{compared_lines} printed lines differ, {failed} refreshes failed; "
           f"src/threatrank lines: {package}; scripts lines: {scripts}")
-    return int(bool(differing or failed))
+    return int(bool(differing or differing_lines or failed))
 
 
 if __name__ == "__main__":

@@ -59,18 +59,17 @@ GRAPH_FILENAME = "graph.jsonl"
 
 
 class ProjectConfig(NamedTuple):
-    """Parsed project configuration; all paths resolved against the file."""
+    """Parsed project configuration, each section as the file states it;
+    all paths resolved against the file.  ``policies`` holds every family,
+    in ``ranking.FAMILIES`` order; ``lexicons`` and ``vocabularies`` only the keys set."""
 
     snapshots: dict[SourceKind, Path]
     profile_paths: list[Path]
     date_range: tuple[date, date]
     output_dir: Path
-    apt_config: ranking.PolicyConfig
-    general_config: ranking.PolicyConfig
-    lexicon_countries: Path | None = None
-    lexicon_sectors: Path | None = None
-    vocab_countries: Path | None = None
-    vocab_sectors: Path | None = None
+    policies: dict[ranking.Family, ranking.PolicyConfig]
+    lexicons: dict[str, Path]
+    vocabularies: dict[str, Path]
 
 
 # A bool is never accepted: JSON true/false are not numbers, though
@@ -92,16 +91,16 @@ _POLICY_KEYS = {"apt_threat": ("origin_countries", "epss_threshold", "risk_appet
                 "general_threat": ("skill_level", "epss_threshold", "risk_appetite", "k")}
 
 
-# The top-level keys of a config file, and the keys of its "lexicons" and
-# "vocabularies" sections.
+# A config file's top-level keys, and the keys of its data-file sections.
 _CONFIG_KEYS = ("snapshots", "profiles", "date_range", "output_dir", "lexicons",
                 "vocabularies", "policies")
 _DATA_FILE_KEYS = ("countries", "sectors")
 
 
-def _policy_config(path: Path, name: str, raw, family: ranking.Family) -> ranking.PolicyConfig:
-    """The ``policies.<name>`` section of config file ``path``; every
-    DataError names the file and the section."""
+def _policy_config(path: Path, family: ranking.Family, raw) -> ranking.PolicyConfig:
+    """``family``'s section of config file ``path``, named after its threat
+    policy; every DataError names the file and the section."""
+    name = ranking.FAMILIES[family][0].value
     what = f"{path}: policies.{name}"
     _expect(raw, dict, what)
     reject_unknown(raw, _POLICY_KEYS[name], f"{what}: unknown key")
@@ -177,28 +176,16 @@ def load_config(path: str | Path) -> ProjectConfig:
         raise DataError(f"{path}: 'output_dir' must name a directory, not ''")
     output_dir = (base / out_rel) if not Path(out_rel).is_absolute() else Path(out_rel)
 
-    data_files = {}  # each configured lexicon or vocabulary file, by "<section>.<key>"
+    data_files = {}  # each section's configured files, by key
     for name in ("lexicons", "vocabularies"):
         table = section(name, dict)
         reject_unknown(table, _DATA_FILE_KEYS, f"{path}: unknown {name!r} key")
-        data_files.update((f"{name}.{key}", resolve(rel, f"{name}.{key}"))
-                          for key, rel in table.items())
+        data_files[name] = {key: resolve(rel, f"{name}.{key}") for key, rel in table.items()}
     policies = section("policies", dict)
     reject_unknown(policies, _POLICY_KEYS, f"{path}: unknown policy")
-    return ProjectConfig(
-        snapshots=snapshots,
-        profile_paths=profile_paths,
-        date_range=(start, end),
-        output_dir=output_dir,
-        lexicon_countries=data_files.get("lexicons.countries"),
-        lexicon_sectors=data_files.get("lexicons.sectors"),
-        vocab_countries=data_files.get("vocabularies.countries"),
-        vocab_sectors=data_files.get("vocabularies.sectors"),
-        apt_config=_policy_config(path, "apt_threat", policies.get("apt_threat", {}),
-                                  ranking.Family.APT),
-        general_config=_policy_config(path, "general_threat", policies.get("general_threat", {}),
-                                      ranking.Family.GENERAL),
-    )
+    return ProjectConfig(snapshots, profile_paths, (start, end), output_dir, policies={
+        family: _policy_config(path, family, policies.get(threat.value, {}))
+        for family, (threat, _bits) in ranking.FAMILIES.items()}, **data_files)
 
 
 def load_bundle(config: ProjectConfig) -> tuple[dict[SourceKind, list], dict[str, feeds.ParseResult]]:
@@ -228,9 +215,9 @@ def build_pipeline(config: ProjectConfig) -> tuple[kgraph.PropertyGraph,
     since ``build`` only saves it; also return each org's CPE coverage report."""
     from . import enrich, profiles
 
-    vocab = load_vocabulary(config.vocab_countries, config.vocab_sectors)
+    vocab = load_vocabulary(**config.vocabularies)
     bundle, _ = load_bundle(config)
-    lexicon = enrich.load_lexicon(config.lexicon_countries, config.lexicon_sectors, vocab=vocab)
+    lexicon = enrich.load_lexicon(**config.lexicons, vocab=vocab)
     attributions = enrich.filter_us_targeting(
         enrich.attribute_group(group, lexicon) for group in bundle.get(SourceKind.GROUP, ())
     )
@@ -270,10 +257,6 @@ def _org_rows(graph: kgraph.PropertyGraph, org_id: str, date_range: tuple[date, 
         raise UsageError(f"unknown organization id: {org_id}")
     cohorts = ranking.generate_candidates(org, graph, date_range)
     return cohorts, ranking.feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
-
-
-def _all_org_ids(graph: kgraph.PropertyGraph) -> list[str]:
-    return sorted(n.key for n in graph.nodes_with_label(kgraph.NodeLabel.ORGANIZATION))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +369,10 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
     except ValueError:
         raise UsageError(f"unknown policy: {policy_name!r} "
                          f"(choose from {[p.value for p in ranking.Policy]})")
-    family_config = (config.general_config if policy is ranking.Policy.GENERAL_THREAT
-                     else config.apt_config)
+    family = (ranking.Family.GENERAL if policy is ranking.Policy.GENERAL_THREAT
+              else ranking.Family.APT)
     cohorts, table = _org_rows(_require_graph(config), org_id, config.date_range)
-    ranked_lists = [ranking.rank(c, policy, family_config, table) for c in cohorts]
+    ranked_lists = [ranking.rank(c, policy, config.policies[family], table) for c in cohorts]
     out_path = config.output_dir / f"ranked_{org_id}_{policy.value}.csv"
     _write_ranked_csv(out_path, ranked_lists)
     print(f"{org_id}/{policy.value}: {len(cohorts)} weekly cohorts, "
@@ -402,10 +385,10 @@ def cmd_evaluate(config: ProjectConfig) -> int:
     from . import evaluation
 
     graph = _require_graph(config)
+    org_ids = sorted(n.key for n in graph.nodes_with_label(kgraph.NodeLabel.ORGANIZATION))
     # A generator: each org's rows are read when the report reaches it.
-    orgs = ((org_id, *_org_rows(graph, org_id, config.date_range))
-            for org_id in _all_org_ids(graph))
-    report = evaluation.generate_report(orgs, config.apt_config, config.general_config)
+    orgs = ((org_id, *_org_rows(graph, org_id, config.date_range)) for org_id in org_ids)
+    report = evaluation.generate_report(orgs, config.policies)
     paths = report.write_csvs(config.output_dir)
     for name, out_path in sorted(paths.items()):
         print(f"wrote {out_path}")
@@ -419,8 +402,7 @@ def cmd_case_study(config: ProjectConfig, org_id: str) -> int:
         print(f"{org_id}: no candidate cohorts in "
               f"{config.date_range[0]}..{config.date_range[1]}")
         return 0
-    apt = config.apt_config
-    printed = False
+    apt = config.policies[ranking.Family.APT]
     for cohort in cohorts:
         cvss_rank = ranking.rank(cohort, ranking.Policy.CVSS_BASE, apt, table).rank_of()
         threat_ranked = ranking.rank(cohort, ranking.Policy.APT_THREAT, apt, table)
@@ -433,14 +415,13 @@ def cmd_case_study(config: ProjectConfig, org_id: str) -> int:
         out_path = config.output_dir / f"case_study_{org_id}_{year}W{week:02d}.csv"
         write_csv(out_path, ["cve", "cvss_base", "relevance", "cvss_base_rank",
                              "apt_threat_rank"], rows)
-        if not printed:
+        if cohort is cohorts[0]:
             print(f"{org_id} {year}-W{week:02d}: top {len(rows)} of "
                   f"{len(cohort.cve_ids)} candidates (threat policy order)")
             print(f"{'cve':<20}{'cvss':>6}{'rel':>5}{'cvss_rank':>11}{'threat_rank':>13}")
             for cve, cvss, relevance, cvss_rank_pos, threat_rank_pos in rows:
                 print(f"{cve:<20}{cvss:>6}{relevance:>5}"
                       f"{cvss_rank_pos:>11}{threat_rank_pos:>13}")
-            printed = True
         print(f"wrote {out_path}")
     return 0
 

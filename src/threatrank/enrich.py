@@ -166,8 +166,8 @@ def _parse_lexicon_file(text: str, source: str) -> dict[str, str]:
 
 
 def load_lexicon(
-    country_path: str | Path | None = None,
-    sector_path: str | Path | None = None,
+    countries: str | Path | None = None,
+    sectors: str | Path | None = None,
     *,
     vocab: Vocabulary,
 ) -> Lexicon:
@@ -177,8 +177,8 @@ def load_lexicon(
     """
     tables = []
     for path, packaged, kind, known, vocab_file in (
-        (country_path, "country_terms.tsv", "country", vocab.is_country, vocab.countries_file),
-        (sector_path, "sector_terms.tsv", "sector", vocab.is_sector, vocab.sectors_file),
+        (countries, "country_terms.tsv", "country", vocab.is_country, vocab.countries_file),
+        (sectors, "sector_terms.tsv", "sector", vocab.is_sector, vocab.sectors_file),
     ):
         source = packaged if path is None else str(path)
         terms = _parse_lexicon_file(read_data_file(path, packaged), source)
@@ -187,8 +187,7 @@ def load_lexicon(
                 raise DataError(f"{source}: {term!r} maps to unknown {kind} {value!r} "
                                 f"(not in {vocab_file})")
         tables.append(terms)
-    country_terms, sector_terms = tables
-    return Lexicon(country_terms=country_terms, sector_terms=sector_terms)
+    return Lexicon(*tables)
 
 
 def _word_scan(index: dict[str, tuple[tuple[int, str], ...]], text: str, source: str,

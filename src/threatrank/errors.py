@@ -24,6 +24,10 @@ class DataError(ThreatRankError):
     """Input files exist but their content is invalid."""
 
 
+# What a DataError says, after the path, of a file that starts with a BOM.
+BOM_AT_START = "unexpected UTF-8 byte order mark (BOM) at the start"
+
+
 def reject_unknown(keys, known, what: str) -> None:
     """A DataError naming the first key outside ``known``, so a misspelt
     setting is not silently replaced by its default."""

@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import write_csv
-from .ranking import FAMILIES, FeatureRow, Policy, PolicyConfig, RankedList, WeeklyCohort, rank
+from .ranking import (FAMILIES, Family, FeatureRow, Policy, PolicyConfig, RankedList,
+                      WeeklyCohort, rank)
 from .stats import TTestResult, paired_t_test
 
 
@@ -147,8 +148,7 @@ class EvaluationReport(NamedTuple):
 
 def generate_report(
     orgs: Iterable[tuple[str, Sequence[WeeklyCohort], Mapping[str, FeatureRow]]],
-    apt_config: PolicyConfig,
-    general_config: PolicyConfig,
+    policies: Mapping[Family, PolicyConfig],
 ) -> EvaluationReport:
     """Evaluate every organization from its ``(org_id, cohorts, table)`` rows.
 
@@ -165,8 +165,9 @@ def generate_report(
     One feature table per organization ranks its cohorts into one list per
     policy, in cohort order, and a costed policy's weekly costs are taken
     as its list is made.  A policy is judged against the ideal list of its
-    own feature family, labelled ``policy:family``, so CVSS base, ranked
-    and costed once per cohort, gets one curve per family.
+    own feature family, labelled ``policy:family``, in ``policies`` order,
+    so CVSS base, ranked and costed once per cohort under the APT family's
+    settings, gets one curve per family.
     """
     ndcg_rows, cost_rows, ttest_rows = [], [], []
     for org_id, cohorts, table in orgs:
@@ -184,8 +185,8 @@ def generate_report(
                                  for year in years)
             return lists
 
-        cvss = ranked(Policy.CVSS_BASE, apt_config)
-        for config in (apt_config, general_config):
+        cvss = ranked(Policy.CVSS_BASE, policies[Family.APT])
+        for config in policies.values():
             threat = FAMILIES[config.family][0]
             ideal = ranked(Policy.IDEAL, config)
             # (policy:family label, one nDCG curve per cohort), CVSS base first.

@@ -48,7 +48,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import DataError
+from .errors import BOM_AT_START, DataError
 from .kinds import AttackVector, SkillLevel, SourceKind, TechnicalImpact
 
 CVE_ID_RE = re.compile(r"^CVE-\d{4}-\d{4,}$")
@@ -413,6 +413,8 @@ def _csv_rows(path: str | Path, header: list[str], source: str) -> Iterator[tupl
                 yield line_no, row
             elif [c.strip() for c in row] == header:
                 header_seen = True
+            elif line_no == 1 and row[0].startswith("\ufeff"):
+                raise DataError(f"{path}: {BOM_AT_START}")
             else:
                 raise DataError(
                     f"{path}: expected {source} header {','.join(header)!r}, "

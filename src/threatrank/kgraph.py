@@ -191,6 +191,15 @@ def _join(src: Node, edge_type: EdgeType, dst: Node) -> None:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
+def _check_prop(node: Node, key: str, value) -> None:
+    """A ValueError naming the node and the prop unless ``value`` is a JSON
+    scalar or a flat list or tuple of them: the props that freeze, and save."""
+    if type(value) not in _SCALARS and (type(value) not in (list, tuple)
+                                        or not _SCALARS.issuperset(map(type, value))):
+        raise ValueError(f"{node.label.value} {node.key!r}: prop {key!r} "
+                         f"must be a JSON scalar or a flat list of them")
+
+
 def _frozen_adjacency(adjacency: dict) -> Mapping:
     """A node's edge type -> node set dict, its sets frozen, as a read-only mapping."""
     if not adjacency:
@@ -260,10 +269,7 @@ class PropertyGraph:
                 props = node.props
                 for key, value in props.items():
                     if type(value) not in _SCALARS:
-                        if type(value) not in (list, tuple) or \
-                                not _SCALARS.issuperset(map(type, value)):
-                            raise ValueError(f"{node.label.value} {node.key!r}: prop {key!r} "
-                                             f"must be a JSON scalar or a flat list of them")
+                        _check_prop(node, key, value)
                         props[key] = tuple(value)
             for node in self.nodes():
                 props = node.props
@@ -473,7 +479,13 @@ def save_graph(graph: PropertyGraph, path: str | Path) -> None:
     sorts them, or ``{kind, type, src, dst}``.  It is rendered from a fixed
     template (label and edge-type values, fixed ASCII names, go in
     verbatim; only keys and props are encoded), and written line by line.
+    A prop ``freeze`` refuses is its ValueError, raised before any write.
     """
+    if not graph._frozen:  # freeze checked a frozen graph's props
+        for node in graph.nodes():
+            for key, value in node.props.items():
+                if type(value) not in _SCALARS:  # as in freeze: the common case, inline
+                    _check_prop(node, key, value)
     # Enum.value is a Python-level descriptor: read it once per member.
     label_names = {label: label.value for label in NodeLabel}
     type_names = {edge_type: edge_type.value for edge_type in EdgeType}

@@ -12,7 +12,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import DataError
+from .errors import BOM_AT_START, DataError
 
 UNITED_STATES = "United States"
 
@@ -30,7 +30,7 @@ def read_data_file(path: str | Path | None, packaged: str) -> str:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     if text.startswith("\ufeff"):
-        raise DataError(f"{path}: unexpected UTF-8 byte order mark (BOM) at the start")
+        raise DataError(f"{path}: {BOM_AT_START}")
     return text
 
 
@@ -52,18 +52,18 @@ class Vocabulary(NamedTuple):
 
 
 def load_vocabulary(
-    countries_path: str | Path | None = None,
-    sectors_path: str | Path | None = None,
+    countries: str | Path | None = None,
+    sectors: str | Path | None = None,
 ) -> Vocabulary:
     """Load vocabularies from the given files, or the packaged defaults: one
     name a line, blank lines and ``#`` comments aside."""
     lists = []
-    for path, packaged in ((countries_path, "countries.txt"), (sectors_path, "dhs_sectors.txt")):
+    for path, packaged in ((countries, "countries.txt"), (sectors, "dhs_sectors.txt")):
         source = packaged if path is None else str(path)
         names = tuple(line for line in map(str.strip, read_data_file(path, packaged).splitlines())
                       if line and not line.startswith("#"))
         if not names:
             raise DataError(f"{source}: a vocabulary file must contain at least one entry")
         lists.append((names, source))
-    (countries, countries_file), (sectors, sectors_file) = lists
-    return Vocabulary(countries, sectors, countries_file, sectors_file)
+    (country_names, countries_file), (sector_names, sectors_file) = lists
+    return Vocabulary(country_names, sector_names, countries_file, sectors_file)

@@ -97,7 +97,7 @@ def test_c1_case_study_reproduction():
         cohorts = generate_candidates(org, graph, config.date_range)
         assert len(cohorts) == 1 and len(cohorts[0].cve_ids) == 39
 
-        apt = config.apt_config
+        apt = config.policies[Family.APT]
         table = feature_table(graph, cohorts[0].cve_ids, org)
         threat = rank(cohorts[0], Policy.APT_THREAT, apt, table)
         cvss = rank(cohorts[0], Policy.CVSS_BASE, apt, table)
@@ -284,7 +284,7 @@ def test_c6_synthetic_corpus_improvement():
         cohorts = generate_candidates(org, graph, config.date_range)
         assert len(cohorts) == 52
 
-        apt = config.apt_config
+        apt = config.policies[Family.APT]
         cvss_series, threat_series = [], []
         for cohort in cohorts:
             table = feature_table(graph, cohort.cve_ids, org)
@@ -382,7 +382,7 @@ def test_c9_corpus_scale_targets():
 
         org = OrgContext.from_graph(graph, "ODU")
         report = generate_report([org_rows(graph, org, config.date_range)],
-                                 config.apt_config, config.general_config)
+                                 config.policies)
         ndcg = {(row[1], row[2], row[3]): row[4] for row in report.ndcg_rows}
         assert ndcg[("cvss_base:apt", 2020, 20)] == pytest.approx(0.557, abs=0.02)
         assert ndcg[("apt_threat:apt", 2020, 20)] == pytest.approx(0.998, abs=0.02)

@@ -33,7 +33,7 @@ from threatrank.ranking import (
     RankedItem,
     RankedList,
 )
-from threatrank.vocab import read_data_file
+from threatrank.vocab import load_vocabulary, read_data_file
 from scripts import fuzz_inputs
 from tests.conftest import CASE_STUDY, FIXTURES, REPO_ROOT, SYNTHETIC
 
@@ -431,8 +431,25 @@ def test_absent_sections_keep_their_defaults(tmp_path):
                     encoding="utf-8")
     config = load_config(path)
     assert (config.snapshots, config.profile_paths) == ({}, [])
-    assert config.apt_config == PolicyConfig(family=Family.APT)
-    assert config.general_config == PolicyConfig(family=Family.GENERAL)
+    assert list(config.policies) == list(ranking.FAMILIES)
+    assert config.policies == {family: PolicyConfig(family=family) for family in Family}
+    assert (config.lexicons, config.vocabularies) == ({}, {})
+
+    # So does an absent key: naming only vocabularies.sectors builds with
+    # the packaged countries.
+    sectors = tmp_path / "sectors.txt"
+    sectors.write_text(read_data_file(None, "dhs_sectors.txt") + "Space Systems\n",
+                       encoding="utf-8")
+    path.write_text(json.dumps({"date_range": {"from": "2021-11-22", "to": "2021-11-28"},
+                                "vocabularies": {"sectors": "sectors.txt"}}), encoding="utf-8")
+    config = load_config(path)
+    assert (config.lexicons, config.vocabularies) == ({}, {"sectors": sectors})
+    graph, _coverage = cli.build_pipeline(config)
+    packaged = load_vocabulary()
+    assert [n.key for n in graph.nodes_with_label(kgraph.NodeLabel.COUNTRY)] \
+        == list(packaged.countries)
+    assert [n.key for n in graph.nodes_with_label(kgraph.NodeLabel.DHS_SECTOR)] \
+        == [*packaged.sectors, "Space Systems"]
 
 
 def test_policy_config_holds_only_what_the_config_sets(tmp_path):
@@ -451,10 +468,10 @@ def test_policy_config_holds_only_what_the_config_sets(tmp_path):
     config = load_config(path)
     fields = set(PolicyConfig._fields) - {"family"}
     assert set().union(*settings.values()) == fields
-    for section, policy_config, family in (("apt_threat", config.apt_config, Family.APT),
-                                           ("general_threat", config.general_config,
-                                            Family.GENERAL)):
+    assert list(config.policies) == list(ranking.FAMILIES)
+    for family, policy_config in config.policies.items():
         assert policy_config.family is family
+        section = ranking.FAMILIES[family][0].value
         default = PolicyConfig(family=family)
         for name in fields:
             changed = getattr(policy_config, name) != getattr(default, name)
@@ -554,9 +571,8 @@ def test_a_utf8_bom_is_refused_naming_the_file_or_skips_a_snapshot_line(tmp_path
             == (6, 1)  # of 7 lines
     else:
         assert code == 2
-        # named as a BOM by the JSON decoder and the data-file reader, as a
-        # header that is not the CSV's by the CSV reader
-        assert str(path.resolve()) in err and ("BOM" in err or r"found '\ufeff" in err), err
+        # named as a BOM by the JSON decoder, the data-file reader and the CSV reader
+        assert str(path.resolve()) in err and "BOM" in err, err
         assert not out.exists()
 
 

@@ -496,14 +496,14 @@ def test_lexicon_rejects_unknown_canonical_value(tmp_path):
     bad.write_text("atlantis\tAtlantis\n", encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(
             f"{bad}: 'atlantis' maps to unknown country 'Atlantis' (not in countries.txt)")):
-        load_lexicon(country_path=bad, vocab=VOCAB)
+        load_lexicon(countries=bad, vocab=VOCAB)
 
 
 def test_vocabulary_errors_name_the_vocabulary_file(tmp_path):
     # A lexicon value outside a configured vocabulary names both files
     sectors = tmp_path / "sectors.txt"
     sectors.write_text("# only one sector\nEducation\n", encoding="utf-8")
-    vocab = load_vocabulary(sectors_path=sectors)
+    vocab = load_vocabulary(sectors=sectors)
     assert (vocab.countries_file, vocab.sectors_file) == ("countries.txt", str(sectors))
     with pytest.raises(DataError, match=re.escape(
             f"sector_terms.tsv: 'aerospace' maps to unknown sector 'Defense Industrial Base' "
@@ -514,11 +514,11 @@ def test_vocabulary_errors_name_the_vocabulary_file(tmp_path):
     countries.write_text("# no country\n\n", encoding="utf-8")
     with pytest.raises(DataError, match=re.escape(
             f"{countries}: a vocabulary file must contain at least one entry")):
-        load_vocabulary(countries_path=countries)
+        load_vocabulary(countries=countries)
 
 
 def test_lexicon_rejects_malformed_line(tmp_path):
     bad = tmp_path / "countries.tsv"
     bad.write_text("just-one-column\n", encoding="utf-8")
     with pytest.raises(DataError):
-        load_lexicon(country_path=bad, vocab=VOCAB)
+        load_lexicon(countries=bad, vocab=VOCAB)

@@ -18,7 +18,7 @@ from threatrank.evaluation import (
     patch_cost,
     severity_band,
 )
-from threatrank.ranking import Policy, RankedItem, RankedList
+from threatrank.ranking import Family, Policy, RankedItem, RankedList
 
 # Frozen by an independent high-precision evaluation of the gain formula.
 DCG_3_2_AT_2 = 8.892789260714373
@@ -214,7 +214,7 @@ def test_report_from_hand_built_rows():
     # cohorts as its family's ideal does, while CVSS base puts the
     # low-relevance 9.8 first.
     from threatrank.evaluation import K_MAX
-    from threatrank.ranking import FIXED_BITS, Family, FeatureRow, PolicyConfig, WeeklyCohort
+    from threatrank.ranking import FIXED_BITS, FeatureRow, PolicyConfig, WeeklyCohort
 
     bit = {name: 1 << i for i, name in enumerate(FIXED_BITS)}
     exploited = (bit["av_network"] | bit["sector_focus"] | bit["targets_country"]
@@ -234,8 +234,8 @@ def test_report_from_hand_built_rows():
     cohorts = [WeeklyCohort("X", (2020, 53), ("CVE-2020-1", "CVE-2020-2", "CVE-2020-3")),
                WeeklyCohort("X", (2021, 1), ("CVE-2021-1", "CVE-2021-2")),
                WeeklyCohort("X", (2021, 2), ("CVE-2021-3",))]
-    report = generate_report([("X", cohorts, table)], PolicyConfig(family=Family.APT),
-                             PolicyConfig(family=Family.GENERAL))
+    report = generate_report([("X", cohorts, table)],
+                             {family: PolicyConfig(family=family) for family in Family})
 
     for label in ("apt_threat:apt", "general_threat:general"):
         rows = [row for row in report.ndcg_rows if row[1] == label]
@@ -253,7 +253,7 @@ def test_report_from_hand_built_rows():
 
 def test_report_row_counts_on_case_fixture(case_graph, case_org, case_config):
     report = generate_report([org_rows(case_graph, case_org, case_config.date_range)],
-                             case_config.apt_config, case_config.general_config)
+                             case_config.policies)
     # four evaluated (policy, ideal-mode) pairs x one year x K in 1..100
     assert len(report.ndcg_rows) == 4 * 100
     labels = {row[1] for row in report.ndcg_rows}
@@ -268,11 +268,11 @@ def test_report_rows_match_direct_ndcg(case_graph, case_org, case_config):
     from threatrank.ranking import feature_table, generate_candidates, rank
 
     report = generate_report([org_rows(case_graph, case_org, case_config.date_range)],
-                             case_config.apt_config, case_config.general_config)
+                             case_config.policies)
     by_key = {(row[1], row[3]): row[4] for row in report.ndcg_rows}
 
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    apt = case_config.apt_config
+    apt = case_config.policies[Family.APT]
     table = feature_table(case_graph, cohort.cve_ids, case_org)
     ideal = rank(cohort, Policy.IDEAL, apt, table)
     threat = rank(cohort, Policy.APT_THREAT, apt, table)
@@ -289,13 +289,13 @@ def test_report_empty_when_no_cohorts(case_graph, case_org, case_config):
 
     report = generate_report([org_rows(case_graph, case_org,
                                        (date(1999, 1, 1), date(1999, 12, 31)))],
-                             case_config.apt_config, case_config.general_config)
+                             case_config.policies)
     assert report.ndcg_rows == [] and report.cost_rows == [] and report.ttest_rows == []
 
 
 def test_report_csvs_are_deterministic(tmp_path, case_graph, case_org, case_config):
     report = generate_report([org_rows(case_graph, case_org, case_config.date_range)],
-                             case_config.apt_config, case_config.general_config)
+                             case_config.policies)
     first = tmp_path / "a"
     second = tmp_path / "b"
     paths_a = report.write_csvs(first)
@@ -315,9 +315,9 @@ def test_report_cost_rows_match_direct_computation(case_graph, case_org, case_co
     from threatrank.ranking import feature_table, generate_candidates, rank
 
     report = generate_report([org_rows(case_graph, case_org, case_config.date_range)],
-                             case_config.apt_config, case_config.general_config)
+                             case_config.policies)
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    ranked = rank(cohort, Policy.CVSS_BASE, case_config.apt_config,
+    ranked = rank(cohort, Policy.CVSS_BASE, case_config.policies[Family.APT],
                   feature_table(case_graph, cohort.cve_ids, case_org))
     cvss_of = {n.key: n.props["cvss_base"]
                for n in case_graph.nodes_with_label(NodeLabel.NVD_CVE)}
@@ -331,7 +331,7 @@ def test_report_ranks_and_costs_cvss_base_once_per_cohort(case_graph, case_org, 
     from collections import Counter
 
     from threatrank import evaluation, ranking
-    from threatrank.ranking import Family, generate_candidates
+    from threatrank.ranking import generate_candidates
 
     ranks, costs = Counter(), Counter()
 
@@ -346,7 +346,7 @@ def test_report_ranks_and_costs_cvss_base_once_per_cohort(case_graph, case_org, 
     monkeypatch.setattr(evaluation, "rank", counted_rank)
     monkeypatch.setattr(evaluation, "patch_cost", counted_patch_cost)
     generate_report([org_rows(case_graph, case_org, case_config.date_range)],
-                    case_config.apt_config, case_config.general_config)
+                    case_config.policies)
     cohorts = len(generate_candidates(case_org, case_graph, case_config.date_range))
     assert ranks == {(Policy.CVSS_BASE, Family.APT): cohorts,
                      (Policy.IDEAL, Family.APT): cohorts,
@@ -364,7 +364,7 @@ def test_report_ttests_on_synthetic_corpus(synth_graph, synth_config, monkeypatc
     monkeypatch.setattr(evaluation, "K_MAX", 20)
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
     report = generate_report([org_rows(synth_graph, org, synth_config.date_range)],
-                             synth_config.apt_config, synth_config.general_config)
+                             synth_config.policies)
     assert len(report.ttest_rows) == 2
     for _org, policy_a, policy_b, result in report.ttest_rows:
         assert policy_a.startswith("cvss_base")
@@ -379,7 +379,7 @@ def test_ttests_do_not_depend_on_k_max(synth_graph, synth_config, monkeypatch):
 
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
     args = ([org_rows(synth_graph, org, synth_config.date_range)],
-            synth_config.apt_config, synth_config.general_config)
+            synth_config.policies)
     full = generate_report(*args)
     monkeypatch.setattr(evaluation, "K_MAX", 5)
     short = generate_report(*args)
@@ -397,9 +397,9 @@ def test_weekly_average(synth_graph, synth_config, monkeypatch):
     monkeypatch.setattr(evaluation, "K_MAX", 20)
     org = OrgContext.from_graph(synth_graph, "SYNTHU")
     report = generate_report([org_rows(synth_graph, org, synth_config.date_range)],
-                             synth_config.apt_config, synth_config.general_config)
+                             synth_config.policies)
     rows = {(row[1], row[2], row[3]): (row[4], row[5]) for row in report.ndcg_rows}
-    apt = synth_config.apt_config
+    apt = synth_config.policies[Family.APT]
     weekly: dict[int, list[list[float]]] = {}
     for cohort in generate_candidates(org, synth_graph, synth_config.date_range):
         table = feature_table(synth_graph, cohort.cve_ids, org)

@@ -776,8 +776,7 @@ def _reference_save_graph(graph, path):
     # save_graph as it was before it rendered lines from templates: one
     # record dict and a full json.dumps per line.  The oracle for the
     # template writer.  Props are written as json.dumps(sort_keys=True)
-    # writes them, which orders the keys of a nested dict too; only a
-    # hand-built graph holds one, and no graph holding one loads or freezes.
+    # writes them.
     nodes = sorted(graph.nodes(), key=lambda n: (n.label.value, n.key))
     edge_rows = sorted((src.key, edge_type.value, dst.key) for src, edge_type, dst in graph.edges())
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
@@ -832,10 +831,10 @@ def test_save_graph_writes_what_the_reference_writer_writes(
         g.upsert_node(src_label, src_key)
         g.upsert_node(dst_label, dst_key)
         assert g.link(edge_type, src_key, dst_key)
+    nested = any(type(value) is dict or type(value) in (list, tuple) and any(
+        type(item) in (list, tuple, dict) for item in value)
+        for node in g.nodes() for value in node.props.values())
     if freeze:
-        nested = any(type(value) is dict or type(value) in (list, tuple) and any(
-            type(item) in (list, tuple, dict) for item in value)
-            for node in g.nodes() for value in node.props.values())
         if nested:
             with pytest.raises(ValueError):
                 g.freeze()
@@ -845,6 +844,15 @@ def test_save_graph_writes_what_the_reference_writer_writes(
                        and all(type(item) in _SCALAR_TYPES for item in value)
                        for node in g.nodes() for value in node.props.values())
     out = tmp_path_factory.mktemp("saved")
+    if nested:
+        # What freeze, and so load_graph, refuses is not saved either: the
+        # earlier graph stays, and no other file is written.
+        (out / "graph.jsonl").write_text("earlier\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="must be a JSON scalar or a flat list of them"):
+            save_graph(g, out / "graph.jsonl")
+        assert [(p.name, p.read_text(encoding="utf-8")) for p in out.iterdir()] \
+            == [("graph.jsonl", "earlier\n")]
+        return
     save_graph(g, out / "graph.jsonl")
     _reference_save_graph(g, out / "reference.jsonl")
     assert (out / "graph.jsonl").read_bytes() == (out / "reference.jsonl").read_bytes()

@@ -326,7 +326,7 @@ def test_threat_policy_ranks_only_in_its_family():
 
 def _case_rankings(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
-    apt = case_config.apt_config
+    apt = case_config.policies[Family.APT]
     table = feature_table(case_graph, cohort.cve_ids, case_org)
     threat = rank(cohort, Policy.APT_THREAT, apt, table)
     cvss = rank(cohort, Policy.CVSS_BASE, apt, table)
@@ -377,11 +377,11 @@ def test_cvss_ranking_carries_no_bits(case_graph, case_org, case_config, monkeyp
         return lambda row: derived.append(row) or mask_of(row)
 
     monkeypatch.setattr(ranking, "_row_masks", counting_row_masks)
-    cvss = rank(cohort, Policy.CVSS_BASE, case_config.apt_config, table)
+    cvss = rank(cohort, Policy.CVSS_BASE, case_config.policies[Family.APT], table)
     default = RankedItem._field_defaults["feature_bits"]
     assert all(item.feature_bits is default for item in cvss.items)
     assert derived == []  # a policy that sums no bits derives none
-    rank(cohort, Policy.APT_THREAT, case_config.apt_config, table)
+    rank(cohort, Policy.APT_THREAT, case_config.policies[Family.APT], table)
     assert len(derived) == len(cohort.cve_ids)  # a threat policy derives each row once
 
 
@@ -389,7 +389,7 @@ def test_ranked_feature_bits_are_read_only(case_graph, case_org, case_config):
     cohort = generate_candidates(case_org, case_graph, case_config.date_range)[0]
     table = feature_table(case_graph, cohort.cve_ids, case_org)
     for policy in (Policy.CVSS_BASE, Policy.APT_THREAT, Policy.IDEAL):
-        ranked = rank(cohort, policy, case_config.apt_config, table)
+        ranked = rank(cohort, policy, case_config.policies[Family.APT], table)
         before = [dict(item.feature_bits) for item in ranked.items]
         for item in ranked.items:
             with pytest.raises(TypeError):
@@ -474,7 +474,7 @@ def test_feature_record_population(case_graph, case_org, case_config):
     # The countries G0901 targets, South Korea and the US, are not origins
     assert row.origin_countries == {"China"}
     assert row.epss == (0.876, 0.94)
-    assert feature_bits(row, case_config.apt_config) == {
+    assert feature_bits(row, case_config.policies[Family.APT]) == {
         "av_network": 1, "sector_focus": 1, "targets_country": 1, "origin_match": 1,
         "skill_match": 0, "technique_link": 1, "failure_impact": 1,
         "epss_gate": 1, "exploit_known": 1, "affects_software": 1,
