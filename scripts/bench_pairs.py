@@ -23,10 +23,14 @@ The output is one JSON object in the shape every ``BENCH_*.json`` shares:
 workload at ``--held-out-seed``) and ``traced`` (``--trace 1`` runs of the
 same workload), each null when not asked for.  Each series also holds a
 ``summary``: per metric, both sides' medians and interquartile ranges, the
-change's pair wins and its relative change of the median.  ``--also``
-adds a series of another workload, under ``also``.  A win is a lower
-value, unless the ``BENCHMARK.json`` beside this script says the metric
-is better higher.  Nothing under either tree's ``bench/`` is edited.
+change's pair wins and its relative change of the median; per end-to-end
+metric, ``over_bound``, true when the change's median is worse than the
+parent's by more than the metric's bound (a share of the parent's median);
+and under ``operations``, each side's total ``attempted`` and ``failed``
+operations.  ``--also`` adds a series of another workload, under ``also``.
+A win is a lower value, unless the ``BENCHMARK.json`` beside this script
+says the metric is better higher; the bounds come from the same file.
+Nothing under either tree's ``bench/`` is edited.
 
 Two trees of which only one holds a bytecode cache (a ``__pycache__``
 under ``src/``) are refused: the cached side would skip compiling the
@@ -74,17 +78,41 @@ def quartile_range(values: list[float]) -> float:
     return q3 - q1
 
 
+def _declaration() -> dict:
+    """The ``BENCHMARK.json`` beside this script; empty if there is none."""
+    path = ROOT / "BENCHMARK.json"
+    return json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
+
+
 def higher_is_better() -> frozenset[str]:
     """Names of the metrics that ``BENCHMARK.json`` marks better higher."""
-    path = ROOT / "BENCHMARK.json"
-    if not path.is_file():
-        return frozenset()
-    spec = json.loads(path.read_text(encoding="utf-8"))
+    spec = _declaration()
     return frozenset(entry["name"] for key in ("end_to_end", "per_layer")
                      for entry in spec.get(key, ()) if entry.get("better") == "higher")
 
 
-def summarize(runs: list[dict], higher: frozenset[str] = frozenset()) -> dict:
+def end_to_end_bounds() -> dict[str, float]:
+    """Each end-to-end metric's ``BENCHMARK.json`` bound, by its bare name
+    (``rank_s``) and by the name a run of several workloads gives it
+    (``year_deep.rank_s``)."""
+    spec = _declaration()
+    bounds = {entry["name"]: entry["bound"] for entry in spec.get("end_to_end", ())}
+    return {**bounds, **{f"{workload['name']}.{name}": bound
+                         for workload in spec.get("workloads", ())
+                         for name, bound in bounds.items()}}
+
+
+def operations(runs: list[dict]) -> dict[str, dict[str, int]]:
+    """Each side's total attempted and failed operations over ``runs``."""
+    totals = {side: {"attempted": 0, "failed": 0} for side in SIDES}
+    for run in runs:
+        for key in ("attempted", "failed"):
+            totals[run["side"]][key] += run["result"][key]
+    return totals
+
+
+def summarize(runs: list[dict], higher: frozenset[str] = frozenset(),
+              bounds: dict[str, float] | None = None) -> dict:
     """Per metric: medians, interquartile ranges, pair wins and relative change.
 
     ``runs`` are ``{"side", "result"}`` in run order; pair i is runs 2i and
@@ -92,6 +120,9 @@ def summarize(runs: list[dict], higher: frozenset[str] = frozenset()) -> dict:
     (``weekly_refresh.rank_s``); ``higher`` holds the bare names
     (``ranking.unique_rank_ratio``) that are better higher.  A metric
     missing from a run is left out of that run's side and of that pair.
+    A metric named in ``bounds`` also gets ``over_bound``: whether the
+    change's median is worse than the parent's by more than that share of
+    the parent's median.
     """
     values = {side: {} for side in SIDES}
     for run in runs:
@@ -118,11 +149,16 @@ def summarize(runs: list[dict], higher: frozenset[str] = frozenset()) -> dict:
             "change_wins": f"{wins}/{pairs}",
             "relative": (change_median - parent_median) / parent_median if parent_median else None,
         }
+        if bounds and name in bounds:
+            worse = change_median - parent_median
+            if better_higher:
+                worse = -worse
+            summary[name]["over_bound"] = worse > bounds[name] * abs(parent_median)
     return summary
 
 
 def run_series(trees: dict[str, Path], workload: str, seed: int, seconds: float, trace: int,
-               pairs: int, higher: frozenset[str]) -> dict:
+               pairs: int, higher: frozenset[str], bounds: dict[str, float]) -> dict:
     """Run one series of interleaved pairs; its command, order, runs and summary."""
     args = ["bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", f"{seconds:g}", "--trace", str(trace)]
@@ -140,7 +176,7 @@ def run_series(trees: dict[str, Path], workload: str, seed: int, seconds: float,
         print(f"[{workload} seed {seed} trace {trace}] run {i}/{len(order)} {side}: "
               f"{result['attempted']} operations, {result['failed']} failed", file=sys.stderr)
     return {"command": " ".join(["python3", *args]), "order": order, "runs": runs,
-            "summary": summarize(runs, higher)}
+            "summary": {**summarize(runs, higher, bounds), "operations": operations(runs)}}
 
 
 def _commit(tree: Path) -> str | None:
@@ -194,12 +230,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    higher = higher_is_better()
+    declared = higher_is_better(), end_to_end_bounds()
     report = {
         "change": args.change,
         "parent_commit": args.parent_commit or _commit(trees["parent"]),
         "machine": _machine(),
-        **run_series(trees, args.workload, args.seed, args.seconds, 0, args.pairs, higher),
+        **run_series(trees, args.workload, args.seed, args.seconds, 0, args.pairs, *declared),
         "held_out_seed": None,
         "traced": None,
         "also": {},
@@ -213,15 +249,15 @@ def main(argv: list[str] | None = None) -> int:
     write()
     for workload, pairs in args.also:
         report["also"][workload] = run_series(trees, workload, args.seed, args.seconds, 0,
-                                              pairs, higher)
+                                              pairs, *declared)
         write()
     if args.held_out_seed is not None:
         report["held_out_seed"] = run_series(trees, args.workload, args.held_out_seed,
-                                             args.seconds, 0, args.held_out_pairs, higher)
+                                             args.seconds, 0, args.held_out_pairs, *declared)
         write()
     if args.traced_pairs:
         report["traced"] = run_series(trees, args.workload, args.seed, args.seconds, 1,
-                                      args.traced_pairs, higher)
+                                      args.traced_pairs, *declared)
         write()
     if args.out is None:
         sys.stdout.write(json.dumps(report, indent=1) + "\n")

@@ -25,11 +25,12 @@ _MODULES = {
               "parse_snapshot", "validate_snapshot"),
     "kgraph": ("EdgeType", "NodeLabel", "PropertyGraph", "build_graph", "load_graph",
                "save_graph", "techniques_for_cve"),
-    "kinds": ("AttackVector", "SkillLevel", "SourceKind", "TechnicalImpact"),
+    "kinds": ("AttackVector", "Family", "Policy", "PolicyConfig", "SkillLevel", "SourceKind",
+              "TechnicalImpact"),
     "profiles": ("OrganizationProfile", "SoftwareItem", "cpe_index", "load_profile",
                  "resolve_cpes"),
-    "ranking": ("Family", "FeatureRow", "OrgContext", "Policy", "PolicyConfig", "RankedItem",
-                "RankedList", "WeeklyCohort", "feature_table", "generate_candidates", "rank"),
+    "ranking": ("FeatureRow", "OrgContext", "RankedItem", "RankedList", "WeeklyCohort",
+                "feature_table", "generate_candidates", "rank"),
     "stats": ("TTestResult", "paired_t_test", "student_t_cdf"),
     "vocab": ("Vocabulary", "load_vocabulary"),
 }

@@ -14,12 +14,12 @@ graph.
 Exit codes: 0 success, 1 usage error (bad flags, missing paths, unknown
 ids), 2 data error (unreadable or invalid content).
 
-A command imports only the modules it runs: ``feeds``, ``enrich``,
-``profiles`` and ``evaluation`` are imported inside the commands that use
-them, so a read command (``rank``, ``evaluate``, ``case-study``) loads
-neither the feed parsers nor the attribution and inventory code.  Calls go
-through the module attribute (``enrich.load_lexicon``), so a function
-rebound on its module is the one that runs.
+A command imports only the modules it runs.  Config parsing reads only
+``kinds``; ``kgraph``, ``ranking``, ``feeds``, ``enrich``, ``profiles`` and
+``evaluation`` are imported inside the functions that use them, so
+``ingest`` loads no graph or ranking code, ``build`` no ranking code, and a
+read command no feed parser, attribution or inventory code.  Calls go through
+the module attribute (``kgraph.load_graph``), so a rebound function runs.
 
 ``main`` runs a command with the cyclic garbage collector paused, so no
 collection pass re-walks the growing heap while the command builds it.
@@ -47,13 +47,12 @@ from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import kgraph, ranking
 from .errors import DataError, UsageError, output_file, reject_unknown, write_csv
-from .kinds import SkillLevel, SourceKind
+from .kinds import FAMILIES, Family, Policy, PolicyConfig, SkillLevel, SourceKind
 from .vocab import load_vocabulary
 
 if TYPE_CHECKING:
-    from . import feeds, profiles
+    from . import feeds, kgraph, profiles, ranking
 
 GRAPH_FILENAME = "graph.jsonl"
 
@@ -61,13 +60,13 @@ GRAPH_FILENAME = "graph.jsonl"
 class ProjectConfig(NamedTuple):
     """Parsed project configuration, each section as the file states it;
     all paths resolved against the file.  ``policies`` holds every family,
-    in ``ranking.FAMILIES`` order; ``lexicons`` and ``vocabularies`` only the keys set."""
+    in ``FAMILIES`` order; ``lexicons`` and ``vocabularies`` only the keys set."""
 
     snapshots: dict[SourceKind, Path]
     profile_paths: list[Path]
     date_range: tuple[date, date]
     output_dir: Path
-    policies: dict[ranking.Family, ranking.PolicyConfig]
+    policies: dict[Family, PolicyConfig]
     lexicons: dict[str, Path]
     vocabularies: dict[str, Path]
 
@@ -97,10 +96,10 @@ _CONFIG_KEYS = ("snapshots", "profiles", "date_range", "output_dir", "lexicons",
 _DATA_FILE_KEYS = ("countries", "sectors")
 
 
-def _policy_config(path: Path, family: ranking.Family, raw) -> ranking.PolicyConfig:
+def _policy_config(path: Path, family: Family, raw) -> PolicyConfig:
     """``family``'s section of config file ``path``, named after its threat
     policy; every DataError names the file and the section."""
-    name = ranking.FAMILIES[family][0].value
+    name = FAMILIES[family][0].value
     what = f"{path}: policies.{name}"
     _expect(raw, dict, what)
     reject_unknown(raw, _POLICY_KEYS[name], f"{what}: unknown key")
@@ -117,7 +116,7 @@ def _policy_config(path: Path, family: ranking.Family, raw) -> ranking.PolicyCon
         for key, kind in (("epss_threshold", (int, float)), ("risk_appetite", int), ("k", int)):
             if key in raw:
                 settings[key] = _expect(raw[key], kind, f"{what}.{key}")
-        return ranking.PolicyConfig(family=family, **settings)
+        return PolicyConfig(family=family, **settings)
     except ValueError as exc:
         raise DataError(f"{what}: {exc}") from None
 
@@ -185,7 +184,7 @@ def load_config(path: str | Path) -> ProjectConfig:
     reject_unknown(policies, _POLICY_KEYS, f"{path}: unknown policy")
     return ProjectConfig(snapshots, profile_paths, (start, end), output_dir, policies={
         family: _policy_config(path, family, policies.get(threat.value, {}))
-        for family, (threat, _bits) in ranking.FAMILIES.items()}, **data_files)
+        for family, (threat, _bits) in FAMILIES.items()}, **data_files)
 
 
 def load_bundle(config: ProjectConfig) -> tuple[dict[SourceKind, list], dict[str, feeds.ParseResult]]:
@@ -213,7 +212,7 @@ def build_pipeline(config: ProjectConfig) -> tuple[kgraph.PropertyGraph,
                                                    dict[str, profiles.CoverageReport]]:
     """Parse, enrich, resolve, and assemble the knowledge graph, unfrozen
     since ``build`` only saves it; also return each org's CPE coverage report."""
-    from . import enrich, profiles
+    from . import enrich, kgraph, profiles
 
     vocab = load_vocabulary(**config.vocabularies)
     bundle, _ = load_bundle(config)
@@ -241,6 +240,8 @@ def build_pipeline(config: ProjectConfig) -> tuple[kgraph.PropertyGraph,
 
 
 def _require_graph(config: ProjectConfig) -> kgraph.PropertyGraph:
+    from . import kgraph
+
     graph_path = config.output_dir / GRAPH_FILENAME
     if not graph_path.exists():
         raise UsageError(f"graph snapshot not found: {graph_path} (run 'build' first)")
@@ -251,6 +252,8 @@ def _org_rows(graph: kgraph.PropertyGraph, org_id: str, date_range: tuple[date, 
               ) -> tuple[list[ranking.WeeklyCohort], dict[str, ranking.FeatureRow]]:
     """An organization's weekly cohorts in the date range, and one feature
     table over all of them: everything a read command ranks the org from."""
+    from . import ranking
+
     try:
         org = ranking.OrgContext.from_graph(graph, org_id)
     except KeyError:
@@ -302,6 +305,8 @@ def cmd_ingest(config: ProjectConfig) -> int:
 
 def cmd_build(config: ProjectConfig) -> int:
     """Build the knowledge graph; persist its snapshot, then the coverage CSVs."""
+    from . import kgraph
+
     graph, coverage = build_pipeline(config)
     graph_path = config.output_dir / GRAPH_FILENAME
     kgraph.save_graph(graph, graph_path)
@@ -364,13 +369,14 @@ def _write_ranked_csv(path: Path, ranked_lists: list[ranking.RankedList]) -> Non
 
 def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
     """Rank an organization's weekly cohorts under one policy."""
+    from . import ranking
+
     try:
-        policy = ranking.Policy(policy_name)
+        policy = Policy(policy_name)
     except ValueError:
         raise UsageError(f"unknown policy: {policy_name!r} "
-                         f"(choose from {[p.value for p in ranking.Policy]})")
-    family = (ranking.Family.GENERAL if policy is ranking.Policy.GENERAL_THREAT
-              else ranking.Family.APT)
+                         f"(choose from {[p.value for p in Policy]})")
+    family = Family.GENERAL if policy is Policy.GENERAL_THREAT else Family.APT
     cohorts, table = _org_rows(_require_graph(config), org_id, config.date_range)
     ranked_lists = [ranking.rank(c, policy, config.policies[family], table) for c in cohorts]
     out_path = config.output_dir / f"ranked_{org_id}_{policy.value}.csv"
@@ -382,7 +388,7 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
 
 def cmd_evaluate(config: ProjectConfig) -> int:
     """Compute nDCG curves, costs, and t-tests for every organization."""
-    from . import evaluation
+    from . import evaluation, kgraph
 
     graph = _require_graph(config)
     org_ids = sorted(n.key for n in graph.nodes_with_label(kgraph.NodeLabel.ORGANIZATION))
@@ -397,15 +403,17 @@ def cmd_evaluate(config: ProjectConfig) -> int:
 
 def cmd_case_study(config: ProjectConfig, org_id: str) -> int:
     """Emit a side-by-side CVSS-vs-threat ranking table per weekly cohort."""
+    from . import ranking
+
     cohorts, table = _org_rows(_require_graph(config), org_id, config.date_range)
     if not cohorts:
         print(f"{org_id}: no candidate cohorts in "
               f"{config.date_range[0]}..{config.date_range[1]}")
         return 0
-    apt = config.policies[ranking.Family.APT]
+    apt = config.policies[Family.APT]
     for cohort in cohorts:
-        cvss_rank = ranking.rank(cohort, ranking.Policy.CVSS_BASE, apt, table).rank_of()
-        threat_ranked = ranking.rank(cohort, ranking.Policy.APT_THREAT, apt, table)
+        cvss_rank = ranking.rank(cohort, Policy.CVSS_BASE, apt, table).rank_of()
+        threat_ranked = ranking.rank(cohort, Policy.APT_THREAT, apt, table)
         rows = [
             (item.cve_id, table[item.cve_id].cvss_base or 0.0, int(item.score),
              cvss_rank[item.cve_id], item.rank)

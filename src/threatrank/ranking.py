@@ -32,7 +32,7 @@ a candidate:
 
 A ``PolicyConfig`` holds the settings of one feature ``Family``: a threat
 policy and the ideal that mirrors it (``FAMILIES``).  ``rank`` takes the
-policy as an argument.
+policy as an argument.  These settings types are defined in ``kinds``.
 
 Ranking reads the organization's feature table, one for every cohort and
 every policy of both families, and never the graph; output order never
@@ -42,13 +42,13 @@ depends on evaluation order (ties break on ascending CVE id).
 from __future__ import annotations
 
 from datetime import date
-from enum import Enum
 from functools import reduce
 from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .kinds import AttackVector, SkillLevel, TechnicalImpact
+from .kinds import (APT_BITS, DEFAULT_ORIGIN_COUNTRIES, FAMILIES, GENERAL_BITS,  # noqa: F401
+                    AttackVector, Family, Policy, PolicyConfig, TechnicalImpact)
 # techniques_for_cve is unused here; bench/trace_cli.py rebinds ranking's name.
 from .kgraph import EdgeType, Node, NodeLabel, PropertyGraph, techniques_for_cve  # noqa: F401
 
@@ -60,59 +60,6 @@ FAILURE_IMPACTS = frozenset({
     TechnicalImpact.MODIFY_DATA.value,
     TechnicalImpact.BYPASS_PROTECTION.value,
 })
-
-DEFAULT_ORIGIN_COUNTRIES = frozenset({"China", "Russia", "Iran"})
-DEFAULT_EPSS_THRESHOLD = 0.876
-
-
-class Policy(Enum):
-    CVSS_BASE = "cvss_base"
-    APT_THREAT = "apt_threat"
-    GENERAL_THREAT = "general_threat"
-    IDEAL = "ideal"
-
-
-class Family(Enum):
-    """A feature family; the value labels its rows in ``ndcg_by_k.csv``."""
-
-    APT = "apt"
-    GENERAL = "general"
-
-
-class _PolicyFields(NamedTuple):
-    family: Family
-    origin_countries: frozenset[str] = DEFAULT_ORIGIN_COUNTRIES
-    skill_level: SkillLevel = SkillLevel.HIGH
-    epss_threshold: float = DEFAULT_EPSS_THRESHOLD
-    risk_appetite: int = 100
-    k: int = 20
-
-
-class PolicyConfig(_PolicyFields):
-    """One family's settings, as a ``policies.<threat>`` config object sets them.
-
-    Every way of building one checks the settings: the constructor, and
-    ``_make``, through which ``_replace`` builds its copy.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 <= self.epss_threshold <= 1.0:
-            raise ValueError(f"epss_threshold outside [0,1]: {self.epss_threshold}")
-        if not 0 <= self.risk_appetite <= 100:
-            raise ValueError(f"risk_appetite outside [0,100]: {self.risk_appetite}")
-        if self.k < 1:
-            raise ValueError(f"k must be positive: {self.k}")
-        if self.skill_level not in (SkillLevel.LOW, SkillLevel.HIGH):
-            raise ValueError("skill_level must be Low or High")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "PolicyConfig":
-        return cls(*iterable)
-
 
 class OrgContext(NamedTuple):
     """The slice of an organization the scoring functions need."""
@@ -208,17 +155,6 @@ def generate_candidates(
 # ---------------------------------------------------------------------------
 # Feature bits: one extraction, policies as bit-name tuples
 # ---------------------------------------------------------------------------
-
-# Policies are sums over these names; the tuple order is the order the
-# ``feature_bits`` column of the ranked CSVs prints.
-APT_BITS = ("av_network", "sector_focus", "targets_country", "origin_match",
-            "epss_gate", "affects_software")
-GENERAL_BITS = ("av_network", "skill_match", "technique_link", "failure_impact",
-                "epss_gate", "affects_software")
-# Each family's threat policy and the bits it sums.
-FAMILIES = {Family.APT: (Policy.APT_THREAT, APT_BITS),
-            Family.GENERAL: (Policy.GENERAL_THREAT, GENERAL_BITS)}
-
 
 def policy_bits(policy: Policy, family: Family) -> tuple[str, ...]:
     """Names of the bits a policy sums in a family; empty for CVSS base.

@@ -62,6 +62,39 @@ def test_directions_come_from_the_benchmark_declaration():
     assert "ranking.unique_rank_ratio" in higher and "rank_s" not in higher
 
 
+def test_summary_marks_each_bounded_metric_over_its_bound_and_totals_operations():
+    # setup_s is 30% worse against a 25% bound, rank_s 20% worse inside it;
+    # the better-higher ratio fell 10% against a 5% bound, and the
+    # better-higher hits rose 50%, which is no worsening.  The bound of a
+    # metric no run reports marks nothing, and an unbounded metric has no mark.
+    def result(setup_s, rank_s, ratio, hits, attempted, failed):
+        values = {"setup_s": setup_s, "rank_s": rank_s, "ranking.unique_rank_ratio": ratio,
+                  "hits": hits, "ranking.rank_s": rank_s}
+        return {"attempted": attempted, "failed": failed,
+                "metrics": {name: {"value": value, "unit": "s"} for name, value in values.items()}}
+
+    runs = [{"side": "parent", "result": result(1.0, 1.0, 0.5, 2.0, 40, 0)},
+            {"side": "change", "result": result(1.3, 1.2, 0.45, 3.0, 41, 1)},
+            {"side": "change", "result": result(1.3, 1.2, 0.45, 3.0, 39, 2)},
+            {"side": "parent", "result": result(1.0, 1.0, 0.5, 2.0, 40, 0)}]
+    bounds = {"setup_s": 0.25, "rank_s": 0.25, "ranking.unique_rank_ratio": 0.05, "hits": 0.05,
+              "out_mb": 0.05}
+    summary = bench_pairs.summarize(runs, frozenset({"ranking.unique_rank_ratio", "hits"}),
+                                    bounds)
+    assert {name: entry.get("over_bound") for name, entry in summary.items()} == {
+        "setup_s": True, "rank_s": False, "ranking.unique_rank_ratio": True, "hits": False,
+        "ranking.rank_s": None}
+    assert bench_pairs.operations(runs) == {"parent": {"attempted": 80, "failed": 0},
+                                            "change": {"attempted": 80, "failed": 3}}
+
+
+def test_bounds_come_from_the_benchmark_declaration_under_both_names():
+    bounds = bench_pairs.end_to_end_bounds()
+    assert bounds["setup_s"] == bounds["year_deep.setup_s"] == 0.25
+    assert bounds["out_mb"] == bounds["wide_intel.out_mb"] == 0.05
+    assert "ranking.rank_s" not in bounds and "year_deep.ranking.rank_s" not in bounds
+
+
 @pytest.mark.parametrize("stdout", ["", "\n\n", "[year_deep] no result\n", "[1, 2]\n"])
 def test_a_run_without_a_result_line_is_refused(stdout):
     with pytest.raises(ValueError):
@@ -113,6 +146,9 @@ def test_main_runs_each_tree_in_its_own_directory_and_writes_every_series(tmp_pa
     assert (report["change"], report["parent_commit"]) == ("a stub change", "0123abc")
     assert report["order"] == ["parent", "change", "change", "parent"]
     assert report["summary"]["rank_s"]["change_wins"] == "2/2"
+    assert report["summary"]["rank_s"]["over_bound"] is False
+    assert report["summary"]["operations"] == {"parent": {"attempted": 2, "failed": 0},
+                                               "change": {"attempted": 2, "failed": 0}}
     series = {("weekly_refresh", "1", "0"): report,
               ("year_deep", "1", "0"): report["also"]["year_deep"],
               ("weekly_refresh", "2", "0"): report["held_out_seed"],

@@ -885,14 +885,14 @@ def _node_count() -> int:
 def test_main_in_process_freezes_nothing_and_its_graph_is_collected(built, monkeypatch):
     frozen, nodes = gc.get_freeze_count(), _node_count()
     loaded = []
-    load_graph = cli.kgraph.load_graph
+    load_graph = kgraph.load_graph
 
     def counting_load_graph(path):
         graph = load_graph(path)
         loaded.append(sum(1 for _ in graph.nodes()))
         return graph
 
-    monkeypatch.setattr(cli.kgraph, "load_graph", counting_load_graph)
+    monkeypatch.setattr(kgraph, "load_graph", counting_load_graph)
     assert _run("--config", CONFIG, "--out", str(built),
                 "rank", "--org", "ODU", "--policy", "apt_threat") == 0
     assert loaded[0] > 0

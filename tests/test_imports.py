@@ -1,4 +1,4 @@
-"""A read command imports only what it runs, and every public name still
+"""Each command imports only what it runs, and every public name still
 imports from the package, loaded on first use."""
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ PUBLIC_NAMES = {
               "parse_snapshot", "validate_snapshot"],
     "kgraph": ["EdgeType", "NodeLabel", "PropertyGraph", "build_graph", "load_graph",
                "save_graph", "techniques_for_cve"],
-    "kinds": ["AttackVector", "SkillLevel", "SourceKind", "TechnicalImpact"],
+    "kinds": ["AttackVector", "Family", "Policy", "PolicyConfig", "SkillLevel", "SourceKind",
+              "TechnicalImpact"],
     "profiles": ["OrganizationProfile", "SoftwareItem", "cpe_index", "load_profile",
                  "resolve_cpes"],
-    "ranking": ["Family", "FeatureRow", "OrgContext", "Policy", "PolicyConfig", "RankedItem",
-                "RankedList", "WeeklyCohort", "feature_table", "generate_candidates", "rank"],
+    "ranking": ["FeatureRow", "OrgContext", "RankedItem", "RankedList", "WeeklyCohort",
+                "feature_table", "generate_candidates", "rank"],
     "stats": ["TTestResult", "paired_t_test", "student_t_cdf"],
     "vocab": ["Vocabulary", "load_vocabulary"],
 }
@@ -58,15 +59,19 @@ print(json.dumps({"after_package": after_package, "codes": codes,
                   "dataclasses": "dataclasses" in sys.modules}))
 """
 
-# Run in a fresh interpreter: ingest and build, then whether logging and
-# dataclasses are loaded.
+# Run in a fresh interpreter: ingest and build, the modules loaded after
+# each, and whether logging and dataclasses are loaded.
 _SETUP_CHILD = """
 import contextlib, io, json, sys
 from threatrank.cli import main
 base = sys.argv[1:]
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("threatrank"))
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main([*base, "ingest"]), main([*base, "build"])]
-print(json.dumps({"codes": codes, "logging": "logging" in sys.modules,
+    codes = [main([*base, "ingest"])]
+    after_ingest = loaded()
+    codes.append(main([*base, "build"]))
+print(json.dumps({"codes": codes, "after_ingest": after_ingest, "after_build": loaded(),
+                  "logging": "logging" in sys.modules,
                   "dataclasses": "dataclasses" in sys.modules}))
 """
 
@@ -94,12 +99,30 @@ def test_read_commands_import_no_ingest_or_build_module(tmp_path, capsys):
     assert result["dataclasses"] is False
 
 
-def test_ingest_and_build_import_neither_dataclasses_nor_logging(tmp_path):
+@pytest.fixture(scope="module")
+def setup_child(tmp_path_factory) -> dict:
+    return _run_child(_SETUP_CHILD, "--config", str(CASE_STUDY / "config.json"),
+                      "--out", str(tmp_path_factory.mktemp("setup") / "out"))
+
+
+def test_ingest_and_build_import_neither_dataclasses_nor_logging(setup_child):
     # The fixture's feeds hold no duplicate primary key, the one thing that
     # makes ingest or build import logging.
-    result = _run_child(_SETUP_CHILD, "--config", str(CASE_STUDY / "config.json"),
-                        "--out", str(tmp_path / "out"))
-    assert result == {"codes": [0, 0], "logging": False, "dataclasses": False}
+    assert setup_child["codes"] == [0, 0]
+    assert (setup_child["logging"], setup_child["dataclasses"]) == (False, False)
+
+
+def test_ingest_imports_no_graph_or_ranking_module_and_build_no_ranking_module(setup_child):
+    # Config parsing reads only kinds.  ingest loads no kgraph, ranking,
+    # enrich, profiles, evaluation or stats; build adds the graph,
+    # enrichment and inventory code (and ``data``, the packaged vocabularies'
+    # resource package), and still no ranking, evaluation or stats.
+    assert setup_child["codes"] == [0, 0]
+    package = lambda *names: {f"threatrank.{name}" for name in names}  # noqa: E731
+    after_ingest = set(setup_child["after_ingest"])
+    assert after_ingest == {"threatrank"} | package("cli", "errors", "kinds", "vocab", "feeds")
+    assert set(setup_child["after_build"]) == after_ingest | package("kgraph", "enrich",
+                                                                     "profiles", "data")
 
 
 @pytest.mark.parametrize("module, name", [(module, name) for module, names
@@ -128,5 +151,5 @@ def test_unknown_name_is_an_attribute_error():
 def test_feeds_reexports_the_shared_kinds_and_format_error():
     from threatrank import feeds, kinds
 
-    for name in PUBLIC_NAMES["kinds"]:
+    for name in ("AttackVector", "SkillLevel", "SourceKind", "TechnicalImpact"):
         assert getattr(feeds, name) is getattr(kinds, name)

@@ -9,7 +9,8 @@ import re
 
 import pytest
 
-from threatrank import cli, enrich, evaluation, feeds, kgraph, profiles, ranking, stats, vocab
+from threatrank import (cli, enrich, evaluation, feeds, kgraph, kinds, profiles, ranking,
+                        stats, vocab)
 from threatrank.enrich import Lexicon
 from threatrank.errors import DataError
 from threatrank.feeds import ParseResult
@@ -17,7 +18,7 @@ from threatrank.kgraph import BuildStats, Node, NodeLabel
 from threatrank.kinds import SkillLevel
 from threatrank.ranking import Family, PolicyConfig, RankedItem
 
-MODULES = (cli, enrich, evaluation, feeds, kgraph, profiles, ranking, stats, vocab)
+MODULES = (cli, enrich, evaluation, feeds, kgraph, kinds, profiles, ranking, stats, vocab)
 
 RECORD_TYPES = sorted(
     (obj for module in MODULES for obj in vars(module).values()
