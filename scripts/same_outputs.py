@@ -16,26 +16,28 @@ wrote, is printed, and so is every line that a command prints
 differently (its output directory read as ``<out>``), or that only one
 tree prints.  The exit code is 1 if there is any (or if a command
 fails); 0 means every output matched.  The last line also gives
-the source lines of each tree's ``threatrank`` package and of the
-``scripts/*.py`` beside its ``src`` directory.  Nothing is
-written outside a temporary directory.
+the source lines of each tree's ``threatrank`` package, its code lines
+(lines holding a token that is neither a comment nor part of a
+docstring, so a moved or reworded comment does not count), and the
+source lines of the ``scripts/*.py`` beside its ``src`` directory.
+Nothing is written outside a temporary directory.
 """
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
-
-from corpus import WORKLOADS, generate  # noqa: E402
 
 FIXTURES = ("case_study", "synthetic52")
 # The benchmark's seed, and a held-out one.
@@ -85,6 +87,40 @@ def _source_lines(paths) -> int:
     return sum(path.read_bytes().count(b"\n") for path in paths)
 
 
+def _docstring_spans(tree: ast.AST) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The (start, end) positions of every module, class and function docstring."""
+    spans = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                spans.append(((first.lineno, first.col_offset),
+                              (first.end_lineno, first.end_col_offset)))
+    return spans
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
+
+
+def code_lines(source: str) -> int:
+    """The lines of ``source`` holding a token that is neither a comment nor
+    part of a docstring; a multi-line token holds every line it spans."""
+    spans = _docstring_spans(ast.parse(source))
+    lines: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type in _NOT_CODE or any(start <= token.start and token.end <= end
+                                          for start, end in spans):
+            continue
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
+def _code_lines(paths) -> int:
+    return sum(code_lines(path.read_text(encoding="utf-8")) for path in paths)
+
+
 def _digests(out: Path) -> dict[str, str]:
     return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.rglob("*")) if path.is_file()}
@@ -94,6 +130,9 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 scripts/same_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 1
+    sys.path.insert(0, str(ROOT / "bench"))
+    from corpus import WORKLOADS, generate
+
     trees = {"parent": _src_dir(argv[0]), "change": _src_dir(argv[1])}
     differing = failed = compared = differing_lines = compared_lines = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
@@ -139,11 +178,14 @@ def main(argv: list[str]) -> int:
             print(f"{name}: {len(change)} output files", file=sys.stderr)
     package = ", ".join(f"{tree} {_source_lines((src / 'threatrank').rglob('*.py'))}"
                         for tree, src in trees.items())
+    code = ", ".join(f"{tree} {_code_lines((src / 'threatrank').rglob('*.py'))}"
+                     for tree, src in trees.items())
     scripts = ", ".join(f"{tree} {_source_lines((src.parent / 'scripts').glob('*.py'))}"
                         for tree, src in trees.items())
     print(f"{differing} of {compared} output files differ, {differing_lines} of "
           f"{compared_lines} printed lines differ, {failed} refreshes failed; "
-          f"src/threatrank lines: {package}; scripts lines: {scripts}")
+          f"src/threatrank lines: {package}; src/threatrank code lines: {code}; "
+          f"scripts lines: {scripts}")
     return int(bool(differing or differing_lines or failed))
 
 

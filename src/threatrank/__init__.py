@@ -30,7 +30,7 @@ _MODULES = {
     "profiles": ("OrganizationProfile", "SoftwareItem", "cpe_index", "load_profile",
                  "resolve_cpes"),
     "ranking": ("FeatureRow", "OrgContext", "RankedItem", "RankedList", "WeeklyCohort",
-                "feature_table", "generate_candidates", "rank"),
+                "feature_table", "generate_candidates", "org_ids", "org_rows", "rank"),
     "stats": ("TTestResult", "paired_t_test", "student_t_cdf"),
     "vocab": ("Vocabulary", "load_vocabulary"),
 }

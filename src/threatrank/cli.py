@@ -5,11 +5,11 @@ testable and cacheable: ``build`` persists the graph snapshot that
 ``rank``, ``evaluate``, and ``case-study`` consume.  Every command is
 deterministic and idempotent; nothing in the pipeline needs a seed.
 
-The read commands read the graph through one function, ``_org_rows``: an
-organization's weekly cohorts and one feature table over all of them.
+The read commands read the graph through one function, ``ranking.org_rows``:
+an organization's weekly cohorts and one feature table over all of them.
 ``rank`` and ``case-study`` rank one org from those rows, and ``evaluate``
-hands each org's rows to ``evaluation.generate_report``, which reads no
-graph.
+hands the rows of each org ``ranking.org_ids`` lists to
+``evaluation.generate_report``, which reads no graph.
 
 Exit codes: 0 success, 1 usage error (bad flags, missing paths, unknown
 ids), 2 data error (unreadable or invalid content).
@@ -248,20 +248,6 @@ def _require_graph(config: ProjectConfig) -> kgraph.PropertyGraph:
     return kgraph.load_graph(graph_path)
 
 
-def _org_rows(graph: kgraph.PropertyGraph, org_id: str, date_range: tuple[date, date]
-              ) -> tuple[list[ranking.WeeklyCohort], dict[str, ranking.FeatureRow]]:
-    """An organization's weekly cohorts in the date range, and one feature
-    table over all of them: everything a read command ranks the org from."""
-    from . import ranking
-
-    try:
-        org = ranking.OrgContext.from_graph(graph, org_id)
-    except KeyError:
-        raise UsageError(f"unknown organization id: {org_id}")
-    cohorts = ranking.generate_candidates(org, graph, date_range)
-    return cohorts, ranking.feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -312,15 +298,11 @@ def cmd_build(config: ProjectConfig) -> int:
     kgraph.save_graph(graph, graph_path)
     for org_id, report in sorted(coverage.items()):
         report.write_csv(config.output_dir / f"coverage_{org_id}.csv")
-    dropped = {
-        (key.value if isinstance(key, kgraph.EdgeType) else str(key)): count
-        for key, count in graph.stats.dangling_dropped.items()
-    }
     edges = graph.edge_count
     stats = {
         "nodes": graph.node_count,
         "edges": edges,
-        "dangling_dropped": dict(sorted(dropped.items())),
+        "dangling_dropped": dict(sorted(graph.stats.dangling_dropped.items())),
         # Kept so the summary keeps its shape; always 0, because link finds
         # both endpoints by the labels the edge type joins.
         "schema_rejected": 0,
@@ -377,7 +359,7 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
         raise UsageError(f"unknown policy: {policy_name!r} "
                          f"(choose from {[p.value for p in Policy]})")
     family = Family.GENERAL if policy is Policy.GENERAL_THREAT else Family.APT
-    cohorts, table = _org_rows(_require_graph(config), org_id, config.date_range)
+    cohorts, table = ranking.org_rows(_require_graph(config), org_id, config.date_range)
     ranked_lists = [ranking.rank(c, policy, config.policies[family], table) for c in cohorts]
     out_path = config.output_dir / f"ranked_{org_id}_{policy.value}.csv"
     _write_ranked_csv(out_path, ranked_lists)
@@ -388,12 +370,12 @@ def cmd_rank(config: ProjectConfig, org_id: str, policy_name: str) -> int:
 
 def cmd_evaluate(config: ProjectConfig) -> int:
     """Compute nDCG curves, costs, and t-tests for every organization."""
-    from . import evaluation, kgraph
+    from . import evaluation, ranking
 
     graph = _require_graph(config)
-    org_ids = sorted(n.key for n in graph.nodes_with_label(kgraph.NodeLabel.ORGANIZATION))
     # A generator: each org's rows are read when the report reaches it.
-    orgs = ((org_id, *_org_rows(graph, org_id, config.date_range)) for org_id in org_ids)
+    orgs = ((org_id, *ranking.org_rows(graph, org_id, config.date_range))
+            for org_id in ranking.org_ids(graph))
     report = evaluation.generate_report(orgs, config.policies)
     paths = report.write_csvs(config.output_dir)
     for name, out_path in sorted(paths.items()):
@@ -405,7 +387,7 @@ def cmd_case_study(config: ProjectConfig, org_id: str) -> int:
     """Emit a side-by-side CVSS-vs-threat ranking table per weekly cohort."""
     from . import ranking
 
-    cohorts, table = _org_rows(_require_graph(config), org_id, config.date_range)
+    cohorts, table = ranking.org_rows(_require_graph(config), org_id, config.date_range)
     if not cohorts:
         print(f"{org_id}: no candidate cohorts in "
               f"{config.date_range[0]}..{config.date_range[1]}")

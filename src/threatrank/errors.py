@@ -41,11 +41,13 @@ def output_file(path: str | Path):
     """A UTF-8 text file (``newline=""``) that replaces ``path``, its directory
     made, when the block ends cleanly, and is removed on any exception; an
     OSError is a DataError naming ``path``.  A pid-named ``"x"`` sibling keeps
-    the umask's mode (``mkstemp``'s is 0600).  Nothing is synced to disk."""
+    the umask's mode (``mkstemp``'s is 0600); one that a killed run with the
+    same pid left is removed first.  Nothing is synced to disk."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+        temp.unlink(missing_ok=True)
         with open(temp, "x", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(temp, path)

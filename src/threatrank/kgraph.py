@@ -163,7 +163,8 @@ _set_label, _set_key, _set_props, _set_outgoing = (
 
 
 class BuildStats:
-    """The references a build dropped for want of a node, by edge type or source."""
+    """The references a build dropped for want of a node, counted by a string:
+    the edge type's value (``"WeakenedBy"``), or ``"epss"`` or ``"attribution"``."""
 
     __slots__ = ("dangling_dropped",)
 
@@ -253,7 +254,7 @@ class PropertyGraph:
         if self._frozen:
             raise GraphFrozenError("graph is frozen")
         if src is None or dst is None:
-            self.stats.dangling_dropped[edge_type] += 1
+            self.stats.dangling_dropped[edge_type.value] += 1
             return False
         _join(src, edge_type, dst)
         return True

@@ -34,9 +34,12 @@ A ``PolicyConfig`` holds the settings of one feature ``Family``: a threat
 policy and the ideal that mirrors it (``FAMILIES``).  ``rank`` takes the
 policy as an argument.  These settings types are defined in ``kinds``.
 
-Ranking reads the organization's feature table, one for every cohort and
-every policy of both families, and never the graph; output order never
-depends on evaluation order (ties break on ascending CVE id).
+``org_ids`` lists a graph's organizations, and ``org_rows`` reads one
+organization's weekly cohorts and one feature table over all of them:
+everything a read command ranks the organization from.  Ranking reads
+that table, for every cohort and every policy of both families, and never
+the graph; output order never depends on evaluation order (ties break on
+ascending CVE id).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
+from .errors import UsageError
 from .kinds import (APT_BITS, DEFAULT_ORIGIN_COUNTRIES, FAMILIES, GENERAL_BITS,  # noqa: F401
                     AttackVector, Family, Policy, PolicyConfig, TechnicalImpact)
 # techniques_for_cve is unused here; bench/trace_cli.py rebinds ranking's name.
@@ -71,10 +75,11 @@ class OrgContext(NamedTuple):
 
     @classmethod
     def from_graph(cls, graph: PropertyGraph, org_id: str) -> "OrgContext":
-        """Reconstruct the context from Organization/Software/Cpe nodes."""
+        """Reconstruct the context from Organization/Software/Cpe nodes; an
+        id with no Organization node is a UsageError naming it."""
         node = graph.find(NodeLabel.ORGANIZATION, org_id)
         if node is None:
-            raise KeyError(f"organization {org_id!r} not present in the graph")
+            raise UsageError(f"unknown organization id: {org_id}")
         return cls(
             org_id=org_id,
             sector=node.props.get("sector", ""),
@@ -207,18 +212,25 @@ _NO_PATHS: _PathFacts = (0, frozenset(), frozenset())
 _NETWORK = AttackVector.NETWORK.value
 
 
-def _row_reader(graph: PropertyGraph, org: OrgContext):
-    """A function that reads one CVE's ``FeatureRow`` for ``org``.
+def feature_table(graph: PropertyGraph, cve_ids: Iterable[str],
+                  org: OrgContext) -> dict[str, FeatureRow]:
+    """Feature rows of an organization's candidates, keyed by CVE id.
 
-    The reader walks each weakness's CWE->CAPEC->technique->group paths the
-    first time a CVE reaches it and keeps their facts, and combines each
-    distinct set of CWEs once; it lives for one ``feature_table`` call.
-    The sector-focused groups are those whose own FOCUS_ON edges hold the
-    org's sector node, and the reader maps each technique to the focused
-    groups that achieve it; of those, the groups whose TARGETS edges hold
-    the org's country node target it.  A sector or country with no node
-    (None) is in no edge set.  Software is affected when an AFFECTS edge
+    A row is one candidate's facts from its weakness->attack-pattern->
+    technique->group paths.  Skill levels and the technique link are
+    independent facts of the CVE's attack patterns, so changing the
+    configured skill level moves a relevance by exactly the skill bit.  The
+    sector-focused groups are those whose own FOCUS_ON edges hold the org's
+    sector node; of those, the groups whose TARGETS edges hold its country
+    node target it (a sector or country with no node is in no edge set).
+    The group facts are witnessed by the focused groups achieving a
+    technique the paths reach.  Software is affected when an AFFECTS edge
     ends at one of the org's CPE nodes.
+
+    The rows hold no setting, so one table, over all of the organization's
+    cohorts, serves every cohort and every policy of both feature families.
+    Each CWE the candidates reach is walked once, and each distinct set of
+    CWEs combined once; no walk is kept past the call.
     """
     sector = graph.find(NodeLabel.DHS_SECTOR, org.sector)
     country = graph.find(NodeLabel.COUNTRY, org.country)
@@ -268,7 +280,8 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
                                  frozenset().union(*origins))
         return facts
 
-    def read(cve_id: str) -> FeatureRow:
+    table: dict[str, FeatureRow] = {}
+    for cve_id in cve_ids:
         node = graph.find(NodeLabel.NVD_CVE, cve_id)
         if node is None:
             raise KeyError(f"CVE {cve_id!r} not present in the graph")
@@ -282,11 +295,24 @@ def _row_reader(graph: PropertyGraph, org: OrgContext):
         if not cpes.isdisjoint(outgoing.get(EdgeType.AFFECTS, ())):
             mask |= _BIT["affects_software"]
         probability, percentile = props.get("epss_probability"), props.get("epss_percentile")
-        return FeatureRow(
+        table[cve_id] = FeatureRow(
             props.get("cvss_base"), mask, skills, origins,
             None if probability is None or percentile is None else (probability, percentile))
+    return table
 
-    return read
+
+def org_ids(graph: PropertyGraph) -> list[str]:
+    """The ids of the graph's organizations, sorted."""
+    return sorted(node.key for node in graph.nodes_with_label(NodeLabel.ORGANIZATION))
+
+
+def org_rows(graph: PropertyGraph, org_id: str, date_range: tuple[date, date]
+             ) -> tuple[list[WeeklyCohort], dict[str, FeatureRow]]:
+    """An organization's weekly cohorts in the date range, and one feature
+    table over all of them.  An unknown id is a UsageError naming it."""
+    org = OrgContext.from_graph(graph, org_id)
+    cohorts = generate_candidates(org, graph, date_range)
+    return cohorts, feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
 
 
 def _row_masks(config: PolicyConfig):
@@ -320,25 +346,6 @@ def _row_masks(config: PolicyConfig):
 def score_from_bits(bits: Mapping[str, int]) -> int:
     """Relevance is the bit sum floored at 1 so candidates stay relevant."""
     return max(1, sum(bits.values()))
-
-
-def feature_table(graph: PropertyGraph, cve_ids: Iterable[str],
-                  org: OrgContext) -> dict[str, FeatureRow]:
-    """Feature rows of an organization's candidates, keyed by CVE id.
-
-    A row is one candidate's facts from its weakness->attack-pattern->
-    technique->group paths.  Skill levels and the technique link are
-    independent facts of the CVE's attack patterns, so changing the
-    configured skill level moves a relevance by exactly the skill bit.  The
-    group facts are witnessed by groups reachable through a technique; the
-    country facts only by groups that also focus on the organization's
-    sector.  The rows hold no setting, so one table, over all of the
-    organization's cohorts, serves every cohort and every policy of both
-    feature families; one reader serves the whole table, so each CWE the
-    candidates reach is walked once.
-    """
-    read = _row_reader(graph, org)
-    return {cve_id: read(cve_id) for cve_id in cve_ids}
 
 
 # ---------------------------------------------------------------------------

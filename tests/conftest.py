@@ -13,8 +13,6 @@ from threatrank.ranking import (
     Policy,
     RankedItem,
     RankedList,
-    feature_table,
-    generate_candidates,
     order_scored,
 )
 from threatrank.vocab import load_vocabulary
@@ -75,10 +73,8 @@ def feature_bits(row, config) -> dict[str, int]:
 
 def org_rows(graph, org, date_range):
     """``(org id, weekly cohorts, feature table)`` of one organization, the
-    rows ``generate_report`` evaluates, read with the public calls."""
-    cohorts = generate_candidates(org, graph, date_range)
-    table = feature_table(graph, (cve for c in cohorts for cve in c.cve_ids), org)
-    return org.org_id, cohorts, table
+    rows ``generate_report`` evaluates, read as the read commands read them."""
+    return (org.org_id, *ranking.org_rows(graph, org.org_id, date_range))
 
 
 def audit_edge_conformance(graph: PropertyGraph) -> list[tuple[str, str, str]]:

@@ -1027,18 +1027,18 @@ def test_read_commands_build_one_feature_table_per_organization(tmp_path, monkey
     assert _run(*base, "build") == 0
 
     readers = []
-    row_reader = ranking._row_reader
+    feature_table = ranking.feature_table
 
-    def counted(graph, org):
+    def counted(graph, cve_ids, org):
         readers.append(org.org_id)
-        return row_reader(graph, org)
+        return feature_table(graph, cve_ids, org)
 
     def readers_of(*args):
         readers.clear()
         assert _run(*base, *args) == 0
         return sorted(readers)
 
-    monkeypatch.setattr(ranking, "_row_reader", counted)
+    monkeypatch.setattr(ranking, "feature_table", counted)
     orgs = ["SYNTHU", "SYNTHV"]
     for org in orgs:
         for policy in ("cvss_base", "apt_threat", "general_threat", "ideal"):

@@ -52,3 +52,13 @@ def test_a_missing_parent_directory_is_made(tmp_path):
     write_csv(target, ["org", "cost"], [["ODU", "1.50"], ["a,b", 'say "hi"']])
     assert target.read_bytes() == b'org,cost\nODU,1.50\n"a,b","say ""hi"""\n'
     assert os.listdir(target.parent) == ["cost.csv"]
+
+
+def test_a_temporary_file_left_by_a_killed_run_with_this_pid_is_replaced(tmp_path):
+    # A run killed mid-write leaves its temporary file; a later run that
+    # gets the same pid must still write the target.
+    target = tmp_path / "ttest.csv"
+    (tmp_path / f".ttest.csv.{os.getpid()}.tmp").write_bytes(b"half,")
+    write_csv(target, ["org"], [["ODU"]])
+    assert target.read_bytes() == b"org\nODU\n"
+    assert os.listdir(tmp_path) == ["ttest.csv"]

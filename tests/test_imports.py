@@ -3,6 +3,7 @@ imports from the package, loaded on first use."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -16,7 +17,7 @@ from threatrank.cli import main
 from tests.conftest import CASE_STUDY, REPO_ROOT
 
 # The public names the package exported when it imported every module up
-# front, by the module that defines each.
+# front, and ranking's organization read, by the module that defines each.
 PUBLIC_NAMES = {
     "enrich": ["GroupAttribution", "Lexicon", "attribute_group", "filter_us_targeting",
                "load_lexicon"],
@@ -34,7 +35,7 @@ PUBLIC_NAMES = {
     "profiles": ["OrganizationProfile", "SoftwareItem", "cpe_index", "load_profile",
                  "resolve_cpes"],
     "ranking": ["FeatureRow", "OrgContext", "RankedItem", "RankedList", "WeeklyCohort",
-                "feature_table", "generate_candidates", "rank"],
+                "feature_table", "generate_candidates", "org_ids", "org_rows", "rank"],
     "stats": ["TTestResult", "paired_t_test", "student_t_cdf"],
     "vocab": ["Vocabulary", "load_vocabulary"],
 }
@@ -139,9 +140,24 @@ def test_public_name_is_the_defining_modules_object(module, name):
 
 
 def test_public_names_are_listed():
-    assert len(ALL_NAMES) == 64
+    assert len(ALL_NAMES) == 66
     assert sorted(threatrank.__all__) == ALL_NAMES
     assert set(ALL_NAMES) <= set(dir(threatrank))
+
+
+def test_cli_names_no_graph_type():
+    # The read commands reach the graph through ranking.org_rows and
+    # ranking.org_ids; cli itself names neither node labels nor edge types.
+    tree = ast.parse((REPO_ROOT / "src" / "threatrank" / "cli.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert not names & {"NodeLabel", "EdgeType"}
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -118,7 +118,7 @@ def test_adjacency_of_isolated_and_linked_nodes():
 def test_dangling_references_are_dropped_and_counted():
     bundle = {SourceKind.CVE: [_cve(cwe_ids=["CWE-9999"])]}
     graph = build_graph(bundle, vocab=TINY_VOCAB)
-    assert graph.stats.dangling_dropped[EdgeType.WEAKENED_BY] == 1
+    assert graph.stats.dangling_dropped[EdgeType.WEAKENED_BY.value] == 1
     assert graph.find(NodeLabel.CWE, "CWE-9999") is None  # no stub node
     assert graph.edge_count == 0
 
@@ -426,7 +426,7 @@ def test_group_achieves_goal_edges():
     graph = build_graph(bundle, vocab=TINY_VOCAB)
     achieved = [e for e in graph.edges() if e[1] is EdgeType.ACHIEVES_GOAL]
     assert len(achieved) == 1
-    assert graph.stats.dangling_dropped[EdgeType.ACHIEVES_GOAL] == 1
+    assert graph.stats.dangling_dropped[EdgeType.ACHIEVES_GOAL.value] == 1
     tactics = [e for e in graph.edges() if e[1] is EdgeType.ACHIEVED_THROUGH]
     assert len(tactics) == 1
 

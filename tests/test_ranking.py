@@ -24,6 +24,7 @@ from threatrank.feeds import (
     parse_snapshot,
 )
 from threatrank.enrich import GroupAttribution
+from threatrank.errors import UsageError
 from threatrank.feeds import AttackGroupRaw
 from threatrank import ranking
 from threatrank.kgraph import EdgeType, NodeLabel, PropertyGraph, build_graph
@@ -40,6 +41,8 @@ from threatrank.ranking import (
     WeeklyCohort,
     feature_table,
     generate_candidates,
+    org_ids,
+    org_rows,
     order_scored,
     policy_bits,
     rank,
@@ -50,8 +53,10 @@ from tests.conftest import (
     EXPECTED_CVSS_RANKS,
     EXPECTED_RELEVANCE,
     EXPECTED_THREAT_RANKS,
+    VOCAB,
     feature_bits,
 )
+from tests.randdata import random_attributions, random_bundle, random_profiles
 
 APT = PolicyConfig(family=Family.APT)
 GENERAL = PolicyConfig(family=Family.GENERAL)
@@ -124,6 +129,45 @@ def _item(graph, cve_id, org, config, policy=None):
     cohort = WeeklyCohort(org_id=org.org_id, iso_week=(2021, 1), cve_ids=(cve_id,))
     policy = policy or FAMILIES[config.family][0]
     return rank(cohort, policy, config, feature_table(graph, cohort.cve_ids, org)).items[0]
+
+
+# ---------------------------------------------------------------------------
+# The organization read
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def many_org_graph():
+    # Seed 17 draws four organizations.
+    bundle = random_bundle(seed=17)
+    return build_graph(bundle, random_attributions(17, bundle), random_profiles(17, bundle),
+                       vocab=VOCAB).freeze()
+
+
+@pytest.mark.parametrize("graph_name, date_range", [
+    ("many_org_graph", (date(2019, 1, 1), date(2021, 12, 31))),
+    ("case_graph", (date(2021, 11, 1), date(2021, 11, 30))),
+])
+def test_org_rows_of_each_org_id_are_candidates_and_their_feature_table(
+        graph_name, date_range, request):
+    graph = request.getfixturevalue(graph_name)
+    ids = org_ids(graph)
+    assert ids == sorted(node.key for node in graph.nodes_with_label(NodeLabel.ORGANIZATION))
+    read = 0
+    for org_id in ids:
+        org = OrgContext.from_graph(graph, org_id)
+        cohorts = generate_candidates(org, graph, date_range)
+        table = feature_table(graph, [cve for c in cohorts for cve in c.cve_ids], org)
+        assert org_rows(graph, org_id, date_range) == (cohorts, table)
+        read += len(table)
+    assert read  # the organizations have candidates in the range
+
+
+def test_org_rows_of_an_unknown_id_is_a_usage_error_naming_it(case_graph):
+    with pytest.raises(UsageError, match="^unknown organization id: NOPE$"):
+        org_rows(case_graph, "NOPE", (date(2021, 1, 1), date(2021, 12, 31)))
+    with pytest.raises(UsageError, match="^unknown organization id: NOPE$"):
+        OrgContext.from_graph(case_graph, "NOPE")
 
 
 # ---------------------------------------------------------------------------
